@@ -18,8 +18,7 @@ from .generators import (FeasibilityEntry, FeasibilityWitness,
                          GeneratorSession, is_feasible, limit_emit,
                          nonuniform_emit, nonuniform_thresholds, uniform_emit)
 from .groups import (BlockPartition, FiniteGroups, GroupCollection,
-                     ValidationReport, finite_support_size,
-                     has_finite_support)
+                     ValidationReport, finite_support_size)
 from .harness import (GameTrace, StepRecord, emit_trace, evaluate_asserts,
                       parse_trace, run_game, trace_lines)
 from .hypotheses import Hypothesis, HypothesisClass

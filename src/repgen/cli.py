@@ -88,8 +88,9 @@ def cmd_gc_dim(args) -> int:
     scenario = load_scenario(args.scenario)
     search = scenario.gc_search
     if args.max_d is not None or args.horizon is not None:
-        search = GcSearch(max_d=args.max_d or search.max_d,
-                          horizon=args.horizon or search.horizon)
+        search = GcSearch(
+            max_d=search.max_d if args.max_d is None else args.max_d,
+            horizon=search.horizon if args.horizon is None else args.horizon)
     result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha, search)
     row = {"status": result.status, "d": result.d,
            "witness": list(result.witness) if result.witness else None,
@@ -171,7 +172,8 @@ def cmd_adversary(args) -> int:
                      "final_group_one_fraction":
                          format_fraction(state.group_one_fraction())}))
         return 0
-    # gc-witness
+    if not args.scenario:
+        raise ConfigError("gc-witness needs a scenario path")
     scenario = load_scenario(args.scenario)
     result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha,
                           scenario.gc_search)
@@ -197,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="write the JSON-lines trace to this path")
     run.add_argument("--print-trace", action="store_true",
                      help="print the full trace instead of the summary")
-    run.add_argument("--assert", dest="check_asserts", action="store_true",
-                     help="evaluate the scenario's declared assertions "
-                          "(always on; flag kept for explicit invocations)")
     run.set_defaults(fn=cmd_run)
 
     gc = sub.add_parser("gc-dim", help="dimension search for a scenario's instance")
@@ -242,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "adversary":
-        if args.family == "gc-witness" and not args.scenario:
-            print("error: gc-witness needs a scenario path", file=sys.stderr)
-            return 3
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on misuse
+        return 3 if e.code else 0
     try:
         return args.fn(args)
     except (ScenarioError, ConfigError, ValueError) as e:

@@ -109,6 +109,8 @@ class GcSearch:
     def __post_init__(self):
         if self.max_d < 1:
             raise ConfigError(f"gc search max_d must be >= 1, got {self.max_d}")
+        if self.horizon is not None and self.horizon < 1:
+            raise ConfigError(f"gc search horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ Four generator kinds share one session interface:
   inlimit     - plays the feasibility witness of the largest-index critical
                 hypothesis, falling back to the empirical distribution
 
+All of them read the stream through one `StreamState`, which a session
+feeds one element per step.  The pure functions (`uniform_emit`,
+`nonuniform_emit`, `limit_emit`, `is_feasible`) build a state from their
+history and run the same construction, so there is one code path per kind.
+
 Everything is deterministic and exact: same configuration and history, same
 distribution, bit for bit.
 """
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import simplex
 from .dimension import GcSearch, gc_dimension
@@ -27,10 +32,83 @@ from .errors import ConfigError
 from .groups import (BlockPartition, FiniteGroups, GroupCollection,
                      finite_support_size)
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import ONE, ZERO, RationalDist, empirical, group_empirical
+from .measures import ONE, ZERO, RationalDist, empirical
 from .periodic import PeriodicSet
 
 KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
+
+
+# -- stream state ------------------------------------------------------------
+
+class StreamState:
+    """What every construction reads about the stream so far, updated one
+    element at a time: the history and its distinct elements, the distinct
+    count per group (per touched block for a block partition), the consistent
+    class indices (checked lazily up to the largest index asked for), and
+    smallest-unseen cursors keyed by (set, part), each walking `set & part`
+    forward only, since the seen set only grows."""
+
+    def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
+                 history: Iterable[int] = ()):
+        self.cls = cls
+        self.groups = groups
+        self.history: list[int] = []
+        self.seen: set[int] = set()
+        self.counts: dict[int, int] = (dict.fromkeys(groups.indices(), 0)
+                                       if isinstance(groups, FiniteGroups) else {})
+        self.consistent: tuple[int, ...] = ()
+        self.checked = 0  # class indices checked for consistency so far
+        self._cursors: dict[tuple, list] = {}
+        for x in history:
+            self.add(x)
+
+    def add(self, x: int) -> None:
+        self.history.append(x)
+        if x in self.seen:
+            return
+        self.seen.add(x)
+        c = self.groups
+        for i in (c.groups_containing(x) if isinstance(c, FiniteGroups)
+                  else (c.group_index(x),)):
+            self.counts[i] = self.counts.get(i, 0) + 1
+        self.consistent = tuple(i for i in self.consistent
+                                if x in self.cls.get(i).support)
+
+    def depth(self) -> int:
+        """Largest class index a step may consider: t, capped by a finite class."""
+        t = len(self.history)
+        return t if self.cls.extendable else min(t, self.cls.materialized_count())
+
+    def consistent_upto(self, n: int) -> tuple[int, ...]:
+        """Indices up to n of the hypotheses whose support holds every seen element."""
+        while self.checked < n:
+            self.checked += 1
+            support = self.cls.get(self.checked).support
+            if all(x in support for x in self.seen):
+                self.consistent += (self.checked,)
+        if n == self.checked:
+            return self.consistent
+        return tuple(i for i in self.consistent if i <= n)
+
+    def weights(self) -> dict[int, Fraction]:
+        """Empirical group weights (of touched blocks only, for blocks)."""
+        d = len(self.seen)
+        return {i: Fraction(n, d) for i, n in self.counts.items()}
+
+    def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
+        """Smallest unseen element of `s & part`, or None when there is none;
+        `part` is a group or block index, or a cell's membership vector."""
+        cursor = self._cursors.get((s, part))
+        if cursor is None:
+            c = self.groups
+            region = (c.block_set(part) if isinstance(c, BlockPartition)
+                      else dict(c.cells())[part] if isinstance(part, tuple)
+                      else c.group(part))
+            members = (s & region).members()
+            cursor = self._cursors[s, part] = [members, next(members, None)]
+        while cursor[1] is not None and cursor[1] in self.seen:
+            cursor[1] = next(cursor[0], None)
+        return cursor[1]
 
 
 # -- feasibility -------------------------------------------------------------
@@ -65,41 +143,43 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     """
     if not history:
         raise ValueError("feasibility needs a nonempty history")
-    seen = set(history)
-    pihat = group_empirical(history, c)
-
-    if isinstance(c, FiniteGroups):
-        candidates = []
-        for vec, cell in c.cells():
-            elem = (h.support & cell).nth_unseen(seen)
-            if elem is not None:
-                candidates.append((vec, elem))
-        # q_v >= 0 per candidate cell; total mass 1; per group the covered
-        # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
-        # witnesses are preferred, so an exact-tracking system is tried
-        # before the banded one.
-        for exact in (True, False):
-            constraints: list = [([ONE] * len(candidates), simplex.EQ, ONE)]
-            for i in c.indices():
-                row = [ONE if vec[i - 1] else ZERO for vec, _ in candidates]
-                if exact:
-                    constraints.append((row, simplex.EQ, pihat[i]))
-                else:
-                    constraints.append((row, simplex.LE, pihat[i] + alpha))
-                    if pihat[i] - alpha > 0:
-                        constraints.append((row, simplex.GE, pihat[i] - alpha))
-            q = simplex.feasible_point(len(candidates), constraints)
-            if q is not None:
-                entries = tuple(FeasibilityEntry(vec, elem, m)
-                                for (vec, elem), m in zip(candidates, q) if m > 0)
-                return FeasibilityWitness(entries)
-        return None
-
-    assert isinstance(c, BlockPartition)
-    return _feasible_blocks(h, c, seen, pihat, alpha)
+    return _feasible(StreamState(None, c, history), h, alpha)
 
 
-def _feasible_blocks(h: Hypothesis, c: BlockPartition, seen: set[int],
+def _feasible(state: StreamState, h: Hypothesis,
+              alpha: Fraction) -> FeasibilityWitness | None:
+    c = state.groups
+    pihat = state.weights()
+    if isinstance(c, BlockPartition):
+        return _feasible_blocks(state, h, pihat, alpha)
+    candidates = []
+    for vec, _ in c.cells():
+        elem = state.unseen(h.support, vec)
+        if elem is not None:
+            candidates.append((vec, elem))
+    # q_v >= 0 per candidate cell; total mass 1; per group the covered
+    # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
+    # witnesses are preferred, so an exact-tracking system is tried
+    # before the banded one.
+    for exact in (True, False):
+        constraints: list = [([ONE] * len(candidates), simplex.EQ, ONE)]
+        for i in c.indices():
+            row = [ONE if vec[i - 1] else ZERO for vec, _ in candidates]
+            if exact:
+                constraints.append((row, simplex.EQ, pihat[i]))
+            else:
+                constraints.append((row, simplex.LE, pihat[i] + alpha))
+                if pihat[i] - alpha > 0:
+                    constraints.append((row, simplex.GE, pihat[i] - alpha))
+        q = simplex.feasible_point(len(candidates), constraints)
+        if q is not None:
+            entries = tuple(FeasibilityEntry(vec, elem, m)
+                            for (vec, elem), m in zip(candidates, q) if m > 0)
+            return FeasibilityWitness(entries)
+    return None
+
+
+def _feasible_blocks(state: StreamState, h: Hypothesis,
                      pihat: dict[int, Fraction],
                      alpha: Fraction) -> FeasibilityWitness | None:
     """Block partitions have one cell per block, so feasibility reduces to
@@ -110,7 +190,7 @@ def _feasible_blocks(h: Hypothesis, c: BlockPartition, seen: set[int],
     entries = []
     surplus = ZERO
     for i in sorted(pihat):
-        elem = (h.support & c.block_set(i)).nth_unseen(seen)
+        elem = state.unseen(h.support, i)
         if elem is None:
             if pihat[i] > alpha:
                 return None
@@ -123,7 +203,7 @@ def _feasible_blocks(h: Hypothesis, c: BlockPartition, seen: set[int],
         j = 1
         while surplus > 0:
             if j not in pihat:
-                elem = (h.support & c.block_set(j)).nth_unseen(seen)
+                elem = state.unseen(h.support, j)
                 if elem is not None:
                     chunk = min(alpha, surplus)
                     entries.append(FeasibilityEntry(j, elem, chunk))
@@ -172,9 +252,9 @@ def _assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
     return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
 
 
-def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
-                 d_star: int, history: Sequence[int]) -> RationalDist:
-    """One uniform-construction step on the full history.
+def _uniform(state: StreamState, alpha: Fraction, d_star: int,
+             upto: int) -> RationalDist:
+    """The uniform construction for the class prefix h_1, ..., h_upto.
 
     Before d_star distinct examples, or when no hypothesis is consistent,
     plays the empirical distribution.  Otherwise splits the groups into
@@ -184,22 +264,28 @@ def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
     increments over live groups in index order when it exceeds alpha, or
     added whole to the smallest-index group that can absorb it.
     """
-    distinct = set(history)
-    if len(distinct) < d_star:
-        return empirical(history)
-    closure = cls.closure(history)
+    closure = None
+    if len(state.seen) >= d_star:
+        closure = state.cls.closure_of_indices(state.consistent_upto(upto))
     if closure is None:
-        return empirical(history)
-    pi = group_empirical(history, c)
+        return empirical(state.history)
     avail: dict[int, int] = {}
     exhausted: list[int] = []
-    for i in c.indices():
-        z = (closure & c.group(i)).nth_unseen(distinct)
+    for i in state.groups.indices():
+        z = state.unseen(closure, i)
         if z is None:
             exhausted.append(i)
         else:
             avail[i] = z
-    return _assemble_uniform(pi, avail, exhausted, alpha, history)
+    return _assemble_uniform(state.weights(), avail, exhausted, alpha,
+                             state.history)
+
+
+def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
+                 d_star: int, history: Sequence[int]) -> RationalDist:
+    """One uniform-construction step on the full history."""
+    return _uniform(StreamState(cls, c, history), alpha, d_star,
+                    cls.materialized_count())
 
 
 # -- non-uniform construction -------------------------------------------------
@@ -225,6 +311,16 @@ def nonuniform_thresholds(cls: HypothesisClass, c: FiniteGroups,
     return cache
 
 
+def _nonuniform(state: StreamState, alpha: Fraction, search: GcSearch,
+                thresholds: list[int] | None) -> RationalDist:
+    upto = state.depth()
+    n = nonuniform_thresholds(state.cls, state.groups, alpha, search, upto,
+                              thresholds)
+    d_t = len(state.seen)
+    i_t = max((i for i in range(1, upto + 1) if n[i - 1] <= d_t), default=1)
+    return _uniform(state, alpha, n[i_t - 1], i_t)
+
+
 def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
                     history: Sequence[int], search: GcSearch = GcSearch(),
                     _threshold_cache: list[int] | None = None) -> RationalDist:
@@ -235,35 +331,24 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
     grow along a stream because the thresholds are non-decreasing and both t
     and d_t are monotone.
     """
-    t = len(history)
-    if t == 0:
+    if not history:
         raise ValueError("nonuniform step needs a nonempty history")
-    if cls.extendable:
-        upto = t
-    else:
-        upto = min(t, cls.materialized_count())
-    n = nonuniform_thresholds(cls, c, alpha, search, upto, _threshold_cache)
-    d_t = len(set(history))
-    i_t = 1
-    for i in range(1, upto + 1):
-        if n[i - 1] <= d_t:
-            i_t = i
-    return uniform_emit(cls.prefix_class(i_t), c, alpha, n[i_t - 1], history)
+    return _nonuniform(StreamState(cls, c, history), alpha, search,
+                       _threshold_cache)
 
 
 # -- in-the-limit construction --------------------------------------------------
 
-def _limit_choice(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
-                  history: Sequence[int]
-                  ) -> tuple[int | None, FeasibilityWitness | None]:
-    t = len(history)
-    upto = t if cls.extendable else min(t, cls.materialized_count())
-    for n in range(upto, 0, -1):
-        if cls.is_critical(n, history):
-            w = is_feasible(cls.get(n), c, history, alpha)
+def _limit(state: StreamState,
+           alpha: Fraction) -> tuple[int | None, RationalDist]:
+    """The index the in-limit step selects (None on fallback) and its output."""
+    consistent = state.consistent_upto(state.depth())
+    for n in reversed(consistent):
+        if state.cls.critical_among(n, consistent):
+            w = _feasible(state, state.cls.get(n), alpha)
             if w is not None:
-                return n, w
-    return None, None
+                return n, w.distribution()
+    return None, empirical(state.history)
 
 
 def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
@@ -271,20 +356,18 @@ def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     """One in-the-limit step: the feasibility witness of the largest-index
     hypothesis that is both critical and alpha-feasible for the history, or
     the empirical distribution when there is none."""
-    _, witness = _limit_choice(cls, c, alpha, history)
-    if witness is None:
-        return empirical(history)
-    return witness.distribution()
+    return _limit(StreamState(cls, c, history), alpha)[1]
 
 
 # -- sessions -------------------------------------------------------------------
 
 class GeneratorSession:
-    """Stateful step-by-step interface over the pure constructions.
+    """Stateful step-by-step interface over the constructions.
 
-    The uniform kind keeps incremental consistency, closure and per-group
-    cursor state so long fuzzed runs stay cheap; its output is identical to
-    calling uniform_emit on the accumulated history (tested).
+    Each step feeds one element into the session's `StreamState`, and every
+    kind emits by running its construction on that state, so no step
+    rescans the history.  The output is identical to calling the pure
+    function of the kind on the accumulated history (tested).
     """
 
     def __init__(self, kind: str, cls: HypothesisClass, groups: GroupCollection,
@@ -301,8 +384,11 @@ class GeneratorSession:
         self.groups = groups
         self.alpha = alpha
         self.gc_search = gc_search
-        self.history: list[int] = []
+        self.state = StreamState(cls, groups)
+        self.history = self.state.history
         self.last_selected: int | None = None
+        self.d_star: int | None = None
+        self._thresholds: list[int] = []  # nonuniform prefix thresholds
 
         if kind in ("uniform", "nonuniform"):
             if not isinstance(groups, FiniteGroups):
@@ -322,80 +408,29 @@ class GeneratorSession:
             if d_star < 1:
                 raise ConfigError(f"d_star must be >= 1, got {d_star}")
             self.d_star = d_star
-            self._seen: set[int] = set()
-            self._consistent = tuple(range(1, cls.materialized_count() + 1))
-            self._closure: PeriodicSet | None = cls.closure_of_indices(self._consistent)
-            self._counts: dict[int, int] = {i: 0 for i in groups.indices()}
-            self._cursors: dict[int, tuple[Iterator[int], int | None]] | None = None
-        elif kind == "nonuniform":
-            self.d_star = None
-            self._thresholds: list[int] = []
-        elif kind == "inlimit":
-            if isinstance(groups, FiniteGroups):
-                if not groups.validate().covers:
-                    raise ConfigError("inlimit generator requires a covering collection")
-                # Finite support sizes are always defined against a finite
-                # collection; evaluating them here honors the declared
-                # precondition.  Block partitions cannot be pre-checked this
-                # way (the sum has infinitely many terms), which is exactly
-                # the situation the geometric adversary exploits.
-                for i in range(1, cls.materialized_count() + 1):
-                    finite_support_size(cls.get(i), groups)
-            self.d_star = None
-        else:
-            self.d_star = d_star
+        elif kind == "inlimit" and isinstance(groups, FiniteGroups):
+            if not groups.validate().covers:
+                raise ConfigError("inlimit generator requires a covering collection")
+            # Finite support sizes are always defined against a finite
+            # collection; evaluating them here honors the declared
+            # precondition.  Block partitions cannot be pre-checked this
+            # way (the sum has infinitely many terms), which is exactly
+            # the situation the geometric adversary exploits.
+            for i in range(1, cls.materialized_count() + 1):
+                finite_support_size(cls.get(i), groups)
 
     def step(self, x: int) -> RationalDist:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"examples are naturals, got {x!r}")
-        self.history.append(x)
-        if self.kind == "empirical":
-            return empirical(self.history)
+        state = self.state
+        state.add(x)
         if self.kind == "uniform":
-            return self._uniform_step(x)
+            return _uniform(state, self.alpha, self.d_star,
+                            self.cls.materialized_count())
         if self.kind == "nonuniform":
-            return nonuniform_emit(self.cls, self.groups, self.alpha,
-                                   self.history, self.gc_search,
-                                   _threshold_cache=self._thresholds)
-        selected, witness = _limit_choice(self.cls, self.groups, self.alpha,
-                                          self.history)
-        self.last_selected = selected
-        if witness is None:
-            return empirical(self.history)
-        return witness.distribution()
-
-    # uniform fast path: consistency and closure only change when a new
-    # distinct element arrives; smallest-unseen cursors only move forward.
-
-    def _uniform_step(self, x: int) -> RationalDist:
-        if x not in self._seen:
-            self._seen.add(x)
-            for i in self.groups.groups_containing(x):
-                self._counts[i] += 1
-            kept = tuple(i for i in self._consistent
-                         if x in self.cls.get(i).support)
-            if kept != self._consistent:
-                self._consistent = kept
-                self._closure = self.cls.closure_of_indices(kept)
-                self._cursors = None
-        d_t = len(self._seen)
-        if d_t < self.d_star or self._closure is None:
-            return empirical(self.history)
-        if self._cursors is None:
-            self._cursors = {}
-            for i in self.groups.indices():
-                gen = (self._closure & self.groups.group(i)).members()
-                self._cursors[i] = (gen, next(gen, None))
-        pi = {i: Fraction(self._counts[i], d_t) for i in self.groups.indices()}
-        avail: dict[int, int] = {}
-        exhausted: list[int] = []
-        for i in self.groups.indices():
-            gen, cur = self._cursors[i]
-            while cur is not None and cur in self._seen:
-                cur = next(gen, None)
-            self._cursors[i] = (gen, cur)
-            if cur is None:
-                exhausted.append(i)
-            else:
-                avail[i] = cur
-        return _assemble_uniform(pi, avail, exhausted, self.alpha, self.history)
+            return _nonuniform(state, self.alpha, self.gc_search,
+                               self._thresholds)
+        if self.kind == "inlimit":
+            self.last_selected, mu = _limit(state, self.alpha)
+            return mu
+        return empirical(state.history)

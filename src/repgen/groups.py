@@ -12,7 +12,7 @@ from itertools import product
 from typing import Sequence, Union
 
 from .errors import ConfigError
-from .hypotheses import Hypothesis, HypothesisClass
+from .hypotheses import Hypothesis
 from .periodic import ALL, PeriodicSet, interval
 
 
@@ -173,13 +173,3 @@ def finite_support_size(h: Hypothesis, c: FiniteGroups) -> int:
             total += n
     return total
 
-
-def has_finite_support(cls: HypothesisClass, c: FiniteGroups,
-                       upto: int | None = None) -> bool:
-    """Whether every hypothesis (up to `upto` for provider-backed classes)
-    has a well-defined finite support size.  For finite collections the sum
-    is always a natural, so this amounts to evaluating it."""
-    n = cls.materialized_count() if upto is None else upto
-    for i in range(1, n + 1):
-        finite_support_size(cls.get(i), c)
-    return True

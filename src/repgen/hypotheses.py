@@ -129,10 +129,13 @@ class HypothesisClass:
         support of h_n is contained in the support of every consistent
         earlier hypothesis.
         """
-        t = len(prefix)
-        if n < 1 or n > t:
+        if n < 1 or n > len(prefix):
             return False
-        consistent = self.consistent_indices(prefix, upto=n)
+        return self.critical_among(n, self.consistent_indices(prefix, upto=n))
+
+    def critical_among(self, n: int, consistent: Sequence[int]) -> bool:
+        """Whether h_n is critical, given the indices of the hypotheses
+        consistent with the prefix (at least those below n)."""
         if n not in consistent:
             return False
         sn = self._members[n - 1].support

@@ -153,14 +153,6 @@ class PeriodicSet:
             i += 1
         return None
 
-    def elements_below(self, bound: int) -> list[int]:
-        out = []
-        for x in self.members():
-            if x >= bound:
-                break
-            out.append(x)
-        return out
-
     def __repr__(self) -> str:
         return f"PeriodicSet({format_set(self)!r})"
 

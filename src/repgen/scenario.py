@@ -22,7 +22,7 @@ from .hypotheses import Hypothesis, HypothesisClass
 from .measures import format_fraction, parse_fraction
 from .periodic import PeriodicSet, format_set, parse_set
 
-STREAM_KINDS = ("explicit", "enumerate_support", "adversary_script")
+STREAM_KINDS = ("explicit", "enumerate_support")
 ASSERT_KEYS = ("all_representative", "representative_from", "consistent_from")
 
 
@@ -31,7 +31,6 @@ class StreamSpec:
     kind: str
     elements: tuple[int, ...] = ()
     hypothesis_id: str | None = None
-    script: str | None = None
 
 
 @dataclass
@@ -273,28 +272,22 @@ def _parse_stream(raw: Any, where: str, by_id: dict[str, Hypothesis],
         elems = tuple(_as_int(v, f"{where}.explicit[{j}]", minimum=0)
                       for j, v in enumerate(items))
         return StreamSpec(kind="explicit", elements=elems)
-    if kind == "enumerate_support":
-        spec = raw[kind]
-        sw = f"{where}.enumerate_support"
-        if not isinstance(spec, dict):
-            raise ScenarioError(sw, "expected an object")
-        hid = spec.get("hypothesis", target_id)
-        hid = _as_str(hid, f"{sw}.hypothesis")
-        if hid not in by_id:
-            raise ScenarioError(f"{sw}.hypothesis", f"unknown hypothesis id {hid!r}")
-        order = spec.get("order", "increasing")
-        if order != "increasing":
-            raise ScenarioError(f"{sw}.order",
-                                f"only 'increasing' is supported, got {order!r}")
-        for key in spec:
-            if key not in {"hypothesis", "order"}:
-                raise ScenarioError(f"{sw}.{key}", "unknown key")
-        return StreamSpec(kind="enumerate_support", hypothesis_id=hid)
-    script = raw[kind]
-    if script != "identity":
-        raise ScenarioError(f"{where}.adversary_script",
-                            f"only 'identity' is supported, got {script!r}")
-    return StreamSpec(kind="adversary_script", script="identity")
+    spec = raw[kind]
+    sw = f"{where}.enumerate_support"
+    if not isinstance(spec, dict):
+        raise ScenarioError(sw, "expected an object")
+    hid = spec.get("hypothesis", target_id)
+    hid = _as_str(hid, f"{sw}.hypothesis")
+    if hid not in by_id:
+        raise ScenarioError(f"{sw}.hypothesis", f"unknown hypothesis id {hid!r}")
+    order = spec.get("order", "increasing")
+    if order != "increasing":
+        raise ScenarioError(f"{sw}.order",
+                            f"only 'increasing' is supported, got {order!r}")
+    for key in spec:
+        if key not in {"hypothesis", "order"}:
+            raise ScenarioError(f"{sw}.{key}", "unknown key")
+    return StreamSpec(kind="enumerate_support", hypothesis_id=hid)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -324,11 +317,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     st = s.stream
     if st.kind == "explicit":
         doc["stream"] = {"explicit": list(st.elements)}
-    elif st.kind == "enumerate_support":
+    else:
         doc["stream"] = {"enumerate_support": {"hypothesis": st.hypothesis_id,
                                                "order": "increasing"}}
-    else:
-        doc["stream"] = {"adversary_script": st.script}
     if s.asserts:
         doc["asserts"] = dict(s.asserts)
     return doc
@@ -357,12 +348,10 @@ def materialize_stream(scenario: Scenario) -> list[int]:
                 f"horizon is {scenario.horizon} but only "
                 f"{len(spec.elements)} elements are listed")
         xs = list(spec.elements[:scenario.horizon])
-    elif spec.kind == "enumerate_support":
+    else:
         src = next(h for h in scenario.hypotheses if h.id == spec.hypothesis_id)
         gen = src.support.members()
         xs = [next(gen) for _ in range(scenario.horizon)]
-    else:
-        xs = list(range(scenario.horizon))
     for j, x in enumerate(xs):
         if x not in scenario.target.support:
             raise ScenarioError(

@@ -8,10 +8,10 @@ import pytest
 
 from repgen.dimension import GcSearch
 from repgen.errors import ConfigError
-from repgen.generators import (GeneratorSession, is_feasible, limit_emit,
-                               nonuniform_emit, nonuniform_thresholds,
-                               uniform_emit)
-from repgen.groups import FiniteGroups
+from repgen.generators import (GeneratorSession, StreamState, is_feasible,
+                               limit_emit, nonuniform_emit,
+                               nonuniform_thresholds, uniform_emit)
+from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (RationalDist, empirical, group_empirical,
                              induced_group_probs, is_alpha_representative,
@@ -258,25 +258,54 @@ def test_limit_emit_selects_largest_index():
     assert selected_two
 
 
+def _assert_same_state(stepped, once):
+    assert stepped.history == once.history and stepped.seen == once.seen
+    assert stepped.weights() == once.weights()
+    n = stepped.checked
+    assert stepped.consistent_upto(n) == once.consistent_upto(n)
+    for s, part in list(stepped._cursors):
+        assert stepped.unseen(s, part) == once.unseen(s, part)
+
+
 def test_session_matches_free_functions():
+    # every kind, a block partition, a provider-backed class and streams
+    # with repeats: the session's state, fed one element per step between
+    # emissions, equals a state built from the whole history at once, and
+    # the session emits what the pure function emits
     groups = FiniteGroups([from_finite([0]), from_threshold(1)])
+    tail2 = _cls([("all", ALL), ("tail", from_threshold(2))])
+    nested = _cls([("evens", EVENS), ("mult4", multiples(4))])
+    blocks = BlockPartition(base=2, prefix_sizes=(2,))
+    evens_cls = _cls([("all", ALL), ("evens", EVENS)])
+    tails = HypothesisClass(
+        [], provider=lambda n: Hypothesis(f"from{n - 1}", from_threshold(n - 1)))
+    search = GcSearch()
+    cases = [
+        ("empirical", tail2, groups, None, range(10), empirical),
+        ("uniform", tail2, groups, 2, range(10),
+         lambda h: uniform_emit(tail2, groups, F(1, 2), 2, h)),
+        ("inlimit", tail2, groups, None, range(10),
+         lambda h: limit_emit(tail2, groups, F(1, 2), h)),
+        ("nonuniform", nested, PARITY, None, range(0, 40, 4),
+         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h, search)),
+        ("inlimit", evens_cls, blocks, None, range(0, 60, 2),
+         lambda h: limit_emit(evens_cls, blocks, F(1, 2), h)),
+        ("inlimit", tails, PARITY, None, range(12),
+         lambda h: limit_emit(tails, PARITY, F(1, 2), h)),
+    ]
     rng = random.Random(103)
-    for kind in ("empirical", "uniform", "inlimit"):
-        session = GeneratorSession(kind, ALL_CLS, groups, F(1, 2),
-                                   d_star=2 if kind == "uniform" else None)
+    for kind, cls, c, d_star, pool, emit in cases:
+        session = GeneratorSession(kind, cls, c, F(1, 2), d_star=d_star)
         hist = []
         for _ in range(15):
-            x = rng.randrange(0, 30)
+            x = rng.choice(hist) if hist and rng.random() < 0.3 else rng.choice(pool)
             hist.append(x)
             mu = session.step(x)
-            if kind == "empirical":
-                want = empirical(hist)
-            elif kind == "uniform":
-                want = uniform_emit(ALL_CLS, groups, F(1, 2), 2, hist)
-            else:
-                want = limit_emit(ALL_CLS, groups, F(1, 2), hist)
+            want = emit(hist)
             assert mu == want, (kind, hist)
             assert mu.serialize() == want.serialize()
+            _assert_same_state(session.state, StreamState(cls, c, hist))
+        assert len(set(hist)) < len(hist), (kind, hist)
 
 
 def test_session_nonuniform_matches_free_function():

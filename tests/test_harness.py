@@ -3,6 +3,7 @@ command line entry points."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,9 +128,10 @@ def test_parse_errors_are_path_qualified():
     with pytest.raises(ScenarioError) as e:
         parse_scenario(_doc(hypotheses=[{"id": "everything"}]))
     assert "hypotheses[0]" in str(e.value)
-    with pytest.raises(ScenarioError) as e2:
-        parse_scenario(_doc(stream={"explicit": [0, -1]}))
-    assert "stream" in str(e2.value)
+    for stream in ({"explicit": [0, -1]}, {"adversary_script": "identity"}):
+        with pytest.raises(ScenarioError) as e2:
+            parse_scenario(_doc(stream=stream))
+        assert str(e2.value).startswith("scenario.stream")
 
 
 def test_parse_rejects_unknown_target():
@@ -221,6 +223,16 @@ def test_mass_on_seen_marks_inconsistent():
     assert all(not rec.consistent for rec in trace.steps)
 
 
+def test_nonuniform_and_block_goldens_are_byte_identical():
+    # the scenarios outside criterion 9's u/i sets: a non-uniform game with
+    # repeats and an exhausted group, and an in-limit game on blocks
+    root = Path(__file__).parent
+    for stem in ("n01-nested3-exhausted-half", "b01-evens-blocks-inlimit"):
+        trace = run_game(load_scenario(str(root / "scenarios" / f"{stem}.json")))
+        want = (root / "golden" / f"{stem}.jsonl").read_text()
+        assert "\n".join(trace_lines(trace)) + "\n" == want, stem
+
+
 def test_load_scenario_io_errors(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "missing.json"))
@@ -277,6 +289,20 @@ def test_cli_gc_dim(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out.strip())
     assert row["status"] == "exact" and row["d"] == 1
     assert row["witness"] == [0]
+
+
+def test_cli_gc_dim_rejects_zero_bounds(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _doc())
+    for flag in ("--max-d", "--horizon"):
+        assert main(["gc-dim", path, flag, "0"]) == 3
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_3(capsys):
+    assert main(["run"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_closure(tmp_path, capsys):
