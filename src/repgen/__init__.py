@@ -22,7 +22,7 @@ from .groups import (BlockPartition, FiniteGroups, GroupCollection,
 from .harness import (GameTrace, StepRecord, emit_trace, evaluate_asserts,
                       parse_trace, run_game, trace_lines)
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import (RationalDist, empirical, format_fraction,
+from .measures import (GroupTally, RationalDist, empirical, format_fraction,
                        group_empirical, induced_group_probs,
                        is_alpha_representative, parse_fraction, sup_distance)
 from .periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet, format_set,

@@ -8,8 +8,9 @@ Subcommands:
   feasible   - exact feasibility verdict for one hypothesis and prefix
   adversary  - run one of the adversary constructions against a baseline
 
-Exit codes: 0 all requested properties hold, 2 a declared assertion failed
-(details on stdout), 3 configuration or usage error (details on stderr).
+Exit codes: 0 all requested properties hold, 1 an internal invariant was
+violated (a bug; one line on stderr), 2 a declared assertion failed (details
+on stdout), 3 configuration or usage error (details on stderr).
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import adversaries
 from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           QueryThenEmit, ViolationReport, gc_witness_adversary,
                           geometric_adversary, query_adversary)
 from .dimension import GcSearch, gc_dimension
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import GeneratorSession, is_feasible
 from .harness import emit_trace, evaluate_asserts, run_game, trace_lines
 from .measures import format_fraction, parse_fraction
@@ -250,6 +249,9 @@ def main(argv=None) -> int:
     except (ScenarioError, ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except InvariantViolation as e:
+        print(f"error: internal invariant violated: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

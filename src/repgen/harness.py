@@ -3,8 +3,11 @@
 run_game drives a generator session along a scenario's stream and verifies
 every emitted distribution with the measure-level checkers only; none of the
 verification reuses the generator constructions, so a broken generator
-cannot vouch for itself.  Traces serialize to JSON lines with sorted keys
-and fixed separators, making reruns byte-comparable.
+cannot vouch for itself.  The checks are incremental: group weights come
+from integer counts in a `GroupTally`, and the consistent class indices are
+filtered once per new element, so a step costs the same however long the
+stream has run.  Traces serialize to JSON lines with sorted keys and fixed
+separators, making reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .measures import (RationalDist, format_fraction, is_alpha_representative,
-                       parse_fraction)
+from .measures import (GroupTally, RationalDist, format_fraction,
+                       induced_group_probs, parse_fraction, sup_distance)
 from .scenario import Scenario, build_session, materialize_stream
 
 
@@ -46,8 +49,11 @@ class GameTrace:
 def run_game(scenario: Scenario) -> GameTrace:
     xs = materialize_stream(scenario)
     session = build_session(scenario)
-    history: list[int] = []
-    seen: set[int] = set()
+    cls, groups = scenario.cls, scenario.groups
+    tally = GroupTally(groups)
+    # indices of the hypotheses holding every element seen; the closure is
+    # bottom exactly when none is left
+    consistent = cls.consistent_indices(())
     steps: list[StepRecord] = []
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
@@ -55,17 +61,15 @@ def run_game(scenario: Scenario) -> GameTrace:
             raise InvariantViolation(
                 f"step {t}: generator returned {type(mu).__name__} "
                 "instead of a distribution")
-        history.append(x)
-        seen.add(x)
-        ok, dist = is_alpha_representative(mu, history, scenario.groups,
-                                           scenario.alpha)
-        consistent = all(y in scenario.target.support and y not in seen
-                         for y in mu.support())
-        closure = scenario.cls.closure(history)
+        if tally.add(x):
+            consistent = [i for i in consistent if x in cls.get(i).support]
+        dist = sup_distance(induced_group_probs(mu, groups), tally.weights())
         steps.append(StepRecord(
-            t=t, x=x, distinct=len(seen), mu=mu, distance=dist,
-            representative=ok, consistent=consistent,
-            closure_bot=closure is None,
+            t=t, x=x, distinct=len(tally.seen), mu=mu, distance=dist,
+            representative=dist <= scenario.alpha,
+            consistent=all(y in scenario.target.support and y not in tally.seen
+                           for y in mu.support()),
+            closure_bot=not consistent,
             selected=session.last_selected if scenario.kind == "inlimit" else None))
     trace = GameTrace(scenario_name=scenario.name, generator_kind=scenario.kind,
                       alpha=scenario.alpha, horizon=scenario.horizon,

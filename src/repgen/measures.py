@@ -108,9 +108,52 @@ def induced_group_probs(mu: RationalDist, c: GroupCollection) -> dict[int, Fract
     return out
 
 
+class GroupTally:
+    """Distinct elements of a stream and, per group, how many of them it
+    contains (every group of a finite collection; touched blocks only for a
+    block partition).  A repeat changes nothing, so feeding the stream one
+    element at a time costs O(K) per new element and O(1) per repeat."""
+
+    __slots__ = ("groups", "seen", "counts")
+
+    def __init__(self, c: GroupCollection):
+        self.groups = c
+        self.seen: set[int] = set()
+        self.counts: dict[int, int] = (dict.fromkeys(c.indices(), 0)
+                                       if isinstance(c, FiniteGroups) else {})
+
+    def add(self, x: int) -> bool:
+        """Record x; returns whether it was new."""
+        if x in self.seen:
+            return False
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"elements must be naturals, got {x!r}")
+        self.seen.add(x)
+        c = self.groups
+        if isinstance(c, FiniteGroups):
+            for i in c.groups_containing(x):
+                self.counts[i] += 1
+        else:
+            i = c.group_index(x)
+            self.counts[i] = self.counts.get(i, 0) + 1
+        return True
+
+    def weights(self) -> dict[int, Fraction]:
+        """Group probabilities induced by the empirical distribution of the
+        elements added so far: count / distinct, exactly."""
+        d = len(self.seen)
+        if not d:
+            raise ValueError("empirical distribution of an empty prefix is undefined")
+        return {i: Fraction(n, d) for i, n in self.counts.items()}
+
+
 def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Fraction]:
-    """Group probabilities induced by the empirical distribution of the prefix."""
-    return induced_group_probs(empirical(prefix), c)
+    """Group probabilities induced by the empirical distribution of the
+    prefix; equal to `induced_group_probs(empirical(prefix), c)`."""
+    tally = GroupTally(c)
+    for x in prefix:
+        tally.add(x)
+    return tally.weights()
 
 
 def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fraction:

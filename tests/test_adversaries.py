@@ -12,7 +12,7 @@ from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 gc_witness_adversary, geometric_adversary,
                                 geometric_checkpoints, query_adversary,
                                 verify_report)
-from repgen.errors import ConfigError, InvariantViolation
+from repgen.errors import ConfigError
 from repgen.generators import GeneratorSession
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass

@@ -11,8 +11,7 @@ from repgen.dimension import (Condition1, Condition2, GcSearch, candidate_pool,
 from repgen.errors import ConfigError
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
-                             multiples)
+from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
 from instances import dimension_instances, worked_example_index
 from oracles import naive_gc
 

@@ -1,7 +1,9 @@
 """Scenario parsing, game harness, trace serialization, assertions, and the
 command line entry points."""
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +13,11 @@ from repgen.cli import main
 from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (emit_trace, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
-from repgen.measures import RationalDist
-from repgen.scenario import (load_scenario, materialize_stream,
+from repgen.hypotheses import Hypothesis
+from repgen.measures import (empirical, induced_group_probs,
+                             is_alpha_representative, sup_distance)
+from repgen.periodic import ALL
+from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario, scenario_to_dict)
 
 F = Fraction
@@ -200,18 +205,19 @@ def test_parse_trace_validates_shape():
         parse_trace(lines[:-1])  # missing summary
 
 
+class _BrokenSession:
+    """A generator that returns garbage instead of a distribution."""
+    last_selected = None
+
+    def step(self, x):
+        return {"raw": "dict"}
+
+
 def test_mutated_session_is_flagged(monkeypatch):
     # a generator that returns garbage must be caught, not propagated
     s = parse_scenario(_doc())
-    from repgen import generators
-
-    class Broken:
-        last_selected = None
-
-        def step(self, x):
-            return {"raw": "dict"}
-
-    monkeypatch.setattr("repgen.harness.build_session", lambda sc: Broken())
+    monkeypatch.setattr("repgen.harness.build_session",
+                        lambda sc: _BrokenSession())
     with pytest.raises(InvariantViolation):
         run_game(s)
 
@@ -221,6 +227,58 @@ def test_mass_on_seen_marks_inconsistent():
     s = parse_scenario(doc)
     trace = run_game(s)
     assert all(not rec.consistent for rec in trace.steps)
+
+
+def _with_stream(s, xs):
+    return dataclasses.replace(s, stream=StreamSpec("explicit", elements=tuple(xs)),
+                               horizon=len(xs))
+
+
+def _incremental_check_games():
+    root = Path(__file__).parent / "scenarios"
+    paths = sorted(root.glob("*.json"))
+    assert len(paths) == 20
+    for path in paths:
+        yield load_scenario(str(path))
+    # seeded streams with repeats, on finite groups and on blocks
+    for stem in ("i04-triple-overlap", "b01-evens-blocks-inlimit"):
+        s = load_scenario(str(root / f"{stem}.json"))
+        rng = random.Random(stem)
+        fresh = s.target.support.members()
+        xs: list[int] = []
+        for _ in range(80):
+            xs.append(rng.choice(xs) if xs and rng.random() < 0.4 else next(fresh))
+        yield _with_stream(s, xs)
+    # a target outside the class, so that the closure reaches bottom: mult4
+    # drops out at 2 and evens at 1
+    s = parse_scenario(_doc(
+        hypotheses=[{"id": "evens", "support": "evens"},
+                    {"id": "mult4", "support": "ap:0,4,{0},{}"}],
+        **{"class": ["evens", "mult4"]}, target="mult4",
+        generator={"kind": "inlimit", "alpha": "1/2"}, asserts={}))
+    yield _with_stream(dataclasses.replace(s, target=Hypothesis("all", ALL)),
+                       [0, 4, 0, 8, 2, 4, 6, 1, 3, 0, 5])
+
+
+def test_run_game_incremental_checks_match_from_scratch():
+    # run_game updates its checks per element; every step must equal the
+    # verdicts recomputed from the whole prefix, with group weights taken
+    # from the empirical distribution rather than from integer counts
+    bottoms = 0
+    for s in _incremental_check_games():
+        trace = run_game(s)
+        history = list(materialize_stream(s))
+        for rec in trace.steps:
+            prefix = history[:rec.t]
+            ok, dist = is_alpha_representative(rec.mu, prefix, s.groups, s.alpha)
+            assert (rec.distance, rec.representative) == (dist, ok), (s.name, rec.t)
+            assert dist == sup_distance(
+                induced_group_probs(rec.mu, s.groups),
+                induced_group_probs(empirical(prefix), s.groups)), (s.name, rec.t)
+            assert rec.closure_bot == (s.cls.closure(prefix) is None), (s.name, rec.t)
+            assert rec.distinct == len(set(prefix))
+            bottoms += rec.closure_bot
+    assert bottoms == 4
 
 
 def test_nonuniform_and_block_goldens_are_byte_identical():
@@ -281,6 +339,18 @@ def test_cli_run_trace_output(tmp_path, capsys):
     assert main(["run", path, "--print-trace"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert any('"kind":"step"' in ln for ln in printed)
+
+
+def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):
+    path = _write_scenario(tmp_path, _doc())
+    monkeypatch.setattr("repgen.harness.build_session",
+                        lambda sc: _BrokenSession())
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: internal invariant violated: step 1: "
+                            "generator returned dict instead of a "
+                            "distribution\n")
+    assert captured.out == ""
 
 
 def test_cli_gc_dim(tmp_path, capsys):

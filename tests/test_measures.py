@@ -11,7 +11,7 @@ from repgen.measures import (RationalDist, empirical, format_fraction,
                              group_empirical, induced_group_probs,
                              is_alpha_representative, parse_fraction,
                              sup_distance)
-from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
+from repgen.periodic import EVENS, ODDS, from_finite, from_threshold
 
 F = Fraction
 

@@ -8,7 +8,7 @@ import pytest
 from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet, format_set,
                              from_finite, from_threshold, interval, multiples,
                              parse_set)
-from oracles import pointwise_equal, scan_bound
+from oracles import scan_bound
 
 
 def test_membership_basics():
