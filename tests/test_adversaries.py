@@ -1,6 +1,7 @@
 """Adversary constructions: the dimension-witness game, the geometric
 block stream, and the membership-query protocol, with report verification."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,48 @@ def test_query_adversary_budget():
     assert reports[-1].kind == BUDGET_EXCEEDED
     assert len(reports) <= 40
     assert verify_report(reports[-1])
+
+
+class GroupThenEmit:
+    """Asks group_member about `queries` elements nobody asked about before,
+    then plays the first of them as a point mass."""
+
+    def __init__(self, queries: int):
+        self.queries = queries
+        self.asked: list[int] = []
+        self.answers: list[bool] = []
+
+    def emit(self, prefix, oracle):
+        first = 10 ** 6 + len(self.asked)
+        for x in range(first, first + self.queries):
+            self.answers.append(oracle.group_member(x))
+            self.asked.append(x)
+        return RationalDist.point(first)
+
+
+def test_query_adversary_vs_group_member_queries():
+    gen = GroupThenEmit(queries=2)
+    reports, st = query_adversary(gen, 30, query_budget=2)
+    assert len(reports) == 30 and len(gen.asked) == 60
+    # fresh elements are answered "not in group one" and stay in-support
+    assert gen.answers == [False] * 60
+    assert all(st.grp[x] == 2 and st.hyp[x] == 1 for x in gen.asked)
+    # they are queued and replayed in the order asked
+    replayed = [x for x in st.enumeration if x in set(gen.asked)]
+    assert len(replayed) == 15  # one per even round
+    assert replayed + list(st.queue) == gen.asked
+    group_one = from_finite(x for x, g in st.grp.items() if g == 1)
+    groups = FiniteGroups([group_one, ALL - group_one])
+    support = ALL - from_finite(x for x, h in st.hyp.items() if h == 0)
+    for r in reports:
+        assert r.kind == UNREPRESENTATIVE
+        # query reports carry no alpha; their distances are >= 1/2
+        assert verify_report(dataclasses.replace(r, alpha=F(1, 3)),
+                             groups=groups, support=support)
+    # every group_member call is charged against the per-step budget
+    reports, _ = query_adversary(GroupThenEmit(queries=3), 30, query_budget=2)
+    assert [r.kind for r in reports] == [BUDGET_EXCEEDED]
+    assert verify_report(reports[0])
 
 
 def test_query_adversary_rejects_bad_generator():

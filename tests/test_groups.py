@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repgen.groups import (BlockPartition, FiniteGroups, finite_support_size,
-                           require_finite)
+from repgen.groups import BlockPartition, FiniteGroups, finite_support_size
 from repgen.hypotheses import Hypothesis
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples, parse_set)
@@ -130,13 +129,6 @@ def test_block_group_index_monotone_and_consistent():
             assert lo == total
             total += b.size(k)
             assert hi == total
-
-
-def test_require_finite():
-    c = FiniteGroups([EVENS, ODDS])
-    assert require_finite(c, "test") is c
-    with pytest.raises(Exception):
-        require_finite(BlockPartition(base=2), "test")
 
 
 def test_finite_support_size_worked():

@@ -1,6 +1,7 @@
 """Scenario parsing, game harness, trace serialization, assertions, and the
 command line entry points."""
 
+import copy
 import dataclasses
 import json
 import random
@@ -18,7 +19,7 @@ from repgen.measures import (empirical, induced_group_probs,
                              is_alpha_representative, sup_distance)
 from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
-                             parse_scenario, scenario_to_dict)
+                             parse_scenario)
 
 F = Fraction
 
@@ -170,13 +171,36 @@ def test_explicit_stream_must_cover_horizon():
         materialize_stream(s)
 
 
-def test_parse_print_parse_round_trip():
-    s = parse_scenario(_doc())
-    doc2 = scenario_to_dict(s)
-    s2 = parse_scenario(doc2)
-    assert scenario_to_dict(s2) == doc2
-    t1, t2 = run_game(s), run_game(s2)
-    assert trace_lines(t1) == trace_lines(t2)
+def test_every_section_rejects_unknown_keys():
+    search = {"generator": {"kind": "uniform", "alpha": "1/2",
+                            "gc_search": {"max_d": 4}}}
+    blocks = {"groups": {"blocks": {"base": 2}}}
+    enum = {"stream": {"enumerate_support": {"order": "increasing"}}}
+    cases = [
+        ("scenario", {}, lambda d: d),
+        ("scenario.hypotheses[0]", {}, lambda d: d["hypotheses"][0]),
+        ("scenario.generator", {}, lambda d: d["generator"]),
+        ("scenario.generator.gc_search", search,
+         lambda d: d["generator"]["gc_search"]),
+        ("scenario.groups", {}, lambda d: d["groups"]),
+        ("scenario.groups", blocks, lambda d: d["groups"]),
+        ("scenario.groups.blocks", blocks, lambda d: d["groups"]["blocks"]),
+        ("scenario.stream", enum, lambda d: d["stream"]),
+        ("scenario.stream.enumerate_support", enum,
+         lambda d: d["stream"]["enumerate_support"]),
+        ("scenario.asserts", {}, lambda d: d["asserts"]),
+    ]
+    for path, overrides, section in cases:
+        doc = copy.deepcopy(_doc(**overrides))
+        section(doc)["bogus"] = 1
+        with pytest.raises(ScenarioError) as e:
+            parse_scenario(doc)
+        assert e.value.path == f"{path}.bogus", e.value
+        assert e.value.message.startswith("unknown key")
+    # covers/partition are claims on members, unknown next to blocks
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(_doc(groups={"blocks": {"base": 2}, "covers": True}))
+    assert e.value.path == "scenario.groups.covers"
 
 
 def test_trace_round_trip_and_stability(tmp_path):
@@ -385,6 +409,15 @@ def test_cli_closure(tmp_path, capsys):
     path2 = _write_scenario(tmp_path, doc)
     assert main(["closure", path2, "--prefix", "1"]) == 0
     assert capsys.readouterr().out.strip() == "bot"
+
+
+def test_cli_rejects_negative_prefix(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _doc())
+    for cmd in ("closure", "feasible"):
+        for prefix in ("-3", "0,-4"):
+            assert main([cmd, path, f"--prefix={prefix}"]) == 3
+            err = capsys.readouterr().err
+            assert "expected a comma-separated list of naturals" in err
 
 
 def test_cli_feasible(tmp_path, capsys):
