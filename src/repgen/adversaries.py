@@ -289,6 +289,9 @@ class QueryAdversaryState:
     queue: deque = field(default_factory=deque)
     step: int = 0
     _fresh_scan: int = 0
+    # enumeration entries in group one; an enumerated element's group never
+    # changes, so query_adversary counts each fresh group-one entry once
+    group_one: int = 0
 
     def next_fresh(self) -> int:
         x = self._fresh_scan
@@ -298,9 +301,7 @@ class QueryAdversaryState:
         return x
 
     def group_one_fraction(self) -> Fraction:
-        t = len(self.enumeration)
-        ones = sum(1 for y in self.enumeration if self.grp.get(y) == 1)
-        return Fraction(ones, t)
+        return Fraction(self.group_one, len(self.enumeration))
 
 
 def query_adversary(generator, steps: int,
@@ -329,21 +330,21 @@ def query_adversary(generator, steps: int,
             x = st.next_fresh()
             st.grp[x] = 1
             st.hyp[x] = 1
+            st.group_one += 1
         else:
             x = st.queue.popleft()
         st.enumeration.append(x)
+        hist = tuple(st.enumeration)
         oracle = MembershipOracle(st, query_budget)
         try:
-            mu = generator.emit(tuple(st.enumeration), oracle)
+            mu = generator.emit(hist, oracle)
         except QueryBudgetExceeded:
             reports.append(ViolationReport(
-                step=t, kind=BUDGET_EXCEEDED, history=tuple(st.enumeration),
-                distribution=None))
+                step=t, kind=BUDGET_EXCEEDED, history=hist, distribution=None))
             return reports, st
         if not isinstance(mu, RationalDist):
             raise ConfigError(
                 f"query generator returned {type(mu).__name__}, expected RationalDist")
-        hist = tuple(st.enumeration)
         seen = set(hist)
         bad = sorted(y for y in mu.support()
                      if st.hyp.get(y) == 0 or y in seen)

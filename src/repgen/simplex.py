@@ -1,19 +1,33 @@
-"""Phase-one simplex over exact rationals.
+"""Phase-one simplex over exact rationals on an integer tableau.
 
 Decides feasibility of { x >= 0 : constraints } where every constraint is
 "coeffs . x REL rhs" with REL one of <=, >= or ==.  Bland's smallest-index
 rule is used for both the entering and the leaving choice, which rules out
-cycling, and all arithmetic is on fractions.Fraction, so the verdict is
-exact even when the feasible region is a single boundary point.
+cycling.
+
+Inputs and outputs are exact: coefficients and right-hand sides are ints or
+fractions.Fraction, and a returned vertex is a list of Fraction.  Inside,
+the tableau holds integers over one common denominator (Edmonds' fraction-
+free pivoting, as in Bareiss elimination): each row is scaled by the lcm of
+its denominators, and a pivot on p replaces every other row v by
+(p*v - f*w) // delta, an exact division, after which delta becomes p.  The
+row scaling turns slacks and artificials into positively rescaled
+variables, and giving each artificial the phase-one cost weight // scale
+(scale its row's lcm, weight the lcm of all artificial rows' scales) keeps
+the objective a positive multiple of the plain sum of artificials.  Every
+reduced cost therefore has the sign it has in the rational tableau and
+every ratio test the same order, so Bland's rule takes the same pivots and
+ends on the same vertex, and the verdict is exact even when the feasible
+region is a single boundary point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -24,57 +38,62 @@ def feasible_point(n_vars: int,
     """A nonnegative solution of the constraint system, or None.
 
     Builds the standard phase-one tableau: slacks for inequalities,
-    artificials wherever no slack can start basic, and minimizes the sum of
-    artificials.  Feasible iff that minimum is zero.
+    artificials wherever no slack can start basic, and minimizes the
+    (weighted) sum of artificials.  Feasible iff that minimum is zero.
+    Raises TypeError for a coefficient or right-hand side that is neither
+    an int nor a Fraction, and ValueError for a row of the wrong length.
     """
     rows = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+    for i, (coeffs, rel, rhs) in enumerate(constraints):
         if len(coeffs) != n_vars:
             raise ValueError(f"constraint arity {len(coeffs)} != {n_vars}")
+        for v in (*coeffs, rhs):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"constraint {i}: {type(v).__name__} {v!r} "
+                                f"is not an int or Fraction")
         if rhs < 0:
             coeffs = [-v for v in coeffs]
             rhs = -rhs
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append((coeffs, rel, rhs))
+        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
+        rows.append(([v.numerator * (scale // v.denominator) for v in coeffs],
+                     rel, rhs.numerator * (scale // rhs.denominator), scale))
 
-    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
+    n_slack = sum(1 for _, rel, _, _ in rows if rel != EQ)
     # Artificials: == rows always; >= rows always (their surplus starts
     # negative); <= rows start basic on their own slack.
-    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
-    n_art = len(art_rows)
+    art_scales = [scale for _, rel, _, scale in rows if rel != LE]
+    n_art = len(art_scales)
     width = n_vars + n_slack + n_art
+    weight = lcm(*art_scales)
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
+    # Objective: minimize sum over artificial rows of (weight // scale) times
+    # the artificial.  Work with reduced costs directly: cost[j] = c_j - sum
+    # over basic rows of c_B * row; cost[width] is -(objective) * delta.
+    cost = [0] * (width + 1)
     slack_at = 0
     art_at = 0
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = list(coeffs) + [ZERO] * (n_slack + n_art) + [rhs]
+    for coeffs, rel, rhs, scale in rows:
+        row = coeffs + [0] * (n_slack + n_art) + [rhs]
         if rel != EQ:
-            row[n_vars + slack_at] = ONE if rel == LE else -ONE
+            row[n_vars + slack_at] = 1 if rel == LE else -1
             slack_col = n_vars + slack_at
             slack_at += 1
         if rel == LE:
             basis.append(slack_col)
         else:
             col = n_vars + n_slack + art_at
-            row[col] = ONE
+            row[col] = 1
             basis.append(col)
             art_at += 1
+            c = weight // scale
+            cost[col] = c
+            cost = [v - c * w for v, w in zip(cost, row)]
         tableau.append(row)
 
-    # Objective: minimize sum of artificials.  Work with reduced costs
-    # directly: cost[j] = c_j - sum over basic rows of c_B * row.
-    cost = [ZERO] * (width + 1)
-    for j in range(n_vars + n_slack, width):
-        cost[j] = ONE
-    for r, b in enumerate(basis):
-        if b >= n_vars + n_slack:  # basic artificial, eliminate from cost row
-            for j in range(width + 1):
-                cost[j] -= tableau[r][j]
-
+    delta = 1
     while True:
         enter = -1
         for j in range(width):
@@ -84,34 +103,40 @@ def feasible_point(n_vars: int,
         if enter < 0:
             break
         leave = -1
-        best = None
-        for r in range(len(tableau)):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][width] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                # ratio rhs/a against the best so far, cross-multiplied
+                # (both a > 0); ties go to the smaller basic index
+                here, best = row[width] * best_a, best_rhs * a
+                if here > best or (here == best and basis[r] > basis[leave]):
+                    continue
+            leave, best_a, best_rhs = r, a, row[width]
         if leave < 0:
             # Unbounded phase-one objective cannot happen (it is bounded
             # below by 0); guard anyway.
             return None
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for r in range(len(tableau)):
-            if r != leave and tableau[r][enter] != 0:
-                f = tableau[r][enter]
-                tableau[r] = [v - f * w for v, w in zip(tableau[r], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [v - f * w for v, w in zip(cost, tableau[leave])]
+        prow = tableau[leave]
+        p = prow[enter]
+        for r, row in enumerate(tableau):
+            if r == leave:
+                continue
+            f = row[enter]
+            if f:
+                tableau[r] = [(p * v - f * w) // delta for v, w in zip(row, prow)]
+            elif p != delta:
+                tableau[r] = [p * v // delta for v in row]
+        f = cost[enter]
+        cost = [(p * v - f * w) // delta for v, w in zip(cost, prow)]
+        delta = p
         basis[leave] = enter
 
-    # cost[width] holds -(current objective value).
-    if -cost[width] != 0:
+    if cost[width] != 0:
         return None
     solution = [ZERO] * n_vars
     for r, b in enumerate(basis):
         if b < n_vars:
-            solution[b] = tableau[r][width]
+            solution[b] = Fraction(tableau[r][width], delta)
     return solution

@@ -4,12 +4,17 @@ Everything here re-decides questions by pointwise membership scans and
 exhaustive enumeration, sharing no search, subset, emptiness, or LP logic
 with the package.  Set membership (x in s) and the raw threshold/modulus
 fields are the only parts of the production set type used; both are data,
-not algorithms.
+not algorithms.  The LP reference is the rational-tableau simplex the
+package used before its integer tableau; only the relation constants are
+shared.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import Sequence
+
+from repgen.simplex import EQ, GE, LE
 
 
 def scan_bound(sets, extra_elements=()):
@@ -144,3 +149,111 @@ def pointwise_equal(s1, s2, extra=()):
     """Set equality decided purely by membership scanning."""
     b, period = scan_bound([s1, s2], extra)
     return all((x in s1) == (x in s2) for x in range(b + period))
+
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def fraction_feasible_point(
+        n_vars: int,
+        constraints: Sequence[tuple[Sequence[Fraction], str, Fraction]]
+) -> list[Fraction] | None:
+    """A nonnegative solution of the constraint system, or None.
+
+    The rational-tableau phase-one simplex that `repgen.simplex` used
+    before its integer tableau, kept verbatim as the reference the
+    integer version must match vertex for vertex.
+
+    Builds the standard phase-one tableau: slacks for inequalities,
+    artificials wherever no slack can start basic, and minimizes the sum of
+    artificials.  Feasible iff that minimum is zero.
+    """
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if len(coeffs) != n_vars:
+            raise ValueError(f"constraint arity {len(coeffs)} != {n_vars}")
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+        rows.append((coeffs, rel, rhs))
+
+    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
+    # Artificials: == rows always; >= rows always (their surplus starts
+    # negative); <= rows start basic on their own slack.
+    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != LE]
+    n_art = len(art_rows)
+    width = n_vars + n_slack + n_art
+
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = 0
+    art_at = 0
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        row = list(coeffs) + [ZERO] * (n_slack + n_art) + [rhs]
+        if rel != EQ:
+            row[n_vars + slack_at] = ONE if rel == LE else -ONE
+            slack_col = n_vars + slack_at
+            slack_at += 1
+        if rel == LE:
+            basis.append(slack_col)
+        else:
+            col = n_vars + n_slack + art_at
+            row[col] = ONE
+            basis.append(col)
+            art_at += 1
+        tableau.append(row)
+
+    # Objective: minimize sum of artificials.  Work with reduced costs
+    # directly: cost[j] = c_j - sum over basic rows of c_B * row.
+    cost = [ZERO] * (width + 1)
+    for j in range(n_vars + n_slack, width):
+        cost[j] = ONE
+    for r, b in enumerate(basis):
+        if b >= n_vars + n_slack:  # basic artificial, eliminate from cost row
+            for j in range(width + 1):
+                cost[j] -= tableau[r][j]
+
+    while True:
+        enter = -1
+        for j in range(width):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for r in range(len(tableau)):
+            a = tableau[r][enter]
+            if a > 0:
+                ratio = tableau[r][width] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            # Unbounded phase-one objective cannot happen (it is bounded
+            # below by 0); guard anyway.
+            return None
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for r in range(len(tableau)):
+            if r != leave and tableau[r][enter] != 0:
+                f = tableau[r][enter]
+                tableau[r] = [v - f * w for v, w in zip(tableau[r], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [v - f * w for v, w in zip(cost, tableau[leave])]
+        basis[leave] = enter
+
+    # cost[width] holds -(current objective value).
+    if -cost[width] != 0:
+        return None
+    solution = [ZERO] * n_vars
+    for r, b in enumerate(basis):
+        if b < n_vars:
+            solution[b] = tableau[r][width]
+    return solution

@@ -9,7 +9,8 @@ import pytest
 from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 UNREPRESENTATIVE, ConstantQueryFree,
                                 ConstantSession, GreedyQuerier,
-                                QueryThenEmit, ViolationReport,
+                                QueryAdversaryState, QueryThenEmit,
+                                ViolationReport,
                                 gc_witness_adversary, geometric_adversary,
                                 geometric_checkpoints, query_adversary,
                                 verify_report)
@@ -223,6 +224,45 @@ def test_query_adversary_vs_group_member_queries():
     reports, _ = query_adversary(GroupThenEmit(queries=3), 30, query_budget=2)
     assert [r.kind for r in reports] == [BUDGET_EXCEEDED]
     assert verify_report(reports[0])
+
+
+class RecountCheck:
+    """Wraps a query generator and checks, before each of its moves, that
+    the state's running group-one fraction equals a recount over the whole
+    enumeration."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.checked = 0
+
+    def emit(self, prefix, oracle):
+        st = oracle._state
+        assert tuple(st.enumeration) == prefix
+        assert st.group_one_fraction() == _recounted_fraction(st)
+        self.checked += 1
+        return self.inner.emit(prefix, oracle)
+
+
+def _recounted_fraction(st):
+    """The group-one share of the enumeration, counted from scratch."""
+    t = len(st.enumeration)
+    return F(sum(1 for y in st.enumeration if st.grp.get(y) == 1), t)
+
+
+@pytest.mark.parametrize("make", [QueryThenEmit,
+                                  lambda: GroupThenEmit(queries=1)])
+def test_query_adversary_running_count_matches_recount(make, monkeypatch):
+    steps = 300
+    check = RecountCheck(make())
+    reports, st = query_adversary(check, steps)
+    assert check.checked == len(reports) == steps
+    # both generators query fresh elements, which come back as group-two
+    # replays on every even round
+    assert sum(st.grp[x] == 2 for x in st.enumeration) == steps // 2
+    # the reports equal those of the from-scratch recount
+    monkeypatch.setattr(QueryAdversaryState, "group_one_fraction",
+                        _recounted_fraction)
+    assert query_adversary(make(), steps) == (reports, st)
 
 
 def test_query_adversary_rejects_bad_generator():

@@ -1,16 +1,20 @@
-"""Source hygiene: every name a module imports is referenced in it.
+"""Source hygiene: every name a module imports is referenced in it, and the
+package keeps its invariants of exact arithmetic and zero runtime
+dependencies: no float literal, no float() call and no import from outside
+the standard library in `src/repgen/`.
 
-`src/repgen/__init__.py` is skipped because its imports are the package's
-public re-exports.
+The unused-import scan skips `src/repgen/__init__.py` because its imports
+are the package's public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted(p for p in (ROOT / "src" / "repgen").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
-                     (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "repgen").glob("*.py"))
+SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,4 +43,49 @@ def test_no_unused_imports():
     assert len(SCANNED) > 20
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in SCANNED}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def invariant_breaches(source: str) -> list[str]:
+    """Float literals, float() calls and absolute imports of modules that
+    are neither in the standard library nor the package itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"float literal {node.value!r} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"float() call (line {node.lineno})")
+        else:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "repgen" and top not in sys.stdlib_module_names:
+                    found.append(f"import {module} (line {node.lineno})")
+    return found
+
+
+def test_invariant_breaches_are_detected():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy.linalg\n"
+              "from fractions import Fraction\n"
+              "from . import simplex\n"
+              "from repgen.periodic import ALL\n"
+              "from attr import define\n"
+              "x = 1.5 + float(y) + 1e3 + 2 + isinstance(y, float)\n")
+    assert sorted(invariant_breaches(source)) == [
+        "float literal 1.5 (line 7)", "float literal 1000.0 (line 7)",
+        "float() call (line 7)", "import attr (line 6)",
+        "import numpy.linalg (line 2)"]
+
+
+def test_package_keeps_exact_and_dependency_free():
+    assert len(PACKAGE) > 10
+    found = {p.relative_to(ROOT).as_posix(): invariant_breaches(p.read_text())
+             for p in PACKAGE}
     assert {k: v for k, v in found.items() if v} == {}
