@@ -8,19 +8,27 @@ against a finite partition of K groups, the exhausted groups' combined
 weight strictly exceeds the alpha-budget of the remaining ones (condition 2).
 Both inequalities are strict.
 
-The search certifies exact values only when its candidate pool provably
-covers enough of every atom of the instance; otherwise it reports a lower
-bound.  Everything is computed in exact rational arithmetic.
+The search works on the atoms of the instance, the joint refinement of the
+partition and the hypothesis supports.  Every support and every group
+either contains a whole atom or misses it, so the elements of one atom are
+exchangeable: whether a tuple witnesses depends only on how many of its
+elements fall in each atom.  The search therefore decides count vectors,
+C(d + A - 1, A - 1) of them at most per depth d for A atoms, instead of the
+C(|pool|, d) tuples of the candidate pool, and depths go up to MAX_D.  It
+certifies exact values only when its candidate pool provably covers enough
+of every atom; otherwise it reports a lower bound.  Everything is computed
+in exact arithmetic: `check_witness` in rationals, the count vectors in
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
 from .measures import ZERO, group_empirical
@@ -101,6 +109,13 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     return None
 
 
+# Largest accepted search depth.  Every infinite atom contributes max_d + 1
+# candidates and the search enumerates count vectors of every size up to
+# max_d, so an unbounded max_d would let one configuration value exhaust
+# memory and time; the bundled scenarios use at most 8.
+MAX_D = 64
+
+
 @dataclass(frozen=True)
 class GcSearch:
     max_d: int = 4
@@ -109,6 +124,9 @@ class GcSearch:
     def __post_init__(self):
         if self.max_d < 1:
             raise ConfigError(f"gc search max_d must be >= 1, got {self.max_d}")
+        if self.max_d > MAX_D:
+            raise ConfigError(
+                f"gc search max_d must be <= {MAX_D}, got {self.max_d}")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError(f"gc search horizon must be >= 1, got {self.horizon}")
 
@@ -130,44 +148,107 @@ class GcResult:
         return f"GC unbounded ({self.family})"
 
 
-def _atoms(cls: HypothesisClass, c: FiniteGroups):
-    """Joint refinement of the hypothesis supports and the partition."""
-    parts = [c.group(i) for i in c.indices()]
+@dataclass(frozen=True)
+class _Atom:
+    """One atom of the joint refinement, as the search sees it."""
+    size: int | None  # None for an infinite atom
+    group: int
+    hyps: int  # bit n - 1 set iff the support of h_n contains the atom
+    candidates: tuple[int, ...]  # increasing
+
+
+def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int,
+           horizon: int | None) -> tuple[list[_Atom], bool]:
+    """Joint refinement of the partition and the hypothesis supports, with
+    each atom's candidate elements: all of a finite atom, and the max_d + 1
+    smallest elements of an infinite one, cut at the horizon.  The flag is
+    False when the horizon cut any atom's candidates."""
+    parts = [(c.group(i), i, 0) for i in c.indices()]
     for n in range(1, cls.materialized_count() + 1):
         s = cls.get(n).support
         refined = []
-        for p in parts:
-            for piece in (p & s, p - s):
+        for p, group, hyps in parts:
+            for piece, bits in ((p & s, hyps | 1 << (n - 1)), (p - s, hyps)):
                 if not piece.is_empty():
-                    refined.append(piece)
+                    refined.append((piece, group, bits))
         parts = refined
-    return parts
-
-
-def candidate_pool(cls: HypothesisClass, c: FiniteGroups, max_d: int,
-                   horizon: int | None) -> tuple[list[int], bool]:
-    """Candidate tuple elements: all of every finite atom, and the max_d + 1
-    smallest elements of every infinite atom.  Within an atom, elements are
-    exchangeable for the witness conditions, so this pool suffices for an
-    exact search up to max_d; a horizon that truncates it forfeits that."""
-    pool: set[int] = set()
+    atoms = []
     sufficient = True
-    for atom in _atoms(cls, c):
-        if atom.is_finite():
-            chosen = sorted(atom.prefix)
-        else:
-            chosen = []
-            for x in atom.members():
-                chosen.append(x)
-                if len(chosen) >= max_d + 1:
-                    break
+    for piece, group, hyps in parts:
+        size = piece.size_if_finite()
+        chosen = list(islice(piece.members(),
+                             max_d + 1 if size is None else size))
         if horizon is not None:
             kept = [x for x in chosen if x <= horizon]
             if len(kept) < len(chosen):
                 sufficient = False
             chosen = kept
-        pool.update(chosen)
-    return sorted(pool), sufficient
+        atoms.append(_Atom(size, group, hyps, tuple(chosen)))
+    return atoms, sufficient
+
+
+def candidate_pool(cls: HypothesisClass, c: FiniteGroups, max_d: int,
+                   horizon: int | None) -> tuple[list[int], bool]:
+    """Candidate tuple elements: all of every finite atom, and the max_d + 1
+    smallest elements of every infinite atom.  Elements of one atom are
+    exchangeable for the witness conditions (every support and every group
+    either contains the whole atom or misses it), so this pool suffices for
+    an exact search up to max_d; a horizon that truncates it forfeits that."""
+    atoms, sufficient = _atoms(cls, c, max_d, horizon)
+    return sorted(x for a in atoms for x in a.candidates), sufficient
+
+
+def _count_vectors(caps: Sequence[int], d: int, hyps: Sequence[int],
+                   everyone: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Count vectors v with sum d and v[k] <= caps[k] whose used atoms lie in
+    a common hypothesis support, each with the bitmask of those supports.
+    A vector without one has closure bottom and witnesses nothing."""
+    n = len(caps)
+    room = [0] * (n + 1)  # room[k]: most elements atoms k.. can take
+    for k in range(n - 1, -1, -1):
+        room[k] = room[k + 1] + caps[k]
+    v = [0] * n
+
+    def fill(k: int, left: int, consistent: int):
+        if left == 0:
+            yield tuple(v), consistent
+            return
+        if room[k] < left:
+            return
+        yield from fill(k + 1, left, consistent)
+        narrowed = consistent & hyps[k]
+        if narrowed:
+            for m in range(1, min(caps[k], left) + 1):
+                v[k] = m
+                yield from fill(k + 1, left - m, narrowed)
+            v[k] = 0
+
+    return fill(0, d, everyone)
+
+
+def _vector_condition(atoms: Sequence[_Atom], k_groups: int, alpha: Fraction,
+                      v: Sequence[int], consistent: int) -> Condition | None:
+    """`check_witness` on any tuple taking v[k] candidates of atom k, given
+    the nonzero bitmask of the hypotheses consistent with it, decided from
+    the counts alone in integer arithmetic."""
+    counts = [0] * (k_groups + 1)
+    alive = set()
+    for a, m in zip(atoms, v):
+        counts[a.group] += m
+        # A closure atom (inside every consistent support) keeps an unseen
+        # element unless it is finite and fully taken.
+        if a.hyps & consistent == consistent and m != a.size:
+            alive.add(a.group)
+    exhausted = [i for i in range(1, k_groups + 1) if i not in alive]
+    d = sum(v)
+    p, q = alpha.numerator, alpha.denominator
+    for i in exhausted:
+        if counts[i] * q > p * d:
+            return Condition1(i)
+    spare = k_groups - len(exhausted)
+    if p * spare * d < q * sum(counts[i] for i in exhausted):
+        return Condition2(tuple(exhausted), spare)
+    return None
 
 
 def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
@@ -176,8 +257,18 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
 
     Status "exact" requires a sufficient pool and no witness at any depth in
     (d, max_d]; a witness at max_d itself, or a truncated pool, degrades the
-    result to the lower bound "at_least".  At each depth, tuples are tried in
-    lexicographic order over the sorted pool and the first witness is kept.
+    result to the lower bound "at_least".  The witness is the
+    lexicographically first witnessing tuple over the sorted candidate pool
+    at the deepest witnessed depth.
+
+    Elements of one atom are exchangeable, so a tuple is decided by how many
+    of its elements fall in each atom.  For A atoms the search decides at
+    most C(d + A - 1, A - 1) count vectors per depth d, where a walk over
+    tuples would try up to C(|pool|, d); it goes down from max_d (at most
+    MAX_D) and stops at the first depth with a witness.  Among the tuples
+    with one count vector, the one taking the smallest candidates of every
+    atom comes first, so the witness is the least such tuple over the
+    witnessing vectors.  It is re-verified once with `check_witness`.
     """
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
@@ -186,16 +277,34 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
         raise ConfigError("dimension is defined against partitions only")
     if cls.extendable:
         raise ConfigError("dimension search needs a finite hypothesis class")
-    pool, sufficient = candidate_pool(cls, c, search.max_d, search.horizon)
+    atoms, sufficient = _atoms(cls, c, search.max_d, search.horizon)
+    everyone = (1 << cls.materialized_count()) - 1
+    caps = [len(a.candidates) for a in atoms]
+    hyps = [a.hyps for a in atoms]
     best_d = 0
     best_witness: tuple[int, ...] | None = None
     best_condition: Condition | None = None
-    for d in range(1, search.max_d + 1):
-        for combo in combinations(pool, d):
-            cond = check_witness(cls, c, alpha, combo)
-            if cond is not None:
-                best_d, best_witness, best_condition = d, combo, cond
-                break
+    for d in range(search.max_d, 0, -1):
+        for v, consistent in _count_vectors(caps, d, hyps, everyone):
+            cond = _vector_condition(atoms, c.k, alpha, v, consistent)
+            if cond is None:
+                continue
+            xs = tuple(sorted(x for a, m in zip(atoms, v)
+                              for x in a.candidates[:m]))
+            if best_witness is None or xs < best_witness:
+                best_witness, best_condition = xs, cond
+        if best_witness is not None:
+            best_d = d
+            break
+    if best_witness is not None:
+        verified = check_witness(cls, c, alpha, best_witness)
+        if verified != best_condition:
+            raise InvariantViolation(
+                f"count-vector search found {best_condition} for "
+                f"{best_witness}, check_witness says {verified}",
+                snapshot={"witness": best_witness,
+                          "condition": best_condition,
+                          "verified": verified})
     if sufficient and best_d < search.max_d:
         status = "exact"
     else:

@@ -56,9 +56,6 @@ class FiniteGroups:
             self._report = ValidationReport(covers, partition)
         return self._report
 
-    def membership_vector(self, x: int) -> tuple[int, ...]:
-        return tuple(1 if x in g else 0 for g in self._groups)
-
     def groups_containing(self, x: int) -> list[int]:
         return [i for i, g in enumerate(self._groups, start=1) if x in g]
 

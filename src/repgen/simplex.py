@@ -41,12 +41,16 @@ def feasible_point(n_vars: int,
     artificials wherever no slack can start basic, and minimizes the
     (weighted) sum of artificials.  Feasible iff that minimum is zero.
     Raises TypeError for a coefficient or right-hand side that is neither
-    an int nor a Fraction, and ValueError for a row of the wrong length.
+    an int nor a Fraction, and ValueError for a row of the wrong length or
+    a relation other than LE, GE and EQ.
     """
     rows = []
     for i, (coeffs, rel, rhs) in enumerate(constraints):
         if len(coeffs) != n_vars:
             raise ValueError(f"constraint arity {len(coeffs)} != {n_vars}")
+        if rel not in (LE, GE, EQ):
+            raise ValueError(f"constraint {i}: unknown relation {rel!r}, "
+                             f"expected {LE!r}, {GE!r} or {EQ!r}")
         for v in (*coeffs, rhs):
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(f"constraint {i}: {type(v).__name__} {v!r} "

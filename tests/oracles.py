@@ -6,7 +6,9 @@ with the package.  Set membership (x in s) and the raw threshold/modulus
 fields are the only parts of the production set type used; both are data,
 not algorithms.  The LP reference is the rational-tableau simplex the
 package used before its integer tableau; only the relation constants are
-shared.
+shared.  The dimension reference is the tuple walk the package used before
+its count-vector search: it shares the package's set algebra and its
+`check_witness` verifier, but none of the search.
 """
 
 from fractions import Fraction
@@ -14,6 +16,9 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
+from repgen.dimension import GcResult, check_witness
+from repgen.errors import ConfigError
+from repgen.groups import FiniteGroups
 from repgen.simplex import EQ, GE, LE
 
 
@@ -257,3 +262,80 @@ def fraction_feasible_point(
         if b < n_vars:
             solution[b] = tableau[r][width]
     return solution
+
+
+def _tuple_atoms(cls, c):
+    """Joint refinement of the hypothesis supports and the partition."""
+    parts = [c.group(i) for i in c.indices()]
+    for n in range(1, cls.materialized_count() + 1):
+        s = cls.get(n).support
+        refined = []
+        for p in parts:
+            for piece in (p & s, p - s):
+                if not piece.is_empty():
+                    refined.append(piece)
+        parts = refined
+    return parts
+
+
+def _tuple_candidate_pool(cls, c, max_d, horizon):
+    """Candidate tuple elements: all of every finite atom, and the max_d + 1
+    smallest elements of every infinite atom.  Within an atom, elements are
+    exchangeable for the witness conditions, so this pool suffices for an
+    exact search up to max_d; a horizon that truncates it forfeits that."""
+    pool: set[int] = set()
+    sufficient = True
+    for atom in _tuple_atoms(cls, c):
+        if atom.is_finite():
+            chosen = sorted(atom.prefix)
+        else:
+            chosen = []
+            for x in atom.members():
+                chosen.append(x)
+                if len(chosen) >= max_d + 1:
+                    break
+        if horizon is not None:
+            kept = [x for x in chosen if x <= horizon]
+            if len(kept) < len(chosen):
+                sufficient = False
+            chosen = kept
+        pool.update(chosen)
+    return sorted(pool), sufficient
+
+
+def tuple_gc_dimension(cls, c, alpha, search):
+    """The tuple-walk dimension search that `repgen.dimension.gc_dimension`
+    ran before its count-vector search, kept verbatim (pool included) as the
+    reference the count-vector search must match result for result.  It
+    decides every candidate tuple with the package's `check_witness`, the
+    independent verifier, and keeps the first witness per depth in
+    lexicographic order.
+
+    Status "exact" requires a sufficient pool and no witness at any depth in
+    (d, max_d]; a witness at max_d itself, or a truncated pool, degrades the
+    result to the lower bound "at_least".  At each depth, tuples are tried in
+    lexicographic order over the sorted pool and the first witness is kept.
+    """
+    if not isinstance(c, FiniteGroups):
+        raise ConfigError("dimension search needs a finite partition; "
+                          "block partitions support witness checks only")
+    if not c.validate().partition:
+        raise ConfigError("dimension is defined against partitions only")
+    if cls.extendable:
+        raise ConfigError("dimension search needs a finite hypothesis class")
+    pool, sufficient = _tuple_candidate_pool(cls, c, search.max_d,
+                                             search.horizon)
+    best_d = 0
+    best_witness = None
+    best_condition = None
+    for d in range(1, search.max_d + 1):
+        for combo in combinations(pool, d):
+            cond = check_witness(cls, c, alpha, combo)
+            if cond is not None:
+                best_d, best_witness, best_condition = d, combo, cond
+                break
+    if sufficient and best_d < search.max_d:
+        status = "exact"
+    else:
+        status = "at_least"
+    return GcResult(status, best_d, best_witness, best_condition, sufficient)

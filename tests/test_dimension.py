@@ -1,19 +1,25 @@
 """Group closure dimension: witness conditions, the bounded exact search,
 and agreement with an independent exhaustive oracle."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from repgen.dimension import (Condition1, Condition2, GcSearch, candidate_pool,
-                              check_witness, gc_dimension, witnessed_unbounded)
-from repgen.errors import ConfigError
+import repgen.dimension
+from repgen.dimension import (MAX_D, Condition1, Condition2, GcSearch,
+                              candidate_pool, check_witness, gc_dimension,
+                              witnessed_unbounded)
+from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
+from repgen.periodic import (ALL, EVENS, ODDS, format_set, from_finite,
+                             from_threshold)
+from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
-from oracles import naive_gc
+from oracles import naive_gc, tuple_gc_dimension
 
 F = Fraction
 
@@ -25,6 +31,31 @@ def _cls(*supports):
 
 ALL_CLS = _cls(ALL)
 ZERO_REST = FiniteGroups([from_finite([0]), from_threshold(1)])
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "scenarios")
+
+
+def _uniform_scenarios():
+    return {os.path.basename(path): load_scenario(path)
+            for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "u*.json")))}
+
+
+def _search_instances():
+    """(name, class, groups, alpha) for the bundled uniform scenarios and the
+    zoo, each distinct instance once: eight zoo entries repeat a uniform
+    scenario (u09 is nested-evens-mult4, for one)."""
+    out = {}
+    named = [(name, s.cls, s.groups, s.alpha)
+             for name, s in _uniform_scenarios().items()]
+    named += [(i["name"], i["cls"], i["groups"], i["alpha"])
+              for i in dimension_instances()]
+    for name, cls, groups, alpha in named:
+        key = (tuple(format_set(cls.get(n).support)
+                     for n in range(1, cls.materialized_count() + 1)),
+               tuple(format_set(groups.group(i)) for i in groups.indices()),
+               alpha)
+        out.setdefault(key, (name, cls, groups, alpha))
+    return list(out.values())
 
 
 def test_check_witness_worked():
@@ -115,6 +146,14 @@ def test_gc_dimension_config_errors():
         gc_dimension(open_cls, ZERO_REST, F(1, 2))
 
 
+def test_gc_search_caps_max_d():
+    assert GcSearch(max_d=MAX_D).max_d == MAX_D
+    for max_d in (MAX_D + 1, 1_000_000_000):
+        with pytest.raises(ConfigError,
+                           match=f"must be <= {MAX_D}, got {max_d}$"):
+            GcSearch(max_d=max_d)
+
+
 def test_horizon_truncation_degrades_to_lower_bound():
     r = gc_dimension(ALL_CLS, ZERO_REST, F(1, 2),
                      GcSearch(max_d=4, horizon=2))
@@ -191,3 +230,51 @@ def test_witnessed_unbounded():
         witnessed_unbounded(ALL_CLS, b, F(1, 2), [(3, 4)])  # block 1 alive
     with pytest.raises(ValueError):
         witnessed_unbounded(ALL_CLS, b, F(1, 2), [])
+
+
+def test_count_search_matches_tuple_walk():
+    instances = _search_instances()
+    assert len(instances) == 16
+    for name, cls, groups, alpha in instances:
+        for max_d in range(1, 7):
+            for horizon in (None, 3, 7):
+                search = GcSearch(max_d=max_d, horizon=horizon)
+                got = gc_dimension(cls, groups, alpha, search)
+                want = tuple_gc_dimension(cls, groups, alpha, search)
+                assert got == want, (name, search)
+
+
+def test_count_search_matches_tuple_walk_on_the_bundled_settings():
+    for name, s in _uniform_scenarios().items():
+        assert gc_dimension(s.cls, s.groups, s.alpha, s.gc_search) \
+            == tuple_gc_dimension(s.cls, s.groups, s.alpha, s.gc_search), name
+
+
+def test_search_verifies_only_its_witness(monkeypatch):
+    calls = []
+    verify = repgen.dimension.check_witness
+
+    def counted(*args):
+        calls.append(args[3])
+        return verify(*args)
+
+    monkeypatch.setattr(repgen.dimension, "check_witness", counted)
+    for name, cls, groups, alpha in _search_instances():
+        for search in (GcSearch(max_d=6), GcSearch(max_d=6, horizon=3)):
+            calls.clear()
+            r = gc_dimension(cls, groups, alpha, search)
+            assert calls == ([r.witness] if r.witness else []), (name, search)
+
+
+def test_search_reports_a_disagreeing_verifier(monkeypatch):
+    monkeypatch.setattr(repgen.dimension, "check_witness",
+                        lambda *args: None)
+    with pytest.raises(InvariantViolation, match="check_witness says None"):
+        gc_dimension(ALL_CLS, ZERO_REST, F(1, 2))
+
+
+def test_deep_search_is_practical():
+    s = _uniform_scenarios()["u06-pairs-twothirds.json"]
+    r = gc_dimension(s.cls, s.groups, s.alpha, GcSearch(max_d=40))
+    assert r.status == "exact" and r.d == 5
+    assert check_witness(s.cls, s.groups, s.alpha, r.witness) == r.condition

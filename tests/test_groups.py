@@ -25,13 +25,6 @@ def test_validate_worked():
     assert r4.covers and not r4.partition
 
 
-def test_membership_vector_worked():
-    c = FiniteGroups([ODDS, from_threshold(1)])
-    assert c.membership_vector(1) == (1, 1)
-    assert c.membership_vector(0) == (0, 0)
-    assert c.membership_vector(2) == (0, 1)
-
-
 def test_groups_containing():
     c = FiniteGroups([EVENS, ALL])
     assert c.groups_containing(2) == [1, 2]
@@ -60,7 +53,7 @@ def test_cells_partition_universe():
         bound, period = scan_bound(groups)
         for x in range(bound + period):
             hits = [vec for vec, cell in cells if x in cell]
-            v = c.membership_vector(x)
+            v = tuple(1 if x in g else 0 for g in groups)
             if any(v):
                 assert hits == [v]
             else:
@@ -69,7 +62,7 @@ def test_cells_partition_universe():
         for vec, cell in cells:
             assert not cell.is_empty()
             wit = next(iter(cell.members()))
-            assert c.membership_vector(wit) == vec
+            assert tuple(1 if wit in g else 0 for g in groups) == vec
 
 
 def test_cells_order_is_product_order():

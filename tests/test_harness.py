@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repgen.cli import main
+from repgen.dimension import MAX_D
 from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (emit_trace, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
@@ -390,6 +391,26 @@ def test_cli_gc_dim_rejects_zero_bounds(tmp_path, capsys):
     for flag in ("--max-d", "--horizon"):
         assert main(["gc-dim", path, flag, "0"]) == 3
         assert "must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_max_d_above_the_cap_is_rejected_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a rejected max_d reached the search")
+    monkeypatch.setattr("repgen.dimension.gc_dimension", no_search)
+    monkeypatch.setattr("repgen.cli.gc_dimension", no_search)
+    monkeypatch.setattr("repgen.generators.gc_dimension", no_search)
+    gen = {"kind": "uniform", "alpha": "1/2",
+           "gc_search": {"max_d": 1_000_000_000}}
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(_doc(generator=gen))
+    assert e.value.path == "scenario.generator.gc_search"
+    assert e.value.message == \
+        f"gc search max_d must be <= {MAX_D}, got 1000000000"
+    path = _write_scenario(tmp_path, _doc())
+    for max_d in (MAX_D + 1, 1_000_000_000):
+        assert main(["gc-dim", path, "--max-d", str(max_d)]) == 3
+        assert f"must be <= {MAX_D}, got {max_d}" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_3(capsys):

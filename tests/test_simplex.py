@@ -85,6 +85,15 @@ def test_non_rational_inputs_are_rejected(bad):
         feasible_point(1, [([F(1)], LE, F(1)), ([F(1)], EQ, bad)])
 
 
+@pytest.mark.parametrize("rhs", [F(1), F(-1)])
+@pytest.mark.parametrize("rel", ["<", None])
+def test_unknown_relations_are_rejected(rel, rhs):
+    # a nonnegative right-hand side used to read an unknown relation as >=,
+    # a negative one to fail on a bare KeyError
+    with pytest.raises(ValueError, match="constraint 1: "):
+        feasible_point(1, [([F(1)], LE, F(1)), ([F(1)], rel, rhs)])
+
+
 RELS = st.sampled_from([LE, GE, EQ])
 rationals = st.one_of(st.integers(-4, 4),
                       st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
