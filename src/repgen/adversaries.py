@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, count
 from typing import Callable, Sequence
 
 from .dimension import check_witness
@@ -324,6 +325,7 @@ def query_adversary(generator, steps: int,
         raise ConfigError(f"steps must be >= 1, got {steps}")
     st = QueryAdversaryState()
     reports: list[ViolationReport] = []
+    seen: set[int] = set()  # the enumeration's elements
     for t in range(1, steps + 1):
         st.step = t
         if t % 2 == 1 or not st.queue:
@@ -334,6 +336,7 @@ def query_adversary(generator, steps: int,
         else:
             x = st.queue.popleft()
         st.enumeration.append(x)
+        seen.add(x)
         hist = tuple(st.enumeration)
         oracle = MembershipOracle(st, query_budget)
         try:
@@ -345,7 +348,6 @@ def query_adversary(generator, steps: int,
         if not isinstance(mu, RationalDist):
             raise ConfigError(
                 f"query generator returned {type(mu).__name__}, expected RationalDist")
-        seen = set(hist)
         bad = sorted(y for y in mu.support()
                      if st.hyp.get(y) == 0 or y in seen)
         if bad:
@@ -397,15 +399,37 @@ class ConstantSession:
 
 class QueryThenEmit:
     """Scans the naturals for the first element that is unseen and confirmed
-    in-support, then plays it as a point mass."""
+    in-support, then plays it as a point mass.
+
+    The scan keeps a cursor across calls.  A queried element's answer never
+    changes, so when the prefix extends the previous one, every natural below
+    the previous answer is in the prefix or was answered out of support; the
+    scan asks those out-of-support ones again, in order, and resumes at the
+    previous answer.  It puts the same queries in the same order as a scan
+    from 0.  Any other prefix restarts the scan at 0."""
+
+    def __init__(self):
+        self._prefix: tuple[int, ...] = ()
+        self._seen: set[int] = set()
+        self._out: list[int] = []  # unseen naturals below _next answered out
+        self._next = 0
 
     def emit(self, prefix: tuple[int, ...], oracle: MembershipOracle) -> RationalDist:
-        seen = set(prefix)
-        x = 0
-        while True:
-            if x not in seen and oracle.hyp_member(x):
+        prefix = tuple(prefix)
+        n = len(self._prefix)
+        if prefix[:n] != self._prefix:
+            self._seen, self._out, self._next, n = set(), [], 0, 0
+        self._seen.update(prefix[n:])
+        self._prefix = prefix
+        seen = self._seen
+        out = []
+        for x in chain(self._out, count(self._next)):
+            if x in seen:
+                continue
+            if oracle.hyp_member(x):
+                self._out, self._next = out, x
                 return RationalDist.point(x)
-            x += 1
+            out.append(x)
 
 
 class ConstantQueryFree:

@@ -284,7 +284,13 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     best_d = 0
     best_witness: tuple[int, ...] | None = None
     best_condition: Condition | None = None
-    for d in range(search.max_d, 0, -1):
+    # Both conditions need an exhausted group holding tuple elements (for
+    # alpha >= 0).  Those elements lie in closure atoms, which keep an
+    # unseen element unless they are finite and fully taken, so without a
+    # finite atom no tuple witnesses and no vector needs deciding.
+    searched = (range(search.max_d, 0, -1)
+                if alpha < 0 or any(a.size is not None for a in atoms) else ())
+    for d in searched:
         for v, consistent in _count_vectors(caps, d, hyps, everyone):
             cond = _vector_condition(atoms, c.k, alpha, v, consistent)
             if cond is None:

@@ -1,12 +1,19 @@
 """Finite-support exact distributions and group-level probabilities.
 
-All masses are `fractions.Fraction`; nothing in this module ever touches a
-float, so representativeness verdicts at the boundary are exact.
+Every mass is exact and nothing in this module ever touches a float, so
+representativeness verdicts at the boundary are exact.  Inside, a
+distribution is integers over one common denominator: one positive numerator
+per support element and the least denominator they share, so building a
+uniform distribution and summing masses per group are integer work.
+`fractions.Fraction` appears only at the interface: masses passed in,
+`items()`, and the group probabilities returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .groups import BlockPartition, FiniteGroups, GroupCollection
@@ -18,60 +25,79 @@ ONE = Fraction(1)
 class RationalDist:
     """Probability distribution with finite support over the naturals.
 
-    Invariants enforced at construction: every mass is a positive rational
-    and the masses sum to exactly 1.
+    Stored as the sorted support, one positive integer numerator per element
+    and their least common denominator, so structural equality is value
+    equality.  Invariants enforced at construction: every mass is a positive
+    rational and the masses sum to exactly 1.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_xs", "_nums", "_den")
 
     def __init__(self, masses: Mapping[int, Fraction]):
-        items = []
-        total = ZERO
-        for x in sorted(masses):
+        xs = sorted(masses)
+        fs = []
+        for x in xs:
             m = masses[x]
-            if not isinstance(m, Fraction):
-                m = Fraction(m)
-            if m <= 0:
-                raise ValueError(f"mass at {x} must be positive, got {m}")
-            if x < 0 or not isinstance(x, int):
-                raise ValueError(f"support elements must be naturals, got {x!r}")
-            items.append((x, m))
-            total += m
-        if total != ONE:
-            raise ValueError(f"masses must sum to 1, got {total}")
-        self._items = tuple(items)
+            fs.append(m if isinstance(m, Fraction) else Fraction(m))
+        den = lcm(*(m.denominator for m in fs))
+        self._assign(tuple(xs), tuple(m.numerator * (den // m.denominator)
+                                      for m in fs), den)
+
+    def _assign(self, xs: tuple[int, ...], nums: tuple[int, ...],
+                den: int) -> "RationalDist":
+        """Validate and store mass nums[j] / den at xs[j].  The caller passes
+        xs sorted and distinct and den the least common denominator of the
+        masses, which makes gcd(den, *nums) 1."""
+        if not (xs and all(map(isinstance, xs, repeat(int))) and xs[0] >= 0
+                and min(nums) > 0):
+            for x, n in zip(xs, nums):
+                if n <= 0:
+                    raise ValueError(
+                        f"mass at {x} must be positive, got {Fraction(n, den)}")
+                if x < 0 or not isinstance(x, int):
+                    raise ValueError(f"support elements must be naturals, got {x!r}")
+        total = sum(nums)
+        if total != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(total, den)}")
+        self._xs, self._nums, self._den = xs, nums, den
+        return self
 
     @classmethod
     def point(cls, x: int) -> "RationalDist":
-        return cls({x: ONE})
+        return cls.__new__(cls)._assign((x,), (1,), 1)
 
     @classmethod
     def uniform(cls, xs: Iterable[int]) -> "RationalDist":
-        xs = sorted(set(xs))
+        xs = tuple(sorted(set(xs)))
         if not xs:
             raise ValueError("uniform distribution needs a nonempty support")
-        w = Fraction(1, len(xs))
-        return cls({x: w for x in xs})
+        return cls.__new__(cls)._assign(xs, (1,) * len(xs), len(xs))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._items
+        return tuple(zip(self._xs, map(Fraction, self._nums, repeat(self._den))))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self._items)
+        return self._xs
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalDist) and self._items == other._items
+        return (isinstance(other, RationalDist) and self._den == other._den
+                and self._xs == other._xs and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash((self._xs, self._nums, self._den))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{x}: {m}" for x, m in self._items)
+        body = ", ".join(f"{x}: {m}" for x, m in self.items())
         return "RationalDist({%s})" % body
 
     def serialize(self) -> list[list]:
-        """Sorted [element, "numerator/denominator"] pairs."""
-        return [[x, f"{m.numerator}/{m.denominator}"] for x, m in self._items]
+        """Sorted [element, "numerator/denominator"] pairs, each reduced."""
+        den = self._den
+        out = []
+        for x, n in zip(self._xs, self._nums):
+            g = gcd(n, den)
+            out.append([x, f"{n // g}/{den // g}"])
+        return out
 
 
 def empirical(prefix: Sequence[int]) -> RationalDist:
@@ -89,24 +115,26 @@ def induced_group_probs(mu: RationalDist, c: GroupCollection) -> dict[int, Fract
     meaning zero.  With overlapping groups the values may sum to more than 1.
     """
     if isinstance(c, FiniteGroups):
-        out = {i: ZERO for i in c.indices()}
-        for x, m in mu.items():
+        sums = dict.fromkeys(c.indices(), 0)
+        for x, n in zip(mu._xs, mu._nums):
             for i in c.groups_containing(x):
-                out[i] += m
-        return out
-    assert isinstance(c, BlockPartition)
-    out = {}
-    for x, m in mu.items():
-        i = c.group_index(x)
-        out[i] = out.get(i, ZERO) + m
-    return out
+                sums[i] += n
+    else:
+        assert isinstance(c, BlockPartition)
+        sums = {}
+        for x, n in zip(mu._xs, mu._nums):
+            i = c.group_index(x)
+            sums[i] = sums.get(i, 0) + n
+    den = mu._den
+    return {i: Fraction(n, den) for i, n in sums.items()}
 
 
 class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
-    element at a time costs O(K) per new element and O(1) per repeat."""
+    element at a time costs O(K) per new element and O(1) per repeat;
+    `update` takes a whole batch with one membership pass per group."""
 
     __slots__ = ("groups", "seen", "counts")
 
@@ -132,6 +160,30 @@ class GroupTally:
             self.counts[i] = self.counts.get(i, 0) + 1
         return True
 
+    def update(self, xs: Iterable[int]) -> None:
+        """Record every element of xs; the same as adding them one at a
+        time, except that nothing is recorded when one of the new elements
+        is not a natural."""
+        if iter(xs) is xs:
+            xs = list(xs)  # read twice when an element is rejected
+        new = set(xs) - self.seen
+        if not new:
+            return
+        if not (all(map(isinstance, new, repeat(int))) and min(new) >= 0):
+            bad = next(x for x in xs
+                       if x in new and (not isinstance(x, int) or x < 0))
+            raise ValueError(f"elements must be naturals, got {bad!r}")
+        self.seen |= new
+        c = self.groups
+        counts = self.counts
+        if isinstance(c, FiniteGroups):
+            for i in c.indices():
+                counts[i] += sum(map(c.group(i).__contains__, new))
+        else:
+            for x in sorted(new):
+                i = c.group_index(x)
+                counts[i] = counts.get(i, 0) + 1
+
     def weights(self) -> dict[int, Fraction]:
         """Group probabilities induced by the empirical distribution of the
         elements added so far: count / distinct, exactly."""
@@ -145,8 +197,7 @@ def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Frac
     """Group probabilities induced by the empirical distribution of the
     prefix; equal to `induced_group_probs(empirical(prefix), c)`."""
     tally = GroupTally(c)
-    for x in prefix:
-        tally.add(x)
+    tally.update(prefix)
     return tally.weights()
 
 

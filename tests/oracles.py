@@ -8,17 +8,23 @@ not algorithms.  The LP reference is the rational-tableau simplex the
 package used before its integer tableau; only the relation constants are
 shared.  The dimension reference is the tuple walk the package used before
 its count-vector search: it shares the package's set algebra and its
-`check_witness` verifier, but none of the search.
+`check_witness` verifier, but none of the search.  The distribution
+reference is the `Fraction`-mass class the package used before its integer
+numerators over one denominator; it shares nothing with the package.  The
+query-generator reference is the scan from 0 the package used before its
+cursor; it shares only the oracle it is handed and the point mass it
+returns.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repgen.dimension import GcResult, check_witness
 from repgen.errors import ConfigError
 from repgen.groups import FiniteGroups
+from repgen.measures import RationalDist
 from repgen.simplex import EQ, GE, LE
 
 
@@ -339,3 +345,81 @@ def tuple_gc_dimension(cls, c, alpha, search):
     else:
         status = "at_least"
     return GcResult(status, best_d, best_witness, best_condition, sufficient)
+
+
+class FractionRationalDist:
+    """The `Fraction`-mass distribution that `repgen.measures.RationalDist`
+    was before it kept integer numerators over one denominator, kept
+    verbatim (bar the name) as the reference the integer version must match
+    in items, support, serialization, repr, equality and error text.
+
+    Invariants enforced at construction: every mass is a positive rational
+    and the masses sum to exactly 1.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, masses: Mapping[int, Fraction]):
+        items = []
+        total = ZERO
+        for x in sorted(masses):
+            m = masses[x]
+            if not isinstance(m, Fraction):
+                m = Fraction(m)
+            if m <= 0:
+                raise ValueError(f"mass at {x} must be positive, got {m}")
+            if x < 0 or not isinstance(x, int):
+                raise ValueError(f"support elements must be naturals, got {x!r}")
+            items.append((x, m))
+            total += m
+        if total != ONE:
+            raise ValueError(f"masses must sum to 1, got {total}")
+        self._items = tuple(items)
+
+    @classmethod
+    def point(cls, x: int) -> "FractionRationalDist":
+        return cls({x: ONE})
+
+    @classmethod
+    def uniform(cls, xs: Iterable[int]) -> "FractionRationalDist":
+        xs = sorted(set(xs))
+        if not xs:
+            raise ValueError("uniform distribution needs a nonempty support")
+        w = Fraction(1, len(xs))
+        return cls({x: w for x in xs})
+
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        return self._items
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(x for x, _ in self._items)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionRationalDist) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{x}: {m}" for x, m in self._items)
+        return "RationalDist({%s})" % body
+
+    def serialize(self) -> list[list]:
+        """Sorted [element, "numerator/denominator"] pairs."""
+        return [[x, f"{m.numerator}/{m.denominator}"] for x, m in self._items]
+
+
+class ScanQueryThenEmit:
+    """The query generator that `repgen.adversaries.QueryThenEmit` was
+    before it kept a cursor, kept verbatim (bar the name) as the reference
+    the cursor version must match query for query: scans the naturals from 0
+    for the first element that is unseen and confirmed in-support, then
+    plays it as a point mass."""
+
+    def emit(self, prefix, oracle):
+        seen = set(prefix)
+        x = 0
+        while True:
+            if x not in seen and oracle.hyp_member(x):
+                return RationalDist.point(x)
+            x += 1

@@ -2,6 +2,7 @@
 block stream, and the membership-query protocol, with report verification."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 UNREPRESENTATIVE, ConstantQueryFree,
                                 ConstantSession, GreedyQuerier,
-                                QueryAdversaryState, QueryThenEmit,
+                                MembershipOracle, QueryAdversaryState,
+                                QueryBudgetExceeded, QueryThenEmit,
                                 ViolationReport,
                                 gc_witness_adversary, geometric_adversary,
                                 geometric_checkpoints, query_adversary,
@@ -20,6 +22,7 @@ from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist
 from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
+from oracles import ScanQueryThenEmit
 
 F = Fraction
 
@@ -263,6 +266,73 @@ def test_query_adversary_running_count_matches_recount(make, monkeypatch):
     monkeypatch.setattr(QueryAdversaryState, "group_one_fraction",
                         _recounted_fraction)
     assert query_adversary(make(), steps) == (reports, st)
+
+
+class DeclaresOut:
+    """Every third round plays a point mass ahead of the scan (at three
+    times the prefix's length, declared out of support when never queried),
+    otherwise defers to the wrapped query generator; so that generator meets
+    naturals answered out of support below its last answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def emit(self, prefix, oracle):
+        if len(prefix) % 3 == 0:
+            return RationalDist.point(3 * len(prefix))
+        return self.inner.emit(prefix, oracle)
+
+
+@pytest.mark.parametrize("budget", [10 ** 6, 10])
+def test_query_then_emit_cursor_matches_scan_from_zero(budget):
+    # One cursor emitter is reused across games: each game restarts its
+    # prefix, and the declared-out naturals make the cursor ask again.
+    cursor, scan = QueryThenEmit(), ScanQueryThenEmit()
+    last = []
+    for steps, wrap in ((200, lambda g: g), (150, DeclaresOut),
+                        (120, DeclaresOut), (60, lambda g: g)):
+        got = query_adversary(wrap(cursor), steps, query_budget=budget)
+        want = query_adversary(wrap(scan), steps, query_budget=budget)
+        assert got == want
+        last.append(want[0][-1].kind)
+    # the small budget runs out once enough naturals are declared out
+    assert (BUDGET_EXCEEDED in last) == (budget == 10)
+
+
+def test_query_then_emit_cursor_matches_scan_when_interleaved():
+    # One emitter serves two games in turn; prefixes extend, repeat or jump
+    # at random, and each game starts with naturals already declared out.
+    rng = random.Random(83)
+
+    def state():
+        st = QueryAdversaryState()
+        for x in (1, 3, 4, 5, 7, 9, 11, 12, 20):
+            st.hyp[x], st.grp[x] = 0, 2
+        return st
+
+    cursor, scan = QueryThenEmit(), ScanQueryThenEmit()
+    games = [[state(), state(), ()] for _ in range(2)]
+    exceeded = 0
+    for _ in range(400):
+        game = rng.choice(games)
+        op = rng.random()
+        if op < 0.15:
+            game[2] = tuple(rng.choices(range(30), k=rng.randrange(6)))
+        elif op < 0.9:
+            game[2] += tuple(rng.choices(range(40), k=rng.randrange(4)))
+        budget = rng.randrange(1, 6)
+        answers = []
+        for emitter, st in ((cursor, game[0]), (scan, game[1])):
+            oracle = MembershipOracle(st, budget)
+            try:
+                answers.append(emitter.emit(game[2], oracle))
+            except QueryBudgetExceeded:
+                answers.append(BUDGET_EXCEEDED)
+            answers.append(oracle._spent)
+        assert answers[:2] == answers[2:]
+        assert game[0] == game[1]
+        exceeded += answers[0] == BUDGET_EXCEEDED
+    assert 0 < exceeded < 400
 
 
 def test_query_adversary_rejects_bad_generator():

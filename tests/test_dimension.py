@@ -10,13 +10,13 @@ import pytest
 
 import repgen.dimension
 from repgen.dimension import (MAX_D, Condition1, Condition2, GcSearch,
-                              candidate_pool, check_witness, gc_dimension,
-                              witnessed_unbounded)
+                              _atoms, candidate_pool, check_witness,
+                              gc_dimension, witnessed_unbounded)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import (ALL, EVENS, ODDS, format_set, from_finite,
-                             from_threshold)
+from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
+                             from_finite, from_threshold)
 from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
 from oracles import naive_gc, tuple_gc_dimension
@@ -144,6 +144,33 @@ def test_gc_dimension_config_errors():
                                provider=lambda i: Hypothesis(f"g{i}", ALL))
     with pytest.raises(ConfigError):
         gc_dimension(open_cls, ZERO_REST, F(1, 2))
+
+
+def test_no_finite_atom_means_dimension_zero(monkeypatch):
+    # Three mod-12 hypotheses against the residues mod 3: every atom is
+    # infinite, so no tuple exhausts a group it holds elements of.  The
+    # search answers 0 without deciding vectors, even at the largest depth.
+    def no_vectors(*args):
+        raise AssertionError("count vectors enumerated")
+
+    monkeypatch.setattr(repgen.dimension, "_count_vectors", no_vectors)
+
+    def mod12(*residues):
+        return PeriodicSet(0, 12, frozenset(residues), frozenset())
+
+    cls = _cls(mod12(0, 1, 2, 3, 4, 5, 6, 7), mod12(2, 3, 4, 5, 6, 7, 8, 9),
+               mod12(4, 5, 6, 7, 8, 9, 10, 11, 0, 1))
+    groups = FiniteGroups([PeriodicSet(0, 3, frozenset([r]), frozenset())
+                           for r in range(3)])
+    atoms, _ = _atoms(cls, groups, 4, None)
+    assert len(atoms) == 11 and all(a.size is None for a in atoms)
+    for alpha in (F(0), F(1, 4), F(1, 2), F(1)):
+        for max_d in (1, 2):
+            search = GcSearch(max_d=max_d)
+            assert gc_dimension(cls, groups, alpha, search) \
+                == tuple_gc_dimension(cls, groups, alpha, search)
+        deep = gc_dimension(cls, groups, alpha, GcSearch(max_d=MAX_D))
+        assert (deep.status, deep.d, deep.witness) == ("exact", 0, None)
 
 
 def test_gc_search_caps_max_d():

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from repgen import measures
 from repgen.groups import BlockPartition, FiniteGroups
-from repgen.measures import (RationalDist, empirical, format_fraction,
-                             group_empirical, induced_group_probs,
-                             is_alpha_representative, parse_fraction,
-                             sup_distance)
+from repgen.measures import (GroupTally, RationalDist, empirical,
+                             format_fraction, group_empirical,
+                             induced_group_probs, is_alpha_representative,
+                             parse_fraction, sup_distance)
 from repgen.periodic import EVENS, ODDS, from_finite, from_threshold
 
 F = Fraction
@@ -31,6 +32,42 @@ def test_point_and_uniform():
     assert RationalDist.point(4).items() == ((4, F(1)),)
     u = RationalDist.uniform([2, 4, 6])
     assert u.items() == ((2, F(1, 3)), (4, F(1, 3)), (6, F(1, 3)))
+
+
+def test_uniform_path_builds_no_fraction(monkeypatch):
+    # Uniform distributions (the empirical baseline's every step) are
+    # integer work end to end: with Fraction unusable in the module they
+    # still build, report their support and serialize.
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the integer path")
+
+    monkeypatch.setattr(measures, "Fraction", no_fraction)
+    u = RationalDist.uniform(range(1000))
+    assert u.support() == tuple(range(1000))
+    assert u.serialize() == [[x, "1/1000"] for x in range(1000)]
+    assert RationalDist.point(7).serialize() == [[7, "1/1"]]
+
+
+def test_items_are_fractions_on_demand():
+    d = RationalDist({0: F(1, 2), 5: F(1, 4), 9: F(1, 4)})
+    assert d.items() == ((0, F(1, 2)), (5, F(1, 4)), (9, F(1, 4)))
+    assert all(type(m) is F for _, m in d.items())
+    assert d.serialize() == [[0, "1/2"], [5, "1/4"], [9, "1/4"]]
+    assert repr(d) == "RationalDist({0: 1/2, 5: 1/4, 9: 1/4})"
+    assert repr(RationalDist.point(3)) == "RationalDist({3: 1})"
+
+
+def test_tally_update_rejects_before_recording():
+    c = FiniteGroups([EVENS, ODDS])
+    tally = GroupTally(c)
+    tally.update([4, 1])
+    for bad, first in (([2, -1, 3, -2], -1), (iter([5, 2.5, -1]), 2.5),
+                       ([4, "x"], "x")):
+        with pytest.raises(ValueError, match=f"got {first!r}$"):
+            tally.update(bad)
+        assert tally.seen == {1, 4} and tally.counts == {1: 1, 2: 1}
+    tally.update(x for x in (4, 4, 6, 1, 7))
+    assert tally.seen == {1, 4, 6, 7} and tally.counts == {1: 2, 2: 2}
 
 
 def test_empirical_worked():

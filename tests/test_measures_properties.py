@@ -1,17 +1,26 @@
-"""Property tests for the integer-count group weights: `group_empirical` and
-a `GroupTally` fed one element at a time agree with the group probabilities
-of the empirical distribution, on random overlapping finite collections and
-block partitions and on prefixes with repeats."""
+"""Property tests for the integer-inside measures.
+
+`RationalDist` (integer numerators over one denominator) agrees with the
+`Fraction`-mass reference in `oracles.py` on items, support, serialization,
+repr, equality and error text.  `group_empirical` and a `GroupTally` fed one
+element at a time or in batches agree with the group probabilities of the
+empirical distribution, on random overlapping finite collections and block
+partitions and on prefixes with repeats."""
+
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from oracles import FractionRationalDist
 from repgen.groups import BlockPartition, FiniteGroups
-from repgen.measures import (GroupTally, empirical, group_empirical,
-                             induced_group_probs)
+from repgen.measures import (GroupTally, RationalDist, empirical,
+                             group_empirical, induced_group_probs)
 from repgen.periodic import PeriodicSet
+
+F = Fraction
 
 
 @st.composite
@@ -45,3 +54,107 @@ def test_tally_step_by_step_equals_batch(c, prefix):
     for t, x in enumerate(prefix, 1):
         assert tally.add(x) == (x not in prefix[:t - 1])
         assert tally.weights() == induced_group_probs(empirical(prefix[:t]), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(collections, prefixes, st.lists(st.integers(0, 30), max_size=4))
+def test_tally_update_equals_add(c, prefix, cuts):
+    """Batches of any sizes, repeats inside and across batches included,
+    leave the same tally as adding every element in turn."""
+    one = GroupTally(c)
+    for x in prefix:
+        one.add(x)
+    batched = GroupTally(c)
+    bounds = [0] + sorted(cuts) + [len(prefix)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.update(prefix[lo:hi])
+    batched.update(iter(prefix))  # all repeats by now
+    assert batched.seen == one.seen
+    assert batched.counts == one.counts
+    assert batched.weights() == one.weights()
+
+
+# Masses are drawn as positive weights and normalised, so they sum to 1.
+naturals = st.integers(0, 60)
+weights = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def mass_maps(draw):
+    w = draw(st.dictionaries(naturals, weights, min_size=1, max_size=8))
+    total = sum(w.values())
+    return {x: m / total for x, m in w.items()}
+
+
+def assert_same(dist, ref):
+    assert dist.items() == ref.items()
+    assert all(type(m) is Fraction for _, m in dist.items())
+    assert dist.support() == ref.support()
+    assert dist.serialize() == ref.serialize()
+    assert repr(dist) == repr(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass_maps())
+def test_dist_matches_fraction_reference(masses):
+    assert_same(RationalDist(masses), FractionRationalDist(masses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(naturals, min_size=1, max_size=40), naturals)
+def test_uniform_and_point_match_fraction_reference(xs, x):
+    assert_same(RationalDist.uniform(xs), FractionRationalDist.uniform(xs))
+    assert_same(RationalDist.point(x), FractionRationalDist.point(x))
+    assert RationalDist.uniform(xs) == RationalDist(
+        dict(FractionRationalDist.uniform(xs).items()))
+    assert RationalDist.point(x) == RationalDist({x: 1})
+    assert hash(RationalDist.point(x)) == hash(RationalDist({x: F(1)}))
+
+
+# A small space, so that equal distributions come up often.
+small_maps = st.dictionaries(st.integers(0, 3), st.integers(1, 3),
+                             min_size=1, max_size=4).map(
+    lambda w: {x: F(n, sum(w.values())) for x, n in w.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps, small_maps)
+def test_equality_and_hash_follow_values(p, q):
+    a, b = RationalDist(p), RationalDist(q)
+    assert (a == b) == (FractionRationalDist(p) == FractionRationalDist(q))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def outcome(make, masses):
+    try:
+        return "ok", make(masses).serialize()
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+# Keys may be negative or non-integral and masses nonpositive or off-sum.
+raw_maps = st.one_of(
+    mass_maps(),
+    st.dictionaries(st.one_of(st.integers(-3, 10), st.sampled_from([0.5, 2.5])),
+                    st.one_of(st.builds(F, st.integers(-3, 5), st.integers(1, 6)),
+                              st.integers(-1, 2)),
+                    max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_maps)
+def test_invalid_masses_raise_reference_error(masses):
+    assert outcome(RationalDist, masses) \
+        == outcome(FractionRationalDist, masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 10), st.sampled_from([0.5, 2.5])),
+                max_size=6))
+def test_invalid_supports_raise_reference_error(xs):
+    assert outcome(RationalDist.uniform, xs) \
+        == outcome(FractionRationalDist.uniform, xs)
+    for x in xs:
+        assert outcome(RationalDist.point, x) \
+            == outcome(FractionRationalDist.point, x)
