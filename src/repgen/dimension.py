@@ -104,7 +104,7 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     # condition 2 cannot hold; only condition 1 can fire, and only on
     # blocks that carry tuple weight.
     for i in sorted(pihat):
-        if pihat[i] > alpha and (closure & c.block_set(i) - tuple_set).is_empty():
+        if pihat[i] > alpha and (closure & c.group(i) - tuple_set).is_empty():
             return Condition1(i)
     return None
 

@@ -31,7 +31,7 @@ from .dimension import GcSearch, gc_dimension
 from .errors import ConfigError
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import ONE, ZERO, RationalDist, empirical
+from .measures import ONE, ZERO, GroupTally, RationalDist, empirical
 from .periodic import PeriodicSet
 
 KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
@@ -41,20 +41,18 @@ KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
 
 class StreamState:
     """What every construction reads about the stream so far, updated one
-    element at a time: the history and its distinct elements, the distinct
-    count per group (per touched block for a block partition), the consistent
-    class indices (checked lazily up to the largest index asked for), and
-    smallest-unseen cursors keyed by (set, part), each walking `set & part`
-    forward only, since the seen set only grows."""
+    element at a time: the history; a `GroupTally` (`tally`) of its distinct
+    elements and their count per group, which gives the empirical group
+    weights; the consistent class indices (checked lazily up to the largest
+    index asked for); and smallest-unseen cursors keyed by (set, part), each
+    walking `set & part` forward only, since the seen set only grows."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
         self.cls = cls
         self.groups = groups
         self.history: list[int] = []
-        self.seen: set[int] = set()
-        self.counts: dict[int, int] = (dict.fromkeys(groups.indices(), 0)
-                                       if isinstance(groups, FiniteGroups) else {})
+        self.tally = GroupTally(groups)
         self.consistent: tuple[int, ...] = ()
         self.checked = 0  # class indices checked for consistency so far
         self._cursors: dict[tuple, list] = {}
@@ -63,15 +61,9 @@ class StreamState:
 
     def add(self, x: int) -> None:
         self.history.append(x)
-        if x in self.seen:
-            return
-        self.seen.add(x)
-        c = self.groups
-        for i in (c.groups_containing(x) if isinstance(c, FiniteGroups)
-                  else (c.group_index(x),)):
-            self.counts[i] = self.counts.get(i, 0) + 1
-        self.consistent = tuple(i for i in self.consistent
-                                if x in self.cls.get(i).support)
+        if self.tally.add(x):
+            self.consistent = tuple(i for i in self.consistent
+                                    if x in self.cls.get(i).support)
 
     def depth(self) -> int:
         """Largest class index a step may consider: t, capped by a finite class."""
@@ -83,29 +75,22 @@ class StreamState:
         while self.checked < n:
             self.checked += 1
             support = self.cls.get(self.checked).support
-            if all(x in support for x in self.seen):
+            if all(x in support for x in self.tally.seen):
                 self.consistent += (self.checked,)
         if n == self.checked:
             return self.consistent
         return tuple(i for i in self.consistent if i <= n)
 
-    def weights(self) -> dict[int, Fraction]:
-        """Empirical group weights (of touched blocks only, for blocks)."""
-        d = len(self.seen)
-        return {i: Fraction(n, d) for i, n in self.counts.items()}
-
     def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
         """Smallest unseen element of `s & part`, or None when there is none;
-        `part` is a group or block index, or a cell's membership vector."""
+        `part` is a group index, or a cell's membership vector."""
         cursor = self._cursors.get((s, part))
         if cursor is None:
-            c = self.groups
-            region = (c.block_set(part) if isinstance(c, BlockPartition)
-                      else dict(c.cells())[part] if isinstance(part, tuple)
-                      else c.group(part))
+            region = (dict(self.groups.cells())[part] if isinstance(part, tuple)
+                      else self.groups.group(part))
             members = (s & region).members()
             cursor = self._cursors[s, part] = [members, next(members, None)]
-        while cursor[1] is not None and cursor[1] in self.seen:
+        while cursor[1] is not None and cursor[1] in self.tally.seen:
             cursor[1] = next(cursor[0], None)
         return cursor[1]
 
@@ -148,7 +133,7 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
 def _feasible(state: StreamState, h: Hypothesis,
               alpha: Fraction) -> FeasibilityWitness | None:
     c = state.groups
-    pihat = state.weights()
+    pihat = state.tally.weights()
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, pihat, alpha)
     candidates = []
@@ -264,7 +249,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     added whole to the smallest-index group that can absorb it.
     """
     closure = None
-    if len(state.seen) >= d_star:
+    if len(state.tally.seen) >= d_star:
         closure = state.cls.closure_of_indices(state.consistent_upto(upto))
     if closure is None:
         return empirical(state.history)
@@ -276,7 +261,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
             exhausted.append(i)
         else:
             avail[i] = z
-    return _assemble_uniform(state.weights(), avail, exhausted, alpha,
+    return _assemble_uniform(state.tally.weights(), avail, exhausted, alpha,
                              state.history)
 
 
@@ -315,7 +300,7 @@ def _nonuniform(state: StreamState, alpha: Fraction, search: GcSearch,
     upto = state.depth()
     n = nonuniform_thresholds(state.cls, state.groups, alpha, search, upto,
                               thresholds)
-    d_t = len(state.seen)
+    d_t = len(state.tally.seen)
     i_t = max((i for i in range(1, upto + 1) if n[i - 1] <= d_t), default=1)
     return _uniform(state, alpha, n[i_t - 1], i_t)
 

@@ -3,13 +3,18 @@
 Two shapes are supported: a finite, possibly overlapping family of periodic
 sets, and an infinite partition into consecutive finite blocks whose sizes
 follow an explicit list with a geometric tail.  Group indices are 1-based.
+Both shapes share `group(i)` (a `PeriodicSet`), `groups_containing(x)`,
+`mass_by_group(xs, weights)` (total weight per group: every group of a
+finite family, the touched blocks of a partition) and `validate()`, so
+callers that count or weigh elements never ask which shape they hold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence, Union
+from itertools import compress, product
+from typing import Collection, Iterable, Sequence, Union
 
 from .hypotheses import Hypothesis
 from .periodic import ALL, PeriodicSet, interval
@@ -59,6 +64,13 @@ class FiniteGroups:
     def groups_containing(self, x: int) -> list[int]:
         return [i for i, g in enumerate(self._groups, start=1) if x in g]
 
+    def mass_by_group(self, xs: Collection[int],
+                      weights: Iterable[int]) -> dict[int, int]:
+        """Total weight of xs per group, zeros included.  Both arguments are
+        read once per group: collections, or an endless `repeat` of weights."""
+        return {i: sum(compress(weights, map(g.__contains__, xs)))
+                for i, g in enumerate(self._groups, start=1)}
+
     def cells(self) -> list[tuple[tuple[int, ...], PeriodicSet]]:
         """Atoms of the collection: every realizable nonzero membership vector
         paired with its exact set.  Deterministic order (vectors enumerated
@@ -88,7 +100,7 @@ class BlockPartition:
     Block k (1-based) has size sizes[k] where sizes follows the explicit
     `prefix_sizes` list and then grows geometrically: each further block is
     `base` times the previous one.  With an empty prefix the sizes are
-    1, base, base^2, ... so block 1 is {0}.
+    base, base^2, base^3, ... so block 1 is {0, ..., base - 1}.
     """
 
     def __init__(self, base: int, prefix_sizes: Sequence[int] = ()):
@@ -114,22 +126,36 @@ class BlockPartition:
 
     def block_range(self, k: int) -> tuple[int, int]:
         """Half-open element range [lo, hi) of block k."""
+        if k < 1:
+            raise IndexError(f"block indices are 1-based, got {k}")
         self._extend_bounds(k)
         return self._bounds[k - 1], self._bounds[k]
 
-    def block_set(self, k: int) -> PeriodicSet:
+    def group(self, k: int) -> PeriodicSet:
         lo, hi = self.block_range(k)
         return interval(lo, hi)
 
     def group_index(self, x: int) -> int:
+        """The block that holds x."""
         if x < 0:
             raise ValueError(f"elements are naturals, got {x}")
-        k = 1
-        while True:
-            self._extend_bounds(k)
-            if x < self._bounds[k]:
-                return k
-            k += 1
+        bounds = self._bounds
+        while bounds[-1] <= x:
+            self._extend_bounds(len(bounds))
+        return bisect_right(bounds, x)
+
+    def groups_containing(self, x: int) -> list[int]:
+        return [self.group_index(x)]
+
+    def mass_by_group(self, xs: Collection[int],
+                      weights: Iterable[int]) -> dict[int, int]:
+        """Total weight of xs per block, touched blocks only."""
+        sums: dict[int, int] = {}
+        index = self.group_index
+        for x, w in zip(xs, weights):
+            i = index(x)
+            sums[i] = sums.get(i, 0) + w
+        return sums
 
     def validate(self) -> ValidationReport:
         # Consecutive blocks tile the naturals by construction.

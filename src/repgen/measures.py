@@ -4,7 +4,10 @@ Every mass is exact and nothing in this module ever touches a float, so
 representativeness verdicts at the boundary are exact.  Inside, a
 distribution is integers over one common denominator: one positive numerator
 per support element and the least denominator they share, so building a
-uniform distribution and summing masses per group are integer work.
+uniform distribution and summing masses per group are integer work.  Which
+groups hold an element is the group collection's business
+(`mass_by_group`, `groups_containing`), so nothing here depends on the
+collection's shape.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, and the group probabilities returned.
 """
@@ -16,7 +19,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .groups import BlockPartition, FiniteGroups, GroupCollection
+from .groups import GroupCollection
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,19 +117,9 @@ def induced_group_probs(mu: RationalDist, c: GroupCollection) -> dict[int, Fract
     included); for a block partition only touched blocks appear, absent
     meaning zero.  With overlapping groups the values may sum to more than 1.
     """
-    if isinstance(c, FiniteGroups):
-        sums = dict.fromkeys(c.indices(), 0)
-        for x, n in zip(mu._xs, mu._nums):
-            for i in c.groups_containing(x):
-                sums[i] += n
-    else:
-        assert isinstance(c, BlockPartition)
-        sums = {}
-        for x, n in zip(mu._xs, mu._nums):
-            i = c.group_index(x)
-            sums[i] = sums.get(i, 0) + n
     den = mu._den
-    return {i: Fraction(n, den) for i, n in sums.items()}
+    return {i: Fraction(n, den)
+            for i, n in c.mass_by_group(mu._xs, mu._nums).items()}
 
 
 class GroupTally:
@@ -141,8 +134,7 @@ class GroupTally:
     def __init__(self, c: GroupCollection):
         self.groups = c
         self.seen: set[int] = set()
-        self.counts: dict[int, int] = (dict.fromkeys(c.indices(), 0)
-                                       if isinstance(c, FiniteGroups) else {})
+        self.counts: dict[int, int] = c.mass_by_group((), ())
 
     def add(self, x: int) -> bool:
         """Record x; returns whether it was new."""
@@ -151,13 +143,9 @@ class GroupTally:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"elements must be naturals, got {x!r}")
         self.seen.add(x)
-        c = self.groups
-        if isinstance(c, FiniteGroups):
-            for i in c.groups_containing(x):
-                self.counts[i] += 1
-        else:
-            i = c.group_index(x)
-            self.counts[i] = self.counts.get(i, 0) + 1
+        counts = self.counts
+        for i in self.groups.groups_containing(x):
+            counts[i] = counts.get(i, 0) + 1
         return True
 
     def update(self, xs: Iterable[int]) -> None:
@@ -174,15 +162,9 @@ class GroupTally:
                        if x in new and (not isinstance(x, int) or x < 0))
             raise ValueError(f"elements must be naturals, got {bad!r}")
         self.seen |= new
-        c = self.groups
         counts = self.counts
-        if isinstance(c, FiniteGroups):
-            for i in c.indices():
-                counts[i] += sum(map(c.group(i).__contains__, new))
-        else:
-            for x in sorted(new):
-                i = c.group_index(x)
-                counts[i] = counts.get(i, 0) + 1
+        for i, n in self.groups.mass_by_group(new, repeat(1)).items():
+            counts[i] = counts.get(i, 0) + n
 
     def weights(self) -> dict[int, Fraction]:
         """Group probabilities induced by the empirical distribution of the

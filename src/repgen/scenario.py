@@ -154,6 +154,9 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
                             f"unknown kind {kind!r}, expected one of {KINDS}")
     alpha = _as_fraction(_need(gen, "alpha", f"{where}.generator"),
                          f"{where}.generator.alpha")
+    if not 0 <= alpha <= 1:
+        raise ScenarioError(f"{where}.generator.alpha",
+                            f"alpha must be in [0, 1], got {alpha}")
     d_star = gen.get("d_star")
     if d_star is not None:
         d_star = _as_int(d_star, f"{where}.generator.d_star", minimum=1)

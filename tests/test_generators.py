@@ -259,8 +259,9 @@ def test_limit_emit_selects_largest_index():
 
 
 def _assert_same_state(stepped, once):
-    assert stepped.history == once.history and stepped.seen == once.seen
-    assert stepped.weights() == once.weights()
+    assert stepped.history == once.history
+    assert stepped.tally.seen == once.tally.seen
+    assert stepped.tally.weights() == once.tally.weights()
     n = stepped.checked
     assert stepped.consistent_upto(n) == once.consistent_upto(n)
     for s, part in list(stepped._cursors):

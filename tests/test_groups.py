@@ -91,6 +91,26 @@ def test_block_partition_defaults_to_pure_geometric():
     assert b.group_index(3) == 2
 
 
+def test_group_index_answers_any_order_of_queries():
+    """Bounds are cached; a far element first and then small ones must give
+    the blocks a fresh partition gives."""
+    far = BlockPartition(base=2)
+    assert far.group_index(4094) == 12 and far.group_index(4093) == 11
+    assert far.block_range(11) == (2046, 4094)
+    for x in (0, 1, 2, 5, 6, 2046, 2045, 4095):
+        assert far.group_index(x) == BlockPartition(base=2).group_index(x)
+        assert far.groups_containing(x) == [far.group_index(x)]
+
+
+def test_mass_by_group_worked():
+    c = FiniteGroups([EVENS, from_threshold(3), from_finite([0, 1])])
+    assert c.mass_by_group((), ()) == {1: 0, 2: 0, 3: 0}
+    assert c.mass_by_group((0, 3, 4), (5, 1, 2)) == {1: 7, 2: 3, 3: 5}
+    b = BlockPartition(base=2, prefix_sizes=(1,))  # {0}, {1, 2}, {3..6}, ...
+    assert b.mass_by_group((), ()) == {}
+    assert b.mass_by_group((0, 2, 1, 7), (1, 2, 3, 4)) == {1: 1, 2: 5, 4: 4}
+
+
 def test_block_partition_validation():
     with pytest.raises(ValueError):
         BlockPartition(base=1)
@@ -98,6 +118,12 @@ def test_block_partition_validation():
         BlockPartition(base=2, prefix_sizes=(0,))
     r = BlockPartition(base=2).validate()
     assert r.covers and r.partition
+    b = BlockPartition(base=2)
+    b.group_index(100)  # the cached bounds reach past block 1
+    for k in (0, -1):
+        for query in (b.block_range, b.group, FiniteGroups([ALL]).group):
+            with pytest.raises(IndexError, match=f"got {k}$"):
+                query(k)
 
 
 def test_block_group_index_monotone_and_consistent():
@@ -114,7 +140,7 @@ def test_block_group_index_monotone_and_consistent():
             prev = g
             lo, hi = b.block_range(g)
             assert lo <= x < hi
-            assert x in b.block_set(g)
+            assert x in b.group(g)
         # boundaries are the running sums of the block sizes
         total = 0
         for k in range(1, 6):

@@ -481,3 +481,17 @@ def test_cli_invalid_alpha_exit_3(capsys):
     assert main(["adversary", "geometric", "--alpha", "1/3", "--depth", "2",
                  "--generator", "empirical"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-1/2", "3/2"])
+def test_cli_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    root = Path(__file__).parent / "scenarios"
+    doc = json.loads((root / "u01-zero-rest-half.json").read_text())
+    doc["generator"]["alpha"] = alpha
+    path = _write_scenario(tmp_path, doc)
+    for command in ("gc-dim", "run"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario.generator.alpha: alpha must "
+                                f"be in [0, 1], got {alpha}\n")

@@ -89,3 +89,42 @@ def test_package_keeps_exact_and_dependency_free():
     found = {p.relative_to(ROOT).as_posix(): invariant_breaches(p.read_text())
              for p in PACKAGE}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+SHAPES = {"FiniteGroups", "BlockPartition"}
+
+
+def shape_names(tree: ast.AST) -> set[str]:
+    """The group-collection class names a syntax tree mentions, as a name,
+    an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+    return found & SHAPES
+
+
+def test_shape_names_are_detected():
+    source = ("from .groups import FiniteGroups as F\n"
+              "import repgen.groups as g\n"
+              "x = isinstance(c, g.BlockPartition)\n"
+              "'FiniteGroups in a string is fine'\n")
+    assert shape_names(ast.parse(source)) == SHAPES
+    assert shape_names(ast.parse("from .groups import GroupCollection")) == set()
+
+
+def test_group_counting_never_asks_for_the_collection_shape():
+    """Which groups hold an element is decided in `repgen.groups`: the
+    measures and the generators' stream state count through the
+    collection's own members and never name a concrete collection class."""
+    measures = ast.parse((ROOT / "src" / "repgen" / "measures.py").read_text())
+    assert shape_names(measures) == set()
+    generators = ast.parse(
+        (ROOT / "src" / "repgen" / "generators.py").read_text())
+    [state] = [node for node in generators.body
+               if isinstance(node, ast.ClassDef) and node.name == "StreamState"]
+    assert shape_names(state) == set()

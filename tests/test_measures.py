@@ -12,7 +12,8 @@ from repgen.measures import (GroupTally, RationalDist, empirical,
                              format_fraction, group_empirical,
                              induced_group_probs, is_alpha_representative,
                              parse_fraction, sup_distance)
-from repgen.periodic import EVENS, ODDS, from_finite, from_threshold
+from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
+                             multiples)
 
 F = Fraction
 
@@ -200,3 +201,74 @@ def test_partition_marginals_sum_to_one():
         xs = [rng.randrange(0, 10) for _ in range(rng.randrange(1, 9))]
         probs = induced_group_probs(empirical(xs), c)
         assert sum(probs.values()) == 1
+
+
+def _collections(rng):
+    """Overlapping finite families and block partitions, with and without
+    prefix sizes."""
+    pool = [EVENS, ODDS, from_threshold(5), from_finite([0, 1, 2, 3, 4]),
+            from_threshold(1000), multiples(3), multiples(7),
+            from_finite([1, 2047, 2048, 4095]), ALL]
+    for _ in range(4):
+        yield FiniteGroups(rng.sample(pool, rng.randrange(1, 5)))
+        sizes = tuple(rng.randrange(1, 40) for _ in range(rng.randrange(3)))
+        yield BlockPartition(rng.randrange(2, 5), sizes)
+    yield FiniteGroups([EVENS, multiples(4), from_threshold(2048)])
+    yield BlockPartition(2)
+
+
+def _support(rng, c):
+    """Elements up to several thousand, many of them on block boundaries."""
+    xs = {rng.randrange(5000) for _ in range(20)}
+    if isinstance(c, BlockPartition):
+        for k in rng.sample(range(1, 9), 4):
+            lo, hi = c.block_range(k)
+            xs |= {lo, hi - 1, hi}
+    else:
+        xs |= {0, 4, 5, 999, 1000, 2047, 2048, 4095, 4096}
+    return rng.sample(sorted(xs), rng.randrange(1, len(xs) + 1))
+
+
+def _masses_by_element(rng, xs):
+    raw = {x: rng.randrange(1, 30) for x in xs}
+    total = sum(raw.values())
+    return {x: F(w, total) for x, w in raw.items()}
+
+
+def _group_mass_oracle(masses, c):
+    """Group masses summed one element at a time: by membership in each
+    group of a finite family, by the block ranges of a partition (listing
+    only the blocks that hold an element)."""
+    if isinstance(c, FiniteGroups):
+        return {i: sum((m for x, m in masses.items() if x in c.group(i)), F(0))
+                for i in c.indices()}
+    out = {}
+    k, top = 1, max(masses)
+    while True:
+        lo, hi = c.block_range(k)
+        if lo > top:
+            return out
+        inside = [m for x, m in masses.items() if lo <= x < hi]
+        block = c.group(k)
+        assert all((x in block) == (lo <= x < hi) for x in masses)
+        if inside:
+            out[k] = sum(inside, F(0))
+        k += 1
+
+
+def test_group_masses_match_a_per_element_sum():
+    rng = random.Random(2024)
+    for c in _collections(rng):
+        for _ in range(3):
+            xs = _support(rng, c)
+            masses = _masses_by_element(rng, xs)
+            assert induced_group_probs(RationalDist(masses), c) == \
+                _group_mass_oracle(masses, c)
+            stream = xs + rng.sample(xs, len(xs) // 2)
+            rng.shuffle(stream)
+            uniform = {x: F(1, len(xs)) for x in xs}
+            assert group_empirical(stream, c) == _group_mass_oracle(uniform, c)
+            tally = GroupTally(c)
+            for x in stream:
+                tally.add(x)
+            assert tally.weights() == _group_mass_oracle(uniform, c)
