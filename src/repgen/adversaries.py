@@ -31,6 +31,11 @@ from .measures import (ONE, ZERO, RationalDist, group_empirical,
                        induced_group_probs, sup_distance)
 from .periodic import ALL, PeriodicSet, from_finite
 
+# Longest game an adversary plays.  The geometric horizon b + ... + b^depth
+# grows exponentially with the depth, so a longer game is refused with a
+# ConfigError before its first step instead of running for hours.
+MAX_STEPS = 10 ** 5
+
 INCONSISTENT = "inconsistent"
 UNREPRESENTATIVE = "unrepresentative"
 BUDGET_EXCEEDED = "query_budget_exceeded"
@@ -76,6 +81,9 @@ def verify_report(report: ViolationReport,
             return False
         lam = induced_group_probs(report.distribution, groups)
         pihat = group_empirical(report.history, groups)
+        if (report.group is not None and report.pi_hat is not None
+                and report.pi_hat != pihat.get(report.group, ZERO)):
+            return False
         return (sup_distance(lam, pihat) == report.distance
                 and report.distance > report.alpha)
     return False
@@ -175,7 +183,8 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
     weight strictly exceeds alpha while the block holds no unseen element,
     so the emitted distribution is either inconsistent (mass on a seen
     element) or off by more than alpha on that block.  Returns one verified
-    report per checkpoint up to the requested depth.
+    report per checkpoint up to the requested depth, whose horizon may not
+    exceed MAX_STEPS.
     """
     if not isinstance(alpha, Fraction):
         alpha = Fraction(alpha)
@@ -189,13 +198,18 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
     b = int(b_frac)
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
+    horizon = 0
+    for i in range(1, depth + 1):  # b >= 2: stops by i = log2(MAX_STEPS)
+        horizon += b ** i
+        if horizon > MAX_STEPS:
+            raise ConfigError(
+                f"depth {depth} at base {b} needs more than {MAX_STEPS} steps")
 
     groups = BlockPartition(base=b, prefix_sizes=(b,))
     cls = HypothesisClass([Hypothesis("everything", ALL)])
     session = make_session(cls, groups, alpha)
 
     checkpoints = geometric_checkpoints(b, depth)
-    horizon = max(checkpoints)
 
     reports: list[ViolationReport] = []
     history: list[int] = []
@@ -319,10 +333,12 @@ def query_adversary(generator, steps: int,
     distribution confined to queried elements lives entirely in group two,
     whose enumeration weight never reaches half, so the distance is at least
     one half > any alpha below it.  Generators must expose
-    emit(prefix, oracle) -> RationalDist.
+    emit(prefix, oracle) -> RationalDist.  At most MAX_STEPS rounds.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ConfigError(f"steps must be <= {MAX_STEPS}, got {steps}")
     st = QueryAdversaryState()
     reports: list[ViolationReport] = []
     seen: set[int] = set()  # the enumeration's elements

@@ -7,7 +7,9 @@ per support element and the least denominator they share, so building a
 uniform distribution and summing masses per group are integer work.  Which
 groups hold an element is the group collection's business
 (`mass_by_group`, `groups_containing`), so nothing here depends on the
-collection's shape.
+collection's shape.  `group_empirical` remembers the tally of its last
+prefix, so checking the prefixes of one stream in order, as report
+verification does, counts each element once rather than once per prefix.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, and the group probabilities returned.
 """
@@ -175,12 +177,40 @@ class GroupTally:
         return {i: Fraction(n, d) for i, n in self.counts.items()}
 
 
+# group_empirical's one-entry memo: the prefix of its last successful call
+# and that prefix's tally (whose `groups` is the call's collection).
+_memo: tuple[tuple[int, ...], GroupTally] | None = None
+
+
 def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Fraction]:
     """Group probabilities induced by the empirical distribution of the
-    prefix; equal to `induced_group_probs(empirical(prefix), c)`."""
-    tally = GroupTally(c)
-    tally.update(prefix)
-    return tally.weights()
+    prefix; equal to `induced_group_probs(empirical(prefix), c)`.
+
+    The last successful call is remembered: a copy of its prefix and that
+    prefix's tally.  A call with the same collection object and a prefix of
+    ints that starts with the remembered one counts only the elements it
+    adds, so checking the prefixes of one stream in order counts each
+    element once instead of once per call (copying and comparing the prefix
+    stay O(length), at C speed).  Any other call counts from scratch.  The
+    memo is module state: it is not thread-safe (repgen runs in one thread)
+    and keeps one prefix and its collection alive."""
+    global _memo
+    prefix = tuple(prefix)
+    memo = _memo
+    # The isinstance pass keeps rejections exact: a value such as 1.0 equals
+    # a remembered 1, but counted from scratch it would be rejected.
+    if (memo is not None and memo[1].groups is c
+            and prefix[:len(memo[0])] == memo[0]
+            and all(map(isinstance, prefix, repeat(int)))):
+        _memo = None  # its tally changes below
+        tally = memo[1]
+        tally.update(prefix[len(memo[0]):])
+    else:
+        tally = GroupTally(c)
+        tally.update(prefix)
+    weights = tally.weights()
+    _memo = (prefix, tally)
+    return weights
 
 
 def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fraction:

@@ -335,6 +335,43 @@ def test_query_then_emit_cursor_matches_scan_when_interleaved():
     assert 0 < exceeded < 400
 
 
+def test_game_length_is_bounded_by_max_steps(monkeypatch):
+    monkeypatch.setattr("repgen.adversaries.MAX_STEPS", 14)
+    factory = lambda cls, groups, alpha: ConstantSession(0)
+    assert len(geometric_adversary(factory, F(1, 2), 3)) == 3  # 2 + 4 + 8
+    with pytest.raises(ConfigError, match="depth 4 at base 2 needs more "
+                                          "than 14 steps"):
+        geometric_adversary(factory, F(1, 2), 4)
+    with pytest.raises(ConfigError, match="needs more than 14 steps"):
+        geometric_adversary(factory, F(2, 3), 10 ** 12)
+    assert len(query_adversary(QueryThenEmit(), 14)[0]) == 14
+    with pytest.raises(ConfigError, match="steps must be <= 14, got 15"):
+        query_adversary(QueryThenEmit(), 15)
+
+
+def test_verifying_a_query_game_counts_each_element_once():
+    """Verifying a game's reports in order hands the group collection about
+    one new element per report, not each report's whole history."""
+    steps = 600
+    reports, st = query_adversary(QueryThenEmit(), steps)
+    group_one = from_finite(x for x, g in st.grp.items() if g == 1)
+    groups = FiniteGroups([group_one, ALL - group_one])
+    support = ALL - from_finite(x for x, h in st.hyp.items() if h == 0)
+    counted = 0
+    mass_by_group = groups.mass_by_group
+
+    def counting(xs, weights):
+        nonlocal counted
+        counted += len(xs)
+        return mass_by_group(xs, weights)
+
+    groups.mass_by_group = counting
+    for r in reports:
+        r = dataclasses.replace(r, alpha=F(1, 3))
+        assert verify_report(r, groups=groups, support=support)
+    assert counted <= 2 * steps
+
+
 def test_query_adversary_rejects_bad_generator():
     class Liar:
         def emit(self, prefix, oracle):
@@ -376,3 +413,8 @@ def test_verify_report_rejections():
                                  alpha=F(1, 2), group=1, distance=F(1))
     assert verify_report(good_unrep, groups=ZERO_REST)
     assert not verify_report(good_unrep)  # no groups supplied
+    # empirical weight of the named group misstated
+    weighed = dataclasses.replace(good_unrep, pi_hat=F(1))
+    assert verify_report(weighed, groups=ZERO_REST)
+    tampered = dataclasses.replace(good_unrep, pi_hat=F(1, 2))
+    assert not verify_report(tampered, groups=ZERO_REST)

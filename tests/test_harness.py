@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repgen.adversaries import MAX_STEPS
 from repgen.cli import main
 from repgen.dimension import MAX_D
 from repgen.errors import InvariantViolation, ScenarioError
@@ -467,6 +468,21 @@ def test_cli_adversary_query(capsys):
     summary = rows[-1]
     assert summary["kind"] == "summary"
     assert Fraction(summary["final_group_one_fraction"]) >= F(1, 2)
+
+
+def test_cli_adversary_refuses_overlong_games(capsys, monkeypatch):
+    def no_game(*args):
+        raise AssertionError("a refused game was started")
+    monkeypatch.setattr("repgen.cli.GeneratorSession", no_game)
+    monkeypatch.setattr("repgen.adversaries.QueryThenEmit.emit", no_game)
+    assert main(["adversary", "geometric", "--alpha", "1/2",
+                 "--depth", "40"]) == 3
+    assert f"depth 40 at base 2 needs more than {MAX_STEPS} steps" \
+        in capsys.readouterr().err
+    assert main(["adversary", "query", "--steps", "100000000",
+                 "--generator", "query-then-emit"]) == 3
+    assert f"steps must be <= {MAX_STEPS}, got 100000000" \
+        in capsys.readouterr().err
 
 
 def test_cli_adversary_gc_witness(tmp_path, capsys):

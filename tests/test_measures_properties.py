@@ -5,7 +5,8 @@
 repr, equality and error text.  `group_empirical` and a `GroupTally` fed one
 element at a time or in batches agree with the group probabilities of the
 empirical distribution, on random overlapping finite collections and block
-partitions and on prefixes with repeats."""
+partitions and on prefixes with repeats.  `group_empirical`'s memo of its
+last prefix never changes an answer or an error text."""
 
 from fractions import Fraction
 
@@ -72,6 +73,76 @@ def test_tally_update_equals_add(c, prefix, cuts):
     assert batched.seen == one.seen
     assert batched.counts == one.counts
     assert batched.weights() == one.weights()
+
+
+def outcome_of(count, prefix, c):
+    try:
+        return count(prefix, c)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+def fresh_tally_weights(prefix, c):
+    tally = GroupTally(c)
+    tally.update(prefix)
+    return tally.weights()
+
+
+# How each call's prefix is made from the previous one.  "insert" and
+# "retype" last for one call: the first puts a non-natural in, the second
+# swaps an element for an equal non-int (2 -> 2.0 or Fraction(2)), which
+# counted from scratch is rejected only where it is the value's first
+# occurrence.
+memo_moves = st.one_of(
+    st.tuples(st.just("extend"), st.lists(st.integers(0, 40), max_size=4)),
+    st.tuples(st.just("repeat"), st.none()),
+    st.tuples(st.just("shrink"), st.integers(0, 30)),
+    st.tuples(st.just("diverge"), st.tuples(st.integers(0, 30),
+                                            st.integers(0, 40))),
+    st.tuples(st.just("empty"), st.none()),
+    st.tuples(st.just("insert"), st.tuples(
+        st.integers(0, 30), st.sampled_from([-1, -7, 2.5, "x", None]))),
+    st.tuples(st.just("retype"), st.tuples(st.integers(0, 30),
+                                           st.sampled_from([float, F]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_groups, block_partitions,
+       st.lists(st.tuples(st.booleans(), memo_moves), max_size=30))
+def test_group_empirical_memo_equals_a_fresh_tally(finite, blocks, script):
+    """Every call, on either of two collections, answers as a fresh tally
+    does, including after a rejected prefix.  The prefix is one list that
+    the script changes in place, as a caller's growing history is."""
+    prefix = [0]
+    for use_blocks, (move, arg) in script:
+        c = blocks if use_blocks else finite
+        undo = None
+        if move == "extend":
+            prefix.extend(arg)
+        elif move == "shrink":
+            del prefix[arg:]
+        elif move == "diverge":
+            j, x = arg
+            del prefix[j:]
+            prefix.append(x)
+        elif move == "empty":
+            prefix.clear()
+        elif move == "insert":
+            j, bad = arg
+            j = min(j, len(prefix))
+            prefix.insert(j, bad)
+            undo = lambda: prefix.pop(j)
+        elif move == "retype" and prefix:
+            j, kind = arg
+            j %= len(prefix)
+            x = prefix[j]
+            prefix[j] = kind(x)
+            undo = lambda: prefix.__setitem__(j, x)
+        assert outcome_of(group_empirical, prefix, c) \
+            == outcome_of(fresh_tally_weights, prefix, c)
+        if undo:
+            undo()
 
 
 # Masses are drawn as positive weights and normalised, so they sum to 1.
