@@ -27,8 +27,8 @@ from .dimension import check_witness
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import (ONE, ZERO, RationalDist, group_empirical,
-                       induced_group_probs, sup_distance)
+from .measures import (ZERO, RationalDist, group_empirical,
+                       induced_group_probs, prefix_tally, sup_distance)
 from .periodic import ALL, PeriodicSet, from_finite
 
 # Longest game an adversary plays.  The geometric horizon b + ... + b^depth
@@ -79,12 +79,13 @@ def verify_report(report: ViolationReport,
     if report.kind == UNREPRESENTATIVE:
         if groups is None or report.distance is None or report.alpha is None:
             return False
-        lam = induced_group_probs(report.distribution, groups)
-        pihat = group_empirical(report.history, groups)
-        if (report.group is not None and report.pi_hat is not None
-                and report.pi_hat != pihat.get(report.group, ZERO)):
+        tally = prefix_tally(report.history, groups)
+        pi_hat = report.pi_hat
+        if (report.group is not None and pi_hat is not None
+                and pi_hat.numerator * len(tally.seen)
+                != tally.counts.get(report.group, 0) * pi_hat.denominator):
             return False
-        return (sup_distance(lam, pihat) == report.distance
+        return (tally.distance(report.distribution) == report.distance
                 and report.distance > report.alpha)
     return False
 
@@ -237,9 +238,7 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
                 alpha=alpha, element=seen_mass[0], reason="already-seen",
                 checkpoint=i, pi_hat=pihat_i))
             continue
-        lam = induced_group_probs(mu, groups)
-        pihat = group_empirical(history, groups)
-        d = sup_distance(lam, pihat)
+        d = prefix_tally(history, groups).distance(mu)
         if d <= alpha:
             raise InvariantViolation(
                 "exhausted block did not force the distance above alpha",
@@ -388,12 +387,11 @@ def query_adversary(generator, steps: int,
             raise InvariantViolation(
                 "group-one enumeration weight dropped below a half",
                 snapshot={"t": t, "fraction": str(pihat1)})
-        lam = {1: ZERO, 2: ONE}
-        pihat = {1: pihat1, 2: 1 - pihat1}
-        d = sup_distance(lam, pihat)
+        # mu puts no mass on group one and all of it on group two, so the
+        # distance is |0 - pihat1| = |1 - (1 - pihat1)| = pihat1
         reports.append(ViolationReport(
             step=t, kind=UNREPRESENTATIVE, history=hist, distribution=mu,
-            group=1, distance=d, pi_hat=pihat1))
+            group=1, distance=pihat1, pi_hat=pihat1))
     return reports, st
 
 

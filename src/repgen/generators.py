@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -109,10 +110,12 @@ class FeasibilityWitness:
     entries: tuple[FeasibilityEntry, ...]
 
     def distribution(self) -> RationalDist:
-        masses: dict[int, Fraction] = {}
+        den = lcm(*(e.mass.denominator for e in self.entries))
+        nums: dict[int, int] = {}
         for e in self.entries:
-            masses[e.element] = masses.get(e.element, ZERO) + e.mass
-        return RationalDist(masses)
+            nums[e.element] = (nums.get(e.element, 0)
+                               + e.mass.numerator * (den // e.mass.denominator))
+        return RationalDist.from_numerators(nums, den)
 
 
 def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
@@ -198,42 +201,51 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
 
 # -- uniform construction -----------------------------------------------------
 
-def _assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
+def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
                       exhausted: list[int], alpha: Fraction,
                       history: Sequence[int]) -> RationalDist:
-    """Build the emitted distribution from per-group weights, one unseen
-    closure element per non-exhausted group, and the exhausted set.
+    """Build the emitted distribution from per-group counts of the d
+    distinct elements seen, one unseen closure element per non-exhausted
+    group, and the exhausted set.
 
-    With a correctly chosen d_star the redistribution always fits the alpha
-    cap; the two fallback branches keep emission total (and deterministic)
-    when a caller configures d_star below the dimension threshold, which the
+    The arithmetic is on integers over D = d * alpha.denominator: group i's
+    weight counts[i] / d is counts[i] * b / D and alpha = a / b is a * d / D,
+    so the only division is the one reduction in `from_numerators`.  With a
+    correctly chosen d_star the redistribution always fits the alpha cap;
+    the two fallback branches keep emission total (and deterministic) when a
+    caller configures d_star below the dimension threshold, which the
     adversary constructions do on purpose.
     """
+    a, b = alpha.numerator, alpha.denominator
+    den = d * b
     if not exhausted:
-        return RationalDist({avail[i]: pi[i] for i in avail if pi[i] > 0})
+        return RationalDist.from_numerators(
+            {avail[i]: counts[i] * b for i in avail if counts[i] > 0}, den)
     if not avail:
         return empirical(history)  # closure fully consumed; out of contract
-    masses = {i: pi[i] for i in avail}
+    masses = {i: counts[i] * b for i in avail}
     order = sorted(avail)
-    deficit = sum((pi[i] for i in exhausted), ZERO)
-    if deficit > alpha:
+    cap = a * d
+    deficit = sum(counts[i] for i in exhausted) * b
+    if deficit > cap:
         rem = deficit
         for i in order:
             if rem <= 0:
                 break
-            add = min(alpha, rem)
+            add = min(cap, rem)
             masses[i] += add
             rem -= add
         if rem > 0:
             masses[order[0]] += rem  # out of contract (d_star too small)
     elif deficit > 0:
         for i in order:
-            if masses[i] <= 1 - deficit:
+            if masses[i] <= den - deficit:
                 masses[i] += deficit
                 break
         else:
             masses[order[0]] += deficit  # unreachable with a correct d_star
-    return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
+    return RationalDist.from_numerators(
+        {avail[i]: m for i, m in masses.items() if m > 0}, den)
 
 
 def _uniform(state: StreamState, alpha: Fraction, d_star: int,
@@ -261,8 +273,9 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
             exhausted.append(i)
         else:
             avail[i] = z
-    return _assemble_uniform(state.tally.weights(), avail, exhausted, alpha,
-                             state.history)
+    tally = state.tally
+    return _assemble_uniform(tally.counts, len(tally.seen), avail, exhausted,
+                             alpha, state.history)
 
 
 def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,

@@ -3,11 +3,12 @@
 run_game drives a generator session along a scenario's stream and verifies
 every emitted distribution with the measure-level checkers only; none of the
 verification reuses the generator constructions, so a broken generator
-cannot vouch for itself.  The checks are incremental: group weights come
-from integer counts in a `GroupTally`, and the consistent class indices are
-filtered once per new element, so a step costs the same however long the
-stream has run.  Traces serialize to JSON lines with sorted keys and fixed
-separators, making reruns byte-comparable.
+cannot vouch for itself.  The checks are incremental: the group distance
+comes from integer counts in a `GroupTally`, compared with the emitted
+distribution's integer masses over one common denominator, and the
+consistent class indices are filtered once per new element, so a step costs
+the same however long the stream has run.  Traces serialize to JSON lines
+with sorted keys and fixed separators, making reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .measures import (GroupTally, RationalDist, format_fraction,
-                       induced_group_probs, parse_fraction, sup_distance)
+from .measures import GroupTally, RationalDist, format_fraction, parse_fraction
 from .scenario import Scenario, build_session, materialize_stream
 
 
@@ -63,7 +63,7 @@ def run_game(scenario: Scenario) -> GameTrace:
                 "instead of a distribution")
         if tally.add(x):
             consistent = [i for i in consistent if x in cls.get(i).support]
-        dist = sup_distance(induced_group_probs(mu, groups), tally.weights())
+        dist = tally.distance(mu)
         steps.append(StepRecord(
             t=t, x=x, distinct=len(tally.seen), mu=mu, distance=dist,
             representative=dist <= scenario.alpha,

@@ -49,6 +49,9 @@ class HypothesisClass:
         # cache is keyed by the tuple of consistent indices rather than by
         # the (much larger) set of distinct prefix elements.
         self._closure_cache: dict[tuple[int, ...], PeriodicSet | None] = {}
+        # (n, i) -> whether h_n's support lies inside h_i's; members are
+        # never replaced, so a verdict holds for the life of the class.
+        self._subset_cache: dict[tuple[int, int], bool] = {}
 
     @property
     def extendable(self) -> bool:
@@ -138,6 +141,14 @@ class HypothesisClass:
         consistent with the prefix (at least those below n)."""
         if n not in consistent:
             return False
-        sn = self._members[n - 1].support
-        return all(sn.is_subset(self._members[i - 1].support)
-                   for i in consistent if i < n)
+        cache = self._subset_cache
+        for i in consistent:
+            if i >= n:
+                continue
+            inside = cache.get((n, i))
+            if inside is None:
+                inside = cache[n, i] = self._members[n - 1].support.is_subset(
+                    self._members[i - 1].support)
+            if not inside:
+                return False
+        return True

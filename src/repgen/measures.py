@@ -4,14 +4,18 @@ Every mass is exact and nothing in this module ever touches a float, so
 representativeness verdicts at the boundary are exact.  Inside, a
 distribution is integers over one common denominator: one positive numerator
 per support element and the least denominator they share, so building a
-uniform distribution and summing masses per group are integer work.  Which
-groups hold an element is the group collection's business
-(`mass_by_group`, `groups_containing`), so nothing here depends on the
-collection's shape.  `group_empirical` remembers the tally of its last
-prefix, so checking the prefixes of one stream in order, as report
-verification does, counts each element once rather than once per prefix.
-`fractions.Fraction` appears only at the interface: masses passed in,
-`items()`, and the group probabilities returned.
+distribution from integer numerators and summing masses per group are
+integer work.  The representativeness check is integer work too:
+`GroupTally.distance` compares a distribution's per-group numerators with
+the tally's per-group counts over the product of the two denominators and
+builds only the resulting `Fraction`.  Which groups hold an element is the
+group collection's business (`mass_by_group`, `groups_containing`), so
+nothing here depends on the collection's shape.  `prefix_tally` remembers
+the tally of its last prefix, so checking the prefixes of one stream in
+order, as report verification does, counts each element once rather than
+once per prefix.  `fractions.Fraction` appears only at the interface:
+masses passed in, `items()`, the group probabilities and the distance
+returned.
 """
 
 from __future__ import annotations
@@ -66,6 +70,20 @@ class RationalDist:
             raise ValueError(f"masses must sum to 1, got {Fraction(total, den)}")
         self._xs, self._nums, self._den = xs, nums, den
         return self
+
+    @classmethod
+    def from_numerators(cls, nums: Mapping[int, int],
+                        den: int) -> "RationalDist":
+        """Mass nums[x] / den at each x: the same distribution, and the same
+        errors, as `RationalDist({x: Fraction(n, den)})`, built without a
+        `Fraction`.  den must be positive; the masses need not be reduced."""
+        xs = sorted(nums)
+        ns = [nums[x] for x in xs]
+        g = gcd(den, *ns)
+        if g != 1:
+            ns = [n // g for n in ns]
+            den //= g
+        return cls.__new__(cls)._assign(tuple(xs), tuple(ns), den)
 
     @classmethod
     def point(cls, x: int) -> "RationalDist":
@@ -176,24 +194,43 @@ class GroupTally:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         return {i: Fraction(n, d) for i, n in self.counts.items()}
 
+    def distance(self, mu: RationalDist) -> Fraction:
+        """Sup distance between mu's group probabilities and the weights of
+        the elements added so far; equal to
+        `sup_distance(induced_group_probs(mu, groups), self.weights())`.
+        Both sides are integers over mu's denominator times the distinct
+        count, so the only `Fraction` built is the result."""
+        d = len(self.seen)
+        if not d:
+            raise ValueError("empirical distribution of an empty prefix is undefined")
+        den = mu._den
+        counts = self.counts
+        masses = self.groups.mass_by_group(mu._xs, mu._nums)
+        worst = max(abs(m * d - counts.get(i, 0) * den)
+                    for i, m in masses.items())
+        # groups the history touches and mu does not (blocks only)
+        missed = max((n for i, n in counts.items() if i not in masses),
+                     default=0) * den
+        return Fraction(max(worst, missed), den * d)
 
-# group_empirical's one-entry memo: the prefix of its last successful call
-# and that prefix's tally (whose `groups` is the call's collection).
+
+# prefix_tally's one-entry memo: the prefix of its last call and that
+# prefix's tally (whose `groups` is the call's collection).
 _memo: tuple[tuple[int, ...], GroupTally] | None = None
 
 
-def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Fraction]:
-    """Group probabilities induced by the empirical distribution of the
-    prefix; equal to `induced_group_probs(empirical(prefix), c)`.
+def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
+    """The `GroupTally` of the prefix's elements over c.
 
-    The last successful call is remembered: a copy of its prefix and that
-    prefix's tally.  A call with the same collection object and a prefix of
-    ints that starts with the remembered one counts only the elements it
-    adds, so checking the prefixes of one stream in order counts each
-    element once instead of once per call (copying and comparing the prefix
-    stay O(length), at C speed).  Any other call counts from scratch.  The
-    memo is module state: it is not thread-safe (repgen runs in one thread)
-    and keeps one prefix and its collection alive."""
+    The last call is remembered: a copy of its prefix and that prefix's
+    tally, which the caller must not change.  A call with the same
+    collection object and a prefix of ints that starts with the remembered
+    one counts only the elements it adds, so checking the prefixes of one
+    stream in order counts each element once instead of once per call
+    (copying and comparing the prefix stay O(length), at C speed).  Any
+    other call counts from scratch.  The memo is module state: it is not
+    thread-safe (repgen runs in one thread) and keeps one prefix and its
+    collection alive."""
     global _memo
     prefix = tuple(prefix)
     memo = _memo
@@ -208,9 +245,16 @@ def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Frac
     else:
         tally = GroupTally(c)
         tally.update(prefix)
-    weights = tally.weights()
     _memo = (prefix, tally)
-    return weights
+    return tally
+
+
+def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Fraction]:
+    """Group probabilities induced by the empirical distribution of the
+    prefix; equal to `induced_group_probs(empirical(prefix), c)`.  Counted
+    through `prefix_tally`, so the prefixes of one stream, asked in order,
+    count each element once."""
+    return prefix_tally(prefix, c).weights()
 
 
 def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fraction:
@@ -227,7 +271,7 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
                             ) -> tuple[bool, Fraction]:
     """Exact check that mu's group probabilities track the prefix's empirical
     ones to within alpha in sup distance.  Returns (verdict, distance)."""
-    d = sup_distance(induced_group_probs(mu, c), group_empirical(prefix, c))
+    d = prefix_tally(prefix, c).distance(mu)
     return d <= alpha, d
 
 

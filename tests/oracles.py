@@ -13,7 +13,10 @@ reference is the `Fraction`-mass class the package used before its integer
 numerators over one denominator; it shares nothing with the package.  The
 query-generator reference is the scan from 0 the package used before its
 cursor; it shares only the oracle it is handed and the point mass it
-returns.
+returns.  The uniform-assembly reference is the `Fraction`-weight
+`_assemble_uniform` the package used before it worked on integer counts; it
+shares the package's `Fraction`-mass `RationalDist` constructor and
+`empirical`, but none of the redistribution arithmetic.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from repgen.dimension import GcResult, check_witness
 from repgen.errors import ConfigError
 from repgen.groups import FiniteGroups
-from repgen.measures import RationalDist
+from repgen.measures import RationalDist, empirical
 from repgen.simplex import EQ, GE, LE
 
 
@@ -423,3 +426,46 @@ class ScanQueryThenEmit:
             if x not in seen and oracle.hyp_member(x):
                 return RationalDist.point(x)
             x += 1
+
+
+def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
+                              exhausted: list[int], alpha: Fraction,
+                              history: Sequence[int]) -> RationalDist:
+    """The `Fraction`-weight uniform assembly that
+    `repgen.generators._assemble_uniform` was before it worked on integer
+    counts, kept verbatim (bar the name and this paragraph) as the reference
+    the integer version must match, output and error text alike.
+
+    Build the emitted distribution from per-group weights, one unseen
+    closure element per non-exhausted group, and the exhausted set.
+
+    With a correctly chosen d_star the redistribution always fits the alpha
+    cap; the two fallback branches keep emission total (and deterministic)
+    when a caller configures d_star below the dimension threshold, which the
+    adversary constructions do on purpose.
+    """
+    if not exhausted:
+        return RationalDist({avail[i]: pi[i] for i in avail if pi[i] > 0})
+    if not avail:
+        return empirical(history)  # closure fully consumed; out of contract
+    masses = {i: pi[i] for i in avail}
+    order = sorted(avail)
+    deficit = sum((pi[i] for i in exhausted), ZERO)
+    if deficit > alpha:
+        rem = deficit
+        for i in order:
+            if rem <= 0:
+                break
+            add = min(alpha, rem)
+            masses[i] += add
+            rem -= add
+        if rem > 0:
+            masses[order[0]] += rem  # out of contract (d_star too small)
+    elif deficit > 0:
+        for i in order:
+            if masses[i] <= 1 - deficit:
+                masses[i] += deficit
+                break
+        else:
+            masses[order[0]] += deficit  # unreachable with a correct d_star
+    return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})

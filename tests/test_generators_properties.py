@@ -1,0 +1,100 @@
+"""Property tests for the integer step constructions.
+
+The uniform assembly on integer counts equals its `Fraction`-weight
+predecessor in `oracles.py` (output and error text) on random counts,
+live/exhausted splits and alphas, including both out-of-contract fallbacks.
+`HypothesisClass.critical_among`, which remembers each subset verdict,
+equals a fresh subset scan on random classes and repeated queries."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import fraction_assemble_uniform
+from repgen.generators import _assemble_uniform
+from repgen.hypotheses import Hypothesis, HypothesisClass
+from repgen.periodic import PeriodicSet
+
+F = Fraction
+
+
+@st.composite
+def assemblies(draw):
+    """(counts, d, avail, exhausted, alpha, history) as `_uniform` passes
+    them: counts per group of d distinct elements, a distinct unseen element
+    per live group.  Half the draws give a partition's counts, which sum to
+    d; the other half draw each count on its own, as overlapping groups
+    would, which is out of contract."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=k - 1,
+                                    max_size=k - 1)))
+        counts = {i: hi - lo for i, (lo, hi)
+                  in enumerate(zip([0] + cuts, cuts + [d]), 1)}
+    else:
+        counts = {i: draw(st.integers(0, d)) for i in range(1, k + 1)}
+    live = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    elems = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k,
+                          unique=True))
+    avail = {i: elems[i - 1] for i in range(1, k + 1) if live[i - 1]}
+    exhausted = [i for i in range(1, k + 1) if not live[i - 1]]
+    b = draw(st.integers(1, 12))
+    alpha = F(draw(st.integers(0, b)), b)
+    history = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    return counts, d, avail, exhausted, alpha, history
+
+
+def outcome(assemble, *args):
+    try:
+        return "ok", assemble(*args)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(assemblies())
+# chunked redistribution that runs out of live groups (rem > 0)
+@example(({1: 5, 2: 1, 3: 0}, 6, {2: 10, 3: 11}, [1], F(1, 10), [0]))
+# whole deficit that no live group can absorb (the for ... else branch):
+# reachable only when the weights sum past 1, so both raise
+@example(({1: 2, 2: 1}, 2, {1: 7}, [2], F(1, 2), [0]))
+# every group exhausted: the empirical fallback
+@example(({1: 1, 2: 1}, 2, {}, [1, 2], F(1, 3), [4, 0, 4]))
+def test_assembly_equals_fraction_reference(args):
+    counts, d, avail, exhausted, alpha, history = args
+    pi = {i: F(n, d) for i, n in counts.items()}
+    assert outcome(_assemble_uniform, counts, d, avail, exhausted, alpha,
+                   history) \
+        == outcome(fraction_assemble_uniform, pi, avail, exhausted, alpha,
+                   history)
+
+
+# Small moduli and thresholds make containment between supports common.
+infinite_sets = st.builds(
+    lambda t, m, residues, prefix: PeriodicSet(
+        t, m, frozenset(r % m for r in residues),
+        frozenset(x for x in prefix if x < t)),
+    st.integers(0, 4), st.integers(1, 4),
+    st.frozensets(st.integers(0, 3), min_size=1),
+    st.frozensets(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(infinite_sets, min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(1, 6),
+                          st.frozensets(st.integers(1, 6))), max_size=25))
+def test_cached_criticality_equals_a_subset_scan(supports, queries):
+    cls = HypothesisClass([Hypothesis(f"h{j}", s)
+                           for j, s in enumerate(supports, 1)])
+    size = len(supports)
+    for n, indices in queries:
+        n = min(n, size)
+        consistent = sorted(i for i in indices if i <= size)
+        expected = n in consistent and all(
+            cls.get(n).support.is_subset(cls.get(i).support)
+            for i in consistent if i < n)
+        assert cls.critical_among(n, consistent) == expected

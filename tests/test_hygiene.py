@@ -1,15 +1,20 @@
 """Source hygiene: every name a module imports is referenced in it, and the
 package keeps its invariants of exact arithmetic and zero runtime
 dependencies: no float literal, no float() call and no import from outside
-the standard library in `src/repgen/`.
+the standard library in `src/repgen/`.  Every function the per-layer tracer
+in `bench/spans.py` rebinds still exists in the package, so a rename cannot
+break `bench/run.py --trace 1`.
 
 The unused-import scan skips `src/repgen/__init__.py` because its imports
 are the package's public re-exports.
 """
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
+
+from repgen import measures
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "repgen").glob("*.py"))
@@ -128,3 +133,35 @@ def test_group_counting_never_asks_for_the_collection_shape():
     [state] = [node for node in generators.body
                if isinstance(node, ast.ClassDef) and node.name == "StreamState"]
     assert shape_names(state) == set()
+
+
+def unresolved(targets) -> list[str]:
+    """The (name, owner, attribute) entries whose owner is not a `repgen`
+    module or class, or does not define the attribute itself (the tracer
+    rebinds `owner.__dict__[attribute]`)."""
+    found = []
+    for name, owner, attr in targets:
+        home = getattr(owner, "__module__", None) or owner.__name__
+        if not home.startswith("repgen") or not callable(
+                vars(owner).get(attr)):
+            found.append(f"{name}: {owner.__name__}.{attr}")
+    return found
+
+
+def test_unresolved_targets_are_detected():
+    assert unresolved((("a", measures, "group_empirical"),
+                       ("b", measures, "no_such_function"),
+                       ("c", measures.GroupTally, "distance"),
+                       ("d", measures.GroupTally, "no_such_method"),
+                       ("e", ast, "parse"))) \
+        == ["b: repgen.measures.no_such_function",
+            "d: GroupTally.no_such_method", "e: ast.parse"]
+
+
+def test_bench_span_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 20 and spans.COUNTED
+    assert unresolved(spans.TARGETS + spans.COUNTED) == []

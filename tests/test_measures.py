@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from repgen import measures
+from repgen.generators import uniform_emit
 from repgen.groups import BlockPartition, FiniteGroups
+from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (GroupTally, RationalDist, empirical,
                              format_fraction, group_empirical,
                              induced_group_probs, is_alpha_representative,
@@ -47,6 +49,45 @@ def test_uniform_path_builds_no_fraction(monkeypatch):
     assert u.support() == tuple(range(1000))
     assert u.serialize() == [[x, "1/1000"] for x in range(1000)]
     assert RationalDist.point(7).serialize() == [[7, "1/1"]]
+
+
+def test_distance_builds_one_fraction(monkeypatch):
+    # The step check compares integer masses with integer counts over one
+    # common denominator; only the returned distance is a Fraction.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return F(*args)
+
+    mu = RationalDist.uniform([4, 6, 9])
+    parity = GroupTally(FiniteGroups([EVENS, ODDS]))
+    parity.update([0, 1, 2, 3])
+    blocks = GroupTally(BlockPartition(2))
+    blocks.update([0, 1, 2])
+    monkeypatch.setattr(measures, "Fraction", counting)
+    assert parity.distance(mu) == F(1, 6)
+    assert len(built) == 1
+    # mu's blocks 2 and 3 against the history's blocks 1 and 2
+    assert blocks.distance(mu) == F(2, 3)
+    assert len(built) == 2
+
+
+def test_from_numerators_and_uniform_emission_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the integer path")
+
+    alpha = F(1, 2)
+    monkeypatch.setattr(measures, "Fraction", no_fraction)
+    d = RationalDist.from_numerators({9: 4, 2: 8}, 12)
+    assert d.serialize() == [[2, "2/3"], [9, "1/3"]]
+    assert d == RationalDist.from_numerators({2: 2, 9: 1}, 3)
+    # a uniform step reads integer counts, not Fraction group weights; group
+    # 1 = {1} is exhausted and its weight moves whole onto 3
+    cls = HypothesisClass([Hypothesis("all", ALL)])
+    groups = FiniteGroups([from_finite([1]), from_finite([0]) | from_threshold(2)])
+    mu = uniform_emit(cls, groups, alpha, 1, [1, 0, 2])
+    assert mu.serialize() == [[3, "1/1"]]
 
 
 def test_items_are_fractions_on_demand():
@@ -163,6 +204,22 @@ def test_is_alpha_representative_worked():
     assert ok and dist == F(1, 3)
     ok, dist = is_alpha_representative(mu, prefix, c, F(1, 4))
     assert not ok and dist == F(1, 3)
+
+
+def test_distance_reads_groups_either_side_touches():
+    b = BlockPartition(2)  # blocks {0, 1}, {2..5}, {6..13}, ...
+    tally = GroupTally(b)
+    with pytest.raises(ValueError, match="empty prefix is undefined"):
+        tally.distance(RationalDist.point(0))
+    tally.update([0, 1, 2])  # blocks 1 and 2: 2/3 and 1/3
+    # mu only on block 3, which the history does not touch
+    assert tally.distance(RationalDist.point(10)) == F(1)
+    # mu on block 2 only: block 1 is the history's alone
+    assert tally.distance(RationalDist.uniform([3, 4])) == F(2, 3)
+    assert tally.distance(RationalDist({0: F(2, 3), 5: F(1, 3)})) == 0
+    for mu in (RationalDist.point(10), RationalDist.uniform([1, 3, 12])):
+        assert tally.distance(mu) == sup_distance(induced_group_probs(mu, b),
+                                                  tally.weights())
 
 
 def test_representative_boundary_is_inclusive():

@@ -6,19 +6,23 @@ repr, equality and error text.  `group_empirical` and a `GroupTally` fed one
 element at a time or in batches agree with the group probabilities of the
 empirical distribution, on random overlapping finite collections and block
 partitions and on prefixes with repeats.  `group_empirical`'s memo of its
-last prefix never changes an answer or an error text."""
+last prefix never changes an answer or an error text.  `GroupTally.distance`
+equals the sup distance of the `Fraction` group probabilities on both
+collection shapes, and `RationalDist.from_numerators` equals the `Fraction`
+mass constructor, errors included."""
 
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionRationalDist
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.measures import (GroupTally, RationalDist, empirical,
-                             group_empirical, induced_group_probs)
+                             group_empirical, induced_group_probs,
+                             is_alpha_representative, sup_distance)
 from repgen.periodic import PeriodicSet
 
 F = Fraction
@@ -229,3 +233,52 @@ def test_invalid_supports_raise_reference_error(xs):
     for x in xs:
         assert outcome(RationalDist.point, x) \
             == outcome(FractionRationalDist.point, x)
+
+
+# The history draws from 0..40 and mu from 0..60, so on block partitions mu
+# often weighs blocks the history never touched, and the reverse.
+@settings(max_examples=300, deadline=None)
+@given(collections, prefixes, mass_maps(), st.builds(F, st.integers(0, 6),
+                                                     st.integers(1, 6)))
+@example(BlockPartition(2), [0, 1, 2], {10: F(1)}, F(1, 2))
+@example(BlockPartition(3, (1,)), [40], {0: F(1, 2), 60: F(1, 2)}, F(0))
+def test_tally_distance_equals_fraction_sup_distance(c, prefix, masses, alpha):
+    mu = RationalDist(masses)
+    tally = GroupTally(c)
+    tally.update(prefix)
+    d = tally.distance(mu)
+    assert type(d) is Fraction
+    assert d == sup_distance(induced_group_probs(mu, c), tally.weights())
+    assert is_alpha_representative(mu, prefix, c, alpha) == (d <= alpha, d)
+
+
+@st.composite
+def numerator_maps(draw):
+    """Positive numerators and their sum, both scaled by a common factor,
+    so the masses are valid but often not in lowest terms."""
+    w = draw(st.dictionaries(naturals, st.integers(1, 12), min_size=1,
+                             max_size=8))
+    k = draw(st.integers(1, 6))
+    return {x: n * k for x, n in w.items()}, sum(w.values()) * k
+
+
+# Keys may be negative or non-integral, numerators nonpositive, and the
+# denominator other than their sum.
+raw_numerator_maps = st.tuples(
+    st.dictionaries(st.one_of(st.integers(-3, 10), st.sampled_from([0.5, 2.5])),
+                    st.integers(-3, 6), max_size=5),
+    st.integers(1, 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(numerator_maps(), raw_numerator_maps))
+def test_from_numerators_equals_fraction_masses(args):
+    nums, den = args
+    masses = {x: F(n, den) for x, n in nums.items()}
+    got = outcome(lambda m: RationalDist.from_numerators(m, den), nums)
+    assert got == outcome(RationalDist, masses)
+    if got[0] == "ok":
+        dist = RationalDist.from_numerators(nums, den)
+        assert dist == RationalDist(masses)
+        assert hash(dist) == hash(RationalDist(masses))
+        assert_same(dist, FractionRationalDist(masses))
