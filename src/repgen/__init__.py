@@ -11,8 +11,7 @@ from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           geometric_checkpoints, query_adversary,
                           verify_report)
 from .dimension import (Condition1, Condition2, GcResult, GcSearch,
-                        candidate_pool, check_witness, gc_dimension,
-                        witnessed_unbounded)
+                        check_witness, gc_dimension, witnessed_unbounded)
 from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import (FeasibilityEntry, FeasibilityWitness,
                          GeneratorSession, is_feasible, limit_emit,

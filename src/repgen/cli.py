@@ -88,16 +88,13 @@ def cmd_run(args) -> int:
 
 def cmd_gc_dim(args) -> int:
     scenario = load_scenario(args.scenario)
-    search = scenario.gc_search
-    if args.max_d is not None or args.horizon is not None:
-        search = GcSearch(
-            max_d=search.max_d if args.max_d is None else args.max_d,
-            horizon=search.horizon if args.horizon is None else args.horizon)
+    search = (scenario.gc_search if args.max_d is None
+              else GcSearch(max_d=args.max_d))
     result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha, search)
     row = {"status": result.status, "d": result.d,
            "witness": list(result.witness) if result.witness else None,
            "condition": str(result.condition) if result.condition else None,
-           "pool_sufficient": result.pool_sufficient}
+           "bound": result.bound}
     print(_dump(row))
     return 0
 
@@ -180,8 +177,10 @@ def cmd_adversary(args) -> int:
     result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha,
                           scenario.gc_search)
     if result.witness is None:
-        raise ConfigError("no dimension witness found for this scenario; "
-                          "raise gc_search.max_d")
+        if result.status == "exact":
+            raise ConfigError("no tuple witnesses this instance (GC = 0)")
+        raise ConfigError("no dimension witness up to gc_search.max_d = "
+                          f"{scenario.gc_search.max_d}; {result.advice()}")
     build = _baseline_session_factory(args.generator, args.element)
     make = lambda: build(scenario.cls, scenario.groups, scenario.alpha)
     report = gc_witness_adversary(make, scenario.cls, scenario.groups,
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gc-dim", help="dimension search for a scenario's instance")
     gc.add_argument("scenario")
     gc.add_argument("--max-d", type=int, default=None)
-    gc.add_argument("--horizon", type=int, default=None)
     gc.set_defaults(fn=cmd_gc_dim)
 
     cl = sub.add_parser("closure", help="intersection of consistent supports")

@@ -14,11 +14,11 @@ either contains a whole atom or misses it, so the elements of one atom are
 exchangeable: whether a tuple witnesses depends only on how many of its
 elements fall in each atom.  The search therefore decides count vectors,
 C(d + A - 1, A - 1) of them at most per depth d for A atoms, instead of the
-C(|pool|, d) tuples of the candidate pool, and depths go up to MAX_D.  It
-certifies exact values only when its candidate pool provably covers enough
-of every atom; otherwise it reports a lower bound.  Everything is computed
-in exact arithmetic: `check_witness` in rationals, the count vectors in
-integers.
+C(|pool|, d) tuples of a candidate pool.  The atoms also bound how deep a
+witness can go, so the search looks no deeper and is exact iff its depth
+cap reaches that bound; otherwise it reports a lower bound.  Everything is
+computed in exact arithmetic: `check_witness` in rationals, the count
+vectors and the bound in integers.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     return None
 
 
-# Largest accepted search depth.  Every infinite atom contributes max_d + 1
+# Largest accepted search depth.  Every infinite atom contributes max_d
 # candidates and the search enumerates count vectors of every size up to
 # max_d, so an unbounded max_d would let one configuration value exhaust
 # memory and time; the bundled scenarios use at most 8.
@@ -119,7 +119,6 @@ MAX_D = 64
 @dataclass(frozen=True)
 class GcSearch:
     max_d: int = 4
-    horizon: int | None = None
 
     def __post_init__(self):
         if self.max_d < 1:
@@ -127,8 +126,6 @@ class GcSearch:
         if self.max_d > MAX_D:
             raise ConfigError(
                 f"gc search max_d must be <= {MAX_D}, got {self.max_d}")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError(f"gc search horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ class GcResult:
     d: int
     witness: tuple[int, ...] | None
     condition: Condition | None
-    pool_sufficient: bool
+    bound: int | None  # no witness is deeper; None when unbounded
     family: str | None = None
 
     def __str__(self) -> str:
@@ -146,6 +143,15 @@ class GcResult:
         if self.status == "at_least":
             return f"GC >= {self.d}"
         return f"GC unbounded ({self.family})"
+
+    def advice(self) -> str:
+        """Why an "at_least" result is not exact, and the max_d that would
+        make it so when one is accepted; for error messages."""
+        if self.bound is None:
+            return "witness depth is unbounded"
+        if self.bound > MAX_D:
+            return f"witnesses may be {self.bound} deep, beyond MAX_D = {MAX_D}"
+        return f"raise gc_search.max_d to {self.bound}"
 
 
 @dataclass(frozen=True)
@@ -157,12 +163,11 @@ class _Atom:
     candidates: tuple[int, ...]  # increasing
 
 
-def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int,
-           horizon: int | None) -> tuple[list[_Atom], bool]:
+def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int) -> list[_Atom]:
     """Joint refinement of the partition and the hypothesis supports, with
-    each atom's candidate elements: all of a finite atom, and the max_d + 1
-    smallest elements of an infinite one, cut at the horizon.  The flag is
-    False when the horizon cut any atom's candidates."""
+    each atom's candidate elements: all of a finite atom, and the max_d
+    smallest elements of an infinite one, as many as a tuple of at most
+    max_d elements can take from it."""
     parts = [(c.group(i), i, 0) for i in c.indices()]
     for n in range(1, cls.materialized_count() + 1):
         s = cls.get(n).support
@@ -173,29 +178,36 @@ def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int,
                     refined.append((piece, group, bits))
         parts = refined
     atoms = []
-    sufficient = True
     for piece, group, hyps in parts:
         size = piece.size_if_finite()
-        chosen = list(islice(piece.members(),
-                             max_d + 1 if size is None else size))
-        if horizon is not None:
-            kept = [x for x in chosen if x <= horizon]
-            if len(kept) < len(chosen):
-                sufficient = False
-            chosen = kept
+        chosen = islice(piece.members(), max_d if size is None else size)
         atoms.append(_Atom(size, group, hyps, tuple(chosen)))
-    return atoms, sufficient
+    return atoms
 
 
-def candidate_pool(cls: HypothesisClass, c: FiniteGroups, max_d: int,
-                   horizon: int | None) -> tuple[list[int], bool]:
-    """Candidate tuple elements: all of every finite atom, and the max_d + 1
-    smallest elements of every infinite atom.  Elements of one atom are
-    exchangeable for the witness conditions (every support and every group
-    either contains the whole atom or misses it), so this pool suffices for
-    an exact search up to max_d; a horizon that truncates it forfeits that."""
-    atoms, sufficient = _atoms(cls, c, max_d, horizon)
-    return sorted(x for a in atoms for x in a.candidates), sufficient
+def _depth_bound(atoms: Sequence[_Atom], hyp_count: int,
+                 alpha: Fraction) -> int | None:
+    """A depth no witness exceeds, or None when the atoms bound none.
+
+    A witness needs an exhausted group holding tuple elements.  They lie in
+    finite closure atoms, taken whole, so inside every consistent h_n: at
+    least one and at most F_n, the size of the finite atoms inside h_n.  For
+    alpha = p/q > 0 both conditions give d < F_n * q / p, or d <= F_n when
+    no group is spare (the closure is taken whole); at alpha = 0 only a
+    finite h_n bounds d, by F_n.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    bound = 0
+    for n in range(hyp_count):
+        inside = [a.size for a in atoms if a.hyps >> n & 1]
+        finite = sum(size for size in inside if size is not None)
+        if p > 0:
+            bound = max(bound, finite, -(-finite * q // p) - 1)
+        elif finite == 0 or None not in inside:
+            bound = max(bound, finite)
+        else:
+            return None
+    return bound
 
 
 def _count_vectors(caps: Sequence[int], d: int, hyps: Sequence[int],
@@ -255,20 +267,21 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
                  search: GcSearch = GcSearch()) -> GcResult:
     """Bounded search for the largest witnessed dimension.
 
-    Status "exact" requires a sufficient pool and no witness at any depth in
-    (d, max_d]; a witness at max_d itself, or a truncated pool, degrades the
-    result to the lower bound "at_least".  The witness is the
+    The atoms give a depth B that no witness exceeds (`_depth_bound`), and
+    the search covers every depth up to min(B, max_d).  Status "exact" holds
+    iff B <= max_d; otherwise the result is the lower bound "at_least" and
+    `bound` names B (None when unbounded).  The witness is the
     lexicographically first witnessing tuple over the sorted candidate pool
     at the deepest witnessed depth.
 
     Elements of one atom are exchangeable, so a tuple is decided by how many
     of its elements fall in each atom.  For A atoms the search decides at
     most C(d + A - 1, A - 1) count vectors per depth d, where a walk over
-    tuples would try up to C(|pool|, d); it goes down from max_d (at most
-    MAX_D) and stops at the first depth with a witness.  Among the tuples
-    with one count vector, the one taking the smallest candidates of every
-    atom comes first, so the witness is the least such tuple over the
-    witnessing vectors.  It is re-verified once with `check_witness`.
+    tuples would try up to C(|pool|, d); it goes down from min(B, max_d) and
+    stops at the first depth with a witness.  Among the tuples with one
+    count vector, the one taking the smallest candidates of every atom comes
+    first, so the witness is the least such tuple over the witnessing
+    vectors.  It is re-verified once with `check_witness`.
     """
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
@@ -277,20 +290,17 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
         raise ConfigError("dimension is defined against partitions only")
     if cls.extendable:
         raise ConfigError("dimension search needs a finite hypothesis class")
-    atoms, sufficient = _atoms(cls, c, search.max_d, search.horizon)
+    if not 0 <= alpha <= 1:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    atoms = _atoms(cls, c, search.max_d)
+    bound = _depth_bound(atoms, cls.materialized_count(), alpha)
     everyone = (1 << cls.materialized_count()) - 1
     caps = [len(a.candidates) for a in atoms]
     hyps = [a.hyps for a in atoms]
-    best_d = 0
     best_witness: tuple[int, ...] | None = None
     best_condition: Condition | None = None
-    # Both conditions need an exhausted group holding tuple elements (for
-    # alpha >= 0).  Those elements lie in closure atoms, which keep an
-    # unseen element unless they are finite and fully taken, so without a
-    # finite atom no tuple witnesses and no vector needs deciding.
-    searched = (range(search.max_d, 0, -1)
-                if alpha < 0 or any(a.size is not None for a in atoms) else ())
-    for d in searched:
+    top = search.max_d if bound is None else min(bound, search.max_d)
+    for d in range(top, 0, -1):
         for v, consistent in _count_vectors(caps, d, hyps, everyone):
             cond = _vector_condition(atoms, c.k, alpha, v, consistent)
             if cond is None:
@@ -300,7 +310,6 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
             if best_witness is None or xs < best_witness:
                 best_witness, best_condition = xs, cond
         if best_witness is not None:
-            best_d = d
             break
     if best_witness is not None:
         verified = check_witness(cls, c, alpha, best_witness)
@@ -311,11 +320,10 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
                 snapshot={"witness": best_witness,
                           "condition": best_condition,
                           "verified": verified})
-    if sufficient and best_d < search.max_d:
-        status = "exact"
-    else:
-        status = "at_least"
-    return GcResult(status, best_d, best_witness, best_condition, sufficient)
+    exact = bound is not None and bound <= search.max_d
+    status = "exact" if exact else "at_least"
+    return GcResult(status, len(best_witness or ()), best_witness,
+                    best_condition, bound)
 
 
 def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,
@@ -341,5 +349,5 @@ def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,
         last, last_cond = xs, cond
     if not depths:
         raise ValueError("witness family must be nonempty")
-    return GcResult("infinite", depths[-1], last, last_cond, True,
+    return GcResult("infinite", depths[-1], last, last_cond, None,
                     family=f"verified witnesses at d = {depths}")

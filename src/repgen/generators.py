@@ -212,9 +212,10 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
     weight counts[i] / d is counts[i] * b / D and alpha = a / b is a * d / D,
     so the only division is the one reduction in `from_numerators`.  With a
     correctly chosen d_star the redistribution always fits the alpha cap;
-    the two fallback branches keep emission total (and deterministic) when a
-    caller configures d_star below the dimension threshold, which the
-    adversary constructions do on purpose.
+    when a caller configures d_star below the dimension threshold, which
+    the adversary constructions do on purpose, the exhausted weight beyond
+    the caps goes to the first live group, so emission stays total (and
+    deterministic).
     """
     a, b = alpha.numerator, alpha.denominator
     den = d * b
@@ -237,13 +238,8 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
             rem -= add
         if rem > 0:
             masses[order[0]] += rem  # out of contract (d_star too small)
-    elif deficit > 0:
-        for i in order:
-            if masses[i] <= den - deficit:
-                masses[i] += deficit
-                break
-        else:
-            masses[order[0]] += deficit  # unreachable with a correct d_star
+    else:  # on a partition the live weights sum to den - deficit
+        masses[order[0]] += deficit
     return RationalDist.from_numerators(
         {avail[i]: m for i, m in masses.items() if m > 0}, den)
 
@@ -258,7 +254,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     each live group's empirical weight on its smallest unseen closure
     element, and redistributes the exhausted weight: spread in alpha-sized
     increments over live groups in index order when it exceeds alpha, or
-    added whole to the smallest-index group that can absorb it.
+    added whole to the smallest-index live group.
     """
     closure = None
     if len(state.tally.seen) >= d_star:
@@ -302,7 +298,7 @@ def nonuniform_thresholds(cls: HypothesisClass, c: FiniteGroups,
         if result.status != "exact":
             raise ConfigError(
                 f"dimension of class prefix {i} not certified exact "
-                f"(got {result}); raise gc_search.max_d or horizon")
+                f"(got {result}); {result.advice()}")
         raw = result.d + 1
         cache.append(max(raw, cache[-1]) if cache else raw)
     return cache
@@ -399,8 +395,9 @@ class GeneratorSession:
                 result = gc_dimension(cls, groups, alpha, gc_search)
                 if result.status != "exact":
                     raise ConfigError(
-                        f"cannot derive d_star: dimension not certified exact ({result}); "
-                        "raise gc_search.max_d or horizon, or set d_star explicitly")
+                        "cannot derive d_star: dimension not certified exact "
+                        f"({result}); {result.advice()}; an explicit d_star "
+                        "skips the search")
                 d_star = result.d + 1
             if d_star < 1:
                 raise ConfigError(f"d_star must be >= 1, got {d_star}")

@@ -163,13 +163,10 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
     search = GcSearch()
     if "gc_search" in gen and gen["gc_search"] is not None:
         gsw = f"{where}.generator.gc_search"
-        gs = _object(gen["gc_search"], gsw, ("max_d", "horizon"))
+        gs = _object(gen["gc_search"], gsw, ("max_d",))
         max_d = _as_int(gs.get("max_d", 4), f"{gsw}.max_d", minimum=1)
-        horizon = gs.get("horizon")
-        if horizon is not None:
-            horizon = _as_int(horizon, f"{gsw}.horizon", minimum=1)
         try:
-            search = GcSearch(max_d=max_d, horizon=horizon)
+            search = GcSearch(max_d=max_d)
         except ConfigError as e:
             raise ScenarioError(gsw, str(e))
 

@@ -8,7 +8,8 @@ not algorithms.  The LP reference is the rational-tableau simplex the
 package used before its integer tableau; only the relation constants are
 shared.  The dimension reference is the tuple walk the package used before
 its count-vector search: it shares the package's set algebra and its
-`check_witness` verifier, but none of the search.  The distribution
+`check_witness` verifier, but none of the search or its depth bound.  The
+distribution
 reference is the `Fraction`-mass class the package used before its integer
 numerators over one denominator; it shares nothing with the package.  The
 query-generator reference is the scan from 0 the package used before its
@@ -24,7 +25,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from repgen.dimension import GcResult, check_witness
+from repgen.dimension import check_witness
 from repgen.errors import ConfigError
 from repgen.groups import FiniteGroups
 from repgen.measures import RationalDist, empirical
@@ -287,13 +288,12 @@ def _tuple_atoms(cls, c):
     return parts
 
 
-def _tuple_candidate_pool(cls, c, max_d, horizon):
+def _tuple_candidate_pool(cls, c, max_d):
     """Candidate tuple elements: all of every finite atom, and the max_d + 1
     smallest elements of every infinite atom.  Within an atom, elements are
     exchangeable for the witness conditions, so this pool suffices for an
-    exact search up to max_d; a horizon that truncates it forfeits that."""
+    exact search up to max_d."""
     pool: set[int] = set()
-    sufficient = True
     for atom in _tuple_atoms(cls, c):
         if atom.is_finite():
             chosen = sorted(atom.prefix)
@@ -303,27 +303,19 @@ def _tuple_candidate_pool(cls, c, max_d, horizon):
                 chosen.append(x)
                 if len(chosen) >= max_d + 1:
                     break
-        if horizon is not None:
-            kept = [x for x in chosen if x <= horizon]
-            if len(kept) < len(chosen):
-                sufficient = False
-            chosen = kept
         pool.update(chosen)
-    return sorted(pool), sufficient
+    return sorted(pool)
 
 
-def tuple_gc_dimension(cls, c, alpha, search):
+def tuple_gc_dimension(cls, c, alpha, max_d):
     """The tuple-walk dimension search that `repgen.dimension.gc_dimension`
-    ran before its count-vector search, kept verbatim (pool included) as the
-    reference the count-vector search must match result for result.  It
-    decides every candidate tuple with the package's `check_witness`, the
-    independent verifier, and keeps the first witness per depth in
-    lexicographic order.
-
-    Status "exact" requires a sufficient pool and no witness at any depth in
-    (d, max_d]; a witness at max_d itself, or a truncated pool, degrades the
-    result to the lower bound "at_least".  At each depth, tuples are tried in
-    lexicographic order over the sorted pool and the first witness is kept.
+    ran before its count-vector search, kept (pool included) as the
+    reference for the deepest witnessed depth up to max_d, its witness and
+    its condition, returned as (d, witness, condition).  It decides every
+    candidate tuple with the package's `check_witness`, the independent
+    verifier, and shares nothing with the search or its depth bound.  At
+    each depth, tuples are tried in lexicographic order over the sorted pool
+    and the first witness is kept.
     """
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
@@ -332,22 +324,17 @@ def tuple_gc_dimension(cls, c, alpha, search):
         raise ConfigError("dimension is defined against partitions only")
     if cls.extendable:
         raise ConfigError("dimension search needs a finite hypothesis class")
-    pool, sufficient = _tuple_candidate_pool(cls, c, search.max_d,
-                                             search.horizon)
+    pool = _tuple_candidate_pool(cls, c, max_d)
     best_d = 0
     best_witness = None
     best_condition = None
-    for d in range(1, search.max_d + 1):
+    for d in range(1, max_d + 1):
         for combo in combinations(pool, d):
             cond = check_witness(cls, c, alpha, combo)
             if cond is not None:
                 best_d, best_witness, best_condition = d, combo, cond
                 break
-    if sufficient and best_d < search.max_d:
-        status = "exact"
-    else:
-        status = "at_least"
-    return GcResult(status, best_d, best_witness, best_condition, sufficient)
+    return best_d, best_witness, best_condition
 
 
 class FractionRationalDist:

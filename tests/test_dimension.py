@@ -10,8 +10,8 @@ import pytest
 
 import repgen.dimension
 from repgen.dimension import (MAX_D, Condition1, Condition2, GcSearch,
-                              _atoms, candidate_pool, check_witness,
-                              gc_dimension, witnessed_unbounded)
+                              _atoms, check_witness, gc_dimension,
+                              witnessed_unbounded)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -19,7 +19,7 @@ from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
                              from_finite, from_threshold)
 from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
-from oracles import naive_gc, tuple_gc_dimension
+from oracles import _tuple_candidate_pool, naive_gc, tuple_gc_dimension
 
 F = Fraction
 
@@ -56,6 +56,14 @@ def _search_instances():
                alpha)
         out.setdefault(key, (name, cls, groups, alpha))
     return list(out.values())
+
+
+def _as_walk(result, max_d):
+    """A search result as the tuple walk to max_d reports it, once its
+    status is checked: exact iff the depth bound is within max_d."""
+    exact = result.bound is not None and result.bound <= max_d
+    assert result.status == ("exact" if exact else "at_least"), result
+    return result.d, result.witness, result.condition
 
 
 def test_check_witness_worked():
@@ -129,10 +137,34 @@ def test_gc_dimension_deep_instance():
     c = FiniteGroups([from_finite([0]), from_finite([1]), from_threshold(2)])
     capped = gc_dimension(ALL_CLS, c, F(1, 4), GcSearch(max_d=5))
     assert capped.d == naive_gc(ALL_CLS, c, F(1, 4), max_d=5) == 5
-    assert capped.status == "at_least"
+    assert capped.status == "at_least" and capped.bound == 7
     full = gc_dimension(ALL_CLS, c, F(1, 4), GcSearch(max_d=8))
     assert full.status == "exact" and full.d == 7
     assert check_witness(ALL_CLS, c, F(1, 4), full.witness) == full.condition
+
+
+def test_exact_only_once_the_depth_bound_is_searched():
+    # u01 with its zero group widened to {0, ..., 5}: only tuples that take
+    # all six, at depths 6..11, witness, so a shallow search sees nothing
+    c = FiniteGroups([from_finite(range(6)), from_threshold(6)])
+    for max_d in range(1, 13):
+        r = gc_dimension(ALL_CLS, c, F(1, 2), GcSearch(max_d=max_d))
+        assert r.bound == 11
+        assert r.status == ("exact" if max_d >= 11 else "at_least")
+        assert r.d == (min(max_d, 11) if max_d >= 6 else 0)
+
+
+def test_advice_names_the_depth_bound():
+    r = gc_dimension(ALL_CLS, ZERO_REST, F(1, 2), GcSearch(max_d=1))
+    assert r.advice() == "raise gc_search.max_d to 1"
+    # at alpha 0, {0} and any further elements witness
+    r = gc_dimension(ALL_CLS, ZERO_REST, F(0))
+    assert (r.status, r.bound) == ("at_least", None)
+    assert r.advice() == "witness depth is unbounded"
+    wide = FiniteGroups([from_finite(range(20)), from_threshold(20)])
+    r = gc_dimension(ALL_CLS, wide, F(1, 4))
+    assert (r.status, r.bound) == ("at_least", 79)
+    assert r.advice() == f"witnesses may be 79 deep, beyond MAX_D = {MAX_D}"
 
 
 def test_gc_dimension_config_errors():
@@ -144,6 +176,10 @@ def test_gc_dimension_config_errors():
                                provider=lambda i: Hypothesis(f"g{i}", ALL))
     with pytest.raises(ConfigError):
         gc_dimension(open_cls, ZERO_REST, F(1, 2))
+    # the depth bound holds only for alpha >= 0
+    for alpha in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ConfigError, match="alpha must be in"):
+            gc_dimension(ALL_CLS, ZERO_REST, alpha)
 
 
 def test_no_finite_atom_means_dimension_zero(monkeypatch):
@@ -162,15 +198,16 @@ def test_no_finite_atom_means_dimension_zero(monkeypatch):
                mod12(4, 5, 6, 7, 8, 9, 10, 11, 0, 1))
     groups = FiniteGroups([PeriodicSet(0, 3, frozenset([r]), frozenset())
                            for r in range(3)])
-    atoms, _ = _atoms(cls, groups, 4, None)
+    atoms = _atoms(cls, groups, 4)
     assert len(atoms) == 11 and all(a.size is None for a in atoms)
     for alpha in (F(0), F(1, 4), F(1, 2), F(1)):
         for max_d in (1, 2):
             search = GcSearch(max_d=max_d)
-            assert gc_dimension(cls, groups, alpha, search) \
-                == tuple_gc_dimension(cls, groups, alpha, search)
+            assert _as_walk(gc_dimension(cls, groups, alpha, search), max_d) \
+                == tuple_gc_dimension(cls, groups, alpha, max_d)
         deep = gc_dimension(cls, groups, alpha, GcSearch(max_d=MAX_D))
-        assert (deep.status, deep.d, deep.witness) == ("exact", 0, None)
+        assert (deep.status, deep.d, deep.witness, deep.bound) \
+            == ("exact", 0, None, 0)
 
 
 def test_gc_search_caps_max_d():
@@ -179,13 +216,6 @@ def test_gc_search_caps_max_d():
         with pytest.raises(ConfigError,
                            match=f"must be <= {MAX_D}, got {max_d}$"):
             GcSearch(max_d=max_d)
-
-
-def test_horizon_truncation_degrades_to_lower_bound():
-    r = gc_dimension(ALL_CLS, ZERO_REST, F(1, 2),
-                     GcSearch(max_d=4, horizon=2))
-    assert not r.pool_sufficient
-    assert r.status == "at_least" and r.d == 1
 
 
 def test_agreement_with_naive_oracle():
@@ -223,7 +253,7 @@ def test_exact_means_no_deeper_witness():
                          GcSearch(max_d=4))
         if r.status != "exact":
             continue
-        pool, _ = candidate_pool(inst["cls"], inst["groups"], 4, None)
+        pool = _tuple_candidate_pool(inst["cls"], inst["groups"], 4)
         if len(pool) <= r.d:
             continue
         for _ in range(1000):
@@ -264,17 +294,17 @@ def test_count_search_matches_tuple_walk():
     assert len(instances) == 16
     for name, cls, groups, alpha in instances:
         for max_d in range(1, 7):
-            for horizon in (None, 3, 7):
-                search = GcSearch(max_d=max_d, horizon=horizon)
-                got = gc_dimension(cls, groups, alpha, search)
-                want = tuple_gc_dimension(cls, groups, alpha, search)
-                assert got == want, (name, search)
+            got = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
+            assert _as_walk(got, max_d) \
+                == tuple_gc_dimension(cls, groups, alpha, max_d), (name, max_d)
 
 
 def test_count_search_matches_tuple_walk_on_the_bundled_settings():
     for name, s in _uniform_scenarios().items():
-        assert gc_dimension(s.cls, s.groups, s.alpha, s.gc_search) \
-            == tuple_gc_dimension(s.cls, s.groups, s.alpha, s.gc_search), name
+        max_d = s.gc_search.max_d
+        got = gc_dimension(s.cls, s.groups, s.alpha, s.gc_search)
+        assert _as_walk(got, max_d) \
+            == tuple_gc_dimension(s.cls, s.groups, s.alpha, max_d), name
 
 
 def test_search_verifies_only_its_witness(monkeypatch):
@@ -287,10 +317,9 @@ def test_search_verifies_only_its_witness(monkeypatch):
 
     monkeypatch.setattr(repgen.dimension, "check_witness", counted)
     for name, cls, groups, alpha in _search_instances():
-        for search in (GcSearch(max_d=6), GcSearch(max_d=6, horizon=3)):
-            calls.clear()
-            r = gc_dimension(cls, groups, alpha, search)
-            assert calls == ([r.witness] if r.witness else []), (name, search)
+        calls.clear()
+        r = gc_dimension(cls, groups, alpha, GcSearch(max_d=6))
+        assert calls == ([r.witness] if r.witness else []), name
 
 
 def test_search_reports_a_disagreeing_verifier(monkeypatch):

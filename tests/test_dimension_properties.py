@@ -1,6 +1,7 @@
-"""Property test for the count-vector dimension search: on random small
-instances it returns the same result, witness tuple and condition included,
-as the tuple walk kept in `oracles.py`."""
+"""Property tests for the count-vector dimension search on random small
+instances: it returns the same depth, witness tuple and condition as the
+tuple walk kept in `oracles.py`, and its depth bound holds, so an exact
+result has no deeper witness at all."""
 
 from fractions import Fraction
 from math import comb
@@ -10,15 +11,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import tuple_gc_dimension
-from repgen.dimension import GcSearch, candidate_pool, gc_dimension
+from oracles import _tuple_candidate_pool, tuple_gc_dimension
+from repgen.dimension import GcSearch, gc_dimension
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import PeriodicSet
 
 F = Fraction
 
-ALPHAS = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+ALPHAS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
 # Tuples the reference may decide per example; keeps each example fast.
 WALK_BUDGET = 3000
 
@@ -50,14 +51,33 @@ def instances(draw):
     return HypothesisClass(hyps), FiniteGroups(groups)
 
 
+def _walk_within_budget(cls, groups, depth):
+    pool = _tuple_candidate_pool(cls, groups, depth)
+    return sum(comb(len(pool), d) for d in range(1, depth + 1)) <= WALK_BUDGET
+
+
 @settings(max_examples=200, deadline=None)
-@given(instances(), st.sampled_from(ALPHAS), st.integers(1, 5),
-       st.sampled_from([None, 2, 5]))
-def test_count_search_matches_tuple_walk(instance, alpha, max_d, horizon):
+@given(instances(), st.sampled_from(ALPHAS), st.integers(1, 5))
+def test_count_search_matches_tuple_walk(instance, alpha, max_d):
     cls, groups = instance
     assert groups.validate().partition
-    pool, _ = candidate_pool(cls, groups, max_d, horizon)
-    assume(sum(comb(len(pool), d) for d in range(1, max_d + 1)) <= WALK_BUDGET)
-    search = GcSearch(max_d=max_d, horizon=horizon)
-    assert gc_dimension(cls, groups, alpha, search) \
-        == tuple_gc_dimension(cls, groups, alpha, search)
+    assume(_walk_within_budget(cls, groups, max_d))
+    r = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
+    exact = r.bound is not None and r.bound <= max_d
+    assert r.status == ("exact" if exact else "at_least")
+    assert (r.d, r.witness, r.condition) \
+        == tuple_gc_dimension(cls, groups, alpha, max_d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.sampled_from(ALPHAS), st.integers(1, 5))
+def test_no_witness_beyond_the_bound(instance, alpha, max_d):
+    cls, groups = instance
+    r = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
+    assume(r.bound is not None)
+    depth = r.bound + 2
+    assume(_walk_within_budget(cls, groups, depth))
+    walk = tuple_gc_dimension(cls, groups, alpha, depth)
+    assert walk[0] <= r.bound
+    if r.status == "exact":
+        assert walk == (r.d, r.witness, r.condition)

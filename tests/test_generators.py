@@ -192,7 +192,7 @@ def test_nonuniform_requires_exact_dimension():
     cls = _cls([("all", ALL)])
     groups = FiniteGroups([from_finite([0]), from_finite([1]),
                            from_threshold(2)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="raise gc_search.max_d to 7$"):
         # true dimension 7 exceeds the search cap, so no exact certificate
         nonuniform_thresholds(cls, groups, F(1, 4), GcSearch(max_d=4), 1)
 

@@ -389,9 +389,50 @@ def test_cli_gc_dim(tmp_path, capsys):
 
 def test_cli_gc_dim_rejects_zero_bounds(tmp_path, capsys):
     path = _write_scenario(tmp_path, _doc())
-    for flag in ("--max-d", "--horizon"):
-        assert main(["gc-dim", path, flag, "0"]) == 3
-        assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["gc-dim", path, "--max-d", "0"]) == 3
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+
+
+def _x01(**search):
+    """u01 with its zero group widened to {0, ..., 5}: witnesses skip
+    depths 1-5 and reach depth 11, so no search to depth 4 sees one."""
+    gen = {"kind": "uniform", "alpha": "1/2"}
+    if search:
+        gen["gc_search"] = search
+    return _doc(name="x01", generator=gen,
+                groups={"members": ["finite:{0,1,2,3,4,5}", "ap:6,1,{0},{}"],
+                        "partition": True},
+                stream={"explicit": list(range(12))}, horizon=12)
+
+
+def test_cli_gc_dim_is_exact_only_up_to_the_depth_bound(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _x01())
+    assert main(["gc-dim", path]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["d"], row["bound"]) == ("at_least", 0, 11)
+    assert main(["run", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "raise gc_search.max_d to 11" in captured.err
+
+    path = _write_scenario(tmp_path, _x01(max_d=11))
+    assert main(["gc-dim", path]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["d"], row["bound"]) == ("exact", 11, 11)
+    assert row["witness"] == list(range(11))
+    assert main(["run", path]) == 0
+    assert json.loads(capsys.readouterr().out)["all_representative"] is True
+
+
+def test_gc_search_horizon_is_an_unknown_key(tmp_path, capsys):
+    doc = _x01(max_d=4, horizon=3)
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(doc)
+    assert e.value.path == "scenario.generator.gc_search.horizon"
+    path = _write_scenario(tmp_path, doc)
+    assert main(["gc-dim", path]) == 3
+    assert "scenario.generator.gc_search.horizon: unknown key" \
+        in capsys.readouterr().err
 
 
 def test_max_d_above_the_cap_is_rejected_before_any_search(
@@ -491,6 +532,22 @@ def test_cli_adversary_gc_witness(tmp_path, capsys):
                  "--generator", "constant", "--element", "5"]) == 0
     row = json.loads(capsys.readouterr().out.strip())
     assert row["kind"] == "unrepresentative"
+
+
+def test_cli_gc_witness_without_a_witness(tmp_path, capsys):
+    # evens against the parity groups: the search proves GC = 0
+    doc = _doc(hypotheses=[{"id": "evens", "support": "evens"}],
+               groups={"members": ["evens", "odds"], "partition": True},
+               **{"class": ["evens"]}, target="evens")
+    path = _write_scenario(tmp_path, doc)
+    assert main(["adversary", "gc-witness", path]) == 3
+    assert capsys.readouterr().err == \
+        "error: no tuple witnesses this instance (GC = 0)\n"
+    path = _write_scenario(tmp_path, _x01())
+    assert main(["adversary", "gc-witness", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: no dimension witness up to gc_search.max_d = 4; "
+        "raise gc_search.max_d to 11\n")
 
 
 def test_cli_invalid_alpha_exit_3(capsys):

@@ -3,7 +3,8 @@ package keeps its invariants of exact arithmetic and zero runtime
 dependencies: no float literal, no float() call and no import from outside
 the standard library in `src/repgen/`.  Every function the per-layer tracer
 in `bench/spans.py` rebinds still exists in the package, so a rename cannot
-break `bench/run.py --trace 1`.
+break `bench/run.py --trace 1`.  The README's CLI examples print what the
+CLI prints.
 
 The unused-import scan skips `src/repgen/__init__.py` because its imports
 are the package's public re-exports.
@@ -11,10 +12,12 @@ are the package's public re-exports.
 
 import ast
 import importlib.util
+import shlex
 import sys
 from pathlib import Path
 
 from repgen import measures
+from repgen.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "repgen").glob("*.py"))
@@ -165,3 +168,27 @@ def test_bench_span_targets_resolve():
     spec.loader.exec_module(spans)
     assert len(spans.TARGETS) > 20 and spans.COUNTED
     assert unresolved(spans.TARGETS + spans.COUNTED) == []
+
+
+def readme_cli_examples() -> list[tuple[list[str], str]]:
+    """(arguments, first output line) for each `$ repgen ...` line of the
+    README's CLI block that is directly followed by an output line."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:]):
+        if line.startswith("$ repgen ") and after.strip() \
+                and not after.startswith("$"):
+            examples.append((shlex.split(line, comments=True)[2:], after))
+    return examples
+
+
+def test_readme_cli_examples_match(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    examples = readme_cli_examples()
+    assert [args[0] for args, _ in examples] == \
+        ["run", "gc-dim", "closure", "feasible", "adversary"]
+    for args, shown in examples:
+        assert main(args) == 0, args
+        assert capsys.readouterr().out.splitlines()[0] == shown, args
