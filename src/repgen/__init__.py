@@ -10,8 +10,8 @@ from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           gc_witness_adversary, geometric_adversary,
                           geometric_checkpoints, query_adversary,
                           verify_report)
-from .dimension import (Condition1, Condition2, GcResult, GcSearch,
-                        check_witness, gc_dimension, witnessed_unbounded)
+from .dimension import (Condition1, Condition2, GcResult, check_witness,
+                        gc_dimension, witnessed_unbounded)
 from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import (FeasibilityEntry, FeasibilityWitness,
                          GeneratorSession, is_feasible, limit_emit,

@@ -3,7 +3,7 @@
 Subcommands:
 
   run        - play a scenario end to end, optionally writing a trace file
-  gc-dim     - dimension search for a scenario's instance
+  gc-dim     - group closure dimension of a scenario's instance
   closure    - intersection of consistent supports for a given prefix
   feasible   - exact feasibility verdict for one hypothesis and prefix
   adversary  - run one of the adversary constructions against a baseline
@@ -22,7 +22,7 @@ import sys
 from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           QueryThenEmit, ViolationReport, gc_witness_adversary,
                           geometric_adversary, query_adversary)
-from .dimension import GcSearch, gc_dimension
+from .dimension import gc_dimension
 from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import GeneratorSession, is_feasible
 from .harness import emit_trace, evaluate_asserts, run_game, trace_lines
@@ -88,13 +88,10 @@ def cmd_run(args) -> int:
 
 def cmd_gc_dim(args) -> int:
     scenario = load_scenario(args.scenario)
-    search = (scenario.gc_search if args.max_d is None
-              else GcSearch(max_d=args.max_d))
-    result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha, search)
+    result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha)
     row = {"status": result.status, "d": result.d,
            "witness": list(result.witness) if result.witness else None,
-           "condition": str(result.condition) if result.condition else None,
-           "bound": result.bound}
+           "condition": str(result.condition) if result.condition else None}
     print(_dump(row))
     return 0
 
@@ -174,13 +171,9 @@ def cmd_adversary(args) -> int:
     if not args.scenario:
         raise ConfigError("gc-witness needs a scenario path")
     scenario = load_scenario(args.scenario)
-    result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha,
-                          scenario.gc_search)
+    result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha)
     if result.witness is None:
-        if result.status == "exact":
-            raise ConfigError("no tuple witnesses this instance (GC = 0)")
-        raise ConfigError("no dimension witness up to gc_search.max_d = "
-                          f"{scenario.gc_search.max_d}; {result.advice()}")
+        raise ConfigError("no tuple witnesses this instance (GC = 0)")
     build = _baseline_session_factory(args.generator, args.element)
     make = lambda: build(scenario.cls, scenario.groups, scenario.alpha)
     report = gc_witness_adversary(make, scenario.cls, scenario.groups,
@@ -202,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the full trace instead of the summary")
     run.set_defaults(fn=cmd_run)
 
-    gc = sub.add_parser("gc-dim", help="dimension search for a scenario's instance")
+    gc = sub.add_parser("gc-dim",
+                        help="group closure dimension of a scenario's instance")
     gc.add_argument("scenario")
-    gc.add_argument("--max-d", type=int, default=None)
     gc.set_defaults(fn=cmd_gc_dim)
 
     cl = sub.add_parser("closure", help="intersection of consistent supports")

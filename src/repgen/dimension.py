@@ -1,4 +1,4 @@
-"""Group closure dimension: witness checking and bounded exact search.
+"""Group closure dimension: witness checking and its exact closed form.
 
 A tuple of d distinct examples witnesses dimension >= d when the closure of
 the tuple is nonempty and the groups it exhausts (no unseen closure element
@@ -8,31 +8,32 @@ against a finite partition of K groups, the exhausted groups' combined
 weight strictly exceeds the alpha-budget of the remaining ones (condition 2).
 Both inequalities are strict.
 
-The search works on the atoms of the instance, the joint refinement of the
-partition and the hypothesis supports.  Every support and every group
-either contains a whole atom or misses it, so the elements of one atom are
-exchangeable: whether a tuple witnesses depends only on how many of its
-elements fall in each atom.  The search therefore decides count vectors,
-C(d + A - 1, A - 1) of them at most per depth d for A atoms, instead of the
-C(|pool|, d) tuples of a candidate pool.  The atoms also bound how deep a
-witness can go, so the search looks no deeper and is exact iff its depth
-cap reaches that bound; otherwise it reports a lower bound.  Everything is
-computed in exact arithmetic: `check_witness` in rationals, the count
-vectors and the bound in integers.
+The dimension is computed on the atoms of the instance, the joint
+refinement of the partition and the hypothesis supports, whose elements are
+exchangeable: a tuple witnesses or not by how many of its elements fall in
+each atom.  Given the hypotheses S consistent with a tuple and the groups E
+it exhausts, the witnessed depths form one interval, a span, so the
+dimension is the largest span top: exact at every depth, or unbounded when
+a span is (only at alpha = 0).  The witness is built greedily from the same
+spans.  `check_witness` works in rationals, the spans in integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from heapq import merge
+from itertools import combinations, product
+from operator import and_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
 from .measures import ZERO, group_empirical
-from .periodic import from_finite
+from .periodic import PeriodicSet, from_finite
 
 
 @dataclass(frozen=True)
@@ -109,180 +110,201 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     return None
 
 
-# Largest accepted search depth.  Every infinite atom contributes max_d
-# candidates and the search enumerates count vectors of every size up to
-# max_d, so an unbounded max_d would let one configuration value exhaust
-# memory and time; the bundled scenarios use at most 8.
-MAX_D = 64
-
-
-@dataclass(frozen=True)
-class GcSearch:
-    max_d: int = 4
-
-    def __post_init__(self):
-        if self.max_d < 1:
-            raise ConfigError(f"gc search max_d must be >= 1, got {self.max_d}")
-        if self.max_d > MAX_D:
-            raise ConfigError(
-                f"gc search max_d must be <= {MAX_D}, got {self.max_d}")
+# Largest accepted dimension: the value costs the same at every depth, but
+# the witness has d elements, each decided by one span test.  At d = 34,999
+# the witness and its re-check take 0.89 s for ten singleton groups and a
+# tail at alpha = 1/3500 and 0.35 s for a 17,500-element group and a tail at
+# alpha = 1/2; at d = 39,999 the first takes 1.01 s (best of 3, Python
+# 3.11, 2-vCPU x86-64 VM).
+MAX_D = 35_000
 
 
 @dataclass(frozen=True)
 class GcResult:
-    status: str  # "exact" | "at_least" | "infinite"
+    status: str  # "exact" | "infinite"
     d: int
     witness: tuple[int, ...] | None
     condition: Condition | None
-    bound: int | None  # no witness is deeper; None when unbounded
     family: str | None = None
 
     def __str__(self) -> str:
         if self.status == "exact":
             return f"GC = {self.d}"
-        if self.status == "at_least":
-            return f"GC >= {self.d}"
         return f"GC unbounded ({self.family})"
-
-    def advice(self) -> str:
-        """Why an "at_least" result is not exact, and the max_d that would
-        make it so when one is accepted; for error messages."""
-        if self.bound is None:
-            return "witness depth is unbounded"
-        if self.bound > MAX_D:
-            return f"witnesses may be {self.bound} deep, beyond MAX_D = {MAX_D}"
-        return f"raise gc_search.max_d to {self.bound}"
 
 
 @dataclass(frozen=True)
 class _Atom:
     """One atom of the joint refinement, as the search sees it."""
+    elements: PeriodicSet
     size: int | None  # None for an infinite atom
     group: int
     hyps: int  # bit n - 1 set iff the support of h_n contains the atom
-    candidates: tuple[int, ...]  # increasing
 
 
-def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int) -> list[_Atom]:
-    """Joint refinement of the partition and the hypothesis supports, with
-    each atom's candidate elements: all of a finite atom, and the max_d
-    smallest elements of an infinite one, as many as a tuple of at most
-    max_d elements can take from it."""
+def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
+    """Joint refinement of the partition and the hypothesis supports."""
     parts = [(c.group(i), i, 0) for i in c.indices()]
     for n in range(1, cls.materialized_count() + 1):
         s = cls.get(n).support
         refined = []
         for p, group, hyps in parts:
-            for piece, bits in ((p & s, hyps | 1 << (n - 1)), (p - s, hyps)):
-                if not piece.is_empty():
-                    refined.append((piece, group, bits))
+            inside = p & s
+            if not inside.is_empty():
+                refined.append((inside, group, hyps | 1 << (n - 1)))
+            if inside != p:
+                refined.append((p - s, group, hyps))
         parts = refined
-    atoms = []
-    for piece, group, hyps in parts:
-        size = piece.size_if_finite()
-        chosen = islice(piece.members(), max_d if size is None else size)
-        atoms.append(_Atom(size, group, hyps, tuple(chosen)))
-    return atoms
+    return [_Atom(piece, piece.size_if_finite(), group, hyps)
+            for piece, group, hyps in parts]
 
 
-def _depth_bound(atoms: Sequence[_Atom], hyp_count: int,
-                 alpha: Fraction) -> int | None:
-    """A depth no witness exceeds, or None when the atoms bound none.
-
-    A witness needs an exhausted group holding tuple elements.  They lie in
-    finite closure atoms, taken whole, so inside every consistent h_n: at
-    least one and at most F_n, the size of the finite atoms inside h_n.  For
-    alpha = p/q > 0 both conditions give d < F_n * q / p, or d <= F_n when
-    no group is spare (the closure is taken whole); at alpha = 0 only a
-    finite h_n bounds d, by F_n.
-    """
-    p, q = alpha.numerator, alpha.denominator
-    bound = 0
-    for n in range(hyp_count):
-        inside = [a.size for a in atoms if a.hyps >> n & 1]
-        finite = sum(size for size in inside if size is not None)
-        if p > 0:
-            bound = max(bound, finite, -(-finite * q // p) - 1)
-        elif finite == 0 or None not in inside:
-            bound = max(bound, finite)
-        else:
-            return None
-    return bound
+def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
+    """Every closure mask S, a nonzero AND of atom masks (the hypotheses
+    consistent with some tuple), with its closure atoms, those inside every
+    support of S, per group: their indices and the AND of their masks."""
+    base = {a.hyps for a in atoms} - {0}
+    masks, new = set(base), set(base)
+    while new:
+        new = {m & b for m in new for b in base} - masks - {0}
+        masks |= new
+    out = []
+    for s in sorted(masks):
+        per_group = [[j for j, a in enumerate(atoms)
+                      if a.group == i and a.hyps & s == s]
+                     for i in range(1, k + 1)]
+        out.append((s, [(js, reduce(and_, (atoms[j].hyps for j in js), -1))
+                        for js in per_group]))
+    return out
 
 
-def _count_vectors(caps: Sequence[int], d: int, hyps: Sequence[int],
-                   everyone: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Count vectors v with sum d and v[k] <= caps[k] whose used atoms lie in
-    a common hypothesis support, each with the bitmask of those supports.
-    A vector without one has closure bottom and witnesses nothing."""
-    n = len(caps)
-    room = [0] * (n + 1)  # room[k]: most elements atoms k.. can take
-    for k in range(n - 1, -1, -1):
-        room[k] = room[k + 1] + caps[k]
-    v = [0] * n
-
-    def fill(k: int, left: int, consistent: int):
-        if left == 0:
-            yield tuple(v), consistent
-            return
-        if room[k] < left:
-            return
-        yield from fill(k + 1, left, consistent)
-        narrowed = consistent & hyps[k]
-        if narrowed:
-            for m in range(1, min(caps[k], left) + 1):
-                v[k] = m
-                yield from fill(k + 1, left - m, narrowed)
-            v[k] = 0
-
-    return fill(0, d, everyone)
+class _Group(NamedTuple):
+    """A group under one closure mask S."""
+    atoms: list[int]  # its closure atoms
+    full: int  # F_i, its count when exhausted (0 when it cannot be)
+    low: int  # least count when live
+    high: int | None  # most count when live (None: no cap)
+    mask: int  # AND of its closure atoms' masks
+    ways: list[bool]  # whether it can be exhausted, live, or either
 
 
-def _vector_condition(atoms: Sequence[_Atom], k_groups: int, alpha: Fraction,
-                      v: Sequence[int], consistent: int) -> Condition | None:
-    """`check_witness` on any tuple taking v[k] candidates of atom k, given
-    the nonzero bitmask of the hypotheses consistent with it, decided from
-    the counts alone in integer arithmetic."""
-    counts = [0] * (k_groups + 1)
-    alive = set()
-    for a, m in zip(atoms, v):
-        counts[a.group] += m
-        # A closure atom (inside every consistent support) keeps an unseen
-        # element unless it is finite and fully taken.
-        if a.hyps & consistent == consistent and m != a.size:
-            alive.add(a.group)
-    exhausted = [i for i in range(1, k_groups + 1) if i not in alive]
-    d = sum(v)
-    p, q = alpha.numerator, alpha.denominator
-    for i in exhausted:
-        if counts[i] * q > p * d:
-            return Condition1(i)
-    spare = k_groups - len(exhausted)
-    if p * spare * d < q * sum(counts[i] for i in exhausted):
-        return Condition2(tuple(exhausted), spare)
+def _fewest(atoms: Sequence[_Atom], lb: Sequence[int],
+            ub: Sequence[int | None], live: list[_Group],
+            need: int) -> int | None:
+    """Fewest untouched closure atoms of the live groups, one element each
+    and within each group's room, whose masks clear every bit of `need`, or
+    None.  One atom per bit suffices, so at most popcount(need) are tried."""
+    options = {(g, atoms[j].hyps & need): None
+               for g, group in enumerate(live) for j in group.atoms
+               if not lb[j] and ub[j] != 0 and need & ~atoms[j].hyps}
+    for r in range(1, need.bit_count() + 1):
+        for chosen in combinations(options, r):
+            left = need
+            for _, bits in chosen:
+                left &= bits
+            if not left and all(
+                    live[g].high is None or n <= live[g].high - live[g].low
+                    for g, n in Counter(g for g, _ in chosen).items()):
+                return r
     return None
 
 
-def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
-                 search: GcSearch = GcSearch()) -> GcResult:
-    """Bounded search for the largest witnessed dimension.
+def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
+           alpha: Fraction, lb: Sequence[int],
+           ub: Sequence[int | None]) -> Iterator[tuple[int, int | None]]:
+    """The witnessed depths [lo, top] (top None: unbounded) of every closure
+    mask S and exhausted group set E that witness at all, over the tuples
+    taking lb[j] to ub[j] elements of atom j (None: no cap).
 
-    The atoms give a depth B that no witness exceeds (`_depth_bound`), and
-    the search covers every depth up to min(B, max_d).  Status "exact" holds
-    iff B <= max_d; otherwise the result is the lower bound "at_least" and
-    `bound` names B (None when unbounded).  The witness is the
-    lexicographically first witnessing tuple over the sorted candidate pool
-    at the deepest witnessed depth.
-
-    Elements of one atom are exchangeable, so a tuple is decided by how many
-    of its elements fall in each atom.  For A atoms the search decides at
-    most C(d + A - 1, A - 1) count vectors per depth d, where a walk over
-    tuples would try up to C(|pool|, d); it goes down from min(B, max_d) and
-    stops at the first depth with a witness.  Among the tuples with one
-    count vector, the one taking the smallest candidates of every atom comes
-    first, so the witness is the least such tuple over the witnessing
-    vectors.  It is re-verified once with `check_witness`.
+    An exhausted group holds all F_i elements of its closure atoms; a live
+    group leaves one out, or has an atom that cannot be filled.  With C_E
+    the sum of F_i over E and alpha = p/q, condition 1 holds iff
+    d < F_i q / p for an i in E and condition 2 iff d p (K - |E|) < q C_E,
+    so both cap d (not at alpha = 0), as do the live groups.  The least
+    depth adds the fewest atoms that bring the consistent mask down to S.
     """
+    p, q = alpha.numerator, alpha.denominator
+    held = reduce(and_, (a.hyps for a, m in zip(atoms, lb) if m), -1)
+    for s, per_group in closures:
+        if held & s != s:
+            continue
+        table = []
+        for js, mask in per_group:
+            whole, total, low = True, 0, 0
+            for j in js:
+                whole = whole and ub[j] == atoms[j].size is not None
+                total = None if total is None or ub[j] is None \
+                    else total + ub[j]
+                low += lb[j]
+            high = total - 1 if whole else total
+            ways = [e for e, ok in ((True, whole),
+                                    (False, high is None or low <= high)) if ok]
+            table.append(_Group(js, total if whole else 0, low, high, mask,
+                                ways))
+        for choice in product(*(g.ways for g in table)):
+            exhausted = [g for g, e in zip(table, choice) if e]
+            live = [g for g, e in zip(table, choice) if not e]
+            heavy = sum(g.full for g in exhausted)
+            if not heavy:
+                continue
+            top = None
+            if p and live:
+                fmax = max(g.full for g in exhausted)
+                top = max(-(-fmax * q // p),
+                          -(-q * heavy // (p * len(live)))) - 1
+            if all(g.high is not None for g in live):
+                hi = heavy + sum(g.high for g in live)
+                top = hi if top is None else min(top, hi)
+            lo = heavy + sum(g.low for g in live)
+            mask = reduce(and_, (g.mask for g in exhausted), held)
+            if mask != s and (top is None or lo <= top):
+                extra = _fewest(atoms, lb, ub, live, mask & ~s)
+                lo = None if extra is None else lo + extra
+            if lo is not None and (top is None or lo <= top):
+                yield lo, top
+
+
+def _witness(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
+             alpha: Fraction, d: int) -> tuple[int, ...]:
+    """The lexicographically first witnessing tuple of depth d, built
+    greedily over the members of all atoms in increasing order: a member is
+    taken when a span still holds d after it, and passing over one closes
+    its atom, as a later member of it could only stand in for this one."""
+    lb = [0] * len(atoms)
+    ub = [a.size for a in atoms]
+
+    def members(j: int) -> Iterator[tuple[int, int]]:
+        for x in atoms[j].elements.members():
+            if lb[j] == ub[j]:  # closed, or taken whole
+                return
+            yield x, j
+
+    xs: list[int] = []
+    merged = merge(*(members(j) for j, a in enumerate(atoms) if a.hyps))
+    for x, j in merged:
+        if lb[j] == ub[j]:
+            continue
+        lb[j] += 1
+        if not any(lo <= d and (top is None or d <= top)
+                   for lo, top in _spans(atoms, closures, alpha, lb, ub)):
+            lb[j] -= 1
+            ub[j] = lb[j]
+            continue
+        xs.append(x)
+        if len(xs) == d:
+            return tuple(xs)
+    raise InvariantViolation(f"no witness of depth {d} extends {xs}",
+                             snapshot={"depth": d, "prefix": xs})
+
+
+def gc_dimension(cls: HypothesisClass, c: GroupCollection,
+                 alpha: Fraction) -> GcResult:
+    """The group closure dimension, exact at every depth: the largest top of
+    a span (`_spans`), or status "infinite" when a span has none, with `d`
+    the least depth from which every depth witnesses.  The witness is the
+    lexicographically first witnessing tuple at depth `d` (`_witness`) and
+    the condition `check_witness` on it, which must hold.  A `d` above
+    `MAX_D` is a `ConfigError` raised before the witness is built."""
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
                           "block partitions support witness checks only")
@@ -292,38 +314,28 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
         raise ConfigError("dimension search needs a finite hypothesis class")
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    atoms = _atoms(cls, c, search.max_d)
-    bound = _depth_bound(atoms, cls.materialized_count(), alpha)
-    everyone = (1 << cls.materialized_count()) - 1
-    caps = [len(a.candidates) for a in atoms]
-    hyps = [a.hyps for a in atoms]
-    best_witness: tuple[int, ...] | None = None
-    best_condition: Condition | None = None
-    top = search.max_d if bound is None else min(bound, search.max_d)
-    for d in range(top, 0, -1):
-        for v, consistent in _count_vectors(caps, d, hyps, everyone):
-            cond = _vector_condition(atoms, c.k, alpha, v, consistent)
-            if cond is None:
-                continue
-            xs = tuple(sorted(x for a, m in zip(atoms, v)
-                              for x in a.candidates[:m]))
-            if best_witness is None or xs < best_witness:
-                best_witness, best_condition = xs, cond
-        if best_witness is not None:
-            break
-    if best_witness is not None:
-        verified = check_witness(cls, c, alpha, best_witness)
-        if verified != best_condition:
-            raise InvariantViolation(
-                f"count-vector search found {best_condition} for "
-                f"{best_witness}, check_witness says {verified}",
-                snapshot={"witness": best_witness,
-                          "condition": best_condition,
-                          "verified": verified})
-    exact = bound is not None and bound <= search.max_d
-    status = "exact" if exact else "at_least"
-    return GcResult(status, len(best_witness or ()), best_witness,
-                    best_condition, bound)
+    atoms = _atoms(cls, c)
+    closures = _closures(atoms, c.k)
+    spans = list(_spans(atoms, closures, alpha, [0] * len(atoms),
+                        [a.size for a in atoms]))
+    unbounded = [lo for lo, top in spans if top is None]
+    d = min(unbounded) if unbounded else max((top for _, top in spans),
+                                              default=0)
+    if d > MAX_D:
+        raise ConfigError(f"dimension {d} exceeds MAX_D = {MAX_D}; "
+                          "its witness is not built")
+    if not d:
+        return GcResult("exact", 0, None, None)
+    witness = _witness(atoms, closures, alpha, d)
+    condition = check_witness(cls, c, alpha, witness)
+    if condition is None:
+        raise InvariantViolation(
+            f"closed form found {witness} at depth {d}, "
+            f"check_witness says None", snapshot={"witness": witness})
+    if not unbounded:
+        return GcResult("exact", d, witness, condition)
+    return GcResult("infinite", d, witness, condition,
+                    family=f"every depth from {d} witnesses")
 
 
 def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,
@@ -349,5 +361,5 @@ def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,
         last, last_cond = xs, cond
     if not depths:
         raise ValueError("witness family must be nonempty")
-    return GcResult("infinite", depths[-1], last, last_cond, None,
+    return GcResult("infinite", depths[-1], last, last_cond,
                     family=f"verified witnesses at d = {depths}")

@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import simplex
-from .dimension import GcSearch, gc_dimension
+from .dimension import gc_dimension
 from .errors import ConfigError
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
@@ -284,38 +284,36 @@ def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
 # -- non-uniform construction -------------------------------------------------
 
 def nonuniform_thresholds(cls: HypothesisClass, c: FiniteGroups,
-                          alpha: Fraction, search: GcSearch, upto: int,
+                          alpha: Fraction, upto: int,
                           cache: list[int] | None = None) -> list[int]:
     """Distinct-example thresholds n_i for the first `upto` class prefixes,
     forced non-decreasing by running maxima.  Each raw value is one more than
-    the exact dimension of the prefix class; a non-exact search result is a
+    the dimension of the prefix class; an unbounded dimension is a
     configuration error."""
     if cache is None:
         cache = []
     while len(cache) < upto:
         i = len(cache) + 1
-        result = gc_dimension(cls.prefix_class(i), c, alpha, search)
+        result = gc_dimension(cls.prefix_class(i), c, alpha)
         if result.status != "exact":
             raise ConfigError(
-                f"dimension of class prefix {i} not certified exact "
-                f"(got {result}); {result.advice()}")
+                f"dimension of class prefix {i} is not finite ({result})")
         raw = result.d + 1
         cache.append(max(raw, cache[-1]) if cache else raw)
     return cache
 
 
-def _nonuniform(state: StreamState, alpha: Fraction, search: GcSearch,
+def _nonuniform(state: StreamState, alpha: Fraction,
                 thresholds: list[int] | None) -> RationalDist:
     upto = state.depth()
-    n = nonuniform_thresholds(state.cls, state.groups, alpha, search, upto,
-                              thresholds)
+    n = nonuniform_thresholds(state.cls, state.groups, alpha, upto, thresholds)
     d_t = len(state.tally.seen)
     i_t = max((i for i in range(1, upto + 1) if n[i - 1] <= d_t), default=1)
     return _uniform(state, alpha, n[i_t - 1], i_t)
 
 
 def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
-                    history: Sequence[int], search: GcSearch = GcSearch(),
+                    history: Sequence[int],
                     _threshold_cache: list[int] | None = None) -> RationalDist:
     """One non-uniform step: pick the largest class prefix whose threshold is
     within the distinct count and play its uniform construction.
@@ -326,8 +324,7 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
     """
     if not history:
         raise ValueError("nonuniform step needs a nonempty history")
-    return _nonuniform(StreamState(cls, c, history), alpha, search,
-                       _threshold_cache)
+    return _nonuniform(StreamState(cls, c, history), alpha, _threshold_cache)
 
 
 # -- in-the-limit construction --------------------------------------------------
@@ -364,8 +361,7 @@ class GeneratorSession:
     """
 
     def __init__(self, kind: str, cls: HypothesisClass, groups: GroupCollection,
-                 alpha: Fraction, d_star: int | None = None,
-                 gc_search: GcSearch = GcSearch()):
+                 alpha: Fraction, d_star: int | None = None):
         if kind not in KINDS:
             raise ConfigError(f"unknown generator kind {kind!r}")
         if not isinstance(alpha, Fraction):
@@ -376,7 +372,6 @@ class GeneratorSession:
         self.cls = cls
         self.groups = groups
         self.alpha = alpha
-        self.gc_search = gc_search
         self.state = StreamState(cls, groups)
         self.history = self.state.history
         self.last_selected: int | None = None
@@ -392,11 +387,10 @@ class GeneratorSession:
             if cls.extendable:
                 raise ConfigError("uniform generator requires a finite class")
             if d_star is None:
-                result = gc_dimension(cls, groups, alpha, gc_search)
+                result = gc_dimension(cls, groups, alpha)
                 if result.status != "exact":
                     raise ConfigError(
-                        "cannot derive d_star: dimension not certified exact "
-                        f"({result}); {result.advice()}; an explicit d_star "
+                        f"cannot derive d_star: {result}; an explicit d_star "
                         "skips the search")
                 d_star = result.d + 1
             if d_star < 1:
@@ -417,8 +411,7 @@ class GeneratorSession:
             return _uniform(state, self.alpha, self.d_star,
                             self.cls.materialized_count())
         if self.kind == "nonuniform":
-            return _nonuniform(state, self.alpha, self.gc_search,
-                               self._thresholds)
+            return _nonuniform(state, self.alpha, self._thresholds)
         if self.kind == "inlimit":
             self.last_selected, mu = _limit(state, self.alpha)
             return mu

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .dimension import GcSearch
-from .errors import ConfigError, ScenarioError
+from .errors import ScenarioError
 from .generators import KINDS, GeneratorSession
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
@@ -43,7 +42,6 @@ class Scenario:
     kind: str
     alpha: Fraction
     d_star: int | None
-    gc_search: GcSearch
     target_id: str
     target: Hypothesis
     stream: StreamSpec
@@ -146,7 +144,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
     groups = _parse_groups(_need(doc, "groups", where), f"{where}.groups")
 
     gen = _object(_need(doc, "generator", where), f"{where}.generator",
-                  ("kind", "alpha", "d_star", "gc_search"))
+                  ("kind", "alpha", "d_star"))
     kind = _as_str(_need(gen, "kind", f"{where}.generator"),
                    f"{where}.generator.kind")
     if kind not in KINDS:
@@ -159,16 +157,11 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
                             f"alpha must be in [0, 1], got {alpha}")
     d_star = gen.get("d_star")
     if d_star is not None:
+        if kind != "uniform":
+            raise ScenarioError(f"{where}.generator.d_star",
+                                "only the uniform generator takes d_star, "
+                                f"not {kind!r}")
         d_star = _as_int(d_star, f"{where}.generator.d_star", minimum=1)
-    search = GcSearch()
-    if "gc_search" in gen and gen["gc_search"] is not None:
-        gsw = f"{where}.generator.gc_search"
-        gs = _object(gen["gc_search"], gsw, ("max_d",))
-        max_d = _as_int(gs.get("max_d", 4), f"{gsw}.max_d", minimum=1)
-        try:
-            search = GcSearch(max_d=max_d)
-        except ConfigError as e:
-            raise ScenarioError(gsw, str(e))
 
     target_id = _as_str(_need(doc, "target", where), f"{where}.target")
     if target_id not in used:
@@ -191,7 +184,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
             _as_int(val, aw, minimum=1)
 
     return Scenario(name=name, hypotheses=hypotheses, cls=cls, groups=groups,
-                    kind=kind, alpha=alpha, d_star=d_star, gc_search=search,
+                    kind=kind, alpha=alpha, d_star=d_star,
                     target_id=target_id, target=target, stream=stream,
                     horizon=horizon, asserts=dict(asserts))
 
@@ -306,5 +299,4 @@ def materialize_stream(scenario: Scenario) -> list[int]:
 
 def build_session(scenario: Scenario) -> GeneratorSession:
     return GeneratorSession(scenario.kind, scenario.cls, scenario.groups,
-                            scenario.alpha, d_star=scenario.d_star,
-                            gc_search=scenario.gc_search)
+                            scenario.alpha, d_star=scenario.d_star)

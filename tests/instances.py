@@ -19,7 +19,7 @@ def _cls(named):
     return HypothesisClass([Hypothesis(n, s) for n, s in named])
 
 
-def _inst(name, cls, groups, alpha, known=None):
+def _inst(name, cls, groups, alpha, known):
     return {"name": name, "cls": cls, "groups": groups,
             "alpha": alpha, "known": known}
 
@@ -27,8 +27,7 @@ def _inst(name, cls, groups, alpha, known=None):
 def dimension_instances():
     """Instances for the search-vs-naive agreement suite.
 
-    `known` is the hand-derived exact dimension when it lies strictly below
-    the search cap of 4, else None (both searches then report the cap)."""
+    `known` is the hand-derived exact dimension."""
     singleton0 = from_finite([0])
     singleton1 = from_finite([1])
     pair01 = from_finite([0, 1])
@@ -44,7 +43,7 @@ def dimension_instances():
         _inst("three-singleton-quarter",
               _cls([("all", ALL)]),
               FiniteGroups([singleton0, singleton1, from_threshold(2)]),
-              F(1, 4), known=None),
+              F(1, 4), known=7),
         _inst("three-singleton-twothirds",
               _cls([("all", ALL)]),
               FiniteGroups([singleton0, singleton1, from_threshold(2)]),
@@ -62,15 +61,15 @@ def dimension_instances():
         _inst("two-pairs-tail-half",
               _cls([("all", ALL)]),
               FiniteGroups([pair01, pair23, from_threshold(4)]),
-              F(1, 2), known=None),
+              F(1, 2), known=7),
         _inst("two-pairs-tail-twothirds",
               _cls([("all", ALL)]),
               FiniteGroups([pair01, pair23, from_threshold(4)]),
-              F(2, 3), known=None),
+              F(2, 3), known=5),
         _inst("four-groups-singletons",
               _cls([("all", ALL)]),
               FiniteGroups([singleton0, singleton1, from_finite([2]),
-                            from_threshold(3)]), F(1, 2), known=None),
+                            from_threshold(3)]), F(1, 2), known=5),
         _inst("parity-split-pair",
               _cls([("evens", EVENS), ("odds", ODDS)]),
               FiniteGroups([pair01, from_threshold(2)]), F(1, 2), known=1),

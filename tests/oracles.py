@@ -6,10 +6,10 @@ with the package.  Set membership (x in s) and the raw threshold/modulus
 fields are the only parts of the production set type used; both are data,
 not algorithms.  The LP reference is the rational-tableau simplex the
 package used before its integer tableau; only the relation constants are
-shared.  The dimension reference is the tuple walk the package used before
-its count-vector search: it shares the package's set algebra and its
-`check_witness` verifier, but none of the search or its depth bound.  The
-distribution
+shared.  The dimension references are the two searches the package ran
+before its closed form: the tuple walk, and the count-vector search with its
+atoms and depth bound.  They share the package's set algebra and its
+`check_witness` verifier, but none of the closed form.  The distribution
 reference is the `Fraction`-mass class the package used before its integer
 numerators over one denominator; it shares nothing with the package.  The
 query-generator reference is the scan from 0 the package used before its
@@ -20,14 +20,16 @@ shares the package's `Fraction`-mass `RationalDist` constructor and
 `empirical`, but none of the redistribution arithmetic.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from repgen.dimension import check_witness
-from repgen.errors import ConfigError
+from repgen.dimension import Condition, Condition1, Condition2, check_witness
+from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import FiniteGroups
+from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.simplex import EQ, GE, LE
 
@@ -336,6 +338,170 @@ def tuple_gc_dimension(cls, c, alpha, max_d):
                 break
     return best_d, best_witness, best_condition
 
+
+@dataclass(frozen=True)
+class _Atom:
+    """One atom of the joint refinement, as the search sees it."""
+    size: int | None  # None for an infinite atom
+    group: int
+    hyps: int  # bit n - 1 set iff the support of h_n contains the atom
+    candidates: tuple[int, ...]  # increasing
+
+
+def _atoms(cls: HypothesisClass, c: FiniteGroups, max_d: int) -> list[_Atom]:
+    """Joint refinement of the partition and the hypothesis supports, with
+    each atom's candidate elements: all of a finite atom, and the max_d
+    smallest elements of an infinite one, as many as a tuple of at most
+    max_d elements can take from it."""
+    parts = [(c.group(i), i, 0) for i in c.indices()]
+    for n in range(1, cls.materialized_count() + 1):
+        s = cls.get(n).support
+        refined = []
+        for p, group, hyps in parts:
+            for piece, bits in ((p & s, hyps | 1 << (n - 1)), (p - s, hyps)):
+                if not piece.is_empty():
+                    refined.append((piece, group, bits))
+        parts = refined
+    atoms = []
+    for piece, group, hyps in parts:
+        size = piece.size_if_finite()
+        chosen = islice(piece.members(), max_d if size is None else size)
+        atoms.append(_Atom(size, group, hyps, tuple(chosen)))
+    return atoms
+
+
+def _depth_bound(atoms: Sequence[_Atom], hyp_count: int,
+                 alpha: Fraction) -> int | None:
+    """A depth no witness exceeds, or None when the atoms bound none.
+
+    A witness needs an exhausted group holding tuple elements.  They lie in
+    finite closure atoms, taken whole, so inside every consistent h_n: at
+    least one and at most F_n, the size of the finite atoms inside h_n.  For
+    alpha = p/q > 0 both conditions give d < F_n * q / p, or d <= F_n when
+    no group is spare (the closure is taken whole); at alpha = 0 only a
+    finite h_n bounds d, by F_n.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    bound = 0
+    for n in range(hyp_count):
+        inside = [a.size for a in atoms if a.hyps >> n & 1]
+        finite = sum(size for size in inside if size is not None)
+        if p > 0:
+            bound = max(bound, finite, -(-finite * q // p) - 1)
+        elif finite == 0 or None not in inside:
+            bound = max(bound, finite)
+        else:
+            return None
+    return bound
+
+
+def _count_vectors(caps: Sequence[int], d: int, hyps: Sequence[int],
+                   everyone: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Count vectors v with sum d and v[k] <= caps[k] whose used atoms lie in
+    a common hypothesis support, each with the bitmask of those supports.
+    A vector without one has closure bottom and witnesses nothing."""
+    n = len(caps)
+    room = [0] * (n + 1)  # room[k]: most elements atoms k.. can take
+    for k in range(n - 1, -1, -1):
+        room[k] = room[k + 1] + caps[k]
+    v = [0] * n
+
+    def fill(k: int, left: int, consistent: int):
+        if left == 0:
+            yield tuple(v), consistent
+            return
+        if room[k] < left:
+            return
+        yield from fill(k + 1, left, consistent)
+        narrowed = consistent & hyps[k]
+        if narrowed:
+            for m in range(1, min(caps[k], left) + 1):
+                v[k] = m
+                yield from fill(k + 1, left - m, narrowed)
+            v[k] = 0
+
+    return fill(0, d, everyone)
+
+
+def _vector_condition(atoms: Sequence[_Atom], k_groups: int, alpha: Fraction,
+                      v: Sequence[int], consistent: int) -> Condition | None:
+    """`check_witness` on any tuple taking v[k] candidates of atom k, given
+    the nonzero bitmask of the hypotheses consistent with it, decided from
+    the counts alone in integer arithmetic."""
+    counts = [0] * (k_groups + 1)
+    alive = set()
+    for a, m in zip(atoms, v):
+        counts[a.group] += m
+        # A closure atom (inside every consistent support) keeps an unseen
+        # element unless it is finite and fully taken.
+        if a.hyps & consistent == consistent and m != a.size:
+            alive.add(a.group)
+    exhausted = [i for i in range(1, k_groups + 1) if i not in alive]
+    d = sum(v)
+    p, q = alpha.numerator, alpha.denominator
+    for i in exhausted:
+        if counts[i] * q > p * d:
+            return Condition1(i)
+    spare = k_groups - len(exhausted)
+    if p * spare * d < q * sum(counts[i] for i in exhausted):
+        return Condition2(tuple(exhausted), spare)
+    return None
+
+
+def count_vector_depth_bound(cls, c, alpha):
+    """The depth bound B of the count-vector search below: no witness is
+    deeper than B, or None when the atoms bound none (alpha = 0 only)."""
+    return _depth_bound(_atoms(cls, c, 1), cls.materialized_count(), alpha)
+
+
+def count_vector_gc_dimension(cls, c, alpha, max_d):
+    """The count-vector dimension search that
+    `repgen.dimension.gc_dimension` ran before its closed form, kept
+    verbatim (bar the signature and the return value) with its atoms, depth
+    bound, vector enumeration and vector condition, as the reference for the
+    deepest witnessed depth up to min(B, max_d), returned as
+    (d, witness, condition).  It is exact once max_d reaches the bound B of
+    `count_vector_depth_bound`.  It shares the set algebra and the final
+    `check_witness` re-check with the package, not the closed form.
+    """
+    if not isinstance(c, FiniteGroups):
+        raise ConfigError("dimension search needs a finite partition; "
+                          "block partitions support witness checks only")
+    if not c.validate().partition:
+        raise ConfigError("dimension is defined against partitions only")
+    if cls.extendable:
+        raise ConfigError("dimension search needs a finite hypothesis class")
+    if not 0 <= alpha <= 1:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    atoms = _atoms(cls, c, max_d)
+    bound = _depth_bound(atoms, cls.materialized_count(), alpha)
+    everyone = (1 << cls.materialized_count()) - 1
+    caps = [len(a.candidates) for a in atoms]
+    hyps = [a.hyps for a in atoms]
+    best_witness: tuple[int, ...] | None = None
+    best_condition: Condition | None = None
+    top = max_d if bound is None else min(bound, max_d)
+    for d in range(top, 0, -1):
+        for v, consistent in _count_vectors(caps, d, hyps, everyone):
+            cond = _vector_condition(atoms, c.k, alpha, v, consistent)
+            if cond is None:
+                continue
+            xs = tuple(sorted(x for a, m in zip(atoms, v)
+                              for x in a.candidates[:m]))
+            if best_witness is None or xs < best_witness:
+                best_witness, best_condition = xs, cond
+        if best_witness is not None:
+            break
+    if best_witness is not None:
+        verified = check_witness(cls, c, alpha, best_witness)
+        if verified != best_condition:
+            raise InvariantViolation(
+                f"count-vector search found {best_condition} for "
+                f"{best_witness}, check_witness says {verified}",
+                snapshot={"witness": best_witness,
+                          "condition": best_condition,
+                          "verified": verified})
+    return len(best_witness or ()), best_witness, best_condition
 
 class FractionRationalDist:
     """The `Fraction`-mass distribution that `repgen.measures.RationalDist`

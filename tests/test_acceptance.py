@@ -19,7 +19,7 @@ from repgen.adversaries import (INCONSISTENT, UNREPRESENTATIVE,
                                 QueryThenEmit, gc_witness_adversary,
                                 geometric_adversary, query_adversary,
                                 verify_report)
-from repgen.dimension import GcSearch, gc_dimension
+from repgen.dimension import gc_dimension
 from repgen.generators import GeneratorSession, is_feasible
 from repgen.groups import FiniteGroups, finite_support_size
 from repgen.harness import run_game, evaluate_asserts, trace_lines
@@ -94,7 +94,7 @@ def test_criterion_2_consistency_from_dimension_bound():
     paths = _paths("u")
     for path in paths:
         s = load_scenario(path)
-        gc = gc_dimension(s.cls, s.groups, s.alpha, s.gc_search)
+        gc = gc_dimension(s.cls, s.groups, s.alpha)
         assert gc.status == "exact", s.name
         stream = materialize_stream(s)
         seen = set()
@@ -119,16 +119,13 @@ def test_criterion_3_dimension_matches_naive_oracle():
     zoo = dimension_instances()
     assert len(zoo) >= 10
     for inst in zoo:
-        gc = gc_dimension(inst["cls"], inst["groups"], inst["alpha"],
-                          GcSearch(max_d=4))
+        gc = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
         naive = naive_gc(inst["cls"], inst["groups"], inst["alpha"],
-                         max_d=4, universe=range(13))
+                         max_d=gc.d + 1, universe=range(13))
         assert gc.d == naive, (inst["name"], gc.d, naive)
-        if inst["known"] is not None and inst["known"] <= 4:
-            assert gc.status == "exact" and gc.d == inst["known"], inst["name"]
+        assert gc.status == "exact" and gc.d == inst["known"], inst["name"]
     worked = zoo[worked_example_index()]
-    gcw = gc_dimension(worked["cls"], worked["groups"], worked["alpha"],
-                       GcSearch(max_d=4))
+    gcw = gc_dimension(worked["cls"], worked["groups"], worked["alpha"])
     assert worked["alpha"] == F(1, 2)
     assert gcw.status == "exact" and gcw.d == 1
     dt = time.monotonic() - t0
@@ -146,7 +143,7 @@ def test_criterion_4_witness_adversary_classifies_baselines():
         if not (isinstance(groups, FiniteGroups)
                 and groups.validate().partition):
             continue  # the uniform baseline is only defined on partitions
-        gc = gc_dimension(cls, groups, alpha, GcSearch(max_d=4))
+        gc = gc_dimension(cls, groups, alpha)
         if gc.witness is None or gc.d < 1:
             continue
         used += 1

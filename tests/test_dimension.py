@@ -1,25 +1,28 @@
-"""Group closure dimension: witness conditions, the bounded exact search,
-and agreement with an independent exhaustive oracle."""
+"""Group closure dimension: witness conditions, the closed form, and
+agreement with an independent exhaustive oracle and the two earlier
+searches kept in `oracles.py`."""
 
 import glob
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import repgen.dimension
-from repgen.dimension import (MAX_D, Condition1, Condition2, GcSearch,
-                              _atoms, check_witness, gc_dimension,
+from repgen.dimension import (MAX_D, Condition1, Condition2, _atoms,
+                              check_witness, gc_dimension,
                               witnessed_unbounded)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
-                             from_finite, from_threshold)
+                             from_finite, from_threshold, multiples)
 from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
-from oracles import _tuple_candidate_pool, naive_gc, tuple_gc_dimension
+from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
+                     count_vector_gc_dimension, naive_gc, tuple_gc_dimension)
 
 F = Fraction
 
@@ -58,12 +61,26 @@ def _search_instances():
     return list(out.values())
 
 
-def _as_walk(result, max_d):
-    """A search result as the tuple walk to max_d reports it, once its
-    status is checked: exact iff the depth bound is within max_d."""
-    exact = result.bound is not None and result.bound <= max_d
-    assert result.status == ("exact" if exact else "at_least"), result
+def _both_oracles(cls, groups, alpha):
+    """(d, witness, condition) from the tuple walk and from the count-vector
+    search, each run to the count-vector depth bound B, which makes both
+    exact; they must agree before either stands as the reference."""
+    bound = count_vector_depth_bound(cls, groups, alpha)
+    assert bound is not None
+    want = tuple_gc_dimension(cls, groups, alpha, bound)
+    assert count_vector_gc_dimension(cls, groups, alpha, bound) == want
+    return want
+
+
+def _exact(result):
+    assert result.status == "exact", result
     return result.d, result.witness, result.condition
+
+
+def _x01(k):
+    """u01 with its zero group widened to {0, ..., k - 1}: at alpha 1/2 only
+    tuples that take all k witness, at depths k to 2k - 1."""
+    return FiniteGroups([from_finite(range(k)), from_threshold(k)])
 
 
 def test_check_witness_worked():
@@ -135,36 +152,49 @@ def test_gc_dimension_worked():
 
 def test_gc_dimension_deep_instance():
     c = FiniteGroups([from_finite([0]), from_finite([1]), from_threshold(2)])
-    capped = gc_dimension(ALL_CLS, c, F(1, 4), GcSearch(max_d=5))
-    assert capped.d == naive_gc(ALL_CLS, c, F(1, 4), max_d=5) == 5
-    assert capped.status == "at_least" and capped.bound == 7
-    full = gc_dimension(ALL_CLS, c, F(1, 4), GcSearch(max_d=8))
-    assert full.status == "exact" and full.d == 7
-    assert check_witness(ALL_CLS, c, F(1, 4), full.witness) == full.condition
+    r = gc_dimension(ALL_CLS, c, F(1, 4))
+    assert (r.status, r.d) == ("exact", 7)
+    assert naive_gc(ALL_CLS, c, F(1, 4), max_d=8) == 7
+    assert check_witness(ALL_CLS, c, F(1, 4), r.witness) == r.condition
 
 
-def test_exact_only_once_the_depth_bound_is_searched():
-    # u01 with its zero group widened to {0, ..., 5}: only tuples that take
-    # all six, at depths 6..11, witness, so a shallow search sees nothing
-    c = FiniteGroups([from_finite(range(6)), from_threshold(6)])
-    for max_d in range(1, 13):
-        r = gc_dimension(ALL_CLS, c, F(1, 2), GcSearch(max_d=max_d))
-        assert r.bound == 11
-        assert r.status == ("exact" if max_d >= 11 else "at_least")
-        assert r.d == (min(max_d, 11) if max_d >= 6 else 0)
+def test_x01_family_matches_the_count_vector_oracle():
+    # witnesses skip depths 1 to k - 1, so no shallow search sees one
+    for k in (6, 12, 24):
+        groups = _x01(k)
+        r = gc_dimension(ALL_CLS, groups, F(1, 2))
+        assert (r.status, r.d, r.witness) == ("exact", 2 * k - 1,
+                                              tuple(range(2 * k - 1)))
+        bound = count_vector_depth_bound(ALL_CLS, groups, F(1, 2))
+        assert bound == 2 * k - 1
+        assert _exact(r) == count_vector_gc_dimension(ALL_CLS, groups,
+                                                      F(1, 2), bound)
 
 
-def test_advice_names_the_depth_bound():
-    r = gc_dimension(ALL_CLS, ZERO_REST, F(1, 2), GcSearch(max_d=1))
-    assert r.advice() == "raise gc_search.max_d to 1"
-    # at alpha 0, {0} and any further elements witness
+def test_unbounded_dimension_at_alpha_zero():
+    # {0} with any further elements witnesses: infinite from depth 1
     r = gc_dimension(ALL_CLS, ZERO_REST, F(0))
-    assert (r.status, r.bound) == ("at_least", None)
-    assert r.advice() == "witness depth is unbounded"
-    wide = FiniteGroups([from_finite(range(20)), from_threshold(20)])
-    r = gc_dimension(ALL_CLS, wide, F(1, 4))
-    assert (r.status, r.bound) == ("at_least", 79)
-    assert r.advice() == f"witnesses may be 79 deep, beyond MAX_D = {MAX_D}"
+    assert (r.status, r.d, r.witness, r.condition) \
+        == ("infinite", 1, (0,), Condition1(1))
+    assert str(r) == "GC unbounded (every depth from 1 witnesses)"
+    # (0,) alone exhausts {0, 1}, but only once an even element drops the
+    # second hypothesis does the closure leave a live group that never
+    # runs out, so d is the least depth of the unbounded span, 2
+    cls = _cls(EVENS, from_finite([0]) | (ODDS & from_threshold(3)))
+    pair_rest = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
+    r = gc_dimension(cls, pair_rest, F(0))
+    assert (r.status, r.d, r.witness) == ("infinite", 2, (0, 2))
+    assert check_witness(cls, pair_rest, F(0), (0,)) is not None
+    # the supports meet in {0}: after any second element the closure is
+    # infinite inside the one group, so nothing deeper witnesses
+    cls = _cls(from_finite([0]) | ODDS, EVENS)
+    r = gc_dimension(cls, FiniteGroups([ALL]), F(0))
+    assert (r.status, r.d, r.witness, r.condition) \
+        == ("exact", 1, (0,), Condition1(1))
+    # a positive alpha always bounds the depth: 20 elements must all be
+    # taken, and condition 1 holds below 20 / (1/4)
+    r = gc_dimension(ALL_CLS, _x01(20), F(1, 4))
+    assert (r.status, r.d) == ("exact", 79)
 
 
 def test_gc_dimension_config_errors():
@@ -185,11 +215,11 @@ def test_gc_dimension_config_errors():
 def test_no_finite_atom_means_dimension_zero(monkeypatch):
     # Three mod-12 hypotheses against the residues mod 3: every atom is
     # infinite, so no tuple exhausts a group it holds elements of.  The
-    # search answers 0 without deciding vectors, even at the largest depth.
-    def no_vectors(*args):
-        raise AssertionError("count vectors enumerated")
+    # closed form answers 0 without building a witness, at every alpha.
+    def no_witness(*args):
+        raise AssertionError("witness built")
 
-    monkeypatch.setattr(repgen.dimension, "_count_vectors", no_vectors)
+    monkeypatch.setattr(repgen.dimension, "_witness", no_witness)
 
     def mod12(*residues):
         return PeriodicSet(0, 12, frozenset(residues), frozenset())
@@ -198,35 +228,41 @@ def test_no_finite_atom_means_dimension_zero(monkeypatch):
                mod12(4, 5, 6, 7, 8, 9, 10, 11, 0, 1))
     groups = FiniteGroups([PeriodicSet(0, 3, frozenset([r]), frozenset())
                            for r in range(3)])
-    atoms = _atoms(cls, groups, 4)
+    atoms = _atoms(cls, groups)
     assert len(atoms) == 11 and all(a.size is None for a in atoms)
     for alpha in (F(0), F(1, 4), F(1, 2), F(1)):
-        for max_d in (1, 2):
-            search = GcSearch(max_d=max_d)
-            assert _as_walk(gc_dimension(cls, groups, alpha, search), max_d) \
-                == tuple_gc_dimension(cls, groups, alpha, max_d)
-        deep = gc_dimension(cls, groups, alpha, GcSearch(max_d=MAX_D))
-        assert (deep.status, deep.d, deep.witness, deep.bound) \
-            == ("exact", 0, None, 0)
+        r = gc_dimension(cls, groups, alpha)
+        assert (r.status, r.d, r.witness) == ("exact", 0, None)
+        assert tuple_gc_dimension(cls, groups, alpha, 2)[0] == 0
 
 
-def test_gc_search_caps_max_d():
-    assert GcSearch(max_d=MAX_D).max_d == MAX_D
-    for max_d in (MAX_D + 1, 1_000_000_000):
-        with pytest.raises(ConfigError,
-                           match=f"must be <= {MAX_D}, got {max_d}$"):
-            GcSearch(max_d=max_d)
+def test_max_d_caps_the_dimension(monkeypatch):
+    def no_witness(*args):
+        raise AssertionError("witness built")
+
+    # u01 at alpha 1/10^9: the value is immediate, its witness would not be
+    monkeypatch.setattr(repgen.dimension, "_witness", no_witness)
+    with pytest.raises(ConfigError, match=f"^dimension 999999999 exceeds "
+                                          f"MAX_D = {MAX_D};"):
+        gc_dimension(ALL_CLS, ZERO_REST, F(1, 10 ** 9))
+    monkeypatch.undo()
+    # the cap is inclusive
+    monkeypatch.setattr(repgen.dimension, "MAX_D", 11)
+    assert gc_dimension(ALL_CLS, _x01(6), F(1, 2)).d == 11
+    monkeypatch.setattr(repgen.dimension, "MAX_D", 10)
+    with pytest.raises(ConfigError, match="^dimension 11 exceeds MAX_D = 10;"):
+        gc_dimension(ALL_CLS, _x01(6), F(1, 2))
 
 
 def test_agreement_with_naive_oracle():
+    # the naive oracle walks one depth past the dimension: witnessed at d,
+    # not beyond
     for inst in dimension_instances():
-        got = gc_dimension(inst["cls"], inst["groups"], inst["alpha"],
-                           GcSearch(max_d=4))
-        want = naive_gc(inst["cls"], inst["groups"], inst["alpha"], max_d=4)
-        assert got.d == want, inst["name"]
-        if inst["known"] is not None:
-            assert got.d == inst["known"], inst["name"]
-            assert got.status == "exact", inst["name"]
+        got = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
+        want = naive_gc(inst["cls"], inst["groups"], inst["alpha"],
+                        max_d=got.d + 1)
+        assert got.status == "exact", inst["name"]
+        assert got.d == want == inst["known"], inst["name"]
 
 
 def test_worked_example_is_in_the_zoo():
@@ -237,8 +273,7 @@ def test_worked_example_is_in_the_zoo():
 
 def test_returned_witnesses_reverify():
     for inst in dimension_instances():
-        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"],
-                         GcSearch(max_d=4))
+        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
         if r.witness is not None:
             cond = check_witness(inst["cls"], inst["groups"], inst["alpha"],
                                  r.witness)
@@ -249,23 +284,20 @@ def test_returned_witnesses_reverify():
 def test_exact_means_no_deeper_witness():
     rng = random.Random(73)
     for inst in dimension_instances():
-        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"],
-                         GcSearch(max_d=4))
-        if r.status != "exact":
-            continue
-        pool = _tuple_candidate_pool(inst["cls"], inst["groups"], 4)
+        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
+        assert r.status == "exact", inst["name"]
+        pool = _tuple_candidate_pool(inst["cls"], inst["groups"], r.d + 1)
         if len(pool) <= r.d:
             continue
         for _ in range(1000):
-            xs = tuple(sorted(rng.sample(pool, min(r.d + 1, len(pool)))))
+            xs = tuple(sorted(rng.sample(pool, r.d + 1)))
             assert check_witness(inst["cls"], inst["groups"], inst["alpha"],
                                  xs) is None, (inst["name"], xs)
 
 
 def test_condition1_witness_transfers_to_smaller_alpha():
     for inst in dimension_instances():
-        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"],
-                         GcSearch(max_d=4))
+        r = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
         if r.witness is None or not isinstance(r.condition, Condition1):
             continue
         smaller = inst["alpha"] / 2
@@ -293,18 +325,22 @@ def test_count_search_matches_tuple_walk():
     instances = _search_instances()
     assert len(instances) == 16
     for name, cls, groups, alpha in instances:
-        for max_d in range(1, 7):
-            got = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
-            assert _as_walk(got, max_d) \
-                == tuple_gc_dimension(cls, groups, alpha, max_d), (name, max_d)
+        assert _exact(gc_dimension(cls, groups, alpha)) \
+            == _both_oracles(cls, groups, alpha), name
 
 
 def test_count_search_matches_tuple_walk_on_the_bundled_settings():
-    for name, s in _uniform_scenarios().items():
-        max_d = s.gc_search.max_d
-        got = gc_dimension(s.cls, s.groups, s.alpha, s.gc_search)
-        assert _as_walk(got, max_d) \
-            == tuple_gc_dimension(s.cls, s.groups, s.alpha, max_d), name
+    # every bundled uniform scenario, and each class prefix the
+    # non-uniform scenario derives a threshold from
+    cases = [(name, s.cls, s.alpha, s.groups)
+             for name, s in _uniform_scenarios().items()]
+    n01 = load_scenario(os.path.join(SCENARIO_DIR,
+                                     "n01-nested3-exhausted-half.json"))
+    cases += [(f"n01 prefix {i}", n01.cls.prefix_class(i), n01.alpha,
+               n01.groups) for i in range(1, 4)]
+    for name, cls, alpha, groups in cases:
+        assert _exact(gc_dimension(cls, groups, alpha)) \
+            == _both_oracles(cls, groups, alpha), name
 
 
 def test_search_verifies_only_its_witness(monkeypatch):
@@ -318,7 +354,7 @@ def test_search_verifies_only_its_witness(monkeypatch):
     monkeypatch.setattr(repgen.dimension, "check_witness", counted)
     for name, cls, groups, alpha in _search_instances():
         calls.clear()
-        r = gc_dimension(cls, groups, alpha, GcSearch(max_d=6))
+        r = gc_dimension(cls, groups, alpha)
         assert calls == ([r.witness] if r.witness else []), name
 
 
@@ -330,7 +366,19 @@ def test_search_reports_a_disagreeing_verifier(monkeypatch):
 
 
 def test_deep_search_is_practical():
-    s = _uniform_scenarios()["u06-pairs-twothirds.json"]
-    r = gc_dimension(s.cls, s.groups, s.alpha, GcSearch(max_d=40))
-    assert r.status == "exact" and r.d == 5
-    assert check_witness(s.cls, s.groups, s.alpha, r.witness) == r.condition
+    # four hypotheses, multiples of m plus the multiples of 3 up to 18:
+    # fifteen closure masks and a dimension far past any depth-by-depth
+    # search
+    cls = _cls(*(multiples(m) | from_finite(range(0, 19, 3))
+                 for m in (2, 3, 5, 7)))
+    groups = FiniteGroups([from_finite(range(10)), from_threshold(10)])
+    start = time.perf_counter()
+    r = gc_dimension(cls, groups, F(1, 2))
+    assert time.perf_counter() - start < 0.5
+    assert (r.status, r.d) == ("exact", 13)
+    assert check_witness(cls, groups, F(1, 2), r.witness) == r.condition
+    # ten singleton groups and a tail: only how many are exhausted matters
+    singles = FiniteGroups([from_finite([i]) for i in range(10)]
+                           + [from_threshold(10)])
+    r = gc_dimension(ALL_CLS, singles, F(1, 10))
+    assert (r.status, r.d, r.witness) == ("exact", 99, tuple(range(99)))

@@ -1,9 +1,11 @@
-"""Property tests for the count-vector dimension search on random small
-instances: it returns the same depth, witness tuple and condition as the
-tuple walk kept in `oracles.py`, and its depth bound holds, so an exact
-result has no deeper witness at all."""
+"""Property tests for the closed-form dimension on random small instances:
+wherever the count-vector search's depth bound B keeps the tuple walk
+affordable, it returns the same depth, witness tuple and condition as both
+references kept in `oracles.py`; at alpha = 0, where B may be unbounded, its
+finite and infinite verdicts agree with a tuple walk two depths further."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,8 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import _tuple_candidate_pool, tuple_gc_dimension
-from repgen.dimension import GcSearch, gc_dimension
+from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
+                     count_vector_gc_dimension, tuple_gc_dimension)
+from repgen.dimension import check_witness, gc_dimension
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import PeriodicSet
@@ -56,28 +59,43 @@ def _walk_within_budget(cls, groups, depth):
     return sum(comb(len(pool), d) for d in range(1, depth + 1)) <= WALK_BUDGET
 
 
+def _first_walk_witness(cls, groups, alpha, depth):
+    """The first tuple of exactly `depth` candidates, in lexicographic order
+    over the walk's pool, that `check_witness` accepts, or None."""
+    pool = _tuple_candidate_pool(cls, groups, depth)
+    return next((xs for xs in combinations(pool, depth)
+                 if check_witness(cls, groups, alpha, xs) is not None), None)
+
+
 @settings(max_examples=200, deadline=None)
-@given(instances(), st.sampled_from(ALPHAS), st.integers(1, 5))
-def test_count_search_matches_tuple_walk(instance, alpha, max_d):
+@given(instances(), st.sampled_from(ALPHAS))
+def test_closed_form_matches_both_oracles(instance, alpha):
     cls, groups = instance
     assert groups.validate().partition
-    assume(_walk_within_budget(cls, groups, max_d))
-    r = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
-    exact = r.bound is not None and r.bound <= max_d
-    assert r.status == ("exact" if exact else "at_least")
-    assert (r.d, r.witness, r.condition) \
-        == tuple_gc_dimension(cls, groups, alpha, max_d)
+    bound = count_vector_depth_bound(cls, groups, alpha)
+    assume(bound is not None and _walk_within_budget(cls, groups, bound))
+    r = gc_dimension(cls, groups, alpha)
+    assert r.status == "exact"
+    got = (r.d, r.witness, r.condition)
+    assert got == tuple_gc_dimension(cls, groups, alpha, bound)
+    assert got == count_vector_gc_dimension(cls, groups, alpha, bound)
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances(), st.sampled_from(ALPHAS), st.integers(1, 5))
-def test_no_witness_beyond_the_bound(instance, alpha, max_d):
+@given(instances())
+def test_no_witness_beyond_the_bound(instance):
+    # at alpha = 0 a finite dimension has no witness past it, and an
+    # infinite one witnesses at its least depth and at every depth after
     cls, groups = instance
-    r = gc_dimension(cls, groups, alpha, GcSearch(max_d=max_d))
-    assume(r.bound is not None)
-    depth = r.bound + 2
-    assume(_walk_within_budget(cls, groups, depth))
-    walk = tuple_gc_dimension(cls, groups, alpha, depth)
-    assert walk[0] <= r.bound
+    alpha = F(0)
+    r = gc_dimension(cls, groups, alpha)
+    assume(_walk_within_budget(cls, groups, r.d + 2))
     if r.status == "exact":
-        assert walk == (r.d, r.witness, r.condition)
+        assert tuple_gc_dimension(cls, groups, alpha, r.d + 2) \
+            == (r.d, r.witness, r.condition)
+    else:
+        assert r.status == "infinite" and r.d >= 1
+        assert _first_walk_witness(cls, groups, alpha, r.d) == r.witness
+        assert tuple_gc_dimension(cls, groups, alpha, r.d - 1)[0] < r.d
+        for depth in (r.d + 1, r.d + 2):
+            assert _first_walk_witness(cls, groups, alpha, depth) is not None

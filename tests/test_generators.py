@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repgen.dimension import GcSearch
 from repgen.errors import ConfigError
 from repgen.generators import (GeneratorSession, StreamState, is_feasible,
                                limit_emit, nonuniform_emit,
@@ -183,7 +182,7 @@ def test_feasible_matches_mesh_oracle():
 def test_nonuniform_thresholds_monotone():
     cls = _cls([("evens", EVENS), ("mult4", multiples(4)),
                 ("mult8", multiples(8))])
-    n = nonuniform_thresholds(cls, PARITY, F(1, 2), GcSearch(max_d=4), 3)
+    n = nonuniform_thresholds(cls, PARITY, F(1, 2), 3)
     assert n == sorted(n)
     assert all(v >= 1 for v in n)
 
@@ -192,25 +191,31 @@ def test_nonuniform_requires_exact_dimension():
     cls = _cls([("all", ALL)])
     groups = FiniteGroups([from_finite([0]), from_finite([1]),
                            from_threshold(2)])
-    with pytest.raises(ConfigError, match="raise gc_search.max_d to 7$"):
-        # true dimension 7 exceeds the search cap, so no exact certificate
-        nonuniform_thresholds(cls, groups, F(1, 4), GcSearch(max_d=4), 1)
+    # at alpha 1/4 the dimension is 7 at any depth, so the threshold is 8
+    assert nonuniform_thresholds(cls, groups, F(1, 4), 1) == [8]
+    # at alpha 0 {0} and any tail elements witness: no threshold exists
+    with pytest.raises(ConfigError, match=r"^dimension of class prefix 1 is "
+                       r"not finite \(GC unbounded \(every depth from 1 "
+                       r"witnesses\)\)$"):
+        nonuniform_thresholds(cls, groups, F(0), 1)
+    with pytest.raises(ConfigError, match="^cannot derive d_star: GC "
+                                          "unbounded"):
+        GeneratorSession("uniform", cls, groups, F(0))
 
 
 def test_nonuniform_delegation_is_bitwise():
     cls = _cls([("evens", EVENS), ("mult4", multiples(4)),
                 ("mult8", multiples(8))])
-    search = GcSearch(max_d=4)
     cache: list[int] = []
     rng = random.Random(101)
     hist = []
     prev_i = 1
     for _ in range(25):
         hist.append(rng.choice(range(0, 32, 2)))
-        mu = nonuniform_emit(cls, PARITY, F(1, 2), hist, search, cache)
+        mu = nonuniform_emit(cls, PARITY, F(1, 2), hist, cache)
         d_t = len(set(hist))
         upto = min(len(hist), 3)
-        n = nonuniform_thresholds(cls, PARITY, F(1, 2), search, upto, cache)
+        n = nonuniform_thresholds(cls, PARITY, F(1, 2), upto, cache)
         i_t = 1
         for i in range(1, upto + 1):
             if n[i - 1] <= d_t:
@@ -280,7 +285,6 @@ def test_session_matches_free_functions():
     evens_cls = _cls([("all", ALL), ("evens", EVENS)])
     tails = HypothesisClass(
         [], provider=lambda n: Hypothesis(f"from{n - 1}", from_threshold(n - 1)))
-    search = GcSearch()
     cases = [
         ("empirical", tail2, groups, None, range(10), empirical),
         ("uniform", tail2, groups, 2, range(10),
@@ -288,7 +292,7 @@ def test_session_matches_free_functions():
         ("inlimit", tail2, groups, None, range(10),
          lambda h: limit_emit(tail2, groups, F(1, 2), h)),
         ("nonuniform", nested, PARITY, None, range(0, 40, 4),
-         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h, search)),
+         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h)),
         ("inlimit", evens_cls, blocks, None, range(0, 60, 2),
          lambda h: limit_emit(evens_cls, blocks, F(1, 2), h)),
         ("inlimit", tails, PARITY, None, range(12),
@@ -319,8 +323,7 @@ def test_session_nonuniform_matches_free_function():
         x = rng.choice(range(0, 40, 4))
         hist.append(x)
         mu = session.step(x)
-        want = nonuniform_emit(cls, PARITY, F(1, 2), hist,
-                               GcSearch(max_d=4), cache)
+        want = nonuniform_emit(cls, PARITY, F(1, 2), hist, cache)
         assert mu == want
 
 

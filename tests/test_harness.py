@@ -174,16 +174,12 @@ def test_explicit_stream_must_cover_horizon():
 
 
 def test_every_section_rejects_unknown_keys():
-    search = {"generator": {"kind": "uniform", "alpha": "1/2",
-                            "gc_search": {"max_d": 4}}}
     blocks = {"groups": {"blocks": {"base": 2}}}
     enum = {"stream": {"enumerate_support": {"order": "increasing"}}}
     cases = [
         ("scenario", {}, lambda d: d),
         ("scenario.hypotheses[0]", {}, lambda d: d["hypotheses"][0]),
         ("scenario.generator", {}, lambda d: d["generator"]),
-        ("scenario.generator.gc_search", search,
-         lambda d: d["generator"]["gc_search"]),
         ("scenario.groups", {}, lambda d: d["groups"]),
         ("scenario.groups", blocks, lambda d: d["groups"]),
         ("scenario.groups.blocks", blocks, lambda d: d["groups"]["blocks"]),
@@ -388,71 +384,85 @@ def test_cli_gc_dim(tmp_path, capsys):
 
 
 def test_cli_gc_dim_rejects_zero_bounds(tmp_path, capsys):
+    # the dimension is exact at every depth, so gc-dim takes no depth bound
     path = _write_scenario(tmp_path, _doc())
-    assert main(["gc-dim", path, "--max-d", "0"]) == 3
-    assert "must be >= 1, got 0" in capsys.readouterr().err
+    for bound in ("0", "5"):
+        assert main(["gc-dim", path, "--max-d", bound]) == 3
+        assert "unrecognized arguments: --max-d" in capsys.readouterr().err
 
 
-def _x01(**search):
+def _x01(**generator):
     """u01 with its zero group widened to {0, ..., 5}: witnesses skip
-    depths 1-5 and reach depth 11, so no search to depth 4 sees one."""
-    gen = {"kind": "uniform", "alpha": "1/2"}
-    if search:
-        gen["gc_search"] = search
-    return _doc(name="x01", generator=gen,
+    depths 1-5 and reach depth 11."""
+    return _doc(name="x01", generator={"kind": "uniform", "alpha": "1/2",
+                                       **generator},
                 groups={"members": ["finite:{0,1,2,3,4,5}", "ap:6,1,{0},{}"],
                         "partition": True},
                 stream={"explicit": list(range(12))}, horizon=12)
 
 
-def test_cli_gc_dim_is_exact_only_up_to_the_depth_bound(tmp_path, capsys):
+def test_cli_gc_dim_is_exact_at_every_depth(tmp_path, capsys):
     path = _write_scenario(tmp_path, _x01())
     assert main(["gc-dim", path]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert (row["status"], row["d"], row["bound"]) == ("at_least", 0, 11)
-    assert main(["run", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "raise gc_search.max_d to 11" in captured.err
-
-    path = _write_scenario(tmp_path, _x01(max_d=11))
-    assert main(["gc-dim", path]) == 0
-    row = json.loads(capsys.readouterr().out)
-    assert (row["status"], row["d"], row["bound"]) == ("exact", 11, 11)
-    assert row["witness"] == list(range(11))
+    assert row == {"condition": "Condition1(group=1)", "d": 11,
+                   "status": "exact", "witness": list(range(11))}
     assert main(["run", path]) == 0
     assert json.loads(capsys.readouterr().out)["all_representative"] is True
+    assert main(["adversary", "gc-witness", path, "--generator", "constant",
+                 "--element", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["step"] == 11
 
 
 def test_gc_search_horizon_is_an_unknown_key(tmp_path, capsys):
-    doc = _x01(max_d=4, horizon=3)
-    with pytest.raises(ScenarioError) as e:
-        parse_scenario(doc)
-    assert e.value.path == "scenario.generator.gc_search.horizon"
-    path = _write_scenario(tmp_path, doc)
-    assert main(["gc-dim", path]) == 3
-    assert "scenario.generator.gc_search.horizon: unknown key" \
-        in capsys.readouterr().err
+    # the whole gc_search section is gone, whatever it holds
+    for search in ({"horizon": 3}, {"max_d": 11}):
+        doc = _x01(gc_search=search)
+        with pytest.raises(ScenarioError) as e:
+            parse_scenario(doc)
+        assert e.value.path == "scenario.generator.gc_search"
+        assert e.value.message.startswith("unknown key")
+        path = _write_scenario(tmp_path, doc)
+        assert main(["gc-dim", path]) == 3
+        assert "scenario.generator.gc_search: unknown key" \
+            in capsys.readouterr().err
 
 
 def test_max_d_above_the_cap_is_rejected_before_any_search(
         tmp_path, capsys, monkeypatch):
-    def no_search(*args):
-        raise AssertionError("a rejected max_d reached the search")
-    monkeypatch.setattr("repgen.dimension.gc_dimension", no_search)
-    monkeypatch.setattr("repgen.cli.gc_dimension", no_search)
-    monkeypatch.setattr("repgen.generators.gc_dimension", no_search)
-    gen = {"kind": "uniform", "alpha": "1/2",
-           "gc_search": {"max_d": 1_000_000_000}}
-    with pytest.raises(ScenarioError) as e:
-        parse_scenario(_doc(generator=gen))
-    assert e.value.path == "scenario.generator.gc_search"
-    assert e.value.message == \
-        f"gc search max_d must be <= {MAX_D}, got 1000000000"
-    path = _write_scenario(tmp_path, _doc())
-    for max_d in (MAX_D + 1, 1_000_000_000):
-        assert main(["gc-dim", path, "--max-d", str(max_d)]) == 3
-        assert f"must be <= {MAX_D}, got {max_d}" in capsys.readouterr().err
+    # u01 at alpha 1/10^9: the dimension is known at once, but a witness of
+    # about 10^9 elements is refused before it is built
+    def no_witness(*args):
+        raise AssertionError("a dimension above MAX_D reached the witness")
+    monkeypatch.setattr("repgen.dimension._witness", no_witness)
+    generator = {"kind": "uniform", "alpha": "1/1000000000"}
+    path = _write_scenario(tmp_path, _doc(generator=generator))
+    for command in ("gc-dim", "run"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: dimension 999999999 exceeds MAX_D = "
+                                f"{MAX_D}; its witness is not built\n")
+
+
+def test_d_star_is_only_for_the_uniform_generator(tmp_path, capsys):
+    # n01 used to run unchanged with a d_star that nothing read
+    n01 = Path(__file__).parent / "scenarios" / "n01-nested3-exhausted-half.json"
+    doc = json.loads(n01.read_text())
+    doc["generator"]["d_star"] = 50
+    for kind in ("nonuniform", "inlimit", "empirical"):
+        doc["generator"]["kind"] = kind
+        with pytest.raises(ScenarioError) as e:
+            parse_scenario(doc)
+        assert e.value.path == "scenario.generator.d_star"
+        assert e.value.message == \
+            f"only the uniform generator takes d_star, not {kind!r}"
+    doc["generator"]["kind"] = "nonuniform"
+    path = _write_scenario(tmp_path, doc)
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: scenario.generator.d_star: only the uniform generator takes "
+        "d_star, not 'nonuniform'\n")
 
 
 def test_cli_usage_errors_exit_3(capsys):
@@ -543,11 +553,6 @@ def test_cli_gc_witness_without_a_witness(tmp_path, capsys):
     assert main(["adversary", "gc-witness", path]) == 3
     assert capsys.readouterr().err == \
         "error: no tuple witnesses this instance (GC = 0)\n"
-    path = _write_scenario(tmp_path, _x01())
-    assert main(["adversary", "gc-witness", path]) == 3
-    assert capsys.readouterr().err == (
-        "error: no dimension witness up to gc_search.max_d = 4; "
-        "raise gc_search.max_d to 11\n")
 
 
 def test_cli_invalid_alpha_exit_3(capsys):
