@@ -21,7 +21,7 @@ spans.  `check_witness` works in rationals, the spans in integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from heapq import merge
@@ -110,12 +110,11 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     return None
 
 
-# Largest accepted dimension: the value costs the same at every depth, but
-# the witness has d elements, each decided by one span test.  At d = 34,999
-# the witness and its re-check take 0.89 s for ten singleton groups and a
-# tail at alpha = 1/3500 and 0.35 s for a 17,500-element group and a tail at
-# alpha = 1/2; at d = 39,999 the first takes 1.01 s (best of 3, Python
-# 3.11, 2-vCPU x86-64 VM).
+# Largest accepted dimension, as the witness has d elements, one span test
+# each.  At d = 34,999 it takes 0.59 s (ten singleton groups and a tail,
+# alpha = 1/3500) and 0.31 s (a 17,500-element group and a tail, alpha = 1/2);
+# at 49,999, 0.84 s and 0.44 s (best of 3, Python 3.11, 2-vCPU x86-64 VM, on
+# which the same runs read up to 40 % slower at busier times).
 MAX_D = 35_000
 
 
@@ -123,8 +122,8 @@ MAX_D = 35_000
 class GcResult:
     status: str  # "exact" | "infinite"
     d: int
-    witness: tuple[int, ...] | None
-    condition: Condition | None
+    witness: tuple[int, ...] | None = None  # None at d = 0, from `gc_depth`
+    condition: Condition | None = None
     family: str | None = None
 
     def __str__(self) -> str:
@@ -185,7 +184,6 @@ class _Group(NamedTuple):
     low: int  # least count when live
     high: int | None  # most count when live (None: no cap)
     mask: int  # AND of its closure atoms' masks
-    ways: list[bool]  # whether it can be exhausted, live, or either
 
 
 def _fewest(atoms: Sequence[_Atom], lb: Sequence[int],
@@ -199,10 +197,7 @@ def _fewest(atoms: Sequence[_Atom], lb: Sequence[int],
                if not lb[j] and ub[j] != 0 and need & ~atoms[j].hyps}
     for r in range(1, need.bit_count() + 1):
         for chosen in combinations(options, r):
-            left = need
-            for _, bits in chosen:
-                left &= bits
-            if not left and all(
+            if not reduce(and_, (bits for _, bits in chosen), need) and all(
                     live[g].high is None or n <= live[g].high - live[g].low
                     for g, n in Counter(g for g, _ in chosen).items()):
                 return r
@@ -228,7 +223,7 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     for s, per_group in closures:
         if held & s != s:
             continue
-        table = []
+        classes: dict[tuple, list[_Group]] = {}
         for js, mask in per_group:
             whole, total, low = True, 0, 0
             for j in js:
@@ -237,13 +232,21 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
                     else total + ub[j]
                 low += lb[j]
             high = total - 1 if whole else total
-            ways = [e for e, ok in ((True, whole),
-                                    (False, high is None or low <= high)) if ok]
-            table.append(_Group(js, total if whole else 0, low, high, mask,
-                                ways))
-        for choice in product(*(g.ways for g in table)):
-            exhausted = [g for g, e in zip(table, choice) if e]
-            live = [g for g, e in zip(table, choice) if not e]
+            # Groups alike in count bounds and mask are interchangeable, so
+            # only how many of them are exhausted matters: once one is, the
+            # bits `_fewest` must clear lie inside their common mask, which
+            # none of their atoms can clear.
+            key = (whole, high is None or low <= high, total, low, mask)
+            classes.setdefault(key, []).append(
+                _Group(js, total if whole else 0, low, high, mask))
+        # exhausted counts per class, most first: all, or none, or any
+        counts = [range(len(gs) if whole else 0,
+                        -1 if can_live else len(gs) - 1, -1)
+                  for (whole, can_live, *_), gs in classes.items()]
+        groups = list(classes.values())
+        for choice in product(*counts):
+            exhausted = [g for gs, n in zip(groups, choice) for g in gs[:n]]
+            live = [g for gs, n in zip(groups, choice) for g in gs[n:]]
             heavy = sum(g.full for g in exhausted)
             if not heavy:
                 continue
@@ -297,14 +300,11 @@ def _witness(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
                              snapshot={"depth": d, "prefix": xs})
 
 
-def gc_dimension(cls: HypothesisClass, c: GroupCollection,
-                 alpha: Fraction) -> GcResult:
-    """The group closure dimension, exact at every depth: the largest top of
-    a span (`_spans`), or status "infinite" when a span has none, with `d`
-    the least depth from which every depth witnesses.  The witness is the
-    lexicographically first witnessing tuple at depth `d` (`_witness`) and
-    the condition `check_witness` on it, which must hold.  A `d` above
-    `MAX_D` is a `ConfigError` raised before the witness is built."""
+def gc_depth(cls: HypothesisClass, c: GroupCollection,
+             alpha: Fraction) -> GcResult:
+    """`gc_dimension` without its witness: the status and `d` alone, for
+    callers that read only `d`.  It refuses a `d` above `MAX_D` as well, so
+    set-up accepts the instances `gc-dim` does."""
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
                           "block partitions support witness checks only")
@@ -315,27 +315,35 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection,
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     atoms = _atoms(cls, c)
-    closures = _closures(atoms, c.k)
-    spans = list(_spans(atoms, closures, alpha, [0] * len(atoms),
-                        [a.size for a in atoms]))
+    spans = list(_spans(atoms, _closures(atoms, c.k), alpha,
+                        [0] * len(atoms), [a.size for a in atoms]))
     unbounded = [lo for lo, top in spans if top is None]
     d = min(unbounded) if unbounded else max((top for _, top in spans),
                                               default=0)
     if d > MAX_D:
-        raise ConfigError(f"dimension {d} exceeds MAX_D = {MAX_D}; "
-                          "its witness is not built")
-    if not d:
-        return GcResult("exact", 0, None, None)
-    witness = _witness(atoms, closures, alpha, d)
+        raise ConfigError(f"dimension {d} exceeds MAX_D = {MAX_D}")
+    family = f"least unbounded span from depth {d}" if unbounded else None
+    return GcResult("infinite" if unbounded else "exact", d, family=family)
+
+
+def gc_dimension(cls: HypothesisClass, c: GroupCollection,
+                 alpha: Fraction) -> GcResult:
+    """The group closure dimension, exact at every depth: the largest top of
+    a span (`_spans`), or status "infinite" when some span has none, with
+    `d` the smallest lower end of an unbounded span.  The witness is the
+    lexicographically first witnessing tuple at depth `d` (`_witness`) and
+    the condition `check_witness` on it, which must hold.  A `d` above
+    `MAX_D` is a `ConfigError`, raised before the witness is built."""
+    result = gc_depth(cls, c, alpha)
+    if not result.d:
+        return result
+    atoms = _atoms(cls, c)
+    witness = _witness(atoms, _closures(atoms, c.k), alpha, result.d)
     condition = check_witness(cls, c, alpha, witness)
     if condition is None:
-        raise InvariantViolation(
-            f"closed form found {witness} at depth {d}, "
-            f"check_witness says None", snapshot={"witness": witness})
-    if not unbounded:
-        return GcResult("exact", d, witness, condition)
-    return GcResult("infinite", d, witness, condition,
-                    family=f"every depth from {d} witnesses")
+        raise InvariantViolation(f"closed form found {witness}, check_witness "
+                                 "says None", snapshot={"witness": witness})
+    return replace(result, witness=witness, condition=condition)
 
 
 def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,

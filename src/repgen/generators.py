@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import simplex
-from .dimension import gc_dimension
+from .dimension import gc_depth
 from .errors import ConfigError
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
@@ -294,10 +294,9 @@ def nonuniform_thresholds(cls: HypothesisClass, c: FiniteGroups,
         cache = []
     while len(cache) < upto:
         i = len(cache) + 1
-        result = gc_dimension(cls.prefix_class(i), c, alpha)
+        result = gc_depth(cls.prefix_class(i), c, alpha)
         if result.status != "exact":
-            raise ConfigError(
-                f"dimension of class prefix {i} is not finite ({result})")
+            raise ConfigError(f"dimension of class prefix {i} is not finite ({result})")
         raw = result.d + 1
         cache.append(max(raw, cache[-1]) if cache else raw)
     return cache
@@ -387,11 +386,13 @@ class GeneratorSession:
             if cls.extendable:
                 raise ConfigError("uniform generator requires a finite class")
             if d_star is None:
-                result = gc_dimension(cls, groups, alpha)
-                if result.status != "exact":
-                    raise ConfigError(
-                        f"cannot derive d_star: {result}; an explicit d_star "
-                        "skips the search")
+                try:
+                    result = gc_depth(cls, groups, alpha)
+                    if result.status != "exact":
+                        raise ConfigError(str(result))
+                except ConfigError as e:  # unbounded, or above MAX_D
+                    raise ConfigError(f"cannot derive d_star: {e}; an explicit"
+                                      " d_star skips the search") from None
                 d_star = result.d + 1
             if d_star < 1:
                 raise ConfigError(f"d_star must be >= 1, got {d_star}")

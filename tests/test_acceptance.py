@@ -121,7 +121,7 @@ def test_criterion_3_dimension_matches_naive_oracle():
     for inst in zoo:
         gc = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
         naive = naive_gc(inst["cls"], inst["groups"], inst["alpha"],
-                         max_d=gc.d + 1, universe=range(13))
+                         max_d=max(4, gc.d + 1), universe=range(13))
         assert gc.d == naive, (inst["name"], gc.d, naive)
         assert gc.status == "exact" and gc.d == inst["known"], inst["name"]
     worked = zoo[worked_example_index()]

@@ -6,13 +6,14 @@ import glob
 import os
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import repgen.dimension
 from repgen.dimension import (MAX_D, Condition1, Condition2, _atoms,
-                              check_witness, gc_dimension,
+                              check_witness, gc_depth, gc_dimension,
                               witnessed_unbounded)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
@@ -176,10 +177,11 @@ def test_unbounded_dimension_at_alpha_zero():
     r = gc_dimension(ALL_CLS, ZERO_REST, F(0))
     assert (r.status, r.d, r.witness, r.condition) \
         == ("infinite", 1, (0,), Condition1(1))
-    assert str(r) == "GC unbounded (every depth from 1 witnesses)"
+    assert str(r) == "GC unbounded (least unbounded span from depth 1)"
     # (0,) alone exhausts {0, 1}, but only once an even element drops the
     # second hypothesis does the closure leave a live group that never
-    # runs out, so d is the least depth of the unbounded span, 2
+    # runs out: d is the lower end of the unbounded span, 2, though depth 1
+    # witnesses as well
     cls = _cls(EVENS, from_finite([0]) | (ODDS & from_threshold(3)))
     pair_rest = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
     r = gc_dimension(cls, pair_rest, F(0))
@@ -243,24 +245,24 @@ def test_max_d_caps_the_dimension(monkeypatch):
     # u01 at alpha 1/10^9: the value is immediate, its witness would not be
     monkeypatch.setattr(repgen.dimension, "_witness", no_witness)
     with pytest.raises(ConfigError, match=f"^dimension 999999999 exceeds "
-                                          f"MAX_D = {MAX_D};"):
+                                          f"MAX_D = {MAX_D}$"):
         gc_dimension(ALL_CLS, ZERO_REST, F(1, 10 ** 9))
     monkeypatch.undo()
     # the cap is inclusive
     monkeypatch.setattr(repgen.dimension, "MAX_D", 11)
     assert gc_dimension(ALL_CLS, _x01(6), F(1, 2)).d == 11
     monkeypatch.setattr(repgen.dimension, "MAX_D", 10)
-    with pytest.raises(ConfigError, match="^dimension 11 exceeds MAX_D = 10;"):
+    with pytest.raises(ConfigError, match="^dimension 11 exceeds MAX_D = 10$"):
         gc_dimension(ALL_CLS, _x01(6), F(1, 2))
 
 
 def test_agreement_with_naive_oracle():
-    # the naive oracle walks one depth past the dimension: witnessed at d,
-    # not beyond
+    # the naive oracle walks to depth 4 and at least one depth past the
+    # dimension: witnessed at d, not beyond
     for inst in dimension_instances():
         got = gc_dimension(inst["cls"], inst["groups"], inst["alpha"])
         want = naive_gc(inst["cls"], inst["groups"], inst["alpha"],
-                        max_d=got.d + 1)
+                        max_d=max(4, got.d + 1))
         assert got.status == "exact", inst["name"]
         assert got.d == want == inst["known"], inst["name"]
 
@@ -358,6 +360,23 @@ def test_search_verifies_only_its_witness(monkeypatch):
         assert calls == ([r.witness] if r.witness else []), name
 
 
+def test_gc_depth_is_gc_dimension_without_the_witness(monkeypatch):
+    cases = [(inst["cls"], inst["groups"], inst["alpha"])
+             for inst in dimension_instances()]
+    cases += [(s.cls, s.groups, s.alpha)
+              for s in _uniform_scenarios().values()]
+    cases.append((ALL_CLS, ZERO_REST, F(0)))
+    results = [gc_dimension(*case) for case in cases]
+    assert any(r.status == "infinite" for r in results)
+
+    def no_witness(*args):
+        raise AssertionError("witness built")
+
+    monkeypatch.setattr(repgen.dimension, "_witness", no_witness)
+    for case, r in zip(cases, results):
+        assert gc_depth(*case) == replace(r, witness=None, condition=None)
+
+
 def test_search_reports_a_disagreeing_verifier(monkeypatch):
     monkeypatch.setattr(repgen.dimension, "check_witness",
                         lambda *args: None)
@@ -382,3 +401,11 @@ def test_deep_search_is_practical():
                            + [from_threshold(10)])
     r = gc_dimension(ALL_CLS, singles, F(1, 10))
     assert (r.status, r.d, r.witness) == ("exact", 99, tuple(range(99)))
+    # twenty of them: condition 2 holds below 20 / (1/10), and 2^20
+    # exhausted-group choices collapse to 21 counts
+    singles = FiniteGroups([from_finite([i]) for i in range(20)]
+                           + [from_threshold(20)])
+    start = time.perf_counter()
+    r = gc_dimension(ALL_CLS, singles, F(1, 10))
+    assert time.perf_counter() - start < 0.5
+    assert (r.status, r.d, r.witness) == ("exact", 199, tuple(range(199)))

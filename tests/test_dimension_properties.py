@@ -85,7 +85,8 @@ def test_closed_form_matches_both_oracles(instance, alpha):
 @given(instances())
 def test_no_witness_beyond_the_bound(instance):
     # at alpha = 0 a finite dimension has no witness past it, and an
-    # infinite one witnesses at its least depth and at every depth after
+    # infinite one (d the lower end of an unbounded span) witnesses at d,
+    # its witness the walk's first there, and at the next two depths
     cls, groups = instance
     alpha = F(0)
     r = gc_dimension(cls, groups, alpha)
@@ -96,6 +97,5 @@ def test_no_witness_beyond_the_bound(instance):
     else:
         assert r.status == "infinite" and r.d >= 1
         assert _first_walk_witness(cls, groups, alpha, r.d) == r.witness
-        assert tuple_gc_dimension(cls, groups, alpha, r.d - 1)[0] < r.d
         for depth in (r.d + 1, r.d + 2):
             assert _first_walk_witness(cls, groups, alpha, depth) is not None

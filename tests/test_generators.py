@@ -195,12 +195,23 @@ def test_nonuniform_requires_exact_dimension():
     assert nonuniform_thresholds(cls, groups, F(1, 4), 1) == [8]
     # at alpha 0 {0} and any tail elements witness: no threshold exists
     with pytest.raises(ConfigError, match=r"^dimension of class prefix 1 is "
-                       r"not finite \(GC unbounded \(every depth from 1 "
-                       r"witnesses\)\)$"):
+                       r"not finite \(GC unbounded \(least unbounded span "
+                       r"from depth 1\)\)$"):
         nonuniform_thresholds(cls, groups, F(0), 1)
     with pytest.raises(ConfigError, match="^cannot derive d_star: GC "
                                           "unbounded"):
         GeneratorSession("uniform", cls, groups, F(0))
+
+
+def test_set_up_reads_the_dimension_without_a_witness(monkeypatch):
+    def no_witness(*args):
+        raise AssertionError("witness built")
+
+    monkeypatch.setattr("repgen.dimension._witness", no_witness)
+    groups = FiniteGroups([from_finite([0]), from_finite([1]),
+                           from_threshold(2)])
+    assert GeneratorSession("uniform", ALL_CLS, groups, F(1, 4)).d_star == 8
+    assert nonuniform_thresholds(ALL_CLS, groups, F(1, 4), 1) == [8]
 
 
 def test_nonuniform_delegation_is_bitwise():

@@ -437,12 +437,18 @@ def test_max_d_above_the_cap_is_rejected_before_any_search(
     monkeypatch.setattr("repgen.dimension._witness", no_witness)
     generator = {"kind": "uniform", "alpha": "1/1000000000"}
     path = _write_scenario(tmp_path, _doc(generator=generator))
-    for command in ("gc-dim", "run"):
-        assert main([command, path]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: dimension 999999999 exceeds MAX_D = "
-                                f"{MAX_D}; its witness is not built\n")
+    refused = f"dimension 999999999 exceeds MAX_D = {MAX_D}"
+    assert main(["gc-dim", path]) == 3
+    assert capsys.readouterr() == ("", f"error: {refused}\n")
+    assert main(["run", path]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: cannot derive d_star: {refused}; an explicit d_star "
+        "skips the search\n")
+    # as the message says: with d_star = GC + 1 given, no search runs
+    generator["d_star"] = 10 ** 9
+    path = _write_scenario(tmp_path, _doc(generator=generator))
+    assert main(["run", path]) == 0
+    assert '"all_representative":true' in capsys.readouterr().out
 
 
 def test_d_star_is_only_for_the_uniform_generator(tmp_path, capsys):
