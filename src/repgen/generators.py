@@ -32,7 +32,7 @@ from .dimension import gc_depth
 from .errors import ConfigError
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import ONE, ZERO, GroupTally, RationalDist, empirical
+from .measures import GroupTally, RationalDist, empirical
 from .periodic import PeriodicSet
 
 KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
@@ -126,19 +126,28 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     each cell) or None.
 
     The boundary is non-strict: achievable distance exactly alpha counts as
-    feasible.
+    feasible.  alpha must be an int or a Fraction (TypeError otherwise) in
+    [0, 1] (ConfigError otherwise).
     """
+    if not isinstance(alpha, (int, Fraction)):
+        raise TypeError(f"alpha must be an int or Fraction, got "
+                        f"{type(alpha).__name__} {alpha!r}")
+    _check_alpha(alpha)
     if not history:
         raise ValueError("feasibility needs a nonempty history")
     return _feasible(StreamState(None, c, history), h, alpha)
 
 
+def _check_alpha(alpha: Fraction) -> None:
+    if not (0 <= alpha <= 1):
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def _feasible(state: StreamState, h: Hypothesis,
               alpha: Fraction) -> FeasibilityWitness | None:
     c = state.groups
-    pihat = state.tally.weights()
     if isinstance(c, BlockPartition):
-        return _feasible_blocks(state, h, pihat, alpha)
+        return _feasible_blocks(state, h, alpha)
     candidates = []
     for vec, _ in c.cells():
         elem = state.unseen(h.support, vec)
@@ -147,56 +156,76 @@ def _feasible(state: StreamState, h: Hypothesis,
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
     # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
     # witnesses are preferred, so an exact-tracking system is tried
-    # before the banded one.
+    # before the banded one.  With d distinct elements and alpha = a/b,
+    # every row is the rational one times D = d*b: group i's weight
+    # counts[i]/d is counts[i]*b/D and alpha is a*d/D.  A pass in which a
+    # group's lower end is positive but no candidate covers it is skipped:
+    # its row is all zeros >= a positive number, which the LP rejects.
+    counts, d = state.tally.counts, len(state.tally.seen)
+    a, b = alpha.numerator, alpha.denominator
+    den = d * b
+    n = len(candidates)
+    covers = [(counts[i] * b, [den if vec[i - 1] else 0 for vec, _ in candidates])
+              for i in c.indices()]
     for exact in (True, False):
-        constraints: list = [([ONE] * len(candidates), simplex.EQ, ONE)]
-        for i in c.indices():
-            row = [ONE if vec[i - 1] else ZERO for vec, _ in candidates]
+        band = 0 if exact else a * d
+        rows = [([den] * n, simplex.EQ, den, den)]
+        for w, cover in covers:
+            if w > band and not any(cover):
+                break
             if exact:
-                constraints.append((row, simplex.EQ, pihat[i]))
+                rows.append((cover, simplex.EQ, w, den))
             else:
-                constraints.append((row, simplex.LE, pihat[i] + alpha))
-                if pihat[i] - alpha > 0:
-                    constraints.append((row, simplex.GE, pihat[i] - alpha))
-        q = simplex.feasible_point(len(candidates), constraints)
-        if q is not None:
-            entries = tuple(FeasibilityEntry(vec, elem, m)
-                            for (vec, elem), m in zip(candidates, q) if m > 0)
-            return FeasibilityWitness(entries)
+                rows.append((cover, simplex.LE, w + band, den))
+                if w > band:
+                    rows.append((cover, simplex.GE, w - band, den))
+        else:
+            q = simplex.feasible_point_int(n, rows)
+            if q is not None:
+                entries = tuple(FeasibilityEntry(vec, elem, m)
+                                for (vec, elem), m in zip(candidates, q) if m > 0)
+                return FeasibilityWitness(entries)
     return None
 
 
 def _feasible_blocks(state: StreamState, h: Hypothesis,
-                     pihat: dict[int, Fraction],
                      alpha: Fraction) -> FeasibilityWitness | None:
     """Block partitions have one cell per block, so feasibility reduces to
     interval checks: every exhausted touched block must already be within
     alpha of its weight, and any surplus can be spread in alpha-sized chunks
     over untouched blocks (each finite block keeps unseen support elements in
-    infinitely many later blocks, the support being infinite)."""
-    entries = []
-    surplus = ZERO
-    for i in sorted(pihat):
+    infinitely many later blocks, the support being infinite).  The checks
+    run on integers over D = d*b (d distinct elements, alpha = a/b), and
+    each emitted entry builds its one Fraction."""
+    counts, d = state.tally.counts, len(state.tally.seen)
+    a, b = alpha.numerator, alpha.denominator
+    cap = a * d
+    masses = []
+    surplus = 0
+    for i in sorted(counts):
+        w = counts[i] * b
         elem = state.unseen(h.support, i)
         if elem is None:
-            if pihat[i] > alpha:
+            if w > cap:
                 return None
-            surplus += pihat[i]
+            surplus += w
         else:
-            entries.append(FeasibilityEntry(i, elem, pihat[i]))
+            masses.append((i, elem, w))
     if surplus > 0:
-        if alpha == 0:
+        if cap == 0:
             return None
         j = 1
         while surplus > 0:
-            if j not in pihat:
+            if j not in counts:
                 elem = state.unseen(h.support, j)
                 if elem is not None:
-                    chunk = min(alpha, surplus)
-                    entries.append(FeasibilityEntry(j, elem, chunk))
+                    chunk = min(cap, surplus)
+                    masses.append((j, elem, chunk))
                     surplus -= chunk
             j += 1
-    return FeasibilityWitness(tuple(entries))
+    den = d * b
+    return FeasibilityWitness(tuple(FeasibilityEntry(i, elem, Fraction(m, den))
+                                    for i, elem, m in masses))
 
 
 # -- uniform construction -----------------------------------------------------
@@ -365,8 +394,7 @@ class GeneratorSession:
             raise ConfigError(f"unknown generator kind {kind!r}")
         if not isinstance(alpha, Fraction):
             alpha = Fraction(alpha)
-        if not (0 <= alpha <= 1):
-            raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+        _check_alpha(alpha)
         self.kind = kind
         self.cls = cls
         self.groups = groups

@@ -5,20 +5,27 @@ Decides feasibility of { x >= 0 : constraints } where every constraint is
 rule is used for both the entering and the leaving choice, which rules out
 cycling.
 
-Inputs and outputs are exact: coefficients and right-hand sides are ints or
-fractions.Fraction, and a returned vertex is a list of Fraction.  Inside,
-the tableau holds integers over one common denominator (Edmonds' fraction-
-free pivoting, as in Bareiss elimination): each row is scaled by the lcm of
-its denominators, and a pivot on p replaces every other row v by
-(p*v - f*w) // delta, an exact division, after which delta becomes p.  The
-row scaling turns slacks and artificials into positively rescaled
-variables, and giving each artificial the phase-one cost weight // scale
-(scale its row's lcm, weight the lcm of all artificial rows' scales) keeps
+There are two entries and one pivot loop.  `feasible_point` takes rows of
+ints or fractions.Fraction, checks them, flips a row with a negative
+right-hand side, and multiplies each row by the lcm of its denominators.
+`feasible_point_int` takes rows already in integers, each as (coeffs, rel,
+rhs, scale) with rhs >= 0 and `scale` the positive factor the rational row
+was multiplied by, and runs the pivots; callers that can build their rows
+in integers (the generators' feasibility LPs, whose rows are all over one
+denominator D) hand them in directly.  Both return a vertex as a list of
+Fraction.
+
+The tableau holds integers over one common denominator (Edmonds' fraction-
+free pivoting, as in Bareiss elimination): a pivot on p replaces every
+other row v by (p*v - f*w) // delta, an exact division, after which delta
+becomes p.  Scaling a row by `scale` turns its slack and artificial into
+positively rescaled variables, and giving each artificial the phase-one
+cost weight // scale (weight the lcm of all artificial rows' scales) keeps
 the objective a positive multiple of the plain sum of artificials.  Every
 reduced cost therefore has the sign it has in the rational tableau and
 every ratio test the same order, so Bland's rule takes the same pivots and
-ends on the same vertex, and the verdict is exact even when the feasible
-region is a single boundary point.
+ends on the same vertex whatever positive factor each row carries, and the
+verdict is exact even when the feasible region is a single boundary point.
 """
 
 from __future__ import annotations
@@ -62,7 +69,20 @@ def feasible_point(n_vars: int,
         scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
         rows.append(([v.numerator * (scale // v.denominator) for v in coeffs],
                      rel, rhs.numerator * (scale // rhs.denominator), scale))
+    return feasible_point_int(n_vars, rows)
 
+
+def feasible_point_int(n_vars: int,
+                       rows: Sequence[tuple[list[int], str, int, int]]
+                       ) -> list[Fraction] | None:
+    """The same decision on rows already in integers.
+
+    Each row is (coeffs, rel, rhs, scale): int coefficients, a relation in
+    LE, GE and EQ, an int rhs >= 0, and the positive int `scale` the
+    rational row was multiplied by to get there.  The rational system is
+    coeffs / scale REL rhs / scale, and the result is its vertex, the one
+    `feasible_point` returns for it.  Rows are not checked or changed.
+    """
     n_slack = sum(1 for _, rel, _, _ in rows if rel != EQ)
     # Artificials: == rows always; >= rows always (their surplus starts
     # negative); <= rows start basic on their own slack.

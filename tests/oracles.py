@@ -17,7 +17,11 @@ cursor; it shares only the oracle it is handed and the point mass it
 returns.  The uniform-assembly reference is the `Fraction`-weight
 `_assemble_uniform` the package used before it worked on integer counts; it
 shares the package's `Fraction`-mass `RationalDist` constructor and
-`empirical`, but none of the redistribution arithmetic.
+`empirical`, but none of the redistribution arithmetic.  The feasibility
+reference is the `Fraction`-row `_feasible`/`_feasible_blocks` the package
+used before it built its rows in integers, solved by the rational-tableau
+LP; it shares the package's `StreamState` cursors and witness types, but no
+row building, interval arithmetic or pivoting.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repgen.dimension import Condition, Condition1, Condition2, check_witness
 from repgen.errors import ConfigError, InvariantViolation
-from repgen.groups import FiniteGroups
+from repgen.generators import FeasibilityEntry, FeasibilityWitness
+from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.simplex import EQ, GE, LE
@@ -622,3 +627,73 @@ def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
         else:
             masses[order[0]] += deficit  # unreachable with a correct d_star
     return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
+
+
+def fraction_feasible(state, h, alpha):
+    """The `Fraction`-row feasibility decision that
+    `repgen.generators._feasible` was before it built its rows in integers,
+    kept verbatim (bar the names, this paragraph and the LP, which is the
+    rational-tableau reference above) as the reference the integer version
+    must match witness for witness.  `state` is a `StreamState` over the
+    history; `FeasibilityEntry` and `FeasibilityWitness` are the package's
+    result types, which are data."""
+    c = state.groups
+    pihat = state.tally.weights()
+    if isinstance(c, BlockPartition):
+        return fraction_feasible_blocks(state, h, pihat, alpha)
+    candidates = []
+    for vec, _ in c.cells():
+        elem = state.unseen(h.support, vec)
+        if elem is not None:
+            candidates.append((vec, elem))
+    # q_v >= 0 per candidate cell; total mass 1; per group the covered
+    # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
+    # witnesses are preferred, so an exact-tracking system is tried
+    # before the banded one.
+    for exact in (True, False):
+        constraints: list = [([ONE] * len(candidates), EQ, ONE)]
+        for i in c.indices():
+            row = [ONE if vec[i - 1] else ZERO for vec, _ in candidates]
+            if exact:
+                constraints.append((row, EQ, pihat[i]))
+            else:
+                constraints.append((row, LE, pihat[i] + alpha))
+                if pihat[i] - alpha > 0:
+                    constraints.append((row, GE, pihat[i] - alpha))
+        q = fraction_feasible_point(len(candidates), constraints)
+        if q is not None:
+            entries = tuple(FeasibilityEntry(vec, elem, m)
+                            for (vec, elem), m in zip(candidates, q) if m > 0)
+            return FeasibilityWitness(entries)
+    return None
+
+
+def fraction_feasible_blocks(state, h, pihat, alpha):
+    """Block partitions have one cell per block, so feasibility reduces to
+    interval checks: every exhausted touched block must already be within
+    alpha of its weight, and any surplus can be spread in alpha-sized chunks
+    over untouched blocks (each finite block keeps unseen support elements in
+    infinitely many later blocks, the support being infinite)."""
+    entries = []
+    surplus = ZERO
+    for i in sorted(pihat):
+        elem = state.unseen(h.support, i)
+        if elem is None:
+            if pihat[i] > alpha:
+                return None
+            surplus += pihat[i]
+        else:
+            entries.append(FeasibilityEntry(i, elem, pihat[i]))
+    if surplus > 0:
+        if alpha == 0:
+            return None
+        j = 1
+        while surplus > 0:
+            if j not in pihat:
+                elem = state.unseen(h.support, j)
+                if elem is not None:
+                    chunk = min(alpha, surplus)
+                    entries.append(FeasibilityEntry(j, elem, chunk))
+                    surplus -= chunk
+            j += 1
+    return FeasibilityWitness(tuple(entries))

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from repgen.errors import ConfigError
-from repgen.generators import (GeneratorSession, StreamState, is_feasible,
-                               limit_emit, nonuniform_emit,
+from repgen import simplex
+from repgen.generators import (GeneratorSession, StreamState, _feasible_blocks,
+                               is_feasible, limit_emit, nonuniform_emit,
                                nonuniform_thresholds, uniform_emit)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -17,6 +18,7 @@ from repgen.measures import (RationalDist, empirical, group_empirical,
                              sup_distance)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
+from repgen.simplex import feasible_point_int
 from oracles import mesh_feasible
 
 F = Fraction
@@ -128,6 +130,76 @@ def test_feasible_worked_infeasible_then_boundary():
 def test_feasible_rejects_empty_history():
     with pytest.raises(ValueError):
         is_feasible(Hypothesis("all", ALL), PARITY, [], F(1, 2))
+
+
+@pytest.mark.parametrize("alpha", [0.5, "1/2", None, 1.0])
+def test_feasible_rejects_a_non_rational_alpha(alpha):
+    with pytest.raises(TypeError, match="alpha must be an int or Fraction"):
+        is_feasible(Hypothesis("all", ALL), PARITY, [0, 1, 2], alpha)
+
+
+@pytest.mark.parametrize("alpha", [F(-1, 2), F(3, 2), -1, 2])
+def test_feasible_rejects_alpha_outside_unit_interval(alpha):
+    # no distribution has distance <= -1/2, yet a witness used to come back
+    with pytest.raises(ConfigError) as e:
+        is_feasible(Hypothesis("all", ALL), PARITY, [0, 1, 2], alpha)
+    assert str(e.value) == f"alpha must be in [0, 1], got {alpha}"
+
+
+@pytest.mark.parametrize("alpha", [0, 1, F(0), F(1)])
+def test_feasible_accepts_the_ends_of_the_unit_interval(alpha):
+    w = is_feasible(Hypothesis("all", ALL), PARITY, [0, 1, 2], alpha)
+    assert w is not None
+    assert w.distribution() == RationalDist({4: F(2, 3), 3: F(1, 3)})
+
+
+def test_faced_infeasible_pass_makes_no_lp_call(monkeypatch):
+    # evens has no unseen element in {0, 1}, so group 1 (weight 1/2) has
+    # no candidate cell: the exact pass is skipped, and so is the banded
+    # pass at alpha 1/4, whose lower end 1/4 is positive too
+    calls = []
+
+    def counting(n_vars, rows):
+        calls.append(rows)
+        return feasible_point_int(n_vars, rows)
+
+    monkeypatch.setattr(simplex, "feasible_point_int", counting)
+    h = Hypothesis("evens", EVENS)
+    c = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
+    assert is_feasible(h, c, [0, 1, 2, 3], F(1, 4)) is None
+    assert calls == []
+    # at alpha 1/2 both lower ends are 0: only the banded pass reaches the
+    # LP, with no >= row
+    w = is_feasible(h, c, [0, 1, 2, 3], F(1, 2))
+    assert [e.element for e in w.entries] == [4]
+    assert [[rel for _, rel, _, _ in rows] for rows in calls] \
+        == [[simplex.EQ, simplex.LE, simplex.LE]]
+
+
+@pytest.mark.parametrize("history, alpha, entries", [
+    ([0, 2, 4, 6, 8], F(1, 2), 3),   # surplus spread in alpha chunks
+    ([1, 3, 5], F(1, 3), 2),
+    ([0, 1, 2, 3], F(1, 2), 2),      # block 1 exhausted within alpha
+    ([0, 1, 2, 3], F(0), 0),         # ... but not at alpha 0
+    ([0, 1, 3, 4, 5, 6], F(1, 6), 0),
+])
+def test_blocks_build_one_fraction_per_entry(monkeypatch, history, alpha,
+                                             entries):
+    h = Hypothesis("evens", EVENS)
+    state = StreamState(None, BlockPartition(2, [2]), history)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    w = _feasible_blocks(state, h, alpha)
+    monkeypatch.undo()
+    assert len(made) == (len(w.entries) if w else 0) == entries
+    if w:
+        assert [e.mass for e in w.entries] == [F(*args) for args in made]
 
 
 def test_feasible_witness_lands_on_unseen_support():

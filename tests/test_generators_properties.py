@@ -4,7 +4,10 @@ The uniform assembly on integer counts equals its `Fraction`-weight
 predecessor in `oracles.py` (output and error text) on random counts,
 live/exhausted splits and alphas, including both out-of-contract fallbacks.
 `HypothesisClass.critical_among`, which remembers each subset verdict,
-equals a fresh subset scan on random classes and repeated queries."""
+equals a fresh subset scan on random classes and repeated queries.
+`is_feasible`, which builds its LP rows in integers and skips passes that
+are infeasible on their face, returns the same witness as its `Fraction`-row
+predecessor in `oracles.py` on random histories, collections and alphas."""
 
 from fractions import Fraction
 
@@ -13,10 +16,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fraction_assemble_uniform
-from repgen.generators import _assemble_uniform
+from instances import feasibility_instances
+from oracles import fraction_assemble_uniform, fraction_feasible
+from repgen.generators import StreamState, _assemble_uniform, is_feasible
+from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import PeriodicSet
+from repgen.periodic import ALL, PeriodicSet, from_finite
 
 F = Fraction
 
@@ -98,3 +103,77 @@ def test_cached_criticality_equals_a_subset_scan(supports, queries):
             cls.get(n).support.is_subset(cls.get(i).support)
             for i in consistent if i < n)
         assert cls.critical_among(n, consistent) == expected
+
+
+# -- feasibility against the Fraction-row reference ---------------------------
+
+ALPHAS = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+small_sets = st.builds(
+    lambda t, m, residues, prefix: PeriodicSet(
+        t, m, frozenset(r % m for r in residues),
+        frozenset(x for x in prefix if x < t)),
+    st.integers(0, 6), st.integers(1, 4),
+    st.frozensets(st.integers(0, 3)),
+    st.frozensets(st.integers(0, 5)))
+
+
+@st.composite
+def finite_collections(draw):
+    """Up to three groups: overlapping sets (a cover when ALL is added, as
+    the in-limit generator requires), or a partition of the naturals by
+    residue mod m."""
+    if draw(st.booleans()):
+        sets = draw(st.lists(small_sets.filter(lambda s: not s.is_empty()),
+                             min_size=1, max_size=3))
+        if draw(st.booleans()):
+            sets.append(ALL)
+        return FiniteGroups(sets)
+    m = draw(st.integers(2, 4))
+    owner = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    return FiniteGroups([PeriodicSet(0, m, {r for r in range(m) if owner[r] == g})
+                         for g in sorted(set(owner))])
+
+
+@st.composite
+def feasibility_cases(draw):
+    """(h, collection, history, alpha) with an infinite support, as every
+    hypothesis has.  Some draws take a collection of finite groups and a
+    history that holds every support element inside them, so no cell has a
+    candidate; block draws take base 2 or 3 and a short explicit prefix."""
+    support = draw(infinite_sets)
+    h = Hypothesis("h", support)
+    kind = draw(st.sampled_from(["finite", "blocks", "candidate-free"]))
+    history = draw(st.lists(st.integers(0, 24), min_size=1, max_size=10))
+    if kind == "finite":
+        c = draw(finite_collections())
+    elif kind == "blocks":
+        c = BlockPartition(draw(st.integers(2, 3)),
+                           draw(st.lists(st.integers(1, 3), max_size=3)))
+    else:
+        groups = draw(st.lists(st.frozensets(st.integers(0, 12), min_size=1),
+                               min_size=1, max_size=3))
+        c = FiniteGroups([from_finite(g) for g in groups])
+        history += sorted(x for g in groups for x in g if x in support)
+    return h, c, history, draw(ALPHAS)
+
+
+def assert_same_witness(h, c, history, alpha):
+    got = is_feasible(h, c, history, alpha)
+    want = fraction_feasible(StreamState(None, c, history), h, alpha)
+    assert got == want
+    if got is not None:
+        # equality alone would accept an int or float mass
+        assert all(type(e.mass) is Fraction for e in got.entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(feasibility_cases())
+def test_feasibility_equals_fraction_reference(case):
+    assert_same_witness(*case)
+
+
+def test_feasibility_equals_fraction_reference_on_mesh_instances():
+    # criterion 7's instances, with their boundary witnesses
+    for inst in feasibility_instances():
+        assert_same_witness(inst["h"], inst["groups"], inst["history"],
+                            inst["alpha"])

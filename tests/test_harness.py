@@ -509,6 +509,27 @@ def test_cli_feasible(tmp_path, capsys):
     assert masses == {4: "2/3", 3: "1/3"}
 
 
+@pytest.mark.parametrize("scenario, hypothesis, prefix, out", [
+    # overlapping finite cover: the exact pass fails, the banded one holds
+    ("i02-evens-overlap-quarter", "evens", "2,4,6",
+     '{"feasible":true,"hypothesis":"evens","witness":['
+     '{"cell":[1,0],"element":0,"mass":"1/4"},'
+     '{"cell":[0,1],"element":8,"mass":"3/4"}]}\n'),
+    # block partition: two exhausted blocks' surplus spread in alpha chunks
+    ("b01-evens-blocks-inlimit", "evens", "0,2,4,6,8",
+     '{"feasible":true,"hypothesis":"evens","witness":['
+     '{"cell":3,"element":10,"mass":"2/5"},'
+     '{"cell":4,"element":14,"mass":"1/2"},'
+     '{"cell":5,"element":30,"mass":"1/10"}]}\n'),
+])
+def test_cli_feasible_witness_bytes(capsys, scenario, hypothesis, prefix,
+                                    out):
+    path = Path(__file__).parent / "scenarios" / f"{scenario}.json"
+    assert main(["feasible", str(path), "--hypothesis", hypothesis,
+                 "--prefix", prefix]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_cli_adversary_geometric(capsys):
     assert main(["adversary", "geometric", "--alpha", "1/2", "--depth", "3",
                  "--generator", "empirical"]) == 0

@@ -2,17 +2,21 @@
 rational-tableau reference in `oracles.py` on random mixed-sign systems and
 on 0/1 cell systems shaped like the generators' feasibility LPs, every
 returned entry a Fraction that meets every constraint exactly, and the
-input checks at the kernel boundary."""
+input checks at the kernel boundary.  The integer entry returns that vertex
+too when each row comes multiplied by any positive factor, passed as the
+row's scale."""
 
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from math import lcm
+
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import fraction_feasible_point
-from repgen.simplex import EQ, GE, LE, feasible_point
+from repgen.simplex import EQ, GE, LE, feasible_point, feasible_point_int
 
 F = Fraction
 
@@ -143,3 +147,49 @@ def test_mixed_systems_match_reference(system):
 @given(cell_systems())
 def test_cell_systems_match_reference(system):
     check(*system)
+
+
+FLIP = {LE: GE, GE: LE, EQ: EQ}
+
+
+def integer_rows(constraints, factors):
+    """The rows in integers for `feasible_point_int`: a row with a negative
+    right-hand side flipped, then multiplied by the lcm of its denominators
+    times its factor, which goes into the row's scale."""
+    rows = []
+    for (coeffs, rel, rhs), k in zip(constraints, factors):
+        coeffs, rhs = [F(v) for v in coeffs], F(rhs)
+        if rhs < 0:
+            coeffs, rhs, rel = [-v for v in coeffs], -rhs, FLIP[rel]
+        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs)) * k
+        rows.append(([int(v * scale) for v in coeffs], rel, int(rhs * scale),
+                     scale))
+    return rows
+
+
+@st.composite
+def scaled_systems(draw):
+    """A rational system, mixed or cell-shaped, and a positive factor per
+    row."""
+    n, constraints = draw(st.one_of(mixed_systems(), cell_systems()))
+    factors = draw(st.lists(st.sampled_from([1, 2, 3, 7, 60, 1000]),
+                            min_size=len(constraints),
+                            max_size=len(constraints)))
+    return n, constraints, factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_systems())
+# the weighted-artificials case, its rows scaled apart and alike
+@example((3, [([F(1, 2), F(-1), F(-1, 3)], EQ, F(-4, 3)),
+              ([F(2), F(1), F(-1)], LE, F(-1))], [5, 7]))
+@example((3, [([F(1, 2), F(-1), F(-1, 3)], EQ, F(-4, 3)),
+              ([F(2), F(1), F(-1)], LE, F(-1))], [1, 6]))
+# artificials of scales 1 and 2: unit costs end on another vertex
+@example((5, [([0] * 5, LE, 0), ([0] * 5, LE, 0),
+              ([0, 0, -2, 0, 0], LE, -1), ([0, 0, -2, 1, -1], GE, -1),
+              ([0, 0, 1, F(-1, 2), 0], LE, -1)], [1, 1, 1, 1, 1]))
+def test_integer_rows_in_any_positive_scale_keep_the_vertex(system):
+    n, constraints, factors = system
+    assert feasible_point_int(n, integer_rows(constraints, factors)) \
+        == fraction_feasible_point(n, constraints)
