@@ -22,8 +22,8 @@ from .harness import (GameTrace, StepRecord, emit_trace, evaluate_asserts,
                       parse_trace, run_game, trace_lines)
 from .hypotheses import Hypothesis, HypothesisClass
 from .measures import (GroupTally, RationalDist, empirical, format_fraction,
-                       group_empirical, induced_group_probs,
-                       is_alpha_representative, parse_fraction, sup_distance)
+                       group_empirical, is_alpha_representative,
+                       parse_fraction)
 from .periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet, format_set,
                        from_finite, from_threshold, interval, multiples,
                        parse_set)

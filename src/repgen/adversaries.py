@@ -27,8 +27,7 @@ from .dimension import check_witness
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import (ZERO, RationalDist, group_empirical,
-                       induced_group_probs, prefix_tally, sup_distance)
+from .measures import RationalDist, check_alpha, prefix_tally
 from .periodic import ALL, PeriodicSet, from_finite
 
 # Longest game an adversary plays.  The geometric horizon b + ... + b^depth
@@ -133,19 +132,17 @@ def gc_witness_adversary(make_session: Callable[[], object],
                                distribution=mu, alpha=alpha, element=x,
                                reason=reason, hypothesis=h.id,
                                continuation=cont)
-    lam = induced_group_probs(mu, c)
-    pihat = group_empirical(hist, c)
-    d = sup_distance(lam, pihat)
+    tally = prefix_tally(hist, c)
+    d = tally.distance(mu)
     if d <= alpha:
         raise InvariantViolation(
             "verified witness did not force the distance above alpha",
             snapshot={"witness": hist, "mu": mu.serialize(), "distance": str(d)})
-    keys = sorted(set(lam) | set(pihat))
-    gstar = next(i for i in keys
-                 if abs(lam.get(i, ZERO) - pihat.get(i, ZERO)) == d)
+    gstar = tally.worst_group(mu)
+    pihat = Fraction(tally.counts.get(gstar, 0), len(tally.seen))
     return ViolationReport(step=t, kind=UNREPRESENTATIVE, history=hist,
                            distribution=mu, alpha=alpha, group=gstar,
-                           distance=d, pi_hat=pihat.get(gstar, ZERO))
+                           distance=d, pi_hat=pihat)
 
 
 def _preview(s: PeriodicSet, seen: Sequence[int], k: int) -> list[int]:
@@ -187,8 +184,7 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
     report per checkpoint up to the requested depth, whose horizon may not
     exceed MAX_STEPS.
     """
-    if not isinstance(alpha, Fraction):
-        alpha = Fraction(alpha)
+    check_alpha(alpha)
     if alpha <= 0 or alpha >= 1:
         raise ConfigError(f"geometric adversary needs 0 < alpha < 1, got {alpha}")
     b_frac = 1 / (1 - alpha)
@@ -403,11 +399,9 @@ class ConstantSession:
 
     def __init__(self, element: int):
         self.element = element
-        self.history: list[int] = []
         self.last_selected = None
 
     def step(self, x: int) -> RationalDist:
-        self.history.append(x)
         return RationalDist.point(self.element)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           QueryThenEmit, ViolationReport, gc_witness_adversary,
@@ -117,7 +118,8 @@ def cmd_feasible(args) -> int:
         print(_dump({"feasible": False, "hypothesis": hid}))
     else:
         entries = [{"cell": list(e.cell) if isinstance(e.cell, tuple) else e.cell,
-                    "element": e.element, "mass": format_fraction(e.mass)}
+                    "element": e.element,
+                    "mass": format_fraction(Fraction(e.num, witness.den))}
                    for e in witness.entries]
         print(_dump({"feasible": True, "hypothesis": hid, "witness": entries}))
     return 0

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
-from .measures import ZERO, group_empirical
+from .measures import ZERO, check_alpha, group_empirical
 from .periodic import PeriodicSet, from_finite
 
 
@@ -312,8 +312,7 @@ def gc_depth(cls: HypothesisClass, c: GroupCollection,
         raise ConfigError("dimension is defined against partitions only")
     if cls.extendable:
         raise ConfigError("dimension search needs a finite hypothesis class")
-    if not 0 <= alpha <= 1:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     atoms = _atoms(cls, c)
     spans = list(_spans(atoms, _closures(atoms, c.k), alpha,
                         [0] * len(atoms), [a.size for a in atoms]))

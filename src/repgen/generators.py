@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import simplex
@@ -32,7 +31,7 @@ from .dimension import gc_depth
 from .errors import ConfigError
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import GroupTally, RationalDist, empirical
+from .measures import GroupTally, RationalDist, check_alpha, empirical
 from .periodic import PeriodicSet
 
 KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
@@ -102,20 +101,19 @@ class StreamState:
 class FeasibilityEntry:
     cell: tuple[int, ...] | int  # membership vector, or block index
     element: int
-    mass: Fraction
+    num: int  # mass num / the witness's den
 
 
 @dataclass(frozen=True)
 class FeasibilityWitness:
+    """Positive masses num / den, one entry per cell; cells are disjoint,
+    so no element appears twice.  den is not reduced against the nums."""
     entries: tuple[FeasibilityEntry, ...]
+    den: int
 
     def distribution(self) -> RationalDist:
-        den = lcm(*(e.mass.denominator for e in self.entries))
-        nums: dict[int, int] = {}
-        for e in self.entries:
-            nums[e.element] = (nums.get(e.element, 0)
-                               + e.mass.numerator * (den // e.mass.denominator))
-        return RationalDist.from_numerators(nums, den)
+        return RationalDist.from_numerators(
+            {e.element: e.num for e in self.entries}, self.den)
 
 
 def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
@@ -129,18 +127,10 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     feasible.  alpha must be an int or a Fraction (TypeError otherwise) in
     [0, 1] (ConfigError otherwise).
     """
-    if not isinstance(alpha, (int, Fraction)):
-        raise TypeError(f"alpha must be an int or Fraction, got "
-                        f"{type(alpha).__name__} {alpha!r}")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not history:
         raise ValueError("feasibility needs a nonempty history")
     return _feasible(StreamState(None, c, history), h, alpha)
-
-
-def _check_alpha(alpha: Fraction) -> None:
-    if not (0 <= alpha <= 1):
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def _feasible(state: StreamState, h: Hypothesis,
@@ -180,11 +170,13 @@ def _feasible(state: StreamState, h: Hypothesis,
                 if w > band:
                     rows.append((cover, simplex.GE, w - band, den))
         else:
-            q = simplex.feasible_point_int(n, rows)
-            if q is not None:
+            vertex = simplex.feasible_point_int(n, rows)
+            if vertex is not None:
+                nums, delta = vertex
                 entries = tuple(FeasibilityEntry(vec, elem, m)
-                                for (vec, elem), m in zip(candidates, q) if m > 0)
-                return FeasibilityWitness(entries)
+                                for (vec, elem), m in zip(candidates, nums)
+                                if m > 0)
+                return FeasibilityWitness(entries, delta)
     return None
 
 
@@ -195,8 +187,8 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
     alpha of its weight, and any surplus can be spread in alpha-sized chunks
     over untouched blocks (each finite block keeps unseen support elements in
     infinitely many later blocks, the support being infinite).  The checks
-    run on integers over D = d*b (d distinct elements, alpha = a/b), and
-    each emitted entry builds its one Fraction."""
+    run on integers over D = d*b (d distinct elements, alpha = a/b), and the
+    witness keeps its masses over D."""
     counts, d = state.tally.counts, len(state.tally.seen)
     a, b = alpha.numerator, alpha.denominator
     cap = a * d
@@ -223,9 +215,8 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
                     masses.append((j, elem, chunk))
                     surplus -= chunk
             j += 1
-    den = d * b
-    return FeasibilityWitness(tuple(FeasibilityEntry(i, elem, Fraction(m, den))
-                                    for i, elem, m in masses))
+    return FeasibilityWitness(tuple(FeasibilityEntry(i, elem, m)
+                                    for i, elem, m in masses), d * b)
 
 
 # -- uniform construction -----------------------------------------------------
@@ -392,15 +383,12 @@ class GeneratorSession:
                  alpha: Fraction, d_star: int | None = None):
         if kind not in KINDS:
             raise ConfigError(f"unknown generator kind {kind!r}")
-        if not isinstance(alpha, Fraction):
-            alpha = Fraction(alpha)
-        _check_alpha(alpha)
+        check_alpha(alpha)
         self.kind = kind
         self.cls = cls
         self.groups = groups
         self.alpha = alpha
         self.state = StreamState(cls, groups)
-        self.history = self.state.history
         self.last_selected: int | None = None
         self.d_star: int | None = None
         self._thresholds: list[int] = []  # nonuniform prefix thresholds

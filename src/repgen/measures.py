@@ -8,14 +8,14 @@ distribution from integer numerators and summing masses per group are
 integer work.  The representativeness check is integer work too:
 `GroupTally.distance` compares a distribution's per-group numerators with
 the tally's per-group counts over the product of the two denominators and
-builds only the resulting `Fraction`.  Which groups hold an element is the
-group collection's business (`mass_by_group`, `groups_containing`), so
-nothing here depends on the collection's shape.  `prefix_tally` remembers
-the tally of its last prefix, so checking the prefixes of one stream in
-order, as report verification does, counts each element once rather than
-once per prefix.  `fractions.Fraction` appears only at the interface:
-masses passed in, `items()`, the group probabilities and the distance
-returned.
+builds only the resulting `Fraction`, and `GroupTally.worst_group` names a
+group attaining it.  Which groups hold an element is the group collection's
+business (`mass_by_group`, `groups_containing`), so nothing here depends on
+the collection's shape.  `prefix_tally` remembers the tally of its last
+prefix, so checking the prefixes of one stream in order, as report
+verification does, counts each element once rather than once per prefix.
+`fractions.Fraction` appears only at the interface: masses passed in,
+`items()`, the group probabilities and the distance returned.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from .errors import ConfigError
 from .groups import GroupCollection
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RationalDist:
@@ -130,18 +130,6 @@ def empirical(prefix: Sequence[int]) -> RationalDist:
     return RationalDist.uniform(prefix)
 
 
-def induced_group_probs(mu: RationalDist, c: GroupCollection) -> dict[int, Fraction]:
-    """Total mass per group index.
-
-    For a finite collection the result has an entry for every group (zeros
-    included); for a block partition only touched blocks appear, absent
-    meaning zero.  With overlapping groups the values may sum to more than 1.
-    """
-    den = mu._den
-    return {i: Fraction(n, den)
-            for i, n in c.mass_by_group(mu._xs, mu._nums).items()}
-
-
 class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
@@ -196,8 +184,7 @@ class GroupTally:
 
     def distance(self, mu: RationalDist) -> Fraction:
         """Sup distance between mu's group probabilities and the weights of
-        the elements added so far; equal to
-        `sup_distance(induced_group_probs(mu, groups), self.weights())`.
+        the elements added so far, over every group either side touches.
         Both sides are integers over mu's denominator times the distinct
         count, so the only `Fraction` built is the result."""
         d = len(self.seen)
@@ -212,6 +199,20 @@ class GroupTally:
         missed = max((n for i, n in counts.items() if i not in masses),
                      default=0) * den
         return Fraction(max(worst, missed), den * d)
+
+    def worst_group(self, mu: RationalDist) -> int:
+        """The smallest group index at which mu's group probability and the
+        weight of the elements added so far differ by `distance(mu)`,
+        compared in integers over the same denominator."""
+        d = len(self.seen)
+        if not d:
+            raise ValueError("empirical distribution of an empty prefix is undefined")
+        den = mu._den
+        counts = self.counts
+        masses = self.groups.mass_by_group(mu._xs, mu._nums)
+        return min(masses.keys() | counts.keys(),
+                   key=lambda i: (-abs(masses.get(i, 0) * d
+                                       - counts.get(i, 0) * den), i))
 
 
 # prefix_tally's one-entry memo: the prefix of its last call and that
@@ -251,19 +252,9 @@ def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
 
 def group_empirical(prefix: Sequence[int], c: GroupCollection) -> dict[int, Fraction]:
     """Group probabilities induced by the empirical distribution of the
-    prefix; equal to `induced_group_probs(empirical(prefix), c)`.  Counted
-    through `prefix_tally`, so the prefixes of one stream, asked in order,
-    count each element once."""
+    prefix.  Counted through `prefix_tally`, so the prefixes of one stream,
+    asked in order, count each element once."""
     return prefix_tally(prefix, c).weights()
-
-
-def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fraction:
-    """Largest absolute difference across all group indices present in either
-    argument (absent entries read as 0)."""
-    keys = set(p) | set(q)
-    if not keys:
-        return ZERO
-    return max(abs(p.get(i, ZERO) - q.get(i, ZERO)) for i in keys)
 
 
 def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
@@ -273,6 +264,17 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
     ones to within alpha in sup distance.  Returns (verdict, distance)."""
     d = prefix_tally(prefix, c).distance(mu)
     return d <= alpha, d
+
+
+def check_alpha(alpha: Fraction) -> None:
+    """Reject an alpha that is not an int or a Fraction (TypeError), so that
+    no float reaches an exact verdict, or that lies outside [0, 1]
+    (ConfigError)."""
+    if not isinstance(alpha, (int, Fraction)):
+        raise TypeError(f"alpha must be an int or Fraction, got "
+                        f"{type(alpha).__name__} {alpha!r}")
+    if not 0 <= alpha <= 1:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def parse_fraction(text: str) -> Fraction:

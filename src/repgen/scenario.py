@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .adversaries import MAX_STEPS
 from .errors import ScenarioError
 from .generators import KINDS, GeneratorSession
 from .groups import BlockPartition, FiniteGroups, GroupCollection
@@ -173,6 +174,10 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
                            by_id, target_id)
     horizon = _as_int(_need(doc, "horizon", where), f"{where}.horizon",
                       minimum=1)
+    if horizon > MAX_STEPS:
+        # materialize_stream builds every element before the first step
+        raise ScenarioError(f"{where}.horizon",
+                            f"expected an integer <= {MAX_STEPS}, got {horizon}")
 
     asserts = _object(doc.get("asserts", {}), f"{where}.asserts", ASSERT_KEYS)
     for key, val in asserts.items():

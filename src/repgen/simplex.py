@@ -12,8 +12,9 @@ right-hand side, and multiplies each row by the lcm of its denominators.
 rhs, scale) with rhs >= 0 and `scale` the positive factor the rational row
 was multiplied by, and runs the pivots; callers that can build their rows
 in integers (the generators' feasibility LPs, whose rows are all over one
-denominator D) hand them in directly.  Both return a vertex as a list of
-Fraction.
+denominator D) hand them in directly.  `feasible_point_int` returns the
+vertex as integer numerators over one positive denominator, the final
+pivot; `feasible_point` divides them out into a list of Fraction.
 
 The tableau holds integers over one common denominator (Edmonds' fraction-
 free pivoting, as in Bareiss elimination): a pivot on p replaces every
@@ -33,8 +34,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-ZERO = Fraction(0)
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -69,19 +68,25 @@ def feasible_point(n_vars: int,
         scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
         rows.append(([v.numerator * (scale // v.denominator) for v in coeffs],
                      rel, rhs.numerator * (scale // rhs.denominator), scale))
-    return feasible_point_int(n_vars, rows)
+    vertex = feasible_point_int(n_vars, rows)
+    if vertex is None:
+        return None
+    nums, delta = vertex
+    return [Fraction(v, delta) for v in nums]
 
 
 def feasible_point_int(n_vars: int,
                        rows: Sequence[tuple[list[int], str, int, int]]
-                       ) -> list[Fraction] | None:
+                       ) -> tuple[list[int], int] | None:
     """The same decision on rows already in integers.
 
     Each row is (coeffs, rel, rhs, scale): int coefficients, a relation in
     LE, GE and EQ, an int rhs >= 0, and the positive int `scale` the
     rational row was multiplied by to get there.  The rational system is
     coeffs / scale REL rhs / scale, and the result is its vertex, the one
-    `feasible_point` returns for it.  Rows are not checked or changed.
+    `feasible_point` returns for it, as (nums, delta): int numerators and
+    the positive int denominator they share, x_j = nums[j] / delta, not
+    reduced.  Rows are not checked or changed.
     """
     n_slack = sum(1 for _, rel, _, _ in rows if rel != EQ)
     # Artificials: == rows always; >= rows always (their surplus starts
@@ -159,8 +164,8 @@ def feasible_point_int(n_vars: int,
 
     if cost[width] != 0:
         return None
-    solution = [ZERO] * n_vars
+    nums = [0] * n_vars
     for r, b in enumerate(basis):
         if b < n_vars:
-            solution[b] = Fraction(tableau[r][width], delta)
-    return solution
+            nums[b] = tableau[r][width]
+    return nums, delta

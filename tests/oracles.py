@@ -20,8 +20,12 @@ shares the package's `Fraction`-mass `RationalDist` constructor and
 `empirical`, but none of the redistribution arithmetic.  The feasibility
 reference is the `Fraction`-row `_feasible`/`_feasible_blocks` the package
 used before it built its rows in integers, solved by the rational-tableau
-LP; it shares the package's `StreamState` cursors and witness types, but no
-row building, interval arithmetic or pivoting.
+LP; it shares the package's `StreamState` cursors, but no row building,
+interval arithmetic or pivoting, and returns its witness as
+(cell, element, mass) triples.  The group-distance reference is the
+`Fraction`-dict pair `induced_group_probs`/`sup_distance` the package
+measured with before `GroupTally`; it sums masses by set membership and
+shares no counting with the package.
 """
 
 from dataclasses import dataclass
@@ -32,7 +36,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repgen.dimension import Condition, Condition1, Condition2, check_witness
 from repgen.errors import ConfigError, InvariantViolation
-from repgen.generators import FeasibilityEntry, FeasibilityWitness
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical
@@ -508,6 +511,39 @@ def count_vector_gc_dimension(cls, c, alpha, max_d):
                           "verified": verified})
     return len(best_witness or ()), best_witness, best_condition
 
+
+def induced_group_probs(mu, c):
+    """Total mass of mu per group index, summed by membership.
+
+    For a finite collection the result has an entry for every group (zeros
+    included); for a block partition only touched blocks appear, absent
+    meaning zero.  With overlapping groups the values may sum to more than 1.
+    """
+    items = mu.items()
+    if isinstance(c, BlockPartition):
+        probs = {}
+        top = max(x for x, _ in items)
+        k, (lo, hi) = 1, c.block_range(1)
+        while lo <= top:
+            m = sum((v for x, v in items if lo <= x < hi), ZERO)
+            if m:
+                probs[k] = m
+            k += 1
+            lo, hi = c.block_range(k)
+        return probs
+    return {i: sum((v for x, v in items if x in c.group(i)), ZERO)
+            for i in c.indices()}
+
+
+def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fraction:
+    """Largest absolute difference across all group indices present in either
+    argument (absent entries read as 0)."""
+    keys = set(p) | set(q)
+    if not keys:
+        return ZERO
+    return max(abs(p.get(i, ZERO) - q.get(i, ZERO)) for i in keys)
+
+
 class FractionRationalDist:
     """The `Fraction`-mass distribution that `repgen.measures.RationalDist`
     was before it kept integer numerators over one denominator, kept
@@ -635,8 +671,8 @@ def fraction_feasible(state, h, alpha):
     kept verbatim (bar the names, this paragraph and the LP, which is the
     rational-tableau reference above) as the reference the integer version
     must match witness for witness.  `state` is a `StreamState` over the
-    history; `FeasibilityEntry` and `FeasibilityWitness` are the package's
-    result types, which are data."""
+    history.  The witness is a tuple of (cell, element, mass) triples, or
+    None."""
     c = state.groups
     pihat = state.tally.weights()
     if isinstance(c, BlockPartition):
@@ -662,9 +698,8 @@ def fraction_feasible(state, h, alpha):
                     constraints.append((row, GE, pihat[i] - alpha))
         q = fraction_feasible_point(len(candidates), constraints)
         if q is not None:
-            entries = tuple(FeasibilityEntry(vec, elem, m)
-                            for (vec, elem), m in zip(candidates, q) if m > 0)
-            return FeasibilityWitness(entries)
+            return tuple((vec, elem, m)
+                         for (vec, elem), m in zip(candidates, q) if m > 0)
     return None
 
 
@@ -683,7 +718,7 @@ def fraction_feasible_blocks(state, h, pihat, alpha):
                 return None
             surplus += pihat[i]
         else:
-            entries.append(FeasibilityEntry(i, elem, pihat[i]))
+            entries.append((i, elem, pihat[i]))
     if surplus > 0:
         if alpha == 0:
             return None
@@ -693,7 +728,7 @@ def fraction_feasible_blocks(state, h, pihat, alpha):
                 elem = state.unseen(h.support, j)
                 if elem is not None:
                     chunk = min(alpha, surplus)
-                    entries.append(FeasibilityEntry(j, elem, chunk))
+                    entries.append((j, elem, chunk))
                     surplus -= chunk
             j += 1
-    return FeasibilityWitness(tuple(entries))
+    return tuple(entries)

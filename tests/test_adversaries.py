@@ -16,13 +16,15 @@ from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 gc_witness_adversary, geometric_adversary,
                                 geometric_checkpoints, query_adversary,
                                 verify_report)
+from repgen.dimension import gc_dimension
 from repgen.errors import ConfigError
 from repgen.generators import GeneratorSession
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.measures import RationalDist
+from repgen.measures import RationalDist, empirical
 from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
-from oracles import ScanQueryThenEmit
+from instances import dimension_instances
+from oracles import ScanQueryThenEmit, induced_group_probs, sup_distance
 
 F = Fraction
 
@@ -84,6 +86,37 @@ def test_gc_witness_out_of_support():
     assert r.element == 3 and r.hypothesis == "evens"
     assert r.continuation == (4, 6, 8)
     assert verify_report(r, groups=groups, support=EVENS)
+
+
+def test_gc_witness_distance_matches_fraction_reference():
+    # On every zoo instance with a witness, an under-budgeted uniform
+    # session and a point mass on the first unseen closure element both
+    # land inside the closure, so the report names a group and a distance:
+    # the smallest group attaining the Fraction sup distance, and its weight.
+    reports = 0
+    for inst in dimension_instances():
+        cls, groups, alpha = inst["cls"], inst["groups"], inst["alpha"]
+        gc = gc_dimension(cls, groups, alpha)
+        if not gc.d:
+            continue
+        witness = gc.witness
+        inside = cls.closure(witness).nth_unseen(set(witness), 0)
+        for make in (lambda: GeneratorSession("uniform", cls, groups, alpha,
+                                              d_star=gc.d),
+                     lambda: ConstantSession(inside)):
+            r = gc_witness_adversary(make, cls, groups, alpha, witness)
+            if r.kind != UNREPRESENTATIVE:
+                continue
+            reports += 1
+            lam = induced_group_probs(r.distribution, groups)
+            pihat = induced_group_probs(empirical(witness), groups)
+            gaps = {i: abs(lam.get(i, 0) - pihat.get(i, 0))
+                    for i in lam.keys() | pihat.keys()}
+            assert r.distance == sup_distance(lam, pihat), inst["name"]
+            assert r.group == min(i for i, gap in gaps.items()
+                                  if gap == r.distance), inst["name"]
+            assert r.pi_hat == pihat[r.group], inst["name"]
+    assert reports >= 10
 
 
 def test_geometric_checkpoints_layout():

@@ -6,20 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from repgen.adversaries import geometric_adversary
+from repgen.dimension import gc_depth
 from repgen.errors import ConfigError
 from repgen import simplex
-from repgen.generators import (GeneratorSession, StreamState, _feasible_blocks,
-                               is_feasible, limit_emit, nonuniform_emit,
-                               nonuniform_thresholds, uniform_emit)
+from repgen.generators import (GeneratorSession, StreamState, _feasible,
+                               _feasible_blocks, is_feasible, limit_emit,
+                               nonuniform_emit, nonuniform_thresholds,
+                               uniform_emit)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (RationalDist, empirical, group_empirical,
-                             induced_group_probs, is_alpha_representative,
-                             sup_distance)
+                             is_alpha_representative)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
 from repgen.simplex import feasible_point_int
-from oracles import mesh_feasible
+from oracles import induced_group_probs, mesh_feasible, sup_distance
 
 F = Fraction
 
@@ -146,6 +148,30 @@ def test_feasible_rejects_alpha_outside_unit_interval(alpha):
     assert str(e.value) == f"alpha must be in [0, 1], got {alpha}"
 
 
+ALPHA_ENTRIES = {
+    "is_feasible": lambda alpha: is_feasible(Hypothesis("all", ALL), PARITY,
+                                             [0, 1, 2], alpha),
+    "session": lambda alpha: GeneratorSession("empirical", ALL_CLS, PARITY,
+                                              alpha),
+    "geometric": lambda alpha: geometric_adversary(
+        lambda cls, groups, a: GeneratorSession("empirical", cls, groups, a),
+        alpha, 1),
+    "gc_depth": lambda alpha: gc_depth(ALL_CLS, PARITY, alpha),
+}
+
+
+@pytest.mark.parametrize("entry", ALPHA_ENTRIES)
+@pytest.mark.parametrize("alpha, error, text", [
+    (0.5, TypeError, "alpha must be an int or Fraction, got float 0.5"),
+    (F(3, 2), ConfigError, "alpha must be in [0, 1], got 3/2"),
+    (-1, ConfigError, "alpha must be in [0, 1], got -1"),
+])
+def test_every_entry_checks_alpha_alike(entry, alpha, error, text):
+    with pytest.raises(error) as e:
+        ALPHA_ENTRIES[entry](alpha)
+    assert type(e.value) is error and str(e.value) == text
+
+
 @pytest.mark.parametrize("alpha", [0, 1, F(0), F(1)])
 def test_feasible_accepts_the_ends_of_the_unit_interval(alpha):
     w = is_feasible(Hypothesis("all", ALL), PARITY, [0, 1, 2], alpha)
@@ -183,10 +209,35 @@ def test_faced_infeasible_pass_makes_no_lp_call(monkeypatch):
     ([0, 1, 2, 3], F(0), 0),         # ... but not at alpha 0
     ([0, 1, 3, 4, 5, 6], F(1, 6), 0),
 ])
-def test_blocks_build_one_fraction_per_entry(monkeypatch, history, alpha,
-                                             entries):
+def test_blocks_build_no_fraction(monkeypatch, history, alpha, entries):
     h = Hypothesis("evens", EVENS)
     state = StreamState(None, BlockPartition(2, [2]), history)
+    made = _count_fractions(monkeypatch)
+    w = _feasible_blocks(state, h, alpha)
+    mu = w and w.distribution()
+    monkeypatch.undo()
+    assert made == []
+    assert (len(w.entries) if w else 0) == entries
+    if w:
+        # masses over D = d*b, d the distinct count and alpha = a/b
+        assert w.den == len(set(history)) * alpha.denominator
+        assert mu == RationalDist({e.element: F(e.num, w.den)
+                                   for e in w.entries})
+
+
+def test_finite_cells_build_no_fraction_from_vertex_to_distribution(
+        monkeypatch):
+    state, alpha = StreamState(None, PARITY, [0, 1, 2]), F(1, 4)
+    made = _count_fractions(monkeypatch)
+    mu = _feasible(state, Hypothesis("all", ALL), alpha).distribution()
+    monkeypatch.undo()
+    assert made == []
+    assert mu == RationalDist({4: F(2, 3), 3: F(1, 3)})
+
+
+def _count_fractions(monkeypatch):
+    """The argument tuples of every Fraction built until the patch is
+    undone."""
     made = []
     new = Fraction.__new__
 
@@ -195,11 +246,7 @@ def test_blocks_build_one_fraction_per_entry(monkeypatch, history, alpha,
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    w = _feasible_blocks(state, h, alpha)
-    monkeypatch.undo()
-    assert len(made) == (len(w.entries) if w else 0) == entries
-    if w:
-        assert [e.mass for e in w.entries] == [F(*args) for args in made]
+    return made
 
 
 def test_feasible_witness_lands_on_unseen_support():

@@ -6,8 +6,9 @@ live/exhausted splits and alphas, including both out-of-contract fallbacks.
 `HypothesisClass.critical_among`, which remembers each subset verdict,
 equals a fresh subset scan on random classes and repeated queries.
 `is_feasible`, which builds its LP rows in integers and skips passes that
-are infeasible on their face, returns the same witness as its `Fraction`-row
-predecessor in `oracles.py` on random histories, collections and alphas."""
+are infeasible on their face, returns the same witness, as int numerators
+over one int denominator, as its `Fraction`-row predecessor in `oracles.py`
+on random histories, collections and alphas."""
 
 from fractions import Fraction
 
@@ -160,10 +161,15 @@ def feasibility_cases(draw):
 def assert_same_witness(h, c, history, alpha):
     got = is_feasible(h, c, history, alpha)
     want = fraction_feasible(StreamState(None, c, history), h, alpha)
-    assert got == want
-    if got is not None:
-        # equality alone would accept an int or float mass
-        assert all(type(e.mass) is Fraction for e in got.entries)
+    if got is None or want is None:
+        assert got is want
+        return
+    # equality of num / den alone would accept a float numerator
+    assert type(got.den) is int
+    assert all(type(e.num) is int for e in got.entries)
+    assert [(e.cell, e.element, Fraction(e.num, got.den))
+            for e in got.entries] == list(want)
+    assert len({e.element for e in got.entries}) == len(got.entries)
 
 
 @settings(max_examples=400, deadline=None)

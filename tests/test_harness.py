@@ -17,11 +17,11 @@ from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (emit_trace, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
 from repgen.hypotheses import Hypothesis
-from repgen.measures import (empirical, induced_group_probs,
-                             is_alpha_representative, sup_distance)
+from repgen.measures import empirical, is_alpha_representative
 from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
+from oracles import induced_group_probs, sup_distance
 
 F = Fraction
 
@@ -171,6 +171,17 @@ def test_explicit_stream_must_cover_horizon():
     s = parse_scenario(_doc(stream={"explicit": [0, 1]}))
     with pytest.raises(ScenarioError):
         materialize_stream(s)
+
+
+def test_horizon_above_max_steps_is_refused_at_parse():
+    # materialize_stream would build every element before the first step
+    enum = {"enumerate_support": {"order": "increasing"}}
+    assert parse_scenario(_doc(stream=enum, horizon=MAX_STEPS)).horizon \
+        == MAX_STEPS
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(_doc(stream=enum, horizon=MAX_STEPS + 1))
+    assert str(e.value) == (f"scenario.horizon: expected an integer <= "
+                            f"{MAX_STEPS}, got {MAX_STEPS + 1}")
 
 
 def test_every_section_rejects_unknown_keys():

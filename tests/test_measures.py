@@ -12,10 +12,10 @@ from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (GroupTally, RationalDist, empirical,
                              format_fraction, group_empirical,
-                             induced_group_probs, is_alpha_representative,
-                             parse_fraction, sup_distance)
+                             is_alpha_representative, parse_fraction)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
+from oracles import induced_group_probs, sup_distance
 
 F = Fraction
 

@@ -8,7 +8,8 @@ empirical distribution, on random overlapping finite collections and block
 partitions and on prefixes with repeats.  `group_empirical`'s memo of its
 last prefix never changes an answer or an error text.  `GroupTally.distance`
 equals the sup distance of the `Fraction` group probabilities on both
-collection shapes, and `RationalDist.from_numerators` equals the `Fraction`
+collection shapes, `GroupTally.worst_group` is the smallest group attaining
+it, and `RationalDist.from_numerators` equals the `Fraction`
 mass constructor, errors included."""
 
 from fractions import Fraction
@@ -18,11 +19,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import FractionRationalDist
+from oracles import FractionRationalDist, induced_group_probs, sup_distance
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.measures import (GroupTally, RationalDist, empirical,
-                             group_empirical, induced_group_probs,
-                             is_alpha_representative, sup_distance)
+                             group_empirical, is_alpha_representative)
 from repgen.periodic import PeriodicSet
 
 F = Fraction
@@ -248,7 +248,12 @@ def test_tally_distance_equals_fraction_sup_distance(c, prefix, masses, alpha):
     tally.update(prefix)
     d = tally.distance(mu)
     assert type(d) is Fraction
-    assert d == sup_distance(induced_group_probs(mu, c), tally.weights())
+    lam, pihat = induced_group_probs(mu, c), tally.weights()
+    assert d == sup_distance(lam, pihat)
+    gaps = {i: abs(lam.get(i, 0) - pihat.get(i, 0))
+            for i in lam.keys() | pihat.keys()}
+    assert tally.worst_group(mu) == min(i for i, gap in gaps.items()
+                                        if gap == d)
     assert is_alpha_representative(mu, prefix, c, alpha) == (d <= alpha, d)
 
 

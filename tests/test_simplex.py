@@ -3,8 +3,8 @@ rational-tableau reference in `oracles.py` on random mixed-sign systems and
 on 0/1 cell systems shaped like the generators' feasibility LPs, every
 returned entry a Fraction that meets every constraint exactly, and the
 input checks at the kernel boundary.  The integer entry returns that vertex
-too when each row comes multiplied by any positive factor, passed as the
-row's scale."""
+too, as int numerators over a positive int denominator, when each row comes
+multiplied by any positive factor, passed as the row's scale."""
 
 from fractions import Fraction
 
@@ -191,5 +191,12 @@ def scaled_systems(draw):
               ([0, 0, 1, F(-1, 2), 0], LE, -1)], [1, 1, 1, 1, 1]))
 def test_integer_rows_in_any_positive_scale_keep_the_vertex(system):
     n, constraints, factors = system
-    assert feasible_point_int(n, integer_rows(constraints, factors)) \
-        == fraction_feasible_point(n, constraints)
+    got = feasible_point_int(n, integer_rows(constraints, factors))
+    want = fraction_feasible_point(n, constraints)
+    if want is None:
+        assert got is None
+        return
+    nums, delta = got
+    assert all(type(v) is int for v in (*nums, delta)) and delta > 0
+    # delta may differ between scales; each nums[j] / delta may not
+    assert [F(v, delta) for v in nums] == want
