@@ -28,7 +28,7 @@ from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
 from .measures import RationalDist, check_alpha, prefix_tally
-from .periodic import ALL, PeriodicSet, from_finite
+from .periodic import ALL, PeriodicSet
 
 # Longest game an adversary plays.  The geometric horizon b + ... + b^depth
 # grows exponentially with the depth, so a longer game is refused with a
@@ -114,8 +114,9 @@ def gc_witness_adversary(make_session: Callable[[], object],
     hist = tuple(witness)
     closure = cls.closure(witness)
     assert closure is not None  # witness verification guarantees this
-    allowed = closure - from_finite(witness)
-    offenders = sorted(x for x in mu.support() if x not in allowed)
+    seen = set(hist)
+    offenders = sorted(x for x in mu.support()
+                       if x not in closure or x in seen)
     if offenders:
         x = offenders[0]
         consistent = cls.consistent_indices(witness)
@@ -399,7 +400,6 @@ class ConstantSession:
 
     def __init__(self, element: int):
         self.element = element
-        self.last_selected = None
 
     def step(self, x: int) -> RationalDist:
         return RationalDist.point(self.element)

@@ -15,7 +15,8 @@ each atom.  Given the hypotheses S consistent with a tuple and the groups E
 it exhausts, the witnessed depths form one interval, a span, so the
 dimension is the largest span top: exact at every depth, or unbounded when
 a span is (only at alpha = 0).  The witness is built greedily from the same
-spans.  `check_witness` works in rationals, the spans in integers.
+spans.  `check_witness` decides a tuple from its counts per group, in
+integers like the spans, and shares no code with them.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from heapq import merge
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import and_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
-from .measures import ZERO, check_alpha, group_empirical
-from .periodic import PeriodicSet, from_finite
+from .measures import check_alpha
+from .periodic import PeriodicSet
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,13 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     """Decide whether the distinct tuple xs witnesses dimension >= len(xs).
 
     Returns the first satisfied condition, checking condition 1 before
-    condition 2 and lower group indices first, or None.
+    condition 2 and lower group indices first, or None.  Decided on the
+    tuple's counts per group: the tuple lies inside its closure, so group i
+    is exhausted iff the closure meets it in exactly counts[i] elements, and
+    with alpha = p/q and d = len(xs) condition 1 reads counts[i] q > p d and
+    condition 2 p d spare < q times the exhausted groups' counts.
     """
+    check_alpha(alpha)
     xs = list(xs)
     if len(set(xs)) != len(xs):
         raise ValueError(f"witness tuple must have distinct elements: {xs}")
@@ -72,49 +78,47 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     closure = cls.closure(xs)
     if closure is None:
         return None
-    pihat = group_empirical(xs, c)
-    tuple_set = from_finite(xs)
-
+    if not all(map(isinstance, xs, repeat(int))):
+        bad = next(x for x in xs if not isinstance(x, int))
+        raise ValueError(f"elements must be naturals, got {bad!r}")
+    counts = c.mass_by_group(xs, repeat(1))
     if isinstance(c, FiniteGroups):
         if not c.validate().partition:
             raise ConfigError("dimension is defined against partitions only")
-        exhausted = [i for i in c.indices()
-                     if (closure & c.group(i) - tuple_set).is_empty()]
-        for i in exhausted:
-            if pihat[i] > alpha:
-                return Condition1(i)
+        candidates = c.indices()
+    else:
+        assert isinstance(c, BlockPartition)
+        # Only blocks that carry tuple weight count as exhausted.
+        candidates = sorted(counts)
+    exhausted = [i for i in candidates
+                 if (closure & c.group(i)).size_if_finite() == counts[i]]
+    if isinstance(c, FiniteGroups):
         spare = c.k - len(exhausted)
-        if alpha * spare < sum((pihat[i] for i in exhausted), ZERO):
-            return Condition2(tuple(exhausted), spare)
-        return None
-
-    assert isinstance(c, BlockPartition)
-    leftover = closure - tuple_set
-    if leftover.is_finite():
-        # Finitely many blocks keep an unseen closure element; every other
-        # block is exhausted.
-        alive = {c.group_index(x) for x in leftover.members()}
-        exhausted_weighted = sorted(i for i in pihat if i not in alive)
-        for i in exhausted_weighted:
-            if pihat[i] > alpha:
-                return Condition1(i)
-        if alpha * len(alive) < sum((pihat[i] for i in exhausted_weighted), ZERO):
-            return Condition2(tuple(exhausted_weighted), len(alive))
-        return None
-    # Infinitely many blocks stay alive, so the countable form of
-    # condition 2 cannot hold; only condition 1 can fire, and only on
-    # blocks that carry tuple weight.
-    for i in sorted(pihat):
-        if pihat[i] > alpha and (closure & c.group(i) - tuple_set).is_empty():
+    elif closure.is_finite():
+        # Finitely many blocks keep an unseen closure element.
+        seen = set(xs)
+        spare = len({c.group_index(x) for x in closure.members()
+                     if x not in seen})
+    else:
+        # Infinitely many blocks stay alive, so the countable form of
+        # condition 2 cannot hold; only condition 1 can fire.
+        spare = None
+    p, q, d = alpha.numerator, alpha.denominator, len(xs)
+    for i in exhausted:
+        if counts[i] * q > p * d:
             return Condition1(i)
+    heavy = sum(counts[i] for i in exhausted)
+    if spare is not None and p * d * spare < q * heavy:
+        return Condition2(tuple(exhausted), spare)
     return None
 
 
 # Largest accepted dimension, as the witness has d elements, one span test
-# each.  At d = 34,999 it takes 0.59 s (ten singleton groups and a tail,
-# alpha = 1/3500) and 0.31 s (a 17,500-element group and a tail, alpha = 1/2);
-# at 49,999, 0.84 s and 0.44 s (best of 3, Python 3.11, 2-vCPU x86-64 VM, on
-# which the same runs read up to 40 % slower at busier times).
+# each.  At d = 34,999 `gc_dimension` takes 0.78 s (ten singleton groups and
+# a tail, alpha = 1/3500) and 0.42 s (a 17,500-element group and a tail,
+# alpha = 1/2); at 49,999, 1.16 s and 0.66 s (best of 3, Python 3.11.7,
+# 2-vCPU x86-64 VM, on which the same runs read up to 40 % slower at busier
+# times).
 MAX_D = 35_000
 
 
@@ -124,12 +128,11 @@ class GcResult:
     d: int
     witness: tuple[int, ...] | None = None  # None at d = 0, from `gc_depth`
     condition: Condition | None = None
-    family: str | None = None
 
     def __str__(self) -> str:
         if self.status == "exact":
             return f"GC = {self.d}"
-        return f"GC unbounded ({self.family})"
+        return f"GC unbounded (least unbounded span from depth {self.d})"
 
 
 @dataclass(frozen=True)
@@ -300,11 +303,9 @@ def _witness(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
                              snapshot={"depth": d, "prefix": xs})
 
 
-def gc_depth(cls: HypothesisClass, c: GroupCollection,
-             alpha: Fraction) -> GcResult:
-    """`gc_dimension` without its witness: the status and `d` alone, for
-    callers that read only `d`.  It refuses a `d` above `MAX_D` as well, so
-    set-up accepts the instances `gc-dim` does."""
+def _closed_form(cls: HypothesisClass, c: GroupCollection, alpha: Fraction
+                 ) -> tuple[GcResult, list[_Atom], list[tuple[int, list]]]:
+    """The result of `gc_depth`, with the atoms and closures it read."""
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
                           "block partitions support witness checks only")
@@ -314,15 +315,24 @@ def gc_depth(cls: HypothesisClass, c: GroupCollection,
         raise ConfigError("dimension search needs a finite hypothesis class")
     check_alpha(alpha)
     atoms = _atoms(cls, c)
-    spans = list(_spans(atoms, _closures(atoms, c.k), alpha,
+    closures = _closures(atoms, c.k)
+    spans = list(_spans(atoms, closures, alpha,
                         [0] * len(atoms), [a.size for a in atoms]))
     unbounded = [lo for lo, top in spans if top is None]
     d = min(unbounded) if unbounded else max((top for _, top in spans),
                                               default=0)
     if d > MAX_D:
         raise ConfigError(f"dimension {d} exceeds MAX_D = {MAX_D}")
-    family = f"least unbounded span from depth {d}" if unbounded else None
-    return GcResult("infinite" if unbounded else "exact", d, family=family)
+    return (GcResult("infinite" if unbounded else "exact", d), atoms,
+            closures)
+
+
+def gc_depth(cls: HypothesisClass, c: GroupCollection,
+             alpha: Fraction) -> GcResult:
+    """`gc_dimension` without its witness: the status and `d` alone, for
+    callers that read only `d`.  It refuses a `d` above `MAX_D` as well, so
+    set-up accepts the instances `gc-dim` does."""
+    return _closed_form(cls, c, alpha)[0]
 
 
 def gc_dimension(cls: HypothesisClass, c: GroupCollection,
@@ -333,40 +343,12 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection,
     lexicographically first witnessing tuple at depth `d` (`_witness`) and
     the condition `check_witness` on it, which must hold.  A `d` above
     `MAX_D` is a `ConfigError`, raised before the witness is built."""
-    result = gc_depth(cls, c, alpha)
+    result, atoms, closures = _closed_form(cls, c, alpha)
     if not result.d:
         return result
-    atoms = _atoms(cls, c)
-    witness = _witness(atoms, _closures(atoms, c.k), alpha, result.d)
+    witness = _witness(atoms, closures, alpha, result.d)
     condition = check_witness(cls, c, alpha, witness)
     if condition is None:
         raise InvariantViolation(f"closed form found {witness}, check_witness "
                                  "says None", snapshot={"witness": witness})
     return replace(result, witness=witness, condition=condition)
-
-
-def witnessed_unbounded(cls: HypothesisClass, c: GroupCollection,
-                        alpha: Fraction,
-                        family: Iterable[Sequence[int]]) -> GcResult:
-    """Verify a caller-supplied family of witnesses of strictly growing size.
-
-    Every tuple is re-checked; the result records the deepest verified
-    dimension with status "infinite" as evidence that no finite bound holds
-    for this instance (the family is the caller's claim of unboundedness,
-    checked as far as it goes)."""
-    depths = []
-    last = None
-    last_cond: Condition | None = None
-    for xs in family:
-        xs = tuple(xs)
-        if depths and len(xs) <= depths[-1]:
-            raise ValueError("witness family must have strictly increasing sizes")
-        cond = check_witness(cls, c, alpha, xs)
-        if cond is None:
-            raise ValueError(f"claimed witness {xs} fails verification")
-        depths.append(len(xs))
-        last, last_cond = xs, cond
-    if not depths:
-        raise ValueError("witness family must be nonempty")
-    return GcResult("infinite", depths[-1], last, last_cond,
-                    family=f"verified witnesses at d = {depths}")

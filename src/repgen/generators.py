@@ -332,8 +332,7 @@ def _nonuniform(state: StreamState, alpha: Fraction,
 
 
 def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
-                    history: Sequence[int],
-                    _threshold_cache: list[int] | None = None) -> RationalDist:
+                    history: Sequence[int]) -> RationalDist:
     """One non-uniform step: pick the largest class prefix whose threshold is
     within the distinct count and play its uniform construction.
 
@@ -343,7 +342,7 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
     """
     if not history:
         raise ValueError("nonuniform step needs a nonempty history")
-    return _nonuniform(StreamState(cls, c, history), alpha, _threshold_cache)
+    return _nonuniform(StreamState(cls, c, history), alpha, None)
 
 
 # -- in-the-limit construction --------------------------------------------------

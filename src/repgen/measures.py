@@ -28,8 +28,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigError
 from .groups import GroupCollection
 
-ZERO = Fraction(0)
-
 
 class RationalDist:
     """Probability distribution with finite support over the naturals.
@@ -134,8 +132,7 @@ class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
-    element at a time costs O(K) per new element and O(1) per repeat;
-    `update` takes a whole batch with one membership pass per group."""
+    element at a time costs O(K) per new element and O(1) per repeat."""
 
     __slots__ = ("groups", "seen", "counts")
 
@@ -155,24 +152,6 @@ class GroupTally:
         for i in self.groups.groups_containing(x):
             counts[i] = counts.get(i, 0) + 1
         return True
-
-    def update(self, xs: Iterable[int]) -> None:
-        """Record every element of xs; the same as adding them one at a
-        time, except that nothing is recorded when one of the new elements
-        is not a natural."""
-        if iter(xs) is xs:
-            xs = list(xs)  # read twice when an element is rejected
-        new = set(xs) - self.seen
-        if not new:
-            return
-        if not (all(map(isinstance, new, repeat(int))) and min(new) >= 0):
-            bad = next(x for x in xs
-                       if x in new and (not isinstance(x, int) or x < 0))
-            raise ValueError(f"elements must be naturals, got {bad!r}")
-        self.seen |= new
-        counts = self.counts
-        for i, n in self.groups.mass_by_group(new, repeat(1)).items():
-            counts[i] = counts.get(i, 0) + n
 
     def weights(self) -> dict[int, Fraction]:
         """Group probabilities induced by the empirical distribution of the
@@ -242,10 +221,12 @@ def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
             and all(map(isinstance, prefix, repeat(int)))):
         _memo = None  # its tally changes below
         tally = memo[1]
-        tally.update(prefix[len(memo[0]):])
+        suffix = prefix[len(memo[0]):]
     else:
         tally = GroupTally(c)
-        tally.update(prefix)
+        suffix = prefix
+    for x in suffix:
+        tally.add(x)
     _memo = (prefix, tally)
     return tally
 

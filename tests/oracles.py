@@ -8,8 +8,11 @@ not algorithms.  The LP reference is the rational-tableau simplex the
 package used before its integer tableau; only the relation constants are
 shared.  The dimension references are the two searches the package ran
 before its closed form: the tuple walk, and the count-vector search with its
-atoms and depth bound.  They share the package's set algebra and its
-`check_witness` verifier, but none of the closed form.  The distribution
+atoms and depth bound.  They share the package's set algebra, but none of
+the closed form, and decide witnesses with the witness reference, the
+`Fraction` `check_witness` the package used before it decided a tuple from
+its counts per group; that reference shares the package's closure and
+`group_empirical`, but decides exhaustion by set difference.  The distribution
 reference is the `Fraction`-mass class the package used before its integer
 numerators over one denominator; it shares nothing with the package.  The
 query-generator reference is the scan from 0 the package used before its
@@ -34,11 +37,12 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repgen.dimension import Condition, Condition1, Condition2, check_witness
+from repgen.dimension import Condition, Condition1, Condition2
 from repgen.errors import ConfigError, InvariantViolation
-from repgen.groups import BlockPartition, FiniteGroups
+from repgen.groups import BlockPartition, FiniteGroups, GroupCollection
 from repgen.hypotheses import HypothesisClass
-from repgen.measures import RationalDist, empirical
+from repgen.measures import RationalDist, empirical, group_empirical
+from repgen.periodic import from_finite
 from repgen.simplex import EQ, GE, LE
 
 
@@ -284,6 +288,62 @@ def fraction_feasible_point(
     return solution
 
 
+def rational_check_witness(cls: HypothesisClass, c: GroupCollection,
+                           alpha: Fraction,
+                           xs: Sequence[int]) -> Condition | None:
+    """Decide whether the distinct tuple xs witnesses dimension >= len(xs).
+
+    Returns the first satisfied condition, checking condition 1 before
+    condition 2 and lower group indices first, or None.  The package's
+    `check_witness` as it was before it decided a tuple from its counts per
+    group, kept verbatim (bar the name) as the reference for it.
+    """
+    xs = list(xs)
+    if len(set(xs)) != len(xs):
+        raise ValueError(f"witness tuple must have distinct elements: {xs}")
+    if not xs:
+        raise ValueError("witness tuple must be nonempty")
+    closure = cls.closure(xs)
+    if closure is None:
+        return None
+    pihat = group_empirical(xs, c)
+    tuple_set = from_finite(xs)
+
+    if isinstance(c, FiniteGroups):
+        if not c.validate().partition:
+            raise ConfigError("dimension is defined against partitions only")
+        exhausted = [i for i in c.indices()
+                     if (closure & c.group(i) - tuple_set).is_empty()]
+        for i in exhausted:
+            if pihat[i] > alpha:
+                return Condition1(i)
+        spare = c.k - len(exhausted)
+        if alpha * spare < sum((pihat[i] for i in exhausted), ZERO):
+            return Condition2(tuple(exhausted), spare)
+        return None
+
+    assert isinstance(c, BlockPartition)
+    leftover = closure - tuple_set
+    if leftover.is_finite():
+        # Finitely many blocks keep an unseen closure element; every other
+        # block is exhausted.
+        alive = {c.group_index(x) for x in leftover.members()}
+        exhausted_weighted = sorted(i for i in pihat if i not in alive)
+        for i in exhausted_weighted:
+            if pihat[i] > alpha:
+                return Condition1(i)
+        if alpha * len(alive) < sum((pihat[i] for i in exhausted_weighted), ZERO):
+            return Condition2(tuple(exhausted_weighted), len(alive))
+        return None
+    # Infinitely many blocks stay alive, so the countable form of
+    # condition 2 cannot hold; only condition 1 can fire, and only on
+    # blocks that carry tuple weight.
+    for i in sorted(pihat):
+        if pihat[i] > alpha and (closure & c.group(i) - tuple_set).is_empty():
+            return Condition1(i)
+    return None
+
+
 def _tuple_atoms(cls, c):
     """Joint refinement of the hypothesis supports and the partition."""
     parts = [c.group(i) for i in c.indices()]
@@ -322,7 +382,7 @@ def tuple_gc_dimension(cls, c, alpha, max_d):
     ran before its count-vector search, kept (pool included) as the
     reference for the deepest witnessed depth up to max_d, its witness and
     its condition, returned as (d, witness, condition).  It decides every
-    candidate tuple with the package's `check_witness`, the independent
+    candidate tuple with `rational_check_witness`, the independent
     verifier, and shares nothing with the search or its depth bound.  At
     each depth, tuples are tried in lexicographic order over the sorted pool
     and the first witness is kept.
@@ -340,7 +400,7 @@ def tuple_gc_dimension(cls, c, alpha, max_d):
     best_condition = None
     for d in range(1, max_d + 1):
         for combo in combinations(pool, d):
-            cond = check_witness(cls, c, alpha, combo)
+            cond = rational_check_witness(cls, c, alpha, combo)
             if cond is not None:
                 best_d, best_witness, best_condition = d, combo, cond
                 break
@@ -433,7 +493,7 @@ def _count_vectors(caps: Sequence[int], d: int, hyps: Sequence[int],
 
 def _vector_condition(atoms: Sequence[_Atom], k_groups: int, alpha: Fraction,
                       v: Sequence[int], consistent: int) -> Condition | None:
-    """`check_witness` on any tuple taking v[k] candidates of atom k, given
+    """`rational_check_witness` on any tuple taking v[k] candidates of atom k, given
     the nonzero bitmask of the hypotheses consistent with it, decided from
     the counts alone in integer arithmetic."""
     counts = [0] * (k_groups + 1)
@@ -469,8 +529,8 @@ def count_vector_gc_dimension(cls, c, alpha, max_d):
     bound, vector enumeration and vector condition, as the reference for the
     deepest witnessed depth up to min(B, max_d), returned as
     (d, witness, condition).  It is exact once max_d reaches the bound B of
-    `count_vector_depth_bound`.  It shares the set algebra and the final
-    `check_witness` re-check with the package, not the closed form.
+    `count_vector_depth_bound`.  It shares the set algebra with the package,
+    not the closed form, and re-checks with `rational_check_witness`.
     """
     if not isinstance(c, FiniteGroups):
         raise ConfigError("dimension search needs a finite partition; "
@@ -501,11 +561,11 @@ def count_vector_gc_dimension(cls, c, alpha, max_d):
         if best_witness is not None:
             break
     if best_witness is not None:
-        verified = check_witness(cls, c, alpha, best_witness)
+        verified = rational_check_witness(cls, c, alpha, best_witness)
         if verified != best_condition:
             raise InvariantViolation(
                 f"count-vector search found {best_condition} for "
-                f"{best_witness}, check_witness says {verified}",
+                f"{best_witness}, rational_check_witness says {verified}",
                 snapshot={"witness": best_witness,
                           "condition": best_condition,
                           "verified": verified})

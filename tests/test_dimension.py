@@ -8,13 +8,13 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import repgen.dimension
 from repgen.dimension import (MAX_D, Condition1, Condition2, _atoms,
-                              check_witness, gc_depth, gc_dimension,
-                              witnessed_unbounded)
+                              check_witness, gc_depth, gc_dimension)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -23,7 +23,8 @@ from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
 from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
 from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
-                     count_vector_gc_dimension, naive_gc, tuple_gc_dimension)
+                     count_vector_gc_dimension, naive_gc,
+                     rational_check_witness, tuple_gc_dimension)
 
 F = Fraction
 
@@ -104,6 +105,19 @@ def test_check_witness_rejects_bad_tuples():
         check_witness(ALL_CLS, ZERO_REST, F(1, 2), (0, 0))
     with pytest.raises(ValueError):
         check_witness(ALL_CLS, ZERO_REST, F(1, 2), ())
+    # 1.0 lies in every support that holds 1, but is not a natural
+    with pytest.raises(ValueError, match="got 1.0$"):
+        check_witness(ALL_CLS, ZERO_REST, F(1, 2), (0, 1.0))
+
+
+def test_check_witness_rejects_bad_alpha():
+    # a float never reaches an exact verdict, however it compares
+    with pytest.raises(TypeError, match="alpha must be an int or Fraction"):
+        check_witness(ALL_CLS, ZERO_REST, 0.5, (0,))
+    for alpha in (F(-1, 2), F(3, 2), 2):
+        with pytest.raises(ConfigError, match=r"alpha must be in \[0, 1\]"):
+            check_witness(ALL_CLS, ZERO_REST, alpha, (0,))
+    assert check_witness(ALL_CLS, ZERO_REST, 0, (0,)) == Condition1(1)
 
 
 def test_check_witness_requires_partition():
@@ -121,6 +135,12 @@ def test_check_witness_blocks_condition1():
     b = BlockPartition(base=2)
     cond = check_witness(ALL_CLS, b, F(1, 2), (0, 1))
     assert cond == Condition1(1)
+    # blocks {0, 1}, {2..5}, {6..13}: a whole block outweighs 1/2 of
+    # range(k) however deep; a tuple that leaves block 1 alive does not
+    for k, block in ((3, 1), (6, 2), (14, 3)):
+        assert check_witness(ALL_CLS, b, F(1, 2), range(k)) \
+            == Condition1(block)
+    assert check_witness(ALL_CLS, b, F(1, 2), (3, 4)) is None
 
 
 def test_check_witness_blocks_infinite_leftover():
@@ -140,6 +160,19 @@ def test_check_witness_blocks_finite_leftover():
     assert cond == Condition1(1)
     cond2 = check_witness(c, b, F(1, 1), (0, 1))
     assert cond2 == Condition2((1,), 0)
+
+
+def test_check_witness_matches_the_fraction_reference_on_witness_subsets():
+    # the bundled witnesses reach condition 2 against up to four groups,
+    # which random small instances seldom do
+    for name, cls, groups, alpha in _search_instances():
+        witness = gc_dimension(cls, groups, alpha).witness or ()
+        for a in {alpha, F(1, 4), F(1, 2), F(1)}:
+            for n in range(1, len(witness) + 1):
+                for xs in combinations(witness, n):
+                    assert check_witness(cls, groups, a, xs) \
+                        == rational_check_witness(cls, groups, a, xs), \
+                        (name, a, xs)
 
 
 def test_gc_dimension_worked():
@@ -305,22 +338,6 @@ def test_condition1_witness_transfers_to_smaller_alpha():
         smaller = inst["alpha"] / 2
         assert check_witness(inst["cls"], inst["groups"], smaller,
                              r.witness) is not None, inst["name"]
-
-
-def test_witnessed_unbounded():
-    b = BlockPartition(base=2)
-    fam = [tuple(range(2)), tuple(range(3)), tuple(range(6)),
-           tuple(range(14))]
-    r = witnessed_unbounded(ALL_CLS, b, F(1, 2), fam)
-    assert r.status == "infinite" and r.d == 14
-    assert isinstance(r.condition, Condition1)
-
-    with pytest.raises(ValueError):
-        witnessed_unbounded(ALL_CLS, b, F(1, 2), [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        witnessed_unbounded(ALL_CLS, b, F(1, 2), [(3, 4)])  # block 1 alive
-    with pytest.raises(ValueError):
-        witnessed_unbounded(ALL_CLS, b, F(1, 2), [])
 
 
 def test_count_search_matches_tuple_walk():

@@ -2,10 +2,16 @@
 wherever the count-vector search's depth bound B keeps the tuple walk
 affordable, it returns the same depth, witness tuple and condition as both
 references kept in `oracles.py`; at alpha = 0, where B may be unbounded, its
-finite and infinite verdicts agree with a tuple walk two depths further."""
+finite and infinite verdicts agree with a tuple walk two depths further.
+`check_witness` returns what the `Fraction` reference returns on tuples
+drawn from a hypothesis's support, against finite and block partitions, and
+the witness of every instance with d >= 1 forces the uniform construction
+at d_star = d, the empirical baseline and the in-limit generator into a
+report that `verify_report` accepts."""
 
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -14,9 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
-                     count_vector_gc_dimension, tuple_gc_dimension)
+                     count_vector_gc_dimension, rational_check_witness,
+                     tuple_gc_dimension)
+from repgen.adversaries import gc_witness_adversary, verify_report
 from repgen.dimension import check_witness, gc_dimension
-from repgen.groups import FiniteGroups
+from repgen.generators import GeneratorSession
+from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import PeriodicSet
 
@@ -99,3 +108,68 @@ def test_no_witness_beyond_the_bound(instance):
         assert _first_walk_witness(cls, groups, alpha, r.d) == r.witness
         for depth in (r.d + 1, r.d + 2):
             assert _first_walk_witness(cls, groups, alpha, depth) is not None
+
+
+@st.composite
+def block_instances(draw):
+    """A class of 1-3 hypotheses built like `instances`' (1 <= t <= 6),
+    often all holding {0, ..., t - 1} and each its own residue, so that
+    closures are often finite, and a block partition."""
+    t = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    prefixes = st.just(range(t)) | st.frozensets(st.integers(0, t - 1))
+    hyps = [Hypothesis(f"h{n + 1}", PeriodicSet(
+                t, m, draw(st.just({n % m}) | st.frozensets(
+                    st.integers(0, m - 1), min_size=1)),
+                draw(prefixes)))
+            for n in range(draw(st.integers(1, 3)))]
+    blocks = BlockPartition(draw(st.integers(2, 3)),
+                            tuple(draw(st.lists(st.integers(1, 3),
+                                                max_size=3))))
+    return HypothesisClass(hyps), blocks
+
+
+def _support_tuple(data, cls, groups, alpha):
+    """Distinct members among the first eight of the supports' intersection
+    of some hypotheses (or of one support, when they do not meet), in any
+    order: often their first ones, which exhaust groups, or, on a finite
+    partition, the dimension's witness, which witnesses."""
+    chosen = data.draw(st.sets(st.integers(1, cls.materialized_count()),
+                               min_size=1))
+    s = cls.closure_of_indices(sorted(chosen))
+    if s.is_empty():
+        s = cls.get(min(chosen)).support
+    members = list(islice(s.members(), 8))
+    k = data.draw(st.integers(1, len(members)))
+    options = [st.just(members[:k]), st.just(members), st.lists(
+        st.sampled_from(members), min_size=1, max_size=k, unique=True)]
+    if isinstance(groups, FiniteGroups):
+        witness = gc_dimension(cls, groups, alpha).witness
+        if witness:
+            options.append(st.just(list(witness)))
+    return data.draw(st.one_of(options).flatmap(st.permutations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances() | block_instances(), st.sampled_from(ALPHAS), st.data())
+def test_check_witness_matches_the_fraction_reference(instance, alpha, data):
+    cls, groups = instance
+    xs = _support_tuple(data, cls, groups, alpha)
+    assert check_witness(cls, groups, alpha, xs) \
+        == rational_check_witness(cls, groups, alpha, xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from(ALPHAS[1:-1]))
+def test_witness_forces_every_generator(instance, alpha):
+    cls, groups = instance
+    r = gc_dimension(cls, groups, alpha)
+    assume(r.d >= 1)
+    for kind, d_star in (("uniform", r.d), ("empirical", None),
+                         ("inlimit", None)):
+        report = gc_witness_adversary(
+            partial(GeneratorSession, kind, cls, groups, alpha, d_star),
+            cls, groups, alpha, r.witness)
+        support = (cls.by_id(report.hypothesis)[1].support
+                   if report.reason == "out-of-support" else None)
+        assert verify_report(report, groups=groups, support=support), kind

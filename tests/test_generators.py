@@ -342,7 +342,7 @@ def test_nonuniform_delegation_is_bitwise():
     prev_i = 1
     for _ in range(25):
         hist.append(rng.choice(range(0, 32, 2)))
-        mu = nonuniform_emit(cls, PARITY, F(1, 2), hist, cache)
+        mu = nonuniform_emit(cls, PARITY, F(1, 2), hist)
         d_t = len(set(hist))
         upto = min(len(hist), 3)
         n = nonuniform_thresholds(cls, PARITY, F(1, 2), upto, cache)
@@ -446,14 +446,13 @@ def test_session_matches_free_functions():
 def test_session_nonuniform_matches_free_function():
     cls = _cls([("evens", EVENS), ("mult4", multiples(4))])
     session = GeneratorSession("nonuniform", cls, PARITY, F(1, 2))
-    cache: list[int] = []
     hist = []
     rng = random.Random(107)
     for _ in range(12):
         x = rng.choice(range(0, 40, 4))
         hist.append(x)
         mu = session.step(x)
-        want = nonuniform_emit(cls, PARITY, F(1, 2), hist, cache)
+        want = nonuniform_emit(cls, PARITY, F(1, 2), hist)
         assert mu == want
 
 

@@ -3,8 +3,8 @@
 `RationalDist` (integer numerators over one denominator) agrees with the
 `Fraction`-mass reference in `oracles.py` on items, support, serialization,
 repr, equality and error text.  `group_empirical` and a `GroupTally` fed one
-element at a time or in batches agree with the group probabilities of the
-empirical distribution, on random overlapping finite collections and block
+element at a time agree with the group probabilities of the empirical
+distribution, on random overlapping finite collections and block
 partitions and on prefixes with repeats.  `group_empirical`'s memo of its
 last prefix never changes an answer or an error text.  `GroupTally.distance`
 equals the sup distance of the `Fraction` group probabilities on both
@@ -61,24 +61,6 @@ def test_tally_step_by_step_equals_batch(c, prefix):
         assert tally.weights() == induced_group_probs(empirical(prefix[:t]), c)
 
 
-@settings(max_examples=200, deadline=None)
-@given(collections, prefixes, st.lists(st.integers(0, 30), max_size=4))
-def test_tally_update_equals_add(c, prefix, cuts):
-    """Batches of any sizes, repeats inside and across batches included,
-    leave the same tally as adding every element in turn."""
-    one = GroupTally(c)
-    for x in prefix:
-        one.add(x)
-    batched = GroupTally(c)
-    bounds = [0] + sorted(cuts) + [len(prefix)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        batched.update(prefix[lo:hi])
-    batched.update(iter(prefix))  # all repeats by now
-    assert batched.seen == one.seen
-    assert batched.counts == one.counts
-    assert batched.weights() == one.weights()
-
-
 def outcome_of(count, prefix, c):
     try:
         return count(prefix, c)
@@ -88,7 +70,8 @@ def outcome_of(count, prefix, c):
 
 def fresh_tally_weights(prefix, c):
     tally = GroupTally(c)
-    tally.update(prefix)
+    for x in prefix:
+        tally.add(x)
     return tally.weights()
 
 
@@ -245,7 +228,8 @@ def test_invalid_supports_raise_reference_error(xs):
 def test_tally_distance_equals_fraction_sup_distance(c, prefix, masses, alpha):
     mu = RationalDist(masses)
     tally = GroupTally(c)
-    tally.update(prefix)
+    for x in prefix:
+        tally.add(x)
     d = tally.distance(mu)
     assert type(d) is Fraction
     lam, pihat = induced_group_probs(mu, c), tally.weights()
