@@ -8,8 +8,7 @@ from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
                           MembershipOracle, QueryAdversaryState,
                           QueryBudgetExceeded, QueryThenEmit, ViolationReport,
                           gc_witness_adversary, geometric_adversary,
-                          geometric_checkpoints, query_adversary,
-                          verify_report)
+                          query_adversary, verify_report)
 from .dimension import (Condition1, Condition2, GcResult, check_witness,
                         gc_depth, gc_dimension)
 from .errors import ConfigError, InvariantViolation, ScenarioError

@@ -20,14 +20,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Callable, Sequence
 
 from .dimension import check_witness
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
-from .measures import RationalDist, check_alpha, prefix_tally
+from .measures import GroupTally, RationalDist, check_alpha, prefix_tally
 from .periodic import ALL, PeriodicSet
 
 # Longest game an adversary plays.  The geometric horizon b + ... + b^depth
@@ -128,7 +128,8 @@ def gc_witness_adversary(make_session: Callable[[], object],
             h = next(cls.get(i) for i in consistent
                      if x not in cls.get(i).support)
             reason = "out-of-support"
-        cont = tuple(y for y in _preview(h.support, hist, 3))
+        unseen = (y for y in h.support.members() if y not in seen)
+        cont = tuple(islice(unseen, 3))
         return ViolationReport(step=t, kind=INCONSISTENT, history=hist,
                                distribution=mu, alpha=alpha, element=x,
                                reason=reason, hypothesis=h.id,
@@ -146,44 +147,20 @@ def gc_witness_adversary(make_session: Callable[[], object],
                            distance=d, pi_hat=pihat)
 
 
-def _preview(s: PeriodicSet, seen: Sequence[int], k: int) -> list[int]:
-    out = []
-    excl = set(seen)
-    for j in range(k):
-        nxt = s.nth_unseen(excl, j)
-        if nxt is None:
-            break
-        out.append(nxt)
-    return out
-
-
 # -- geometric adversary ----------------------------------------------------------
-
-def geometric_checkpoints(base: int, depth: int) -> dict[int, int]:
-    """Map step t -> block index for the first `depth` block-completion
-    moments of the natural enumeration against blocks of sizes
-    base, base^2, base^3, ...  Block i is complete once the stream has shown
-    every element below base + base^2 + ... + base^i, and at that step its
-    empirical weight strictly exceeds 1 - 1/base."""
-    steps: dict[int, int] = {}
-    total = 0
-    for i in range(1, depth + 1):
-        total += base ** i
-        steps[total] = i
-    return steps
-
 
 def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition, Fraction], object],
                         alpha: Fraction, depth: int) -> list[ViolationReport]:
     """Run a generator against the single-hypothesis instance (support = all
     naturals) with geometric blocks of sizes b, b^2, b^3, ... where
     b = 1/(1-alpha) must be an integer >= 2.  The stream enumerates the
-    naturals in order; at the moment block i is fully shown, its empirical
-    weight strictly exceeds alpha while the block holds no unseen element,
-    so the emitted distribution is either inconsistent (mass on a seen
-    element) or off by more than alpha on that block.  Returns one verified
-    report per checkpoint up to the requested depth, whose horizon may not
-    exceed MAX_STEPS.
+    naturals in order; at the moment block i is fully shown, step
+    t_i = b + ... + b^i (the block's end), its empirical weight strictly
+    exceeds alpha while the block holds no unseen element, so the emitted
+    distribution is either inconsistent (mass on a seen element) or off by
+    more than alpha on that block.  Returns one verified report per block
+    up to the requested depth, whose horizon t_depth may not exceed
+    MAX_STEPS.
     """
     check_alpha(alpha)
     if alpha <= 0 or alpha >= 1:
@@ -196,38 +173,29 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
     b = int(b_frac)
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
-    horizon = 0
+    groups = BlockPartition(base=b, prefix_sizes=(b,))
     for i in range(1, depth + 1):  # b >= 2: stops by i = log2(MAX_STEPS)
-        horizon += b ** i
-        if horizon > MAX_STEPS:
+        if groups.block_range(i)[1] > MAX_STEPS:
             raise ConfigError(
                 f"depth {depth} at base {b} needs more than {MAX_STEPS} steps")
 
-    groups = BlockPartition(base=b, prefix_sizes=(b,))
     cls = HypothesisClass([Hypothesis("everything", ALL)])
     session = make_session(cls, groups, alpha)
-
-    checkpoints = geometric_checkpoints(b, depth)
+    tally = GroupTally(groups)
 
     reports: list[ViolationReport] = []
-    history: list[int] = []
-    for t in range(1, horizon + 1):
-        x = t - 1
-        history.append(x)
-        mu = session.step(x)
-        i = checkpoints.get(t)
-        if i is None:
-            continue
-        lo, hi = groups.block_range(i)
-        if hi > t:
-            raise InvariantViolation("checkpoint arithmetic is off",
-                                     snapshot={"t": t, "block": i, "range": (lo, hi)})
-        pihat_i = Fraction(hi - lo, t)
+    for i in range(1, depth + 1):
+        lo, t = groups.block_range(i)
+        for x in range(lo, t):  # step x + 1 shows x
+            mu = session.step(x)
+        for x in range(lo, t):
+            tally.add(x)
+        pihat_i = Fraction(t - lo, t)
         if pihat_i <= alpha:
             raise InvariantViolation(
                 "full block weight failed to exceed alpha",
                 snapshot={"t": t, "block": i, "pi_hat": str(pihat_i)})
-        hist = tuple(history)
+        hist = tuple(range(t))
         seen_mass = sorted(y for y in mu.support() if y < t)
         if seen_mass:
             reports.append(ViolationReport(
@@ -235,7 +203,7 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
                 alpha=alpha, element=seen_mass[0], reason="already-seen",
                 checkpoint=i, pi_hat=pihat_i))
             continue
-        d = prefix_tally(history, groups).distance(mu)
+        d = tally.distance(mu)
         if d <= alpha:
             raise InvariantViolation(
                 "exhausted block did not force the distance above alpha",

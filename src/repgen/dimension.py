@@ -31,7 +31,7 @@ from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantViolation
-from .groups import BlockPartition, FiniteGroups, GroupCollection
+from .groups import BlockPartition, FiniteGroups, GroupCollection, refine
 from .hypotheses import HypothesisClass
 from .measures import check_alpha
 from .periodic import PeriodicSet
@@ -146,19 +146,11 @@ class _Atom:
 
 def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
     """Joint refinement of the partition and the hypothesis supports."""
-    parts = [(c.group(i), i, 0) for i in c.indices()]
-    for n in range(1, cls.materialized_count() + 1):
-        s = cls.get(n).support
-        refined = []
-        for p, group, hyps in parts:
-            inside = p & s
-            if not inside.is_empty():
-                refined.append((inside, group, hyps | 1 << (n - 1)))
-            if inside != p:
-                refined.append((p - s, group, hyps))
-        parts = refined
-    return [_Atom(piece, piece.size_if_finite(), group, hyps)
-            for piece, group, hyps in parts]
+    supports = [cls.get(n).support
+                for n in range(1, cls.materialized_count() + 1)]
+    return [_Atom(piece, piece.size_if_finite(), i, hyps)
+            for i in c.indices()
+            for hyps, piece in refine(c.group(i), supports)]
 
 
 def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:

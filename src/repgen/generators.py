@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import simplex
 from .dimension import gc_depth
@@ -41,17 +41,18 @@ KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
 
 class StreamState:
     """What every construction reads about the stream so far, updated one
-    element at a time: the history; a `GroupTally` (`tally`) of its distinct
-    elements and their count per group, which gives the empirical group
-    weights; the consistent class indices (checked lazily up to the largest
-    index asked for); and smallest-unseen cursors keyed by (set, part), each
-    walking `set & part` forward only, since the seen set only grows."""
+    element at a time: the step count `t`; a `GroupTally` (`tally`) of the
+    distinct elements and their count per group, which gives the empirical
+    distribution and group weights; the consistent class indices (checked
+    lazily up to the largest index asked for); and smallest-unseen cursors
+    keyed by (set, part), each walking `set & part` forward only, since the
+    seen set only grows."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
         self.cls = cls
         self.groups = groups
-        self.history: list[int] = []
+        self.t = 0
         self.tally = GroupTally(groups)
         self.consistent: tuple[int, ...] = ()
         self.checked = 0  # class indices checked for consistency so far
@@ -60,14 +61,14 @@ class StreamState:
             self.add(x)
 
     def add(self, x: int) -> None:
-        self.history.append(x)
+        self.t += 1
         if self.tally.add(x):
             self.consistent = tuple(i for i in self.consistent
                                     if x in self.cls.get(i).support)
 
     def depth(self) -> int:
         """Largest class index a step may consider: t, capped by a finite class."""
-        t = len(self.history)
+        t = self.t
         return t if self.cls.extendable else min(t, self.cls.materialized_count())
 
     def consistent_upto(self, n: int) -> tuple[int, ...]:
@@ -223,9 +224,9 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
 
 def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
                       exhausted: list[int], alpha: Fraction,
-                      history: Sequence[int]) -> RationalDist:
+                      seen: Collection[int]) -> RationalDist:
     """Build the emitted distribution from per-group counts of the d
-    distinct elements seen, one unseen closure element per non-exhausted
+    distinct elements `seen`, one unseen closure element per non-exhausted
     group, and the exhausted set.
 
     The arithmetic is on integers over D = d * alpha.denominator: group i's
@@ -243,7 +244,7 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
         return RationalDist.from_numerators(
             {avail[i]: counts[i] * b for i in avail if counts[i] > 0}, den)
     if not avail:
-        return empirical(history)  # closure fully consumed; out of contract
+        return empirical(seen)  # closure fully consumed; out of contract
     masses = {i: counts[i] * b for i in avail}
     order = sorted(avail)
     cap = a * d
@@ -280,7 +281,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     if len(state.tally.seen) >= d_star:
         closure = state.cls.closure_of_indices(state.consistent_upto(upto))
     if closure is None:
-        return empirical(state.history)
+        return empirical(state.tally.seen)
     avail: dict[int, int] = {}
     exhausted: list[int] = []
     for i in state.groups.indices():
@@ -291,7 +292,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
             avail[i] = z
     tally = state.tally
     return _assemble_uniform(tally.counts, len(tally.seen), avail, exhausted,
-                             alpha, state.history)
+                             alpha, tally.seen)
 
 
 def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
@@ -356,7 +357,7 @@ def _limit(state: StreamState,
             w = _feasible(state, state.cls.get(n), alpha)
             if w is not None:
                 return n, w.distribution()
-    return None, empirical(state.history)
+    return None, empirical(state.tally.seen)
 
 
 def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
@@ -383,6 +384,9 @@ class GeneratorSession:
         if kind not in KINDS:
             raise ConfigError(f"unknown generator kind {kind!r}")
         check_alpha(alpha)
+        if d_star is not None and kind != "uniform":
+            raise ConfigError(f"only the uniform generator takes d_star, "
+                              f"not {kind!r}")
         self.kind = kind
         self.cls = cls
         self.groups = groups
@@ -409,6 +413,9 @@ class GeneratorSession:
                     raise ConfigError(f"cannot derive d_star: {e}; an explicit"
                                       " d_star skips the search") from None
                 d_star = result.d + 1
+            elif not isinstance(d_star, int) or isinstance(d_star, bool):
+                raise TypeError(f"d_star must be an int, got "
+                                f"{type(d_star).__name__} {d_star!r}")
             if d_star < 1:
                 raise ConfigError(f"d_star must be >= 1, got {d_star}")
             self.d_star = d_star
@@ -431,4 +438,4 @@ class GeneratorSession:
         if self.kind == "inlimit":
             self.last_selected, mu = _limit(state, self.alpha)
             return mu
-        return empirical(state.history)
+        return empirical(state.tally.seen)

@@ -7,13 +7,15 @@ Both shapes share `group(i)` (a `PeriodicSet`), `groups_containing(x)`,
 `mass_by_group(xs, weights)` (total weight per group: every group of a
 finite family, the touched blocks of a partition) and `validate()`, so
 callers that count or weigh elements never ask which shape they hold.
+`refine` cuts a set by a family of sets; it gives the membership cells of a
+finite family and the dimension's atoms alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 from typing import Collection, Iterable, Sequence, Union
 
 from .hypotheses import Hypothesis
@@ -76,18 +78,9 @@ class FiniteGroups:
         paired with its exact set.  Deterministic order (vectors enumerated
         with 1 before 0 per coordinate)."""
         if self._cells is None:
-            out = []
-            for vec in product((1, 0), repeat=len(self._groups)):
-                if not any(vec):
-                    continue
-                cell = ALL
-                for bit, g in zip(vec, self._groups):
-                    cell = (cell & g) if bit else (cell - g)
-                    if cell.is_empty():
-                        break
-                if not cell.is_empty():
-                    out.append((vec, cell))
-            self._cells = out
+            k = len(self._groups)
+            self._cells = [(tuple(mask >> n & 1 for n in range(k)), cell)
+                           for mask, cell in refine(ALL, self._groups) if mask]
         return self._cells
 
     def __repr__(self) -> str:
@@ -166,6 +159,25 @@ class BlockPartition:
 
 
 GroupCollection = Union[FiniteGroups, BlockPartition]
+
+
+def refine(base: PeriodicSet,
+           sets: Sequence[PeriodicSet]) -> list[tuple[int, PeriodicSet]]:
+    """The nonempty pieces of `base` cut by each set in turn, the piece
+    inside a set before the piece outside it, each tagged with the bitmask
+    of the sets that hold it (bit n for sets[n]).  Only nonempty pieces are
+    cut further, so the cost is O(pieces * len(sets)) set operations."""
+    pieces = [] if base.is_empty() else [(0, base)]
+    for n, s in enumerate(sets):
+        cut = []
+        for mask, piece in pieces:
+            inside = piece & s
+            if not inside.is_empty():
+                cut.append((mask | 1 << n, inside))
+            if inside != piece:
+                cut.append((mask, piece - s))
+        pieces = cut
+    return pieces
 
 
 def finite_support_size(h: Hypothesis, c: FiniteGroups) -> int:

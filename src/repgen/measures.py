@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .groups import GroupCollection
@@ -121,7 +121,7 @@ class RationalDist:
         return out
 
 
-def empirical(prefix: Sequence[int]) -> RationalDist:
+def empirical(prefix: Collection[int]) -> RationalDist:
     """Uniform distribution over the distinct elements of the prefix."""
     if not prefix:
         raise ValueError("empirical distribution of an empty prefix is undefined")

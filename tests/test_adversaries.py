@@ -14,8 +14,7 @@ from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 QueryBudgetExceeded, QueryThenEmit,
                                 ViolationReport,
                                 gc_witness_adversary, geometric_adversary,
-                                geometric_checkpoints, query_adversary,
-                                verify_report)
+                                query_adversary, verify_report)
 from repgen.dimension import gc_dimension
 from repgen.errors import ConfigError
 from repgen.generators import GeneratorSession
@@ -120,9 +119,15 @@ def test_gc_witness_distance_matches_fraction_reference():
 
 
 def test_geometric_checkpoints_layout():
-    assert geometric_checkpoints(2, 6) == {2: 1, 6: 2, 14: 3, 30: 4,
-                                           62: 5, 126: 6}
-    assert geometric_checkpoints(3, 3) == {3: 1, 12: 2, 39: 3}
+    # block i is reported at its end t_i = b + ... + b^i, on the history
+    # 0, ..., t_i - 1
+    for alpha, depth, steps in ((F(1, 2), 6, [2, 6, 14, 30, 62, 126]),
+                                (F(2, 3), 3, [3, 12, 39])):
+        reports = geometric_adversary(lambda *_: ConstantSession(0), alpha,
+                                      depth)
+        assert [r.step for r in reports] == steps
+        assert [r.checkpoint for r in reports] == list(range(1, depth + 1))
+        assert all(r.history == tuple(range(r.step)) for r in reports)
 
 
 def test_geometric_vs_empirical():

@@ -40,8 +40,12 @@ WALK_BUDGET = 3000
 def instances(draw):
     """A class of 1-3 hypotheses and a partition into 1-4 groups, all built
     from the cells {0}, ..., {t - 1} and the residue classes mod m at or
-    above t (1 <= t <= 3, m <= 4); a group may be empty."""
-    t = draw(st.integers(1, 3))
+    above t (1 <= t <= 3, m <= 4); a group may be empty.  Supports often
+    hold every cell {x}, and half the partitions give each cell a group of
+    its own and the residue classes group t + 1 (t >= 2), since exhausted
+    singleton groups are what condition 2 weighs against the live ones."""
+    singletons = draw(st.booleans())
+    t = draw(st.integers(2 if singletons else 1, 3))
     m = draw(st.integers(1, 4))
 
     def cells_set(prefix, residues):
@@ -50,13 +54,17 @@ def instances(draw):
     hyps = []
     for n in range(draw(st.integers(1, 3))):
         residues = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
-        prefix = draw(st.frozensets(st.integers(0, t - 1)))
+        prefix = draw(st.just(range(t)) | st.frozensets(st.integers(0, t - 1)))
         hyps.append(Hypothesis(f"h{n + 1}", cells_set(prefix, residues)))
-    k = draw(st.integers(1, 4))
-    # residue classes lean to group k, so that more groups are finite
-    owner = (draw(st.lists(st.integers(1, k), min_size=t, max_size=t))
-             + draw(st.lists(st.integers(1, k) | st.just(k),
-                             min_size=m, max_size=m)))
+    if singletons:
+        k = t + 1
+        owner = list(range(1, k)) + [k] * m
+    else:
+        k = draw(st.integers(1, 4))
+        # residue classes lean to group k, so that more groups are finite
+        owner = (draw(st.lists(st.integers(1, k), min_size=t, max_size=t))
+                 + draw(st.lists(st.integers(1, k) | st.just(k),
+                                 min_size=m, max_size=m)))
     groups = [cells_set([x for x in range(t) if owner[x] == i],
                         [r for r in range(m) if owner[t + r] == i])
               for i in range(1, k + 1)]

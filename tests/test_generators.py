@@ -2,6 +2,7 @@
 feasibility decision procedure, and the stateful session wrapper."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -394,7 +395,7 @@ def test_limit_emit_selects_largest_index():
 
 
 def _assert_same_state(stepped, once):
-    assert stepped.history == once.history
+    assert stepped.t == once.t
     assert stepped.tally.seen == once.tally.seen
     assert stepped.tally.weights() == once.tally.weights()
     n = stepped.checked
@@ -466,6 +467,30 @@ def test_session_validation():
                          FiniteGroups([EVENS, ALL]), F(1, 2))
     with pytest.raises(ConfigError):
         GeneratorSession("uniform", ALL_CLS, PARITY, F(1, 2), d_star=0)
+
+
+def test_session_refuses_d_star_on_other_kinds():
+    # the scenario reader refuses this too; a session used to drop it
+    blocks = BlockPartition(base=2, prefix_sizes=(2,))
+    for kind, groups in (("empirical", PARITY), ("nonuniform", PARITY),
+                         ("inlimit", PARITY), ("inlimit", blocks)):
+        with pytest.raises(ConfigError, match="^only the uniform generator "
+                                              f"takes d_star, not '{kind}'$"):
+            GeneratorSession(kind, ALL_CLS, groups, F(1, 2), d_star=2)
+        assert GeneratorSession(kind, ALL_CLS, groups, F(1, 2),
+                                d_star=None).d_star is None
+
+
+def test_session_refuses_a_d_star_that_is_not_an_int():
+    # 2.5 used to play like 3 and True like 1
+    for d_star, shown in ((2.5, "float 2.5"), (True, "bool True"),
+                          (F(2), "Fraction Fraction(2, 1)"), ("2", "str '2'")):
+        with pytest.raises(TypeError, match=f"^d_star must be an int, got "
+                                            f"{re.escape(shown)}$"):
+            GeneratorSession("uniform", ALL_CLS, PARITY, F(1, 2),
+                             d_star=d_star)
+    assert GeneratorSession("uniform", ALL_CLS, PARITY, F(1, 2),
+                            d_star=3).d_star == 3
 
 
 def test_session_uniform_autoderives_dstar():

@@ -1,0 +1,89 @@
+"""Property tests for `refine`, the one cut behind the membership cells and
+the dimension's atoms.
+
+`FiniteGroups.cells()` returns what the product enumeration in `oracles.py`
+returns (the same vectors, in the same order, with the same sets) on random
+overlapping families of one to six groups, and on a partition into
+singletons and a tail it makes O(K^2) set operations, not O(2^K)."""
+
+from itertools import product
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from oracles import product_cells
+from repgen.groups import FiniteGroups, refine
+from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet,
+                             from_finite, from_threshold, multiples)
+
+
+@st.composite
+def periodic_sets(draw):
+    # small thresholds and moduli make overlaps and empty cells common
+    t = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 4))
+    residues = draw(st.frozensets(st.integers(0, m - 1)))
+    prefix = draw(st.frozensets(st.integers(0, t - 1))) if t else frozenset()
+    return PeriodicSet(t, m, residues, prefix)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(periodic_sets(), min_size=1, max_size=6))
+def test_cells_match_the_product_reference(groups):
+    c = FiniteGroups(groups)
+    assert c.cells() == product_cells(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_sets(), st.lists(periodic_sets(), max_size=4))
+def test_refine_tags_each_piece_with_its_sets(base, sets):
+    pieces = refine(base, sets)
+    # nonempty pieces, the same order as cutting by every membership
+    # pattern with "inside" first, and each piece the base cut by its mask
+    assert all(not piece.is_empty() for _, piece in pieces)
+    masks = [mask for mask, _ in pieces]
+    order = [sum(bit << n for n, bit in enumerate(bits))
+             for bits in product((1, 0), repeat=len(sets))]
+    assert masks == [m for m in order if m in masks]
+    for mask, piece in pieces:
+        want = base
+        for n, s in enumerate(sets):
+            want = want & s if mask >> n & 1 else want - s
+        assert piece == want
+    # the pieces tile the base
+    union = EMPTY
+    for _, piece in pieces:
+        assert (union & piece).is_empty()
+        union = union | piece
+    assert union == base
+
+
+def test_refine_worked():
+    mult4 = multiples(4)
+    assert refine(ALL, [EVENS, mult4]) == [
+        (3, mult4), (1, EVENS - mult4), (0, ODDS)]
+    assert refine(EVENS, [ODDS]) == [(0, EVENS)]
+    assert refine(EMPTY, [EVENS]) == []
+    assert refine(ODDS, []) == [(0, ODDS)]
+
+
+def test_cells_cost_is_quadratic_in_the_group_count(monkeypatch):
+    # 23 singletons and a tail: 2^24 membership vectors, 24 cells
+    k = 24
+    groups = [from_finite([x]) for x in range(k - 1)] + [from_threshold(k - 1)]
+    cap = 2 * k * k
+    calls = [0]
+    for name in ("__and__", "__sub__"):
+        op = getattr(PeriodicSet, name)
+
+        def counted(self, other, op=op):
+            calls[0] += 1
+            assert calls[0] <= cap, "more than 2 K^2 set operations"
+            return op(self, other)
+
+        monkeypatch.setattr(PeriodicSet, name, counted)
+    cells = FiniteGroups(groups).cells()
+    assert cells == [(tuple(int(n == i) for n in range(k)), g)
+                     for i, g in enumerate(groups)]

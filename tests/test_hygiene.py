@@ -2,12 +2,14 @@
 package keeps its invariants of exact arithmetic and zero runtime
 dependencies: no float literal, no float() call and no import from outside
 the standard library in `src/repgen/`.  Every function the per-layer tracer
-in `bench/spans.py` rebinds still exists in the package, so a rename cannot
-break `bench/run.py --trace 1`.  The README's CLI examples print what the
-CLI prints.
+in `bench/spans.py` rebinds, and every `<repgen module>.<name>` that the
+workloads in `bench/workloads.py` read, still exists in the package, so a
+rename or a deletion cannot break `bench/run.py`.  The README's CLI
+examples print what the CLI prints.
 
-The unused-import scan skips `src/repgen/__init__.py` because its imports
-are the package's public re-exports.
+The unused-import scan covers `src/repgen/`, `tests/` and `bench/`; it
+skips `src/repgen/__init__.py` because its imports are the package's public
+re-exports.
 """
 
 import ast
@@ -15,6 +17,7 @@ import importlib.util
 import shlex
 import sys
 from pathlib import Path
+from types import ModuleType
 
 from repgen import measures
 from repgen.cli import main
@@ -22,7 +25,7 @@ from repgen.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "repgen").glob("*.py"))
 SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
-    (ROOT / "tests").glob("*.py"))
+    (ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,7 +51,7 @@ def test_unused_imports_are_detected():
 
 
 def test_no_unused_imports():
-    assert len(SCANNED) > 20
+    assert len(SCANNED) > 30
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in SCANNED}
     assert {k: v for k, v in found.items() if v} == {}
@@ -161,13 +164,48 @@ def test_unresolved_targets_are_detected():
             "d: GroupTally.no_such_method", "e: ast.parse"]
 
 
-def test_bench_span_targets_resolve():
+def load_bench(name: str) -> ModuleType:
     spec = importlib.util.spec_from_file_location(
-        "bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    spans = load_bench("spans")
     assert len(spans.TARGETS) > 20 and spans.COUNTED
     assert unresolved(spans.TARGETS + spans.COUNTED) == []
+
+
+def repgen_reads(source: str, namespace: dict) -> list[tuple[str, bool]]:
+    """Each `<module>.<name>` in the source whose `<module>` is bound in the
+    namespace to a `repgen` module, as its dotted name and whether the
+    module has that name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = namespace.get(node.value.id)
+            if isinstance(owner, ModuleType) \
+                    and owner.__name__.startswith("repgen"):
+                found.append((f"{owner.__name__}.{node.attr}",
+                              hasattr(owner, node.attr)))
+    return found
+
+
+def test_repgen_reads_are_detected():
+    source = ("measures.empirical(x)\nmeasures.no_such_function\n"
+              "ast.parse\ny.empirical\n")
+    reads = repgen_reads(source, {"measures": measures, "ast": ast})
+    assert sorted(reads) == [("repgen.measures.empirical", True),
+                             ("repgen.measures.no_such_function", False)]
+
+
+def test_bench_workload_reads_resolve():
+    path = ROOT / "bench" / "workloads.py"
+    reads = repgen_reads(path.read_text(), vars(load_bench("workloads")))
+    assert len(reads) > 15
+    assert [name for name, found in reads if not found] == []
 
 
 def readme_cli_examples() -> list[tuple[list[str], str]]:
