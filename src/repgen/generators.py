@@ -60,11 +60,20 @@ class StreamState:
         for x in history:
             self.add(x)
 
-    def add(self, x: int) -> None:
+    def add(self, x: int) -> bool:
+        """Feed one element; return whether anything a construction reads
+        changed: True when x is new or the depth grew.  A repeat that leaves
+        the depth unchanged changes nothing, so its step may re-emit the
+        previous distribution.  Without a class (as `is_feasible` builds the
+        state) there is no depth, and a repeat returns False."""
         self.t += 1
         if self.tally.add(x):
             self.consistent = tuple(i for i in self.consistent
                                     if x in self.cls.get(i).support)
+            return True
+        cls = self.cls
+        return cls is not None and (cls.extendable
+                                    or self.t <= cls.materialized_count())
 
     def depth(self) -> int:
         """Largest class index a step may consider: t, capped by a finite class."""
@@ -374,9 +383,11 @@ class GeneratorSession:
     """Stateful step-by-step interface over the constructions.
 
     Each step feeds one element into the session's `StreamState`, and every
-    kind emits by running its construction on that state, so no step
-    rescans the history.  The output is identical to calling the pure
-    function of the kind on the accumulated history (tested).
+    kind emits by running its construction on that state; a repeat that
+    leaves the depth unchanged re-emits the previous distribution (and
+    leaves `last_selected` alone), since nothing the construction reads has
+    changed.  The output is identical to calling the pure function of the
+    kind on the accumulated history (tested).
     """
 
     def __init__(self, kind: str, cls: HypothesisClass, groups: GroupCollection,
@@ -393,6 +404,7 @@ class GeneratorSession:
         self.alpha = alpha
         self.state = StreamState(cls, groups)
         self.last_selected: int | None = None
+        self._last: RationalDist | None = None  # the previous step's output
         self.d_star: int | None = None
         self._thresholds: list[int] = []  # nonuniform prefix thresholds
 
@@ -429,13 +441,20 @@ class GeneratorSession:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"examples are naturals, got {x!r}")
         state = self.state
-        state.add(x)
-        if self.kind == "uniform":
-            return _uniform(state, self.alpha, self.d_star,
-                            self.cls.materialized_count())
-        if self.kind == "nonuniform":
-            return _nonuniform(state, self.alpha, self._thresholds)
-        if self.kind == "inlimit":
-            self.last_selected, mu = _limit(state, self.alpha)
-            return mu
-        return empirical(state.tally.seen)
+        if not state.add(x) and self._last is not None:
+            return self._last
+        try:
+            if self.kind == "uniform":
+                mu = _uniform(state, self.alpha, self.d_star,
+                              self.cls.materialized_count())
+            elif self.kind == "nonuniform":
+                mu = _nonuniform(state, self.alpha, self._thresholds)
+            elif self.kind == "inlimit":
+                self.last_selected, mu = _limit(state, self.alpha)
+            else:
+                mu = empirical(state.tally.seen)
+        except BaseException:
+            self._last = None  # a repeat after a failed step must rerun it
+            raise
+        self._last = mu
+        return mu

@@ -11,7 +11,7 @@ report that `verify_report` accepts."""
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, islice, takewhile
 from math import comb
 
 import pytest
@@ -141,7 +141,11 @@ def _support_tuple(data, cls, groups, alpha):
     """Distinct members among the first eight of the supports' intersection
     of some hypotheses (or of one support, when they do not meet), in any
     order: often their first ones, which exhaust groups, or, on a finite
-    partition, the dimension's witness, which witnesses."""
+    partition, the dimension's witness, which witnesses.  When the
+    intersection meets some groups of a finite partition in finitely many
+    members, half the draws take its first members up to and including the
+    last of those, which exhausts every such group at once, as condition 2
+    needs."""
     chosen = data.draw(st.sets(st.integers(1, cls.materialized_count()),
                                min_size=1))
     s = cls.closure_of_indices(sorted(chosen))
@@ -155,6 +159,11 @@ def _support_tuple(data, cls, groups, alpha):
         witness = gc_dimension(cls, groups, alpha).witness
         if witness:
             options.append(st.just(list(witness)))
+        meets = [s & groups.group(i) for i in groups.indices()]
+        finite = [x for m in meets if m.is_finite() for x in m.members()]
+        if finite and data.draw(st.booleans()):
+            options = [st.just(list(takewhile(lambda x: x <= max(finite),
+                                              s.members())))]
     return data.draw(st.one_of(options).flatmap(st.permutations))
 
 

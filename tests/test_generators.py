@@ -10,7 +10,7 @@ import pytest
 from repgen.adversaries import geometric_adversary
 from repgen.dimension import gc_depth
 from repgen.errors import ConfigError
-from repgen import simplex
+from repgen import generators, simplex
 from repgen.generators import (GeneratorSession, StreamState, _feasible,
                                _feasible_blocks, is_feasible, limit_emit,
                                nonuniform_emit, nonuniform_thresholds,
@@ -442,6 +442,48 @@ def test_session_matches_free_functions():
             assert mu.serialize() == want.serialize()
             _assert_same_state(session.state, StreamState(cls, c, hist))
         assert len(set(hist)) < len(hist), (kind, hist)
+
+
+def test_a_repeat_that_grows_the_depth_reruns_the_construction():
+    # 0 three times: every step repeats the element, but the depth grows
+    # from 1 to 3, so each step admits one more hypothesis and the in-limit
+    # pick moves from all to evens to mult4; a session that re-emitted on
+    # every repeat would play {2: 1} with h_1 selected throughout.  A fourth
+    # 0 leaves the depth at the class size and changes nothing
+    cls = _cls([("all", ALL), ("evens", EVENS), ("mult4", multiples(4))])
+    state = StreamState(cls, PARITY)
+    assert [state.add(0) for _ in range(4)] == [True, True, True, False]
+    inlimit = GeneratorSession("inlimit", cls, PARITY, F(1, 2))
+    nonuniform = GeneratorSession("nonuniform", cls, PARITY, F(1, 2))
+    hist = []
+    for x, point, selected in ((0, 2, 1), (0, 2, 2), (0, 4, 3)):
+        hist.append(x)
+        mu = inlimit.step(x)
+        assert mu.serialize() == RationalDist.point(point).serialize()
+        assert inlimit.last_selected == selected
+        assert nonuniform.step(x).serialize() \
+            == nonuniform_emit(cls, PARITY, F(1, 2), hist).serialize()
+
+
+def test_a_repeat_after_a_failed_step_reruns_it(monkeypatch):
+    # the construction fails once, on the new element 2; the repeat of 2
+    # leaves the depth at the class size, yet it must run the construction
+    # rather than re-emit the output of step 1
+    cls = _cls([("all", ALL), ("evens", EVENS)])
+    session = GeneratorSession("inlimit", cls, PARITY, F(1, 2))
+    session.step(0)
+    limit = generators._limit
+
+    def fail(state, alpha):
+        raise RuntimeError("construction failed")
+    monkeypatch.setattr(generators, "_limit", fail)
+    with pytest.raises(RuntimeError, match="construction failed"):
+        session.step(2)
+    monkeypatch.setattr(generators, "_limit", limit)
+    mu = session.step(2)
+    assert mu.serialize() \
+        == limit_emit(cls, PARITY, F(1, 2), [0, 2, 2]).serialize()
+    assert session.last_selected == 2
 
 
 def test_session_nonuniform_matches_free_function():

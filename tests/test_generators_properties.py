@@ -8,9 +8,15 @@ equals a fresh subset scan on random classes and repeated queries.
 `is_feasible`, which builds its LP rows in integers and skips passes that
 are infeasible on their face, returns the same witness, as int numerators
 over one int denominator, as its `Fraction`-row predecessor in `oracles.py`
-on random histories, collections and alphas."""
+on random histories, collections and alphas.  A session of every kind,
+which re-emits its last output on a repeat that leaves the depth unchanged,
+emits what the pure construction emits on the history so far, step by step
+on streams with repeats; and the in-limit session selects the largest index
+that is critical and alpha-feasible by the definitions, or falls back to the
+empirical distribution when there is none."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -19,10 +25,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from instances import feasibility_instances
 from oracles import fraction_assemble_uniform, fraction_feasible
-from repgen.generators import StreamState, _assemble_uniform, is_feasible
+from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
+                               _limit, is_feasible, limit_emit,
+                               nonuniform_emit, uniform_emit)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import ALL, PeriodicSet, from_finite
+from repgen.measures import RationalDist, empirical
+from repgen.periodic import ALL, PeriodicSet, from_finite, from_threshold
+from test_generators import _assert_same_state
 
 F = Fraction
 
@@ -183,3 +193,128 @@ def test_feasibility_equals_fraction_reference_on_mesh_instances():
     for inst in feasibility_instances():
         assert_same_witness(inst["h"], inst["groups"], inst["history"],
                             inst["alpha"])
+
+
+# -- sessions against replays --------------------------------------------------
+
+def tail(n):
+    """h_n of the provider-backed class of tails: the naturals from n - 1 on."""
+    return Hypothesis(f"from{n - 1}", from_threshold(n - 1))
+
+
+@st.composite
+def classes(draw):
+    """1-4 hypotheses with small random supports, or the provider-backed
+    class of tails, with the number of steps a stream of it may run (three
+    times the class size, and 12 for the tails)."""
+    if draw(st.integers(0, 4)) == 0:
+        return HypothesisClass([], provider=tail), 12
+    supports = draw(st.lists(infinite_sets, min_size=1, max_size=4))
+    return (HypothesisClass([Hypothesis(f"h{j}", s)
+                             for j, s in enumerate(supports, 1)]),
+            3 * len(supports))
+
+
+def partitions():
+    """Finite partitions of the naturals: residues mod m, or {0, 1} and the
+    rest, or each of {0}, {1} alone and the rest."""
+    return st.one_of(
+        finite_collections().filter(lambda c: c.validate().partition),
+        st.just(FiniteGroups([from_finite([0, 1]), from_threshold(2)])),
+        st.just(FiniteGroups([from_finite([0]), from_finite([1]),
+                              from_threshold(2)])))
+
+
+@st.composite
+def streams(draw, cls, steps):
+    """Up to `steps` elements: about a third repeat an earlier one, the rest
+    come from the first ten members of a class member's support."""
+    size = 4 if cls.extendable else cls.materialized_count()
+    target = cls.get(draw(st.integers(1, size)))
+    pool = list(islice(target.support.members(), 10))
+    xs = []
+    for _ in range(draw(st.integers(1, steps))):
+        if xs and draw(st.integers(0, 2)) == 0:
+            xs.append(draw(st.sampled_from(xs)))
+        else:
+            xs.append(draw(st.sampled_from(pool)))
+    return xs
+
+
+@st.composite
+def session_games(draw):
+    """(kind, class, groups, alpha, d_star, stream) that `GeneratorSession`
+    accepts: uniform and non-uniform on a finite partition (uniform on a
+    finite class, with an explicit d_star), in-limit on a partition, a
+    cover or blocks, empirical on any of them."""
+    kind = draw(st.sampled_from(["empirical", "uniform", "nonuniform",
+                                 "inlimit"]))
+    cls, steps = draw(classes().filter(
+        lambda c: kind != "uniform" or not c[0].extendable))
+    if kind in ("uniform", "nonuniform"):
+        groups = draw(partitions())
+    else:
+        groups = draw(partitions() | finite_collections().filter(
+            lambda c: c.validate().covers) | st.builds(
+            BlockPartition, st.integers(2, 3),
+            st.lists(st.integers(1, 3), max_size=3).map(tuple)))
+    alpha = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]))
+    d_star = draw(st.integers(1, 4)) if kind == "uniform" else None
+    return kind, cls, groups, alpha, d_star, draw(streams(cls, steps))
+
+
+def replay(kind, cls, groups, alpha, d_star, history):
+    if kind == "empirical":
+        return empirical(history)
+    if kind == "uniform":
+        return uniform_emit(cls, groups, alpha, d_star, history)
+    if kind == "nonuniform":
+        return nonuniform_emit(cls, groups, alpha, history)
+    return limit_emit(cls, groups, alpha, history)
+
+
+@settings(max_examples=300, deadline=None)
+@given(session_games())
+def test_a_session_equals_a_replay_on_streams_with_repeats(game):
+    kind, cls, groups, alpha, d_star, xs = game
+    session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
+    for t in range(1, len(xs) + 1):
+        history = xs[:t]
+        mu = session.step(xs[t - 1])
+        assert mu.serialize() == replay(kind, cls, groups, alpha, d_star,
+                                        history).serialize(), history
+        fresh = StreamState(cls, groups, history)
+        selected = _limit(fresh, alpha)[0] if kind == "inlimit" else None
+        assert session.last_selected == selected, history
+        _assert_same_state(session.state, fresh)
+
+
+# -- the in-limit selection against its definition -----------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(classes().filter(lambda c: not c[0].extendable)
+       .flatmap(lambda c: st.tuples(st.just(c[0]), streams(*c))),
+       partitions() | finite_collections().filter(lambda c: c.validate().covers),
+       st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]))
+def test_inlimit_selects_the_largest_critical_feasible_index(game, groups,
+                                                              alpha):
+    # critical by `is_critical` on the prefix, alpha-feasible by the
+    # Fraction-row reference; the step plays that index's witness, or the
+    # empirical distribution when no index qualifies
+    cls, xs = game
+    session = GeneratorSession("inlimit", cls, groups, alpha)
+    for t in range(1, len(xs) + 1):
+        prefix = xs[:t]
+        mu = session.step(xs[t - 1])
+        state = StreamState(None, groups, prefix)
+        picks = [(n, w) for n in range(cls.materialized_count(), 0, -1)
+                 if cls.is_critical(n, prefix)
+                 for w in [fraction_feasible(state, cls.get(n), alpha)]
+                 if w is not None]
+        if not picks:
+            assert session.last_selected is None, prefix
+            assert mu == empirical(prefix), prefix
+        else:
+            n, witness = picks[0]
+            assert session.last_selected == n, prefix
+            assert mu == RationalDist({x: m for _, x, m in witness}), prefix

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repgen import generators
 from repgen.adversaries import MAX_STEPS
 from repgen.cli import main
 from repgen.dimension import MAX_D
@@ -17,7 +18,7 @@ from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (emit_trace, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
 from repgen.hypotheses import Hypothesis
-from repgen.measures import empirical, is_alpha_representative
+from repgen.measures import GroupTally, empirical, is_alpha_representative
 from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
@@ -312,6 +313,57 @@ def test_run_game_incremental_checks_match_from_scratch():
             assert rec.distinct == len(set(prefix))
             bottoms += rec.closure_bot
     assert bottoms == 4
+
+
+def test_a_construction_runs_once_per_step_that_changes_the_state(
+        monkeypatch):
+    # on a seeded 300-step stream with repeats, the in-limit and uniform
+    # constructions run once per step whose element is new or whose depth
+    # grew (t up to the class size), and never on another repeat, which
+    # re-emits the previous output; every step is still checked
+    calls = {"_limit": 0, "_uniform": 0}
+
+    def counted(name):
+        construct = getattr(generators, name)
+
+        def run(*args):
+            calls[name] += 1
+            return construct(*args)
+        return run
+
+    distances = []
+    distance = GroupTally.distance
+
+    def counted_distance(tally, mu):
+        distances.append(mu)
+        return distance(tally, mu)
+
+    for name in calls:
+        monkeypatch.setattr(generators, name, counted(name))
+    monkeypatch.setattr(GroupTally, "distance", counted_distance)
+    root = Path(__file__).parent / "scenarios"
+    for stem, construction in (("i01-nested3-overlap", "_limit"),
+                               ("u04-evens-parity-quarter", "_uniform")):
+        s = load_scenario(str(root / f"{stem}.json"))
+        rng = random.Random(stem)
+        fresh = s.target.support.members()
+        xs: list[int] = []
+        for _ in range(300):
+            xs.append(rng.choice(xs) if xs and rng.random() < 0.3 else next(fresh))
+        size = s.cls.materialized_count()
+        changes = [t for t, x in enumerate(xs, 1)
+                   if x not in xs[:t - 1] or t <= size]
+        assert 150 < len(changes) < 260
+        calls.update(_limit=0, _uniform=0)
+        distances.clear()
+        trace = run_game(_with_stream(s, xs))
+        assert calls == {"_limit": 0, "_uniform": 0, construction: len(changes)}
+        assert len(trace.steps) == len(distances) == 300
+        assert [rec.mu for rec in trace.steps] == distances
+        for rec in trace.steps:
+            if rec.t not in changes:
+                assert rec.mu is trace.steps[rec.t - 2].mu
+                assert rec.selected == trace.steps[rec.t - 2].selected
 
 
 def test_nonuniform_and_block_goldens_are_byte_identical():
