@@ -114,11 +114,10 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
 
 
 # Largest accepted dimension, as the witness has d elements, one span test
-# each.  At d = 34,999 `gc_dimension` takes 0.78 s (ten singleton groups and
-# a tail, alpha = 1/3500) and 0.42 s (a 17,500-element group and a tail,
-# alpha = 1/2); at 49,999, 1.16 s and 0.66 s (best of 3, Python 3.11.7,
-# 2-vCPU x86-64 VM, on which the same runs read up to 40 % slower at busier
-# times).
+# each.  At d = 34,999 `gc_dimension` takes 1.13-1.45 s (ten singleton
+# groups and a tail, alpha = 1/3500) and 0.50-0.63 s (a 17,500-element group
+# and a tail, alpha = 1/2); at 49,999, 1.35-2.03 s and 0.70-0.79 s (6 and 3
+# runs, Python 3.11.7, 2-vCPU x86-64 VM).
 MAX_D = 35_000
 
 

@@ -154,17 +154,29 @@ def _feasible(state: StreamState, h: Hypothesis,
         if elem is not None:
             candidates.append((vec, elem))
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
-    # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
-    # witnesses are preferred, so an exact-tracking system is tried
-    # before the banded one.  With d distinct elements and alpha = a/b,
-    # every row is the rational one times D = d*b: group i's weight
-    # counts[i]/d is counts[i]*b/D and alpha is a*d/D.  A pass in which a
-    # group's lower end is positive but no candidate covers it is skipped:
-    # its row is all zeros >= a positive number, which the LP rejects.
+    # mass must land within [pihat - alpha, pihat + alpha].  With d
+    # distinct elements and alpha = a/b, every row is the rational one
+    # times D = d*b: group i's weight counts[i]/d is counts[i]*b/D and
+    # alpha is a*d/D.
     counts, d = state.tally.counts, len(state.tally.seen)
     a, b = alpha.numerator, alpha.denominator
     den = d * b
     n = len(candidates)
+    if n <= 1:
+        # No candidate: the total-mass row has no variable, so no pass
+        # holds.  One candidate: that row pins its mass to 1, so both
+        # passes ask whether the point mass is within alpha of every
+        # group, and an exact-pass success is the same witness.
+        if n:
+            (vec, elem), = candidates
+            if all(abs((den if vec[i - 1] else 0) - counts[i] * b) <= a * d
+                   for i in c.indices()):
+                return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
+        return None
+    # Distance-0 witnesses are preferred, so an exact-tracking system is
+    # tried before the banded one.  A pass in which a group's lower end is
+    # positive but no candidate covers it is skipped: its row is all zeros
+    # >= a positive number, which the LP rejects.
     covers = [(counts[i] * b, [den if vec[i - 1] else 0 for vec, _ in candidates])
               for i in c.indices()]
     for exact in (True, False):

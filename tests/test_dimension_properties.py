@@ -7,7 +7,11 @@ finite and infinite verdicts agree with a tuple walk two depths further.
 drawn from a hypothesis's support, against finite and block partitions, and
 the witness of every instance with d >= 1 forces the uniform construction
 at d_star = d, the empirical baseline and the in-limit generator into a
-report that `verify_report` accepts."""
+report that `verify_report` accepts.  The uniform construction with d_star
+derived as d + 1 meets the paper's guarantee on random streams with
+repeats: every step is alpha-representative, and consistent once d_star
+distinct elements are seen, both checked through the `oracles.py`
+references."""
 
 from fractions import Fraction
 from functools import partial
@@ -20,8 +24,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
-                     count_vector_gc_dimension, rational_check_witness,
-                     tuple_gc_dimension)
+                     count_vector_gc_dimension, induced_group_probs,
+                     rational_check_witness, sup_distance, tuple_gc_dimension)
 from repgen.adversaries import gc_witness_adversary, verify_report
 from repgen.dimension import check_witness, gc_dimension
 from repgen.generators import GeneratorSession
@@ -168,9 +172,17 @@ def _support_tuple(data, cls, groups, alpha):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances() | block_instances(), st.sampled_from(ALPHAS), st.data())
-def test_check_witness_matches_the_fraction_reference(instance, alpha, data):
+@given(instances() | block_instances(), st.data())
+def test_check_witness_matches_the_fraction_reference(instance, data):
+    # condition 2 is checked after condition 1, so it needs an alpha that
+    # no exhausted group's weight alone exceeds: on a finite partition,
+    # where it can hold, two draws in three take alpha from 1/3 to 3/4
     cls, groups = instance
+    alphas = st.sampled_from(ALPHAS)
+    if isinstance(groups, FiniteGroups):
+        useful = st.sampled_from(ALPHAS[2:6])
+        alphas = st.one_of(useful, useful, alphas)
+    alpha = data.draw(alphas)
     xs = _support_tuple(data, cls, groups, alpha)
     assert check_witness(cls, groups, alpha, xs) \
         == rational_check_witness(cls, groups, alpha, xs)
@@ -190,3 +202,32 @@ def test_witness_forces_every_generator(instance, alpha):
         support = (cls.by_id(report.hypothesis)[1].support
                    if report.reason == "out-of-support" else None)
         assert verify_report(report, groups=groups, support=support), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from(ALPHAS[1:]), st.data())
+def test_uniform_generator_meets_its_guarantee(instance, alpha, data):
+    # the uniform construction with d_star = d + 1 derived: on a stream of
+    # a random target's first members with repeats, every step tracks the
+    # group weights of the distinct elements so far to within alpha, and
+    # every step after d_star distinct elements emits only unseen members
+    # of the target's support
+    cls, groups = instance
+    session = GeneratorSession("uniform", cls, groups, alpha)
+    d_star = gc_dimension(cls, groups, alpha).d + 1
+    assert session.d_star == d_star
+    target = cls.get(data.draw(st.integers(1, cls.materialized_count())))
+    fresh = target.support.members()
+    seen: list[int] = []
+    for repeat in data.draw(st.lists(st.booleans(), min_size=1,
+                                     max_size=d_star + 6)):
+        x = data.draw(st.sampled_from(seen)) if repeat and seen else next(fresh)
+        mu = session.step(x)
+        if x not in seen:
+            seen.append(x)
+        weights = {i: F(sum(y in groups.group(i) for y in seen), len(seen))
+                   for i in groups.indices()}
+        assert sup_distance(induced_group_probs(mu, groups), weights) <= alpha
+        if len(seen) >= d_star:
+            assert all(y in target.support and y not in seen
+                       for y in mu.support())

@@ -180,27 +180,49 @@ def test_feasible_accepts_the_ends_of_the_unit_interval(alpha):
     assert w.distribution() == RationalDist({4: F(2, 3), 3: F(1, 3)})
 
 
+def _count_lp_calls(monkeypatch):
+    """The (n_vars, rows) of every `feasible_point_int` call until the
+    patch is undone."""
+    calls = []
+
+    def counting(n_vars, rows):
+        calls.append((n_vars, rows))
+        return feasible_point_int(n_vars, rows)
+
+    monkeypatch.setattr(simplex, "feasible_point_int", counting)
+    return calls
+
+
 def test_faced_infeasible_pass_makes_no_lp_call(monkeypatch):
     # evens has no unseen element in {0, 1}, so group 1 (weight 1/2) has
     # no candidate cell: the exact pass is skipped, and so is the banded
     # pass at alpha 1/4, whose lower end 1/4 is positive too
-    calls = []
-
-    def counting(n_vars, rows):
-        calls.append(rows)
-        return feasible_point_int(n_vars, rows)
-
-    monkeypatch.setattr(simplex, "feasible_point_int", counting)
+    calls = _count_lp_calls(monkeypatch)
     h = Hypothesis("evens", EVENS)
     c = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
     assert is_feasible(h, c, [0, 1, 2, 3], F(1, 4)) is None
     assert calls == []
-    # at alpha 1/2 both lower ends are 0: only the banded pass reaches the
-    # LP, with no >= row
+    # with the rest split by multiples of 4, two cells hold a candidate (4
+    # and 6); at alpha 1/2 every lower end is 0, so only the banded pass
+    # reaches the LP, with no >= row
+    c = FiniteGroups([from_finite([0, 1]), from_threshold(2) & multiples(4),
+                      from_threshold(2) - multiples(4)])
+    w = is_feasible(h, c, [0, 1, 2, 3], F(1, 2))
+    assert w.distribution() == RationalDist({4: F(1, 2), 6: F(1, 2)})
+    assert [(n, [rel for _, rel, _, _ in rows]) for n, rows in calls] \
+        == [(2, [simplex.EQ, simplex.LE, simplex.LE, simplex.LE])]
+
+
+def test_a_single_candidate_makes_no_lp_call(monkeypatch):
+    # 4 is evens' only candidate outside {0, 1}; its point mass is 1/2 off
+    # both groups' weights, which alpha 1/2 allows without an LP
+    calls = _count_lp_calls(monkeypatch)
+    h = Hypothesis("evens", EVENS)
+    c = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
     w = is_feasible(h, c, [0, 1, 2, 3], F(1, 2))
     assert [e.element for e in w.entries] == [4]
-    assert [[rel for _, rel, _, _ in rows] for rows in calls] \
-        == [[simplex.EQ, simplex.LE, simplex.LE]]
+    assert w.distribution() == RationalDist.point(4)
+    assert calls == []
 
 
 @pytest.mark.parametrize("history, alpha, entries", [

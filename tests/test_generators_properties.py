@@ -5,10 +5,12 @@ predecessor in `oracles.py` (output and error text) on random counts,
 live/exhausted splits and alphas, including both out-of-contract fallbacks.
 `HypothesisClass.critical_among`, which remembers each subset verdict,
 equals a fresh subset scan on random classes and repeated queries.
-`is_feasible`, which builds its LP rows in integers and skips passes that
-are infeasible on their face, returns the same witness, as int numerators
-over one int denominator, as its `Fraction`-row predecessor in `oracles.py`
-on random histories, collections and alphas.  A session of every kind,
+`is_feasible`, which builds its LP rows in integers, skips passes that are
+infeasible on their face and decides a pass with at most one candidate
+without the LP, returns the same witness, as int numerators over one int
+denominator, as its `Fraction`-row predecessor in `oracles.py` on random
+histories, collections and alphas, and on fixed one- and no-candidate
+boundary cases.  A session of every kind,
 which re-emits its last output on a repeat that leaves the depth unchanged,
 emits what the pure construction emits on the history so far, step by step
 on streams with repeats; and the in-limit session selects the largest index
@@ -31,8 +33,9 @@ from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
-from repgen.periodic import ALL, PeriodicSet, from_finite, from_threshold
-from test_generators import _assert_same_state
+from repgen.periodic import (ALL, EVENS, PeriodicSet, from_finite,
+                             from_threshold)
+from test_generators import _assert_same_state, _count_lp_calls
 
 F = Fraction
 
@@ -193,6 +196,36 @@ def test_feasibility_equals_fraction_reference_on_mesh_instances():
     for inst in feasibility_instances():
         assert_same_witness(inst["h"], inst["groups"], inst["history"],
                             inst["alpha"])
+
+
+# One candidate cell decides both passes by its point mass, and none decides
+# them at once; neither reaches the LP.  The cover {0, 1, 2}, {2, 3, ...}
+# leaves evens the candidate 4 after 0, 1, 2, 3, whose point mass is 3/4 off
+# the first group's weight 3/4 and 1/2 off the second's; the cover all,
+# evens leaves it the candidate 4 after 0, 2, whose point mass tracks both
+# weights exactly; the single group {0, 1, 2, 3}, which is no cover, leaves
+# it none after 0, 2.
+OVERLAP = FiniteGroups([from_finite([0, 1, 2]), from_threshold(2)])
+NESTED = FiniteGroups([ALL, EVENS])
+FINITE = FiniteGroups([from_finite([0, 1, 2, 3])])
+
+
+@pytest.mark.parametrize("c, history, alpha, feasible", [
+    (OVERLAP, [0, 1, 2, 3], F(3, 4), True),    # distance alpha: non-strict
+    (OVERLAP, [0, 1, 2, 3], F(2, 4), False),   # the next alpha over 4
+    (NESTED, [0, 2], F(0), True),              # exact tracking at alpha 0
+    (FINITE, [0, 2], F(1), False),             # no candidate, even at 1
+])
+def test_at_most_one_candidate_is_decided_without_the_lp(
+        monkeypatch, c, history, alpha, feasible):
+    h = Hypothesis("evens", EVENS)
+    calls = _count_lp_calls(monkeypatch)
+    w = is_feasible(h, c, history, alpha)
+    assert calls == []
+    assert (w is not None) == feasible
+    if feasible:
+        assert w.distribution() == RationalDist.point(4)
+    assert_same_witness(h, c, history, alpha)
 
 
 # -- sessions against replays --------------------------------------------------

@@ -23,6 +23,7 @@ from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
 from oracles import induced_group_probs, sup_distance
+from test_generators import _count_lp_calls
 
 F = Fraction
 
@@ -364,6 +365,26 @@ def test_a_construction_runs_once_per_step_that_changes_the_state(
             if rec.t not in changes:
                 assert rec.mu is trace.steps[rec.t - 2].mu
                 assert rec.selected == trace.steps[rec.t - 2].selected
+
+
+def test_inlimit_games_reach_the_lp_only_with_two_candidates(monkeypatch):
+    # on seeded 300-step increasing streams with 1/4 repeats, the six
+    # in-limit scenarios decide every pass with at most one candidate cell
+    # in closed form, so the LP runs a few dozen times in 1,800 steps
+    calls = _count_lp_calls(monkeypatch)
+    root = Path(__file__).parent / "scenarios"
+    for stem in ("i01-nested3-overlap", "i02-evens-overlap-quarter",
+                 "i03-nested4-mult8", "i04-triple-overlap",
+                 "i05-parity-cross", "i06-nested3-window"):
+        s = load_scenario(str(root / f"{stem}.json"))
+        rng = random.Random(stem)
+        fresh = s.target.support.members()
+        xs: list[int] = []
+        for _ in range(300):
+            xs.append(rng.choice(xs) if xs and rng.random() < 0.25 else next(fresh))
+        run_game(_with_stream(s, xs))
+    assert all(n >= 2 for n, _ in calls)
+    assert len(calls) < 100
 
 
 def test_nonuniform_and_block_goldens_are_byte_identical():
