@@ -22,6 +22,7 @@ distribution, bit for bit.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
@@ -42,11 +43,12 @@ KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
 class StreamState:
     """What every construction reads about the stream so far, updated one
     element at a time: the step count `t`; a `GroupTally` (`tally`) of the
-    distinct elements and their count per group, which gives the empirical
-    distribution and group weights; the consistent class indices (checked
-    lazily up to the largest index asked for); and smallest-unseen cursors
-    keyed by (set, part), each walking `set & part` forward only, since the
-    seen set only grows."""
+    distinct elements and their count per group, which gives the group
+    weights; the distinct elements in increasing order (`distinct`), which
+    give the empirical distribution without sorting the history again; the
+    consistent class indices (checked lazily up to the largest index asked
+    for); and smallest-unseen cursors keyed by (set, part), each walking
+    `set & part` forward only, since the seen set only grows."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -54,6 +56,7 @@ class StreamState:
         self.groups = groups
         self.t = 0
         self.tally = GroupTally(groups)
+        self.distinct: list[int] = []
         self.consistent: tuple[int, ...] = ()
         self.checked = 0  # class indices checked for consistency so far
         self._cursors: dict[tuple, list] = {}
@@ -68,12 +71,25 @@ class StreamState:
         state) there is no depth, and a repeat returns False."""
         self.t += 1
         if self.tally.add(x):
+            distinct = self.distinct
+            if not distinct or x > distinct[-1]:
+                distinct.append(x)
+            else:
+                insort(distinct, x)
             self.consistent = tuple(i for i in self.consistent
                                     if x in self.cls.get(i).support)
             return True
         cls = self.cls
         return cls is not None and (cls.extendable
                                     or self.t <= cls.materialized_count())
+
+    def empirical(self) -> RationalDist:
+        """Uniform over the distinct elements so far: `empirical` of the
+        history, read from the sorted state (every element was checked to
+        be a natural when the tally took it)."""
+        if not self.distinct:
+            raise ValueError("empirical distribution of an empty prefix is undefined")
+        return RationalDist._uniform_sorted(tuple(self.distinct))
 
     def depth(self) -> int:
         """Largest class index a step may consider: t, capped by a finite class."""
@@ -96,9 +112,7 @@ class StreamState:
         `part` is a group index, or a cell's membership vector."""
         cursor = self._cursors.get((s, part))
         if cursor is None:
-            region = (dict(self.groups.cells())[part] if isinstance(part, tuple)
-                      else self.groups.group(part))
-            members = (s & region).members()
+            members = self.groups.members_in(s, part)
             cursor = self._cursors[s, part] = [members, next(members, None)]
         while cursor[1] is not None and cursor[1] in self.tally.seen:
             cursor[1] = next(cursor[0], None)
@@ -302,7 +316,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     if len(state.tally.seen) >= d_star:
         closure = state.cls.closure_of_indices(state.consistent_upto(upto))
     if closure is None:
-        return empirical(state.tally.seen)
+        return state.empirical()
     avail: dict[int, int] = {}
     exhausted: list[int] = []
     for i in state.groups.indices():
@@ -313,7 +327,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
             avail[i] = z
     tally = state.tally
     return _assemble_uniform(tally.counts, len(tally.seen), avail, exhausted,
-                             alpha, tally.seen)
+                             alpha, state.distinct)
 
 
 def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
@@ -378,7 +392,7 @@ def _limit(state: StreamState,
             w = _feasible(state, state.cls.get(n), alpha)
             if w is not None:
                 return n, w.distribution()
-    return None, empirical(state.tally.seen)
+    return None, state.empirical()
 
 
 def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
@@ -464,7 +478,7 @@ class GeneratorSession:
             elif self.kind == "inlimit":
                 self.last_selected, mu = _limit(state, self.alpha)
             else:
-                mu = empirical(state.tally.seen)
+                mu = state.empirical()
         except BaseException:
             self._last = None  # a repeat after a failed step must rerun it
             raise

@@ -5,8 +5,10 @@ sets, and an infinite partition into consecutive finite blocks whose sizes
 follow an explicit list with a geometric tail.  Group indices are 1-based.
 Both shapes share `group(i)` (a `PeriodicSet`), `groups_containing(x)`,
 `mass_by_group(xs, weights)` (total weight per group: every group of a
-finite family, the touched blocks of a partition) and `validate()`, so
-callers that count or weigh elements never ask which shape they hold.
+finite family, the touched blocks of a partition), `members_in(s, part)`
+(the members of a set inside a group or cell, in increasing order) and
+`validate()`, so callers that count, weigh or enumerate elements never ask
+which shape they hold.
 `refine` cuts a set by a family of sets; it gives the membership cells of a
 finite family and the dimension's atoms alike.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Collection, Iterable, Sequence, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .hypotheses import Hypothesis
 from .periodic import ALL, PeriodicSet, interval
@@ -72,6 +74,14 @@ class FiniteGroups:
         read once per group: collections, or an endless `repeat` of weights."""
         return {i: sum(compress(weights, map(g.__contains__, xs)))
                 for i, g in enumerate(self._groups, start=1)}
+
+    def members_in(self, s: PeriodicSet,
+                   part: int | tuple[int, ...]) -> Iterator[int]:
+        """The members of s inside group `part`, or inside the cell whose
+        membership vector `part` is, in increasing order."""
+        region = (dict(self.cells())[part] if isinstance(part, tuple)
+                  else self.group(part))
+        return (s & region).members()
 
     def cells(self) -> list[tuple[tuple[int, ...], PeriodicSet]]:
         """Atoms of the collection: every realizable nonzero membership vector
@@ -149,6 +159,12 @@ class BlockPartition:
             i = index(x)
             sums[i] = sums.get(i, 0) + w
         return sums
+
+    def members_in(self, s: PeriodicSet, k: int) -> Iterator[int]:
+        """The members of s inside block k, in increasing order: the block
+        is finite, so its range is filtered by membership in s, with no set
+        algebra."""
+        return filter(s.__contains__, range(*self.block_range(k)))
 
     def validate(self) -> ValidationReport:
         # Consecutive blocks tile the naturals by construction.

@@ -13,17 +13,20 @@ group attaining it.  Which groups hold an element is the group collection's
 business (`mass_by_group`, `groups_containing`), so nothing here depends on
 the collection's shape.  `prefix_tally` remembers the tally of its last
 prefix, so checking the prefixes of one stream in order, as report
-verification does, counts each element once rather than once per prefix.
+verification does, counts each element once rather than once per prefix;
+when those prefixes are `PrefixView`s of one append-only list, neither the
+check nor the prefixes themselves copy the stream.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, the group probabilities and the distance returned.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 from .errors import ConfigError
 from .groups import GroupCollection
@@ -94,6 +97,15 @@ class RationalDist:
             raise ValueError("uniform distribution needs a nonempty support")
         return cls.__new__(cls)._assign(xs, (1,) * len(xs), len(xs))
 
+    @classmethod
+    def _uniform_sorted(cls, xs: tuple[int, ...]) -> "RationalDist":
+        """`uniform(xs)` without its checks, for a caller whose xs is
+        already a nonempty, increasing tuple of naturals (a stream state's
+        distinct elements, each checked when it arrived)."""
+        self = cls.__new__(cls)
+        self._xs, self._nums, self._den = xs, (1,) * len(xs), len(xs)
+        return self
+
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(zip(self._xs, map(Fraction, self._nums, repeat(self._den))))
 
@@ -126,6 +138,68 @@ def empirical(prefix: Collection[int]) -> RationalDist:
     if not prefix:
         raise ValueError("empirical distribution of an empty prefix is undefined")
     return RationalDist.uniform(prefix)
+
+
+class PrefixView(Sequence):
+    """Read-only view of the first n items of a list that is only ever
+    appended to, so the view never changes: n stays its length however long
+    the list grows.  It compares and hashes like the tuple of those items,
+    and indexing, slicing and membership touch only them.  Views of one
+    list share it, so a game's reports hold its history once rather than
+    once per report."""
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: list[int], n: int):
+        if not 0 <= n <= len(items):
+            raise ValueError(f"view length {n} outside 0..{len(items)}")
+        self._items = items
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._items.__getitem__,
+                             range(*i.indices(self._n))))
+        n = self._n
+        if not -n <= i < n:
+            raise IndexError("view index out of range")
+        return self._items[i + n if i < 0 else i]
+
+    def __iter__(self):
+        return islice(self._items, self._n)
+
+    def __contains__(self, x) -> bool:
+        try:
+            self._items.index(x, 0, self._n)
+        except ValueError:
+            return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PrefixView):
+            if other._items is self._items and other._n == self._n:
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == self._n and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PrefixView({tuple(self)!r})"
+
+    def suffix_after(self, known) -> list[int] | None:
+        """The items this view adds to `known` when `known` is a view of the
+        same list and no longer, else None: an O(1) test for an extension,
+        which relies on the list's first items never changing."""
+        if (type(known) is PrefixView and known._items is self._items
+                and known._n <= self._n):
+            return self._items[known._n:self._n]
+        return None
 
 
 class GroupTally:
@@ -194,37 +268,52 @@ class GroupTally:
                                        - counts.get(i, 0) * den), i))
 
 
-# prefix_tally's one-entry memo: the prefix of its last call and that
-# prefix's tally (whose `groups` is the call's collection).
-_memo: tuple[tuple[int, ...], GroupTally] | None = None
+# prefix_tally's one-entry memo: the prefix of its last call (a tuple copy,
+# or the `PrefixView` itself) and that prefix's tally (whose `groups` is the
+# call's collection).
+_memo: tuple[Sequence[int], GroupTally] | None = None
 
 
 def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
     """The `GroupTally` of the prefix's elements over c.
 
-    The last call is remembered: a copy of its prefix and that prefix's
-    tally, which the caller must not change.  A call with the same
-    collection object and a prefix of ints that starts with the remembered
-    one counts only the elements it adds, so checking the prefixes of one
-    stream in order counts each element once instead of once per call
-    (copying and comparing the prefix stay O(length), at C speed).  Any
-    other call counts from scratch.  The memo is module state: it is not
-    thread-safe (repgen runs in one thread) and keeps one prefix and its
-    collection alive."""
+    The last call is remembered: its prefix and that prefix's tally, which
+    the caller must not change.  A call with the same collection object and
+    a prefix of ints that starts with the remembered one counts only the
+    elements it adds, so checking the prefixes of one stream in order counts
+    each element once instead of once per call.  A `PrefixView` that extends
+    a remembered view of the same list is recognised in O(1); any other
+    prefix is copied and compared in O(length), at C speed.  Any other call
+    counts from scratch.  The memo is module state: it is not thread-safe
+    (repgen runs in one thread) and keeps one prefix and its collection
+    alive."""
     global _memo
-    prefix = tuple(prefix)
     memo = _memo
-    # The isinstance pass keeps rejections exact: a value such as 1.0 equals
-    # a remembered 1, but counted from scratch it would be rejected.
-    if (memo is not None and memo[1].groups is c
-            and prefix[:len(memo[0])] == memo[0]
-            and all(map(isinstance, prefix, repeat(int)))):
-        _memo = None  # its tally changes below
-        tally = memo[1]
-        suffix = prefix[len(memo[0]):]
-    else:
+    # `type(...) is`: an isinstance test against an ABC subclass such as
+    # PrefixView costs about ten times as much, on every call
+    view = type(prefix) is PrefixView
+    if not view:
+        prefix = tuple(prefix)
+    suffix = None
+    if memo is not None and memo[1].groups is c:
+        known = memo[0]
+        if view:
+            suffix = checked = prefix.suffix_after(known)
+        if suffix is None and prefix[:len(known)] == known:
+            suffix, checked = prefix[len(known):], prefix
+        # The isinstance pass keeps rejections exact: a value such as 1.0
+        # equals a remembered 1, but counted from scratch it would be
+        # rejected.  An extending view shares the remembered items
+        # themselves, so only its suffix needs the pass.
+        if suffix is not None and not all(map(isinstance, checked,
+                                              repeat(int))):
+            suffix = None
+    if suffix is None:
         tally = GroupTally(c)
         suffix = prefix
+    else:
+        _memo = None  # its tally changes below
+        tally = memo[1]
     for x in suffix:
         tally.add(x)
     _memo = (prefix, tally)

@@ -2,7 +2,9 @@
 block stream, and the membership-query protocol, with report verification."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from repgen.errors import ConfigError
 from repgen.generators import GeneratorSession
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.measures import RationalDist, empirical
+from repgen.measures import PrefixView, RationalDist, empirical
 from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
 from instances import dimension_instances
 from oracles import ScanQueryThenEmit, induced_group_probs, sup_distance
@@ -389,7 +391,10 @@ def test_game_length_is_bounded_by_max_steps(monkeypatch):
 
 def test_verifying_a_query_game_counts_each_element_once():
     """Verifying a game's reports in order hands the group collection about
-    one new element per report, not each report's whole history."""
+    one new element per report, not each report's whole history: the tally
+    places each new element through `groups_containing`, and the distance
+    weighs each report's one-element distribution through
+    `mass_by_group`."""
     steps = 600
     reports, st = query_adversary(QueryThenEmit(), steps)
     group_one = from_finite(x for x, g in st.grp.items() if g == 1)
@@ -397,17 +402,85 @@ def test_verifying_a_query_game_counts_each_element_once():
     support = ALL - from_finite(x for x, h in st.hyp.items() if h == 0)
     counted = 0
     mass_by_group = groups.mass_by_group
+    groups_containing = groups.groups_containing
 
     def counting(xs, weights):
         nonlocal counted
         counted += len(xs)
         return mass_by_group(xs, weights)
 
+    def placing(x):
+        nonlocal counted
+        counted += 1
+        return groups_containing(x)
+
     groups.mass_by_group = counting
+    groups.groups_containing = placing
     for r in reports:
         r = dataclasses.replace(r, alpha=F(1, 3))
         assert verify_report(r, groups=groups, support=support)
     assert counted <= 2 * steps
+
+
+def test_query_reports_share_one_history():
+    # each report's history is a view of the one enumeration, equal to and
+    # hashed as the tuple of its first `step` entries
+    reports, st = query_adversary(QueryThenEmit(), 50)
+    for r in reports:
+        assert isinstance(r.history, PrefixView)
+        assert r.history == tuple(st.enumeration[:r.step])
+        assert hash(r.history) == hash(tuple(st.enumeration[:r.step]))
+        assert dataclasses.replace(r, history=tuple(r.history)) == r
+        assert hash(dataclasses.replace(r, history=tuple(r.history))) \
+            == hash(r)
+
+
+def _held_bytes(steps):
+    """Bytes tracemalloc sees held by a finished query game's reports and
+    state."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        game = query_adversary(QueryThenEmit(), steps)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(game[0]) == steps
+    return held
+
+
+def test_query_game_memory_is_linear_in_its_length():
+    # reports that each copied their history would hold T(T+1)/2 elements,
+    # about four times as much per doubling
+    held = [_held_bytes(steps) for steps in (600, 1200, 2400)]
+    assert held[1] <= 2.5 * held[0] and held[2] <= 2.5 * held[1], held
+
+
+def test_query_then_emit_restarts_on_a_view_it_does_not_extend():
+    # views of one growing list, then of another list, then shorter ones:
+    # answers and queries equal the scan from 0 throughout
+    def game():
+        st = QueryAdversaryState()
+        for x in (1, 4, 6, 7):
+            st.hyp[x], st.grp[x] = 0, 2
+        return st
+
+    cursor, scan = QueryThenEmit(), ScanQueryThenEmit()
+    states = (game(), game())
+    first, second = [], []
+    for lst, n in ((first, None), (first, None), (first, None),
+                   (second, None), (second, None), (first, 2), (first, None),
+                   (second, 1), (first, 1), (first, 3), (first, None)):
+        if n is None:
+            lst.append(len(lst) * 3 % 11)
+            n = len(lst)
+        view = PrefixView(lst, n)
+        answers = []
+        for emitter, st in zip((cursor, scan), states):
+            oracle = MembershipOracle(st, 100)
+            answers.append((emitter.emit(view, oracle), oracle._spent))
+        assert answers[0] == answers[1], view
+        assert states[0] == states[1]
 
 
 def test_query_adversary_rejects_bad_generator():

@@ -41,10 +41,11 @@ WALK_BUDGET = 3000
 
 
 @st.composite
-def instances(draw):
-    """A class of 1-3 hypotheses and a partition into 1-4 groups, all built
-    from the cells {0}, ..., {t - 1} and the residue classes mod m at or
-    above t (1 <= t <= 3, m <= 4); a group may be empty.  Supports often
+def instances(draw, min_groups=1):
+    """A class of 1-3 hypotheses and a partition into `min_groups` to 4
+    groups, at least `min_groups` of them nonempty, all built from the
+    cells {0}, ..., {t - 1} and the residue classes mod m at or above t
+    (1 <= t <= 3, m <= 4); the other groups may be empty.  Supports often
     hold every cell {x}, and half the partitions give each cell a group of
     its own and the residue classes group t + 1 (t >= 2), since exhausted
     singleton groups are what condition 2 weighs against the live ones."""
@@ -64,11 +65,12 @@ def instances(draw):
         k = t + 1
         owner = list(range(1, k)) + [k] * m
     else:
-        k = draw(st.integers(1, 4))
+        k = draw(st.integers(min_groups, 4))
         # residue classes lean to group k, so that more groups are finite
         owner = (draw(st.lists(st.integers(1, k), min_size=t, max_size=t))
                  + draw(st.lists(st.integers(1, k) | st.just(k),
                                  min_size=m, max_size=m)))
+        assume(len(set(owner)) >= min_groups)
     groups = [cells_set([x for x in range(t) if owner[x] == i],
                         [r for r in range(m) if owner[t + r] == i])
               for i in range(1, k + 1)]
@@ -172,11 +174,13 @@ def _support_tuple(data, cls, groups, alpha):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances() | block_instances(), st.data())
+@given(instances(min_groups=2) | block_instances(), st.data())
 def test_check_witness_matches_the_fraction_reference(instance, data):
     # condition 2 is checked after condition 1, so it needs an alpha that
     # no exhausted group's weight alone exceeds: on a finite partition,
-    # where it can hold, two draws in three take alpha from 1/3 to 3/4
+    # where it can hold, two draws in three take alpha from 1/3 to 3/4, and
+    # the partition has two groups or more, since one group meets condition
+    # 2 only at alpha 1 (below it condition 1 fires first)
     cls, groups = instance
     alphas = st.sampled_from(ALPHAS)
     if isinstance(groups, FiniteGroups):

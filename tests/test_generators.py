@@ -419,6 +419,7 @@ def test_limit_emit_selects_largest_index():
 def _assert_same_state(stepped, once):
     assert stepped.t == once.t
     assert stepped.tally.seen == once.tally.seen
+    assert stepped.distinct == once.distinct == sorted(once.tally.seen)
     assert stepped.tally.weights() == once.tally.weights()
     n = stepped.checked
     assert stepped.consistent_upto(n) == once.consistent_upto(n)

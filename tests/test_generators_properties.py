@@ -15,7 +15,10 @@ which re-emits its last output on a repeat that leaves the depth unchanged,
 emits what the pure construction emits on the history so far, step by step
 on streams with repeats; and the in-limit session selects the largest index
 that is critical and alpha-feasible by the definitions, or falls back to the
-empirical distribution when there is none."""
+empirical distribution when there is none.  Wherever a session plays the
+empirical distribution, which it reads from its sorted stream state, that
+equals `measures.empirical` of the history, hash and serialization
+included."""
 
 from fractions import Fraction
 from itertools import islice
@@ -320,6 +323,26 @@ def test_a_session_equals_a_replay_on_streams_with_repeats(game):
         selected = _limit(fresh, alpha)[0] if kind == "inlimit" else None
         assert session.last_selected == selected, history
         _assert_same_state(session.state, fresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session_games().filter(lambda g: g[0] != "nonuniform"))
+def test_sorted_state_empirical_equals_the_checked_one(game):
+    # the empirical kind on every step, uniform before d_star distinct
+    # elements, in-limit where nothing is selected; the streams repeat
+    # elements and take them out of order
+    kind, cls, groups, alpha, d_star, xs = game
+    session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
+    for t in range(1, len(xs) + 1):
+        history = xs[:t]
+        mu = session.step(xs[t - 1])
+        if (kind == "empirical"
+                or kind == "uniform" and len(set(history)) < d_star
+                or kind == "inlimit" and session.last_selected is None):
+            want = empirical(history)
+            assert (mu, hash(mu), mu.serialize()) \
+                == (want, hash(want), want.serialize()), history
+            assert type(mu.support()) is tuple
 
 
 # -- the in-limit selection against its definition -----------------------------

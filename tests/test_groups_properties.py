@@ -4,9 +4,12 @@ the dimension's atoms.
 `FiniteGroups.cells()` returns what the product enumeration in `oracles.py`
 returns (the same vectors, in the same order, with the same sets) on random
 overlapping families of one to six groups, and on a partition into
-singletons and a tail it makes O(K^2) set operations, not O(2^K)."""
+singletons and a tail it makes O(K^2) set operations, not O(2^K).
+`members_in` lists a set's members inside a group or a cell, in increasing
+order, as the set algebra does, on random partitions and block
+partitions."""
 
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -14,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from oracles import product_cells
-from repgen.groups import FiniteGroups, refine
+from repgen.groups import BlockPartition, FiniteGroups, refine
+from test_dimension_properties import block_instances, instances
 from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet,
                              from_finite, from_threshold, multiples)
 
@@ -87,3 +91,31 @@ def test_cells_cost_is_quadratic_in_the_group_count(monkeypatch):
     cells = FiniteGroups(groups).cells()
     assert cells == [(tuple(int(n == i) for n in range(k)), g)
                      for i, g in enumerate(groups)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances() | block_instances(), periodic_sets(), st.data())
+def test_members_in_lists_the_intersection(instance, other, data):
+    # a hypothesis's support, or another set, inside a group, or inside a
+    # cell given by its membership vector (the cell cut here by hand); a
+    # block is finite, so all its members are compared
+    cls, c = instance
+    s = data.draw(st.sampled_from(
+        [cls.get(i).support for i in range(1, cls.materialized_count() + 1)]
+        + [other]))
+    if isinstance(c, BlockPartition):
+        part = data.draw(st.integers(1, 6))
+        got = list(c.members_in(s, part))
+        assert got == list((s & c.group(part)).members())
+    else:
+        part = data.draw(st.sampled_from(
+            list(c.indices()) + [vec for vec, _ in c.cells()]))
+        region = ALL
+        if isinstance(part, tuple):
+            for i, inside in zip(c.indices(), part):
+                region = region & c.group(i) if inside else region - c.group(i)
+        else:
+            region = c.group(part)
+        got = list(islice(c.members_in(s, part), 12))
+        assert got == list(islice((s & region).members(), 12))
+    assert got == sorted(set(got))

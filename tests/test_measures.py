@@ -1,7 +1,9 @@
-"""Exact rational distributions, group marginals, the sup metric, and the
-representativeness predicate."""
+"""Exact rational distributions, group marginals, the sup metric, the
+representativeness predicate, and prefix views with the tally memo that
+reads them."""
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,10 @@ from repgen import measures
 from repgen.generators import uniform_emit
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.measures import (GroupTally, RationalDist, empirical,
+from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
                              format_fraction, group_empirical,
-                             is_alpha_representative, parse_fraction)
+                             is_alpha_representative, parse_fraction,
+                             prefix_tally)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
 from oracles import induced_group_probs, sup_distance
@@ -319,3 +322,103 @@ def test_group_masses_match_a_per_element_sum():
             for x in stream:
                 tally.add(x)
             assert tally.weights() == _group_mass_oracle(uniform, c)
+
+
+def test_prefix_view_reads_as_the_tuple_of_its_items():
+    items = [3, 1, 4, 1, 5]
+    v, t = PrefixView(items, 4), (3, 1, 4, 1)
+    assert isinstance(v, Sequence) and len(v) == 4
+    assert [v[i] for i in range(-4, 4)] == [t[i] for i in range(-4, 4)]
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            v[i]
+    for cut in (slice(1, 3), slice(None, None, -1), slice(None, None, 2),
+                slice(-2, None), slice(5, None), slice(-9, 9),
+                slice(3, 0, -2), slice(None, -1)):
+        assert v[cut] == t[cut]
+    assert 4 in v and 1 in v and 5 not in v  # 5 is the list's, not the view's
+    assert v == t and t == v and hash(v) == hash(t)
+    assert v != t[:3] and v != list(t) and v != PrefixView(items, 3)
+    other = PrefixView(list(t) + [2], 4)
+    assert v == other and hash(v) == hash(other)
+    # the list grows; the view stays the first four items
+    items.extend([9, 2, 6])
+    assert len(v) == 4 and list(v) == list(t) and 9 not in v
+    assert v == t and v[-1] == 1 and v[2:] == (4, 1)
+    assert PrefixView(items, 0) == () and not PrefixView(items, 0)
+    with pytest.raises(ValueError):
+        PrefixView(items, 9)
+
+
+def _counting_groups():
+    """A fresh two-group collection, so no remembered tally applies, and the
+    elements it is asked to place, in order: `GroupTally.add` places each
+    new element once."""
+    c = FiniteGroups([EVENS, ODDS])
+    placed = []
+    groups_containing = c.groups_containing
+
+    def counting(x):
+        placed.append(x)
+        return groups_containing(x)
+
+    c.groups_containing = counting
+    return c, placed
+
+
+def test_prefix_tally_counts_each_element_of_a_growing_list_once():
+    c, placed = _counting_groups()
+    items = []
+    for x in range(60):
+        items.append(x)
+        tally = prefix_tally(PrefixView(items, len(items)), c)
+        assert len(tally.seen) == len(items)
+    assert placed == list(range(60))
+    assert tally.weights() == {1: F(1, 2), 2: F(1, 2)}
+    # the same view again, and a longer one, count nothing old
+    del placed[:]
+    prefix_tally(PrefixView(items, 60), c)
+    items.append(60)
+    prefix_tally(PrefixView(items, 61), c)
+    assert placed == [60]
+    # a shorter view counts from scratch
+    del placed[:]
+    assert prefix_tally(PrefixView(items, 5), c).weights() == \
+        {1: F(3, 5), 2: F(2, 5)}
+    assert placed == list(range(5))
+    # a view of another list that does not start with the last prefix
+    # counts from scratch; one that does is compared whole, as a tuple is,
+    # and counts only what it adds
+    del placed[:]
+    prefix_tally(PrefixView([7, 1, 2, 3, 4, 5], 6), c)
+    assert placed == [7, 1, 2, 3, 4, 5]
+    del placed[:]
+    prefix_tally(PrefixView([7, 1, 2, 3, 4, 5, 8], 7), c)
+    assert placed == [8]
+
+
+def _outcomes(prefixes, c):
+    """prefix_tally's answer on each prefix in turn: the tally's weights,
+    or the error text."""
+    out = []
+    for prefix in prefixes:
+        try:
+            out.append(prefix_tally(prefix, c).weights())
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+@pytest.mark.parametrize("tail", [[1.0], [3.0], [-1], ["x"], [1.0, 3.0],
+                                  [3, F(3)], [F(3), 3]])
+def test_a_view_rejects_a_non_int_suffix_as_a_tuple_does(tail):
+    # 1.0 after 1 is a repeat, and a fresh count accepts it; a new non-int
+    # is rejected; either way the view answers as the tuple does
+    items = [1, 2]
+    views = [PrefixView(items, 2)]
+    for x in tail:
+        items.append(x)
+        views.append(PrefixView(items, len(items)))
+    tuples = [tuple(v) for v in views]
+    assert _outcomes(views, _counting_groups()[0]) == \
+        _outcomes(tuples, _counting_groups()[0])

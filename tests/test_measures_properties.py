@@ -6,7 +6,8 @@ repr, equality and error text.  `group_empirical` and a `GroupTally` fed one
 element at a time agree with the group probabilities of the empirical
 distribution, on random overlapping finite collections and block
 partitions and on prefixes with repeats.  `group_empirical`'s memo of its
-last prefix never changes an answer or an error text.  `GroupTally.distance`
+last prefix never changes an answer or an error text, for prefixes given as
+a list changed in place or as views of append-only lists.  `GroupTally.distance`
 equals the sup distance of the `Fraction` group probabilities on both
 collection shapes, `GroupTally.worst_group` is the smallest group attaining
 it, and `RationalDist.from_numerators` equals the `Fraction`
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionRationalDist, induced_group_probs, sup_distance
 from repgen.groups import BlockPartition, FiniteGroups
-from repgen.measures import (GroupTally, RationalDist, empirical,
+from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
                              group_empirical, is_alpha_representative)
 from repgen.periodic import PeriodicSet
 
@@ -130,6 +131,37 @@ def test_group_empirical_memo_equals_a_fresh_tally(finite, blocks, script):
             == outcome_of(fresh_tally_weights, prefix, c)
         if undo:
             undo()
+
+
+# Views of append-only lists: "append" grows the current list (now and then
+# by a non-natural or an equal non-int), "view" asks for a view of its first
+# n items (n capped at its length), "switch" starts a new list.
+view_moves = st.one_of(
+    st.tuples(st.just("append"), st.lists(
+        st.integers(0, 40) | st.sampled_from([-1, 2.5, 3.0]), max_size=4)),
+    st.tuples(st.just("view"), st.integers(0, 40)),
+    st.tuples(st.just("switch"), st.lists(st.integers(0, 40), max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_groups, block_partitions,
+       st.lists(st.tuples(st.booleans(), view_moves), max_size=30))
+def test_group_empirical_on_views_equals_a_fresh_tally(finite, blocks, script):
+    items = [0]
+    for use_blocks, (move, arg) in script:
+        c = blocks if use_blocks else finite
+        if move == "append":
+            items.extend(arg)
+            n = len(items)
+        elif move == "view":
+            n = min(arg, len(items))
+        else:
+            items = list(arg)
+            n = len(items)
+        view = PrefixView(items, n)
+        assert outcome_of(group_empirical, view, c) \
+            == outcome_of(fresh_tally_weights, tuple(view), c)
 
 
 # Masses are drawn as positive weights and normalised, so they sum to 1.
