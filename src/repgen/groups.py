@@ -9,6 +9,12 @@ finite family, the touched blocks of a partition), `members_in(s, part)`
 (the members of a set inside a group or cell, in increasing order) and
 `validate()`, so callers that count, weigh or enumerate elements never ask
 which shape they hold.
+Membership in a finite family is itself ultimately periodic: with T the
+largest threshold and M the lcm of the moduli, x >= T holds the same groups
+as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
+once per such class and looks it up after that, so its memo never holds more
+than T + M entries; it also intersects each cursor region `s & region` once
+per collection, and every `members_in` call walks that set afresh.
 `refine` cuts a set by a family of sets; it gives the membership cells of a
 finite family and the dimension's atoms alike.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .hypotheses import Hypothesis
@@ -39,6 +45,11 @@ class FiniteGroups:
         self._groups = tuple(groups)
         self._report: ValidationReport | None = None
         self._cells: list[tuple[tuple[int, ...], PeriodicSet]] | None = None
+        # membership is periodic with threshold T and period M beyond it
+        self._t = max(g.threshold for g in self._groups)
+        self._m = lcm(*(g.modulus for g in self._groups))
+        self._owners_memo: dict[int, tuple[int, ...]] = {}
+        self._regions: dict[tuple, PeriodicSet] = {}
 
     @property
     def k(self) -> int:
@@ -65,23 +76,45 @@ class FiniteGroups:
             self._report = ValidationReport(covers, partition)
         return self._report
 
+    def _owners(self, x: int) -> tuple[int, ...]:
+        """The indices of the groups that hold the natural x, decided once
+        per membership class: x itself below T, T + (x - T) mod M from T
+        on."""
+        t = self._t
+        key = x if x < t else t + (x - t) % self._m
+        owners = self._owners_memo.get(key)
+        if owners is None:
+            owners = self._owners_memo[key] = tuple(
+                i for i, g in enumerate(self._groups, start=1) if key in g)
+        return owners
+
     def groups_containing(self, x: int) -> list[int]:
-        return [i for i, g in enumerate(self._groups, start=1) if x in g]
+        return list(self._owners(x))
 
     def mass_by_group(self, xs: Collection[int],
                       weights: Iterable[int]) -> dict[int, int]:
-        """Total weight of xs per group, zeros included.  Both arguments are
-        read once per group: collections, or an endless `repeat` of weights."""
-        return {i: sum(compress(weights, map(g.__contains__, xs)))
-                for i, g in enumerate(self._groups, start=1)}
+        """Total weight of xs per group, zeros included.  Each argument is
+        read once, in step: collections, or an endless `repeat` of
+        weights."""
+        sums = dict.fromkeys(range(1, len(self._groups) + 1), 0)
+        owners = self._owners
+        for x, w in zip(xs, weights):
+            for i in owners(x):
+                sums[i] += w
+        return sums
 
     def members_in(self, s: PeriodicSet,
                    part: int | tuple[int, ...]) -> Iterator[int]:
         """The members of s inside group `part`, or inside the cell whose
-        membership vector `part` is, in increasing order."""
-        region = (dict(self.cells())[part] if isinstance(part, tuple)
-                  else self.group(part))
-        return (s & region).members()
+        membership vector `part` is, in increasing order.  The set
+        `s & region` is built once per (s, part) and kept; each call walks
+        it from its least member."""
+        inside = self._regions.get((s, part))
+        if inside is None:
+            region = (dict(self.cells())[part] if isinstance(part, tuple)
+                      else self.group(part))
+            inside = self._regions[s, part] = s & region
+        return inside.members()
 
     def cells(self) -> list[tuple[tuple[int, ...], PeriodicSet]]:
         """Atoms of the collection: every realizable nonzero membership vector

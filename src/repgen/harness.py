@@ -54,6 +54,8 @@ def run_game(scenario: Scenario) -> GameTrace:
     # indices of the hypotheses holding every element seen; the closure is
     # bottom exactly when none is left
     consistent = cls.consistent_indices(())
+    # distance <= alpha, decided by cross-multiplying in integers
+    a_num, a_den = scenario.alpha.numerator, scenario.alpha.denominator
     steps: list[StepRecord] = []
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
@@ -66,7 +68,7 @@ def run_game(scenario: Scenario) -> GameTrace:
         dist = tally.distance(mu)
         steps.append(StepRecord(
             t=t, x=x, distinct=len(tally.seen), mu=mu, distance=dist,
-            representative=dist <= scenario.alpha,
+            representative=dist.numerator * a_den <= a_num * dist.denominator,
             consistent=all(y in scenario.target.support and y not in tally.seen
                            for y in mu.support()),
             closure_bot=not consistent,

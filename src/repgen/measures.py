@@ -18,6 +18,8 @@ when those prefixes are `PrefixView`s of one append-only list, neither the
 check nor the prefixes themselves copy the stream.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, the group probabilities and the distance returned.
+`is_alpha_representative` decides distance <= alpha in integers, from the
+two numerators and denominators.
 """
 
 from __future__ import annotations
@@ -333,7 +335,8 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
     """Exact check that mu's group probabilities track the prefix's empirical
     ones to within alpha in sup distance.  Returns (verdict, distance)."""
     d = prefix_tally(prefix, c).distance(mu)
-    return d <= alpha, d
+    # d <= alpha in integers (an int alpha has denominator 1)
+    return d.numerator * alpha.denominator <= alpha.numerator * d.denominator, d
 
 
 def check_alpha(alpha: Fraction) -> None:

@@ -31,11 +31,14 @@ measured with before `GroupTally`; it sums masses by set membership and
 shares no counting with the package.  The cell reference is the product
 enumeration `FiniteGroups.cells` ran before `refine`: it tries all 2^K
 membership vectors, sharing the package's set algebra but not `refine`.
+The membership references are the per-group scans `FiniteGroups` ran
+before it decided membership once per residue class: each asks every group
+about every element, sharing only set membership with the package.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -815,3 +818,19 @@ def product_cells(c: FiniteGroups) -> list[tuple[tuple[int, ...], PeriodicSet]]:
         if not cell.is_empty():
             out.append((vec, cell))
     return out
+
+
+def scan_groups_containing(c: FiniteGroups, x: int) -> list[int]:
+    """The groups of c that hold x: `FiniteGroups.groups_containing` before
+    its owners memo, one membership test per group."""
+    return [i for i in c.indices() if x in c.group(i)]
+
+
+def scan_mass_by_group(c: FiniteGroups, xs: Iterable[int],
+                       weights: Iterable[int]) -> dict[int, int]:
+    """Total weight of xs per group of c, zeros included:
+    `FiniteGroups.mass_by_group` before its owners memo, which reads both
+    arguments once per group (so xs must be a collection, and weights a
+    collection or an endless `repeat`)."""
+    return {i: sum(compress(weights, map(c.group(i).__contains__, xs)))
+            for i in c.indices()}

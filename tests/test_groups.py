@@ -2,14 +2,18 @@
 cell decomposition, block layouts, and overlap bookkeeping."""
 
 import random
+from itertools import islice
+from math import lcm
 
 import pytest
 
+from repgen.generators import StreamState
 from repgen.groups import BlockPartition, FiniteGroups, finite_support_size
 from repgen.hypotheses import Hypothesis
+from repgen.measures import GroupTally
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples, parse_set)
-from oracles import brute_support_size, scan_bound
+from oracles import brute_support_size, scan_bound, scan_mass_by_group
 
 
 def test_validate_worked():
@@ -29,6 +33,51 @@ def test_groups_containing():
     c = FiniteGroups([EVENS, ALL])
     assert c.groups_containing(2) == [1, 2]
     assert c.groups_containing(3) == [2]
+
+
+def test_owners_memo_holds_one_entry_per_membership_class():
+    # T = 3 and M = 6: 20,000 distinct naturals, near and far, fall into at
+    # most T + M classes, and the tally counts them as the scan does
+    groups = [parse_set("ap:4,2,{0},{0,1}"), parse_set("ap:3,2,{1},{2}"),
+              multiples(3)]
+    c = FiniteGroups(groups)
+    t = max(g.threshold for g in groups)
+    m = lcm(*(g.modulus for g in groups))
+    assert (t, m) == (3, 6)
+    xs = list(range(10_000)) + random.Random(5).sample(range(10_000, 10 ** 9),
+                                                        10_000)
+    tally = GroupTally(c)
+    for x in xs:
+        tally.add(x)
+    assert len(c._owners_memo) <= t + m
+    assert tally.counts == scan_mass_by_group(c, xs, [1] * len(xs))
+
+
+@pytest.mark.parametrize("part", [1, (0, 1)])
+def test_cursors_over_one_collection_walk_independently(part):
+    # each members_in call walks s & region from its least member, however
+    # far other iterators and stream states over the collection have gone
+    c = FiniteGroups([EVENS, ODDS])
+    s = multiples(3)
+    region = c.group(1) if part == 1 else ODDS
+    want = list(islice((s & region).members(), 40))
+    a, b = c.members_in(s, part), c.members_in(s, part)
+    assert list(islice(a, 5)) == want[:5]
+    assert list(islice(b, 2)) == want[:2]
+    assert (next(a), next(b)) == (want[5], want[2])
+    states = StreamState(None, c), StreamState(None, c)
+    for st in states:
+        assert st.unseen(s, part) == want[0]
+    for st, seen in zip(states, (want[:7] + [want[12]], want[:3] + [1, 4])):
+        for x in seen:
+            st.add(x)
+    for st in states:
+        listed = []
+        for _ in range(20):
+            listed.append(st.unseen(s, part))
+            st.add(listed[-1])
+        seen = st.tally.seen - set(listed)
+        assert listed == [x for x in want if x not in seen][:20]
 
 
 def test_cells_worked():

@@ -7,16 +7,20 @@ overlapping families of one to six groups, and on a partition into
 singletons and a tail it makes O(K^2) set operations, not O(2^K).
 `members_in` lists a set's members inside a group or a cell, in increasing
 order, as the set algebra does, on random partitions and block
-partitions."""
+partitions.  `groups_containing` and `mass_by_group`, which decide
+membership once per residue class, agree with the per-group scans in
+`oracles.py` below the largest threshold, within the first period past it
+and far beyond it."""
 
-from itertools import islice, product
+from itertools import islice, product, repeat
+from math import lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from oracles import product_cells
+from oracles import product_cells, scan_groups_containing, scan_mass_by_group
 from repgen.groups import BlockPartition, FiniteGroups, refine
 from test_dimension_properties import block_instances, instances
 from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet,
@@ -119,3 +123,27 @@ def test_members_in_lists_the_intersection(instance, other, data):
         got = list(islice(c.members_in(s, part), 12))
         assert got == list(islice((s & region).members(), 12))
     assert got == sorted(set(got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(periodic_sets(), min_size=1, max_size=6), st.data())
+def test_owners_match_the_per_group_scans(groups, data):
+    # elements below T, in the first period past it and far beyond, so that
+    # later elements often share a residue class with earlier ones and are
+    # answered from the memo
+    c = FiniteGroups(groups)
+    t = max(g.threshold for g in groups)
+    m = lcm(*(g.modulus for g in groups))
+    ranges = [st.integers(t, t + m - 1), st.integers(t + m, 10 ** 9)]
+    if t:
+        ranges.append(st.integers(0, t - 1))
+    xs = data.draw(st.lists(st.one_of(ranges), max_size=12))
+    weights = tuple(data.draw(st.lists(st.integers(1, 9), min_size=len(xs),
+                                       max_size=len(xs))))
+    for x in xs:
+        assert c.groups_containing(x) == scan_groups_containing(c, x)
+    # weights as a tuple, and as the endless repeat(1) that check_witness
+    # passes; dicts compared with their key order
+    for ws in (weights, repeat(1)):
+        got = c.mass_by_group(xs, ws)
+        assert list(got.items()) == list(scan_mass_by_group(c, xs, ws).items())

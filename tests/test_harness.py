@@ -298,8 +298,10 @@ def _incremental_check_games():
 def test_run_game_incremental_checks_match_from_scratch():
     # run_game updates its checks per element; every step must equal the
     # verdicts recomputed from the whole prefix, with group weights taken
-    # from the empirical distribution rather than from integer counts
-    bottoms = 0
+    # from the empirical distribution rather than from integer counts, and
+    # verdicts that match the `Fraction` comparison, distances exactly at
+    # alpha included
+    bottoms = ties = 0
     for s in _incremental_check_games():
         trace = run_game(s)
         history = list(materialize_stream(s))
@@ -307,6 +309,8 @@ def test_run_game_incremental_checks_match_from_scratch():
             prefix = history[:rec.t]
             ok, dist = is_alpha_representative(rec.mu, prefix, s.groups, s.alpha)
             assert (rec.distance, rec.representative) == (dist, ok), (s.name, rec.t)
+            assert ok is (dist <= s.alpha), (s.name, rec.t)
+            ties += dist == s.alpha
             assert dist == sup_distance(
                 induced_group_probs(rec.mu, s.groups),
                 induced_group_probs(empirical(prefix), s.groups)), (s.name, rec.t)
@@ -314,6 +318,7 @@ def test_run_game_incremental_checks_match_from_scratch():
             assert rec.distinct == len(set(prefix))
             bottoms += rec.closure_bot
     assert bottoms == 4
+    assert ties > 0
 
 
 def test_a_construction_runs_once_per_step_that_changes_the_state(

@@ -225,6 +225,20 @@ def test_representative_boundary_is_inclusive():
     assert not ok
 
 
+@pytest.mark.parametrize("alpha, dist", [
+    (F(1, 3), F(1, 3)), (F(1, 3), F(1, 3) + F(1, 3 * 10 ** 15)),
+    (0, F(0)), (0, F(1, 10 ** 15)), (1, F(1)), (F(1), F(1))])
+def test_alpha_boundary_in_integers_matches_fraction_comparison(alpha, dist):
+    # group 1 holds only 0, which is the whole prefix: mu puts 1 - dist on
+    # it and dist on 1, so the distance is dist, exactly alpha or just above
+    c = FiniteGroups([from_finite([0]), from_threshold(1)])
+    masses = {0: 1 - dist, 1: dist} if 0 < dist < 1 else {int(dist): F(1)}
+    ok, got = is_alpha_representative(RationalDist(masses), [0], c, alpha)
+    assert got == dist
+    assert ok is (dist <= alpha)
+    assert ok is (dist == alpha)
+
+
 def test_serialize_round_trip():
     d = RationalDist({4: F(2, 3), 3: F(1, 3)})
     ser = d.serialize()
