@@ -16,7 +16,6 @@ on stdout), 3 configuration or usage error (details on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -26,14 +25,11 @@ from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
 from .dimension import gc_dimension
 from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import GeneratorSession, is_feasible
-from .harness import emit_trace, evaluate_asserts, run_game, trace_lines
+from .harness import (_dump, emit_trace, evaluate_asserts, run_game,
+                      trace_lines)
 from .measures import format_fraction, parse_fraction
 from .periodic import format_set
 from .scenario import load_scenario
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_prefix(text: str) -> list[int]:
@@ -127,10 +123,8 @@ def cmd_feasible(args) -> int:
 
 def _baseline_session_factory(name: str, element: int | None):
     def build(cls, groups, alpha):
-        if name == "empirical":
-            return GeneratorSession("empirical", cls, groups, alpha)
-        if name == "inlimit":
-            return GeneratorSession("inlimit", cls, groups, alpha)
+        if name in ("empirical", "inlimit"):
+            return GeneratorSession(name, cls, groups, alpha)
         if name == "uniform-low":
             return GeneratorSession("uniform", cls, groups, alpha, d_star=1)
         if name == "constant":

@@ -180,15 +180,16 @@ class _Group(NamedTuple):
     mask: int  # AND of its closure atoms' masks
 
 
-def _fewest(atoms: Sequence[_Atom], lb: Sequence[int],
-            ub: Sequence[int | None], live: list[_Group],
-            need: int) -> int | None:
+def _fewest(atoms: Sequence[_Atom], ub: Sequence[int | None],
+            live: list[_Group], need: int) -> int | None:
     """Fewest untouched closure atoms of the live groups, one element each
     and within each group's room, whose masks clear every bit of `need`, or
-    None.  One atom per bit suffices, so at most popcount(need) are tried."""
+    None.  A touched atom's mask holds every bit of `need` (they lie inside
+    the touched atoms' common mask), so only untouched atoms clear one.  One
+    atom per bit suffices, so at most popcount(need) are tried."""
     options = {(g, atoms[j].hyps & need): None
                for g, group in enumerate(live) for j in group.atoms
-               if not lb[j] and ub[j] != 0 and need & ~atoms[j].hyps}
+               if ub[j] != 0 and need & ~atoms[j].hyps}
     for r in range(1, need.bit_count() + 1):
         for chosen in combinations(options, r):
             if not reduce(and_, (bits for _, bits in chosen), need) and all(
@@ -255,7 +256,7 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
             lo = heavy + sum(g.low for g in live)
             mask = reduce(and_, (g.mask for g in exhausted), held)
             if mask != s and (top is None or lo <= top):
-                extra = _fewest(atoms, lb, ub, live, mask & ~s)
+                extra = _fewest(atoms, ub, live, mask & ~s)
                 lo = None if extra is None else lo + extra
             if lo is not None and (top is None or lo <= top):
                 yield lo, top

@@ -71,11 +71,7 @@ class StreamState:
         state) there is no depth, and a repeat returns False."""
         self.t += 1
         if self.tally.add(x):
-            distinct = self.distinct
-            if not distinct or x > distinct[-1]:
-                distinct.append(x)
-            else:
-                insort(distinct, x)
+            insort(self.distinct, x)
             self.consistent = tuple(i for i in self.consistent
                                     if x in self.cls.get(i).support)
             return True
@@ -195,16 +191,16 @@ def _feasible(state: StreamState, h: Hypothesis,
               for i in c.indices()]
     for exact in (True, False):
         band = 0 if exact else a * d
-        rows = [([den] * n, simplex.EQ, den, den)]
+        rows = [([den] * n, simplex.EQ, den)]
         for w, cover in covers:
             if w > band and not any(cover):
                 break
             if exact:
-                rows.append((cover, simplex.EQ, w, den))
+                rows.append((cover, simplex.EQ, w))
             else:
-                rows.append((cover, simplex.LE, w + band, den))
+                rows.append((cover, simplex.LE, w + band))
                 if w > band:
-                    rows.append((cover, simplex.GE, w - band, den))
+                    rows.append((cover, simplex.GE, w - band))
         else:
             vertex = simplex.feasible_point_int(n, rows)
             if vertex is not None:
@@ -266,12 +262,13 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
 
     The arithmetic is on integers over D = d * alpha.denominator: group i's
     weight counts[i] / d is counts[i] * b / D and alpha = a / b is a * d / D,
-    so the only division is the one reduction in `from_numerators`.  With a
-    correctly chosen d_star the redistribution always fits the alpha cap;
+    so the only division is the one reduction in `from_numerators`.  The
+    exhausted weight goes to the live groups in index order, each taking
+    up to the cap a * d.  With a correctly chosen d_star it always fits;
     when a caller configures d_star below the dimension threshold, which
-    the adversary constructions do on purpose, the exhausted weight beyond
-    the caps goes to the first live group, so emission stays total (and
-    deterministic).
+    the adversary constructions do on purpose, what is left after every
+    live group took its cap goes to the first live group, so emission
+    stays total (and deterministic).
     """
     a, b = alpha.numerator, alpha.denominator
     den = d * b
@@ -283,19 +280,14 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
     masses = {i: counts[i] * b for i in avail}
     order = sorted(avail)
     cap = a * d
-    deficit = sum(counts[i] for i in exhausted) * b
-    if deficit > cap:
-        rem = deficit
-        for i in order:
-            if rem <= 0:
-                break
-            add = min(cap, rem)
-            masses[i] += add
-            rem -= add
-        if rem > 0:
-            masses[order[0]] += rem  # out of contract (d_star too small)
-    else:  # on a partition the live weights sum to den - deficit
-        masses[order[0]] += deficit
+    rem = sum(counts[i] for i in exhausted) * b
+    for i in order:
+        add = min(cap, rem)
+        masses[i] += add
+        rem -= add
+        if not rem:
+            break
+    masses[order[0]] += rem  # nonzero only out of contract (d_star too small)
     return RationalDist.from_numerators(
         {avail[i]: m for i, m in masses.items() if m > 0}, den)
 
@@ -308,9 +300,9 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     plays the empirical distribution.  Otherwise splits the groups into
     exhausted ones (no unseen closure element left) and live ones, targets
     each live group's empirical weight on its smallest unseen closure
-    element, and redistributes the exhausted weight: spread in alpha-sized
-    increments over live groups in index order when it exceeds alpha, or
-    added whole to the smallest-index live group.
+    element, and redistributes the exhausted weight by one rule: the live
+    groups in index order each take up to alpha of it until none is left,
+    so weight within alpha goes whole to the smallest-index live group.
     """
     closure = None
     if len(state.tally.seen) >= d_star:

@@ -105,20 +105,15 @@ def evaluate_asserts(scenario: Scenario, trace: GameTrace) -> list[str]:
     returns human-readable failure strings (empty means all hold)."""
     failures = []
     asserts = scenario.asserts
-    if asserts.get("all_representative"):
-        for rec in trace.steps:
-            if not rec.representative:
-                failures.append(
-                    f"asserts.all_representative: step {rec.t} has distance "
-                    f"{format_fraction(rec.distance)} > "
-                    f"{format_fraction(scenario.alpha)}")
-                break
-    if "representative_from" in asserts:
-        n = asserts["representative_from"]
+    for key, n in (("all_representative",
+                    1 if asserts.get("all_representative") else None),
+                   ("representative_from", asserts.get("representative_from"))):
+        if n is None:
+            continue
         for rec in trace.steps:
             if rec.t >= n and not rec.representative:
                 failures.append(
-                    f"asserts.representative_from: step {rec.t} has distance "
+                    f"asserts.{key}: step {rec.t} has distance "
                     f"{format_fraction(rec.distance)} > "
                     f"{format_fraction(scenario.alpha)}")
                 break

@@ -7,26 +7,25 @@ cycling.
 
 There are two entries and one pivot loop.  `feasible_point` takes rows of
 ints or fractions.Fraction, checks them, flips a row with a negative
-right-hand side, and multiplies each row by the lcm of its denominators.
-`feasible_point_int` takes rows already in integers, each as (coeffs, rel,
-rhs, scale) with rhs >= 0 and `scale` the positive factor the rational row
-was multiplied by, and runs the pivots; callers that can build their rows
-in integers (the generators' feasibility LPs, whose rows are all over one
-denominator D) hand them in directly.  `feasible_point_int` returns the
-vertex as integer numerators over one positive denominator, the final
-pivot; `feasible_point` divides them out into a list of Fraction.
+right-hand side, and multiplies every row by one shared scale, the lcm of
+all the system's denominators.  `feasible_point_int` takes rows already in
+integers, each as (coeffs, rel, rhs) with rhs >= 0, all of them the
+rational rows times one shared positive scale, and runs the pivots; the
+generators' feasibility LPs build their rows that way, over one
+denominator D.  `feasible_point_int` returns the vertex as integer
+numerators over one positive denominator, the final pivot;
+`feasible_point` divides them out into a list of Fraction.
 
 The tableau holds integers over one common denominator (Edmonds' fraction-
 free pivoting, as in Bareiss elimination): a pivot on p replaces every
 other row v by (p*v - f*w) // delta, an exact division, after which delta
-becomes p.  Scaling a row by `scale` turns its slack and artificial into
-positively rescaled variables, and giving each artificial the phase-one
-cost weight // scale (weight the lcm of all artificial rows' scales) keeps
-the objective a positive multiple of the plain sum of artificials.  Every
-reduced cost therefore has the sign it has in the rational tableau and
-every ratio test the same order, so Bland's rule takes the same pivots and
-ends on the same vertex whatever positive factor each row carries, and the
-verdict is exact even when the feasible region is a single boundary point.
+becomes p.  Every artificial costs 1 in phase one.  With one scale k on
+every row, each slack and artificial is k times its rational counterpart,
+so the sum of artificials is k times the rational objective: every reduced
+cost has the sign it has in the rational tableau and every ratio test the
+same order, Bland's rule takes the same pivots, and the vertex is the
+rational tableau's.  The verdict is exact even when the feasible region is
+a single boundary point.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ def feasible_point(n_vars: int,
     """A nonnegative solution of the constraint system, or None.
 
     Builds the standard phase-one tableau: slacks for inequalities,
-    artificials wherever no slack can start basic, and minimizes the
-    (weighted) sum of artificials.  Feasible iff that minimum is zero.
+    artificials wherever no slack can start basic, and minimizes the sum
+    of artificials.  Feasible iff that minimum is zero.
     Raises TypeError for a coefficient or right-hand side that is neither
     an int nor a Fraction, and ValueError for a row of the wrong length or
     a relation other than LE, GE and EQ.
@@ -65,10 +64,12 @@ def feasible_point(n_vars: int,
             coeffs = [-v for v in coeffs]
             rhs = -rhs
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
-        rows.append(([v.numerator * (scale // v.denominator) for v in coeffs],
-                     rel, rhs.numerator * (scale // rhs.denominator), scale))
-    vertex = feasible_point_int(n_vars, rows)
+        rows.append((coeffs, rel, rhs))
+    scale = lcm(*(v.denominator for coeffs, _, rhs in rows
+                  for v in (*coeffs, rhs)))
+    vertex = feasible_point_int(n_vars, [
+        ([int(v * scale) for v in coeffs], rel, int(rhs * scale))
+        for coeffs, rel, rhs in rows])
     if vertex is None:
         return None
     nums, delta = vertex
@@ -76,35 +77,32 @@ def feasible_point(n_vars: int,
 
 
 def feasible_point_int(n_vars: int,
-                       rows: Sequence[tuple[list[int], str, int, int]]
+                       rows: Sequence[tuple[list[int], str, int]]
                        ) -> tuple[list[int], int] | None:
     """The same decision on rows already in integers.
 
-    Each row is (coeffs, rel, rhs, scale): int coefficients, a relation in
-    LE, GE and EQ, an int rhs >= 0, and the positive int `scale` the
-    rational row was multiplied by to get there.  The rational system is
-    coeffs / scale REL rhs / scale, and the result is its vertex, the one
-    `feasible_point` returns for it, as (nums, delta): int numerators and
-    the positive int denominator they share, x_j = nums[j] / delta, not
-    reduced.  Rows are not checked or changed.
+    Each row is (coeffs, rel, rhs): int coefficients, a relation in LE, GE
+    and EQ, and an int rhs >= 0.  All rows are the rational rows multiplied
+    by one shared positive scale, and the result is the rational system's
+    vertex, the one `feasible_point` returns for it, as (nums, delta): int
+    numerators and the positive int denominator they share, x_j = nums[j] /
+    delta, not reduced.  Rows are not checked or changed.
     """
-    n_slack = sum(1 for _, rel, _, _ in rows if rel != EQ)
+    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
     # Artificials: == rows always; >= rows always (their surplus starts
     # negative); <= rows start basic on their own slack.
-    art_scales = [scale for _, rel, _, scale in rows if rel != LE]
-    n_art = len(art_scales)
+    n_art = sum(1 for _, rel, _ in rows if rel != LE)
     width = n_vars + n_slack + n_art
-    weight = lcm(*art_scales)
 
     tableau: list[list[int]] = []
     basis: list[int] = []
-    # Objective: minimize sum over artificial rows of (weight // scale) times
-    # the artificial.  Work with reduced costs directly: cost[j] = c_j - sum
-    # over basic rows of c_B * row; cost[width] is -(objective) * delta.
+    # Objective: minimize the sum of the artificials.  Work with reduced
+    # costs directly: cost[j] = c_j - sum over basic rows of c_B * row;
+    # cost[width] is -(objective) * delta.
     cost = [0] * (width + 1)
     slack_at = 0
     art_at = 0
-    for coeffs, rel, rhs, scale in rows:
+    for coeffs, rel, rhs in rows:
         row = coeffs + [0] * (n_slack + n_art) + [rhs]
         if rel != EQ:
             row[n_vars + slack_at] = 1 if rel == LE else -1
@@ -117,9 +115,8 @@ def feasible_point_int(n_vars: int,
             row[col] = 1
             basis.append(col)
             art_at += 1
-            c = weight // scale
-            cost[col] = c
-            cost = [v - c * w for v, w in zip(cost, row)]
+            cost[col] = 1
+            cost = [v - w for v, w in zip(cost, row)]
         tableau.append(row)
 
     delta = 1

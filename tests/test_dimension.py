@@ -19,7 +19,8 @@ from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
-                             from_finite, from_threshold, multiples)
+                             from_finite, from_threshold, multiples,
+                             parse_set)
 from repgen.scenario import load_scenario
 from instances import dimension_instances, worked_example_index
 from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
@@ -230,6 +231,29 @@ def test_unbounded_dimension_at_alpha_zero():
     # taken, and condition 1 holds below 20 / (1/4)
     r = gc_dimension(ALL_CLS, _x01(20), F(1, 4))
     assert (r.status, r.d) == ("exact", 79)
+
+
+@pytest.mark.parametrize("supports, groups, want", [
+    # group 1, {2, 3}, stays live with one element taken, exactly its room,
+    # and that element alone drops h2: `_fewest`'s room test holds with
+    # equality (n == high - low)
+    (["ap:3,2,{1},{0,1,2}", "ap:4,2,{1},{0,1}", "ap:4,2,{0},{0,1,2,3}"],
+     ["finite:{2,3}", "ap:4,1,{0},{0,1}"], (3, (0, 1, 2), Condition1(2))),
+    # taking 0 exhausts group 4 with the consistent mask already at
+    # S = {h3, h4}, so no atom is added (`_spans` asks `_fewest` only when
+    # mask != s); (1,) witnesses as well, but 0 comes first
+    (["ap:3,1,{0},{}", "ap:3,1,{0},{1}", "all", "ap:3,1,{0},{0}"],
+     ["empty", "ap:3,1,{0},{}", "finite:{1}", "finite:{0,2}"],
+     (1, (0,), Condition1(4))),
+])
+def test_least_unbounded_span_and_its_first_witness(supports, groups, want):
+    # at alpha = 0 both are unbounded from depth d, and the tuple walk to
+    # depth d finds the same first witness and condition
+    cls = _cls(*map(parse_set, supports))
+    c = FiniteGroups([parse_set(g) for g in groups])
+    r = gc_dimension(cls, c, F(0))
+    assert (r.status, r.d, r.witness, r.condition) == ("infinite", *want)
+    assert tuple_gc_dimension(cls, c, F(0), r.d) == want
 
 
 def test_gc_dimension_config_errors():

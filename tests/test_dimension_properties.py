@@ -4,10 +4,12 @@ affordable, it returns the same depth, witness tuple and condition as both
 references kept in `oracles.py`; at alpha = 0, where B may be unbounded, its
 finite and infinite verdicts agree with a tuple walk two depths further.
 `check_witness` returns what the `Fraction` reference returns on tuples
-drawn from a hypothesis's support, against finite and block partitions, and
-the witness of every instance with d >= 1 forces the uniform construction
-at d_star = d, the empirical baseline and the in-limit generator into a
-report that `verify_report` accepts.  The uniform construction with d_star
+drawn from a hypothesis's support, against finite and block partitions
+(against a finite one also on the tuple of the closure's lone members, one
+per group it meets in exactly one element, which often meets condition 2),
+and the witness of every instance with d >= 1 forces the uniform
+construction at d_star = d, the empirical baseline and the in-limit
+generator into a report that `verify_report` accepts.  The uniform construction with d_star
 derived as d + 1 meets the paper's guarantee on random streams with
 repeats: every step is alpha-representative, and consistent once d_star
 distinct elements are seen, both checked through the `oracles.py`
@@ -178,18 +180,34 @@ def _support_tuple(data, cls, groups, alpha):
 def test_check_witness_matches_the_fraction_reference(instance, data):
     # condition 2 is checked after condition 1, so it needs an alpha that
     # no exhausted group's weight alone exceeds: on a finite partition,
-    # where it can hold, two draws in three take alpha from 1/3 to 3/4, and
-    # the partition has two groups or more, since one group meets condition
-    # 2 only at alpha 1 (below it condition 1 fires first)
+    # where it can hold, two draws in three take alpha from 1/3 to 3/4,
+    # 1/2 listed first (hypothesis favours a list's first entry, and at
+    # 1/3 two exhausted singletons of a two-element tuple meet condition
+    # 1), and the partition has two groups or more, since one group meets
+    # condition 2 only at alpha 1 (below it condition 1 fires first)
     cls, groups = instance
     alphas = st.sampled_from(ALPHAS)
     if isinstance(groups, FiniteGroups):
-        useful = st.sampled_from(ALPHAS[2:6])
+        useful = st.sampled_from([F(1, 2), F(2, 3), F(3, 4), F(1, 3)])
         alphas = st.one_of(useful, useful, alphas)
     alpha = data.draw(alphas)
     xs = _support_tuple(data, cls, groups, alpha)
-    assert check_witness(cls, groups, alpha, xs) \
-        == rational_check_witness(cls, groups, alpha, xs)
+    tuples = [xs]
+    if isinstance(groups, FiniteGroups):
+        # and the lone members: the member of each group that the closure
+        # of xs meets in exactly one element.  Together they exhaust each
+        # such group at weight 1, so condition 1 fails from alpha 1 / len
+        # on, and condition 2 holds while alpha times the spare groups
+        # stays below 1
+        closure = cls.closure(xs)
+        singles = [x for i in groups.indices()
+                   for m in [closure & groups.group(i)]
+                   if m.size_if_finite() == 1 for x in m.members()]
+        if len(singles) > 1:
+            tuples.append(singles)
+    for ys in tuples:
+        assert check_witness(cls, groups, alpha, ys) \
+            == rational_check_witness(cls, groups, alpha, ys)
 
 
 @settings(max_examples=150, deadline=None)

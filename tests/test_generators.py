@@ -209,7 +209,7 @@ def test_faced_infeasible_pass_makes_no_lp_call(monkeypatch):
                       from_threshold(2) - multiples(4)])
     w = is_feasible(h, c, [0, 1, 2, 3], F(1, 2))
     assert w.distribution() == RationalDist({4: F(1, 2), 6: F(1, 2)})
-    assert [(n, [rel for _, rel, _, _ in rows]) for n, rows in calls] \
+    assert [(n, [rel for _, rel, _ in rows]) for n, rows in calls] \
         == [(2, [simplex.EQ, simplex.LE, simplex.LE, simplex.LE])]
 
 

@@ -114,6 +114,20 @@ def test_assert_failures_reported():
     assert any("all_representative" in f for f in failures)
 
 
+def test_every_failed_assert_is_reported_in_order():
+    # d_star 2 plays the empirical distribution at step 1 (mass on the
+    # seen 0), then alpha 1/4 is too small for {0}'s weight at steps 2-3
+    doc = _doc(generator={"kind": "uniform", "alpha": "1/4", "d_star": 2},
+               asserts={"all_representative": True, "representative_from": 3,
+                        "consistent_from": 1})
+    s = parse_scenario(doc)
+    assert evaluate_asserts(s, run_game(s)) == [
+        "asserts.all_representative: step 2 has distance 1/2 > 1/4",
+        "asserts.representative_from: step 3 has distance 1/3 > 1/4",
+        "asserts.consistent_from: step 1 emits mass on a seen or "
+        "out-of-support element"]
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ScenarioError) as e:
         parse_scenario(_doc(extra=1))

@@ -3,8 +3,8 @@ rational-tableau reference in `oracles.py` on random mixed-sign systems and
 on 0/1 cell systems shaped like the generators' feasibility LPs, every
 returned entry a Fraction that meets every constraint exactly, and the
 input checks at the kernel boundary.  The integer entry returns that vertex
-too, as int numerators over a positive int denominator, when each row comes
-multiplied by any positive factor, passed as the row's scale."""
+too, as int numerators over a positive int denominator, when every row
+comes multiplied by one shared positive scale."""
 
 from fractions import Fraction
 
@@ -72,10 +72,10 @@ def test_int_coefficients_give_fraction_results():
 
 
 def test_weighted_artificials_keep_the_rational_path():
-    # The rows scale by 6 and 1, so both start on artificials of different
-    # scales.  Phase-one costs weighted by the row scales keep Bland's path,
-    # and its vertex, the rational tableau's; unit costs on the scaled
-    # artificials end on (0, 3/4, 7/4) instead.
+    # Scaled by the lcm of its own denominators, each row would get 6 and 1,
+    # and unit phase-one costs on artificials of different scales end on
+    # (0, 3/4, 7/4).  One shared scale, 6, keeps Bland's path, and its
+    # vertex, the rational tableau's.
     constraints = [([F(1, 2), F(-1), F(-1, 3)], EQ, F(-4, 3)),
                    ([F(2), F(1), F(-1)], LE, F(-1))]
     assert check(3, constraints) == [F(6), F(0), F(13)]
@@ -152,46 +152,45 @@ def test_cell_systems_match_reference(system):
 FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 
-def integer_rows(constraints, factors):
+def integer_rows(constraints, k):
     """The rows in integers for `feasible_point_int`: a row with a negative
-    right-hand side flipped, then multiplied by the lcm of its denominators
-    times its factor, which goes into the row's scale."""
-    rows = []
-    for (coeffs, rel, rhs), k in zip(constraints, factors):
+    right-hand side flipped, then every row multiplied by one shared scale,
+    the lcm of all the system's denominators times k."""
+    flipped = []
+    for coeffs, rel, rhs in constraints:
         coeffs, rhs = [F(v) for v in coeffs], F(rhs)
         if rhs < 0:
             coeffs, rhs, rel = [-v for v in coeffs], -rhs, FLIP[rel]
-        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs)) * k
-        rows.append(([int(v * scale) for v in coeffs], rel, int(rhs * scale),
-                     scale))
-    return rows
+        flipped.append((coeffs, rel, rhs))
+    scale = k * lcm(*(v.denominator for coeffs, _, rhs in flipped
+                      for v in (*coeffs, rhs)))
+    return [([int(v * scale) for v in coeffs], rel, int(rhs * scale))
+            for coeffs, rel, rhs in flipped]
 
 
 @st.composite
 def scaled_systems(draw):
-    """A rational system, mixed or cell-shaped, and a positive factor per
-    row."""
+    """A rational system, mixed or cell-shaped, and a positive factor for
+    all its rows."""
     n, constraints = draw(st.one_of(mixed_systems(), cell_systems()))
-    factors = draw(st.lists(st.sampled_from([1, 2, 3, 7, 60, 1000]),
-                            min_size=len(constraints),
-                            max_size=len(constraints)))
-    return n, constraints, factors
+    return n, constraints, draw(st.sampled_from([1, 2, 3, 7, 60, 1000]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(scaled_systems())
-# the weighted-artificials case, its rows scaled apart and alike
+# rows whose own denominators differ (lcms 6 and 1): with unit costs, a
+# scale per row would end on another vertex
 @example((3, [([F(1, 2), F(-1), F(-1, 3)], EQ, F(-4, 3)),
-              ([F(2), F(1), F(-1)], LE, F(-1))], [5, 7]))
+              ([F(2), F(1), F(-1)], LE, F(-1))], 1))
 @example((3, [([F(1, 2), F(-1), F(-1, 3)], EQ, F(-4, 3)),
-              ([F(2), F(1), F(-1)], LE, F(-1))], [1, 6]))
-# artificials of scales 1 and 2: unit costs end on another vertex
+              ([F(2), F(1), F(-1)], LE, F(-1))], 7))
+# artificials whose own lcms are 1 and 2: the same
 @example((5, [([0] * 5, LE, 0), ([0] * 5, LE, 0),
               ([0, 0, -2, 0, 0], LE, -1), ([0, 0, -2, 1, -1], GE, -1),
-              ([0, 0, 1, F(-1, 2), 0], LE, -1)], [1, 1, 1, 1, 1]))
+              ([0, 0, 1, F(-1, 2), 0], LE, -1)], 1))
 def test_integer_rows_in_any_positive_scale_keep_the_vertex(system):
-    n, constraints, factors = system
-    got = feasible_point_int(n, integer_rows(constraints, factors))
+    n, constraints, k = system
+    got = feasible_point_int(n, integer_rows(constraints, k))
     want = fraction_feasible_point(n, constraints)
     if want is None:
         assert got is None
