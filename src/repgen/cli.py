@@ -128,14 +128,14 @@ def _baseline_session_factory(name: str, element: int | None):
         if name == "uniform-low":
             return GeneratorSession("uniform", cls, groups, alpha, d_star=1)
         if name == "constant":
-            if element is None:
-                raise ConfigError("--element is required for the constant baseline")
             return ConstantSession(element)
         raise ConfigError(f"unknown baseline {name!r}")
     return build
 
 
 def cmd_adversary(args) -> int:
+    if args.generator == "constant" and args.element is None:
+        raise ConfigError("--element is required for the constant baseline")
     if args.family == "geometric":
         alpha = parse_fraction(args.alpha)
         build = _baseline_session_factory(args.generator, args.element)
@@ -149,8 +149,6 @@ def cmd_adversary(args) -> int:
         if args.generator == "query-then-emit":
             gen = QueryThenEmit()
         elif args.generator == "constant":
-            if args.element is None:
-                raise ConfigError("--element is required for the constant baseline")
             gen = ConstantQueryFree(args.element)
         elif args.generator == "greedy":
             gen = GreedyQuerier()

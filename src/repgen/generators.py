@@ -72,8 +72,10 @@ class StreamState:
         self.t += 1
         if self.tally.add(x):
             insort(self.distinct, x)
-            self.consistent = tuple(i for i in self.consistent
-                                    if x in self.cls.get(i).support)
+            # its indices are at most `checked`, so already materialized;
+            # without a class it stays empty
+            if self.consistent:
+                self.consistent = self.cls.consistent_among(self.consistent, x)
             return True
         cls = self.cls
         return cls is not None and (cls.extendable
@@ -132,8 +134,12 @@ class FeasibilityWitness:
     den: int
 
     def distribution(self) -> RationalDist:
+        entries = self.entries
+        if len(entries) == 1 and entries[0].num == self.den:
+            # a point mass, which decides nearly every in-limit step
+            return RationalDist.point(entries[0].element)
         return RationalDist.from_numerators(
-            {e.element: e.num for e in self.entries}, self.den)
+            {e.element: e.num for e in entries}, self.den)
 
 
 def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
@@ -235,18 +241,17 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
             surplus += w
         else:
             masses.append((i, elem, w))
-    if surplus > 0:
-        if cap == 0:
-            return None
-        j = 1
-        while surplus > 0:
-            if j not in counts:
-                elem = state.unseen(h.support, j)
-                if elem is not None:
-                    chunk = min(cap, surplus)
-                    masses.append((j, elem, chunk))
-                    surplus -= chunk
-            j += 1
+    if surplus and not cap:
+        return None
+    j = 1
+    while surplus > 0:
+        if j not in counts:
+            elem = state.unseen(h.support, j)
+            if elem is not None:
+                chunk = min(cap, surplus)
+                masses.append((j, elem, chunk))
+                surplus -= chunk
+        j += 1
     return FeasibilityWitness(tuple(FeasibilityEntry(i, elem, m)
                                     for i, elem, m in masses), d * b)
 

@@ -56,6 +56,8 @@ def run_game(scenario: Scenario) -> GameTrace:
     consistent = cls.consistent_indices(())
     # distance <= alpha, decided by cross-multiplying in integers
     a_num, a_den = scenario.alpha.numerator, scenario.alpha.denominator
+    support, seen = scenario.target.support, tally.seen
+    inlimit = scenario.kind == "inlimit"
     steps: list[StepRecord] = []
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
@@ -64,15 +66,14 @@ def run_game(scenario: Scenario) -> GameTrace:
                 f"step {t}: generator returned {type(mu).__name__} "
                 "instead of a distribution")
         if tally.add(x):
-            consistent = [i for i in consistent if x in cls.get(i).support]
+            consistent = cls.consistent_among(consistent, x)
         dist = tally.distance(mu)
         steps.append(StepRecord(
-            t=t, x=x, distinct=len(tally.seen), mu=mu, distance=dist,
-            representative=dist.numerator * a_den <= a_num * dist.denominator,
-            consistent=all(y in scenario.target.support and y not in tally.seen
-                           for y in mu.support()),
-            closure_bot=not consistent,
-            selected=session.last_selected if scenario.kind == "inlimit" else None))
+            t, x, len(seen), mu, dist,
+            dist.numerator * a_den <= a_num * dist.denominator,
+            all(y in support and y not in seen for y in mu.support()),
+            not consistent,
+            session.last_selected if inlimit else None))
     trace = GameTrace(scenario_name=scenario.name, generator_kind=scenario.kind,
                       alpha=scenario.alpha, horizon=scenario.horizon,
                       steps=steps)

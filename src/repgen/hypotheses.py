@@ -105,6 +105,14 @@ class HypothesisClass:
         return [i for i in range(1, n + 1)
                 if all(x in self._members[i - 1].support for x in xs)]
 
+    def consistent_among(self, indices: Iterable[int],
+                         x: int) -> tuple[int, ...]:
+        """The indices, in order, whose hypothesis's support holds x: one
+        pass over already materialized members, so nothing is looked up
+        through `get` and nothing new is materialized."""
+        members = self._members
+        return tuple(i for i in indices if x in members[i - 1].support)
+
     def closure_of_indices(self, indices: Sequence[int]) -> PeriodicSet | None:
         """Intersection of the supports at the given indices; None for the empty family."""
         key = tuple(indices)

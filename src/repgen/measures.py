@@ -241,19 +241,26 @@ class GroupTally:
         """Sup distance between mu's group probabilities and the weights of
         the elements added so far, over every group either side touches.
         Both sides are integers over mu's denominator times the distinct
-        count, so the only `Fraction` built is the result."""
+        count, so the maximum is found in one integer loop and the only
+        `Fraction` built is the result."""
         d = len(self.seen)
         if not d:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         den = mu._den
         counts = self.counts
         masses = self.groups.mass_by_group(mu._xs, mu._nums)
-        worst = max(abs(m * d - counts.get(i, 0) * den)
-                    for i, m in masses.items())
-        # groups the history touches and mu does not (blocks only)
-        missed = max((n for i, n in counts.items() if i not in masses),
-                     default=0) * den
-        return Fraction(max(worst, missed), den * d)
+        worst = 0
+        for i, m in masses.items():
+            gap = abs(m * d - counts.get(i, 0) * den)
+            if gap > worst:
+                worst = gap
+        # groups the history touches and mu does not (blocks only; a finite
+        # collection's masses and counts both hold every group)
+        for i in counts.keys() - masses.keys():
+            gap = counts[i] * den
+            if gap > worst:
+                worst = gap
+        return Fraction(worst, den * d)
 
     def worst_group(self, mu: RationalDist) -> int:
         """The smallest group index at which mu's group probability and the

@@ -12,7 +12,9 @@ being sampled.
 
 Instances canonicalize on construction (minimal eventual period, then
 minimal threshold), so structural equality coincides with equality of the
-denoted sets.
+denoted sets.  An instance is immutable, so its hash is computed once, on
+first use, and kept with it: the stream state's unseen-element cursors and
+a collection's regions, which are keyed by sets, then hash each set once.
 """
 
 from __future__ import annotations
@@ -71,6 +73,18 @@ class PeriodicSet:
         object.__setattr__(self, "modulus", modulus2)
         object.__setattr__(self, "residues", residues2)
         object.__setattr__(self, "prefix", prefix2)
+
+    # The hash of the four fields, computed on first use and kept on the
+    # instance.  Not a field: unannotated, so equality, `fields` and the
+    # canonical form see only the four above.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.threshold, self.modulus, self.residues, self.prefix))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- membership and classification ------------------------------------
 

@@ -11,7 +11,8 @@ from repgen.adversaries import geometric_adversary
 from repgen.dimension import gc_depth
 from repgen.errors import ConfigError
 from repgen import generators, simplex
-from repgen.generators import (GeneratorSession, StreamState, _feasible,
+from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
+                               GeneratorSession, StreamState, _feasible,
                                _feasible_blocks, is_feasible, limit_emit,
                                nonuniform_emit, nonuniform_thresholds,
                                uniform_emit)
@@ -280,6 +281,7 @@ def test_feasible_witness_lands_on_unseen_support():
                    FiniteGroups([from_finite([0, 1]), from_threshold(2)]),
                    FiniteGroups([from_finite([0]), from_finite([1, 2]),
                                  from_threshold(3)])]
+    points = 0
     for _ in range(120):
         h = rng.choice(hyps)
         c = rng.choice(collections)
@@ -289,12 +291,31 @@ def test_feasible_witness_lands_on_unseen_support():
         if w is None:
             continue
         mu = w.distribution()
+        want = RationalDist.from_numerators(
+            {e.element: e.num for e in w.entries}, w.den)
+        assert mu == want and hash(mu) == hash(want)
+        assert mu.serialize() == want.serialize()
+        points += len(w.entries) == 1
         seen = set(hist)
         for x in mu.support():
             assert x in h.support and x not in seen
         d = sup_distance(induced_group_probs(mu, c),
                          group_empirical(hist, c))
         assert d <= alpha
+    assert points > 0
+
+
+def test_a_one_entry_witness_is_the_point_mass_from_numerators_builds():
+    # over den 1 and over an unreduced den, as block witnesses keep it; a
+    # one-entry witness whose mass is not 1 is still rejected
+    for cell, den in (((1, 0), 1), (3, 6), ((0, 1), 12)):
+        mu = FeasibilityWitness((FeasibilityEntry(cell, 7, den),),
+                                den).distribution()
+        want = RationalDist.from_numerators({7: den}, den)
+        assert mu == want and hash(mu) == hash(want)
+        assert mu.serialize() == want.serialize() == [[7, "1/1"]]
+    with pytest.raises(ValueError, match="masses must sum to 1, got 1/3"):
+        FeasibilityWitness((FeasibilityEntry(3, 7, 2),), 6).distribution()
 
 
 def test_feasible_matches_mesh_oracle():
@@ -422,7 +443,12 @@ def _assert_same_state(stepped, once):
     assert stepped.distinct == once.distinct == sorted(once.tally.seen)
     assert stepped.tally.weights() == once.tally.weights()
     n = stepped.checked
-    assert stepped.consistent_upto(n) == once.consistent_upto(n)
+    # the stepped state filters with `consistent_among`, one element at a
+    # time; the reference looks every member up through `get`
+    cls = stepped.cls
+    assert stepped.consistent_upto(n) == once.consistent_upto(n) == tuple(
+        i for i in range(1, n + 1)
+        if all(x in cls.get(i).support for x in once.tally.seen))
     for s, part in list(stepped._cursors):
         assert stepped.unseen(s, part) == once.unseen(s, part)
 

@@ -651,6 +651,17 @@ def test_cli_adversary_query(capsys):
     assert Fraction(summary["final_group_one_fraction"]) >= F(1, 2)
 
 
+def test_cli_constant_baseline_needs_an_element(tmp_path, capsys):
+    # one check for every adversary family, made before a game starts
+    path = _write_scenario(tmp_path, _doc())
+    for family in (["geometric"], ["query"], ["gc-witness", path]):
+        assert main(["adversary", *family, "--generator", "constant"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: --element is required for the constant baseline\n"
+
+
 def test_cli_adversary_refuses_overlong_games(capsys, monkeypatch):
     def no_game(*args):
         raise AssertionError("a refused game was started")

@@ -124,6 +124,11 @@ def test_provider_extension():
     assert c.materialized_count() == 2
     assert c.get(4).id == "gen4"
     assert c.materialized_count() == 4
+    # the one-pass filter reads materialized members only, and agrees
+    # with looking each one up
+    assert c.consistent_among(range(1, 5), 2) == tuple(
+        i for i in range(1, 5) if 2 in c.get(i).support) == (1, 3, 4)
+    assert c.materialized_count() == 4
     p2 = c.prefix_class(2)
     assert not p2.extendable
     assert p2.materialized_count() == 2
