@@ -23,9 +23,8 @@ distribution, bit for bit.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import simplex
 from .dimension import gc_depth
@@ -119,17 +118,17 @@ class StreamState:
 
 # -- feasibility -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeasibilityEntry:
+class FeasibilityEntry(NamedTuple):
     cell: tuple[int, ...] | int  # membership vector, or block index
     element: int
     num: int  # mass num / the witness's den
 
 
-@dataclass(frozen=True)
-class FeasibilityWitness:
+class FeasibilityWitness(NamedTuple):
     """Positive masses num / den, one entry per cell; cells are disjoint,
-    so no element appears twice.  den is not reduced against the nums."""
+    so no element appears twice.  den is not reduced against the nums.
+    Like its entries, a named tuple: immutable, and cheap to build on every
+    in-limit step."""
     entries: tuple[FeasibilityEntry, ...]
     den: int
 
@@ -230,7 +229,7 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
     counts, d = state.tally.counts, len(state.tally.seen)
     a, b = alpha.numerator, alpha.denominator
     cap = a * d
-    masses = []
+    entries = []
     surplus = 0
     for i in sorted(counts):
         w = counts[i] * b
@@ -240,7 +239,7 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
                 return None
             surplus += w
         else:
-            masses.append((i, elem, w))
+            entries.append(FeasibilityEntry(i, elem, w))
     if surplus and not cap:
         return None
     j = 1
@@ -249,11 +248,10 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
             elem = state.unseen(h.support, j)
             if elem is not None:
                 chunk = min(cap, surplus)
-                masses.append((j, elem, chunk))
+                entries.append(FeasibilityEntry(j, elem, chunk))
                 surplus -= chunk
         j += 1
-    return FeasibilityWitness(tuple(FeasibilityEntry(i, elem, m)
-                                    for i, elem, m in masses), d * b)
+    return FeasibilityWitness(tuple(entries), d * b)
 
 
 # -- uniform construction -----------------------------------------------------

@@ -7,8 +7,11 @@ cannot vouch for itself.  The checks are incremental: the group distance
 comes from integer counts in a `GroupTally`, compared with the emitted
 distribution's integer masses over one common denominator, and the
 consistent class indices are filtered once per new element, so a step costs
-the same however long the stream has run.  Traces serialize to JSON lines
-with sorted keys and fixed separators, making reruns byte-comparable.
+the same however long the stream has run.  The alpha verdict and the
+summary's largest distance are decided by cross-multiplying integers, the
+largest kept as a running numerator and denominator, and each step is a
+`StepRecord` named tuple.  Traces serialize to JSON lines with sorted keys
+and fixed separators, making reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation
 from .measures import GroupTally, RationalDist, format_fraction, parse_fraction
 from .scenario import Scenario, build_session, materialize_stream
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One checked step: an immutable named tuple, compared and hashed by
+    its fields, and cheap to build once per step."""
     t: int
     x: int
     distinct: int
@@ -56,8 +60,10 @@ def run_game(scenario: Scenario) -> GameTrace:
     consistent = cls.consistent_indices(())
     # distance <= alpha, decided by cross-multiplying in integers
     a_num, a_den = scenario.alpha.numerator, scenario.alpha.denominator
-    support, seen = scenario.target.support, tally.seen
+    seen, in_support = tally.seen, scenario.target.support.__contains__
     inlimit = scenario.kind == "inlimit"
+    # the largest distance so far, as num / den and as the step's Fraction
+    top, top_num, top_den = Fraction(0), 0, 1
     steps: list[StepRecord] = []
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
@@ -68,20 +74,26 @@ def run_game(scenario: Scenario) -> GameTrace:
         if tally.add(x):
             consistent = cls.consistent_among(consistent, x)
         dist = tally.distance(mu)
+        num, den = dist.numerator, dist.denominator
+        if num * top_den > top_num * den:
+            top, top_num, top_den = dist, num, den
+        ys = mu.support()
         steps.append(StepRecord(
             t, x, len(seen), mu, dist,
-            dist.numerator * a_den <= a_num * dist.denominator,
-            all(y in support and y not in seen for y in mu.support()),
+            num * a_den <= a_num * den,
+            seen.isdisjoint(ys) and all(map(in_support, ys)),
             not consistent,
             session.last_selected if inlimit else None))
     trace = GameTrace(scenario_name=scenario.name, generator_kind=scenario.kind,
                       alpha=scenario.alpha, horizon=scenario.horizon,
                       steps=steps)
-    trace.summary = _summarize(trace)
+    trace.summary = _summarize(trace, top)
     return trace
 
 
-def _summarize(trace: GameTrace) -> dict:
+def _summarize(trace: GameTrace, max_distance: Fraction) -> dict:
+    """The summary line of a trace whose largest step distance (0 for no
+    steps) is `max_distance`."""
     steps = trace.steps
     first_consistent_from = None
     for rec in reversed(steps):
@@ -91,7 +103,6 @@ def _summarize(trace: GameTrace) -> dict:
             break
     violations = [{"distance": format_fraction(rec.distance), "t": rec.t}
                   for rec in steps if not rec.representative]
-    max_distance = max((rec.distance for rec in steps), default=Fraction(0))
     return {
         "steps": len(steps),
         "all_representative": all(rec.representative for rec in steps),

@@ -90,7 +90,13 @@ class RationalDist:
 
     @classmethod
     def point(cls, x: int) -> "RationalDist":
-        return cls.__new__(cls)._assign((x,), (1,), 1)
+        """The point mass at x: `RationalDist({x: 1})`, with the same
+        check and error on x, made directly rather than through `_assign`."""
+        if x < 0 or not isinstance(x, int):
+            raise ValueError(f"support elements must be naturals, got {x!r}")
+        self = cls.__new__(cls)
+        self._xs, self._nums, self._den = (x,), (1,), 1
+        return self
 
     @classmethod
     def uniform(cls, xs: Iterable[int]) -> "RationalDist":
@@ -251,15 +257,18 @@ class GroupTally:
         masses = self.groups.mass_by_group(mu._xs, mu._nums)
         worst = 0
         for i, m in masses.items():
-            gap = abs(m * d - counts.get(i, 0) * den)
+            gap = m * d - counts.get(i, 0) * den
             if gap > worst:
                 worst = gap
+            elif -gap > worst:
+                worst = -gap
         # groups the history touches and mu does not (blocks only; a finite
         # collection's masses and counts both hold every group)
-        for i in counts.keys() - masses.keys():
-            gap = counts[i] * den
-            if gap > worst:
-                worst = gap
+        if not counts.keys() <= masses.keys():
+            for i in counts.keys() - masses.keys():
+                gap = counts[i] * den
+                if gap > worst:
+                    worst = gap
         return Fraction(worst, den * d)
 
     def worst_group(self, mu: RationalDist) -> int:

@@ -13,7 +13,10 @@ generator into a report that `verify_report` accepts.  The uniform construction 
 derived as d + 1 meets the paper's guarantee on random streams with
 repeats: every step is alpha-representative, and consistent once d_star
 distinct elements are seen, both checked through the `oracles.py`
-references."""
+references.  The non-uniform construction on a provider-backed class has
+thresholds that never decrease, and is consistent and alpha-representative
+on the target h_i*'s stream from the step that has shown n_i* distinct
+elements at a depth of at least i*, checked the same way."""
 
 from fractions import Fraction
 from functools import partial
@@ -29,11 +32,12 @@ from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
                      count_vector_gc_dimension, induced_group_probs,
                      rational_check_witness, sup_distance, tuple_gc_dimension)
 from repgen.adversaries import gc_witness_adversary, verify_report
-from repgen.dimension import check_witness, gc_dimension
-from repgen.generators import GeneratorSession
+from repgen.dimension import check_witness, gc_depth, gc_dimension
+from repgen.errors import ConfigError
+from repgen.generators import GeneratorSession, nonuniform_thresholds
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.periodic import PeriodicSet
+from repgen.periodic import PeriodicSet, from_threshold
 
 F = Fraction
 
@@ -253,3 +257,61 @@ def test_uniform_generator_meets_its_guarantee(instance, alpha, data):
         if len(seen) >= d_star:
             assert all(y in target.support and y not in seen
                        for y in mu.support())
+
+
+def _countable(cls):
+    """A provider-backed class that starts with cls's k hypotheses and goes
+    on with h_n = h_j cut below c, for n = c*k + j (1 <= j <= k): every
+    support stays infinite, and the cuts change which groups its finite
+    prefix meets, so the prefix thresholds can grow."""
+    base = [cls.get(j) for j in range(1, cls.materialized_count() + 1)]
+    k = len(base)
+
+    def provider(n):
+        c, j = divmod(n - 1, k)
+        return Hypothesis(f"h{n}", base[j].support & from_threshold(c))
+
+    return HypothesisClass(base, provider)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.sampled_from(ALPHAS[1:]), st.data())
+def test_nonuniform_generator_meets_its_guarantee(instance, alpha, data):
+    # the non-uniform construction on a provider-backed class: its prefix
+    # thresholds n_1 <= n_2 <= ... never decrease, each at least one more
+    # than its prefix's dimension, and on a stream of the target h_i*'s
+    # members with repeats, every step from the one that has shown n_i*
+    # distinct elements, at a depth t >= i* (the construction considers
+    # prefixes up to t), emits only unseen members of the target's support
+    # and tracks the group weights of the distinct elements to within alpha
+    cls, groups = _countable(instance[0]), instance[1]
+    i_star = data.draw(st.integers(1, cls.materialized_count() + 3))
+    try:
+        need = nonuniform_thresholds(cls, groups, alpha, i_star)[-1]
+    except ConfigError:  # some prefix has no finite dimension
+        assume(False)
+    target = cls.get(i_star)
+    length = max(need, i_star) + data.draw(st.integers(0, 3))
+    session = GeneratorSession("nonuniform", cls, groups, alpha)
+    fresh = target.support.members()
+    seen: list[int] = []
+    for t in range(1, length + 1):
+        # a repeat only where the steps left still show `need` elements
+        repeat = (seen and length - t >= need - len(seen)
+                  and data.draw(st.booleans()))
+        x = data.draw(st.sampled_from(seen)) if repeat else next(fresh)
+        mu = session.step(x)
+        if x not in seen:
+            seen.append(x)
+        if len(seen) >= need and t >= i_star:
+            assert all(y in target.support and y not in seen
+                       for y in mu.support())
+            weights = {i: F(sum(y in groups.group(i) for y in seen),
+                            len(seen)) for i in groups.indices()}
+            assert sup_distance(induced_group_probs(mu, groups),
+                                weights) <= alpha
+    assert len(seen) >= need
+    n = nonuniform_thresholds(cls, groups, alpha, length)
+    assert all(a <= b for a, b in zip(n, n[1:]))
+    assert all(n_i > gc_depth(cls.prefix_class(i), groups, alpha).d
+               for i, n_i in enumerate(n, 1))

@@ -318,6 +318,29 @@ def test_a_one_entry_witness_is_the_point_mass_from_numerators_builds():
         FeasibilityWitness((FeasibilityEntry(3, 7, 2),), 6).distribution()
 
 
+def test_witness_records_are_immutable_and_built_alike_by_keyword():
+    # entries and witnesses cannot be changed once built, and keyword
+    # construction gives the record positional construction gives
+    entry = FeasibilityEntry((1, 0), 7, 2)
+    assert entry == FeasibilityEntry(cell=(1, 0), element=7, num=2)
+    assert hash(entry) == hash(FeasibilityEntry(cell=(1, 0), element=7, num=2))
+    w = FeasibilityWitness((entry, FeasibilityEntry(4, 9, 1)), 3)
+    by_name = FeasibilityWitness(
+        entries=(FeasibilityEntry(num=2, element=7, cell=(1, 0)),
+                 FeasibilityEntry(4, 9, num=1)), den=3)
+    assert w == by_name and hash(w) == hash(by_name)
+    assert w.distribution() == RationalDist({7: F(2, 3), 9: F(1, 3)})
+    for record, fields in ((entry, ("cell", "element", "num")),
+                           (w, ("entries", "den"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    assert (entry.cell, entry.element, entry.num) == ((1, 0), 7, 2)
+    assert w.den == 3
+
+
 def test_feasible_matches_mesh_oracle():
     # randomized agreement sweep; the acceptance suite runs the curated list
     rng = random.Random(97)

@@ -15,10 +15,11 @@ from repgen.adversaries import MAX_STEPS
 from repgen.cli import main
 from repgen.dimension import MAX_D
 from repgen.errors import InvariantViolation, ScenarioError
-from repgen.harness import (emit_trace, evaluate_asserts, parse_trace,
-                            run_game, trace_lines)
+from repgen.harness import (StepRecord, emit_trace, evaluate_asserts,
+                            parse_trace, run_game, trace_lines)
 from repgen.hypotheses import Hypothesis
-from repgen.measures import GroupTally, empirical, is_alpha_representative
+from repgen.measures import (GroupTally, empirical, format_fraction,
+                             is_alpha_representative)
 from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
@@ -241,8 +242,35 @@ def test_trace_round_trip_and_stability(tmp_path):
     text = p.read_text()
     rebuilt = parse_trace(text)
     assert trace_lines(rebuilt) == lines
+    assert rebuilt.steps == trace.steps
+    assert rebuilt.summary == trace.summary
     # a second run is byte-identical
     assert "\n".join(trace_lines(run_game(s))) + "\n" == text
+
+
+def test_step_records_are_immutable_and_built_alike_by_keyword():
+    # parse_trace builds records by keyword, run_game positionally: both
+    # give the same record, and no field can be changed afterwards
+    path = Path(__file__).parent / "scenarios" / "i01-nested3-overlap.json"
+    rec = run_game(load_scenario(str(path))).steps[-1]
+    assert rec.selected is not None
+    by_name = StepRecord(
+        t=rec.t, x=rec.x, distinct=rec.distinct, mu=rec.mu,
+        distance=rec.distance, representative=rec.representative,
+        consistent=rec.consistent, closure_bot=rec.closure_bot,
+        selected=rec.selected)
+    assert by_name == rec and hash(by_name) == hash(rec)
+    assert by_name == StepRecord(*by_name)
+    # selected defaults to None, as every step outside an in-limit game has
+    plain = run_game(parse_scenario(_doc())).steps[-1]
+    assert plain.selected is None and StepRecord(*plain[:-1]) == plain
+    for name in ("t", "x", "distinct", "mu", "distance", "representative",
+                 "consistent", "closure_bot", "selected"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    assert rec == by_name
 
 
 def test_parse_trace_validates_shape():
@@ -307,6 +335,11 @@ def _incremental_check_games():
         generator={"kind": "inlimit", "alpha": "1/2"}, asserts={}))
     yield _with_stream(dataclasses.replace(s, target=Hypothesis("all", ALL)),
                        [0, 4, 0, 8, 2, 4, 6, 1, 3, 0, 5])
+    # steps 3 and 4 (a repeat) tie at the largest distance, 1/3, and the
+    # later steps fall below it
+    s = parse_scenario(_doc(generator={"kind": "inlimit", "alpha": "1/3"},
+                            asserts={}))
+    yield _with_stream(s, [1, 0, 2, 1, 3, 4])
 
 
 def test_run_game_incremental_checks_match_from_scratch():
@@ -314,11 +347,13 @@ def test_run_game_incremental_checks_match_from_scratch():
     # verdicts recomputed from the whole prefix, with group weights taken
     # from the empirical distribution rather than from integer counts, and
     # verdicts that match the `Fraction` comparison, distances exactly at
-    # alpha included
-    bottoms = ties = 0
+    # alpha included; the consistency verdict and the summary's largest
+    # distance are recomputed from the prefix and the distances alone
+    bottoms = ties = top_ties = 0
     for s in _incremental_check_games():
         trace = run_game(s)
         history = list(materialize_stream(s))
+        dists = []
         for rec in trace.steps:
             prefix = history[:rec.t]
             ok, dist = is_alpha_representative(rec.mu, prefix, s.groups, s.alpha)
@@ -328,11 +363,19 @@ def test_run_game_incremental_checks_match_from_scratch():
             assert dist == sup_distance(
                 induced_group_probs(rec.mu, s.groups),
                 induced_group_probs(empirical(prefix), s.groups)), (s.name, rec.t)
+            assert rec.consistent == all(
+                y in s.target.support and y not in prefix
+                for y in rec.mu.support()), (s.name, rec.t)
             assert rec.closure_bot == (s.cls.closure(prefix) is None), (s.name, rec.t)
             assert rec.distinct == len(set(prefix))
             bottoms += rec.closure_bot
+            dists.append(dist)
+        top = max(dists)
+        assert trace.summary["max_distance"] == format_fraction(top), s.name
+        top_ties += top > 0 and dists.count(top) == 2
     assert bottoms == 4
     assert ties > 0
+    assert top_ties > 0
 
 
 def test_a_construction_runs_once_per_step_that_changes_the_state(

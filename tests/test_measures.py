@@ -40,6 +40,18 @@ def test_point_and_uniform():
     assert u.items() == ((2, F(1, 3)), (4, F(1, 3)), (6, F(1, 3)))
 
 
+@pytest.mark.parametrize("x", [-1, 1.5, "3"])
+def test_point_rejects_what_the_constructor_rejects(x):
+    # point checks its one element itself: the same exception type and
+    # message as the generic constructor's check
+    with pytest.raises(Exception) as want:
+        RationalDist({x: 1})
+    with pytest.raises(Exception) as got:
+        RationalDist.point(x)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 def test_uniform_path_builds_no_fraction(monkeypatch):
     # Uniform distributions (the empirical baseline's every step) are
     # integer work end to end: with Fraction unusable in the module they

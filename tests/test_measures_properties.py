@@ -199,6 +199,7 @@ def test_uniform_and_point_match_fraction_reference(xs, x):
         dict(FractionRationalDist.uniform(xs).items()))
     assert RationalDist.point(x) == RationalDist({x: 1})
     assert hash(RationalDist.point(x)) == hash(RationalDist({x: F(1)}))
+    assert RationalDist.point(x).serialize() == RationalDist({x: 1}).serialize()
 
 
 # A small space, so that equal distributions come up often.
