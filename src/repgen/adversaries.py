@@ -393,9 +393,9 @@ class QueryThenEmit:
     the previous answer is in the prefix or was answered out of support; the
     scan asks those out-of-support ones again, in order, and resumes at the
     previous answer.  It puts the same queries in the same order as a scan
-    from 0.  Any other prefix restarts the scan at 0.  A `PrefixView` that
-    extends the previous view of the same list is recognised in O(1); any
-    other prefix is compared with the previous one whole."""
+    from 0.  An extension is a `PrefixView` that extends the previous view of
+    the same list, recognised in O(1); any other prefix restarts the scan at
+    0, which asks the same queries as a scan from 0 too."""
 
     def __init__(self):
         self._prefix: Sequence[int] = ()
@@ -404,15 +404,11 @@ class QueryThenEmit:
         self._next = 0
 
     def emit(self, prefix: Sequence[int], oracle: MembershipOracle) -> RationalDist:
-        if type(prefix) is PrefixView:
-            new = prefix.suffix_after(self._prefix)
-        else:
-            prefix, new = tuple(prefix), None
+        new = (prefix.suffix_after(self._prefix)
+               if type(prefix) is PrefixView else None)
         if new is None:
-            n = len(self._prefix)
-            if prefix[:n] != self._prefix:
-                self._seen, self._out, self._next, n = set(), [], 0, 0
-            new = prefix[n:]
+            self._seen, self._out, self._next = set(), [], 0
+            new = prefix
         self._seen.update(new)
         self._prefix = prefix
         seen = self._seen

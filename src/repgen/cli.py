@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
@@ -27,7 +28,7 @@ from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import GeneratorSession, is_feasible
 from .harness import (_dump, emit_trace, evaluate_asserts, run_game,
                       trace_lines)
-from .measures import format_fraction, parse_fraction
+from .measures import parse_fraction
 from .periodic import format_set
 from .scenario import load_scenario
 
@@ -43,35 +44,22 @@ def _parse_prefix(text: str) -> list[int]:
 
 
 def _report_row(r: ViolationReport) -> dict:
-    row: dict = {"step": r.step, "kind": r.kind}
-    if r.distribution is not None:
-        row["mu"] = r.distribution.serialize()
-    if r.element is not None:
-        row["element"] = r.element
-    if r.reason is not None:
-        row["reason"] = r.reason
-    if r.hypothesis is not None:
-        row["hypothesis"] = r.hypothesis
-    if r.continuation:
-        row["continuation"] = list(r.continuation)
-    if r.group is not None:
-        row["group"] = r.group
-    if r.distance is not None:
-        row["distance"] = format_fraction(r.distance)
-    if r.pi_hat is not None:
-        row["pi_hat"] = format_fraction(r.pi_hat)
-    if r.checkpoint is not None:
-        row["checkpoint"] = r.checkpoint
-    if r.alpha is not None:
-        row["alpha"] = format_fraction(r.alpha)
-    return row
+    """A report's fields as a row: `distribution` printed as `mu`, and
+    `history` and unset fields (None, ()) left out."""
+    row = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "history"}
+    row["mu"] = row.pop("distribution")
+    return {k: v for k, v in row.items() if v not in (None, ())}
 
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     trace = run_game(scenario)
     if args.trace:
-        emit_trace(trace, args.trace)
+        try:
+            emit_trace(trace, args.trace)
+        except OSError as e:
+            raise ConfigError(f"--trace: cannot write {args.trace!r}: "
+                              f"{e.strerror or e}") from None
     if args.print_trace:
         for line in trace_lines(trace):
             print(line)
@@ -86,10 +74,9 @@ def cmd_run(args) -> int:
 def cmd_gc_dim(args) -> int:
     scenario = load_scenario(args.scenario)
     result = gc_dimension(scenario.cls, scenario.groups, scenario.alpha)
-    row = {"status": result.status, "d": result.d,
-           "witness": list(result.witness) if result.witness else None,
-           "condition": str(result.condition) if result.condition else None}
-    print(_dump(row))
+    condition = str(result.condition) if result.condition else None
+    print(_dump({"status": result.status, "d": result.d,
+                 "witness": result.witness, "condition": condition}))
     return 0
 
 
@@ -113,9 +100,8 @@ def cmd_feasible(args) -> int:
     if witness is None:
         print(_dump({"feasible": False, "hypothesis": hid}))
     else:
-        entries = [{"cell": list(e.cell) if isinstance(e.cell, tuple) else e.cell,
-                    "element": e.element,
-                    "mass": format_fraction(Fraction(e.num, witness.den))}
+        entries = [{"cell": e.cell, "element": e.element,
+                    "mass": Fraction(e.num, witness.den)}
                    for e in witness.entries]
         print(_dump({"feasible": True, "hypothesis": hid, "witness": entries}))
     return 0
@@ -159,8 +145,7 @@ def cmd_adversary(args) -> int:
         for r in reports:
             print(_dump(_report_row(r)))
         print(_dump({"kind": "summary", "reports": len(reports),
-                     "final_group_one_fraction":
-                         format_fraction(state.group_one_fraction())}))
+                     "final_group_one_fraction": state.group_one_fraction()}))
         return 0
     if not args.scenario:
         raise ConfigError("gc-witness needs a scenario path")

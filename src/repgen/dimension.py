@@ -75,12 +75,12 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
         raise ValueError(f"witness tuple must have distinct elements: {xs}")
     if not xs:
         raise ValueError("witness tuple must be nonempty")
+    if not {*map(type, xs)} <= {int}:  # a bool is an int, not a natural
+        bad = next(x for x in xs if type(x) is not int)
+        raise ValueError(f"elements must be naturals, got {bad!r}")
     closure = cls.closure(xs)
     if closure is None:
         return None
-    if not all(map(isinstance, xs, repeat(int))):
-        bad = next(x for x in xs if not isinstance(x, int))
-        raise ValueError(f"elements must be naturals, got {bad!r}")
     counts = c.mass_by_group(xs, repeat(1))
     if isinstance(c, FiniteGroups):
         if not c.validate().partition:

@@ -459,7 +459,7 @@ class GeneratorSession:
             # is a finite sum, so it holds for every finite collection.
 
     def step(self, x: int) -> RationalDist:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:  # a bool is not a natural
             raise ValueError(f"examples are naturals, got {x!r}")
         state = self.state
         if not state.add(x) and self._last is not None:

@@ -11,7 +11,10 @@ the same however long the stream has run.  The alpha verdict and the
 summary's largest distance are decided by cross-multiplying integers, the
 largest kept as a running numerator and denominator, and each step is a
 `StepRecord` named tuple.  Traces serialize to JSON lines with sorted keys
-and fixed separators, making reruns byte-comparable.
+and fixed separators, making reruns byte-comparable.  `_dump` is the one
+encoder for every row repgen prints: rows hold records' exact values as
+they are, and it writes each `Fraction` as "p/q" and each `RationalDist` as
+its sorted [element, "p/q"] pairs.
 """
 
 from __future__ import annotations
@@ -142,31 +145,29 @@ def evaluate_asserts(scenario: Scenario, trace: GameTrace) -> list[str]:
 
 # -- serialization ------------------------------------------------------------
 
+def _encode(value):
+    """The JSON form of an exact value: a `Fraction` as "p/q" and a
+    `RationalDist` as its sorted [element, "p/q"] pairs."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, RationalDist):
+        return value.serialize()
+    raise TypeError(f"cannot encode {type(value).__name__} {value!r}")
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_encode)
 
 
 def trace_lines(trace: GameTrace) -> list[str]:
-    lines = [_dump({
-        "kind": "header",
-        "scenario": trace.scenario_name,
-        "generator": trace.generator_kind,
-        "alpha": format_fraction(trace.alpha),
-        "horizon": trace.horizon,
-    })]
+    lines = [_dump({"kind": "header", "scenario": trace.scenario_name,
+                    "generator": trace.generator_kind, "alpha": trace.alpha,
+                    "horizon": trace.horizon})]
     for rec in trace.steps:
-        lines.append(_dump({
-            "kind": "step",
-            "t": rec.t,
-            "x": rec.x,
-            "distinct": rec.distinct,
-            "mu": rec.mu.serialize(),
-            "distance": format_fraction(rec.distance),
-            "representative": rec.representative,
-            "consistent": rec.consistent,
-            "closure": "bot" if rec.closure_bot else "ok",
-            "selected": rec.selected,
-        }))
+        row = rec._asdict()
+        row["closure"] = "bot" if row.pop("closure_bot") else "ok"
+        lines.append(_dump({"kind": "step", **row}))
     lines.append(_dump({"kind": "summary", **trace.summary}))
     return lines
 

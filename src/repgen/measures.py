@@ -60,13 +60,14 @@ class RationalDist:
         """Validate and store mass nums[j] / den at xs[j].  The caller passes
         xs sorted and distinct and den the least common denominator of the
         masses, which makes gcd(den, *nums) 1."""
-        if not (xs and all(map(isinstance, xs, repeat(int))) and xs[0] >= 0
+        # `type(x) is int`, not isinstance: a bool is an int, not a natural
+        if not (xs and {*map(type, xs)} <= {int} and xs[0] >= 0
                 and min(nums) > 0):
             for x, n in zip(xs, nums):
                 if n <= 0:
                     raise ValueError(
                         f"mass at {x} must be positive, got {Fraction(n, den)}")
-                if x < 0 or not isinstance(x, int):
+                if type(x) is not int or x < 0:
                     raise ValueError(f"support elements must be naturals, got {x!r}")
         total = sum(nums)
         if total != den:
@@ -92,7 +93,7 @@ class RationalDist:
     def point(cls, x: int) -> "RationalDist":
         """The point mass at x: `RationalDist({x: 1})`, with the same
         check and error on x, made directly rather than through `_assign`."""
-        if x < 0 or not isinstance(x, int):
+        if type(x) is not int or x < 0:
             raise ValueError(f"support elements must be naturals, got {x!r}")
         self = cls.__new__(cls)
         self._xs, self._nums, self._den = (x,), (1,), 1
@@ -227,7 +228,7 @@ class GroupTally:
         """Record x; returns whether it was new."""
         if x in self.seen:
             return False
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError(f"elements must be naturals, got {x!r}")
         self.seen.add(x)
         counts = self.counts
@@ -319,12 +320,11 @@ def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
             suffix = checked = prefix.suffix_after(known)
         if suffix is None and prefix[:len(known)] == known:
             suffix, checked = prefix[len(known):], prefix
-        # The isinstance pass keeps rejections exact: a value such as 1.0
+        # The type pass keeps rejections exact: a value such as 1.0 or True
         # equals a remembered 1, but counted from scratch it would be
         # rejected.  An extending view shares the remembered items
         # themselves, so only its suffix needs the pass.
-        if suffix is not None and not all(map(isinstance, checked,
-                                              repeat(int))):
+        if suffix is not None and not {*map(type, checked)} <= {int}:
             suffix = None
     if suffix is None:
         tally = GroupTally(c)

@@ -206,7 +206,19 @@ def multiples(m: int) -> PeriodicSet:
 # General:      "ap:T,m,{r1,r2},{f1,f2}"  on canonical fields.
 #
 # format_set emits the most specific form, so parse_set(format_set(s)) == s
-# and formatting is idempotent on its own output.
+# for every set within MAX_PARSED, and formatting is idempotent on its own
+# output.
+
+# Largest modulus, threshold or finite element that parse_set accepts, and
+# (scenario.parse_scenario) the largest lcm of a scenario's moduli.  The
+# algebra is O(lcm + threshold) per operation, superlinear in the lcm once
+# the minimal period is searched, so the bound is what keeps hostile input
+# from hanging.  Measured with perf_counter (Python 3.11, 2-vCPU VM): `&` of
+# ap:0,100,{1},{} and ap:0,101,{2},{} (lcm 10,100) takes 0.04 s, at lcm
+# 90,300 1.3 s, and at lcm 1,001,000 21 s; u01 with its support taken mod
+# 100 and its groups mod 101 runs `gc-dim` in 0.06 s and `run` in 0.08 s,
+# and mod 1000 against mod 1001 in 3.2 s and 5.6 s.
+MAX_PARSED = 10 ** 4
 
 _AP_RE = re.compile(r"^ap:(\d+),(\d+),\{([\d,]*)\},\{([\d,]*)\}$")
 _FINITE_RE = re.compile(r"^finite:\{([\d,]*)\}$")
@@ -218,6 +230,11 @@ def _parse_ints(body: str) -> list[int]:
     return [int(p) for p in body.split(",")]
 
 
+def _bounded(what: str, value: int) -> None:
+    if value > MAX_PARSED:
+        raise ValueError(f"{what} must be <= {MAX_PARSED}, got {value}")
+
+
 def parse_set(text: str) -> PeriodicSet:
     text = text.strip()
     named = {"all": ALL, "empty": EMPTY, "evens": EVENS, "odds": ODDS}
@@ -225,10 +242,14 @@ def parse_set(text: str) -> PeriodicSet:
         return named[text]
     m = _FINITE_RE.match(text)
     if m:
-        return from_finite(_parse_ints(m.group(1)))
+        elements = _parse_ints(m.group(1))
+        _bounded("finite elements", max(elements, default=0))
+        return from_finite(elements)
     m = _AP_RE.match(text)
     if m:
         t, mod = int(m.group(1)), int(m.group(2))
+        _bounded("threshold", t)
+        _bounded("modulus", mod)
         return PeriodicSet(t, mod, _parse_ints(m.group(3)), _parse_ints(m.group(4)))
     raise ValueError(f"unrecognized set notation: {text!r}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .adversaries import MAX_STEPS
@@ -21,7 +22,7 @@ from .generators import KINDS, GeneratorSession
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import Hypothesis, HypothesisClass
 from .measures import parse_fraction
-from .periodic import PeriodicSet, parse_set
+from .periodic import MAX_PARSED, PeriodicSet, parse_set
 
 STREAM_KINDS = ("explicit", "enumerate_support")
 ASSERT_KEYS = ("all_representative", "representative_from", "consistent_from")
@@ -101,6 +102,17 @@ def _parse_support(value: Any, where: str) -> PeriodicSet:
         raise ScenarioError(where, str(e))
 
 
+def _joint_period(period: int, s: PeriodicSet, where: str) -> int:
+    """The lcm of `period` and s's modulus: every set operation between the
+    scenario's sets is periodic modulo it, so a set that takes it above
+    MAX_PARSED is refused at its own path."""
+    period = lcm(period, s.modulus)
+    if period > MAX_PARSED:
+        raise ScenarioError(where, f"the lcm of the scenario's moduli must be "
+                                   f"<= {MAX_PARSED}, got {period}")
+    return period
+
+
 def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
     doc = _object(doc, where, ("name", "hypotheses", "class", "groups",
                                "generator", "target", "stream", "horizon",
@@ -112,6 +124,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.hypotheses", "expected a non-empty list")
     hypotheses: list[Hypothesis] = []
     by_id: dict[str, Hypothesis] = {}
+    period = 1  # the lcm of the moduli parsed so far
     for j, item in enumerate(raw_hyps):
         hw = f"{where}.hypotheses[{j}]"
         item = _object(item, hw, ("id", "support"))
@@ -119,6 +132,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
         if hid in by_id:
             raise ScenarioError(f"{hw}.id", f"duplicate hypothesis id {hid!r}")
         supp = _parse_support(_need(item, "support", hw), f"{hw}.support")
+        period = _joint_period(period, supp, f"{hw}.support")
         try:
             h = Hypothesis(hid, supp)
         except ValueError as e:
@@ -142,7 +156,8 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
         members.append(by_id[hid])
     cls = HypothesisClass(members)
 
-    groups = _parse_groups(_need(doc, "groups", where), f"{where}.groups")
+    groups = _parse_groups(_need(doc, "groups", where), f"{where}.groups",
+                           period)
 
     gen = _object(_need(doc, "generator", where), f"{where}.generator",
                   ("kind", "alpha", "d_star"))
@@ -194,7 +209,7 @@ def parse_scenario(doc: Any, where: str = "scenario") -> Scenario:
                     horizon=horizon, asserts=dict(asserts))
 
 
-def _parse_groups(raw: Any, where: str) -> GroupCollection:
+def _parse_groups(raw: Any, where: str, period: int) -> GroupCollection:
     raw = _object(raw, where, ("members", "covers", "partition", "blocks"))
     if ("members" in raw) == ("blocks" in raw):
         raise ScenarioError(where, "expected exactly one of 'members' or 'blocks'")
@@ -204,7 +219,9 @@ def _parse_groups(raw: Any, where: str) -> GroupCollection:
             raise ScenarioError(f"{where}.members", "expected a non-empty list")
         sets = []
         for j, text in enumerate(items):
-            sets.append(_parse_support(text, f"{where}.members[{j}]"))
+            mw = f"{where}.members[{j}]"
+            sets.append(_parse_support(text, mw))
+            period = _joint_period(period, sets[-1], mw)
         try:
             groups: GroupCollection = FiniteGroups(sets)
         except ValueError as e:

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -509,6 +510,19 @@ def test_cli_run_trace_output(tmp_path, capsys):
     assert any('"kind":"step"' in ln for ln in printed)
 
 
+@pytest.mark.parametrize("where", ["missing/t.jsonl", "."])
+def test_cli_run_unwritable_trace_exit_3(tmp_path, capsys, where):
+    # a missing directory, or a directory in place of the file: one error
+    # line naming the option, no traceback, and the usage exit code
+    path = _write_scenario(tmp_path, _doc())
+    trace_path = str(tmp_path / where)
+    assert main(["run", path, "--trace", trace_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: --trace: cannot write {trace_path!r}: ")
+
+
 def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):
     path = _write_scenario(tmp_path, _doc())
     monkeypatch.setattr("repgen.harness.build_session",
@@ -572,6 +586,38 @@ def test_gc_search_horizon_is_an_unknown_key(tmp_path, capsys):
         assert main(["gc-dim", path]) == 3
         assert "scenario.generator.gc_search: unknown key" \
             in capsys.readouterr().err
+
+
+def test_hostile_modulus_is_refused_before_any_set_is_built(
+        tmp_path, capsys, monkeypatch):
+    # u01 with a prime modulus of about 10^9: building that set alone once
+    # took longer than 30 s, as canonicalization is O(modulus)
+    root = Path(__file__).parent / "scenarios"
+    doc = json.loads((root / "u01-zero-rest-half.json").read_text())
+    doc["hypotheses"][0]["support"] = "ap:0,1000000007,{1},{}"
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(doc)
+    assert e.value.path == "scenario.hypotheses[0].support"
+    assert e.value.message == "modulus must be <= 10000, got 1000000007"
+    path = _write_scenario(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["gc-dim", path]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "error: scenario.hypotheses[0].support: modulus must be <= 10000, "
+        "got 1000000007\n")
+
+
+def test_moduli_whose_lcm_passes_the_bound_are_refused():
+    # each modulus is accepted alone, but 100 and 101 together make every
+    # operation periodic mod 10,100; the first set that crosses is named
+    doc = _doc(hypotheses=[{"id": "everything", "support": "ap:0,100,{1},{}"}],
+               groups={"members": ["ap:0,101,{0},{}", "ap:0,101,{1},{}"]})
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(doc)
+    assert e.value.path == "scenario.groups.members[0]"
+    assert e.value.message == \
+        "the lcm of the scenario's moduli must be <= 10000, got 10100"
 
 
 def test_max_d_above_the_cap_is_rejected_before_any_search(

@@ -230,3 +230,32 @@ def test_readme_cli_examples_match(capsys, monkeypatch):
     for args, shown in examples:
         assert main(args) == 0, args
         assert capsys.readouterr().out.splitlines()[0] == shown, args
+
+
+def value_formatting(source: str) -> list[str]:
+    """Calls to `format_fraction` and to any `.serialize()` method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("format_fraction", "serialize"):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_value_formatting_is_detected():
+    source = ("a = format_fraction(x)\nb = r.distribution.serialize()\n"
+              "c = measures.format_fraction(y)\nd = serialize\n")
+    assert value_formatting(source) == [
+        "format_fraction (line 1)", "serialize (line 2)",
+        "format_fraction (line 3)"]
+
+
+def test_cli_leaves_exact_values_to_the_encoder():
+    """The CLI hands records to `harness._dump` as they are, so the one
+    encoder is the only place a `Fraction` or a distribution is turned into
+    JSON."""
+    assert value_formatting((ROOT / "src" / "repgen" / "cli.py").read_text()) \
+        == []

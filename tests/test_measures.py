@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from repgen import measures
-from repgen.generators import uniform_emit
+from repgen.dimension import check_witness
+from repgen.generators import GeneratorSession, uniform_emit
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
@@ -40,7 +41,7 @@ def test_point_and_uniform():
     assert u.items() == ((2, F(1, 3)), (4, F(1, 3)), (6, F(1, 3)))
 
 
-@pytest.mark.parametrize("x", [-1, 1.5, "3"])
+@pytest.mark.parametrize("x", [-1, 1.5, "3", True])
 def test_point_rejects_what_the_constructor_rejects(x):
     # point checks its one element itself: the same exception type and
     # message as the generic constructor's check
@@ -50,6 +51,40 @@ def test_point_rejects_what_the_constructor_rejects(x):
         RationalDist.point(x)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+ZERO_REST = FiniteGroups([from_finite([0]), from_threshold(1)])
+EVERYTHING = HypothesisClass([Hypothesis("all", ALL)])
+
+
+def _tally_after(prefix):
+    prefix_tally([1, 2], ZERO_REST)  # a remembered prefix that True extends
+    return prefix_tally(prefix, ZERO_REST)
+
+
+# Every place an element is admitted refuses a bool (`RationalDist.point`
+# above): True == 1 and hashes alike, so a bool would otherwise pass as the
+# natural 1 and serialize as `true`.
+BOOL_ADMISSIONS = {
+    "session step": lambda: GeneratorSession(
+        "empirical", EVERYTHING, ZERO_REST, F(1, 2)).step(True),
+    "tally add": lambda: GroupTally(ZERO_REST).add(True),
+    "constructor": lambda: RationalDist({True: 1}),
+    "uniform": lambda: RationalDist.uniform([0, True]),
+    "from numerators": lambda: RationalDist.from_numerators({True: 1}, 1),
+    "check witness": lambda: check_witness(EVERYTHING, ZERO_REST, F(1, 2),
+                                           (0, True)),
+    "representative": lambda: is_alpha_representative(
+        RationalDist.point(0), [True], ZERO_REST, F(1, 2)),
+    "remembered prefix": lambda: _tally_after([True, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("admit", BOOL_ADMISSIONS.values(),
+                         ids=BOOL_ADMISSIONS.keys())
+def test_a_bool_is_not_a_natural(admit):
+    with pytest.raises(ValueError, match="naturals, got True$"):
+        admit()
 
 
 def test_uniform_path_builds_no_fraction(monkeypatch):

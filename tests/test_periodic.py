@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet, format_set,
-                             from_finite, from_threshold, interval, multiples,
-                             parse_set)
+from repgen.periodic import (ALL, EMPTY, EVENS, MAX_PARSED, ODDS, PeriodicSet,
+                             format_set, from_finite, from_threshold, interval,
+                             multiples, parse_set)
 from oracles import scan_bound
 
 
@@ -193,6 +193,25 @@ def test_notation_rejects_garbage():
     for bad in ("evns", "ap:1,2", "finite:{1,", "ap:0,0,{},{}", ""):
         with pytest.raises(ValueError):
             parse_set(bad)
+
+
+@pytest.mark.parametrize("text,refused", [
+    ("ap:0,1000000007,{1},{}", "modulus must be <= 10000, got 1000000007"),
+    ("ap:10001,2,{1},{}", "threshold must be <= 10000, got 10001"),
+    ("finite:{3,10001}", "finite elements must be <= 10000, got 10001"),
+])
+def test_notation_refuses_values_above_the_bound(text, refused, monkeypatch):
+    # refused before any set is built: construction is O(modulus)
+    monkeypatch.setattr(PeriodicSet, "__init__", None)
+    with pytest.raises(ValueError) as e:
+        parse_set(text)
+    assert str(e.value) == refused
+
+
+def test_notation_accepts_values_at_the_bound():
+    assert MAX_PARSED == 10 ** 4
+    assert parse_set("ap:10000,10000,{1},{}").modulus == 10000
+    assert parse_set("finite:{10000}") == from_finite([10000])
 
 
 def test_interval_and_threshold_helpers():
