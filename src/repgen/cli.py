@@ -10,13 +10,16 @@ Subcommands:
 
 Exit codes: 0 all requested properties hold, 1 an internal invariant was
 violated (a bug; one line on stderr), 2 a declared assertion failed (details
-on stdout), 3 configuration or usage error (details on stderr).
+on stdout), 3 configuration or usage error, or a stdout closed before all
+output was written (one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
@@ -26,8 +29,7 @@ from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
 from .dimension import gc_dimension
 from .errors import ConfigError, InvariantViolation, ScenarioError
 from .generators import GeneratorSession, is_feasible
-from .harness import (_dump, emit_trace, evaluate_asserts, run_game,
-                      trace_lines)
+from .harness import _dump, evaluate_asserts, run_game, trace_lines
 from .measures import parse_fraction
 from .periodic import format_set
 from .scenario import load_scenario
@@ -51,15 +53,24 @@ def _report_row(r: ViolationReport) -> dict:
     return {k: v for k, v in row.items() if v not in (None, ())}
 
 
+def _trace_error(path: str, e: OSError) -> ConfigError:
+    return ConfigError(f"--trace: cannot write {path!r}: {e.strerror or e}")
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = run_game(scenario)
-    if args.trace:
-        try:
-            emit_trace(trace, args.trace)
-        except OSError as e:
-            raise ConfigError(f"--trace: cannot write {args.trace!r}: "
-                              f"{e.strerror or e}") from None
+    try:  # before the game, so that an unwritable path fails at once
+        fp = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    except OSError as e:
+        raise _trace_error(args.trace, e) from None
+    with fp or nullcontext():
+        trace = run_game(scenario)
+        if fp is not None:
+            try:
+                fp.writelines(f"{line}\n" for line in trace_lines(trace))
+                fp.flush()
+            except OSError as e:
+                raise _trace_error(args.trace, e) from None
     if args.print_trace:
         for line in trace_lines(trace):
             print(line)
@@ -218,7 +229,16 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help, 2 on misuse
         return 3 if e.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  Point it at devnull so
+        # that the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written",
+              file=sys.stderr)
+        return 3
     except (ScenarioError, ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

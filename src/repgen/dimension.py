@@ -75,9 +75,9 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
         raise ValueError(f"witness tuple must have distinct elements: {xs}")
     if not xs:
         raise ValueError("witness tuple must be nonempty")
-    if not {*map(type, xs)} <= {int}:  # a bool is an int, not a natural
-        bad = next(x for x in xs if type(x) is not int)
-        raise ValueError(f"elements must be naturals, got {bad!r}")
+    for x in xs:
+        if type(x) is not int or x < 0:  # a bool is an int, not a natural
+            raise ValueError(f"elements must be naturals, got {x!r}")
     closure = cls.closure(xs)
     if closure is None:
         return None

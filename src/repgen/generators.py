@@ -46,8 +46,12 @@ class StreamState:
     weights; the distinct elements in increasing order (`distinct`), which
     give the empirical distribution without sorting the history again; the
     consistent class indices (checked lazily up to the largest index asked
-    for); and smallest-unseen cursors keyed by (set, part), each walking
-    `set & part` forward only, since the seen set only grows."""
+    for), kept beside their bitmask so that a new element filters them with
+    one AND of the class's `holding` mask; smallest-unseen cursors keyed by
+    (set, part), each walking `set & part` forward only, since the seen set
+    only grows; and, per support, the kept in-limit candidates: one cursor
+    per cell that still holds an unseen support element, in `cells()` order,
+    so that a new element moves only the cursor standing on it."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -57,8 +61,12 @@ class StreamState:
         self.tally = GroupTally(groups)
         self.distinct: list[int] = []
         self.consistent: tuple[int, ...] = ()
+        self._mask = 0  # bit i - 1 for each index i in `consistent`
         self.checked = 0  # class indices checked for consistency so far
         self._cursors: dict[tuple, list] = {}
+        # support -> [distinct count when last advanced (-1 before the
+        # first), live cursors [vec, members, elem], their (vec, elem) pairs]
+        self._kept: dict[PeriodicSet, list] = {}
         for x in history:
             self.add(x)
 
@@ -71,10 +79,15 @@ class StreamState:
         self.t += 1
         if self.tally.add(x):
             insort(self.distinct, x)
-            # its indices are at most `checked`, so already materialized;
-            # without a class it stays empty
-            if self.consistent:
-                self.consistent = self.cls.consistent_among(self.consistent, x)
+            # the indices in the mask are at most `checked`, so already
+            # materialized; without a class it stays empty
+            mask = self._mask
+            if mask:
+                kept = mask & self.cls.holding(x)
+                if kept != mask:
+                    self._mask = kept
+                    self.consistent = tuple(i for i in self.consistent
+                                            if kept >> (i - 1) & 1)
             return True
         cls = self.cls
         return cls is not None and (cls.extendable
@@ -100,6 +113,7 @@ class StreamState:
             support = self.cls.get(self.checked).support
             if all(x in support for x in self.tally.seen):
                 self.consistent += (self.checked,)
+                self._mask |= 1 << (self.checked - 1)
         if n == self.checked:
             return self.consistent
         return tuple(i for i in self.consistent if i <= n)
@@ -114,6 +128,38 @@ class StreamState:
         while cursor[1] is not None and cursor[1] in self.tally.seen:
             cursor[1] = next(cursor[0], None)
         return cursor[1]
+
+    def candidates(self, s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
+        """The cells of a finite collection that hold an unseen element of s,
+        in `cells()` order, each with the smallest such element.  The cells
+        are walked once per support, and the first refresh drops those that
+        s misses; after that only the cursors whose element has been seen
+        move, and a cell leaves the list when its cursor runs out."""
+        seen = self.tally.seen
+        kept = self._kept.get(s)
+        if kept is None:
+            cursors = []
+            for vec, _ in self.groups.cells():
+                members = self.groups.members_in(s, vec)
+                cursors.append([vec, members, next(members, None)])
+            kept = self._kept[s] = [-1, cursors, None]
+        if kept[0] != len(seen):
+            kept[0] = len(seen)
+            cursors = kept[1]
+            moved = kept[2] is None
+            for cursor in cursors:
+                elem = cursor[2]
+                if elem in seen:
+                    moved = True
+                    members = cursor[1]
+                    while elem is not None and elem in seen:
+                        elem = next(members, None)
+                    cursor[2] = elem
+            if moved:
+                cursors[:] = [cursor for cursor in cursors
+                              if cursor[2] is not None]
+                kept[2] = [(vec, elem) for vec, _, elem in cursors]
+        return kept[2]
 
 
 # -- feasibility -------------------------------------------------------------
@@ -163,11 +209,7 @@ def _feasible(state: StreamState, h: Hypothesis,
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)
-    candidates = []
-    for vec, _ in c.cells():
-        elem = state.unseen(h.support, vec)
-        if elem is not None:
-            candidates.append((vec, elem))
+    candidates = state.candidates(h.support)
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
     # mass must land within [pihat - alpha, pihat + alpha].  With d
     # distinct elements and alpha = a/b, every row is the rational one

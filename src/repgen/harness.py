@@ -6,15 +6,16 @@ verification reuses the generator constructions, so a broken generator
 cannot vouch for itself.  The checks are incremental: the group distance
 comes from integer counts in a `GroupTally`, compared with the emitted
 distribution's integer masses over one common denominator, and the
-consistent class indices are filtered once per new element, so a step costs
-the same however long the stream has run.  The alpha verdict and the
-summary's largest distance are decided by cross-multiplying integers, the
-largest kept as a running numerator and denominator, and each step is a
-`StepRecord` named tuple.  Traces serialize to JSON lines with sorted keys
-and fixed separators, making reruns byte-comparable.  `_dump` is the one
-encoder for every row repgen prints: rows hold records' exact values as
-they are, and it writes each `Fraction` as "p/q" and each `RationalDist` as
-its sorted [element, "p/q"] pairs.
+consistent class indices are a bitmask that each new element ANDs with the
+class's memoized `holding` mask, so a step costs the same however long the
+stream has run.  The alpha verdict and the summary's largest distance are
+decided by cross-multiplying integers, the largest kept as a running
+numerator and denominator, and each step is a `StepRecord` named tuple.
+Traces serialize to JSON lines with sorted keys and fixed separators, making
+reruns byte-comparable.  `_dump` is the one encoder for every row repgen
+prints: rows hold records' exact values as they are, and it writes each
+`Fraction` as "p/q" and each `RationalDist` as its sorted [element, "p/q"]
+pairs.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def run_game(scenario: Scenario) -> GameTrace:
     session = build_session(scenario)
     cls, groups = scenario.cls, scenario.groups
     tally = GroupTally(groups)
-    # indices of the hypotheses holding every element seen; the closure is
-    # bottom exactly when none is left
-    consistent = cls.consistent_indices(())
+    # bitmask of the hypotheses holding every element seen (bit i - 1 for
+    # h_i); the closure is bottom exactly when none is left
+    consistent = (1 << cls.materialized_count()) - 1
+    holding = cls.holding
     # distance <= alpha, decided by cross-multiplying in integers
     a_num, a_den = scenario.alpha.numerator, scenario.alpha.denominator
     seen, in_support = tally.seen, scenario.target.support.__contains__
@@ -75,7 +77,7 @@ def run_game(scenario: Scenario) -> GameTrace:
                 f"step {t}: generator returned {type(mu).__name__} "
                 "instead of a distribution")
         if tally.add(x):
-            consistent = cls.consistent_among(consistent, x)
+            consistent &= holding(x)
         dist = tally.distance(mu)
         num, den = dist.numerator, dist.denominator
         if num * top_den > top_num * den:

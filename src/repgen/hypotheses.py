@@ -9,6 +9,7 @@ terms of enumeration position.  Indices are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .periodic import PeriodicSet
@@ -32,6 +33,12 @@ class HypothesisClass:
     `provider(n)` (1-based) supplies h_n for countable classes; materialized
     members are cached.  All operations that quantify over the class take an
     explicit index bound for provider-backed classes.
+
+    Which materialized members hold a natural is itself ultimately periodic:
+    with T the largest threshold and M the lcm of the moduli of their
+    supports, x >= T is held by the same members as T + (x - T) mod M.
+    `holding` decides it once per such class, as a bitmask, and the memo
+    starts afresh whenever a provider materializes a new member.
     """
 
     def __init__(self, hypotheses: Sequence[Hypothesis],
@@ -52,6 +59,9 @@ class HypothesisClass:
         # (n, i) -> whether h_n's support lies inside h_i's; members are
         # never replaced, so a verdict holds for the life of the class.
         self._subset_cache: dict[tuple[int, int], bool] = {}
+        # `holding` memo and its (T, M), built on first use
+        self._holding_memo: dict[int, int] | None = None
+        self._holding_period = (0, 1)
 
     @property
     def extendable(self) -> bool:
@@ -71,6 +81,7 @@ class HypothesisClass:
                 raise ValueError(f"provider produced duplicate hypothesis id {h.id!r}")
             self._ids.add(h.id)
             self._members.append(h)
+            self._holding_memo = None  # T and M may change
 
     def get(self, n: int) -> Hypothesis:
         if n < 1:
@@ -105,13 +116,25 @@ class HypothesisClass:
         return [i for i in range(1, n + 1)
                 if all(x in self._members[i - 1].support for x in xs)]
 
-    def consistent_among(self, indices: Iterable[int],
-                         x: int) -> tuple[int, ...]:
-        """The indices, in order, whose hypothesis's support holds x: one
-        pass over already materialized members, so nothing is looked up
-        through `get` and nothing new is materialized."""
-        members = self._members
-        return tuple(i for i in indices if x in members[i - 1].support)
+    def holding(self, x: int) -> int:
+        """Bitmask of the materialized members whose support holds the
+        natural x, bit n - 1 for h_n; decided once per membership class: x
+        itself below T, T + (x - T) mod M from T on.  Nothing new is
+        materialized."""
+        memo = self._holding_memo
+        if memo is None:
+            supports = [h.support for h in self._members]
+            self._holding_period = (max((s.threshold for s in supports),
+                                        default=0),
+                                    lcm(*(s.modulus for s in supports)))
+            memo = self._holding_memo = {}
+        t, m = self._holding_period
+        key = x if x < t else t + (x - t) % m
+        mask = memo.get(key)
+        if mask is None:
+            mask = memo[key] = sum(1 << n for n, h in enumerate(self._members)
+                                   if key in h.support)
+        return mask
 
     def closure_of_indices(self, indices: Sequence[int]) -> PeriodicSet | None:
         """Intersection of the supports at the given indices; None for the empty family."""

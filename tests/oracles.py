@@ -33,7 +33,13 @@ enumeration `FiniteGroups.cells` ran before `refine`: it tries all 2^K
 membership vectors, sharing the package's set algebra but not `refine`.
 The membership references are the per-group scans `FiniteGroups` ran
 before it decided membership once per residue class: each asks every group
-about every element, sharing only set membership with the package.
+about every element, sharing only set membership with the package.  The
+in-limit scan reference is the step the package ran before it kept its
+candidates and a consistent bitmask: every feasibility call walks all the
+cells and asks each smallest-unseen cursor, and every new element filters
+the consistent indices member by member.  It shares the package's
+`StreamState` tally and cursors, criticality, row building and integer LP,
+but not the kept candidates or the `holding` memo.
 """
 
 from dataclasses import dataclass
@@ -44,11 +50,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repgen.dimension import Condition, Condition1, Condition2
 from repgen.errors import ConfigError, InvariantViolation
+from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
+                               StreamState, _feasible_blocks)
 from repgen.groups import BlockPartition, FiniteGroups, GroupCollection
 from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical, group_empirical
 from repgen.periodic import ALL, PeriodicSet, from_finite
-from repgen.simplex import EQ, GE, LE
+from repgen.simplex import EQ, GE, LE, feasible_point_int
 
 
 def scan_bound(sets, extra_elements=()):
@@ -834,3 +842,113 @@ def scan_mass_by_group(c: FiniteGroups, xs: Iterable[int],
     collection or an endless `repeat`)."""
     return {i: sum(compress(weights, map(c.group(i).__contains__, xs)))
             for i in c.indices()}
+
+
+def consistent_among(cls: HypothesisClass, indices: Iterable[int],
+                     x: int) -> tuple[int, ...]:
+    """The indices, in order, whose hypothesis's support holds x:
+    `HypothesisClass.consistent_among` before the `holding` mask, one pass
+    over already materialized members (so nothing new is materialized)."""
+    return tuple(i for i in indices if x in cls.get(i).support)
+
+
+def scan_candidates(state: StreamState,
+                    s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
+    """The in-limit candidates as `_feasible` found them before they were
+    kept: every cell of the collection, asked for its smallest unseen
+    element of s through the state's cursors."""
+    candidates = []
+    for vec, _ in state.groups.cells():
+        elem = state.unseen(s, vec)
+        if elem is not None:
+            candidates.append((vec, elem))
+    return candidates
+
+
+def scan_feasible(state: StreamState, h, alpha: Fraction):
+    """`repgen.generators._feasible` before kept candidates, kept verbatim
+    (bar the name, this paragraph and the candidate scan, now
+    `scan_candidates`) as the reference the kept version must match witness
+    for witness."""
+    c = state.groups
+    if isinstance(c, BlockPartition):
+        return _feasible_blocks(state, h, alpha)
+    candidates = scan_candidates(state, h.support)
+    counts, d = state.tally.counts, len(state.tally.seen)
+    a, b = alpha.numerator, alpha.denominator
+    den = d * b
+    n = len(candidates)
+    if n <= 1:
+        if n:
+            (vec, elem), = candidates
+            if all(abs((den if vec[i - 1] else 0) - counts[i] * b) <= a * d
+                   for i in c.indices()):
+                return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
+        return None
+    covers = [(counts[i] * b, [den if vec[i - 1] else 0 for vec, _ in candidates])
+              for i in c.indices()]
+    for exact in (True, False):
+        band = 0 if exact else a * d
+        rows = [([den] * n, EQ, den)]
+        for w, cover in covers:
+            if w > band and not any(cover):
+                break
+            if exact:
+                rows.append((cover, EQ, w))
+            else:
+                rows.append((cover, LE, w + band))
+                if w > band:
+                    rows.append((cover, GE, w - band))
+        else:
+            vertex = feasible_point_int(n, rows)
+            if vertex is not None:
+                nums, delta = vertex
+                entries = tuple(FeasibilityEntry(vec, elem, m)
+                                for (vec, elem), m in zip(candidates, nums)
+                                if m > 0)
+                return FeasibilityWitness(entries, delta)
+    return None
+
+
+class ScanLimit:
+    """An in-limit session replayed through the scan: a repeat that leaves
+    the depth unchanged re-emits (and keeps `last_selected`); otherwise the
+    step filters the consistent indices with `consistent_among`, checks the
+    members up to the depth, and asks `scan_feasible` of the critical ones
+    from the largest index down.  `calls` lists each step's feasibility
+    calls as (index, witness) pairs."""
+
+    def __init__(self, cls: HypothesisClass, groups: GroupCollection,
+                 alpha: Fraction):
+        self.cls, self.alpha = cls, alpha
+        self.state = StreamState(None, groups)  # tally and cursors only
+        self.consistent: tuple[int, ...] = ()
+        self.checked = 0
+        self.last_selected: int | None = None
+        self.calls: list[tuple[int, object]] = []
+
+    def step(self, x: int) -> None:
+        cls, state = self.cls, self.state
+        new = x not in state.tally.seen
+        state.add(x)
+        self.calls = []
+        if new:
+            self.consistent = consistent_among(cls, self.consistent, x)
+        elif not (cls.extendable or state.t <= cls.materialized_count()):
+            return
+        depth = (state.t if cls.extendable
+                 else min(state.t, cls.materialized_count()))
+        while self.checked < depth:
+            self.checked += 1
+            support = cls.get(self.checked).support
+            if all(y in support for y in state.tally.seen):
+                self.consistent += (self.checked,)
+        consistent = tuple(i for i in self.consistent if i <= depth)
+        self.last_selected = None
+        for n in reversed(consistent):
+            if cls.critical_among(n, consistent):
+                w = scan_feasible(state, cls.get(n), self.alpha)
+                self.calls.append((n, w))
+                if w is not None:
+                    self.last_selected = n
+                    return

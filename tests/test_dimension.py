@@ -109,6 +109,10 @@ def test_check_witness_rejects_bad_tuples():
     # 1.0 lies in every support that holds 1, but is not a natural
     with pytest.raises(ValueError, match="got 1.0$"):
         check_witness(ALL_CLS, ZERO_REST, F(1, 2), (0, 1.0))
+    # -1 is an int but no natural: refused before the closure is asked
+    with pytest.raises(ValueError,
+                       match="^elements must be naturals, got -1$"):
+        check_witness(ALL_CLS, ZERO_REST, F(1, 2), (-1,))
 
 
 def test_check_witness_rejects_bad_alpha():

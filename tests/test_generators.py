@@ -3,7 +3,9 @@ feasibility decision procedure, and the stateful session wrapper."""
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from repgen.measures import (RationalDist, empirical, group_empirical,
                              is_alpha_representative)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
+from repgen.scenario import build_session, load_scenario, materialize_stream
 from repgen.simplex import feasible_point_int
 from oracles import induced_group_probs, mesh_feasible, sup_distance
 
@@ -466,12 +469,13 @@ def _assert_same_state(stepped, once):
     assert stepped.distinct == once.distinct == sorted(once.tally.seen)
     assert stepped.tally.weights() == once.tally.weights()
     n = stepped.checked
-    # the stepped state filters with `consistent_among`, one element at a
-    # time; the reference looks every member up through `get`
+    # the stepped state filters with the class's `holding` mask, one
+    # element at a time; the reference looks every member up through `get`
     cls = stepped.cls
     assert stepped.consistent_upto(n) == once.consistent_upto(n) == tuple(
         i for i in range(1, n + 1)
         if all(x in cls.get(i).support for x in once.tally.seen))
+    assert stepped._mask == sum(1 << (i - 1) for i in stepped.consistent)
     for s, part in list(stepped._cursors):
         assert stepped.unseen(s, part) == once.unseen(s, part)
 
@@ -629,3 +633,35 @@ def test_determinism_byte_equal():
         out = [s.step(x).serialize() for x in [0, 1, 2, 3, 4]]
         runs.append(repr(out))
     assert runs[0] == runs[1]
+
+
+def test_feasibility_reads_kept_candidates_without_walking_cells(monkeypatch):
+    # i01 for 200 steps: once each support's candidates are built, no
+    # `_feasible` call walks the collection's cells or asks a
+    # smallest-unseen cursor; a new element moves only the kept cursors
+    path = Path(__file__).parent / "scenarios" / "i01-nested3-overlap.json"
+    scenario = load_scenario(str(path))
+    session = build_session(scenario)
+    cls = scenario.cls
+    for n in range(1, cls.materialized_count() + 1):
+        session.state.candidates(cls.get(n).support)
+    calls = Counter()
+
+    def counted(name, f):
+        def run(*args):
+            calls[name] += 1
+            return f(*args)
+        return run
+
+    monkeypatch.setattr(StreamState, "unseen",
+                        counted("unseen", StreamState.unseen))
+    monkeypatch.setattr(FiniteGroups, "cells",
+                        counted("cells", FiniteGroups.cells))
+    monkeypatch.setattr(generators, "_feasible",
+                        counted("_feasible", generators._feasible))
+    xs = materialize_stream(scenario)
+    assert len(xs) == 200
+    for x in xs:
+        session.step(x)
+    assert calls["_feasible"] >= 200
+    assert calls["unseen"] == calls["cells"] == 0

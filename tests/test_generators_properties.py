@@ -15,13 +15,19 @@ which re-emits its last output on a repeat that leaves the depth unchanged,
 emits what the pure construction emits on the history so far, step by step
 on streams with repeats; and the in-limit session selects the largest index
 that is critical and alpha-feasible by the definitions, or falls back to the
-empirical distribution when there is none.  Wherever a session plays the
-empirical distribution, which it reads from its sorted stream state, that
-equals `measures.empirical` of the history, hash and serialization
-included."""
+empirical distribution when there is none.  The in-limit session, which
+keeps its candidates per support and filters its consistent indices with
+the class's `holding` mask, makes the same feasibility calls with the same
+witnesses and selects the same index as a replay through the per-call scan
+in `oracles.py`.  Wherever a session plays the empirical distribution,
+which it reads from its sorted stream state, that equals
+`measures.empirical` of the history, hash and serialization included."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from operator import and_
+from unittest import mock
 
 import pytest
 
@@ -29,15 +35,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from instances import feasibility_instances
-from oracles import fraction_assemble_uniform, fraction_feasible
+from oracles import ScanLimit, fraction_assemble_uniform, fraction_feasible
+from repgen import generators
 from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
                                _limit, is_feasible, limit_emit,
                                nonuniform_emit, uniform_emit)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
-from repgen.periodic import (ALL, EVENS, PeriodicSet, from_finite,
-                             from_threshold)
+from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
+                             from_threshold, multiples)
 from test_generators import _assert_same_state, _count_lp_calls
 
 F = Fraction
@@ -374,3 +381,79 @@ def test_inlimit_selects_the_largest_critical_feasible_index(game, groups,
             n, witness = picks[0]
             assert session.last_selected == n, prefix
             assert mu == RationalDist({x: m for _, x, m in witness}), prefix
+
+
+# -- kept candidates and the membership mask against the scan --------------------
+
+def multiple(n):
+    """h_n of the provider-backed class of multiples: every n-th natural, so
+    each new member can change the period of the membership mask."""
+    return Hypothesis(f"mult{n}", multiples(n))
+
+
+@st.composite
+def scan_games(draw):
+    """(make_class, groups, alpha, stream) for an in-limit session: 1-4
+    hypotheses with small random supports, or the provider-backed tails or
+    multiples, which materialize members as the depth grows; a partition,
+    an overlapping cover or blocks; and a stream with repeats.  Small
+    random supports often miss a cell of the collection entirely.
+    `make_class` builds a fresh class, so the session and the replay share
+    no memo."""
+    provider = draw(st.sampled_from([None, None, None, tail, multiple]))
+    if provider is None:
+        members = [Hypothesis(f"h{j}", s) for j, s in enumerate(
+            draw(st.lists(infinite_sets, min_size=1, max_size=4)), 1)]
+        make, steps = (lambda: HypothesisClass(members)), 3 * len(members)
+    else:
+        make, steps = (lambda: HypothesisClass([], provider=provider)), 12
+    groups = draw(partitions() | finite_collections().filter(
+        lambda c: c.validate().covers) | st.builds(
+        BlockPartition, st.integers(2, 3),
+        st.lists(st.integers(1, 3), max_size=3).map(tuple)))
+    alpha = draw(st.sampled_from([F(0), F(1, 4), F(1, 2), F(2, 3), F(1)]))
+    return make, groups, alpha, draw(streams(make(), steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_games())
+# an overlapping cover whose odd cells the supports evens and mult4 miss
+@example((lambda: HypothesisClass([Hypothesis("all", ALL),
+                                   Hypothesis("evens", EVENS),
+                                   Hypothesis("mult4", multiples(4))]),
+          FiniteGroups([EVENS, ODDS, from_threshold(3)]), F(1, 2),
+          [0, 4, 2, 4, 8, 1, 8, 12]))
+# members materialized mid-stream, repeats included
+@example((lambda: HypothesisClass([], provider=multiple),
+          FiniteGroups([from_finite([0, 1, 2, 3]), EVENS | from_threshold(4)]),
+          F(1, 2), [0, 12, 12, 6, 24, 0, 36, 60, 4]))
+def test_inlimit_session_equals_a_replay_through_the_scan(game):
+    make, groups, alpha, xs = game
+    cls = make()
+    session = GeneratorSession("inlimit", cls, groups, alpha)
+    scan = ScanLimit(make(), groups, alpha)
+    feasible = generators._feasible
+    calls = []
+
+    def recorded(state, h, alpha):
+        w = feasible(state, h, alpha)
+        calls.append((h.id, w))
+        return w
+
+    seen = set()
+    with mock.patch.object(generators, "_feasible", recorded):
+        for t, x in enumerate(xs, 1):
+            calls.clear()
+            session.step(x)
+            scan.step(x)
+            seen.add(x)
+            assert calls == [(scan.cls.get(n).id, w) for n, w in scan.calls], \
+                xs[:t]
+            assert session.last_selected == scan.last_selected, xs[:t]
+            state = session.state
+            assert state.consistent == scan.consistent, xs[:t]
+            assert state._mask == sum(1 << (i - 1) for i in state.consistent)
+            size = cls.materialized_count()
+            mask = reduce(and_, map(cls.holding, seen), (1 << size) - 1)
+            assert mask == sum(1 << (i - 1) for i in cls.consistent_indices(
+                seen, upto=size)), xs[:t]

@@ -4,7 +4,10 @@ command line entry points."""
 import copy
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -521,6 +524,38 @@ def test_cli_run_unwritable_trace_exit_3(tmp_path, capsys, where):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: --trace: cannot write {trace_path!r}: ")
+
+
+def test_cli_run_unwritable_trace_exits_before_the_game(tmp_path, monkeypatch,
+                                                        capsys):
+    # the trace file is opened first, so a bad path costs no game at all
+    path = _write_scenario(tmp_path, _doc())
+
+    def no_game(scenario):
+        raise AssertionError("the game ran before the trace file was opened")
+
+    monkeypatch.setattr("repgen.cli.run_game", no_game)
+    assert main(["run", path, "--trace", str(tmp_path / "missing/t")]) == 3
+    assert capsys.readouterr().err.startswith("error: --trace: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "tests/scenarios/i01-nested3-overlap.json", "--print-trace"],
+    ["adversary", "query", "--generator", "query-then-emit", "--steps", "3"],
+])
+def test_cli_closed_stdout_exits_3_without_a_traceback(argv):
+    # the reader closes the pipe before anything is written (as `| head`
+    # does after its lines): one error line, the usage exit code, and no
+    # second failure when the interpreter flushes stdout at exit
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "repgen.cli", *argv],
+                            cwd=root, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert err == "error: stdout was closed before all output was written\n"
 
 
 def test_cli_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):

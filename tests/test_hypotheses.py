@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from oracles import consistent_among
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
-                             multiples)
+                             from_threshold, multiples)
 
 
 def _cls(*supports):
@@ -124,10 +125,10 @@ def test_provider_extension():
     assert c.materialized_count() == 2
     assert c.get(4).id == "gen4"
     assert c.materialized_count() == 4
-    # the one-pass filter reads materialized members only, and agrees
+    # the membership mask covers the materialized members only, and agrees
     # with looking each one up
-    assert c.consistent_among(range(1, 5), 2) == tuple(
-        i for i in range(1, 5) if 2 in c.get(i).support) == (1, 3, 4)
+    assert c.holding(2) == 0b1101
+    assert consistent_among(c, range(1, 5), 2) == (1, 3, 4)
     assert c.materialized_count() == 4
     p2 = c.prefix_class(2)
     assert not p2.extendable
@@ -176,3 +177,35 @@ def _random_prefix(rng, supports, length=4):
         if rng.random() < 0.6:
             out.append(x)
     return out if out else None
+
+
+def test_holding_mask_equals_a_member_scan():
+    # one memo entry per membership class, however many elements ask: x
+    # below T, T + (x - T) mod M from T on; here T = 4 and M = 12
+    rng = random.Random(7)
+    supports = [PeriodicSet(4, 4, (1, 2), (0, 3)), multiples(3),
+                from_threshold(2), ODDS]
+    c = _cls(*supports)
+    xs = list(range(200)) + rng.sample(range(200, 10 ** 9), 2000)
+    for x in xs:
+        assert c.holding(x) == sum(1 << n for n, s in enumerate(supports)
+                                   if x in s), x
+    assert len(c._holding_memo) <= 4 + 12
+
+
+def test_holding_mask_starts_afresh_when_a_member_is_materialized():
+    # h_n = multiples(n): each new member changes M, so a memo kept across
+    # materializing would answer with the old period and miss the new bit
+    c = HypothesisClass([], provider=lambda n: Hypothesis(f"m{n}", multiples(n)))
+    c.ensure(2)
+    assert c.holding(6) == 0b11
+    assert c.holding(9) == 0b01
+    c.ensure(3)
+    assert c.holding(9) == 0b101
+    assert c.holding(6) == 0b111
+    c.ensure(6)
+    for x in range(100):
+        assert c.holding(x) == sum(1 << (n - 1) for n in range(1, 7)
+                                   if x % n == 0), x
+        assert consistent_among(c, range(1, 7), x) == tuple(
+            n for n in range(1, 7) if c.holding(x) >> (n - 1) & 1)
