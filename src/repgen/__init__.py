@@ -17,8 +17,8 @@ from .generators import (FeasibilityEntry, FeasibilityWitness,
                          nonuniform_emit, nonuniform_thresholds, uniform_emit)
 from .groups import (BlockPartition, FiniteGroups, GroupCollection,
                      ValidationReport, finite_support_size)
-from .harness import (GameTrace, StepRecord, emit_trace, evaluate_asserts,
-                      parse_trace, run_game, trace_lines)
+from .harness import (GameTrace, StepRecord, evaluate_asserts, parse_trace,
+                      run_game, trace_lines)
 from .hypotheses import Hypothesis, HypothesisClass
 from .measures import (GroupTally, RationalDist, empirical, format_fraction,
                        group_empirical, is_alpha_representative,

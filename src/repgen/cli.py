@@ -23,8 +23,9 @@ from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
-from .adversaries import (ConstantQueryFree, ConstantSession, GreedyQuerier,
-                          QueryThenEmit, ViolationReport, gc_witness_adversary,
+from .adversaries import (MAX_QUERY_BUDGET, ConstantQueryFree,
+                          ConstantSession, GreedyQuerier, QueryThenEmit,
+                          ViolationReport, gc_witness_adversary,
                           geometric_adversary, query_adversary)
 from .dimension import gc_dimension
 from .errors import ConfigError, InvariantViolation, ScenarioError
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--depth", type=int, default=4,
                     help="geometric checkpoints to drive")
     ad.add_argument("--steps", type=int, default=20, help="query rounds")
-    ad.add_argument("--budget", type=int, default=10 ** 6,
-                    help="per-step query budget")
+    ad.add_argument("--budget", type=int, default=MAX_QUERY_BUDGET,
+                    help=f"per-step query budget, at most {MAX_QUERY_BUDGET}")
     ad.add_argument("--generator", default="empirical",
                     help="baseline: empirical, inlimit, uniform-low, constant, "
                          "query-then-emit, greedy")

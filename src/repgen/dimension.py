@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import merge
 from itertools import combinations, product, repeat
+from math import prod
 from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
@@ -120,6 +121,15 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
 # runs, Python 3.11.7, 2-vCPU x86-64 VM).
 MAX_D = 35_000
 
+# Most choices of exhausted groups `_spans` enumerates, summed over the
+# closure masks; they are counted before any is tried.  Alike groups take
+# one choice per count, but each distinct group doubles them: groups of
+# sizes 1, ..., K plus a tail at alpha = 1/4 (one mask, 2^K choices) take
+# 0.19-0.27 s at K = 14 and 0.74-0.95 s at K = 16, the cap, while K = 17
+# and K = 20 are refused in 7 and 11 ms (three runs, Python 3.11.7, 2-vCPU
+# x86-64 VM).
+MAX_CHOICES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GcResult:
@@ -212,9 +222,11 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     d < F_i q / p for an i in E and condition 2 iff d p (K - |E|) < q C_E,
     so both cap d (not at alpha = 0), as do the live groups.  The least
     depth adds the fewest atoms that bring the consistent mask down to S.
+    More than MAX_CHOICES choices of E in all is a ConfigError.
     """
     p, q = alpha.numerator, alpha.denominator
     held = reduce(and_, (a.hyps for a, m in zip(atoms, lb) if m), -1)
+    plans = []
     for s, per_group in closures:
         if held & s != s:
             continue
@@ -238,7 +250,12 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
         counts = [range(len(gs) if whole else 0,
                         -1 if can_live else len(gs) - 1, -1)
                   for (whole, can_live, *_), gs in classes.items()]
-        groups = list(classes.values())
+        plans.append((s, list(classes.values()), counts))
+    choices = sum(prod(map(len, counts)) for _, _, counts in plans)
+    if choices > MAX_CHOICES:
+        raise ConfigError(f"dimension search needs {choices} choices of "
+                          f"exhausted groups, above MAX_CHOICES = {MAX_CHOICES}")
+    for s, groups, counts in plans:
         for choice in product(*counts):
             exhausted = [g for gs, n in zip(groups, choice) for g in gs[:n]]
             live = [g for gs, n in zip(groups, choice) for g in gs[n:]]

@@ -12,9 +12,9 @@ Four generator kinds share one session interface:
                 hypothesis, falling back to the empirical distribution
 
 All of them read the stream through one `StreamState`, which a session
-feeds one element per step.  The pure functions (`uniform_emit`,
-`nonuniform_emit`, `limit_emit`, `is_feasible`) build a state from their
-history and run the same construction, so there is one code path per kind.
+feeds one element at a time (`observe`, or `step`, which also emits).  The
+pure `uniform_emit`, `nonuniform_emit` and `limit_emit` replay their history
+through a session, so each kind has one entry and one set of input checks.
 
 Everything is deterministic and exact: same configuration and history, same
 distribution, bit for bit.
@@ -370,8 +370,7 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
 def uniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
                  d_star: int, history: Sequence[int]) -> RationalDist:
     """One uniform-construction step on the full history."""
-    return _uniform(StreamState(cls, c, history), alpha, d_star,
-                    cls.materialized_count())
+    return _replay(GeneratorSession("uniform", cls, c, alpha, d_star), history)
 
 
 # -- non-uniform construction -------------------------------------------------
@@ -413,9 +412,7 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
     grow along a stream because the thresholds are non-decreasing and both t
     and d_t are monotone.
     """
-    if not history:
-        raise ValueError("nonuniform step needs a nonempty history")
-    return _nonuniform(StreamState(cls, c, history), alpha, None)
+    return _replay(GeneratorSession("nonuniform", cls, c, alpha), history)
 
 
 # -- in-the-limit construction --------------------------------------------------
@@ -437,7 +434,7 @@ def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
     """One in-the-limit step: the feasibility witness of the largest-index
     hypothesis that is both critical and alpha-feasible for the history, or
     the empirical distribution when there is none."""
-    return _limit(StreamState(cls, c, history), alpha)[1]
+    return _replay(GeneratorSession("inlimit", cls, c, alpha), history)
 
 
 # -- sessions -------------------------------------------------------------------
@@ -445,12 +442,11 @@ def limit_emit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
 class GeneratorSession:
     """Stateful step-by-step interface over the constructions.
 
-    Each step feeds one element into the session's `StreamState`, and every
-    kind emits by running its construction on that state; a repeat that
-    leaves the depth unchanged re-emits the previous distribution (and
-    leaves `last_selected` alone), since nothing the construction reads has
-    changed.  The output is identical to calling the pure function of the
-    kind on the accumulated history (tested).
+    `observe(x)` feeds x into the session's `StreamState` and drops the kept
+    output when anything a construction reads changed, so a repeat that
+    leaves the depth unchanged keeps it, and a failed step keeps none.
+    `step(x)` observes x, then re-emits the kept output (leaving
+    `last_selected` alone) or runs the kind's construction.
     """
 
     def __init__(self, kind: str, cls: HypothesisClass, groups: GroupCollection,
@@ -467,7 +463,7 @@ class GeneratorSession:
         self.alpha = alpha
         self.state = StreamState(cls, groups)
         self.last_selected: int | None = None
-        self._last: RationalDist | None = None  # the previous step's output
+        self._last: RationalDist | None = None  # the kept output
         self.d_star: int | None = None
         self._thresholds: list[int] = []  # nonuniform prefix thresholds
 
@@ -500,13 +496,17 @@ class GeneratorSession:
             # The finite-support-size precondition needs no check here: it
             # is a finite sum, so it holds for every finite collection.
 
-    def step(self, x: int) -> RationalDist:
+    def observe(self, x: int) -> None:
         if type(x) is not int or x < 0:  # a bool is not a natural
             raise ValueError(f"examples are naturals, got {x!r}")
-        state = self.state
-        if not state.add(x) and self._last is not None:
-            return self._last
-        try:
+        if self.state.add(x):
+            self._last = None
+
+    def step(self, x: int) -> RationalDist:
+        self.observe(x)
+        mu = self._last
+        if mu is None:
+            state = self.state
             if self.kind == "uniform":
                 mu = _uniform(state, self.alpha, self.d_star,
                               self.cls.materialized_count())
@@ -516,8 +516,14 @@ class GeneratorSession:
                 self.last_selected, mu = _limit(state, self.alpha)
             else:
                 mu = state.empirical()
-        except BaseException:
-            self._last = None  # a repeat after a failed step must rerun it
-            raise
-        self._last = mu
+            self._last = mu
         return mu
+
+
+def _replay(session: GeneratorSession, history: Sequence[int]) -> RationalDist:
+    """Observe all of `history` but its last element, then step on that."""
+    if not history:
+        raise ValueError(f"{session.kind} step needs a nonempty history")
+    for x in history[:-1]:
+        session.observe(x)
+    return session.step(history[-1])

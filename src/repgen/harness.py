@@ -174,12 +174,6 @@ def trace_lines(trace: GameTrace) -> list[str]:
     return lines
 
 
-def emit_trace(trace: GameTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for line in trace_lines(trace):
-            fp.write(line + "\n")
-
-
 def parse_trace(text: str | Iterable[str]) -> GameTrace:
     if isinstance(text, str):
         raw_lines = text.splitlines()

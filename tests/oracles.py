@@ -39,7 +39,11 @@ candidates and a consistent bitmask: every feasibility call walks all the
 cells and asks each smallest-unseen cursor, and every new element filters
 the consistent indices member by member.  It shares the package's
 `StreamState` tally and cursors, criticality, row building and integer LP,
-but not the kept candidates or the `holding` memo.
+but not the kept candidates or the `holding` memo.  The one-shot references
+are the pure `*_emit` bodies the package ran before they replayed through a
+session: a bare state built from the whole history, then one construction.
+They share the package's state and constructions, but not the session's
+observe/step bookkeeping or its input checks.
 """
 
 from dataclasses import dataclass
@@ -51,7 +55,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from repgen.dimension import Condition, Condition1, Condition2
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
-                               StreamState, _feasible_blocks)
+                               StreamState, _feasible_blocks, _limit,
+                               _nonuniform, _uniform)
 from repgen.groups import BlockPartition, FiniteGroups, GroupCollection
 from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical, group_empirical
@@ -952,3 +957,28 @@ class ScanLimit:
                 if w is not None:
                     self.last_selected = n
                     return
+
+
+# -- one-shot constructions ------------------------------------------------------
+
+def one_shot_uniform(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
+                     d_star: int, history: Sequence[int]) -> RationalDist:
+    """`repgen.generators.uniform_emit` before it replayed through a
+    session: the uniform construction on a state of the whole history."""
+    return _uniform(StreamState(cls, c, history), alpha, d_star,
+                    cls.materialized_count())
+
+
+def one_shot_nonuniform(cls: HypothesisClass, c: FiniteGroups,
+                        alpha: Fraction, history: Sequence[int]) -> RationalDist:
+    """`repgen.generators.nonuniform_emit` before it replayed through a
+    session, with fresh thresholds on every call."""
+    if not history:
+        raise ValueError("nonuniform step needs a nonempty history")
+    return _nonuniform(StreamState(cls, c, history), alpha, None)
+
+
+def one_shot_limit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
+                   history: Sequence[int]) -> RationalDist:
+    """`repgen.generators.limit_emit` before it replayed through a session."""
+    return _limit(StreamState(cls, c, history), alpha)[1]

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
-                                UNREPRESENTATIVE, ConstantQueryFree,
+                                MAX_QUERY_BUDGET, UNREPRESENTATIVE,
+                                ConstantQueryFree,
                                 ConstantSession, GreedyQuerier,
                                 MembershipOracle, QueryAdversaryState,
                                 QueryBudgetExceeded, QueryThenEmit,
@@ -387,6 +388,24 @@ def test_game_length_is_bounded_by_max_steps(monkeypatch):
     assert len(query_adversary(QueryThenEmit(), 14)[0]) == 14
     with pytest.raises(ConfigError, match="steps must be <= 14, got 15"):
         query_adversary(QueryThenEmit(), 15)
+
+
+def test_query_budget_is_bounded():
+    # every fresh query is stored, so a budget above the cap is refused
+    # before the first step instead of growing memory until it trips
+    for budget, text in ((-1, "query budget must be >= 0, got -1"),
+                         (MAX_QUERY_BUDGET + 1, "query budget must be <= "
+                          f"{MAX_QUERY_BUDGET}, got {MAX_QUERY_BUDGET + 1}")):
+        with pytest.raises(ConfigError) as e:
+            query_adversary(GreedyQuerier(), 1, query_budget=budget)
+        assert str(e.value) == text
+    # both ends are accepted: budget 0 trips at the first query, and the
+    # cap is the default
+    reports, _ = query_adversary(GreedyQuerier(), 1, query_budget=0)
+    assert [r.kind for r in reports] == [BUDGET_EXCEEDED]
+    assert query_adversary.__defaults__ == (MAX_QUERY_BUDGET,)
+    assert len(query_adversary(QueryThenEmit(), 3,
+                               query_budget=MAX_QUERY_BUDGET)[0]) == 3
 
 
 def test_verifying_a_query_game_counts_each_element_once():

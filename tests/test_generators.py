@@ -26,7 +26,8 @@ from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
 from repgen.scenario import build_session, load_scenario, materialize_stream
 from repgen.simplex import feasible_point_int
-from oracles import induced_group_probs, mesh_feasible, sup_distance
+from oracles import (induced_group_probs, mesh_feasible, one_shot_limit,
+                     one_shot_nonuniform, one_shot_uniform, sup_distance)
 
 F = Fraction
 
@@ -38,6 +39,8 @@ def _cls(named):
 ALL_CLS = _cls([("all", ALL)])
 SPLIT1 = FiniteGroups([from_finite([1]), from_finite([0]) | from_threshold(2)])
 PARITY = FiniteGroups([EVENS, ODDS])
+TAILS = HypothesisClass(  # h_n = [n - 1, oo), materialized on demand
+    [], provider=lambda n: Hypothesis(f"from{n - 1}", from_threshold(n - 1)))
 
 
 def test_uniform_worked_deficit_small():
@@ -162,6 +165,11 @@ ALPHA_ENTRIES = {
         lambda cls, groups, a: GeneratorSession("empirical", cls, groups, a),
         alpha, 1),
     "gc_depth": lambda alpha: gc_depth(ALL_CLS, PARITY, alpha),
+    "uniform_emit": lambda alpha: uniform_emit(ALL_CLS, PARITY, alpha, 1,
+                                               [0, 1, 2]),
+    "nonuniform_emit": lambda alpha: nonuniform_emit(ALL_CLS, PARITY, alpha,
+                                                     [0, 1, 2]),
+    "limit_emit": lambda alpha: limit_emit(ALL_CLS, PARITY, alpha, [0, 1, 2]),
 }
 
 
@@ -484,38 +492,42 @@ def test_session_matches_free_functions():
     # every kind, a block partition, a provider-backed class and streams
     # with repeats: the session's state, fed one element per step between
     # emissions, equals a state built from the whole history at once, and
-    # the session emits what the pure function emits
+    # the session emits what the pure function (a replay through a fresh
+    # session) and the one-shot construction on that state emit
     groups = FiniteGroups([from_finite([0]), from_threshold(1)])
     tail2 = _cls([("all", ALL), ("tail", from_threshold(2))])
     nested = _cls([("evens", EVENS), ("mult4", multiples(4))])
     blocks = BlockPartition(base=2, prefix_sizes=(2,))
     evens_cls = _cls([("all", ALL), ("evens", EVENS)])
-    tails = HypothesisClass(
-        [], provider=lambda n: Hypothesis(f"from{n - 1}", from_threshold(n - 1)))
     cases = [
-        ("empirical", tail2, groups, None, range(10), empirical),
+        ("empirical", tail2, groups, None, range(10), empirical, empirical),
         ("uniform", tail2, groups, 2, range(10),
-         lambda h: uniform_emit(tail2, groups, F(1, 2), 2, h)),
+         lambda h: uniform_emit(tail2, groups, F(1, 2), 2, h),
+         lambda h: one_shot_uniform(tail2, groups, F(1, 2), 2, h)),
         ("inlimit", tail2, groups, None, range(10),
-         lambda h: limit_emit(tail2, groups, F(1, 2), h)),
+         lambda h: limit_emit(tail2, groups, F(1, 2), h),
+         lambda h: one_shot_limit(tail2, groups, F(1, 2), h)),
         ("nonuniform", nested, PARITY, None, range(0, 40, 4),
-         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h)),
+         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h),
+         lambda h: one_shot_nonuniform(nested, PARITY, F(1, 2), h)),
         ("inlimit", evens_cls, blocks, None, range(0, 60, 2),
-         lambda h: limit_emit(evens_cls, blocks, F(1, 2), h)),
-        ("inlimit", tails, PARITY, None, range(12),
-         lambda h: limit_emit(tails, PARITY, F(1, 2), h)),
+         lambda h: limit_emit(evens_cls, blocks, F(1, 2), h),
+         lambda h: one_shot_limit(evens_cls, blocks, F(1, 2), h)),
+        ("inlimit", TAILS, PARITY, None, range(12),
+         lambda h: limit_emit(TAILS, PARITY, F(1, 2), h),
+         lambda h: one_shot_limit(TAILS, PARITY, F(1, 2), h)),
     ]
     rng = random.Random(103)
-    for kind, cls, c, d_star, pool, emit in cases:
+    for kind, cls, c, d_star, pool, emit, one_shot in cases:
         session = GeneratorSession(kind, cls, c, F(1, 2), d_star=d_star)
         hist = []
         for _ in range(15):
             x = rng.choice(hist) if hist and rng.random() < 0.3 else rng.choice(pool)
             hist.append(x)
             mu = session.step(x)
-            want = emit(hist)
-            assert mu == want, (kind, hist)
-            assert mu.serialize() == want.serialize()
+            for want in (emit(hist), one_shot(hist)):
+                assert mu == want, (kind, hist)
+                assert mu.serialize() == want.serialize()
             _assert_same_state(session.state, StreamState(cls, c, hist))
         assert len(set(hist)) < len(hist), (kind, hist)
 
@@ -560,6 +572,50 @@ def test_a_repeat_after_a_failed_step_reruns_it(monkeypatch):
     assert mu.serialize() \
         == limit_emit(cls, PARITY, F(1, 2), [0, 2, 2]).serialize()
     assert session.last_selected == 2
+
+
+EMITS = {
+    "uniform": lambda cls, c, d_star, h: uniform_emit(cls, c, F(1, 2),
+                                                      d_star, h),
+    "nonuniform": lambda cls, c, d_star, h: nonuniform_emit(cls, c, F(1, 2), h),
+    "inlimit": lambda cls, c, d_star, h: limit_emit(cls, c, F(1, 2), h),
+}
+
+
+@pytest.mark.parametrize("kind, cls, groups, d_star, history", [
+    # not a partition: the bare construction played {2: 1}
+    ("uniform", ALL_CLS, FiniteGroups([EVENS, ALL]), 1, [0]),
+    # not a cover: in-limit played {2: 1}, uniform failed on its masses
+    ("inlimit", ALL_CLS, FiniteGroups([EVENS]), None, [0]),
+    ("uniform", ALL_CLS, FiniteGroups([EVENS]), 1, [0]),
+    # an infinite class: the bare construction played the empirical one
+    ("uniform", TAILS, PARITY, 1, [0, 1]),
+    ("uniform", ALL_CLS, PARITY, 0, [0]),
+    # not naturals, first or last in the history
+    ("uniform", ALL_CLS, PARITY, 1, [True, 2]),
+    ("nonuniform", ALL_CLS, PARITY, None, [0, -1]),
+    ("inlimit", ALL_CLS, PARITY, None, [-3, 0]),
+    ("inlimit", ALL_CLS, PARITY, None, [1, False]),
+])
+def test_a_pure_emit_refuses_what_its_session_refuses(kind, cls, groups,
+                                                      d_star, history):
+    with pytest.raises(Exception) as want:
+        session = GeneratorSession(kind, cls, groups, F(1, 2), d_star=d_star)
+        for x in history:
+            session.step(x)
+    with pytest.raises(want.type) as got:
+        EMITS[kind](cls, groups, d_star, history)
+    assert type(got.value) is want.type
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", EMITS)
+def test_a_pure_emit_needs_a_nonempty_history(kind):
+    # the bare uniform and in-limit constructions failed on the empirical
+    # distribution of the empty prefix instead
+    with pytest.raises(ValueError) as e:
+        EMITS[kind](ALL_CLS, PARITY, 1 if kind == "uniform" else None, [])
+    assert str(e.value) == f"{kind} step needs a nonempty history"
 
 
 def test_session_nonuniform_matches_free_function():

@@ -12,8 +12,9 @@ denominator, as its `Fraction`-row predecessor in `oracles.py` on random
 histories, collections and alphas, and on fixed one- and no-candidate
 boundary cases.  A session of every kind,
 which re-emits its last output on a repeat that leaves the depth unchanged,
-emits what the pure construction emits on the history so far, step by step
-on streams with repeats; and the in-limit session selects the largest index
+emits what the pure `*_emit` replay and the one-shot construction in
+`oracles.py` emit on the history so far, step by step on streams with
+repeats; and the in-limit session selects the largest index
 that is critical and alpha-feasible by the definitions, or falls back to the
 empirical distribution when there is none.  The in-limit session, which
 keeps its candidates per support and filters its consistent indices with
@@ -35,7 +36,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from instances import feasibility_instances
-from oracles import ScanLimit, fraction_assemble_uniform, fraction_feasible
+from oracles import (ScanLimit, fraction_assemble_uniform, fraction_feasible,
+                     one_shot_limit, one_shot_nonuniform, one_shot_uniform)
 from repgen import generators
 from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
                                _limit, is_feasible, limit_emit,
@@ -316,6 +318,16 @@ def replay(kind, cls, groups, alpha, d_star, history):
     return limit_emit(cls, groups, alpha, history)
 
 
+def one_shot(kind, cls, groups, alpha, d_star, history):
+    if kind == "empirical":
+        return empirical(history)
+    if kind == "uniform":
+        return one_shot_uniform(cls, groups, alpha, d_star, history)
+    if kind == "nonuniform":
+        return one_shot_nonuniform(cls, groups, alpha, history)
+    return one_shot_limit(cls, groups, alpha, history)
+
+
 @settings(max_examples=300, deadline=None)
 @given(session_games())
 def test_a_session_equals_a_replay_on_streams_with_repeats(game):
@@ -324,8 +336,9 @@ def test_a_session_equals_a_replay_on_streams_with_repeats(game):
     for t in range(1, len(xs) + 1):
         history = xs[:t]
         mu = session.step(xs[t - 1])
-        assert mu.serialize() == replay(kind, cls, groups, alpha, d_star,
-                                        history).serialize(), history
+        game = kind, cls, groups, alpha, d_star, history
+        assert mu.serialize() == replay(*game).serialize() \
+            == one_shot(*game).serialize(), history
         fresh = StreamState(cls, groups, history)
         selected = _limit(fresh, alpha)[0] if kind == "inlimit" else None
         assert session.last_selected == selected, history

@@ -15,12 +15,12 @@ from pathlib import Path
 import pytest
 
 from repgen import generators
-from repgen.adversaries import MAX_STEPS
+from repgen.adversaries import MAX_QUERY_BUDGET, MAX_STEPS
 from repgen.cli import main
-from repgen.dimension import MAX_D
+from repgen.dimension import MAX_CHOICES, MAX_D
 from repgen.errors import InvariantViolation, ScenarioError
-from repgen.harness import (StepRecord, emit_trace, evaluate_asserts,
-                            parse_trace, run_game, trace_lines)
+from repgen.harness import (StepRecord, evaluate_asserts, parse_trace,
+                            run_game, trace_lines)
 from repgen.hypotheses import Hypothesis
 from repgen.measures import (GroupTally, empirical, format_fraction,
                              is_alpha_representative)
@@ -242,7 +242,7 @@ def test_trace_round_trip_and_stability(tmp_path):
     assert json.loads(lines[-1])["kind"] == "summary"
 
     p = tmp_path / "t.jsonl"
-    emit_trace(trace, str(p))
+    p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     text = p.read_text()
     rebuilt = parse_trace(text)
     assert trace_lines(rebuilt) == lines
@@ -678,6 +678,30 @@ def test_max_d_above_the_cap_is_rejected_before_any_search(
     assert '"all_representative":true' in capsys.readouterr().out
 
 
+def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
+    # groups of sizes 1, ..., 20 and a tail, no two alike: 2^20 choices of
+    # exhausted groups, once 16.9 s of search, are refused by count
+    members, start = [], 0
+    for size in range(1, 21):
+        members.append("finite:{%s}" % ",".join(
+            map(str, range(start, start + size))))
+        start += size
+    members.append(f"ap:{start},1,{{0}},{{}}")
+    path = _write_scenario(tmp_path, _doc(
+        groups={"members": members},
+        generator={"kind": "uniform", "alpha": "1/4"}))
+    refused = ("dimension search needs 1048576 choices of exhausted groups, "
+               f"above MAX_CHOICES = {MAX_CHOICES}")
+    start = time.perf_counter()
+    assert main(["gc-dim", path]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", f"error: {refused}\n")
+    assert main(["run", path]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: cannot derive d_star: {refused}; an explicit d_star "
+        "skips the search\n")
+
+
 def test_d_star_is_only_for_the_uniform_generator(tmp_path, capsys):
     # n01 used to run unchanged with a d_star that nothing read
     n01 = Path(__file__).parent / "scenarios" / "n01-nested3-exhausted-half.json"
@@ -799,6 +823,12 @@ def test_cli_adversary_refuses_overlong_games(capsys, monkeypatch):
                  "--generator", "query-then-emit"]) == 3
     assert f"steps must be <= {MAX_STEPS}, got 100000000" \
         in capsys.readouterr().err
+    for budget, text in ((-1, "must be >= 0, got -1"),
+                         (MAX_QUERY_BUDGET + 1, f"must be <= {MAX_QUERY_BUDGET}"
+                          f", got {MAX_QUERY_BUDGET + 1}")):
+        assert main(["adversary", "query", "--budget", str(budget),
+                     "--generator", "query-then-emit"]) == 3
+        assert capsys.readouterr() == ("", f"error: query budget {text}\n")
 
 
 def test_cli_adversary_gc_witness(tmp_path, capsys):

@@ -5,7 +5,8 @@ the standard library in `src/repgen/`.  Every function the per-layer tracer
 in `bench/spans.py` rebinds, and every `<repgen module>.<name>` that the
 workloads in `bench/workloads.py` read, still exists in the package, so a
 rename or a deletion cannot break `bench/run.py`.  The README's CLI
-examples print what the CLI prints.
+examples print what the CLI prints.  The pure `*_emit` generator functions
+name no construction and no `StreamState`: they replay through the session.
 
 The unused-import scan covers `src/repgen/`, `tests/` and `bench/`; it
 skips `src/repgen/__init__.py` because its imports are the package's public
@@ -105,9 +106,9 @@ def test_package_keeps_exact_and_dependency_free():
 SHAPES = {"FiniteGroups", "BlockPartition"}
 
 
-def shape_names(tree: ast.AST) -> set[str]:
-    """The group-collection class names a syntax tree mentions, as a name,
-    an attribute or an import."""
+def mentioned(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree mentions, as a name, an attribute or an
+    import."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -116,7 +117,12 @@ def shape_names(tree: ast.AST) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name for alias in node.names)
-    return found & SHAPES
+    return found
+
+
+def shape_names(tree: ast.AST) -> set[str]:
+    """The group-collection class names a syntax tree mentions."""
+    return mentioned(tree) & SHAPES
 
 
 def test_shape_names_are_detected():
@@ -139,6 +145,20 @@ def test_group_counting_never_asks_for_the_collection_shape():
     [state] = [node for node in generators.body
                if isinstance(node, ast.ClassDef) and node.name == "StreamState"]
     assert shape_names(state) == set()
+
+
+def test_pure_emits_replay_through_the_session():
+    """Each generator kind has one entry, its session: the pure emits
+    replay their history through it and never run a construction or build
+    a stream state themselves, so they cannot skip the session's checks."""
+    generators = ast.parse(
+        (ROOT / "src" / "repgen" / "generators.py").read_text())
+    emits = {node.name: node for node in generators.body
+             if isinstance(node, ast.FunctionDef) and node.name.endswith("_emit")}
+    assert sorted(emits) == ["limit_emit", "nonuniform_emit", "uniform_emit"]
+    second_entry = {"_uniform", "_nonuniform", "_limit", "StreamState"}
+    assert {name: mentioned(node) & second_entry
+            for name, node in emits.items()} == dict.fromkeys(emits, set())
 
 
 def unresolved(targets) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 
 from repgen import measures
 from repgen.dimension import check_witness
-from repgen.generators import GeneratorSession, uniform_emit
+from repgen.generators import GeneratorSession
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
@@ -129,16 +129,18 @@ def test_from_numerators_and_uniform_emission_build_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built on the integer path")
 
-    alpha = F(1, 2)
+    cls = HypothesisClass([Hypothesis("all", ALL)])
+    groups = FiniteGroups([from_finite([1]), from_finite([0]) | from_threshold(2)])
+    # set up before the patch: the session checks that alpha is a Fraction
+    session = GeneratorSession("uniform", cls, groups, F(1, 2), d_star=1)
     monkeypatch.setattr(measures, "Fraction", no_fraction)
     d = RationalDist.from_numerators({9: 4, 2: 8}, 12)
     assert d.serialize() == [[2, "2/3"], [9, "1/3"]]
     assert d == RationalDist.from_numerators({2: 2, 9: 1}, 3)
-    # a uniform step reads integer counts, not Fraction group weights; group
-    # 1 = {1} is exhausted and its weight moves whole onto 3
-    cls = HypothesisClass([Hypothesis("all", ALL)])
-    groups = FiniteGroups([from_finite([1]), from_finite([0]) | from_threshold(2)])
-    mu = uniform_emit(cls, groups, alpha, 1, [1, 0, 2])
+    # a uniform step reads integer counts, not Fraction group weights; after
+    # [1, 0, 2] group 1 = {1} is exhausted and its weight moves whole onto 3
+    for x in (1, 0, 2):
+        mu = session.step(x)
     assert mu.serialize() == [[3, "1/1"]]
 
 
