@@ -370,12 +370,13 @@ def query_adversary(generator, steps: int,
                 step=t, kind=INCONSISTENT, history=hist, distribution=mu,
                 element=y, reason="out-of-support"))
             continue
-        # remaining support: hyp == 1 and never enumerated -> grp == 2
-        pihat1 = st.group_one_fraction()
-        if 2 * pihat1 < 1:
+        # remaining support: hyp == 1 and never enumerated -> grp == 2; the
+        # enumeration holds t elements, group_one of them in group one
+        if 2 * st.group_one < t:
             raise InvariantViolation(
                 "group-one enumeration weight dropped below a half",
-                snapshot={"t": t, "fraction": str(pihat1)})
+                snapshot={"t": t, "fraction": str(st.group_one_fraction())})
+        pihat1 = st.group_one_fraction()
         # mu puts no mass on group one and all of it on group two, so the
         # distance is |0 - pihat1| = |1 - (1 - pihat1)| = pihat1
         reports.append(ViolationReport(

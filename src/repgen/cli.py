@@ -132,6 +132,9 @@ def _baseline_session_factory(name: str, element: int | None):
 
 
 def cmd_adversary(args) -> int:
+    if args.generator is None:  # each family plays its own default baseline
+        args.generator = ("query-then-emit" if args.family == "query"
+                          else "empirical")
     if args.generator == "constant" and args.element is None:
         raise ConfigError("--element is required for the constant baseline")
     if args.family == "geometric":
@@ -214,9 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--steps", type=int, default=20, help="query rounds")
     ad.add_argument("--budget", type=int, default=MAX_QUERY_BUDGET,
                     help=f"per-step query budget, at most {MAX_QUERY_BUDGET}")
-    ad.add_argument("--generator", default="empirical",
-                    help="baseline: empirical, inlimit, uniform-low, constant, "
-                         "query-then-emit, greedy")
+    ad.add_argument("--generator", default=None,
+                    help="baseline: empirical (default), inlimit, uniform-low "
+                         "or constant for geometric and gc-witness; "
+                         "query-then-emit (default), greedy or constant for "
+                         "query")
     ad.add_argument("--element", type=int, default=None,
                     help="fixed element for the constant baselines")
     ad.set_defaults(fn=cmd_adversary)

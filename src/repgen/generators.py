@@ -224,12 +224,14 @@ def _feasible(state: StreamState, h: Hypothesis,
         # holds.  One candidate: that row pins its mass to 1, so both
         # passes ask whether the point mass is within alpha of every
         # group, and an exact-pass success is the same witness.
-        if n:
-            (vec, elem), = candidates
-            if all(abs((den if vec[i - 1] else 0) - counts[i] * b) <= a * d
-                   for i in c.indices()):
-                return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
-        return None
+        if not n:
+            return None
+        (vec, elem), = candidates
+        cap = a * d
+        for i, inside in enumerate(vec, 1):
+            if abs((den if inside else 0) - counts[i] * b) > cap:
+                return None
+        return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
     # Distance-0 witnesses are preferred, so an exact-tracking system is
     # tried before the banded one.  A pass in which a group's lower end is
     # positive but no candidate covers it is skipped: its row is all zeros

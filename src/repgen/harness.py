@@ -5,7 +5,9 @@ every emitted distribution with the measure-level checkers only; none of the
 verification reuses the generator constructions, so a broken generator
 cannot vouch for itself.  The checks are incremental: the group distance
 comes from integer counts in a `GroupTally`, compared with the emitted
-distribution's integer masses over one common denominator, and the
+distribution's integer masses over one common denominator (a point
+mass through its element's owner groups, and a re-emitted distribution
+against an unchanged tally through the tally's kept last result), and the
 consistent class indices are a bitmask that each new element ANDs with the
 class's memoized `holding` mask, so a step costs the same however long the
 stream has run.  The alpha verdict and the summary's largest distance are

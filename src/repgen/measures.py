@@ -9,13 +9,16 @@ integer work.  The representativeness check is integer work too:
 `GroupTally.distance` compares a distribution's per-group numerators with
 the tally's per-group counts over the product of the two denominators and
 builds only the resulting `Fraction`, and `GroupTally.worst_group` names a
-group attaining it.  Which groups hold an element is the group collection's
-business (`mass_by_group`, `groups_containing`), so nothing here depends on
-the collection's shape.  `prefix_tally` remembers the tally of its last
-prefix, so checking the prefixes of one stream in order, as report
-verification does, counts each element once rather than once per prefix;
-when those prefixes are `PrefixView`s of one append-only list, neither the
-check nor the prefixes themselves copy the stream.
+group attaining it.  A point mass needs no per-group masses: its distance
+comes from the owner groups of its one element and the counts.  A tally
+keeps its last distance, so checking a re-emitted distribution against an
+unchanged tally costs one comparison.  Which groups hold an element is the
+group collection's business (`mass_by_group`, `groups_containing`), so
+nothing here depends on the collection's shape.  `prefix_tally` remembers
+the tally of its last prefix, so checking the prefixes of one stream in
+order, as report verification does, counts each element once rather than
+once per prefix; when those prefixes are `PrefixView`s of one append-only
+list, neither the check nor the prefixes themselves copy the stream.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, the group probabilities and the distance returned.
 `is_alpha_representative` decides distance <= alpha in integers, from the
@@ -215,14 +218,20 @@ class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
-    element at a time costs O(K) per new element and O(1) per repeat."""
+    element at a time costs O(K) per new element and O(1) per repeat.
+    `distance` keeps its last argument, distinct count and result: a tally
+    only grows, so an equal distinct count means equal counts, and asking
+    again for an equal distribution returns the kept result."""
 
-    __slots__ = ("groups", "seen", "counts")
+    __slots__ = ("groups", "seen", "counts", "_last")
 
     def __init__(self, c: GroupCollection):
         self.groups = c
         self.seen: set[int] = set()
         self.counts: dict[int, int] = c.mass_by_group((), ())
+        # (mu, distinct count, distance) of the last `distance` call
+        self._last: tuple[RationalDist | None, int, Fraction | None] = (
+            None, 0, None)
 
     def add(self, x: int) -> bool:
         """Record x; returns whether it was new."""
@@ -248,29 +257,49 @@ class GroupTally:
         """Sup distance between mu's group probabilities and the weights of
         the elements added so far, over every group either side touches.
         Both sides are integers over mu's denominator times the distinct
-        count, so the maximum is found in one integer loop and the only
-        `Fraction` built is the result."""
+        count, so the maximum is integer work and the only `Fraction` built
+        is the result.  A call with the last call's distinct count and a
+        distribution equal to its (by value) returns the last result.  A
+        point mass at x (den 1) skips `mass_by_group`: a group's gap is
+        d - count if it holds x and count if not, so an owner of x that the
+        tally never touched gives d."""
         d = len(self.seen)
+        last_mu, last_d, last = self._last
+        if d == last_d and (mu is last_mu or mu == last_mu):
+            return last
         if not d:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         den = mu._den
         counts = self.counts
-        masses = self.groups.mass_by_group(mu._xs, mu._nums)
         worst = 0
-        for i, m in masses.items():
-            gap = m * d - counts.get(i, 0) * den
-            if gap > worst:
-                worst = gap
-            elif -gap > worst:
-                worst = -gap
-        # groups the history touches and mu does not (blocks only; a finite
-        # collection's masses and counts both hold every group)
-        if not counts.keys() <= masses.keys():
-            for i in counts.keys() - masses.keys():
-                gap = counts[i] * den
+        if den == 1:
+            owners = self.groups.groups_containing(mu._xs[0])
+            # an owner the tally never touched (a block) has count 0
+            for i in owners:
+                gap = d - counts.get(i, 0)
                 if gap > worst:
                     worst = gap
-        return Fraction(worst, den * d)
+            for i, n in counts.items():
+                if n > worst and i not in owners:
+                    worst = n
+        else:
+            masses = self.groups.mass_by_group(mu._xs, mu._nums)
+            for i, m in masses.items():
+                gap = m * d - counts.get(i, 0) * den
+                if gap > worst:
+                    worst = gap
+                elif -gap > worst:
+                    worst = -gap
+            # groups the history touches and mu does not (blocks only; a
+            # finite collection's masses and counts both hold every group)
+            if not counts.keys() <= masses.keys():
+                for i in counts.keys() - masses.keys():
+                    gap = counts[i] * den
+                    if gap > worst:
+                        worst = gap
+        result = Fraction(worst, den * d)
+        self._last = (mu, d, result)
+        return result
 
     def worst_group(self, mu: RationalDist) -> int:
         """The smallest group index at which mu's group probability and the

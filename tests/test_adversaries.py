@@ -19,7 +19,7 @@ from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 gc_witness_adversary, geometric_adversary,
                                 query_adversary, verify_report)
 from repgen.dimension import gc_dimension
-from repgen.errors import ConfigError
+from repgen.errors import ConfigError, InvariantViolation
 from repgen.generators import GeneratorSession
 from repgen.groups import FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -307,6 +307,35 @@ def test_query_adversary_running_count_matches_recount(make, monkeypatch):
     monkeypatch.setattr(QueryAdversaryState, "group_one_fraction",
                         _recounted_fraction)
     assert query_adversary(make(), steps) == (reports, st)
+
+
+class LowersGroupOne:
+    """Sets the state's group-one count to `group_one` once the enumeration
+    reaches `at` elements, then plays a freshly queried element, which lies
+    in group two, so the adversary reaches its group-one invariant."""
+
+    def __init__(self, at, group_one):
+        self.at, self.group_one = at, group_one
+
+    def emit(self, prefix, oracle):
+        st = oracle._state
+        if len(prefix) == self.at:
+            st.group_one = self.group_one
+        x = st.next_fresh()
+        oracle.hyp_member(x)
+        return RationalDist.point(x)
+
+
+def test_query_invariant_is_decided_on_counts():
+    # Exactly half holds on every even round of a normal game; below half is
+    # an internal impossibility, reported with the `Fraction` snapshot.
+    with pytest.raises(InvariantViolation,
+                       match="dropped below a half") as caught:
+        query_adversary(LowersGroupOne(at=3, group_one=1), 3)
+    assert caught.value.snapshot == {"t": 3, "fraction": "1/3"}
+    with pytest.raises(InvariantViolation) as caught:
+        query_adversary(LowersGroupOne(at=1, group_one=0), 1)
+    assert caught.value.snapshot == {"t": 1, "fraction": "0"}
 
 
 class DeclaresOut:

@@ -83,3 +83,20 @@ def test_cli_rows_are_byte_stable(command, lines, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(command.split()) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("family,default", [
+    (["query", "--steps", "5"], "query-then-emit"),
+    (["geometric", "--depth", "2"], "empirical"),
+    (["gc-witness", f"{S}u05-singletons-twothirds.json"], "empirical"),
+])
+def test_adversary_plays_its_familys_default_baseline(family, default,
+                                                       capsys, monkeypatch):
+    """Without `--generator` each adversary family plays its own default,
+    byte for byte as when that baseline is named."""
+    monkeypatch.chdir(ROOT)
+    assert main(["adversary", *family]) == 0
+    implicit = capsys.readouterr()
+    assert main(["adversary", *family, "--generator", default]) == 0
+    assert capsys.readouterr() == implicit
+    assert implicit.err == ""

@@ -11,7 +11,11 @@ a list changed in place or as views of append-only lists.  `GroupTally.distance`
 equals the sup distance of the `Fraction` group probabilities on both
 collection shapes, `GroupTally.worst_group` is the smallest group attaining
 it, and `RationalDist.from_numerators` equals the `Fraction`
-mass constructor, errors included."""
+mass constructor, errors included.  Along a stream with repeats, `distance`
+equals both the `mass_by_group` reference and the `Fraction` sup distance
+for point masses (in touched and untouched blocks) and spread masses; an
+equal distribution against an unchanged tally returns the kept result, and
+a new element makes it count again."""
 
 from fractions import Fraction
 
@@ -20,7 +24,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import FractionRationalDist, induced_group_probs, sup_distance
+from oracles import (FractionRationalDist, induced_group_probs,
+                     mass_distance, sup_distance)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
                              group_empirical, is_alpha_representative)
@@ -304,3 +309,44 @@ def test_from_numerators_equals_fraction_masses(args):
         assert dist == RationalDist(masses)
         assert hash(dist) == hash(RationalDist(masses))
         assert_same(dist, FractionRationalDist(masses))
+
+
+# One step of a checked stream: add an element (often a repeat), or ask the
+# distance of a point mass (0..60: beyond the history's 0..40, so often in
+# an untouched block) or of a spread distribution.
+tally_moves = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 40)),
+    st.tuples(st.just("point"), st.integers(0, 60)),
+    st.tuples(st.just("spread"), mass_maps()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(collections, st.integers(0, 40),
+       st.lists(tally_moves, min_size=1, max_size=40))
+@example(BlockPartition(2), 0, [("point", 50), ("add", 1), ("point", 50)])
+@example(FiniteGroups([PeriodicSet(0, 2, {0}), PeriodicSet(0, 1, {0})]), 3,
+         [("point", 3), ("add", 3), ("point", 3), ("add", 5), ("point", 3)])
+def test_tally_distance_keeps_its_last_result_and_weighs_point_masses(
+        c, first, script):
+    tally = GroupTally(c)
+    tally.add(first)
+    last = None  # (distinct count, mu, result) of the previous question
+    for move, arg in script:
+        if move == "add":
+            tally.add(arg)
+            continue
+        mu = RationalDist.point(arg) if move == "point" else RationalDist(arg)
+        d = len(tally.seen)
+        got = tally.distance(mu)
+        assert type(got) is Fraction
+        assert got == mass_distance(tally, mu) == sup_distance(
+            induced_group_probs(mu, c), tally.weights())
+        if last is not None and last[:2] == (d, mu):
+            assert got is last[2]  # kept
+        elif last is not None:
+            assert got is not last[2]  # counted again
+        # an equal distribution, not the same object, gets the kept result
+        twin = RationalDist(dict(mu.items()))
+        assert twin is not mu and tally.distance(twin) is got
+        last = (d, mu, got)
