@@ -12,7 +12,14 @@ Three families:
                           query-based generators stay wrong forever
 
 Every report is re-checkable from its own fields; verify_report does so
-without consulting the adversary's internal state.
+without consulting the adversary's internal state.  An unrepresentative
+report is re-checked in integers: the history's `GroupTally.gap` against
+the report's distance, and that distance against alpha, cross-multiplied,
+so no `Fraction` is built.  The adversaries' own distance > alpha
+invariants are decided the same way, and a report's `Fraction` distance
+is built once, for the report.  `ViolationReport` is a frozen dataclass
+whose `__init__` stores its fields in one step, which matters to a game
+that builds a report per step.
 """
 
 from __future__ import annotations
@@ -70,6 +77,25 @@ class ViolationReport:
     pi_hat: Fraction | None = None   # empirical weight of that group
     checkpoint: int | None = None    # geometric block index
 
+    # The generated frozen __init__ stores each field with its own
+    # object.__setattr__ call; this one stores all of them at once, in field
+    # order.  Its signature must stay the fields' (names, order, defaults),
+    # which a test checks, and dataclass keeps an __init__ the class defines.
+    def __init__(self, step: int, kind: str, history: Sequence[int],
+                 distribution: RationalDist | None,
+                 alpha: Fraction | None = None, element: int | None = None,
+                 reason: str | None = None, hypothesis: str | None = None,
+                 continuation: tuple[int, ...] = (), group: int | None = None,
+                 distance: Fraction | None = None,
+                 pi_hat: Fraction | None = None,
+                 checkpoint: int | None = None):
+        object.__setattr__(self, "__dict__", {
+            "step": step, "kind": kind, "history": history,
+            "distribution": distribution, "alpha": alpha, "element": element,
+            "reason": reason, "hypothesis": hypothesis,
+            "continuation": continuation, "group": group,
+            "distance": distance, "pi_hat": pi_hat, "checkpoint": checkpoint})
+
 
 def verify_report(report: ViolationReport,
                   groups: GroupCollection | None = None,
@@ -90,7 +116,8 @@ def verify_report(report: ViolationReport,
             return support is not None and report.element not in support
         return False
     if report.kind == UNREPRESENTATIVE:
-        if groups is None or report.distance is None or report.alpha is None:
+        dist, alpha = report.distance, report.alpha
+        if groups is None or dist is None or alpha is None:
             return False
         tally = prefix_tally(report.history, groups)
         pi_hat = report.pi_hat
@@ -98,8 +125,11 @@ def verify_report(report: ViolationReport,
                 and pi_hat.numerator * len(tally.seen)
                 != tally.counts.get(report.group, 0) * pi_hat.denominator):
             return False
-        return (tally.distance(report.distribution) == report.distance
-                and report.distance > report.alpha)
+        # gap == distance > alpha, cross-multiplied in integers
+        num, den = tally.gap(report.distribution)
+        p, q = dist.numerator, dist.denominator
+        return (num * q == p * den
+                and p * alpha.denominator > alpha.numerator * q)
     return False
 
 
@@ -149,11 +179,13 @@ def gc_witness_adversary(make_session: Callable[[], object],
                                reason=reason, hypothesis=h.id,
                                continuation=cont)
     tally = prefix_tally(hist, c)
-    d = tally.distance(mu)
-    if d <= alpha:
+    num, den = tally.gap(mu)
+    if num * alpha.denominator <= alpha.numerator * den:
         raise InvariantViolation(
             "verified witness did not force the distance above alpha",
-            snapshot={"witness": hist, "mu": mu.serialize(), "distance": str(d)})
+            snapshot={"witness": hist, "mu": mu.serialize(),
+                      "distance": str(tally.distance(mu))})
+    d = tally.distance(mu)
     gstar = tally.worst_group(mu)
     pihat = Fraction(tally.counts.get(gstar, 0), len(tally.seen))
     return ViolationReport(step=t, kind=UNREPRESENTATIVE, history=hist,
@@ -217,14 +249,15 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
                 alpha=alpha, element=seen_mass[0], reason="already-seen",
                 checkpoint=i, pi_hat=pihat_i))
             continue
-        d = tally.distance(mu)
-        if d <= alpha:
+        num, den = tally.gap(mu)
+        if num * alpha.denominator <= alpha.numerator * den:
             raise InvariantViolation(
                 "exhausted block did not force the distance above alpha",
                 snapshot={"t": t, "block": i, "mu": mu.serialize()})
         reports.append(ViolationReport(
             step=t, kind=UNREPRESENTATIVE, history=hist, distribution=mu,
-            alpha=alpha, group=i, distance=d, pi_hat=pihat_i, checkpoint=i))
+            alpha=alpha, group=i, distance=tally.distance(mu),
+            pi_hat=pihat_i, checkpoint=i))
     return reports
 
 
@@ -352,23 +385,29 @@ def query_adversary(generator, steps: int,
         if not isinstance(mu, RationalDist):
             raise ConfigError(
                 f"query generator returned {type(mu).__name__}, expected RationalDist")
-        bad = sorted(y for y in mu.support()
-                     if st.hyp.get(y) == 0 or y in seen)
-        if bad:
-            y = bad[0]
-            reason = "already-seen" if y in seen else "out-of-support"
+        # the support is sorted: its least declared-out or enumerated
+        # element is inconsistent, else its least never-queried one
+        hyp = st.hyp
+        bad = fresh = None
+        for y in mu.support():
+            h = hyp.get(y)
+            if h == 0 or y in seen:
+                bad = y
+                break
+            if h is None and fresh is None:
+                fresh = y
+        if bad is not None:
+            reason = "already-seen" if bad in seen else "out-of-support"
             reports.append(ViolationReport(
                 step=t, kind=INCONSISTENT, history=hist, distribution=mu,
-                element=y, reason=reason))
+                element=bad, reason=reason))
             continue
-        fresh = sorted(y for y in mu.support() if y not in st.hyp)
-        if fresh:
-            y = fresh[0]
-            st.hyp[y] = 0
-            st.grp[y] = 2
+        if fresh is not None:
+            hyp[fresh] = 0
+            st.grp[fresh] = 2
             reports.append(ViolationReport(
                 step=t, kind=INCONSISTENT, history=hist, distribution=mu,
-                element=y, reason="out-of-support"))
+                element=fresh, reason="out-of-support"))
             continue
         # remaining support: hyp == 1 and never enumerated -> grp == 2; the
         # enumeration holds t elements, group_one of them in group one

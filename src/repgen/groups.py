@@ -3,12 +3,13 @@
 Two shapes are supported: a finite, possibly overlapping family of periodic
 sets, and an infinite partition into consecutive finite blocks whose sizes
 follow an explicit list with a geometric tail.  Group indices are 1-based.
-Both shapes share `group(i)` (a `PeriodicSet`), `groups_containing(x)`,
-`mass_by_group(xs, weights)` (total weight per group: every group of a
-finite family, the touched blocks of a partition), `members_in(s, part)`
-(the members of a set inside a group or cell, in increasing order) and
-`validate()`, so callers that count, weigh or enumerate elements never ask
-which shape they hold.
+Both shapes share `group(i)` (a `PeriodicSet`), `owners(x)` (the indices
+of the groups that hold x, as a tuple the collection may keep and share),
+its list copy `groups_containing(x)`, `mass_by_group(xs, weights)` (total
+weight per group: every group of a finite family, the touched blocks of a
+partition), `members_in(s, part)` (the members of a set inside a group or
+cell, in increasing order) and `validate()`, so callers that count, weigh
+or enumerate elements never ask which shape they hold.
 Membership in a finite family is itself ultimately periodic: with T the
 largest threshold and M the lcm of the moduli, x >= T holds the same groups
 as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
@@ -78,10 +79,10 @@ class FiniteGroups:
             self._report = ValidationReport(covers, partition)
         return self._report
 
-    def _owners(self, x: int) -> tuple[int, ...]:
+    def owners(self, x: int) -> tuple[int, ...]:
         """The indices of the groups that hold the natural x, decided once
         per membership class: x itself below T, T + (x - T) mod M from T
-        on."""
+        on.  The tuple is the memo's own, shared by every x of the class."""
         t = self._t
         key = x if x < t else t + (x - t) % self._m
         owners = self._owners_memo.get(key)
@@ -91,7 +92,7 @@ class FiniteGroups:
         return owners
 
     def groups_containing(self, x: int) -> list[int]:
-        return list(self._owners(x))
+        return list(self.owners(x))
 
     def mass_by_group(self, xs: Collection[int],
                       weights: Iterable[int]) -> dict[int, int]:
@@ -99,7 +100,7 @@ class FiniteGroups:
         read once, in step: collections, or an endless `repeat` of
         weights."""
         sums = dict.fromkeys(range(1, len(self._groups) + 1), 0)
-        owners = self._owners
+        owners = self.owners
         for x, w in zip(xs, weights):
             for i in owners(x):
                 sums[i] += w
@@ -181,6 +182,9 @@ class BlockPartition:
         while bounds[-1] <= x:
             self._extend_bounds(len(bounds))
         return bisect_right(bounds, x)
+
+    def owners(self, x: int) -> tuple[int, ...]:
+        return (self.group_index(x),)
 
     def groups_containing(self, x: int) -> list[int]:
         return [self.group_index(x)]

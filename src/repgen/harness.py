@@ -11,8 +11,10 @@ against an unchanged tally through the tally's kept last result), and the
 consistent class indices are a bitmask that each new element ANDs with the
 class's memoized `holding` mask, so a step costs the same however long the
 stream has run.  The alpha verdict and the summary's largest distance are
-decided by cross-multiplying integers, the largest kept as a running
-numerator and denominator, and each step is a `StepRecord` named tuple.
+decided by cross-multiplying the tally's integer gap, the largest kept as a
+running numerator and denominator; the step's `Fraction` distance, which
+the record keeps, is the one `Fraction` a step check builds (none when the
+tally's kept result applies).  Each step is a `StepRecord` named tuple.
 Traces serialize to JSON lines with sorted keys and fixed separators, making
 reruns byte-comparable.  `_dump` is the one encoder for every row repgen
 prints: rows hold records' exact values as they are, and it writes each
@@ -80,8 +82,8 @@ def run_game(scenario: Scenario) -> GameTrace:
                 "instead of a distribution")
         if tally.add(x):
             consistent &= holding(x)
+        num, den = tally.gap(mu)
         dist = tally.distance(mu)
-        num, den = dist.numerator, dist.denominator
         if num * top_den > top_num * den:
             top, top_num, top_den = dist, num, den
         ys = mu.support()

@@ -6,15 +6,18 @@ distribution is integers over one common denominator: one positive numerator
 per support element and the least denominator they share, so building a
 distribution from integer numerators and summing masses per group are
 integer work.  The representativeness check is integer work too:
-`GroupTally.distance` compares a distribution's per-group numerators with
-the tally's per-group counts over the product of the two denominators and
-builds only the resulting `Fraction`, and `GroupTally.worst_group` names a
-group attaining it.  A point mass needs no per-group masses: its distance
-comes from the owner groups of its one element and the counts.  A tally
-keeps its last distance, so checking a re-emitted distribution against an
-unchanged tally costs one comparison.  Which groups hold an element is the
-group collection's business (`mass_by_group`, `groups_containing`), so
-nothing here depends on the collection's shape.  `prefix_tally` remembers
+`GroupTally.gap` compares a distribution's per-group numerators with the
+tally's per-group counts over the product of the two denominators and
+returns the largest difference as an integer numerator and denominator, so
+a verdict against alpha is one cross-multiplication.  `GroupTally.distance`
+is the `Fraction` view of that gap, built only where a caller keeps or
+returns it, and `GroupTally.worst_group` names a group attaining it.  A
+point mass needs no per-group masses: its gap comes from the owner groups
+of its one element and the counts.  A tally keeps its last gap and that
+gap's `Fraction` once built, so checking a re-emitted distribution against
+an unchanged tally costs one comparison.  Which groups hold an element is
+the group collection's business (`mass_by_group`, `owners`), so nothing
+here depends on the collection's shape.  `prefix_tally` remembers
 the tally of its last prefix, so checking the prefixes of one stream in
 order, as report verification does, counts each element once rather than
 once per prefix; when those prefixes are `PrefixView`s of one append-only
@@ -22,7 +25,8 @@ list, neither the check nor the prefixes themselves copy the stream.
 `fractions.Fraction` appears only at the interface: masses passed in,
 `items()`, the group probabilities and the distance returned.
 `is_alpha_representative` decides distance <= alpha in integers, from the
-two numerators and denominators.
+gap and alpha's numerator and denominator, and so does `check_alpha` its
+[0, 1] range.
 """
 
 from __future__ import annotations
@@ -219,9 +223,10 @@ class GroupTally:
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
     element at a time costs O(K) per new element and O(1) per repeat.
-    `distance` keeps its last argument, distinct count and result: a tally
-    only grows, so an equal distinct count means equal counts, and asking
-    again for an equal distribution returns the kept result."""
+    `gap` keeps its last argument, distinct count and result, and
+    `distance` the `Fraction` view of that result once asked: a tally only
+    grows, so an equal distinct count means equal counts, and asking again
+    for an equal distribution returns the kept result."""
 
     __slots__ = ("groups", "seen", "counts", "_last")
 
@@ -229,9 +234,9 @@ class GroupTally:
         self.groups = c
         self.seen: set[int] = set()
         self.counts: dict[int, int] = c.mass_by_group((), ())
-        # (mu, distinct count, distance) of the last `distance` call
-        self._last: tuple[RationalDist | None, int, Fraction | None] = (
-            None, 0, None)
+        # (mu, distinct count, gap, distance or None) of the last `gap` call
+        self._last: tuple[RationalDist | None, int, tuple[int, int] | None,
+                          Fraction | None] = (None, 0, None, None)
 
     def add(self, x: int) -> bool:
         """Record x; returns whether it was new."""
@@ -241,7 +246,7 @@ class GroupTally:
             raise ValueError(f"elements must be naturals, got {x!r}")
         self.seen.add(x)
         counts = self.counts
-        for i in self.groups.groups_containing(x):
+        for i in self.groups.owners(x):
             counts[i] = counts.get(i, 0) + 1
         return True
 
@@ -253,27 +258,28 @@ class GroupTally:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         return {i: Fraction(n, d) for i, n in self.counts.items()}
 
-    def distance(self, mu: RationalDist) -> Fraction:
+    def gap(self, mu: RationalDist) -> tuple[int, int]:
         """Sup distance between mu's group probabilities and the weights of
-        the elements added so far, over every group either side touches.
-        Both sides are integers over mu's denominator times the distinct
-        count, so the maximum is integer work and the only `Fraction` built
-        is the result.  A call with the last call's distinct count and a
-        distribution equal to its (by value) returns the last result.  A
+        the elements added so far, over every group either side touches, as
+        an integer numerator over mu's denominator times the distinct count
+        (not reduced).  Both sides are integers over that denominator, so
+        the maximum is integer work and a caller decides against it by
+        cross-multiplying.  A call with the last call's distinct count and
+        a distribution equal to its (by value) returns the last result.  A
         point mass at x (den 1) skips `mass_by_group`: a group's gap is
         d - count if it holds x and count if not, so an owner of x that the
         tally never touched gives d."""
         d = len(self.seen)
-        last_mu, last_d, last = self._last
-        if d == last_d and (mu is last_mu or mu == last_mu):
-            return last
+        last = self._last
+        if d == last[1] and (mu is last[0] or mu == last[0]):
+            return last[2]
         if not d:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         den = mu._den
         counts = self.counts
         worst = 0
         if den == 1:
-            owners = self.groups.groups_containing(mu._xs[0])
+            owners = self.groups.owners(mu._xs[0])
             # an owner the tally never touched (a block) has count 0
             for i in owners:
                 gap = d - counts.get(i, 0)
@@ -297,9 +303,21 @@ class GroupTally:
                     gap = counts[i] * den
                     if gap > worst:
                         worst = gap
-        result = Fraction(worst, den * d)
-        self._last = (mu, d, result)
+        result = (worst, den * d)
+        self._last = (mu, d, result, None)
         return result
+
+    def distance(self, mu: RationalDist) -> Fraction:
+        """`gap(mu)` as a reduced `Fraction`, built at most once per kept
+        result: asking again for an equal distribution against the same
+        distinct count returns the same object."""
+        num, den = self.gap(mu)
+        last = self._last
+        if last[3] is None:
+            result = Fraction(num, den)
+            self._last = (last[0], last[1], last[2], result)
+            return result
+        return last[3]
 
     def worst_group(self, mu: RationalDist) -> int:
         """The smallest group index at which mu's group probability and the
@@ -379,19 +397,22 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
                             ) -> tuple[bool, Fraction]:
     """Exact check that mu's group probabilities track the prefix's empirical
     ones to within alpha in sup distance.  Returns (verdict, distance)."""
-    d = prefix_tally(prefix, c).distance(mu)
-    # d <= alpha in integers (an int alpha has denominator 1)
-    return d.numerator * alpha.denominator <= alpha.numerator * d.denominator, d
+    tally = prefix_tally(prefix, c)
+    num, den = tally.gap(mu)
+    # gap <= alpha in integers (an int alpha has denominator 1)
+    return (num * alpha.denominator <= alpha.numerator * den,
+            tally.distance(mu))
 
 
 def check_alpha(alpha: Fraction) -> None:
-    """Reject an alpha that is not an int or a Fraction (TypeError), so that
-    no float reaches an exact verdict, or that lies outside [0, 1]
-    (ConfigError)."""
-    if not isinstance(alpha, (int, Fraction)):
+    """Reject an alpha that is not an int or a Fraction, or is a bool
+    (TypeError), so that no float or truth value reaches an exact verdict,
+    or that lies outside [0, 1] (ConfigError)."""
+    if type(alpha) is bool or not isinstance(alpha, (int, Fraction)):
         raise TypeError(f"alpha must be an int or Fraction, got "
                         f"{type(alpha).__name__} {alpha!r}")
-    if not 0 <= alpha <= 1:
+    # 0 <= p/q <= 1 with q > 0
+    if not 0 <= alpha.numerator <= alpha.denominator:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
 
 

@@ -3,6 +3,8 @@ block stream, and the membership-query protocol, with report verification."""
 
 import dataclasses
 import gc
+import inspect
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -219,6 +221,32 @@ def test_query_adversary_vs_query_free_constant():
     reports2, _ = query_adversary(ConstantQueryFree(0), 40)
     assert all(r.kind == INCONSISTENT for r in reports2)
     assert reports2[0].reason == "already-seen"
+
+
+class ScriptedQueryFree:
+    """Ignores the oracle and plays a fixed distribution per round."""
+
+    def __init__(self, mus):
+        self.mus = iter(mus)
+
+    def emit(self, prefix, oracle):
+        return next(self.mus)
+
+
+def test_query_adversary_reports_the_least_offender():
+    # round 1: 6 and 8 were never queried; the least, 6, is declared out and
+    # 8 stays undecided.  Round 2: 6 is now out and outranks the smaller
+    # never-queried 3, which stays undecided too.  Round 3: of the two
+    # offenders, enumerated 0 and declared-out 6, the least is reported
+    mus = [RationalDist.uniform([8, 6]), RationalDist.uniform([6, 3]),
+           RationalDist.uniform([6, 0])]
+    reports, st = query_adversary(ScriptedQueryFree(mus), 3)
+    assert [(r.element, r.reason) for r in reports] == [
+        (6, "out-of-support"), (6, "out-of-support"), (0, "already-seen")]
+    assert st.hyp[6] == 0 and st.grp[6] == 2
+    assert 8 not in st.hyp and 3 not in st.hyp
+    support = ALL - from_finite([6])
+    assert all(verify_report(r, support=support) for r in reports)
 
 
 def test_query_adversary_budget():
@@ -440,9 +468,8 @@ def test_query_budget_is_bounded():
 def test_verifying_a_query_game_counts_each_element_once():
     """Verifying a game's reports in order hands the group collection about
     one new element per report, not each report's whole history: the tally
-    places each new element through `groups_containing`, and the distance
-    weighs each report's one-element distribution through
-    `mass_by_group`."""
+    places each new element through `owners`, and the distance weighs each
+    report's one-element distribution through `owners` too."""
     steps = 600
     reports, st = query_adversary(QueryThenEmit(), steps)
     group_one = from_finite(x for x, g in st.grp.items() if g == 1)
@@ -450,7 +477,7 @@ def test_verifying_a_query_game_counts_each_element_once():
     support = ALL - from_finite(x for x, h in st.hyp.items() if h == 0)
     counted = 0
     mass_by_group = groups.mass_by_group
-    groups_containing = groups.groups_containing
+    owners = groups.owners
 
     def counting(xs, weights):
         nonlocal counted
@@ -460,14 +487,115 @@ def test_verifying_a_query_game_counts_each_element_once():
     def placing(x):
         nonlocal counted
         counted += 1
-        return groups_containing(x)
+        return owners(x)
 
     groups.mass_by_group = counting
-    groups.groups_containing = placing
+    groups.owners = placing
     for r in reports:
         r = dataclasses.replace(r, alpha=F(1, 3))
         assert verify_report(r, groups=groups, support=support)
-    assert counted <= 2 * steps
+    assert steps <= counted <= 2 * steps
+
+
+def test_verifying_a_query_game_builds_no_fraction(monkeypatch):
+    # an unrepresentative verdict is decided on integers: the tally's gap
+    # against the report's distance, and that distance against alpha
+    reports, st = query_adversary(QueryThenEmit(), 600)
+    group_one = from_finite(x for x, g in st.grp.items() if g == 1)
+    groups = FiniteGroups([group_one, ALL - group_one])
+    support = ALL - from_finite(x for x, h in st.hyp.items() if h == 0)
+    reports = [dataclasses.replace(r, alpha=F(1, 3)) for r in reports]
+    assert any(r.kind == UNREPRESENTATIVE for r in reports)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert all(verify_report(r, groups=groups, support=support)
+               for r in reports)
+    monkeypatch.undo()
+    assert built == []
+
+
+def _stored_field_by_field(**values):
+    """A report built as the generated frozen __init__ builds one: one
+    object.__setattr__ per field, in field order, defaults filled in."""
+    r = object.__new__(ViolationReport)
+    for f in dataclasses.fields(ViolationReport):
+        object.__setattr__(r, f.name, values.get(f.name, f.default))
+    return r
+
+
+def _sample_reports():
+    reports, _ = query_adversary(QueryThenEmit(), 12)
+    reports += query_adversary(ConstantQueryFree(7), 2)[0]
+    reports += geometric_adversary(
+        lambda cls, groups, alpha: ConstantSession(10 ** 9), F(1, 2), 3)
+    reports += geometric_adversary(
+        lambda cls, groups, alpha: GeneratorSession("empirical", cls,
+                                                    groups, alpha),
+        F(2, 3), 2)
+    reports.append(gc_witness_adversary(
+        lambda: ConstantSession(0), ALL_CLS, ZERO_REST, F(1, 2), (0,)))
+    reports.append(ViolationReport(step=1, kind=BUDGET_EXCEEDED,
+                                   history=(0,), distribution=None))
+    return reports
+
+
+def test_report_init_stores_fields_as_the_generated_init_does():
+    names = [f.name for f in dataclasses.fields(ViolationReport)]
+    kinds = set()
+    for r in _sample_reports():
+        kinds.add((r.kind, r.reason))
+        values = {n: getattr(r, n) for n in names}
+        twin = _stored_field_by_field(**values)
+        assert list(vars(r)) == list(vars(twin)) == names
+        assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+        assert dataclasses.asdict(r) == dataclasses.asdict(twin)
+        assert dataclasses.astuple(r) == dataclasses.astuple(twin)
+        assert pickle.dumps(r) == pickle.dumps(twin)
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r) and vars(back) == vars(r)
+        for change in ({"alpha": F(1, 3)}, {"history": tuple(r.history)},
+                       {"checkpoint": 7}):
+            assert dataclasses.replace(r, **change) == \
+                dataclasses.replace(twin, **change)
+            assert dataclasses.replace(r, **change) == \
+                _stored_field_by_field(**{**values, **change})
+        # positional arguments fill the fields in order
+        assert ViolationReport(*values.values()) == r
+        for name in ("step", "distance", "history"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, name)
+        assert vars(r) == values
+    assert kinds == {(INCONSISTENT, "already-seen"),
+                     (INCONSISTENT, "out-of-support"),
+                     (UNREPRESENTATIVE, None), (BUDGET_EXCEEDED, None)}
+
+
+def test_report_init_signature_is_the_fields():
+    # the hand-written __init__ must take every field, in order, with its
+    # default: a field added later and left out of it fails here
+    params = list(inspect.signature(ViolationReport.__init__).parameters.values())
+    assert params[0].name == "self"
+    fields = dataclasses.fields(ViolationReport)
+    assert [p.name for p in params[1:]] == [f.name for f in fields]
+    for p, f in zip(params[1:], fields):
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert f.default_factory is dataclasses.MISSING
+        assert p.default == (inspect.Parameter.empty
+                             if f.default is dataclasses.MISSING
+                             else f.default), f.name
+    # defaults alone fill in the optional fields
+    r = ViolationReport(1, INCONSISTENT, (0,), RationalDist.point(0))
+    assert r == _stored_field_by_field(step=1, kind=INCONSISTENT,
+                                       history=(0,),
+                                       distribution=RationalDist.point(0))
 
 
 def test_query_reports_share_one_history():

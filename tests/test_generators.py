@@ -176,6 +176,8 @@ ALPHA_ENTRIES = {
 @pytest.mark.parametrize("entry", ALPHA_ENTRIES)
 @pytest.mark.parametrize("alpha, error, text", [
     (0.5, TypeError, "alpha must be an int or Fraction, got float 0.5"),
+    # a bool is an int, but no exact alpha
+    (True, TypeError, "alpha must be an int or Fraction, got bool True"),
     (F(3, 2), ConfigError, "alpha must be in [0, 1], got 3/2"),
     (-1, ConfigError, "alpha must be in [0, 1], got -1"),
 ])

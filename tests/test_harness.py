@@ -22,8 +22,8 @@ from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (StepRecord, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
 from repgen.hypotheses import Hypothesis
-from repgen.measures import (GroupTally, empirical, format_fraction,
-                             is_alpha_representative)
+from repgen.measures import (GroupTally, RationalDist, empirical,
+                             format_fraction, is_alpha_representative)
 from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
@@ -301,6 +301,50 @@ def test_mutated_session_is_flagged(monkeypatch):
                         lambda sc: _BrokenSession())
     with pytest.raises(InvariantViolation):
         run_game(s)
+
+
+class _ReplaySession:
+    """Plays a fixed list of distributions, noting how many Fractions were
+    built before each step: the difference between two marks is what the
+    step check in between built."""
+    last_selected = None
+
+    def __init__(self, mus, built, marks):
+        self.mus, self.built, self.marks = iter(mus), built, marks
+
+    def step(self, x):
+        self.marks.append(len(self.built))
+        return next(self.mus)
+
+
+def test_a_step_check_builds_one_fraction(monkeypatch):
+    # the alpha verdict and the running maximum are decided on the tally's
+    # integer gap; the record's distance is the one Fraction a step check
+    # builds, and a re-emitted distribution against an unchanged tally
+    # reuses the last one
+    s = _with_stream(parse_scenario(_doc(asserts={})), [0, 0, 2, 2, 2, 4])
+    p5, spread = RationalDist.point(5), RationalDist.uniform([5, 7])
+    mus = [p5, p5, p5, spread, RationalDist.uniform([5, 7]), p5]
+    built, marks = [], []
+    monkeypatch.setattr("repgen.harness.build_session",
+                        lambda sc: _ReplaySession(mus, built, marks))
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    trace = run_game(s)
+    marks.append(len(built))
+    monkeypatch.undo()
+    per_step = [b - a for a, b in zip(marks, marks[1:])]
+    # new element, repeat re-emitting, new element, new distribution,
+    # repeat re-emitting an equal one, new distribution
+    assert per_step == [1, 0, 1, 1, 0, 1]
+    assert trace.steps[4].distance is trace.steps[3].distance
+    assert [rec.distance for rec in trace.steps] == [
+        F(1), F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 3)]
 
 
 def test_mass_on_seen_marks_inconsistent():

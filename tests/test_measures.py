@@ -416,16 +416,16 @@ def test_prefix_view_reads_as_the_tuple_of_its_items():
 def _counting_groups():
     """A fresh two-group collection, so no remembered tally applies, and the
     elements it is asked to place, in order: `GroupTally.add` places each
-    new element once."""
+    new element once, through `owners`."""
     c = FiniteGroups([EVENS, ODDS])
     placed = []
-    groups_containing = c.groups_containing
+    owners = c.owners
 
     def counting(x):
         placed.append(x)
-        return groups_containing(x)
+        return owners(x)
 
-    c.groups_containing = counting
+    c.owners = counting
     return c, placed
 
 
