@@ -97,6 +97,17 @@ class ViolationReport:
             "distance": distance, "pi_hat": pi_hat, "checkpoint": checkpoint})
 
 
+def _check_count(name: str, n: int, lo: int, hi: int | None = None) -> None:
+    """Refuse a count that is not an int, a bool included (TypeError: True
+    is not 1), or that lies outside [lo, hi] (ConfigError)."""
+    if type(n) is not int:
+        raise TypeError(f"{name} must be an int, got {type(n).__name__} {n!r}")
+    if n < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {n}")
+
+
 def verify_report(report: ViolationReport,
                   groups: GroupCollection | None = None,
                   support: PeriodicSet | None = None) -> bool:
@@ -158,9 +169,11 @@ def gc_witness_adversary(make_session: Callable[[], object],
     hist = tuple(witness)
     closure = cls.closure(witness)
     assert closure is not None  # witness verification guarantees this
-    seen = set(hist)
+    tally = GroupTally(c)
+    for x in hist:
+        tally.add(x)
     offenders = sorted(x for x in mu.support()
-                       if x not in closure or x in seen)
+                       if x not in closure or x in tally.seen)
     if offenders:
         x = offenders[0]
         consistent = cls.consistent_indices(witness)
@@ -172,20 +185,19 @@ def gc_witness_adversary(make_session: Callable[[], object],
             h = next(cls.get(i) for i in consistent
                      if x not in cls.get(i).support)
             reason = "out-of-support"
-        unseen = (y for y in h.support.members() if y not in seen)
+        unseen = (y for y in h.support.members() if y not in tally.seen)
         cont = tuple(islice(unseen, 3))
         return ViolationReport(step=t, kind=INCONSISTENT, history=hist,
                                distribution=mu, alpha=alpha, element=x,
                                reason=reason, hypothesis=h.id,
                                continuation=cont)
-    tally = prefix_tally(hist, c)
     num, den = tally.gap(mu)
+    d = Fraction(num, den)
     if num * alpha.denominator <= alpha.numerator * den:
         raise InvariantViolation(
             "verified witness did not force the distance above alpha",
             snapshot={"witness": hist, "mu": mu.serialize(),
-                      "distance": str(tally.distance(mu))})
-    d = tally.distance(mu)
+                      "distance": str(d)})
     gstar = tally.worst_group(mu)
     pihat = Fraction(tally.counts.get(gstar, 0), len(tally.seen))
     return ViolationReport(step=t, kind=UNREPRESENTATIVE, history=hist,
@@ -217,8 +229,7 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
             f"geometric adversary needs 1/(1-alpha) to be an integer >= 2, "
             f"got {b_frac} (alpha={alpha})")
     b = int(b_frac)
-    if depth < 1:
-        raise ConfigError(f"depth must be >= 1, got {depth}")
+    _check_count("depth", depth, 1)
     groups = BlockPartition(base=b, prefix_sizes=(b,))
     for i in range(1, depth + 1):  # b >= 2: stops by i = log2(MAX_STEPS)
         if groups.block_range(i)[1] > MAX_STEPS:
@@ -256,7 +267,7 @@ def geometric_adversary(make_session: Callable[[HypothesisClass, BlockPartition,
                 snapshot={"t": t, "block": i, "mu": mu.serialize()})
         reports.append(ViolationReport(
             step=t, kind=UNREPRESENTATIVE, history=hist, distribution=mu,
-            alpha=alpha, group=i, distance=tally.distance(mu),
+            alpha=alpha, group=i, distance=Fraction(num, den),
             pi_hat=pihat_i, checkpoint=i))
     return reports
 
@@ -351,15 +362,8 @@ def query_adversary(generator, steps: int,
     reports share one history list.  At most MAX_STEPS rounds, and at most
     MAX_QUERY_BUDGET queries per round.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if steps > MAX_STEPS:
-        raise ConfigError(f"steps must be <= {MAX_STEPS}, got {steps}")
-    if query_budget < 0:
-        raise ConfigError(f"query budget must be >= 0, got {query_budget}")
-    if query_budget > MAX_QUERY_BUDGET:
-        raise ConfigError(f"query budget must be <= {MAX_QUERY_BUDGET}, "
-                          f"got {query_budget}")
+    _check_count("steps", steps, 1, MAX_STEPS)
+    _check_count("query budget", query_budget, 0, MAX_QUERY_BUDGET)
     st = QueryAdversaryState()
     reports: list[ViolationReport] = []
     seen: set[int] = set()  # the enumeration's elements

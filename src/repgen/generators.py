@@ -47,11 +47,9 @@ class StreamState:
     give the empirical distribution without sorting the history again; the
     consistent class indices (checked lazily up to the largest index asked
     for), kept beside their bitmask so that a new element filters them with
-    one AND of the class's `holding` mask; smallest-unseen cursors keyed by
-    (set, part), each walking `set & part` forward only, since the seen set
-    only grows; and, per support, the kept in-limit candidates: one cursor
-    per cell that still holds an unseen support element, in `cells()` order,
-    so that a new element moves only the cursor standing on it."""
+    one AND of the class's `holding` mask; and smallest-unseen cursors keyed
+    by (set, part), each walking `set & part` forward only, since the seen
+    set only grows."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -64,9 +62,6 @@ class StreamState:
         self._mask = 0  # bit i - 1 for each index i in `consistent`
         self.checked = 0  # class indices checked for consistency so far
         self._cursors: dict[tuple, list] = {}
-        # support -> [distinct count when last advanced (-1 before the
-        # first), live cursors [vec, members, elem], their (vec, elem) pairs]
-        self._kept: dict[PeriodicSet, list] = {}
         for x in history:
             self.add(x)
 
@@ -129,38 +124,6 @@ class StreamState:
             cursor[1] = next(cursor[0], None)
         return cursor[1]
 
-    def candidates(self, s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
-        """The cells of a finite collection that hold an unseen element of s,
-        in `cells()` order, each with the smallest such element.  The cells
-        are walked once per support, and the first refresh drops those that
-        s misses; after that only the cursors whose element has been seen
-        move, and a cell leaves the list when its cursor runs out."""
-        seen = self.tally.seen
-        kept = self._kept.get(s)
-        if kept is None:
-            cursors = []
-            for vec, _ in self.groups.cells():
-                members = self.groups.members_in(s, vec)
-                cursors.append([vec, members, next(members, None)])
-            kept = self._kept[s] = [-1, cursors, None]
-        if kept[0] != len(seen):
-            kept[0] = len(seen)
-            cursors = kept[1]
-            moved = kept[2] is None
-            for cursor in cursors:
-                elem = cursor[2]
-                if elem in seen:
-                    moved = True
-                    members = cursor[1]
-                    while elem is not None and elem in seen:
-                        elem = next(members, None)
-                    cursor[2] = elem
-            if moved:
-                cursors[:] = [cursor for cursor in cursors
-                              if cursor[2] is not None]
-                kept[2] = [(vec, elem) for vec, _, elem in cursors]
-        return kept[2]
-
 
 # -- feasibility -------------------------------------------------------------
 
@@ -209,7 +172,8 @@ def _feasible(state: StreamState, h: Hypothesis,
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)
-    candidates = state.candidates(h.support)
+    candidates = [(vec, elem) for vec, _ in c.cells()
+                  if (elem := state.unseen(h.support, vec)) is not None]
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
     # mass must land within [pihat - alpha, pihat + alpha].  With d
     # distinct elements and alpha = a/b, every row is the rational one

@@ -16,8 +16,8 @@ as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
 once per such class and looks it up after that, so its memo never holds more
 than T + M entries; it also intersects each cursor region `s & region` once
 per collection.  Each `members_in` call starts a fresh walk of that set, and
-the stream state keeps the walk it is given: its smallest-unseen cursors and
-in-limit candidates only move forward, so a set is walked once per state.
+the stream state keeps the walk it is given: its smallest-unseen cursors
+only move forward, so a set is walked once per state.
 `refine` cuts a set by a family of sets; it gives the membership cells of a
 finite family and the dimension's atoms alike.
 """

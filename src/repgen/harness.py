@@ -5,16 +5,17 @@ every emitted distribution with the measure-level checkers only; none of the
 verification reuses the generator constructions, so a broken generator
 cannot vouch for itself.  The checks are incremental: the group distance
 comes from integer counts in a `GroupTally`, compared with the emitted
-distribution's integer masses over one common denominator (a point
-mass through its element's owner groups, and a re-emitted distribution
-against an unchanged tally through the tally's kept last result), and the
-consistent class indices are a bitmask that each new element ANDs with the
-class's memoized `holding` mask, so a step costs the same however long the
-stream has run.  The alpha verdict and the summary's largest distance are
-decided by cross-multiplying the tally's integer gap, the largest kept as a
-running numerator and denominator; the step's `Fraction` distance, which
-the record keeps, is the one `Fraction` a step check builds (none when the
-tally's kept result applies).  Each step is a `StepRecord` named tuple.
+distribution's integer masses over one common denominator (a point mass
+through its element's owner groups), and the consistent class indices are a
+bitmask that each new element ANDs with the class's memoized `holding`
+mask, so a step costs the same however long the stream has run.  A repeat
+on which the session re-emits the same distribution object leaves the
+tally, the mask and `last_selected` as they were, so its record is the
+previous one with the new step and element.  The alpha verdict and the
+summary's largest distance are decided by cross-multiplying the tally's
+integer gap, the largest kept as a running numerator and denominator; the
+step's `Fraction` distance, which the record keeps, is the one `Fraction` a
+step check builds.  Each step is a `StepRecord` named tuple.
 Traces serialize to JSON lines with sorted keys and fixed separators, making
 reruns byte-comparable.  `_dump` is the one encoder for every row repgen
 prints: rows hold records' exact values as they are, and it writes each
@@ -82,8 +83,11 @@ def run_game(scenario: Scenario) -> GameTrace:
                 "instead of a distribution")
         if tally.add(x):
             consistent &= holding(x)
+        elif mu is steps[-1].mu:  # a re-emit: nothing a check reads changed
+            steps.append(StepRecord(t, x, *steps[-1][2:]))
+            continue
         num, den = tally.gap(mu)
-        dist = tally.distance(mu)
+        dist = Fraction(num, den)
         if num * top_den > top_num * den:
             top, top_num, top_den = dist, num, den
         ys = mu.support()

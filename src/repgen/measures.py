@@ -13,9 +13,8 @@ a verdict against alpha is one cross-multiplication.  `GroupTally.distance`
 is the `Fraction` view of that gap, built only where a caller keeps or
 returns it, and `GroupTally.worst_group` names a group attaining it.  A
 point mass needs no per-group masses: its gap comes from the owner groups
-of its one element and the counts.  A tally keeps its last gap and that
-gap's `Fraction` once built, so checking a re-emitted distribution against
-an unchanged tally costs one comparison.  Which groups hold an element is
+of its one element and the counts.  A tally keeps no result between
+checks: every `gap` call counts afresh.  Which groups hold an element is
 the group collection's business (`mass_by_group`, `owners`), so nothing
 here depends on the collection's shape.  `prefix_tally` remembers
 the tally of its last prefix, so checking the prefixes of one stream in
@@ -222,21 +221,14 @@ class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
-    element at a time costs O(K) per new element and O(1) per repeat.
-    `gap` keeps its last argument, distinct count and result, and
-    `distance` the `Fraction` view of that result once asked: a tally only
-    grows, so an equal distinct count means equal counts, and asking again
-    for an equal distribution returns the kept result."""
+    element at a time costs O(K) per new element and O(1) per repeat."""
 
-    __slots__ = ("groups", "seen", "counts", "_last")
+    __slots__ = ("groups", "seen", "counts")
 
     def __init__(self, c: GroupCollection):
         self.groups = c
         self.seen: set[int] = set()
         self.counts: dict[int, int] = c.mass_by_group((), ())
-        # (mu, distinct count, gap, distance or None) of the last `gap` call
-        self._last: tuple[RationalDist | None, int, tuple[int, int] | None,
-                          Fraction | None] = (None, 0, None, None)
 
     def add(self, x: int) -> bool:
         """Record x; returns whether it was new."""
@@ -264,15 +256,10 @@ class GroupTally:
         an integer numerator over mu's denominator times the distinct count
         (not reduced).  Both sides are integers over that denominator, so
         the maximum is integer work and a caller decides against it by
-        cross-multiplying.  A call with the last call's distinct count and
-        a distribution equal to its (by value) returns the last result.  A
-        point mass at x (den 1) skips `mass_by_group`: a group's gap is
-        d - count if it holds x and count if not, so an owner of x that the
-        tally never touched gives d."""
+        cross-multiplying.  A point mass at x (den 1) skips
+        `mass_by_group`: a group's gap is d - count if it holds x and count
+        if not, so an owner of x that the tally never touched gives d."""
         d = len(self.seen)
-        last = self._last
-        if d == last[1] and (mu is last[0] or mu == last[0]):
-            return last[2]
         if not d:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         den = mu._den
@@ -303,21 +290,11 @@ class GroupTally:
                     gap = counts[i] * den
                     if gap > worst:
                         worst = gap
-        result = (worst, den * d)
-        self._last = (mu, d, result, None)
-        return result
+        return worst, den * d
 
     def distance(self, mu: RationalDist) -> Fraction:
-        """`gap(mu)` as a reduced `Fraction`, built at most once per kept
-        result: asking again for an equal distribution against the same
-        distinct count returns the same object."""
-        num, den = self.gap(mu)
-        last = self._last
-        if last[3] is None:
-            result = Fraction(num, den)
-            self._last = (last[0], last[1], last[2], result)
-            return result
-        return last[3]
+        """`gap(mu)` as a reduced `Fraction`."""
+        return Fraction(*self.gap(mu))
 
     def worst_group(self, mu: RationalDist) -> int:
         """The smallest group index at which mu's group probability and the
@@ -401,7 +378,7 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
     num, den = tally.gap(mu)
     # gap <= alpha in integers (an int alpha has denominator 1)
     return (num * alpha.denominator <= alpha.numerator * den,
-            tally.distance(mu))
+            Fraction(num, den))
 
 
 def check_alpha(alpha: Fraction) -> None:

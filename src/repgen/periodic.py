@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -40,6 +41,14 @@ class PeriodicSet:
                  residues: Iterable[int] = (), prefix: Iterable[int] = ()):
         residues = frozenset(residues)
         prefix = frozenset(prefix)
+        # `type(x) is int`, not isinstance: a bool is not a count or an element
+        if not {type(threshold), type(modulus), *map(type, residues),
+                *map(type, prefix)} <= {int}:
+            bad = next(x for x in (threshold, modulus, *residues, *prefix)
+                       if type(x) is not int)
+            raise TypeError(f"threshold, modulus, residues and prefix "
+                            f"elements must be ints, got "
+                            f"{type(bad).__name__} {bad!r}")
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         if threshold < 0:
@@ -156,16 +165,15 @@ class PeriodicSet:
         """k-th (0-based) member not in `excluded`; None if exhausted.
 
         `excluded` must be finite, otherwise enumeration of an infinite set
-        would not terminate.
+        would not terminate.  A k that is not an int (a bool included) is a
+        TypeError, and a negative k a ValueError.
         """
-        i = 0
-        for x in self.members():
-            if x in excluded:
-                continue
-            if i == k:
-                return x
-            i += 1
-        return None
+        if type(k) is not int:
+            raise TypeError(f"k must be an int, got {type(k).__name__} {k!r}")
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        unseen = (x for x in self.members() if x not in excluded)
+        return next(islice(unseen, k, None), None)
 
     def __repr__(self) -> str:
         return f"PeriodicSet({format_set(self)!r})"

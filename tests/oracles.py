@@ -29,8 +29,8 @@ interval arithmetic or pivoting, and returns its witness as
 `Fraction`-dict pair `induced_group_probs`/`sup_distance` the package
 measured with before `GroupTally`; it sums masses by set membership and
 shares no counting with the package.  The integer-distance reference is
-`GroupTally.distance` before it kept its last result and took point masses
-from their owner groups: it weighs every distribution through
+`GroupTally.distance` before it took point masses from their owner
+groups: it weighs every distribution through
 `mass_by_group`, sharing the tally's counts and the collection's
 membership, but neither fast path.  The cell reference is the product
 enumeration `FiniteGroups.cells` ran before `refine`: it tries all 2^K
@@ -38,12 +38,12 @@ membership vectors, sharing the package's set algebra but not `refine`.
 The membership references are the per-group scans `FiniteGroups` ran
 before it decided membership once per residue class: each asks every group
 about every element, sharing only set membership with the package.  The
-in-limit scan reference is the step the package ran before it kept its
-candidates and a consistent bitmask: every feasibility call walks all the
-cells and asks each smallest-unseen cursor, and every new element filters
-the consistent indices member by member.  It shares the package's
-`StreamState` tally and cursors, criticality, row building and integer LP,
-but not the kept candidates or the `holding` memo.  The one-shot references
+in-limit scan reference is the step the package ran before it kept a
+consistent bitmask: every feasibility call walks all the cells and asks
+each smallest-unseen cursor, as the package does too, and every new element
+filters the consistent indices member by member.  It shares the package's
+`StreamState` tally and cursors, criticality and integer LP, but not its
+feasibility code or the `holding` memo.  The one-shot references
 are the pure `*_emit` bodies the package ran before they replayed through a
 session: a bare state built from the whole history, then one construction.
 They share the package's state and constructions, but not the session's
@@ -628,10 +628,10 @@ def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fracti
 
 
 def mass_distance(tally: GroupTally, mu: RationalDist) -> Fraction:
-    """`repgen.measures.GroupTally.distance` before its kept last result and
-    its point-mass path, kept verbatim (bar the name and this paragraph) as
-    the reference both must match: every call sums mu's numerators per group
-    through `mass_by_group` and compares them with the tally's counts."""
+    """`repgen.measures.GroupTally.distance` before its point-mass path,
+    kept verbatim (bar the name and this paragraph) as the reference it
+    must match: every call sums mu's numerators per group through
+    `mass_by_group` and compares them with the tally's counts."""
     d = len(tally.seen)
     if not d:
         raise ValueError("empirical distribution of an empty prefix is undefined")
@@ -890,9 +890,8 @@ def consistent_among(cls: HypothesisClass, indices: Iterable[int],
 
 def scan_candidates(state: StreamState,
                     s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
-    """The in-limit candidates as `_feasible` found them before they were
-    kept: every cell of the collection, asked for its smallest unseen
-    element of s through the state's cursors."""
+    """The in-limit candidates: every cell of the collection, asked for its
+    smallest unseen element of s through the state's cursors."""
     candidates = []
     for vec, _ in state.groups.cells():
         elem = state.unseen(s, vec)
@@ -902,10 +901,10 @@ def scan_candidates(state: StreamState,
 
 
 def scan_feasible(state: StreamState, h, alpha: Fraction):
-    """`repgen.generators._feasible` before kept candidates, kept verbatim
-    (bar the name, this paragraph and the candidate scan, now
-    `scan_candidates`) as the reference the kept version must match witness
-    for witness."""
+    """A copy of `repgen.generators._feasible` (bar the name, this
+    paragraph and the candidate scan, `scan_candidates`), so that a replay
+    through it shares no feasibility code with the session it checks,
+    which must match it witness for witness."""
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)

@@ -193,6 +193,19 @@ def test_geometric_config_errors():
         geometric_adversary(factory, F(1, 2), 0)
 
 
+@pytest.mark.parametrize("play", [
+    lambda n: query_adversary(QueryThenEmit(), n),
+    lambda n: query_adversary(QueryThenEmit(), 2, query_budget=n),
+    lambda n: geometric_adversary(
+        lambda cls, groups, alpha: ConstantSession(0), F(1, 2), n),
+], ids=["steps", "query_budget", "depth"])
+@pytest.mark.parametrize("n", [True, False, 1.0, "1", None])
+def test_adversary_counts_must_be_ints(play, n):
+    # True is not the count 1, as it is not a d_star either
+    with pytest.raises(TypeError, match="must be an int"):
+        play(n)
+
+
 def test_query_adversary_vs_query_then_emit():
     reports, st = query_adversary(QueryThenEmit(), 40)
     assert len(reports) == 40

@@ -3,9 +3,7 @@ feasibility decision procedure, and the stateful session wrapper."""
 
 import random
 import re
-from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +22,6 @@ from repgen.measures import (RationalDist, empirical, group_empirical,
                              is_alpha_representative)
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
-from repgen.scenario import build_session, load_scenario, materialize_stream
 from repgen.simplex import feasible_point_int
 from oracles import (induced_group_probs, mesh_feasible, one_shot_limit,
                      one_shot_nonuniform, one_shot_uniform, sup_distance)
@@ -691,35 +688,3 @@ def test_determinism_byte_equal():
         out = [s.step(x).serialize() for x in [0, 1, 2, 3, 4]]
         runs.append(repr(out))
     assert runs[0] == runs[1]
-
-
-def test_feasibility_reads_kept_candidates_without_walking_cells(monkeypatch):
-    # i01 for 200 steps: once each support's candidates are built, no
-    # `_feasible` call walks the collection's cells or asks a
-    # smallest-unseen cursor; a new element moves only the kept cursors
-    path = Path(__file__).parent / "scenarios" / "i01-nested3-overlap.json"
-    scenario = load_scenario(str(path))
-    session = build_session(scenario)
-    cls = scenario.cls
-    for n in range(1, cls.materialized_count() + 1):
-        session.state.candidates(cls.get(n).support)
-    calls = Counter()
-
-    def counted(name, f):
-        def run(*args):
-            calls[name] += 1
-            return f(*args)
-        return run
-
-    monkeypatch.setattr(StreamState, "unseen",
-                        counted("unseen", StreamState.unseen))
-    monkeypatch.setattr(FiniteGroups, "cells",
-                        counted("cells", FiniteGroups.cells))
-    monkeypatch.setattr(generators, "_feasible",
-                        counted("_feasible", generators._feasible))
-    xs = materialize_stream(scenario)
-    assert len(xs) == 200
-    for x in xs:
-        session.step(x)
-    assert calls["_feasible"] >= 200
-    assert calls["unseen"] == calls["cells"] == 0

@@ -17,10 +17,9 @@ emits what the pure `*_emit` replay and the one-shot construction in
 repeats; and the in-limit session selects the largest index
 that is critical and alpha-feasible by the definitions, or falls back to the
 empirical distribution when there is none.  The in-limit session, which
-keeps its candidates per support and filters its consistent indices with
-the class's `holding` mask, makes the same feasibility calls with the same
-witnesses and selects the same index as a replay through the per-call scan
-in `oracles.py`.  Wherever a session plays the empirical distribution,
+filters its consistent indices with the class's `holding` mask, makes the
+same feasibility calls with the same witnesses and selects the same index
+as a replay through the per-call scan in `oracles.py`.  Wherever a session plays the empirical distribution,
 which it reads from its sorted stream state, that equals
 `measures.empirical` of the history, hash and serialization included."""
 
@@ -396,7 +395,7 @@ def test_inlimit_selects_the_largest_critical_feasible_index(game, groups,
             assert mu == RationalDist({x: m for _, x, m in witness}), prefix
 
 
-# -- kept candidates and the membership mask against the scan --------------------
+# -- the membership mask against the scan ----------------------------------------
 
 def multiple(n):
     """h_n of the provider-backed class of multiples: every n-th natural, so

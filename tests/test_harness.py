@@ -320,8 +320,8 @@ class _ReplaySession:
 def test_a_step_check_builds_one_fraction(monkeypatch):
     # the alpha verdict and the running maximum are decided on the tally's
     # integer gap; the record's distance is the one Fraction a step check
-    # builds, and a re-emitted distribution against an unchanged tally
-    # reuses the last one
+    # builds, and a repeat on which the session re-emits the same object
+    # reuses the previous record and builds none
     s = _with_stream(parse_scenario(_doc(asserts={})), [0, 0, 2, 2, 2, 4])
     p5, spread = RationalDist.point(5), RationalDist.uniform([5, 7])
     mus = [p5, p5, p5, spread, RationalDist.uniform([5, 7]), p5]
@@ -340,9 +340,8 @@ def test_a_step_check_builds_one_fraction(monkeypatch):
     monkeypatch.undo()
     per_step = [b - a for a, b in zip(marks, marks[1:])]
     # new element, repeat re-emitting, new element, new distribution,
-    # repeat re-emitting an equal one, new distribution
-    assert per_step == [1, 0, 1, 1, 0, 1]
-    assert trace.steps[4].distance is trace.steps[3].distance
+    # repeat emitting an equal new object (checked again), new distribution
+    assert per_step == [1, 0, 1, 1, 1, 1]
     assert [rec.distance for rec in trace.steps] == [
         F(1), F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 3)]
 
@@ -365,14 +364,20 @@ def _incremental_check_games():
     assert len(paths) == 20
     for path in paths:
         yield load_scenario(str(path))
-    # seeded streams with repeats, on finite groups and on blocks
-    for stem in ("i04-triple-overlap", "b01-evens-blocks-inlimit"):
+    # seeded streams with repeats, on finite groups and on blocks, and
+    # longer ones on which uniform and in-limit sessions re-emit, so that
+    # run_game reuses the previous record
+    for stem, steps, repeats in (("i04-triple-overlap", 80, 0.4),
+                                 ("b01-evens-blocks-inlimit", 80, 0.4),
+                                 ("u04-evens-parity-quarter", 300, 0.25),
+                                 ("i01-nested3-overlap", 300, 0.25)):
         s = load_scenario(str(root / f"{stem}.json"))
         rng = random.Random(stem)
         fresh = s.target.support.members()
         xs: list[int] = []
-        for _ in range(80):
-            xs.append(rng.choice(xs) if xs and rng.random() < 0.4 else next(fresh))
+        for _ in range(steps):
+            xs.append(rng.choice(xs) if xs and rng.random() < repeats
+                      else next(fresh))
         yield _with_stream(s, xs)
     # a target outside the class, so that the closure reaches bottom: mult4
     # drops out at 2 and evens at 1
@@ -396,13 +401,15 @@ def test_run_game_incremental_checks_match_from_scratch():
     # from the empirical distribution rather than from integer counts, and
     # verdicts that match the `Fraction` comparison, distances exactly at
     # alpha included; the consistency verdict and the summary's largest
-    # distance are recomputed from the prefix and the distances alone
-    bottoms = ties = top_ties = 0
+    # distance are recomputed from the prefix and the distances alone,
+    # reused records included
+    bottoms = ties = top_ties = reused = 0
     for s in _incremental_check_games():
         trace = run_game(s)
         history = list(materialize_stream(s))
         dists = []
         for rec in trace.steps:
+            reused += rec.t > 1 and rec.mu is trace.steps[rec.t - 2].mu
             prefix = history[:rec.t]
             ok, dist = is_alpha_representative(rec.mu, prefix, s.groups, s.alpha)
             assert (rec.distance, rec.representative) == (dist, ok), (s.name, rec.t)
@@ -424,6 +431,7 @@ def test_run_game_incremental_checks_match_from_scratch():
     assert bottoms == 4
     assert ties > 0
     assert top_ties > 0
+    assert reused > 100
 
 
 def test_a_construction_runs_once_per_step_that_changes_the_state(
@@ -431,7 +439,8 @@ def test_a_construction_runs_once_per_step_that_changes_the_state(
     # on a seeded 300-step stream with repeats, the in-limit and uniform
     # constructions run once per step whose element is new or whose depth
     # grew (t up to the class size), and never on another repeat, which
-    # re-emits the previous output; every step is still checked
+    # re-emits the previous output; the step check computes a gap for
+    # exactly those steps, and reuses the previous record on the others
     calls = {"_limit": 0, "_uniform": 0}
 
     def counted(name):
@@ -442,16 +451,16 @@ def test_a_construction_runs_once_per_step_that_changes_the_state(
             return construct(*args)
         return run
 
-    distances = []
-    distance = GroupTally.distance
+    gaps = []
+    gap = GroupTally.gap
 
-    def counted_distance(tally, mu):
-        distances.append(mu)
-        return distance(tally, mu)
+    def counted_gap(tally, mu):
+        gaps.append(mu)
+        return gap(tally, mu)
 
     for name in calls:
         monkeypatch.setattr(generators, name, counted(name))
-    monkeypatch.setattr(GroupTally, "distance", counted_distance)
+    monkeypatch.setattr(GroupTally, "gap", counted_gap)
     root = Path(__file__).parent / "scenarios"
     for stem, construction in (("i01-nested3-overlap", "_limit"),
                                ("u04-evens-parity-quarter", "_uniform")):
@@ -466,11 +475,11 @@ def test_a_construction_runs_once_per_step_that_changes_the_state(
                    if x not in xs[:t - 1] or t <= size]
         assert 150 < len(changes) < 260
         calls.update(_limit=0, _uniform=0)
-        distances.clear()
+        gaps.clear()
         trace = run_game(_with_stream(s, xs))
         assert calls == {"_limit": 0, "_uniform": 0, construction: len(changes)}
-        assert len(trace.steps) == len(distances) == 300
-        assert [rec.mu for rec in trace.steps] == distances
+        assert len(trace.steps) == 300
+        assert [rec.mu for rec in trace.steps if rec.t in changes] == gaps
         for rec in trace.steps:
             if rec.t not in changes:
                 assert rec.mu is trace.steps[rec.t - 2].mu

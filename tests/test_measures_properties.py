@@ -13,9 +13,7 @@ collection shapes, `GroupTally.worst_group` is the smallest group attaining
 it, and `RationalDist.from_numerators` equals the `Fraction`
 mass constructor, errors included.  Along a stream with repeats, `distance`
 equals both the `mass_by_group` reference and the `Fraction` sup distance
-for point masses (in touched and untouched blocks) and spread masses; an
-equal distribution against an unchanged tally returns the kept result, and
-a new element makes it count again."""
+for point masses (in touched and untouched blocks) and spread masses."""
 
 from fractions import Fraction
 
@@ -327,26 +325,15 @@ tally_moves = st.one_of(
 @example(BlockPartition(2), 0, [("point", 50), ("add", 1), ("point", 50)])
 @example(FiniteGroups([PeriodicSet(0, 2, {0}), PeriodicSet(0, 1, {0})]), 3,
          [("point", 3), ("add", 3), ("point", 3), ("add", 5), ("point", 3)])
-def test_tally_distance_keeps_its_last_result_and_weighs_point_masses(
-        c, first, script):
+def test_tally_distance_weighs_point_masses(c, first, script):
     tally = GroupTally(c)
     tally.add(first)
-    last = None  # (distinct count, mu, result) of the previous question
     for move, arg in script:
         if move == "add":
             tally.add(arg)
             continue
         mu = RationalDist.point(arg) if move == "point" else RationalDist(arg)
-        d = len(tally.seen)
         got = tally.distance(mu)
         assert type(got) is Fraction
         assert got == mass_distance(tally, mu) == sup_distance(
             induced_group_probs(mu, c), tally.weights())
-        if last is not None and last[:2] == (d, mu):
-            assert got is last[2]  # kept
-        elif last is not None:
-            assert got is not last[2]  # counted again
-        # an equal distribution, not the same object, gets the kept result
-        twin = RationalDist(dict(mu.items()))
-        assert twin is not mu and tally.distance(twin) is got
-        last = (d, mu, got)

@@ -43,6 +43,16 @@ def test_nth_unseen_worked():
     assert s.nth_unseen({1, 4, 7}, k=1) == 13
 
 
+@pytest.mark.parametrize("s", [EVENS, EMPTY, from_finite([3])])
+@pytest.mark.parametrize("k, error", [(-1, ValueError), (-5, ValueError),
+                                      (True, TypeError), (False, TypeError),
+                                      (1.0, TypeError), ("1", TypeError)])
+def test_nth_unseen_refuses_a_bad_k_before_enumerating(s, k, error):
+    # a negative k used to enumerate an infinite set forever
+    with pytest.raises(error, match="k must be"):
+        s.nth_unseen(set(), k)
+
+
 def test_subset_and_equality():
     assert multiples(4).is_subset(EVENS)
     assert not EVENS.is_subset(multiples(4))
@@ -79,6 +89,23 @@ def test_validation_errors():
         PeriodicSet(0, 2, (2,))
     with pytest.raises(ValueError):
         PeriodicSet(2, 2, (0,), (5,))  # prefix element beyond threshold
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_finite([1.5]),             # threshold 2.5, prefix {1.5}
+    lambda: from_finite([True]),
+    lambda: PeriodicSet(0, 3, (1.5,)),      # used to become empty
+    lambda: PeriodicSet(0, 3, (True,)),
+    lambda: PeriodicSet(2.0, 3, (1,)),
+    lambda: PeriodicSet(0, 2.0, (1,)),
+    lambda: PeriodicSet(True, 2, (1,)),
+    lambda: PeriodicSet(0, True, (0,)),
+    lambda: PeriodicSet(3, 2, (1,), (0.0,)),
+    lambda: PeriodicSet(3, 2, (1,), (False,)),
+])
+def test_non_int_fields_are_refused(build):
+    with pytest.raises(TypeError, match="must be ints"):
+        build()
 
 
 def _random_set(rng):
