@@ -130,6 +130,17 @@ MAX_D = 35_000
 # x86-64 VM).
 MAX_CHOICES = 2 ** 16
 
+# Most closure masks `_closures` builds, counted as the fixpoint runs: H
+# hypotheses can AND to 2^H - 1 of them before `_spans` counts a choice.
+# Every mask takes at least one choice when `_spans` starts from no element
+# taken, so no instance above the cap gets past MAX_CHOICES either; the cap
+# only refuses it sooner.  With h_j the naturals minus residue j mod 32,
+# parity groups and alpha = 1/4, H = 16 (65,535 masks) is decided in
+# 1.6-1.9 s, while H = 18 (262,143 masks), which MAX_CHOICES refused only
+# after 6.6 s, is refused here in 0.08-0.09 s (three runs, Python 3.11.7,
+# 2-vCPU x86-64 VM).
+MAX_MASKS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GcResult:
@@ -165,12 +176,24 @@ def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
 def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
     """Every closure mask S, a nonzero AND of atom masks (the hypotheses
     consistent with some tuple), with its closure atoms, those inside every
-    support of S, per group: their indices and the AND of their masks."""
+    support of S, per group: their indices and the AND of their masks.
+    More than MAX_MASKS masks is a ConfigError, raised as soon as the
+    fixpoint passes the cap."""
     base = {a.hyps for a in atoms} - {0}
-    masks, new = set(base), set(base)
+    masks, new = set(base), list(base)
     while new:
-        new = {m & b for m in new for b in base} - masks - {0}
-        masks |= new
+        grown = []
+        for m in new:
+            for b in base:
+                both = m & b
+                if both and both not in masks:
+                    masks.add(both)
+                    grown.append(both)
+                    if len(masks) > MAX_MASKS:
+                        raise ConfigError(
+                            f"dimension search needs at least {len(masks)} "
+                            f"closure masks, above MAX_MASKS = {MAX_MASKS}")
+        new = grown
     out = []
     for s in sorted(masks):
         per_group = [[j for j, a in enumerate(atoms)
@@ -251,10 +274,12 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
                         -1 if can_live else len(gs) - 1, -1)
                   for (whole, can_live, *_), gs in classes.items()]
         plans.append((s, list(classes.values()), counts))
-    choices = sum(prod(map(len, counts)) for _, _, counts in plans)
+    per_mask = [prod(map(len, counts)) for _, _, counts in plans]
+    choices = sum(per_mask)
     if choices > MAX_CHOICES:
         raise ConfigError(f"dimension search needs {choices} choices of "
-                          f"exhausted groups, above MAX_CHOICES = {MAX_CHOICES}")
+                          f"exhausted groups, at most {max(per_mask)} per "
+                          f"closure mask, above MAX_CHOICES = {MAX_CHOICES}")
     for s, groups, counts in plans:
         for choice in product(*counts):
             exhausted = [g for gs, n in zip(groups, choice) for g in gs[:n]]

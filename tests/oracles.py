@@ -1,53 +1,29 @@
-"""Independent reference oracles for the test suite.
+"""Reference oracles for the test suite; each shares with the package only
+what its line names (data types, membership, set algebra), never one of
+the package's searches, tallies, cursors or LPs.
 
-Everything here re-decides questions by pointwise membership scans and
-exhaustive enumeration, sharing no search, subset, emptiness, or LP logic
-with the package.  Set membership (x in s) and the raw threshold/modulus
-fields are the only parts of the production set type used; both are data,
-not algorithms.  The LP reference is the rational-tableau simplex the
-package used before its integer tableau; only the relation constants are
-shared.  The dimension references are the two searches the package ran
-before its closed form: the tuple walk, and the count-vector search with its
-atoms and depth bound.  They share the package's set algebra, but none of
-the closed form, and decide witnesses with the witness reference, the
-`Fraction` `check_witness` the package used before it decided a tuple from
-its counts per group; that reference shares the package's closure and
-`group_empirical`, but decides exhaustion by set difference.  The distribution
-reference is the `Fraction`-mass class the package used before its integer
-numerators over one denominator; it shares nothing with the package.  The
-query-generator reference is the scan from 0 the package used before its
-cursor; it shares only the oracle it is handed and the point mass it
-returns.  The uniform-assembly reference is the `Fraction`-weight
-`_assemble_uniform` the package used before it worked on integer counts; it
-shares the package's `Fraction`-mass `RationalDist` constructor and
-`empirical`, but none of the redistribution arithmetic.  The feasibility
-reference is the `Fraction`-row `_feasible`/`_feasible_blocks` the package
-used before it built its rows in integers, solved by the rational-tableau
-LP; it shares the package's `StreamState` cursors, but no row building,
-interval arithmetic or pivoting, and returns its witness as
-(cell, element, mass) triples.  The group-distance reference is the
-`Fraction`-dict pair `induced_group_probs`/`sup_distance` the package
-measured with before `GroupTally`; it sums masses by set membership and
-shares no counting with the package.  The integer-distance reference is
-`GroupTally.distance` before it took point masses from their owner
-groups: it weighs every distribution through
-`mass_by_group`, sharing the tally's counts and the collection's
-membership, but neither fast path.  The cell reference is the product
-enumeration `FiniteGroups.cells` ran before `refine`: it tries all 2^K
-membership vectors, sharing the package's set algebra but not `refine`.
-The membership references are the per-group scans `FiniteGroups` ran
-before it decided membership once per residue class: each asks every group
-about every element, sharing only set membership with the package.  The
-in-limit scan reference is the step the package ran before it kept a
-consistent bitmask: every feasibility call walks all the cells and asks
-each smallest-unseen cursor, as the package does too, and every new element
-filters the consistent indices member by member.  It shares the package's
-`StreamState` tally and cursors, criticality and integer LP, but not its
-feasibility code or the `holding` memo.  The one-shot references
-are the pure `*_emit` bodies the package ran before they replayed through a
-session: a bare state built from the whole history, then one construction.
-They share the package's state and constructions, but not the session's
-observe/step bookkeeping or its input checks.
+- `scan_bound` and its scans decide by membership up to the largest
+  threshold plus one period; `naive_gc` searches small tuples by membership.
+- `unseen_cells` finds each cell's smallest unseen support element by such
+  a scan; `mesh_feasible`'s grid search reads only that.
+- `brute_support_size` enumerates subsets of groups by membership.
+- `fraction_feasible_point`, the rational tableau, shares `EQ`, `GE`, `LE`.
+- `rational_check_witness` shares `HypothesisClass.closure` and the set
+  algebra, and counts the tuple per group by membership.
+- `tuple_gc_dimension` and `count_vector_gc_dimension` share the set algebra
+  and decide by `rational_check_witness`.
+- `induced_group_probs` and `sup_distance` sum masses by membership.
+- `FractionRationalDist` shares nothing; `ScanQueryThenEmit` shares the
+  oracle it is handed and `RationalDist.point`.
+- `fraction_assemble_uniform` shares the `RationalDist` constructor and
+  `empirical`.
+- `fraction_feasible` solves over `unseen_cells` (or `block_range` scans)
+  with `fraction_feasible_point`, weighing groups by membership.
+- `product_cells` shares the set algebra; `scan_groups_containing`,
+  `scan_mass_by_group` and `consistent_among` share membership.
+- `ScanLimit`, Kleinberg & Mullainathan's critical-hypothesis step, rebuilds
+  consistency and criticality by membership scans and asks
+  `fraction_feasible`.
 """
 
 from dataclasses import dataclass
@@ -58,15 +34,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repgen.dimension import Condition, Condition1, Condition2
 from repgen.errors import ConfigError, InvariantViolation
-from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
-                               StreamState, _feasible_blocks, _limit,
-                               _nonuniform, _uniform)
 from repgen.groups import BlockPartition, FiniteGroups, GroupCollection
 from repgen.hypotheses import HypothesisClass
-from repgen.measures import (GroupTally, RationalDist, empirical,
-                             group_empirical)
+from repgen.measures import RationalDist, empirical
 from repgen.periodic import ALL, PeriodicSet, from_finite
-from repgen.simplex import EQ, GE, LE, feasible_point_int
+from repgen.simplex import EQ, GE, LE
 
 
 def scan_bound(sets, extra_elements=()):
@@ -138,6 +110,21 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def unseen_cells(support, gsets, history):
+    """Each membership vector over `gsets` that an unseen element of
+    `support` realizes, mapped to its smallest such element, in increasing
+    order of that element.  Past the scan bound every unseen element
+    repeats the vectors of the period before it, as the history lies below
+    the bound."""
+    seen = set(history)
+    b, period = scan_bound([support] + gsets, history)
+    cells = {}
+    for x in range(b + period):
+        if x not in seen and x in support:
+            cells.setdefault(tuple(1 if x in g else 0 for g in gsets), x)
+    return cells
+
+
 def mesh_feasible(h, groups, history, alpha, denom=60):
     """Grid-search feasibility: does any distribution with masses in
     (1/denom)-steps over the realized unseen-support cells track the group
@@ -147,18 +134,10 @@ def mesh_feasible(h, groups, history, alpha, denom=60):
     feasible region, when nonempty, contains a grid point (the bundled
     agreement instances are built that way).
     """
-    seen = set(history)
     gsets = [groups.group(i) for i in groups.indices()]
     k = len(gsets)
-    b, period = scan_bound([h.support] + gsets, history)
-    vecs = []
-    for x in range(b + period):
-        if x in seen or x not in h.support:
-            continue
-        v = tuple(1 if x in g else 0 for g in gsets)
-        if v not in vecs:
-            vecs.append(v)
-    distinct = sorted(seen)
+    vecs = list(unseen_cells(h.support, gsets, history))
+    distinct = sorted(set(history))
     t = len(distinct)
     pihat = [Fraction(sum(1 for x in distinct if x in g), t) for g in gsets]
     if not vecs:
@@ -195,12 +174,6 @@ def brute_support_size(h, groups):
                 continue
             total += len(elements_up_to(member, b))
     return total
-
-
-def pointwise_equal(s1, s2, extra=()):
-    """Set equality decided purely by membership scanning."""
-    b, period = scan_bound([s1, s2], extra)
-    return all((x in s1) == (x in s2) for x in range(b + period))
 
 
 ZERO = Fraction(0)
@@ -319,7 +292,8 @@ def rational_check_witness(cls: HypothesisClass, c: GroupCollection,
     Returns the first satisfied condition, checking condition 1 before
     condition 2 and lower group indices first, or None.  The package's
     `check_witness` as it was before it decided a tuple from its counts per
-    group, kept verbatim (bar the name) as the reference for it.
+    group, as the reference for it: exhaustion by set difference, and the
+    weights counted per group by membership.
     """
     xs = list(xs)
     if len(set(xs)) != len(xs):
@@ -329,7 +303,7 @@ def rational_check_witness(cls: HypothesisClass, c: GroupCollection,
     closure = cls.closure(xs)
     if closure is None:
         return None
-    pihat = group_empirical(xs, c)
+    pihat = induced_group_probs(empirical(xs), c)
     tuple_set = from_finite(xs)
 
     if isinstance(c, FiniteGroups):
@@ -627,32 +601,6 @@ def sup_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> Fracti
     return max(abs(p.get(i, ZERO) - q.get(i, ZERO)) for i in keys)
 
 
-def mass_distance(tally: GroupTally, mu: RationalDist) -> Fraction:
-    """`repgen.measures.GroupTally.distance` before its point-mass path,
-    kept verbatim (bar the name and this paragraph) as the reference it
-    must match: every call sums mu's numerators per group through
-    `mass_by_group` and compares them with the tally's counts."""
-    d = len(tally.seen)
-    if not d:
-        raise ValueError("empirical distribution of an empty prefix is undefined")
-    den = mu._den
-    counts = tally.counts
-    masses = tally.groups.mass_by_group(mu._xs, mu._nums)
-    worst = 0
-    for i, m in masses.items():
-        gap = m * d - counts.get(i, 0) * den
-        if gap > worst:
-            worst = gap
-        elif -gap > worst:
-            worst = -gap
-    if not counts.keys() <= masses.keys():
-        for i in counts.keys() - masses.keys():
-            gap = counts[i] * den
-            if gap > worst:
-                worst = gap
-    return Fraction(worst, den * d)
-
-
 class FractionRationalDist:
     """The `Fraction`-mass distribution that `repgen.measures.RationalDist`
     was before it kept integer numerators over one denominator, kept
@@ -774,27 +722,24 @@ def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
     return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
 
 
-def fraction_feasible(state, h, alpha):
-    """The `Fraction`-row feasibility decision that
-    `repgen.generators._feasible` was before it built its rows in integers,
-    kept verbatim (bar the names, this paragraph and the LP, which is the
-    rational-tableau reference above) as the reference the integer version
-    must match witness for witness.  `state` is a `StreamState` over the
-    history.  The witness is a tuple of (cell, element, mass) triples, or
-    None."""
-    c = state.groups
-    pihat = state.tally.weights()
+def fraction_feasible(h, c, history, alpha):
+    """Whether some distribution over the unseen support of h tracks the
+    history's group weights within alpha, as the witness the package must
+    return: a tuple of (cell, element, mass) triples, or None.
+
+    The candidates are each cell's smallest unseen element of the support
+    (`unseen_cells`), the zero vector left out, in the cells' documented
+    order: 1 before 0 per coordinate.  Their masses q_v >= 0 sum to 1, and
+    per group the covered mass lands within [pihat - alpha, pihat + alpha],
+    solved by `fraction_feasible_point`: distance-0 witnesses are
+    preferred, so an exact-tracking system is tried before the banded one.
+    """
+    pihat = induced_group_probs(empirical(history), c)
     if isinstance(c, BlockPartition):
-        return fraction_feasible_blocks(state, h, pihat, alpha)
-    candidates = []
-    for vec, _ in c.cells():
-        elem = state.unseen(h.support, vec)
-        if elem is not None:
-            candidates.append((vec, elem))
-    # q_v >= 0 per candidate cell; total mass 1; per group the covered
-    # mass must land within [pihat - alpha, pihat + alpha].  Distance-0
-    # witnesses are preferred, so an exact-tracking system is tried
-    # before the banded one.
+        return fraction_feasible_blocks(h, c, history, pihat, alpha)
+    found = unseen_cells(h.support, [c.group(i) for i in c.indices()], history)
+    candidates = [(vec, found[vec]) for vec in sorted(found, reverse=True)
+                  if any(vec)]
     for exact in (True, False):
         constraints: list = [([ONE] * len(candidates), EQ, ONE)]
         for i in c.indices():
@@ -812,16 +757,23 @@ def fraction_feasible(state, h, alpha):
     return None
 
 
-def fraction_feasible_blocks(state, h, pihat, alpha):
+def fraction_feasible_blocks(h, c, history, pihat, alpha):
     """Block partitions have one cell per block, so feasibility reduces to
     interval checks: every exhausted touched block must already be within
-    alpha of its weight, and any surplus can be spread in alpha-sized chunks
-    over untouched blocks (each finite block keeps unseen support elements in
-    infinitely many later blocks, the support being infinite)."""
+    alpha of its weight, and any surplus is spread in alpha-sized chunks
+    over untouched blocks in index order (each finite block keeps unseen
+    support elements in infinitely many later blocks, the support being
+    infinite).  A block's candidate is found by scanning its `block_range`."""
+    seen = set(history)
+
+    def unseen(k):
+        return next((x for x in range(*c.block_range(k))
+                     if x not in seen and x in h.support), None)
+
     entries = []
     surplus = ZERO
     for i in sorted(pihat):
-        elem = state.unseen(h.support, i)
+        elem = unseen(i)
         if elem is None:
             if pihat[i] > alpha:
                 return None
@@ -834,7 +786,7 @@ def fraction_feasible_blocks(state, h, pihat, alpha):
         j = 1
         while surplus > 0:
             if j not in pihat:
-                elem = state.unseen(h.support, j)
+                elem = unseen(j)
                 if elem is not None:
                     chunk = min(alpha, surplus)
                     entries.append((j, elem, chunk))
@@ -888,127 +840,54 @@ def consistent_among(cls: HypothesisClass, indices: Iterable[int],
     return tuple(i for i in indices if x in cls.get(i).support)
 
 
-def scan_candidates(state: StreamState,
-                    s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
-    """The in-limit candidates: every cell of the collection, asked for its
-    smallest unseen element of s through the state's cursors."""
-    candidates = []
-    for vec, _ in state.groups.cells():
-        elem = state.unseen(s, vec)
-        if elem is not None:
-            candidates.append((vec, elem))
-    return candidates
-
-
-def scan_feasible(state: StreamState, h, alpha: Fraction):
-    """A copy of `repgen.generators._feasible` (bar the name, this
-    paragraph and the candidate scan, `scan_candidates`), so that a replay
-    through it shares no feasibility code with the session it checks,
-    which must match it witness for witness."""
-    c = state.groups
-    if isinstance(c, BlockPartition):
-        return _feasible_blocks(state, h, alpha)
-    candidates = scan_candidates(state, h.support)
-    counts, d = state.tally.counts, len(state.tally.seen)
-    a, b = alpha.numerator, alpha.denominator
-    den = d * b
-    n = len(candidates)
-    if n <= 1:
-        if n:
-            (vec, elem), = candidates
-            if all(abs((den if vec[i - 1] else 0) - counts[i] * b) <= a * d
-                   for i in c.indices()):
-                return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
-        return None
-    covers = [(counts[i] * b, [den if vec[i - 1] else 0 for vec, _ in candidates])
-              for i in c.indices()]
-    for exact in (True, False):
-        band = 0 if exact else a * d
-        rows = [([den] * n, EQ, den)]
-        for w, cover in covers:
-            if w > band and not any(cover):
-                break
-            if exact:
-                rows.append((cover, EQ, w))
-            else:
-                rows.append((cover, LE, w + band))
-                if w > band:
-                    rows.append((cover, GE, w - band))
-        else:
-            vertex = feasible_point_int(n, rows)
-            if vertex is not None:
-                nums, delta = vertex
-                entries = tuple(FeasibilityEntry(vec, elem, m)
-                                for (vec, elem), m in zip(candidates, nums)
-                                if m > 0)
-                return FeasibilityWitness(entries, delta)
-    return None
+def is_subset_scan(s: PeriodicSet, t: PeriodicSet) -> bool:
+    """s <= t, decided by membership up to `scan_bound`."""
+    b, period = scan_bound([s, t])
+    return all(x in t for x in range(b + period) if x in s)
 
 
 class ScanLimit:
-    """An in-limit session replayed through the scan: a repeat that leaves
-    the depth unchanged re-emits (and keeps `last_selected`); otherwise the
-    step filters the consistent indices with `consistent_among`, checks the
-    members up to the depth, and asks `scan_feasible` of the critical ones
-    from the largest index down.  `calls` lists each step's feasibility
-    calls as (index, witness) pairs."""
+    """The in-limit generator from its definition, after the critical
+    hypotheses of Kleinberg & Mullainathan.  A step that changes what a
+    step reads (a new element, or a repeat that grows the depth, t capped
+    by a finite class) rebuilds from the history alone: the indices up to
+    the depth whose support holds every seen element; h_n critical when
+    h_n <= h_i for every consistent i < n (`is_subset_scan`); and, from the
+    largest critical index down, the first that `fraction_feasible`
+    accepts, whose witness is the output, or the empirical distribution
+    when none is.  Any other repeat re-emits and keeps `last_selected`.
+    `calls` lists the step's feasibility calls as (index, witness) pairs."""
 
     def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  alpha: Fraction):
-        self.cls, self.alpha = cls, alpha
-        self.state = StreamState(None, groups)  # tally and cursors only
+        self.cls, self.groups, self.alpha = cls, groups, alpha
+        self.history: list[int] = []
         self.consistent: tuple[int, ...] = ()
-        self.checked = 0
         self.last_selected: int | None = None
         self.calls: list[tuple[int, object]] = []
+        self.output: RationalDist | None = None
 
-    def step(self, x: int) -> None:
-        cls, state = self.cls, self.state
-        new = x not in state.tally.seen
-        state.add(x)
+    def step(self, x: int) -> RationalDist:
+        cls, history = self.cls, self.history
+        new = x not in history
+        history.append(x)
         self.calls = []
-        if new:
-            self.consistent = consistent_among(cls, self.consistent, x)
-        elif not (cls.extendable or state.t <= cls.materialized_count()):
-            return
-        depth = (state.t if cls.extendable
-                 else min(state.t, cls.materialized_count()))
-        while self.checked < depth:
-            self.checked += 1
-            support = cls.get(self.checked).support
-            if all(y in support for y in state.tally.seen):
-                self.consistent += (self.checked,)
-        consistent = tuple(i for i in self.consistent if i <= depth)
-        self.last_selected = None
-        for n in reversed(consistent):
-            if cls.critical_among(n, consistent):
-                w = scan_feasible(state, cls.get(n), self.alpha)
+        t = len(history)
+        if not (new or cls.extendable or t <= cls.materialized_count()):
+            return self.output
+        depth = t if cls.extendable else min(t, cls.materialized_count())
+        supports = [cls.get(i).support for i in range(1, depth + 1)]
+        self.consistent = tuple(i for i, s in enumerate(supports, 1)
+                                if all(y in s for y in history))
+        self.last_selected, self.output = None, empirical(history)
+        for n in reversed(self.consistent):
+            if all(is_subset_scan(supports[n - 1], supports[i - 1])
+                   for i in self.consistent if i < n):
+                w = fraction_feasible(cls.get(n), self.groups, history,
+                                      self.alpha)
                 self.calls.append((n, w))
                 if w is not None:
                     self.last_selected = n
-                    return
-
-
-# -- one-shot constructions ------------------------------------------------------
-
-def one_shot_uniform(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
-                     d_star: int, history: Sequence[int]) -> RationalDist:
-    """`repgen.generators.uniform_emit` before it replayed through a
-    session: the uniform construction on a state of the whole history."""
-    return _uniform(StreamState(cls, c, history), alpha, d_star,
-                    cls.materialized_count())
-
-
-def one_shot_nonuniform(cls: HypothesisClass, c: FiniteGroups,
-                        alpha: Fraction, history: Sequence[int]) -> RationalDist:
-    """`repgen.generators.nonuniform_emit` before it replayed through a
-    session, with fresh thresholds on every call."""
-    if not history:
-        raise ValueError("nonuniform step needs a nonempty history")
-    return _nonuniform(StreamState(cls, c, history), alpha, None)
-
-
-def one_shot_limit(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
-                   history: Sequence[int]) -> RationalDist:
-    """`repgen.generators.limit_emit` before it replayed through a session."""
-    return _limit(StreamState(cls, c, history), alpha)[1]
+                    self.output = RationalDist({y: m for _, y, m in w})
+                    break
+        return self.output

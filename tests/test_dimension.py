@@ -13,8 +13,9 @@ from itertools import combinations
 import pytest
 
 import repgen.dimension
-from repgen.dimension import (MAX_CHOICES, MAX_D, Condition1, Condition2,
-                              _atoms, check_witness, gc_depth, gc_dimension)
+from repgen.dimension import (MAX_CHOICES, MAX_D, MAX_MASKS, Condition1,
+                              Condition2, _atoms, check_witness, gc_depth,
+                              gc_dimension)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -335,7 +336,8 @@ def test_max_choices_caps_the_exhausted_group_search(monkeypatch):
         gc_depth(ALL_CLS, distinct_sizes(20), F(1, 4))
     assert time.perf_counter() - start < 0.1
     assert str(e.value) == ("dimension search needs 1048576 choices of "
-                            f"exhausted groups, above MAX_CHOICES = {MAX_CHOICES}")
+                            "exhausted groups, at most 1048576 per closure "
+                            f"mask, above MAX_CHOICES = {MAX_CHOICES}")
     # 28 alike singletons need only 29 choices
     singles = FiniteGroups([from_finite([i]) for i in range(28)]
                            + [from_threshold(28)])
@@ -348,9 +350,39 @@ def test_max_choices_caps_the_exhausted_group_search(monkeypatch):
     assert check_witness(ALL_CLS, distinct_sizes(4), F(1, 4), r.witness)
     monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 15)
     with pytest.raises(ConfigError, match="^dimension search needs 16 "
-                                          "choices of exhausted groups, above "
+                                          "choices of exhausted groups, at "
+                                          "most 16 per closure mask, above "
                                           "MAX_CHOICES = 15$"):
         gc_depth(ALL_CLS, distinct_sizes(4), F(1, 4))
+
+
+PARITY = FiniteGroups([EVENS, ODDS])
+
+
+def without_residue(h):
+    """h_j = the naturals minus residue j mod 32, for j < h: their supports
+    AND to 2^h - 1 closure masks."""
+    return _cls(*(PeriodicSet(0, 32, frozenset(range(32)) - {j})
+                  for j in range(h)))
+
+
+def test_max_masks_caps_the_closure_masks(monkeypatch):
+    # 2^18 - 1 masks are refused as soon as the fixpoint passes the cap;
+    # building them all once took 7 s
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=(
+            f"^dimension search needs at least {MAX_MASKS + 1} closure "
+            f"masks, above MAX_MASKS = {MAX_MASKS}$")):
+        gc_depth(without_residue(18), PARITY, F(1, 4))
+    assert time.perf_counter() - start < 0.5
+    # the cap is inclusive: four hypotheses take fifteen masks
+    monkeypatch.setattr(repgen.dimension, "MAX_MASKS", 15)
+    assert gc_dimension(without_residue(4), PARITY, F(1, 4)).d == 0
+    monkeypatch.setattr(repgen.dimension, "MAX_MASKS", 14)
+    with pytest.raises(ConfigError, match="^dimension search needs at least "
+                                          "15 closure masks, above "
+                                          "MAX_MASKS = 14$"):
+        gc_depth(without_residue(4), PARITY, F(1, 4))
 
 
 def test_a_search_at_max_choices_is_practical():

@@ -11,9 +11,9 @@ and the witness of every instance with d >= 1 forces the uniform
 construction at d_star = d, the empirical baseline and the in-limit
 generator into a report that `verify_report` accepts.  The uniform construction with d_star
 derived as d + 1 meets the paper's guarantee on random streams with
-repeats: every step is alpha-representative, and consistent once d_star
-distinct elements are seen, both checked through the `oracles.py`
-references.  The non-uniform construction on a provider-backed class has
+repeats: every step is alpha-representative, and plays only unseen
+closure elements once d_star distinct elements are seen, both checked
+through the `oracles.py` references and membership.  The non-uniform construction on a provider-backed class has
 thresholds that never decrease, and is consistent and alpha-representative
 on the target h_i*'s stream from the step that has shown n_i* distinct
 elements at a depth of at least i*, checked the same way."""
@@ -38,6 +38,7 @@ from repgen.generators import GeneratorSession, nonuniform_thresholds
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import PeriodicSet, from_threshold
+from test_generators import assert_uniform_guarantee
 
 F = Fraction
 
@@ -237,7 +238,7 @@ def test_uniform_generator_meets_its_guarantee(instance, alpha, data):
     # a random target's first members with repeats, every step tracks the
     # group weights of the distinct elements so far to within alpha, and
     # every step after d_star distinct elements emits only unseen members
-    # of the target's support
+    # of the closure, decided by membership
     cls, groups = instance
     session = GeneratorSession("uniform", cls, groups, alpha)
     d_star = gc_dimension(cls, groups, alpha).d + 1
@@ -255,8 +256,7 @@ def test_uniform_generator_meets_its_guarantee(instance, alpha, data):
                    for i in groups.indices()}
         assert sup_distance(induced_group_probs(mu, groups), weights) <= alpha
         if len(seen) >= d_star:
-            assert all(y in target.support and y not in seen
-                       for y in mu.support())
+            assert_uniform_guarantee(cls, groups, alpha, seen, mu)
 
 
 def _countable(cls):

@@ -1,5 +1,9 @@
 """Generator constructions: the uniform/non-uniform/in-limit emitters, the
-feasibility decision procedure, and the stateful session wrapper."""
+feasibility decision procedure, and the stateful session wrapper.  A
+session equals its pure `*_emit` replay and meets its kind's definition:
+the uniform guarantee decided by membership (`assert_uniform_guarantee`),
+the non-uniform prefix choice (`nonuniform_by_definition`), and the
+in-limit step of `oracles.ScanLimit`."""
 
 import random
 import re
@@ -23,8 +27,8 @@ from repgen.measures import (RationalDist, empirical, group_empirical,
 from repgen.periodic import (ALL, EVENS, ODDS, from_finite, from_threshold,
                              multiples)
 from repgen.simplex import feasible_point_int
-from oracles import (induced_group_probs, mesh_feasible, one_shot_limit,
-                     one_shot_nonuniform, one_shot_uniform, sup_distance)
+from oracles import (ScanLimit, induced_group_probs, mesh_feasible,
+                     sup_distance)
 
 F = Fraction
 
@@ -487,48 +491,92 @@ def _assert_same_state(stepped, once):
         assert stepped.unseen(s, part) == once.unseen(s, part)
 
 
+def assert_uniform_guarantee(cls, c, alpha, history, mu):
+    """The uniform construction's guarantee once d* distinct elements are
+    seen: mu is alpha-representative of the history, and supported on
+    unseen elements of the closure, the supports of the members consistent
+    with the history intersected, all decided by membership."""
+    seen = set(history)
+    consistent = [h.support for h in map(cls.get, range(
+        1, cls.materialized_count() + 1)) if all(x in h.support for x in seen)]
+    assert sup_distance(induced_group_probs(mu, c), induced_group_probs(
+        empirical(history), c)) <= alpha, history
+    assert all(x not in seen and all(x in s for s in consistent)
+               for x in mu.support()), history
+
+
+def nonuniform_by_definition(cls, c, alpha, history, thresholds):
+    """The non-uniform output: `uniform_emit` on the class prefix i_t at
+    d_star = n_{i_t}, where i_t = max{i <= t : n_i <= d_t} (or 1), d_t is
+    the distinct count, t is capped by a finite class, and the threshold
+    n_i is one more than the dimension of prefix i, forced non-decreasing.
+    `thresholds` keeps the n_i found so far."""
+    t = len(history)
+    upto = t if cls.extendable else min(t, cls.materialized_count())
+    while len(thresholds) < upto:
+        n_i = gc_depth(cls.prefix_class(len(thresholds) + 1), c, alpha).d + 1
+        thresholds.append(max(thresholds[-1:] + [n_i]))
+    d_t = len(set(history))
+    i_t = max((i for i in range(1, upto + 1) if thresholds[i - 1] <= d_t),
+              default=1)
+    return uniform_emit(cls.prefix_class(i_t), c, alpha, thresholds[i_t - 1],
+                        history)
+
+
+def replay(kind, cls, groups, alpha, d_star, history):
+    """What the pure function of the kind emits on the history."""
+    if kind == "empirical":
+        return empirical(history)
+    if kind == "uniform":
+        return uniform_emit(cls, groups, alpha, d_star, history)
+    if kind == "nonuniform":
+        return nonuniform_emit(cls, groups, alpha, history)
+    return limit_emit(cls, groups, alpha, history)
+
+
 def test_session_matches_free_functions():
     # every kind, a block partition, a provider-backed class and streams
     # with repeats: the session's state, fed one element per step between
-    # emissions, equals a state built from the whole history at once, and
-    # the session emits what the pure function (a replay through a fresh
-    # session) and the one-shot construction on that state emit
+    # emissions, equals a state built from the whole history at once; the
+    # session emits what the pure function (a replay through a fresh
+    # session) emits, and what the kind's definition asks for
     groups = FiniteGroups([from_finite([0]), from_threshold(1)])
     tail2 = _cls([("all", ALL), ("tail", from_threshold(2))])
     nested = _cls([("evens", EVENS), ("mult4", multiples(4))])
     blocks = BlockPartition(base=2, prefix_sizes=(2,))
     evens_cls = _cls([("all", ALL), ("evens", EVENS)])
     cases = [
-        ("empirical", tail2, groups, None, range(10), empirical, empirical),
-        ("uniform", tail2, groups, 2, range(10),
-         lambda h: uniform_emit(tail2, groups, F(1, 2), 2, h),
-         lambda h: one_shot_uniform(tail2, groups, F(1, 2), 2, h)),
-        ("inlimit", tail2, groups, None, range(10),
-         lambda h: limit_emit(tail2, groups, F(1, 2), h),
-         lambda h: one_shot_limit(tail2, groups, F(1, 2), h)),
-        ("nonuniform", nested, PARITY, None, range(0, 40, 4),
-         lambda h: nonuniform_emit(nested, PARITY, F(1, 2), h),
-         lambda h: one_shot_nonuniform(nested, PARITY, F(1, 2), h)),
-        ("inlimit", evens_cls, blocks, None, range(0, 60, 2),
-         lambda h: limit_emit(evens_cls, blocks, F(1, 2), h),
-         lambda h: one_shot_limit(evens_cls, blocks, F(1, 2), h)),
-        ("inlimit", TAILS, PARITY, None, range(12),
-         lambda h: limit_emit(TAILS, PARITY, F(1, 2), h),
-         lambda h: one_shot_limit(TAILS, PARITY, F(1, 2), h)),
+        ("empirical", tail2, groups, range(10)),
+        ("uniform", tail2, groups, range(10)),
+        ("inlimit", tail2, groups, range(10)),
+        ("nonuniform", nested, PARITY, range(0, 40, 4)),
+        ("inlimit", evens_cls, blocks, range(0, 60, 2)),
+        ("inlimit", TAILS, PARITY, range(12)),
     ]
     rng = random.Random(103)
-    for kind, cls, c, d_star, pool, emit, one_shot in cases:
-        session = GeneratorSession(kind, cls, c, F(1, 2), d_star=d_star)
+    alpha = F(1, 2)
+    for kind, cls, c, pool in cases:
+        session = GeneratorSession(kind, cls, c, alpha)
+        scan, thresholds = ScanLimit(cls, c, alpha), []
         hist = []
         for _ in range(15):
             x = rng.choice(hist) if hist and rng.random() < 0.3 else rng.choice(pool)
             hist.append(x)
             mu = session.step(x)
-            for want in (emit(hist), one_shot(hist)):
-                assert mu == want, (kind, hist)
-                assert mu.serialize() == want.serialize()
+            want = replay(kind, cls, c, alpha, session.d_star, hist)
+            assert mu == want, (kind, hist)
+            assert mu.serialize() == want.serialize()
+            if kind == "uniform" and len(set(hist)) >= session.d_star:
+                assert_uniform_guarantee(cls, c, alpha, hist, mu)
+            elif kind == "nonuniform":
+                assert mu == nonuniform_by_definition(cls, c, alpha, hist,
+                                                      thresholds), hist
+            elif kind == "inlimit":
+                assert mu == scan.step(x), (kind, hist)
+                assert session.last_selected == scan.last_selected, hist
             _assert_same_state(session.state, StreamState(cls, c, hist))
         assert len(set(hist)) < len(hist), (kind, hist)
+        assert kind != "uniform" or len(set(hist)) >= session.d_star
 
 
 def test_a_repeat_that_grows_the_depth_reruns_the_construction():

@@ -7,21 +7,21 @@ live/exhausted splits and alphas, including both out-of-contract fallbacks.
 equals a fresh subset scan on random classes and repeated queries.
 `is_feasible`, which builds its LP rows in integers, skips passes that are
 infeasible on their face and decides a pass with at most one candidate
-without the LP, returns the same witness, as int numerators over one int
-denominator, as its `Fraction`-row predecessor in `oracles.py` on random
-histories, collections and alphas, and on fixed one- and no-candidate
-boundary cases.  A session of every kind,
-which re-emits its last output on a repeat that leaves the depth unchanged,
-emits what the pure `*_emit` replay and the one-shot construction in
-`oracles.py` emit on the history so far, step by step on streams with
-repeats; and the in-limit session selects the largest index
-that is critical and alpha-feasible by the definitions, or falls back to the
-empirical distribution when there is none.  The in-limit session, which
-filters its consistent indices with the class's `holding` mask, makes the
-same feasibility calls with the same witnesses and selects the same index
-as a replay through the per-call scan in `oracles.py`.  Wherever a session plays the empirical distribution,
-which it reads from its sorted stream state, that equals
-`measures.empirical` of the history, hash and serialization included."""
+without the LP, returns the witness that `oracles.fraction_feasible` finds
+from membership scans and the rational tableau, as int numerators over one
+int denominator, on random histories, collections and alphas, and on fixed
+one- and no-candidate boundary cases.
+
+A session of every kind, which re-emits its last output on a repeat that
+leaves the depth unchanged, emits what the pure `*_emit` replay emits on the
+history so far, step by step on streams with repeats, and a non-uniform
+session plays the uniform construction of the class prefix its thresholds
+name.  An in-limit session makes the feasibility calls, with the
+witnesses, selects the index and plays the output of `oracles.ScanLimit`,
+which rebuilds consistency, criticality and feasibility from the history
+alone, while its `holding` masks agree with membership.  Wherever a session plays the empirical distribution, which it
+reads from its sorted stream state, that equals `measures.empirical` of the
+history, hash and serialization included."""
 
 from fractions import Fraction
 from functools import reduce
@@ -35,18 +35,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from instances import feasibility_instances
-from oracles import (ScanLimit, fraction_assemble_uniform, fraction_feasible,
-                     one_shot_limit, one_shot_nonuniform, one_shot_uniform)
+from oracles import ScanLimit, fraction_assemble_uniform, fraction_feasible
 from repgen import generators
 from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
-                               _limit, is_feasible, limit_emit,
-                               nonuniform_emit, uniform_emit)
+                               is_feasible)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples)
-from test_generators import _assert_same_state, _count_lp_calls
+from test_generators import (_assert_same_state, _count_lp_calls,
+                             nonuniform_by_definition, replay)
 
 F = Fraction
 
@@ -182,22 +181,29 @@ def feasibility_cases(draw):
     return h, c, history, draw(ALPHAS)
 
 
+def triples(w):
+    """A package witness as the reference writes one: (cell, element, mass)
+    triples, or None."""
+    return w if w is None else tuple(
+        (e.cell, e.element, Fraction(e.num, w.den)) for e in w.entries)
+
+
 def assert_same_witness(h, c, history, alpha):
     got = is_feasible(h, c, history, alpha)
-    want = fraction_feasible(StreamState(None, c, history), h, alpha)
-    if got is None or want is None:
-        assert got is want
-        return
-    # equality of num / den alone would accept a float numerator
-    assert type(got.den) is int
-    assert all(type(e.num) is int for e in got.entries)
-    assert [(e.cell, e.element, Fraction(e.num, got.den))
-            for e in got.entries] == list(want)
-    assert len({e.element for e in got.entries}) == len(got.entries)
+    assert triples(got) == fraction_feasible(h, c, history, alpha)
+    if got is not None:
+        # equality of num / den alone would accept a float numerator
+        assert type(got.den) is int
+        assert all(type(e.num) is int for e in got.entries)
+        assert len({e.element for e in got.entries}) == len(got.entries)
 
 
 @settings(max_examples=400, deadline=None)
 @given(feasibility_cases())
+# a banded pass whose lower-end rows steer the vertex: without them the LP
+# stops at 5/6 on 6 and 1/6 on 1, not at the reference's three masses
+@example((Hypothesis("all", ALL), FiniteGroups([EVENS, ODDS, from_threshold(3)]),
+          [0, 4, 2], F(1, 2)))
 def test_feasibility_equals_fraction_reference(case):
     assert_same_witness(*case)
 
@@ -307,41 +313,24 @@ def session_games(draw):
     return kind, cls, groups, alpha, d_star, draw(streams(cls, steps))
 
 
-def replay(kind, cls, groups, alpha, d_star, history):
-    if kind == "empirical":
-        return empirical(history)
-    if kind == "uniform":
-        return uniform_emit(cls, groups, alpha, d_star, history)
-    if kind == "nonuniform":
-        return nonuniform_emit(cls, groups, alpha, history)
-    return limit_emit(cls, groups, alpha, history)
-
-
-def one_shot(kind, cls, groups, alpha, d_star, history):
-    if kind == "empirical":
-        return empirical(history)
-    if kind == "uniform":
-        return one_shot_uniform(cls, groups, alpha, d_star, history)
-    if kind == "nonuniform":
-        return one_shot_nonuniform(cls, groups, alpha, history)
-    return one_shot_limit(cls, groups, alpha, history)
-
-
 @settings(max_examples=300, deadline=None)
 @given(session_games())
 def test_a_session_equals_a_replay_on_streams_with_repeats(game):
+    # and a non-uniform session emits what its definition asks for
     kind, cls, groups, alpha, d_star, xs = game
     session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
+    thresholds = []
     for t in range(1, len(xs) + 1):
         history = xs[:t]
         mu = session.step(xs[t - 1])
         game = kind, cls, groups, alpha, d_star, history
-        assert mu.serialize() == replay(*game).serialize() \
-            == one_shot(*game).serialize(), history
-        fresh = StreamState(cls, groups, history)
-        selected = _limit(fresh, alpha)[0] if kind == "inlimit" else None
-        assert session.last_selected == selected, history
-        _assert_same_state(session.state, fresh)
+        assert mu.serialize() == replay(*game).serialize(), history
+        if kind == "nonuniform":
+            assert mu == nonuniform_by_definition(cls, groups, alpha, history,
+                                                  thresholds), history
+        if kind != "inlimit":
+            assert session.last_selected is None
+        _assert_same_state(session.state, StreamState(cls, groups, history))
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,38 +353,7 @@ def test_sorted_state_empirical_equals_the_checked_one(game):
             assert type(mu.support()) is tuple
 
 
-# -- the in-limit selection against its definition -----------------------------
-
-@settings(max_examples=150, deadline=None)
-@given(classes().filter(lambda c: not c[0].extendable)
-       .flatmap(lambda c: st.tuples(st.just(c[0]), streams(*c))),
-       partitions() | finite_collections().filter(lambda c: c.validate().covers),
-       st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]))
-def test_inlimit_selects_the_largest_critical_feasible_index(game, groups,
-                                                              alpha):
-    # critical by `is_critical` on the prefix, alpha-feasible by the
-    # Fraction-row reference; the step plays that index's witness, or the
-    # empirical distribution when no index qualifies
-    cls, xs = game
-    session = GeneratorSession("inlimit", cls, groups, alpha)
-    for t in range(1, len(xs) + 1):
-        prefix = xs[:t]
-        mu = session.step(xs[t - 1])
-        state = StreamState(None, groups, prefix)
-        picks = [(n, w) for n in range(cls.materialized_count(), 0, -1)
-                 if cls.is_critical(n, prefix)
-                 for w in [fraction_feasible(state, cls.get(n), alpha)]
-                 if w is not None]
-        if not picks:
-            assert session.last_selected is None, prefix
-            assert mu == empirical(prefix), prefix
-        else:
-            n, witness = picks[0]
-            assert session.last_selected == n, prefix
-            assert mu == RationalDist({x: m for _, x, m in witness}), prefix
-
-
-# -- the membership mask against the scan ----------------------------------------
+# -- the in-limit session against its definition ---------------------------------
 
 def multiple(n):
     """h_n of the provider-backed class of multiples: every n-th natural, so
@@ -440,6 +398,10 @@ def scan_games(draw):
           FiniteGroups([from_finite([0, 1, 2, 3]), EVENS | from_threshold(4)]),
           F(1, 2), [0, 12, 12, 6, 24, 0, 36, 60, 4]))
 def test_inlimit_session_equals_a_replay_through_the_scan(game):
+    # at every step: the same feasibility calls with the same witnesses,
+    # the same selected index, the same output (the selected witness or
+    # the empirical distribution), and consistent indices and `holding`
+    # masks that agree with membership
     make, groups, alpha, xs = game
     cls = make()
     session = GeneratorSession("inlimit", cls, groups, alpha)
@@ -456,12 +418,13 @@ def test_inlimit_session_equals_a_replay_through_the_scan(game):
     with mock.patch.object(generators, "_feasible", recorded):
         for t, x in enumerate(xs, 1):
             calls.clear()
-            session.step(x)
-            scan.step(x)
+            mu = session.step(x)
+            want = scan.step(x)
             seen.add(x)
-            assert calls == [(scan.cls.get(n).id, w) for n, w in scan.calls], \
-                xs[:t]
+            assert [(hid, triples(w)) for hid, w in calls] \
+                == [(scan.cls.get(n).id, w) for n, w in scan.calls], xs[:t]
             assert session.last_selected == scan.last_selected, xs[:t]
+            assert mu.serialize() == want.serialize(), xs[:t]
             state = session.state
             assert state.consistent == scan.consistent, xs[:t]
             assert state._mask == sum(1 << (i - 1) for i in state.consistent)

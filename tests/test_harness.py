@@ -17,7 +17,7 @@ import pytest
 from repgen import generators
 from repgen.adversaries import MAX_QUERY_BUDGET, MAX_STEPS
 from repgen.cli import main
-from repgen.dimension import MAX_CHOICES, MAX_D
+from repgen.dimension import MAX_CHOICES, MAX_D, MAX_MASKS
 from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (StepRecord, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
@@ -731,7 +731,7 @@ def test_max_d_above_the_cap_is_rejected_before_any_search(
     assert '"all_representative":true' in capsys.readouterr().out
 
 
-def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
+def test_an_exponential_group_search_is_refused_at_once(tmp_path, capsys):
     # groups of sizes 1, ..., 20 and a tail, no two alike: 2^20 choices of
     # exhausted groups, once 16.9 s of search, are refused by count
     members, start = [], 0
@@ -744,7 +744,8 @@ def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
         groups={"members": members},
         generator={"kind": "uniform", "alpha": "1/4"}))
     refused = ("dimension search needs 1048576 choices of exhausted groups, "
-               f"above MAX_CHOICES = {MAX_CHOICES}")
+               f"at most 1048576 per closure mask, above MAX_CHOICES = "
+               f"{MAX_CHOICES}")
     start = time.perf_counter()
     assert main(["gc-dim", path]) == 3
     assert time.perf_counter() - start < 0.5
@@ -753,6 +754,30 @@ def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: cannot derive d_star: {refused}; an explicit d_star "
         "skips the search\n")
+
+
+def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
+    # h_j = the naturals minus residue j mod 32 for j < 18, parity groups:
+    # the supports AND to 2^18 - 1 closure masks, whose building took 7 s
+    # before MAX_CHOICES refused them under the wrong cause; the fixpoint
+    # now stops at the mask cap
+    hypotheses = [{"id": f"h{j}", "support": "ap:0,32,{%s},{}" % ",".join(
+        str(r) for r in range(32) if r != j)} for j in range(18)]
+    path = _write_scenario(tmp_path, _doc(
+        hypotheses=hypotheses, **{"class": [h["id"] for h in hypotheses]},
+        target="h0", stream={"explicit": [1, 2, 3]}, horizon=3,
+        groups={"members": ["ap:0,2,{0},{}", "ap:0,2,{1},{}"]},
+        generator={"kind": "uniform", "alpha": "1/4"}))
+    refused = (f"dimension search needs at least {MAX_MASKS + 1} closure "
+               f"masks, above MAX_MASKS = {MAX_MASKS}")
+    for args, err in (
+            (["gc-dim", path], f"error: {refused}\n"),
+            (["run", path], f"error: cannot derive d_star: {refused}; an "
+                            "explicit d_star skips the search\n")):
+        start = time.perf_counter()
+        assert main(args) == 3
+        assert time.perf_counter() - start < 0.5, args
+        assert capsys.readouterr() == ("", err)
 
 
 def test_d_star_is_only_for_the_uniform_generator(tmp_path, capsys):

@@ -7,6 +7,9 @@ workloads in `bench/workloads.py` read, still exists in the package, so a
 rename or a deletion cannot break `bench/run.py`.  The README's CLI
 examples print what the CLI prints.  The pure `*_emit` generator functions
 name no construction and no `StreamState`: they replay through the session.
+`tests/oracles.py` imports from the package only data types, membership,
+errors and constants (`ORACLE_IMPORTS`), nothing private and nothing from
+`repgen.generators`.
 
 The unused-import scan covers `src/repgen/`, `tests/` and `bench/`; it
 skips `src/repgen/__init__.py` because its imports are the package's public
@@ -159,6 +162,62 @@ def test_pure_emits_replay_through_the_session():
     second_entry = {"_uniform", "_nonuniform", "_limit", "StreamState"}
     assert {name: mentioned(node) & second_entry
             for name, node in emits.items()} == dict.fromkeys(emits, set())
+
+
+# What `tests/oracles.py` may import from the package, per module: data
+# types, membership, errors and constants, so that no reference shares an
+# algorithm with the engine it checks.
+ORACLE_IMPORTS = {
+    "repgen.dimension": {"Condition", "Condition1", "Condition2"},
+    "repgen.errors": {"ConfigError", "InvariantViolation", "ScenarioError"},
+    "repgen.groups": {"BlockPartition", "FiniteGroups", "GroupCollection"},
+    "repgen.hypotheses": {"HypothesisClass"},
+    "repgen.measures": {"RationalDist", "empirical"},
+    "repgen.periodic": {"ALL", "PeriodicSet", "from_finite"},
+    "repgen.simplex": {"EQ", "GE", "LE"},
+}
+
+
+def engine_imports(source: str) -> list[str]:
+    """Each package name the source imports outside `ORACLE_IMPORTS`, which
+    lists no private name and nothing from `repgen.generators`, and any
+    import of a package module as a whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(f"{alias.name} (line {node.lineno})"
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "repgen")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "repgen":
+            allowed = ORACLE_IMPORTS.get(node.module, ())
+            found.extend(f"{node.module}.{alias.name} (line {node.lineno})"
+                         for alias in node.names if alias.name not in allowed)
+    return found
+
+
+def test_engine_imports_are_detected():
+    source = ("from repgen.generators import _feasible, StreamState\n"
+              "from repgen.measures import RationalDist, GroupTally\n"
+              "from repgen.periodic import ALL, _combine\n"
+              "from repgen import simplex\n"
+              "import repgen.dimension\n"
+              "from itertools import product\n")
+    assert engine_imports(source) == [
+        "repgen.generators._feasible (line 1)",
+        "repgen.generators.StreamState (line 1)",
+        "repgen.measures.GroupTally (line 2)",
+        "repgen.periodic._combine (line 3)", "repgen.simplex (line 4)",
+        "repgen.dimension (line 5)"]
+
+
+def test_oracles_share_no_algorithm_with_the_engine():
+    assert not any(name.startswith("_") for names in ORACLE_IMPORTS.values()
+                   for name in names)
+    assert "repgen.generators" not in ORACLE_IMPORTS
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert "from repgen." in source
+    assert engine_imports(source) == []
 
 
 def unresolved(targets) -> list[str]:

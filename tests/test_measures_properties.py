@@ -12,8 +12,8 @@ equals the sup distance of the `Fraction` group probabilities on both
 collection shapes, `GroupTally.worst_group` is the smallest group attaining
 it, and `RationalDist.from_numerators` equals the `Fraction`
 mass constructor, errors included.  Along a stream with repeats, `distance`
-equals both the `mass_by_group` reference and the `Fraction` sup distance
-for point masses (in touched and untouched blocks) and spread masses."""
+equals the `Fraction` sup distance for point masses (in touched and
+untouched blocks) and spread masses."""
 
 from fractions import Fraction
 
@@ -22,8 +22,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (FractionRationalDist, induced_group_probs,
-                     mass_distance, sup_distance)
+from oracles import FractionRationalDist, induced_group_probs, sup_distance
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.measures import (GroupTally, PrefixView, RationalDist, empirical,
                              group_empirical, is_alpha_representative)
@@ -335,5 +334,5 @@ def test_tally_distance_weighs_point_masses(c, first, script):
         mu = RationalDist.point(arg) if move == "point" else RationalDist(arg)
         got = tally.distance(mu)
         assert type(got) is Fraction
-        assert got == mass_distance(tally, mu) == sup_distance(
-            induced_group_probs(mu, c), tally.weights())
+        assert got == sup_distance(induced_group_probs(mu, c),
+                                   tally.weights())
