@@ -22,7 +22,7 @@ distribution, bit for bit.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -48,8 +48,8 @@ class StreamState:
     consistent class indices (checked lazily up to the largest index asked
     for), kept beside their bitmask so that a new element filters them with
     one AND of the class's `holding` mask; and smallest-unseen cursors keyed
-    by (set, part), each walking `set & part` forward only, since the seen
-    set only grows."""
+    by (set, part), each walking the part of the set forward only, since
+    the seen set only grows."""
 
     def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -114,8 +114,8 @@ class StreamState:
         return tuple(i for i in self.consistent if i <= n)
 
     def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
-        """Smallest unseen element of `s & part`, or None when there is none;
-        `part` is a group index, or a cell's membership vector."""
+        """Smallest unseen element of s inside `part`, or None when there is
+        none; `part` is a finite family's cell vector, or a block index."""
         cursor = self._cursors.get((s, part))
         if cursor is None:
             members = self.groups.members_in(s, part)
@@ -155,7 +155,9 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     """Whether some distribution over the unseen support of h tracks the
     history's group empirical weights to within alpha; returns a concrete
     witness (mass per cell, concentrated on the smallest unseen element of
-    each cell) or None.
+    each cell) or None.  Nothing confines the mass to the groups: the
+    cell outside every group of a finite family, whose vector is all
+    zeros, is a candidate like any other.
 
     The boundary is non-strict: achievable distance exactly alpha counts as
     feasible.  alpha must be an int or a Fraction (TypeError otherwise) in
@@ -172,7 +174,7 @@ def _feasible(state: StreamState, h: Hypothesis,
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)
-    candidates = [(vec, elem) for vec, _ in c.cells()
+    candidates = [(vec, elem) for vec in c.pieces(h.support)
                   if (elem := state.unseen(h.support, vec)) is not None]
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
     # mass must land within [pihat - alpha, pihat + alpha].  With d
@@ -183,13 +185,12 @@ def _feasible(state: StreamState, h: Hypothesis,
     a, b = alpha.numerator, alpha.denominator
     den = d * b
     n = len(candidates)
-    if n <= 1:
-        # No candidate: the total-mass row has no variable, so no pass
-        # holds.  One candidate: that row pins its mass to 1, so both
-        # passes ask whether the point mass is within alpha of every
-        # group, and an exact-pass success is the same witness.
-        if not n:
-            return None
+    if n == 1:
+        # The pieces tile the infinite support, so one of them is infinite
+        # and there is always a candidate.  With only one, the total-mass
+        # row pins its mass to 1, so both passes ask whether the point mass
+        # is within alpha of every group, and an exact-pass success is the
+        # same witness.
         (vec, elem), = candidates
         cap = a * d
         for i, inside in enumerate(vec, 1):
@@ -322,8 +323,9 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
         return state.empirical()
     avail: dict[int, int] = {}
     exhausted: list[int] = []
-    for i in state.groups.indices():
-        z = state.unseen(closure, i)
+    # on a partition, group i is the cell of its unit vector
+    for i, unit in enumerate(state.groups.units, 1):
+        z = state.unseen(closure, unit)
         if z is None:
             exhausted.append(i)
         else:
@@ -365,7 +367,8 @@ def _nonuniform(state: StreamState, alpha: Fraction,
     upto = state.depth()
     n = nonuniform_thresholds(state.cls, state.groups, alpha, upto, thresholds)
     d_t = len(state.tally.seen)
-    i_t = max((i for i in range(1, upto + 1) if n[i - 1] <= d_t), default=1)
+    # the thresholds are running maxima, so those within d_t are a prefix
+    i_t = bisect_right(n, d_t, 0, upto) or 1
     return _uniform(state, alpha, n[i_t - 1], i_t)
 
 

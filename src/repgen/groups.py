@@ -7,19 +7,20 @@ Both shapes share `group(i)` (a `PeriodicSet`), `owners(x)` (the indices
 of the groups that hold x, as a tuple the collection may keep and share),
 its list copy `groups_containing(x)`, `mass_by_group(xs, weights)` (total
 weight per group: every group of a finite family, the touched blocks of a
-partition), `members_in(s, part)` (the members of a set inside a group or
-cell, in increasing order) and `validate()`, so callers that count, weigh
-or enumerate elements never ask which shape they hold.
+partition), `members_in(s, part)` (the members of a set inside a cell,
+named by its membership vector, or a block, in increasing order) and
+`validate()`, so callers that count, weigh or enumerate elements never ask
+which shape they hold.
 Membership in a finite family is itself ultimately periodic: with T the
 largest threshold and M the lcm of the moduli, x >= T holds the same groups
 as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
 once per such class and looks it up after that, so its memo never holds more
-than T + M entries; it also intersects each cursor region `s & region` once
-per collection.  Each `members_in` call starts a fresh walk of that set, and
-the stream state keeps the walk it is given: its smallest-unseen cursors
-only move forward, so a set is walked once per state.
-`refine` cuts a set by a family of sets; it gives the membership cells of a
-finite family and the dimension's atoms alike.
+than T + M entries.  It cuts each set once into `pieces(s)`, the all-zeros
+vector keying the part in no group, and keeps the cut.  Each `members_in`
+call starts a fresh walk of a piece; the stream state's cursors keep theirs
+and only move forward, so a piece is walked once per state.
+`refine` cuts a set by a family of sets; it gives a finite family's pieces
+and the dimension's atoms alike.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .hypotheses import Hypothesis
-from .periodic import ALL, PeriodicSet, interval
+from .periodic import ALL, EMPTY, PeriodicSet, interval
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,14 @@ class FiniteGroups:
             raise ValueError("group collection must not be empty")
         self._groups = tuple(groups)
         self._report: ValidationReport | None = None
-        self._cells: list[tuple[tuple[int, ...], PeriodicSet]] | None = None
         # membership is periodic with threshold T and period M beyond it
         self._t = max(g.threshold for g in self._groups)
         self._m = lcm(*(g.modulus for g in self._groups))
         self._owners_memo: dict[int, tuple[int, ...]] = {}
-        self._regions: dict[tuple, PeriodicSet] = {}
+        self._pieces: dict[PeriodicSet, dict[tuple[int, ...], PeriodicSet]] = {}
+        # e_1, ..., e_K: the vector of each group alone, a partition's cells
+        k = len(self._groups)
+        self.units = tuple(tuple(int(n == i) for n in range(k)) for i in range(k))
 
     @property
     def k(self) -> int:
@@ -106,28 +109,23 @@ class FiniteGroups:
                 sums[i] += w
         return sums
 
-    def members_in(self, s: PeriodicSet,
-                   part: int | tuple[int, ...]) -> Iterator[int]:
-        """The members of s inside group `part`, or inside the cell whose
-        membership vector `part` is, in increasing order.  The set
-        `s & region` is built once per (s, part) and kept; each call walks
-        it from its least member."""
-        inside = self._regions.get((s, part))
-        if inside is None:
-            region = (dict(self.cells())[part] if isinstance(part, tuple)
-                      else self.group(part))
-            inside = self._regions[s, part] = s & region
-        return inside.members()
-
-    def cells(self) -> list[tuple[tuple[int, ...], PeriodicSet]]:
-        """Atoms of the collection: every realizable nonzero membership vector
-        paired with its exact set.  Deterministic order (vectors enumerated
-        with 1 before 0 per coordinate)."""
-        if self._cells is None:
+    def pieces(self, s: PeriodicSet) -> dict[tuple[int, ...], PeriodicSet]:
+        """The nonempty parts of s cut by the groups, keyed by membership
+        vector, 1 before 0 per coordinate; the zero vector keys the part of
+        s in no group.  Cut once per set with `refine` and kept."""
+        cut = self._pieces.get(s)
+        if cut is None:
             k = len(self._groups)
-            self._cells = [(tuple(mask >> n & 1 for n in range(k)), cell)
-                           for mask, cell in refine(ALL, self._groups) if mask]
-        return self._cells
+            cut = self._pieces[s] = {
+                tuple(mask >> n & 1 for n in range(k)): piece
+                for mask, piece in refine(s, self._groups)}
+        return cut
+
+    def members_in(self, s: PeriodicSet, vec: tuple[int, ...]) -> Iterator[int]:
+        """The members of s inside the cell whose membership vector `vec`
+        is, in increasing order: a walk of that piece of s from its least
+        member."""
+        return self.pieces(s).get(vec, EMPTY).members()
 
     def __repr__(self) -> str:
         return f"FiniteGroups(k={self.k})"
@@ -227,10 +225,12 @@ def refine(base: PeriodicSet,
         cut = []
         for mask, piece in pieces:
             inside = piece & s
-            if not inside.is_empty():
+            if inside.is_empty():
+                cut.append((mask, piece))
+            else:
                 cut.append((mask | 1 << n, inside))
-            if inside != piece:
-                cut.append((mask, piece - s))
+                if inside != piece:
+                    cut.append((mask, piece - s))
         pieces = cut
     return pieces
 
@@ -240,19 +240,15 @@ def finite_support_size(h: Hypothesis, c: FiniteGroups) -> int:
     finite, of the size of that intersection.
 
     The empty subfamily is excluded, so only actual group overlap structure
-    contributes; empty intersections contribute 0.
+    contributes; empty intersections contribute 0.  A subfamily's
+    intersection is the union of the support's pieces whose vectors hold
+    it, so it is finite exactly when each of them is.
     """
-    k = c.k
+    sizes = [(sum(bit << n for n, bit in enumerate(vec)), piece.size_if_finite())
+             for vec, piece in c.pieces(h.support).items()]
     total = 0
-    for mask in range(1, 2 ** k):
-        inter = h.support
-        for i in range(k):
-            if mask & (1 << i):
-                inter = inter & c.group(i + 1)
-                if inter.is_empty():
-                    break
-        n = inter.size_if_finite()
-        if n is not None:
-            total += n
+    for sub in range(1, 2 ** c.k):
+        inter = [n for mask, n in sizes if mask & sub == sub]
+        if None not in inter:
+            total += sum(inter)
     return total
-

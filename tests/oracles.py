@@ -37,7 +37,7 @@ from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups, GroupCollection
 from repgen.hypotheses import HypothesisClass
 from repgen.measures import RationalDist, empirical
-from repgen.periodic import ALL, PeriodicSet, from_finite
+from repgen.periodic import PeriodicSet, from_finite
 from repgen.simplex import EQ, GE, LE
 
 
@@ -728,18 +728,18 @@ def fraction_feasible(h, c, history, alpha):
     return: a tuple of (cell, element, mass) triples, or None.
 
     The candidates are each cell's smallest unseen element of the support
-    (`unseen_cells`), the zero vector left out, in the cells' documented
-    order: 1 before 0 per coordinate.  Their masses q_v >= 0 sum to 1, and
-    per group the covered mass lands within [pihat - alpha, pihat + alpha],
-    solved by `fraction_feasible_point`: distance-0 witnesses are
-    preferred, so an exact-tracking system is tried before the banded one.
+    (`unseen_cells`), the zero vector of the part in no group included, in
+    the cells' documented order: 1 before 0 per coordinate.  Their masses
+    q_v >= 0 sum to 1, and per group the covered mass lands within
+    [pihat - alpha, pihat + alpha], solved by `fraction_feasible_point`:
+    distance-0 witnesses are preferred, so an exact-tracking system is
+    tried before the banded one.
     """
     pihat = induced_group_probs(empirical(history), c)
     if isinstance(c, BlockPartition):
         return fraction_feasible_blocks(h, c, history, pihat, alpha)
     found = unseen_cells(h.support, [c.group(i) for i in c.indices()], history)
-    candidates = [(vec, found[vec]) for vec in sorted(found, reverse=True)
-                  if any(vec)]
+    candidates = [(vec, found[vec]) for vec in sorted(found, reverse=True)]
     for exact in (True, False):
         constraints: list = [([ONE] * len(candidates), EQ, ONE)]
         for i in c.indices():
@@ -795,18 +795,16 @@ def fraction_feasible_blocks(h, c, history, pihat, alpha):
     return tuple(entries)
 
 
-def product_cells(c: FiniteGroups) -> list[tuple[tuple[int, ...], PeriodicSet]]:
-    """The cells that `repgen.groups.FiniteGroups.cells` returned before it
-    cut them with `refine`, its enumeration kept verbatim (bar the name,
-    the memo and this paragraph) as the reference: every realizable nonzero
-    membership vector paired with its exact set, vectors enumerated with 1
+def product_cells(c: FiniteGroups,
+                  s: PeriodicSet) -> list[tuple[tuple[int, ...], PeriodicSet]]:
+    """The pieces of s cut by the groups of c, by product enumeration: every
+    membership vector that a member of s realizes, the zero vector
+    included, paired with its exact part of s, vectors enumerated with 1
     before 0 per coordinate, at O(2^K) vectors."""
     groups = [c.group(i) for i in c.indices()]
     out = []
     for vec in product((1, 0), repeat=len(groups)):
-        if not any(vec):
-            continue
-        cell = ALL
+        cell = s
         for bit, g in zip(vec, groups):
             cell = (cell & g) if bit else (cell - g)
             if cell.is_empty():

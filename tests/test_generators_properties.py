@@ -6,11 +6,13 @@ live/exhausted splits and alphas, including both out-of-contract fallbacks.
 `HypothesisClass.critical_among`, which remembers each subset verdict,
 equals a fresh subset scan on random classes and repeated queries.
 `is_feasible`, which builds its LP rows in integers, skips passes that are
-infeasible on their face and decides a pass with at most one candidate
-without the LP, returns the witness that `oracles.fraction_feasible` finds
-from membership scans and the rational tableau, as int numerators over one
-int denominator, on random histories, collections and alphas, and on fixed
-one- and no-candidate boundary cases.
+infeasible on their face and decides a pass with one candidate without the
+LP, returns the witness that `oracles.fraction_feasible` finds from
+membership scans and the rational tableau, as int numerators over one int
+denominator, on random histories, collections and alphas, and on fixed
+one-candidate boundary cases.  On a collection that is no cover, the mass
+may sit outside every group, and the grid search `oracles.mesh_feasible`
+agrees.
 
 A session of every kind, which re-emits its last output on a repeat that
 leaves the depth unchanged, emits what the pure `*_emit` replay emits on the
@@ -35,7 +37,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from instances import feasibility_instances
-from oracles import ScanLimit, fraction_assemble_uniform, fraction_feasible
+from oracles import (ScanLimit, fraction_assemble_uniform, fraction_feasible,
+                     mesh_feasible)
 from repgen import generators
 from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
                                is_feasible)
@@ -162,11 +165,12 @@ def finite_collections(draw):
 def feasibility_cases(draw):
     """(h, collection, history, alpha) with an infinite support, as every
     hypothesis has.  Some draws take a collection of finite groups and a
-    history that holds every support element inside them, so no cell has a
-    candidate; block draws take base 2 or 3 and a short explicit prefix."""
+    history that holds every support element inside them, so only the cell
+    outside every group has a candidate; block draws take base 2 or 3 and a
+    short explicit prefix."""
     support = draw(infinite_sets)
     h = Hypothesis("h", support)
-    kind = draw(st.sampled_from(["finite", "blocks", "candidate-free"]))
+    kind = draw(st.sampled_from(["finite", "blocks", "outside-only"]))
     history = draw(st.lists(st.integers(0, 24), min_size=1, max_size=10))
     if kind == "finite":
         c = draw(finite_collections())
@@ -179,6 +183,10 @@ def feasibility_cases(draw):
         c = FiniteGroups([from_finite(g) for g in groups])
         history += sorted(x for g in groups for x in g if x in support)
     return h, c, history, draw(ALPHAS)
+
+
+NO_COVER = (Hypothesis("all", ALL), FiniteGroups([from_finite([0, 1])]),
+            [0, 5], F(0))
 
 
 def triples(w):
@@ -204,8 +212,17 @@ def assert_same_witness(h, c, history, alpha):
 # stops at 5/6 on 6 and 1/6 on 1, not at the reference's three masses
 @example((Hypothesis("all", ALL), FiniteGroups([EVENS, ODDS, from_threshold(3)]),
           [0, 4, 2], F(1, 2)))
+# no cover: the group {0, 1} weighs 1/2 after 0, 5, which 1/2 on 1 inside it
+# plus 1/2 on 2 outside it tracks exactly
+@example(NO_COVER)
 def test_feasibility_equals_fraction_reference(case):
     assert_same_witness(*case)
+
+
+def test_mass_outside_every_group_tracks_a_non_cover():
+    w = is_feasible(*NO_COVER)
+    assert triples(w) == (((1,), 1, F(1, 2)), ((0,), 2, F(1, 2)))
+    assert mesh_feasible(*NO_COVER)
 
 
 def test_feasibility_equals_fraction_reference_on_mesh_instances():
@@ -215,13 +232,13 @@ def test_feasibility_equals_fraction_reference_on_mesh_instances():
                             inst["alpha"])
 
 
-# One candidate cell decides both passes by its point mass, and none decides
-# them at once; neither reaches the LP.  The cover {0, 1, 2}, {2, 3, ...}
-# leaves evens the candidate 4 after 0, 1, 2, 3, whose point mass is 3/4 off
-# the first group's weight 3/4 and 1/2 off the second's; the cover all,
-# evens leaves it the candidate 4 after 0, 2, whose point mass tracks both
-# weights exactly; the single group {0, 1, 2, 3}, which is no cover, leaves
-# it none after 0, 2.
+# One candidate cell decides both passes by its point mass, without the LP.
+# The cover {0, 1, 2}, {2, 3, ...} leaves evens the candidate 4 after
+# 0, 1, 2, 3, whose point mass is 3/4 off the first group's weight 3/4 and
+# 1/2 off the second's; the cover all, evens leaves it the candidate 4 after
+# 0, 2, whose point mass tracks both weights exactly; the single group
+# {0, 1, 2, 3}, which is no cover, leaves it only the candidate 4 outside
+# the group after 0, 2, whose point mass is exactly 1 off the weight 1.
 OVERLAP = FiniteGroups([from_finite([0, 1, 2]), from_threshold(2)])
 NESTED = FiniteGroups([ALL, EVENS])
 FINITE = FiniteGroups([from_finite([0, 1, 2, 3])])
@@ -231,7 +248,7 @@ FINITE = FiniteGroups([from_finite([0, 1, 2, 3])])
     (OVERLAP, [0, 1, 2, 3], F(3, 4), True),    # distance alpha: non-strict
     (OVERLAP, [0, 1, 2, 3], F(2, 4), False),   # the next alpha over 4
     (NESTED, [0, 2], F(0), True),              # exact tracking at alpha 0
-    (FINITE, [0, 2], F(1), False),             # no candidate, even at 1
+    (FINITE, [0, 2], F(1), True),              # outside the group, at 1
 ])
 def test_at_most_one_candidate_is_decided_without_the_lp(
         monkeypatch, c, history, alpha, feasible):

@@ -1,5 +1,5 @@
 """Group collections: coverage/partition validation, membership vectors,
-cell decomposition, block layouts, and overlap bookkeeping."""
+the pieces a set is cut into, block layouts, and overlap bookkeeping."""
 
 import random
 from itertools import islice
@@ -53,13 +53,13 @@ def test_owners_memo_holds_one_entry_per_membership_class():
     assert tally.counts == scan_mass_by_group(c, xs, [1] * len(xs))
 
 
-@pytest.mark.parametrize("part", [1, (0, 1)])
+@pytest.mark.parametrize("part", [(1, 0), (0, 1)])
 def test_cursors_over_one_collection_walk_independently(part):
-    # each members_in call walks s & region from its least member, however
+    # each members_in call walks a piece of s from its least member, however
     # far other iterators and stream states over the collection have gone
     c = FiniteGroups([EVENS, ODDS])
     s = multiples(3)
-    region = c.group(1) if part == 1 else ODDS
+    region = EVENS if part == (1, 0) else ODDS
     want = list(islice((s & region).members(), 40))
     a, b = c.members_in(s, part), c.members_in(s, part)
     assert list(islice(a, 5)) == want[:5]
@@ -80,44 +80,45 @@ def test_cursors_over_one_collection_walk_independently(part):
         assert listed == [x for x in want if x not in seen][:20]
 
 
-def test_cells_worked():
+def test_pieces_worked():
     c = FiniteGroups([from_finite([0, 1]) | from_threshold(2), ALL])
-    # first group is everything here, so only the (1,1) cell is nonempty
-    cells = dict(c.cells())
-    assert cells[(1, 1)] == ALL
+    # first group is everything here, so only the (1,1) piece is nonempty
+    assert c.pieces(ALL) == {(1, 1): ALL}
     c2 = FiniteGroups([from_finite([0, 1]), ALL])
-    cells2 = dict(c2.cells())
-    assert cells2[(1, 1)] == from_finite([0, 1])
-    assert cells2[(0, 1)] == from_threshold(2)
-    assert (1, 0) not in cells2
+    assert c2.pieces(ALL) == {(1, 1): from_finite([0, 1]),
+                              (0, 1): from_threshold(2)}
+    # no cover: the zero vector keys the part of the set in no group
+    c3 = FiniteGroups([from_finite([0, 1])])
+    assert c3.pieces(EVENS) == {(1,): from_finite([0]),
+                                (0,): EVENS & from_threshold(2)}
+    assert c3.pieces(EVENS) is c3.pieces(EVENS)  # cut once per set
 
 
-def test_cells_partition_universe():
+def test_pieces_partition_the_set():
     rng = random.Random(47)
     for _ in range(60):
         k = rng.randrange(1, 4)
         groups = [_random_set(rng) for _ in range(k)]
+        s = _random_set(rng)
         c = FiniteGroups(groups)
-        cells = c.cells()
-        bound, period = scan_bound(groups)
+        pieces = c.pieces(s)
+        bound, period = scan_bound(groups + [s])
         for x in range(bound + period):
-            hits = [vec for vec, cell in cells if x in cell]
+            hits = [vec for vec, piece in pieces.items() if x in piece]
             v = tuple(1 if x in g else 0 for g in groups)
-            if any(v):
-                assert hits == [v]
-            else:
-                assert hits == []  # uncovered elements live in no cell
-        # every listed cell is nonempty and its vector matches its members
-        for vec, cell in cells:
-            assert not cell.is_empty()
-            wit = next(iter(cell.members()))
+            # an element in no group lies in the zero vector's piece
+            assert hits == ([v] if x in s else [])
+        # every listed piece is nonempty and its vector matches its members
+        for vec, piece in pieces.items():
+            assert not piece.is_empty()
+            wit = next(iter(piece.members()))
             assert tuple(1 if wit in g else 0 for g in groups) == vec
 
 
-def test_cells_order_is_product_order():
-    c = FiniteGroups([EVENS, ODDS])
-    vecs = [vec for vec, _ in c.cells()]
-    assert vecs == [(1, 0), (0, 1)]  # (1,1) and (0,0) are empty here
+def test_pieces_order_is_product_order():
+    assert list(FiniteGroups([EVENS, ODDS]).pieces(ALL)) == [(1, 0), (0, 1)]
+    c = FiniteGroups([multiples(4), EVENS])
+    assert list(c.pieces(ALL)) == [(1, 1), (0, 1), (0, 0)]
 
 
 def test_block_partition_layout():

@@ -1,13 +1,13 @@
-"""Property tests for `refine`, the one cut behind the membership cells and
-the dimension's atoms.
+"""Property tests for `refine`, the one cut behind a finite family's pieces
+and the dimension's atoms.
 
-`FiniteGroups.cells()` returns what the product enumeration in `oracles.py`
-returns (the same vectors, in the same order, with the same sets) on random
-overlapping families of one to six groups, and on a partition into
-singletons and a tail it makes O(K^2) set operations, not O(2^K).
-`members_in` lists a set's members inside a group or a cell, in increasing
-order, as the set algebra does, on random partitions and block
-partitions.  `groups_containing` and `mass_by_group`, which decide
+`FiniteGroups.pieces(s)` returns what the product enumeration in
+`oracles.py` returns for s (the same vectors, the zero vector included, in
+the same order, with the same sets) on random sets and random overlapping
+families of one to six groups, and on a partition into singletons and a
+tail each call makes O(K^2) set operations, not O(2^K).  `members_in` lists
+a set's members inside a cell or a block, in increasing order, as the set
+algebra does, on random partitions and block partitions.  `groups_containing` and `mass_by_group`, which decide
 membership once per residue class, agree with the per-group scans in
 `oracles.py` below the largest threshold, within the first period past it
 and far beyond it."""
@@ -38,10 +38,10 @@ def periodic_sets(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(periodic_sets(), min_size=1, max_size=6))
-def test_cells_match_the_product_reference(groups):
+@given(st.lists(periodic_sets(), min_size=1, max_size=6), periodic_sets())
+def test_pieces_match_the_product_reference(groups, s):
     c = FiniteGroups(groups)
-    assert c.cells() == product_cells(c)
+    assert list(c.pieces(s).items()) == product_cells(c, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -77,10 +77,15 @@ def test_refine_worked():
     assert refine(ODDS, []) == [(0, ODDS)]
 
 
-def test_cells_cost_is_quadratic_in_the_group_count(monkeypatch):
-    # 23 singletons and a tail: 2^24 membership vectors, 24 cells
+def test_pieces_cost_is_quadratic_in_the_group_count(monkeypatch):
+    # 23 singletons and a tail: 2^24 membership vectors, at most 24 pieces
+    # of any set, and none cut twice
     k = 24
     groups = [from_finite([x]) for x in range(k - 1)] + [from_threshold(k - 1)]
+    c = FiniteGroups(groups)
+    sets = (ALL, EVENS, ALL, multiples(3))
+    want = [{unit: s & g for unit, g in zip(c.units, groups)
+             if not (s & g).is_empty()} for s in sets]
     cap = 2 * k * k
     calls = [0]
     for name in ("__and__", "__sub__"):
@@ -92,17 +97,20 @@ def test_cells_cost_is_quadratic_in_the_group_count(monkeypatch):
             return op(self, other)
 
         monkeypatch.setattr(PeriodicSet, name, counted)
-    cells = FiniteGroups(groups).cells()
-    assert cells == [(tuple(int(n == i) for n in range(k)), g)
-                     for i, g in enumerate(groups)]
+    costs = []
+    for s in sets:
+        calls[0] = 0
+        assert c.pieces(s) == want.pop(0)
+        costs.append(calls[0])
+    assert costs[2] == 0  # ALL again: its kept cut
 
 
 @settings(max_examples=300, deadline=None)
 @given(instances() | block_instances(), periodic_sets(), st.data())
 def test_members_in_lists_the_intersection(instance, other, data):
-    # a hypothesis's support, or another set, inside a group, or inside a
-    # cell given by its membership vector (the cell cut here by hand); a
-    # block is finite, so all its members are compared
+    # a hypothesis's support, or another set, inside a cell given by its
+    # membership vector (the cell cut here by hand), realized by the set or
+    # not; a block is finite, so all its members are compared
     cls, c = instance
     s = data.draw(st.sampled_from(
         [cls.get(i).support for i in range(1, cls.materialized_count() + 1)]
@@ -112,14 +120,11 @@ def test_members_in_lists_the_intersection(instance, other, data):
         got = list(c.members_in(s, part))
         assert got == list((s & c.group(part)).members())
     else:
-        part = data.draw(st.sampled_from(
-            list(c.indices()) + [vec for vec, _ in c.cells()]))
+        part = data.draw(st.sampled_from([*c.pieces(s), *c.units,
+                                          (0,) * c.k]))
         region = ALL
-        if isinstance(part, tuple):
-            for i, inside in zip(c.indices(), part):
-                region = region & c.group(i) if inside else region - c.group(i)
-        else:
-            region = c.group(part)
+        for i, inside in zip(c.indices(), part):
+            region = region & c.group(i) if inside else region - c.group(i)
         got = list(islice(c.members_in(s, part), 12))
         assert got == list(islice((s & region).members(), 12))
     assert got == sorted(set(got))

@@ -540,6 +540,19 @@ def test_cli_run_ok(tmp_path, capsys):
     assert "all_representative" in out
 
 
+def test_cli_feasible_puts_mass_outside_a_non_cover(tmp_path, capsys):
+    # the single group {0, 1} weighs 1/2 after 0, 5: half the mass on its
+    # unseen 1, half on 2, in no group, tracks it exactly
+    doc = _doc(groups={"members": ["finite:{0,1}"], "covers": False},
+               generator={"kind": "empirical", "alpha": "0"})
+    path = _write_scenario(tmp_path, doc)
+    assert main(["feasible", path, "--prefix", "0,5"]) == 0
+    assert capsys.readouterr().out == (
+        '{"feasible":true,"hypothesis":"everything","witness":['
+        '{"cell":[1],"element":1,"mass":"1/2"},'
+        '{"cell":[0],"element":2,"mass":"1/2"}]}\n')
+
+
 def test_cli_run_assert_failure_exit_2(tmp_path, capsys):
     doc = _doc(generator={"kind": "uniform", "alpha": "1/2", "d_star": 1},
                asserts={"all_representative": True})
