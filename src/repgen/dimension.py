@@ -32,10 +32,10 @@ from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantViolation
-from .groups import BlockPartition, FiniteGroups, GroupCollection, refine
+from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
 from .measures import check_alpha
-from .periodic import PeriodicSet
+from .periodic import PeriodicSet, refine
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ MAX_CHOICES = 2 ** 16
 # taken, so no instance above the cap gets past MAX_CHOICES either; the cap
 # only refuses it sooner.  With h_j the naturals minus residue j mod 32,
 # parity groups and alpha = 1/4, H = 16 (65,535 masks) is decided in
-# 1.6-1.9 s, while H = 18 (262,143 masks), which MAX_CHOICES refused only
-# after 6.6 s, is refused here in 0.08-0.09 s (three runs, Python 3.11.7,
-# 2-vCPU x86-64 VM).
+# 1.6-2.3 s, while H = 18 (262,143 masks), which MAX_CHOICES refused only
+# after 6.6 s, is refused here in 0.07-0.10 s (nine runs each, Python
+# 3.11.7, 2-vCPU x86-64 VM on a shared host).
 MAX_MASKS = 2 ** 16
 
 

@@ -15,12 +15,11 @@ Membership in a finite family is itself ultimately periodic: with T the
 largest threshold and M the lcm of the moduli, x >= T holds the same groups
 as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
 once per such class and looks it up after that, so its memo never holds more
-than T + M entries.  It cuts each set once into `pieces(s)`, the all-zeros
-vector keying the part in no group, and keeps the cut.  Each `members_in`
-call starts a fresh walk of a piece; the stream state's cursors keep theirs
-and only move forward, so a piece is walked once per state.
-`refine` cuts a set by a family of sets; it gives a finite family's pieces
-and the dimension's atoms alike.
+than T + M entries.  It cuts each set once into `pieces(s)` with
+`periodic.refine`, the all-zeros vector keying the part in no group, and
+keeps the cut; `validate()` reads the same `periodic.classify` masks.  Each
+`members_in` call starts a fresh walk of a piece; the stream state's cursors
+keep theirs and only move forward, so a piece is walked once per state.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .hypotheses import Hypothesis
-from .periodic import ALL, EMPTY, PeriodicSet, interval
+from .periodic import EMPTY, PeriodicSet, classify, interval, refine
 
 
 @dataclass(frozen=True)
@@ -70,16 +69,13 @@ class FiniteGroups:
         return range(1, len(self._groups) + 1)
 
     def validate(self) -> ValidationReport:
+        """Covers: every membership class in some group; a partition: in
+        exactly one, its `classify` mask a single bit."""
         if self._report is None:
-            union = self._groups[0]
-            for g in self._groups[1:]:
-                union = union | g
-            covers = union == ALL
-            partition = covers and all(
-                (self._groups[i] & self._groups[j]).is_empty()
-                for i in range(len(self._groups))
-                for j in range(i + 1, len(self._groups)))
-            self._report = ValidationReport(covers, partition)
+            masks = classify(self._groups)[2]
+            covers = all(masks)
+            self._report = ValidationReport(
+                covers, covers and not any(mask & (mask - 1) for mask in masks))
         return self._report
 
     def owners(self, x: int) -> tuple[int, ...]:
@@ -112,7 +108,8 @@ class FiniteGroups:
     def pieces(self, s: PeriodicSet) -> dict[tuple[int, ...], PeriodicSet]:
         """The nonempty parts of s cut by the groups, keyed by membership
         vector, 1 before 0 per coordinate; the zero vector keys the part of
-        s in no group.  Cut once per set with `refine` and kept."""
+        s in no group.  Cut once per set with `refine`, one membership
+        pass over s and each group, and kept."""
         cut = self._pieces.get(s)
         if cut is None:
             k = len(self._groups)
@@ -212,27 +209,6 @@ class BlockPartition:
 
 
 GroupCollection = Union[FiniteGroups, BlockPartition]
-
-
-def refine(base: PeriodicSet,
-           sets: Sequence[PeriodicSet]) -> list[tuple[int, PeriodicSet]]:
-    """The nonempty pieces of `base` cut by each set in turn, the piece
-    inside a set before the piece outside it, each tagged with the bitmask
-    of the sets that hold it (bit n for sets[n]).  Only nonempty pieces are
-    cut further, so the cost is O(pieces * len(sets)) set operations."""
-    pieces = [] if base.is_empty() else [(0, base)]
-    for n, s in enumerate(sets):
-        cut = []
-        for mask, piece in pieces:
-            inside = piece & s
-            if inside.is_empty():
-                cut.append((mask, piece))
-            else:
-                cut.append((mask | 1 << n, inside))
-                if inside != piece:
-                    cut.append((mask, piece - s))
-        pieces = cut
-    return pieces
 
 
 def finite_support_size(h: Hypothesis, c: FiniteGroups) -> int:

@@ -14,7 +14,11 @@ Instances canonicalize on construction (minimal eventual period, then
 minimal threshold), so structural equality coincides with equality of the
 denoted sets.  An instance is immutable, so its hash is computed once, on
 first use, and kept with it: the stream state's unseen-element cursors and
-a collection's regions, which are keyed by sets, then hash each set once.
+a finite family's pieces, which are keyed by sets, then hash each set once.
+
+Every operation on several sets reads one table, `classify`: which of the
+sets hold each membership class.  `&`, `|`, `-` and `complement` select the
+classes by their mask, and `refine` groups them by it.
 """
 
 from __future__ import annotations
@@ -22,12 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from math import lcm
-from typing import Iterable, Iterator
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+from math import isqrt, lcm
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,17 @@ class PeriodicSet:
 
         # Minimal eventual period: the set of eventual periods of an
         # ultimately periodic set is closed under gcd, so it suffices to try
-        # divisors of the given modulus in increasing order.
-        for d in _divisors(modulus):
-            if all(((r + d) % modulus in residues) == (r in residues)
-                   for r in range(modulus)):
-                modulus2 = d
-                residues2 = frozenset(r for r in range(d) if r in residues)
-                break
+        # divisors of the given modulus in increasing order.  A shift by d
+        # maps the residues onto themselves iff into them: it is a bijection.
+        small = [d for d in range(1, isqrt(modulus) + 1) if modulus % d == 0]
+        modulus2 = next(d for d in small + [modulus // d for d in small[::-1]]
+                        if all((r + d) % modulus in residues for r in residues))
+        residues2 = frozenset(r for r in residues if r < modulus2)
 
         # Minimal threshold for that period: fold prefix elements into the
         # periodic part while they agree with it.
         t = threshold
-        while t > 0:
-            x = t - 1
-            if (x in prefix) != ((x % modulus2) in residues2):
-                break
+        while t and (t - 1 in prefix) == ((t - 1) % modulus2 in residues2):
             t -= 1
         prefix2 = frozenset(x for x in prefix if x < t)
 
@@ -116,31 +112,23 @@ class PeriodicSet:
 
     # -- boolean algebra ---------------------------------------------------
 
-    def _combine(self, other: "PeriodicSet", op) -> "PeriodicSet":
-        t = max(self.threshold, other.threshold)
-        m = lcm(self.modulus, other.modulus)
-        prefix = (x for x in range(t) if op(x in self, x in other))
-        # Any representative >= t of each residue class mod m decides the
-        # periodic part, because both operands are periodic beyond t.
-        def rep(r: int) -> int:
-            return t + ((r - t) % m)
-        residues = (r for r in range(m) if op(rep(r) in self, rep(r) in other))
-        return PeriodicSet(t, m, residues, prefix)
+    def _combine(self, other: "PeriodicSet", keep) -> "PeriodicSet":
+        """The set of the membership classes whose `classify` mask over
+        (self, other) passes `keep`: bit 0 for self, bit 1 for other."""
+        t, m, masks = classify((self, other))
+        return _from_keys(t, m, [k for k, mask in enumerate(masks) if keep(mask)])
 
     def __and__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, lambda mask: mask == 3)
 
     def __or__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, bool)
 
     def __sub__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, lambda mask: mask == 1)
 
     def complement(self) -> "PeriodicSet":
-        return PeriodicSet(
-            self.threshold, self.modulus,
-            (r for r in range(self.modulus) if r not in self.residues),
-            (x for x in range(self.threshold) if x not in self.prefix))
+        return ALL - self
 
     def is_subset(self, other: "PeriodicSet") -> bool:
         return (self - other).is_empty()
@@ -185,6 +173,46 @@ EVENS = PeriodicSet(0, 2, (0,))
 ODDS = PeriodicSet(0, 2, (1,))
 
 
+def classify(sets: Sequence[PeriodicSet]) -> tuple[int, int, list[int]]:
+    """Which of `sets` hold each membership class.  With T the largest
+    threshold and M the lcm of the moduli, every x >= T lies in the same
+    sets as T + (x - T) mod M, so the T + M keys 0, ..., T + M - 1 stand
+    for all the naturals.  Returns (T, M, masks), masks[k] having bit n set
+    iff sets[n] holds key k: one pass of T + M membership tests per set."""
+    t = max((s.threshold for s in sets), default=0)
+    m = lcm(*(s.modulus for s in sets))
+    masks = [0] * (t + m)
+    for n, s in enumerate(sets):
+        bit = 1 << n
+        for k in filter(s.__contains__, range(t + m)):
+            masks[k] |= bit
+    return t, m, masks
+
+
+def _from_keys(t: int, m: int, keys: list[int]) -> PeriodicSet:
+    """The set made of the membership classes `keys`, numbered as by
+    `classify` with threshold t and period m."""
+    return PeriodicSet(t, m, (k % m for k in keys if k >= t),
+                       (k for k in keys if k < t))
+
+
+def refine(base: PeriodicSet,
+           sets: Sequence[PeriodicSet]) -> list[tuple[int, PeriodicSet]]:
+    """The nonempty pieces of `base` cut by `sets`, each tagged with the
+    bitmask of the sets that hold it (bit n for sets[n]): the membership
+    classes of `base` grouped by their `classify` mask, in the order of
+    cutting by each set in turn, the piece inside a set before the piece
+    outside it.  One pass of T + M membership tests per set."""
+    t, m, masks = classify((base, *sets))
+    keys: dict[int, list[int]] = {}
+    for k, mask in enumerate(masks):
+        if mask & 1:
+            keys.setdefault(mask >> 1, []).append(k)
+    order = sorted(keys, reverse=True,  # the tag's bits from bit 0 on, 1 first
+                   key=lambda tag: f"{tag:0{len(sets)}b}"[::-1])
+    return [(tag, _from_keys(t, m, keys[tag])) for tag in order]
+
+
 def from_finite(elements: Iterable[int]) -> PeriodicSet:
     elements = frozenset(elements)
     if not elements:
@@ -219,15 +247,17 @@ def multiples(m: int) -> PeriodicSet:
 
 # Largest modulus, threshold or finite element that parse_set accepts, and
 # (scenario.parse_scenario) the largest lcm of a scenario's moduli.  The
-# algebra is O(lcm + threshold) per operation, superlinear in the lcm once
-# the minimal period is searched, so the bound is what keeps hostile input
-# from hanging.  Measured with perf_counter (Python 3.11, 2-vCPU VM): `&` of
-# ap:0,100,{1},{} and ap:0,101,{2},{} (lcm 10,100) takes 0.04 s, at lcm
-# 90,300 1.3 s, and at lcm 1,001,000 21 s; u01 with its support taken mod
-# 100 and its groups mod 101 runs `gc-dim` in 0.06 s and `run` in 0.08 s,
-# and mod 1000 against mod 1001 in 3.2 s and 5.6 s.
+# algebra is O(lcm + threshold) per operand, so the bound is what keeps
+# hostile input from hanging.  Best of three perf_counter runs (Python
+# 3.11.7, 2-vCPU x86-64 VM): `&` of ap:0,100,{1},{} and ap:0,101,{2},{}
+# (lcm 10,100) takes 0.004 s, at lcm 90,300 0.03 s, at lcm 1,001,000 0.4 s.
+# u01 with its support all but residue 99 mod 100 and its groups the
+# multiples of 101 and the rest runs `gc-dim` in 0.012 s and `run` in
+# 0.02 s; mod 1000 against mod 1001 (cap lifted) in 1.2 s and 2.6 s.
 MAX_PARSED = 10 ** 4
 
+_NAMED = {"all": ALL, "empty": EMPTY, "evens": EVENS, "odds": ODDS}
+_NAMES = {s: name for name, s in _NAMED.items()}
 _AP_RE = re.compile(r"^ap:(\d+),(\d+),\{([\d,]*)\},\{([\d,]*)\}$")
 _FINITE_RE = re.compile(r"^finite:\{([\d,]*)\}$")
 
@@ -245,9 +275,8 @@ def _bounded(what: str, value: int) -> None:
 
 def parse_set(text: str) -> PeriodicSet:
     text = text.strip()
-    named = {"all": ALL, "empty": EMPTY, "evens": EVENS, "odds": ODDS}
-    if text in named:
-        return named[text]
+    if text in _NAMED:
+        return _NAMED[text]
     m = _FINITE_RE.match(text)
     if m:
         elements = _parse_ints(m.group(1))
@@ -263,14 +292,8 @@ def parse_set(text: str) -> PeriodicSet:
 
 
 def format_set(s: PeriodicSet) -> str:
-    if s == ALL:
-        return "all"
-    if s == EMPTY:
-        return "empty"
-    if s == EVENS:
-        return "evens"
-    if s == ODDS:
-        return "odds"
+    if s in _NAMES:
+        return _NAMES[s]
     if s.is_finite():
         return "finite:{%s}" % ",".join(str(x) for x in sorted(s.prefix))
     return "ap:%d,%d,{%s},{%s}" % (

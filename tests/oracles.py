@@ -19,8 +19,10 @@ the package's searches, tallies, cursors or LPs.
   `empirical`.
 - `fraction_feasible` solves over `unseen_cells` (or `block_range` scans)
   with `fraction_feasible_point`, weighing groups by membership.
-- `product_cells` shares the set algebra; `scan_groups_containing`,
-  `scan_mass_by_group` and `consistent_among` share membership.
+- `product_cells` shares the set algebra, and through it `classify`, the
+  pass `refine` cuts with, so the cut is also checked by membership alone;
+  `scan_groups_containing`, `scan_mass_by_group` and `consistent_among`
+  share membership.
 - `ScanLimit`, Kleinberg & Mullainathan's critical-hypothesis step, rebuilds
   consistency and criticality by membership scans and asks
   `fraction_feasible`.
@@ -800,7 +802,9 @@ def product_cells(c: FiniteGroups,
     """The pieces of s cut by the groups of c, by product enumeration: every
     membership vector that a member of s realizes, the zero vector
     included, paired with its exact part of s, vectors enumerated with 1
-    before 0 per coordinate, at O(2^K) vectors."""
+    before 0 per coordinate, at O(2^K) vectors.  Its `&` and `-` read the
+    same `classify` pass as `refine`; `test_refine_cuts_by_membership_alone`
+    checks the cut without it."""
     groups = [c.group(i) for i in c.indices()]
     out = []
     for vec in product((1, 0), repeat=len(groups)):

@@ -5,12 +5,15 @@ and the dimension's atoms.
 `oracles.py` returns for s (the same vectors, the zero vector included, in
 the same order, with the same sets) on random sets and random overlapping
 families of one to six groups, and on a partition into singletons and a
-tail each call makes O(K^2) set operations, not O(2^K).  `members_in` lists
-a set's members inside a cell or a block, in increasing order, as the set
-algebra does, on random partitions and block partitions.  `groups_containing` and `mass_by_group`, which decide
-membership once per residue class, agree with the per-group scans in
-`oracles.py` below the largest threshold, within the first period past it
-and far beyond it."""
+tail each call makes O(K^2) set operations, not O(2^K). Both reach
+`classify` through the set algebra, so each `refine` piece and the
+`validate()` report are also checked by membership alone, and the cut of
+all 2^8 vectors of 8 bit-pattern groups costs one membership pass per set.
+`members_in` lists a set's members inside a cell or a block, in increasing
+order, as the set algebra does, on random partitions and block partitions.
+`groups_containing` and `mass_by_group`, which decide membership once per
+residue class, agree with the per-group scans in `oracles.py` below the
+largest threshold, within the first period past it and far beyond it."""
 
 from itertools import islice, product, repeat
 from math import lcm
@@ -18,13 +21,14 @@ from math import lcm
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import product_cells, scan_groups_containing, scan_mass_by_group
-from repgen.groups import BlockPartition, FiniteGroups, refine
+from oracles import (product_cells, scan_bound, scan_groups_containing,
+                     scan_mass_by_group)
+from repgen.groups import BlockPartition, FiniteGroups
 from test_dimension_properties import block_instances, instances
 from repgen.periodic import (ALL, EMPTY, EVENS, ODDS, PeriodicSet,
-                             from_finite, from_threshold, multiples)
+                             from_finite, from_threshold, multiples, refine)
 
 
 @st.composite
@@ -68,6 +72,38 @@ def test_refine_tags_each_piece_with_its_sets(base, sets):
     assert union == base
 
 
+@settings(max_examples=200, deadline=None)
+@given(periodic_sets(), st.lists(periodic_sets(), max_size=4))
+def test_refine_cuts_by_membership_alone(base, sets):
+    # decided with `in` only, no set algebra: each piece holds exactly the
+    # members of the base in the scan window whose membership mask is its
+    # tag, and each mask the window realizes tags one piece (a nonempty
+    # piece has a member in the window)
+    bound, period = scan_bound([base, *sets])
+    window = [x for x in range(bound + period) if x in base]
+    masks = {x: sum(1 << n for n, s in enumerate(sets) if x in s)
+             for x in window}
+    pieces = refine(base, sets)
+    assert sorted(tag for tag, _ in pieces) == sorted(set(masks.values()))
+    for tag, piece in pieces:
+        assert ([x for x in range(bound + period) if x in piece]
+                == [x for x in window if masks[x] == tag])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(periodic_sets(), min_size=1, max_size=5))
+@example([EVENS, ODDS]).via("a partition")
+@example([EVENS, ALL]).via("a cover, not a partition")
+def test_validate_decides_by_membership_alone(groups):
+    # a cover leaves no element of the scan window outside every group, and
+    # a partition puts each in exactly one
+    bound, period = scan_bound(groups)
+    counts = [sum(x in g for g in groups) for x in range(bound + period)]
+    report = FiniteGroups(groups).validate()
+    assert report.covers == (0 not in counts)
+    assert report.partition == (set(counts) == {1})
+
+
 def test_refine_worked():
     mult4 = multiples(4)
     assert refine(ALL, [EVENS, mult4]) == [
@@ -103,6 +139,29 @@ def test_pieces_cost_is_quadratic_in_the_group_count(monkeypatch):
         assert c.pieces(s) == want.pop(0)
         costs.append(calls[0])
     assert costs[2] == 0  # ALL again: its kept cut
+
+
+def test_pieces_cost_one_membership_pass_per_set(monkeypatch):
+    # 8 bit-pattern groups mod 256 (group j holds the residues with bit j
+    # set) realize all 2^8 membership vectors; the cut of ALL tests each of
+    # the T + M = 256 membership classes once against ALL and each group,
+    # and the kept cut tests none
+    k, m = 8, 256
+    c = FiniteGroups([PeriodicSet(0, m, [r for r in range(m) if r >> j & 1])
+                      for j in range(k)])
+    calls = [0]
+    contains = PeriodicSet.__contains__
+
+    def counted(self, x):
+        calls[0] += 1
+        return contains(self, x)
+
+    monkeypatch.setattr(PeriodicSet, "__contains__", counted)
+    assert len(c.pieces(ALL)) == m
+    assert calls[0] <= (k + 1) * m
+    calls[0] = 0
+    assert len(c.pieces(ALL)) == m
+    assert calls[0] == 0
 
 
 @settings(max_examples=300, deadline=None)
