@@ -299,7 +299,10 @@ class MembershipOracle:
 
     def _decide(self, x: int) -> "QueryAdversaryState":
         """Charge one query; an undecided x becomes in-hypothesis, in group
-        two, and queued."""
+        two, and queued.  A query that is not a natural is a ValueError,
+        raised before the budget is charged."""
+        if type(x) is not int or x < 0:  # a bool is an int, not a natural
+            raise ValueError(f"queries must be naturals, got {x!r}")
         self._spent += 1
         if self._spent > self._budget:
             raise QueryBudgetExceeded(self._state.step, self._budget)

@@ -12,11 +12,12 @@ The dimension is computed on the atoms of the instance, the joint
 refinement of the partition and the hypothesis supports, whose elements are
 exchangeable: a tuple witnesses or not by how many of its elements fall in
 each atom.  Given the hypotheses S consistent with a tuple and the groups E
-it exhausts, the witnessed depths form one interval, a span, so the
-dimension is the largest span top: exact at every depth, or unbounded when
-a span is (only at alpha = 0).  The witness is built greedily from the same
-spans.  `check_witness` decides a tuple from its counts per group, in
-integers like the spans, and shares no code with them.
+it exhausts, read as how many it takes from each class of interchangeable
+groups, the witnessed depths form one interval, a span, so the dimension
+is the largest span top: exact at every depth, or unbounded when a span is
+(only at alpha = 0).  The witness is built greedily from the same spans.
+`check_witness` decides a tuple from its counts per group, in integers
+like the spans, and shares no code with them.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from functools import reduce
 from heapq import merge
 from itertools import combinations, product, repeat
 from math import prod
-from operator import and_
-from typing import Iterator, NamedTuple, Sequence
+from operator import and_, mul
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, InvariantViolation
 from .groups import BlockPartition, FiniteGroups, GroupCollection
 from .hypotheses import HypothesisClass
 from .measures import check_alpha
-from .periodic import PeriodicSet, refine
+from .periodic import ALL, PeriodicSet, refine
 
 
 @dataclass(frozen=True)
@@ -125,21 +126,15 @@ MAX_D = 35_000
 # closure masks; they are counted before any is tried.  Alike groups take
 # one choice per count, but each distinct group doubles them: groups of
 # sizes 1, ..., K plus a tail at alpha = 1/4 (one mask, 2^K choices) take
-# 0.19-0.27 s at K = 14 and 0.74-0.95 s at K = 16, the cap, while K = 17
-# and K = 20 are refused in 7 and 11 ms (three runs, Python 3.11.7, 2-vCPU
-# x86-64 VM).
+# 0.08-0.12 s at K = 14 and 0.33-0.53 s at K = 16, the cap, while K = 17
+# and K = 20 are refused in 1-3 ms.  Every closure mask takes a choice or
+# more when no element is taken, so `_closures` counts the masks against
+# the cap as its fixpoint runs: with h_j the naturals minus residue j mod
+# 32, parity groups and alpha = 1/4, H = 16 hypotheses (65,535 masks) are
+# decided in 1.6-2.0 s, and H = 18 (262,143 masks, 7 s to build them all)
+# is refused in 0.06-0.10 s (three runs each, Python 3.11.7, 2-vCPU x86-64
+# VM).
 MAX_CHOICES = 2 ** 16
-
-# Most closure masks `_closures` builds, counted as the fixpoint runs: H
-# hypotheses can AND to 2^H - 1 of them before `_spans` counts a choice.
-# Every mask takes at least one choice when `_spans` starts from no element
-# taken, so no instance above the cap gets past MAX_CHOICES either; the cap
-# only refuses it sooner.  With h_j the naturals minus residue j mod 32,
-# parity groups and alpha = 1/4, H = 16 (65,535 masks) is decided in
-# 1.6-2.3 s, while H = 18 (262,143 masks), which MAX_CHOICES refused only
-# after 6.6 s, is refused here in 0.07-0.10 s (nine runs each, Python
-# 3.11.7, 2-vCPU x86-64 VM on a shared host).
-MAX_MASKS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -165,19 +160,25 @@ class _Atom:
 
 
 def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
-    """Joint refinement of the partition and the hypothesis supports."""
+    """Joint refinement of the partition and the hypothesis supports, in
+    one cut of the naturals: a piece's tag holds its group's bit below bit
+    K and its supports' bits from bit K up, and `refine`, which orders tags
+    from bit 0 up, 1 first, yields the pieces group by group."""
     supports = [cls.get(n).support
                 for n in range(1, cls.materialized_count() + 1)]
-    return [_Atom(piece, piece.size_if_finite(), i, hyps)
-            for i in c.indices()
-            for hyps, piece in refine(c.group(i), supports)]
+    k = c.k
+    return [_Atom(piece, piece.size_if_finite(),
+                  (tag & ~(-1 << k)).bit_length(), tag >> k)
+            for tag, piece in refine(ALL, [*map(c.group, c.indices()),
+                                           *supports])]
 
 
 def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
     """Every closure mask S, a nonzero AND of atom masks (the hypotheses
     consistent with some tuple), with its closure atoms, those inside every
     support of S, per group: their indices and the AND of their masks.
-    More than MAX_MASKS masks is a ConfigError, raised as soon as the
+    Each mask takes at least one choice of exhausted groups in `_spans`, so
+    more than MAX_CHOICES masks is a ConfigError, raised as soon as the
     fixpoint passes the cap."""
     base = {a.hyps for a in atoms} - {0}
     masks, new = set(base), list(base)
@@ -189,10 +190,11 @@ def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
                 if both and both not in masks:
                     masks.add(both)
                     grown.append(both)
-                    if len(masks) > MAX_MASKS:
+                    if len(masks) > MAX_CHOICES:
                         raise ConfigError(
                             f"dimension search needs at least {len(masks)} "
-                            f"closure masks, above MAX_MASKS = {MAX_MASKS}")
+                            "closure masks, each with a choice of exhausted "
+                            f"groups, above MAX_CHOICES = {MAX_CHOICES}")
         new = grown
     out = []
     for s in sorted(masks):
@@ -204,29 +206,23 @@ def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
     return out
 
 
-class _Group(NamedTuple):
-    """A group under one closure mask S."""
-    atoms: list[int]  # its closure atoms
-    full: int  # F_i, its count when exhausted (0 when it cannot be)
-    low: int  # least count when live
-    high: int | None  # most count when live (None: no cap)
-    mask: int  # AND of its closure atoms' masks
-
-
 def _fewest(atoms: Sequence[_Atom], ub: Sequence[int | None],
-            live: list[_Group], need: int) -> int | None:
-    """Fewest untouched closure atoms of the live groups, one element each
-    and within each group's room, whose masks clear every bit of `need`, or
-    None.  A touched atom's mask holds every bit of `need` (they lie inside
-    the touched atoms' common mask), so only untouched atoms clear one.  One
-    atom per bit suffices, so at most popcount(need) are tried."""
+            groups: Sequence[tuple[list[int], int, int | None]],
+            need: int) -> int | None:
+    """Fewest untouched closure atoms, one element each and within each
+    group's room (high - low), whose masks clear every bit of `need`, or
+    None.  `groups` holds every group's (closure atoms, low, high) under the
+    mask: `need` lies inside the masks of the exhausted groups' atoms and of
+    the touched atoms, so none of them is an option whichever groups are
+    exhausted.  One atom per bit suffices, so at most popcount(need) are
+    tried."""
     options = {(g, atoms[j].hyps & need): None
-               for g, group in enumerate(live) for j in group.atoms
+               for g, (js, _, _) in enumerate(groups) for j in js
                if ub[j] != 0 and need & ~atoms[j].hyps}
     for r in range(1, need.bit_count() + 1):
         for chosen in combinations(options, r):
             if not reduce(and_, (bits for _, bits in chosen), need) and all(
-                    live[g].high is None or n <= live[g].high - live[g].low
+                    groups[g][2] is None or n <= groups[g][2] - groups[g][1]
                     for g, n in Counter(g for g, _ in chosen).items()):
                 return r
     return None
@@ -240,11 +236,15 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     taking lb[j] to ub[j] elements of atom j (None: no cap).
 
     An exhausted group holds all F_i elements of its closure atoms; a live
-    group leaves one out, or has an atom that cannot be filled.  With C_E
-    the sum of F_i over E and alpha = p/q, condition 1 holds iff
-    d < F_i q / p for an i in E and condition 2 iff d p (K - |E|) < q C_E,
-    so both cap d (not at alpha = 0), as do the live groups.  The least
-    depth adds the fewest atoms that bring the consistent mask down to S.
+    group leaves one out (its high is F_i - 1), or has an atom that cannot
+    be filled.  Groups alike in count bounds and mask are interchangeable,
+    so a choice of E is how many groups it takes from each class of them,
+    and every bound is a sum over those counts.  With C_E the sum of F_i
+    over E and alpha = p/q, condition 1 holds iff d < F_i q / p for an i
+    in E and condition 2 iff d p (K - |E|) < q C_E, so both cap d (not at
+    alpha = 0).  So does the sum of every group's high plus |E|, when every
+    group has one.  The least depth is C_E plus every group's low less
+    E's, plus the fewest atoms that bring the consistent mask down to S.
     More than MAX_CHOICES choices of E in all is a ConfigError.
     """
     p, q = alpha.numerator, alpha.denominator
@@ -253,7 +253,7 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     for s, per_group in closures:
         if held & s != s:
             continue
-        classes: dict[tuple, list[_Group]] = {}
+        groups, classes = [], Counter()
         for js, mask in per_group:
             whole, total, low = True, 0, 0
             for j in js:
@@ -262,43 +262,42 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
                     else total + ub[j]
                 low += lb[j]
             high = total - 1 if whole else total
-            # Groups alike in count bounds and mask are interchangeable, so
-            # only how many of them are exhausted matters: once one is, the
-            # bits `_fewest` must clear lie inside their common mask, which
-            # none of their atoms can clear.
-            key = (whole, high is None or low <= high, total, low, mask)
-            classes.setdefault(key, []).append(
-                _Group(js, total if whole else 0, low, high, mask))
+            groups.append((js, low, high))
+            classes[whole, high, low, mask] += 1
         # exhausted counts per class, most first: all, or none, or any
-        counts = [range(len(gs) if whole else 0,
-                        -1 if can_live else len(gs) - 1, -1)
-                  for (whole, can_live, *_), gs in classes.items()]
-        plans.append((s, list(classes.values()), counts))
-    per_mask = [prod(map(len, counts)) for _, _, counts in plans]
+        counts = [range(n if whole else 0,
+                        -1 if high is None or low <= high else n - 1, -1)
+                  for (whole, high, low, _), n in classes.items()]
+        plans.append((s, groups, list(classes), counts))
+    per_mask = [prod(map(len, counts)) for *_, counts in plans]
     choices = sum(per_mask)
     if choices > MAX_CHOICES:
         raise ConfigError(f"dimension search needs {choices} choices of "
                           f"exhausted groups, at most {max(per_mask)} per "
                           f"closure mask, above MAX_CHOICES = {MAX_CHOICES}")
-    for s, groups, counts in plans:
+    for s, groups, classes, counts in plans:
+        # F_i, a whole group's high plus one; no other group is exhausted
+        fulls = [high + 1 if whole else 0 for whole, high, _, _ in classes]
+        _, highs, lows, masks = zip(*classes)
+        low_sum = sum(low for _, low, _ in groups)
+        high_sum = None if None in highs else sum(h for *_, h in groups)
         for choice in product(*counts):
-            exhausted = [g for gs, n in zip(groups, choice) for g in gs[:n]]
-            live = [g for gs, n in zip(groups, choice) for g in gs[n:]]
-            heavy = sum(g.full for g in exhausted)
+            heavy = sum(map(mul, choice, fulls))
             if not heavy:
                 continue
+            size = sum(choice)
             top = None
-            if p and live:
-                fmax = max(g.full for g in exhausted)
+            if p and size < len(groups):
+                fmax = max(f for n, f in zip(choice, fulls) if n)
                 top = max(-(-fmax * q // p),
-                          -(-q * heavy // (p * len(live)))) - 1
-            if all(g.high is not None for g in live):
-                hi = heavy + sum(g.high for g in live)
-                top = hi if top is None else min(top, hi)
-            lo = heavy + sum(g.low for g in live)
-            mask = reduce(and_, (g.mask for g in exhausted), held)
+                          -(-q * heavy // (p * (len(groups) - size)))) - 1
+            if high_sum is not None:
+                top = high_sum + size if top is None \
+                    else min(top, high_sum + size)
+            lo = heavy + low_sum - sum(map(mul, choice, lows))
+            mask = reduce(and_, (m for n, m in zip(choice, masks) if n), held)
             if mask != s and (top is None or lo <= top):
-                extra = _fewest(atoms, ub, live, mask & ~s)
+                extra = _fewest(atoms, ub, groups, mask & ~s)
                 lo = None if extra is None else lo + extra
             if lo is not None and (top is None or lo <= top):
                 yield lo, top

@@ -51,7 +51,7 @@ class StreamState:
     by (set, part), each walking the part of the set forward only, since
     the seen set only grows."""
 
-    def __init__(self, cls: HypothesisClass | None, groups: GroupCollection,
+    def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  history: Iterable[int] = ()):
         self.cls = cls
         self.groups = groups
@@ -69,13 +69,12 @@ class StreamState:
         """Feed one element; return whether anything a construction reads
         changed: True when x is new or the depth grew.  A repeat that leaves
         the depth unchanged changes nothing, so its step may re-emit the
-        previous distribution.  Without a class (as `is_feasible` builds the
-        state) there is no depth, and a repeat returns False."""
+        previous distribution."""
         self.t += 1
         if self.tally.add(x):
             insort(self.distinct, x)
             # the indices in the mask are at most `checked`, so already
-            # materialized; without a class it stays empty
+            # materialized
             mask = self._mask
             if mask:
                 kept = mask & self.cls.holding(x)
@@ -84,9 +83,7 @@ class StreamState:
                     self.consistent = tuple(i for i in self.consistent
                                             if kept >> (i - 1) & 1)
             return True
-        cls = self.cls
-        return cls is not None and (cls.extendable
-                                    or self.t <= cls.materialized_count())
+        return self.cls.extendable or self.t <= self.cls.materialized_count()
 
     def empirical(self) -> RationalDist:
         """Uniform over the distinct elements so far: `empirical` of the
@@ -166,7 +163,7 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     check_alpha(alpha)
     if not history:
         raise ValueError("feasibility needs a nonempty history")
-    return _feasible(StreamState(None, c, history), h, alpha)
+    return _feasible(StreamState(HypothesisClass([h]), c, history), h, alpha)
 
 
 def _feasible(state: StreamState, h: Hypothesis,

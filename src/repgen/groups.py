@@ -138,12 +138,17 @@ class BlockPartition:
     """
 
     def __init__(self, base: int, prefix_sizes: Sequence[int] = ()):
+        prefix_sizes = tuple(prefix_sizes)
+        for n in (base, *prefix_sizes):
+            if type(n) is not int:  # a bool is an int, not a size
+                raise TypeError(f"block base and sizes must be ints, got "
+                                f"{type(n).__name__} {n!r}")
         if base < 2:
             raise ValueError(f"block growth base must be >= 2, got {base}")
         if any(s < 1 for s in prefix_sizes):
             raise ValueError("block sizes must be >= 1")
         self.base = base
-        self.prefix_sizes = tuple(prefix_sizes)
+        self.prefix_sizes = prefix_sizes
         self._bounds = [0]  # cumulative: block k covers [_bounds[k-1], _bounds[k])
 
     def size(self, k: int) -> int:

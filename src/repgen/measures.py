@@ -231,11 +231,12 @@ class GroupTally:
         self.counts: dict[int, int] = c.mass_by_group((), ())
 
     def add(self, x: int) -> bool:
-        """Record x; returns whether it was new."""
-        if x in self.seen:
-            return False
+        """Record x; returns whether it was new.  x is checked before the
+        seen test: 1.0 or True equals a seen 1 but is no natural."""
         if type(x) is not int or x < 0:
             raise ValueError(f"elements must be naturals, got {x!r}")
+        if x in self.seen:
+            return False
         self.seen.add(x)
         counts = self.counts
         for i in self.groups.owners(x):
@@ -341,15 +342,14 @@ def prefix_tally(prefix: Sequence[int], c: GroupCollection) -> GroupTally:
     if memo is not None and memo[1].groups is c:
         known = memo[0]
         if view:
-            suffix = checked = prefix.suffix_after(known)
-        if suffix is None and prefix[:len(known)] == known:
-            suffix, checked = prefix[len(known):], prefix
+            suffix = prefix.suffix_after(known)
         # The type pass keeps rejections exact: a value such as 1.0 or True
-        # equals a remembered 1, but counted from scratch it would be
-        # rejected.  An extending view shares the remembered items
-        # themselves, so only its suffix needs the pass.
-        if suffix is not None and not {*map(type, checked)} <= {int}:
-            suffix = None
+        # equals a remembered 1, but `GroupTally.add` rejects it.  An
+        # extending view shares the remembered items themselves, and `add`
+        # checks every suffix element, so a view needs no pass.
+        if suffix is None and prefix[:len(known)] == known \
+                and {*map(type, prefix)} <= {int}:
+            suffix = prefix[len(known):]
     if suffix is None:
         tally = GroupTally(c)
         suffix = prefix

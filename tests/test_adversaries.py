@@ -7,6 +7,7 @@ import inspect
 import pickle
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -444,6 +445,36 @@ def test_query_then_emit_cursor_matches_scan_when_interleaved():
         assert game[0] == game[1]
         exceeded += answers[0] == BUDGET_EXCEEDED
     assert 0 < exceeded < 400
+
+
+class QueriesFirst:
+    """Queries the given elements in its first round; emits far out."""
+
+    def __init__(self, *xs):
+        self.xs = xs
+
+    def emit(self, prefix, oracle):
+        if len(prefix) == 1:
+            for x in self.xs:
+                oracle.hyp_member(x)
+        return RationalDist.point(10 ** 6)
+
+
+@pytest.mark.parametrize("x", [-1, 2.5, True])
+def test_a_query_must_be_a_natural(x):
+    # such queries used to be enumerated: over 6 rounds, QueriesFirst(-1,
+    # 2.5, True) gave st.enumeration == [0, -1, 2, 2.5, 3, True]
+    with pytest.raises(ValueError, match=f"^queries must be naturals, got "
+                                         f"{x!r}$"):
+        query_adversary(QueriesFirst(x), 6)
+    st = QueryAdversaryState()
+    oracle = MembershipOracle(st, 1)
+    for ask in oracle.hyp_member, oracle.group_member:
+        with pytest.raises(ValueError):
+            ask(x)
+    assert (oracle._spent, st.hyp, st.queue) == (0, {}, deque())
+    # nothing was charged: the one query of the budget is left
+    assert oracle.hyp_member(4) and oracle._spent == 1
 
 
 def test_game_length_is_bounded_by_max_steps(monkeypatch):

@@ -13,9 +13,8 @@ from itertools import combinations
 import pytest
 
 import repgen.dimension
-from repgen.dimension import (MAX_CHOICES, MAX_D, MAX_MASKS, Condition1,
-                              Condition2, _atoms, check_witness, gc_depth,
-                              gc_dimension)
+from repgen.dimension import (MAX_CHOICES, MAX_D, Condition1, Condition2,
+                              _atoms, check_witness, gc_depth, gc_dimension)
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
@@ -354,6 +353,20 @@ def test_max_choices_caps_the_exhausted_group_search(monkeypatch):
                                           "most 16 per closure mask, above "
                                           "MAX_CHOICES = 15$"):
         gc_depth(ALL_CLS, distinct_sizes(4), F(1, 4))
+    # a group with no closure atom under a mask must be exhausted, so it
+    # takes one choice: {0}, {1} and a tail against ALL and EVENS take 4
+    # choices on the mask {ALL} and 2 on {ALL, EVENS}, where {1} has none
+    cls = _cls(ALL, EVENS)
+    groups = FiniteGroups([from_finite([0]), from_finite([1]),
+                           from_threshold(2)])
+    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 6)
+    assert gc_dimension(cls, groups, F(1, 4)).d == 7
+    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 5)
+    with pytest.raises(ConfigError, match="^dimension search needs 6 "
+                                          "choices of exhausted groups, at "
+                                          "most 4 per closure mask, above "
+                                          "MAX_CHOICES = 5$"):
+        gc_depth(cls, groups, F(1, 4))
 
 
 PARITY = FiniteGroups([EVENS, ODDS])
@@ -366,27 +379,31 @@ def without_residue(h):
                   for j in range(h)))
 
 
-def test_max_masks_caps_the_closure_masks(monkeypatch):
-    # 2^18 - 1 masks are refused as soon as the fixpoint passes the cap;
-    # building them all once took 7 s
+def test_max_choices_caps_the_closure_masks(monkeypatch):
+    # each mask takes a choice of exhausted groups at least, so 2^18 - 1
+    # masks are refused as soon as the fixpoint passes the cap; building
+    # them all once took 7 s
     start = time.perf_counter()
     with pytest.raises(ConfigError, match=(
-            f"^dimension search needs at least {MAX_MASKS + 1} closure "
-            f"masks, above MAX_MASKS = {MAX_MASKS}$")):
+            f"^dimension search needs at least {MAX_CHOICES + 1} closure "
+            "masks, each with a choice of exhausted groups, above "
+            f"MAX_CHOICES = {MAX_CHOICES}$")):
         gc_depth(without_residue(18), PARITY, F(1, 4))
     assert time.perf_counter() - start < 0.5
-    # the cap is inclusive: four hypotheses take fifteen masks
-    monkeypatch.setattr(repgen.dimension, "MAX_MASKS", 15)
+    # the cap is inclusive: four hypotheses take fifteen masks, one choice
+    # each
+    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 15)
     assert gc_dimension(without_residue(4), PARITY, F(1, 4)).d == 0
-    monkeypatch.setattr(repgen.dimension, "MAX_MASKS", 14)
+    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 14)
     with pytest.raises(ConfigError, match="^dimension search needs at least "
-                                          "15 closure masks, above "
-                                          "MAX_MASKS = 14$"):
+                                          "15 closure masks, each with a "
+                                          "choice of exhausted groups, above "
+                                          "MAX_CHOICES = 14$"):
         gc_depth(without_residue(4), PARITY, F(1, 4))
 
 
 def test_a_search_at_max_choices_is_practical():
-    # sixteen distinct groups, 2^16 choices on one closure mask: 0.74-0.95 s
+    # sixteen distinct groups, 2^16 choices on one closure mask: 0.33-0.53 s
     # (three runs, Python 3.11.7, 2-vCPU x86-64 VM); the bound is generous
     assert MAX_CHOICES == 2 ** 16
     start = time.perf_counter()

@@ -249,7 +249,7 @@ def test_a_single_candidate_makes_no_lp_call(monkeypatch):
 ])
 def test_blocks_build_no_fraction(monkeypatch, history, alpha, entries):
     h = Hypothesis("evens", EVENS)
-    state = StreamState(None, BlockPartition(2, [2]), history)
+    state = StreamState(HypothesisClass([h]), BlockPartition(2, [2]), history)
     made = _count_fractions(monkeypatch)
     w = _feasible_blocks(state, h, alpha)
     mu = w and w.distribution()
@@ -265,7 +265,7 @@ def test_blocks_build_no_fraction(monkeypatch, history, alpha, entries):
 
 def test_finite_cells_build_no_fraction_from_vertex_to_distribution(
         monkeypatch):
-    state, alpha = StreamState(None, PARITY, [0, 1, 2]), F(1, 4)
+    state, alpha = StreamState(ALL_CLS, PARITY, [0, 1, 2]), F(1, 4)
     made = _count_fractions(monkeypatch)
     mu = _feasible(state, Hypothesis("all", ALL), alpha).distribution()
     monkeypatch.undo()

@@ -2,6 +2,8 @@
 the pieces a set is cut into, block layouts, and overlap bookkeeping."""
 
 import random
+import re
+from fractions import Fraction
 from itertools import islice
 from math import lcm
 
@@ -9,11 +11,13 @@ import pytest
 
 from repgen.generators import StreamState
 from repgen.groups import BlockPartition, FiniteGroups, finite_support_size
-from repgen.hypotheses import Hypothesis
+from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import GroupTally
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples, parse_set)
 from oracles import brute_support_size, scan_bound, scan_mass_by_group
+
+ALL_CLS = HypothesisClass([Hypothesis("all", ALL)])
 
 
 def test_validate_worked():
@@ -65,7 +69,7 @@ def test_cursors_over_one_collection_walk_independently(part):
     assert list(islice(a, 5)) == want[:5]
     assert list(islice(b, 2)) == want[:2]
     assert (next(a), next(b)) == (want[5], want[2])
-    states = StreamState(None, c), StreamState(None, c)
+    states = StreamState(ALL_CLS, c), StreamState(ALL_CLS, c)
     for st in states:
         assert st.unseen(s, part) == want[0]
     for st, seen in zip(states, (want[:7] + [want[12]], want[:3] + [1, 4])):
@@ -166,6 +170,15 @@ def test_block_partition_validation():
         BlockPartition(base=1)
     with pytest.raises(ValueError):
         BlockPartition(base=2, prefix_sizes=(0,))
+    # the type is checked first: 2.5 once gave block 2 the range (2.5, 8.75)
+    for base, sizes, bad in ((2.5, (), "float 2.5"), (True, (), "bool True"),
+                             (2, (1, 2.0), "float 2.0"),
+                             (2, [True], "bool True"),
+                             (Fraction(5, 2), (0,),
+                              "Fraction Fraction(5, 2)")):
+        with pytest.raises(TypeError, match=f"^block base and sizes must be "
+                                            f"ints, got {re.escape(bad)}$"):
+            BlockPartition(base, sizes)
     r = BlockPartition(base=2).validate()
     assert r.covers and r.partition
     b = BlockPartition(base=2)

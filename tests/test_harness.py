@@ -17,7 +17,7 @@ import pytest
 from repgen import generators
 from repgen.adversaries import MAX_QUERY_BUDGET, MAX_STEPS
 from repgen.cli import main
-from repgen.dimension import MAX_CHOICES, MAX_D, MAX_MASKS
+from repgen.dimension import MAX_CHOICES, MAX_D
 from repgen.errors import InvariantViolation, ScenarioError
 from repgen.harness import (StepRecord, evaluate_asserts, parse_trace,
                             run_game, trace_lines)
@@ -771,9 +771,9 @@ def test_an_exponential_group_search_is_refused_at_once(tmp_path, capsys):
 
 def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
     # h_j = the naturals minus residue j mod 32 for j < 18, parity groups:
-    # the supports AND to 2^18 - 1 closure masks, whose building took 7 s
-    # before MAX_CHOICES refused them under the wrong cause; the fixpoint
-    # now stops at the mask cap
+    # the supports AND to 2^18 - 1 closure masks, whose building took 7 s;
+    # each mask takes a choice of exhausted groups at least, so the fixpoint
+    # stops as soon as the masks pass MAX_CHOICES
     hypotheses = [{"id": f"h{j}", "support": "ap:0,32,{%s},{}" % ",".join(
         str(r) for r in range(32) if r != j)} for j in range(18)]
     path = _write_scenario(tmp_path, _doc(
@@ -781,8 +781,9 @@ def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
         target="h0", stream={"explicit": [1, 2, 3]}, horizon=3,
         groups={"members": ["ap:0,2,{0},{}", "ap:0,2,{1},{}"]},
         generator={"kind": "uniform", "alpha": "1/4"}))
-    refused = (f"dimension search needs at least {MAX_MASKS + 1} closure "
-               f"masks, above MAX_MASKS = {MAX_MASKS}")
+    refused = (f"dimension search needs at least {MAX_CHOICES + 1} closure "
+               "masks, each with a choice of exhausted groups, above "
+               f"MAX_CHOICES = {MAX_CHOICES}")
     for args, err in (
             (["gc-dim", path], f"error: {refused}\n"),
             (["run", path], f"error: cannot derive d_star: {refused}; an "

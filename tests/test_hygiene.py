@@ -4,16 +4,17 @@ dependencies: no float literal, no float() call and no import from outside
 the standard library in `src/repgen/`.  Every function the per-layer tracer
 in `bench/spans.py` rebinds, and every `<repgen module>.<name>` that the
 workloads in `bench/workloads.py` read, still exists in the package, so a
-rename or a deletion cannot break `bench/run.py`.  The README's CLI
+rename or a deletion cannot break `bench/run.py`; so does every function
+`tools/mutants.py` mutates, and each of its mutants parses.  The README's CLI
 examples print what the CLI prints.  The pure `*_emit` generator functions
 name no construction and no `StreamState`: they replay through the session.
 `tests/oracles.py` imports from the package only data types, membership,
 errors and constants (`ORACLE_IMPORTS`), nothing private and nothing from
 `repgen.generators`.
 
-The unused-import scan covers `src/repgen/`, `tests/` and `bench/`; it
-skips `src/repgen/__init__.py` because its imports are the package's public
-re-exports.
+The unused-import scan covers `src/repgen/`, `tests/`, `bench/` and
+`tools/`; it skips `src/repgen/__init__.py` because its imports are the
+package's public re-exports.
 """
 
 import ast
@@ -23,13 +24,14 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
-from repgen import measures
+from repgen import dimension, measures
 from repgen.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "repgen").glob("*.py"))
-SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
-    (ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+SCANNED = [p for p in PACKAGE if p.name != "__init__.py"] + [
+    p for folder in ("tests", "bench", "tools")
+    for p in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -243,18 +245,32 @@ def test_unresolved_targets_are_detected():
             "d: GroupTally.no_such_method", "e: ast.parse"]
 
 
-def load_bench(name: str) -> ModuleType:
+def load_script(folder: str, name: str) -> ModuleType:
     spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+        f"{folder}_{name}", ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_bench_span_targets_resolve():
-    spans = load_bench("spans")
+    spans = load_script("bench", "spans")
     assert len(spans.TARGETS) > 20 and spans.COUNTED
     assert unresolved(spans.TARGETS + spans.COUNTED) == []
+
+
+def test_mutant_sites_name_existing_functions():
+    mutants = load_script("tools", "mutants")
+    source = (ROOT / mutants.TARGET).read_text()
+    sites = mutants.sites(source)
+    assert sites
+    assert {s.function for s in sites} == set(mutants.FUNCTIONS)
+    assert all(callable(getattr(dimension, name))
+               for name in mutants.FUNCTIONS)
+    assert {s.family for s in sites} == {"compare", "boolop", "int"}
+    tree = ast.dump(ast.parse(source))
+    for site in sites:  # each mutant parses, to a different tree
+        assert ast.dump(ast.parse(mutants.mutate(source, site))) != tree
 
 
 def repgen_reads(source: str, namespace: dict) -> list[tuple[str, bool]]:
@@ -282,7 +298,7 @@ def test_repgen_reads_are_detected():
 
 def test_bench_workload_reads_resolve():
     path = ROOT / "bench" / "workloads.py"
-    reads = repgen_reads(path.read_text(), vars(load_bench("workloads")))
+    reads = repgen_reads(path.read_text(), vars(load_script("bench", "workloads")))
     assert len(reads) > 15
     assert [name for name, found in reads if not found] == []
 

@@ -87,6 +87,29 @@ def test_a_bool_is_not_a_natural(admit):
         admit()
 
 
+def _add_both(x, y):
+    tally = GroupTally(ZERO_REST)
+    tally.add(x)
+    return tally.add(y)
+
+
+# A value equal to a seen natural is checked as any element is, not passed
+# as a repeat of it.
+SEEN_EQUALS = {
+    "representative": (lambda: is_alpha_representative(
+        RationalDist.point(0), [1, True], ZERO_REST, F(1, 2)), "True"),
+    "group empirical": (lambda: group_empirical((1, 1.0), ZERO_REST), "1.0"),
+    "tally add": (lambda: _add_both(3, 3.0), "3.0"),
+}
+
+
+@pytest.mark.parametrize("admit, got", SEEN_EQUALS.values(),
+                         ids=SEEN_EQUALS.keys())
+def test_a_non_natural_equal_to_a_seen_element_is_refused(admit, got):
+    with pytest.raises(ValueError, match=f"naturals, got {got}$"):
+        admit()
+
+
 def test_uniform_path_builds_no_fraction(monkeypatch):
     # Uniform distributions (the empirical baseline's every step) are
     # integer work end to end: with Fraction unusable in the module they
@@ -475,8 +498,8 @@ def _outcomes(prefixes, c):
 @pytest.mark.parametrize("tail", [[1.0], [3.0], [-1], ["x"], [1.0, 3.0],
                                   [3, F(3)], [F(3), 3]])
 def test_a_view_rejects_a_non_int_suffix_as_a_tuple_does(tail):
-    # 1.0 after 1 is a repeat, and a fresh count accepts it; a new non-int
-    # is rejected; either way the view answers as the tuple does
+    # a non-int is rejected, new or equal to a seen int, and the view
+    # answers as the tuple does
     items = [1, 2]
     views = [PrefixView(items, 2)]
     for x in tail:
