@@ -11,11 +11,12 @@ Both inequalities are strict.
 The dimension is computed on the atoms of the instance, the joint
 refinement of the partition and the hypothesis supports, whose elements are
 exchangeable: a tuple witnesses or not by how many of its elements fall in
-each atom.  Given the hypotheses S consistent with a tuple and the groups E
-it exhausts, read as how many it takes from each class of interchangeable
-groups, the witnessed depths form one interval, a span, so the dimension
-is the largest span top: exact at every depth, or unbounded when a span is
-(only at alpha = 0).  The witness is built greedily from the same spans.
+each atom.  A closure mask S (hypotheses consistent with some tuple) and
+a set E of groups exhausted under it, read as how many it takes from each
+class of interchangeable groups, witness one interval of depths, a span;
+every witness lies in the span of its own S and E, so the dimension is the
+largest span top: exact at every depth, or unbounded when a span is (only
+at alpha = 0).  The witness is built greedily from the same spans.
 `check_witness` decides a tuple from its counts per group, in integers
 like the spans, and shares no code with them.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from heapq import merge
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from math import prod
 from operator import and_, mul
 from typing import Iterator, Sequence
@@ -116,29 +117,30 @@ def check_witness(cls: HypothesisClass, c: GroupCollection, alpha: Fraction,
 
 
 # Largest accepted dimension, as the witness has d elements, one span test
-# each.  At d = 34,999 `gc_dimension` takes 1.13-1.45 s (ten singleton
-# groups and a tail, alpha = 1/3500) and 0.50-0.63 s (a 17,500-element group
-# and a tail, alpha = 1/2); at 49,999, 1.35-2.03 s and 0.70-0.79 s (6 and 3
-# runs, Python 3.11.7, 2-vCPU x86-64 VM).
+# each.  At d = 34,999 `gc_dimension` takes 0.50-0.54 s (ten singleton
+# groups and a tail, alpha = 1/3500) and 0.39-0.41 s (a 17,500-element group
+# and a tail, alpha = 1/2); at 49,999, 0.70-1.00 s and 0.54-0.76 s (three
+# runs each, Python 3.11.7, 2-vCPU x86-64 VM).
 MAX_D = 35_000
 
 # Most choices of exhausted groups `_spans` enumerates, summed over the
 # closure masks; they are counted before any is tried.  Alike groups take
 # one choice per count, but each distinct group doubles them: groups of
 # sizes 1, ..., K plus a tail at alpha = 1/4 (one mask, 2^K choices) take
-# 0.08-0.12 s at K = 14 and 0.33-0.53 s at K = 16, the cap, while K = 17
-# and K = 20 are refused in 1-3 ms.  Every closure mask takes a choice or
-# more when no element is taken, so `_closures` counts the masks against
-# the cap as its fixpoint runs: with h_j the naturals minus residue j mod
-# 32, parity groups and alpha = 1/4, H = 16 hypotheses (65,535 masks) are
-# decided in 1.6-2.0 s, and H = 18 (262,143 masks, 7 s to build them all)
-# is refused in 0.06-0.10 s (three runs each, Python 3.11.7, 2-vCPU x86-64
-# VM).
+# 0.06 s at K = 14 and 0.22-0.23 s at K = 16, the cap, while K = 17 and
+# K = 20 are refused in 1-2 ms.  Every closure mask takes a choice or more
+# when no element is taken, so `_closures` counts the masks against the
+# cap as its fixpoint runs: with h_j the naturals minus residue j mod 32,
+# parity groups and alpha = 1/4, H = 16 hypotheses (65,535 masks) are
+# decided in 0.74-0.79 s and H = 18 (262,143 masks) is refused in
+# 0.05-0.06 s (three runs each, Python 3.11.7, 2-vCPU x86-64 VM).
 MAX_CHOICES = 2 ** 16
 
 
 @dataclass(frozen=True)
 class GcResult:
+    """The dimension `d` when "exact"; when "infinite", the least lower end
+    of an unbounded span: every depth from `d` on witnesses."""
     status: str  # "exact" | "infinite"
     d: int
     witness: tuple[int, ...] | None = None  # None at d = 0, from `gc_depth`
@@ -175,11 +177,11 @@ def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
 
 def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
     """Every closure mask S, a nonzero AND of atom masks (the hypotheses
-    consistent with some tuple), with its closure atoms, those inside every
-    support of S, per group: their indices and the AND of their masks.
-    Each mask takes at least one choice of exhausted groups in `_spans`, so
-    more than MAX_CHOICES masks is a ConfigError, raised as soon as the
-    fixpoint passes the cap."""
+    consistent with some tuple), with the indices of its closure atoms,
+    those inside every support of S, per group.  Each mask takes at least
+    one choice of exhausted groups in `_spans`, so more than MAX_CHOICES
+    masks is a ConfigError, raised as soon as the fixpoint passes the
+    cap."""
     base = {a.hyps for a in atoms} - {0}
     masks, new = set(base), list(base)
     while new:
@@ -196,36 +198,10 @@ def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
                             "closure masks, each with a choice of exhausted "
                             f"groups, above MAX_CHOICES = {MAX_CHOICES}")
         new = grown
-    out = []
-    for s in sorted(masks):
-        per_group = [[j for j, a in enumerate(atoms)
-                      if a.group == i and a.hyps & s == s]
-                     for i in range(1, k + 1)]
-        out.append((s, [(js, reduce(and_, (atoms[j].hyps for j in js), -1))
-                        for js in per_group]))
-    return out
-
-
-def _fewest(atoms: Sequence[_Atom], ub: Sequence[int | None],
-            groups: Sequence[tuple[list[int], int, int | None]],
-            need: int) -> int | None:
-    """Fewest untouched closure atoms, one element each and within each
-    group's room (high - low), whose masks clear every bit of `need`, or
-    None.  `groups` holds every group's (closure atoms, low, high) under the
-    mask: `need` lies inside the masks of the exhausted groups' atoms and of
-    the touched atoms, so none of them is an option whichever groups are
-    exhausted.  One atom per bit suffices, so at most popcount(need) are
-    tried."""
-    options = {(g, atoms[j].hyps & need): None
-               for g, (js, _, _) in enumerate(groups) for j in js
-               if ub[j] != 0 and need & ~atoms[j].hyps}
-    for r in range(1, need.bit_count() + 1):
-        for chosen in combinations(options, r):
-            if not reduce(and_, (bits for _, bits in chosen), need) and all(
-                    groups[g][2] is None or n <= groups[g][2] - groups[g][1]
-                    for g, n in Counter(g for g, _ in chosen).items()):
-                return r
-    return None
+    return [(s, [[j for j, a in enumerate(atoms)
+                  if a.group == i and a.hyps & s == s]
+                 for i in range(1, k + 1)])
+            for s in sorted(masks)]
 
 
 def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
@@ -237,15 +213,22 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
 
     An exhausted group holds all F_i elements of its closure atoms; a live
     group leaves one out (its high is F_i - 1), or has an atom that cannot
-    be filled.  Groups alike in count bounds and mask are interchangeable,
-    so a choice of E is how many groups it takes from each class of them,
-    and every bound is a sum over those counts.  With C_E the sum of F_i
-    over E and alpha = p/q, condition 1 holds iff d < F_i q / p for an i
-    in E and condition 2 iff d p (K - |E|) < q C_E, so both cap d (not at
-    alpha = 0).  So does the sum of every group's high plus |E|, when every
-    group has one.  The least depth is C_E plus every group's low less
-    E's, plus the fewest atoms that bring the consistent mask down to S.
-    More than MAX_CHOICES choices of E in all is a ConfigError.
+    be filled.  Groups alike in count bounds are interchangeable, so a
+    choice of E is how many groups it takes from each class of them, and
+    every bound is a sum over those counts.  With C_E the sum of F_i over E
+    and alpha = p/q, condition 1 holds iff d < F_i q / p for an i in E and
+    condition 2 iff d p (K - |E|) < q C_E, so both cap d (not at alpha =
+    0).  So does the sum of every group's high plus |E|, when every group
+    has one.  The least depth is C_E plus every group's low less E's.
+
+    Each depth of a span has a witness that extends the taken elements:
+    E's closure atoms whole, low to high elements of every other group's.
+    Its consistent mask, an AND of masks that contain S, contains S, and
+    each atom of E is taken, so stays a closure atom: E stays exhausted.  A
+    further exhausted group only raises C_E, the largest F_i and |E|, so
+    both conditions still hold.  And every witness lies in the span of its
+    own S and E.  More than MAX_CHOICES choices of E in all is a
+    ConfigError.
     """
     p, q = alpha.numerator, alpha.denominator
     held = reduce(and_, (a.hyps for a, m in zip(atoms, lb) if m), -1)
@@ -253,53 +236,49 @@ def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     for s, per_group in closures:
         if held & s != s:
             continue
-        groups, classes = [], Counter()
-        for js, mask in per_group:
+        classes = Counter()
+        for js in per_group:
             whole, total, low = True, 0, 0
             for j in js:
                 whole = whole and ub[j] == atoms[j].size is not None
                 total = None if total is None or ub[j] is None \
                     else total + ub[j]
                 low += lb[j]
-            high = total - 1 if whole else total
-            groups.append((js, low, high))
-            classes[whole, high, low, mask] += 1
+            classes[whole, total - 1 if whole else total, low] += 1
         # exhausted counts per class, most first: all, or none, or any
         counts = [range(n if whole else 0,
                         -1 if high is None or low <= high else n - 1, -1)
-                  for (whole, high, low, _), n in classes.items()]
-        plans.append((s, groups, list(classes), counts))
-    per_mask = [prod(map(len, counts)) for *_, counts in plans]
+                  for (whole, high, low), n in classes.items()]
+        plans.append((classes, counts))
+    per_mask = [prod(map(len, counts)) for _, counts in plans]
     choices = sum(per_mask)
     if choices > MAX_CHOICES:
         raise ConfigError(f"dimension search needs {choices} choices of "
                           f"exhausted groups, at most {max(per_mask)} per "
                           f"closure mask, above MAX_CHOICES = {MAX_CHOICES}")
-    for s, groups, classes, counts in plans:
+    for classes, counts in plans:
+        _, highs, lows = zip(*classes)
+        sizes = list(classes.values())
+        k = sum(sizes)
         # F_i, a whole group's high plus one; no other group is exhausted
-        fulls = [high + 1 if whole else 0 for whole, high, _, _ in classes]
-        _, highs, lows, masks = zip(*classes)
-        low_sum = sum(low for _, low, _ in groups)
-        high_sum = None if None in highs else sum(h for *_, h in groups)
+        fulls = [high + 1 if whole else 0 for whole, high, _ in classes]
+        low_sum = sum(map(mul, sizes, lows))
+        high_sum = None if None in highs else sum(map(mul, sizes, highs))
         for choice in product(*counts):
             heavy = sum(map(mul, choice, fulls))
             if not heavy:
                 continue
             size = sum(choice)
             top = None
-            if p and size < len(groups):
+            if p and size < k:
                 fmax = max(f for n, f in zip(choice, fulls) if n)
                 top = max(-(-fmax * q // p),
-                          -(-q * heavy // (p * (len(groups) - size)))) - 1
+                          -(-q * heavy // (p * (k - size)))) - 1
             if high_sum is not None:
                 top = high_sum + size if top is None \
                     else min(top, high_sum + size)
             lo = heavy + low_sum - sum(map(mul, choice, lows))
-            mask = reduce(and_, (m for n, m in zip(choice, masks) if n), held)
-            if mask != s and (top is None or lo <= top):
-                extra = _fewest(atoms, ub, groups, mask & ~s)
-                lo = None if extra is None else lo + extra
-            if lo is not None and (top is None or lo <= top):
+            if top is None or lo <= top:
                 yield lo, top
 
 
@@ -372,10 +351,11 @@ def gc_dimension(cls: HypothesisClass, c: GroupCollection,
                  alpha: Fraction) -> GcResult:
     """The group closure dimension, exact at every depth: the largest top of
     a span (`_spans`), or status "infinite" when some span has none, with
-    `d` the smallest lower end of an unbounded span.  The witness is the
-    lexicographically first witnessing tuple at depth `d` (`_witness`) and
-    the condition `check_witness` on it, which must hold.  A `d` above
-    `MAX_D` is a `ConfigError`, raised before the witness is built."""
+    `d` the smallest lower end of an unbounded span: every depth from `d`
+    on witnesses.  The witness is the lexicographically first witnessing
+    tuple at depth `d` (`_witness`) and the condition `check_witness` on
+    it, which must hold.  A `d` above `MAX_D` is a `ConfigError`, raised
+    before the witness is built."""
     result, atoms, closures = _closed_form(cls, c, alpha)
     if not result.d:
         return result

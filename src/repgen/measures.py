@@ -46,7 +46,9 @@ class RationalDist:
     Stored as the sorted support, one positive integer numerator per element
     and their least common denominator, so structural equality is value
     equality.  Invariants enforced at construction: every mass is a positive
-    rational and the masses sum to exactly 1.
+    rational and the masses sum to exactly 1.  A mass that is not an int or
+    a Fraction, a bool included, is a TypeError, raised before any other
+    check.
     """
 
     __slots__ = ("_xs", "_nums", "_den")
@@ -56,6 +58,9 @@ class RationalDist:
         fs = []
         for x in xs:
             m = masses[x]
+            if type(m) is bool or not isinstance(m, (int, Fraction)):
+                raise TypeError(f"mass at {x!r} must be an int or Fraction, "
+                                f"got {type(m).__name__} {m!r}")
             fs.append(m if isinstance(m, Fraction) else Fraction(m))
         den = lcm(*(m.denominator for m in fs))
         self._assign(tuple(xs), tuple(m.numerator * (den // m.denominator)

@@ -46,20 +46,21 @@ def feasible_point(n_vars: int,
     artificials wherever no slack can start basic, and minimizes the sum
     of artificials.  Feasible iff that minimum is zero.
     Raises TypeError for a coefficient or right-hand side that is neither
-    an int nor a Fraction, and ValueError for a row of the wrong length or
-    a relation other than LE, GE and EQ.
+    an int nor a Fraction, a bool included, before the row's other checks,
+    and ValueError for a row of the wrong length or a relation other than
+    LE, GE and EQ.
     """
     rows = []
     for i, (coeffs, rel, rhs) in enumerate(constraints):
+        for v in (*coeffs, rhs):
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"constraint {i}: {type(v).__name__} {v!r} "
+                                f"is not an int or Fraction")
         if len(coeffs) != n_vars:
             raise ValueError(f"constraint arity {len(coeffs)} != {n_vars}")
         if rel not in (LE, GE, EQ):
             raise ValueError(f"constraint {i}: unknown relation {rel!r}, "
                              f"expected {LE!r}, {GE!r} or {EQ!r}")
-        for v in (*coeffs, rhs):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"constraint {i}: {type(v).__name__} {v!r} "
-                                f"is not an int or Fraction")
         if rhs < 0:
             coeffs = [-v for v in coeffs]
             rhs = -rhs

@@ -216,14 +216,13 @@ def test_unbounded_dimension_at_alpha_zero():
     assert (r.status, r.d, r.witness, r.condition) \
         == ("infinite", 1, (0,), Condition1(1))
     assert str(r) == "GC unbounded (least unbounded span from depth 1)"
-    # (0,) alone exhausts {0, 1}, but only once an even element drops the
-    # second hypothesis does the closure leave a live group that never
-    # runs out: d is the lower end of the unbounded span, 2, though depth 1
-    # witnesses as well
+    # (0,) alone exhausts {0, 1}, and so does every tuple that adds even
+    # elements: they drop the second hypothesis and leave the tail a live
+    # group that never runs out, so the unbounded span starts at depth 1
     cls = _cls(EVENS, from_finite([0]) | (ODDS & from_threshold(3)))
     pair_rest = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
     r = gc_dimension(cls, pair_rest, F(0))
-    assert (r.status, r.d, r.witness) == ("infinite", 2, (0, 2))
+    assert (r.status, r.d, r.witness) == ("infinite", 1, (0,))
     assert check_witness(cls, pair_rest, F(0), (0,)) is not None
     # the supports meet in {0}: after any second element the closure is
     # infinite inside the one group, so nothing deeper witnesses
@@ -238,14 +237,14 @@ def test_unbounded_dimension_at_alpha_zero():
 
 
 @pytest.mark.parametrize("supports, groups, want", [
-    # group 1, {2, 3}, stays live with one element taken, exactly its room,
-    # and that element alone drops h2: `_fewest`'s room test holds with
-    # equality (n == high - low)
+    # taking group 1, {2, 3}, whole under S = {h3} opens a span with no cap
+    # from depth 2, though those two elements keep h1 as well: the further
+    # elements of h3 alone drop it later; (0, 1) comes first, exhausting
+    # group 2 under every hypothesis
     (["ap:3,2,{1},{0,1,2}", "ap:4,2,{1},{0,1}", "ap:4,2,{0},{0,1,2,3}"],
-     ["finite:{2,3}", "ap:4,1,{0},{0,1}"], (3, (0, 1, 2), Condition1(2))),
-    # taking 0 exhausts group 4 with the consistent mask already at
-    # S = {h3, h4}, so no atom is added (`_spans` asks `_fewest` only when
-    # mask != s); (1,) witnesses as well, but 0 comes first
+     ["finite:{2,3}", "ap:4,1,{0},{0,1}"], (2, (0, 1), Condition1(2))),
+    # taking 0 exhausts group 4 under S = {h3, h4}, a span with no cap from
+    # depth 1; (1,) witnesses as well, but 0 comes first
     (["ap:3,1,{0},{}", "ap:3,1,{0},{1}", "all", "ap:3,1,{0},{0}"],
      ["empty", "ap:3,1,{0},{}", "finite:{1}", "finite:{0,2}"],
      (1, (0,), Condition1(4))),
@@ -354,18 +353,19 @@ def test_max_choices_caps_the_exhausted_group_search(monkeypatch):
                                           "MAX_CHOICES = 15$"):
         gc_depth(ALL_CLS, distinct_sizes(4), F(1, 4))
     # a group with no closure atom under a mask must be exhausted, so it
-    # takes one choice: {0}, {1} and a tail against ALL and EVENS take 4
-    # choices on the mask {ALL} and 2 on {ALL, EVENS}, where {1} has none
+    # takes one choice: {0}, {1} and a tail against ALL and EVENS take 3
+    # choices on the mask {ALL}, where {0} and {1} are alike, and 2 on
+    # {ALL, EVENS}, where {1} has none
     cls = _cls(ALL, EVENS)
     groups = FiniteGroups([from_finite([0]), from_finite([1]),
                            from_threshold(2)])
-    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 6)
-    assert gc_dimension(cls, groups, F(1, 4)).d == 7
     monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 5)
-    with pytest.raises(ConfigError, match="^dimension search needs 6 "
+    assert gc_dimension(cls, groups, F(1, 4)).d == 7
+    monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 4)
+    with pytest.raises(ConfigError, match="^dimension search needs 5 "
                                           "choices of exhausted groups, at "
-                                          "most 4 per closure mask, above "
-                                          "MAX_CHOICES = 5$"):
+                                          "most 3 per closure mask, above "
+                                          "MAX_CHOICES = 4$"):
         gc_depth(cls, groups, F(1, 4))
 
 
@@ -403,7 +403,7 @@ def test_max_choices_caps_the_closure_masks(monkeypatch):
 
 
 def test_a_search_at_max_choices_is_practical():
-    # sixteen distinct groups, 2^16 choices on one closure mask: 0.33-0.53 s
+    # sixteen distinct groups, 2^16 choices on one closure mask: 0.22-0.23 s
     # (three runs, Python 3.11.7, 2-vCPU x86-64 VM); the bound is generous
     assert MAX_CHOICES == 2 ** 16
     start = time.perf_counter()

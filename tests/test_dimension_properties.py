@@ -3,6 +3,9 @@ wherever the count-vector search's depth bound B keeps the tuple walk
 affordable, it returns the same depth, witness tuple and condition as both
 references kept in `oracles.py`; at alpha = 0, where B may be unbounded, its
 finite and infinite verdicts agree with a tuple walk two depths further.
+Every depth a span of the search names is witnessed: the walk finds a
+witness at both ends of a bounded span and at the first three depths of an
+unbounded one.
 `check_witness` returns what the `Fraction` reference returns on tuples
 drawn from a hypothesis's support, against finite and block partitions
 (against a finite one also on the tuple of the closure's lone members, one
@@ -32,7 +35,8 @@ from oracles import (_tuple_candidate_pool, count_vector_depth_bound,
                      count_vector_gc_dimension, induced_group_probs,
                      rational_check_witness, sup_distance, tuple_gc_dimension)
 from repgen.adversaries import gc_witness_adversary, verify_report
-from repgen.dimension import check_witness, gc_depth, gc_dimension
+from repgen.dimension import (_atoms, _closures, _spans, check_witness,
+                              gc_depth, gc_dimension)
 from repgen.errors import ConfigError
 from repgen.generators import GeneratorSession, nonuniform_thresholds
 from repgen.groups import BlockPartition, FiniteGroups
@@ -129,6 +133,26 @@ def test_no_witness_beyond_the_bound(instance):
         assert _first_walk_witness(cls, groups, alpha, r.d) == r.witness
         for depth in (r.d + 1, r.d + 2):
             assert _first_walk_witness(cls, groups, alpha, depth) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.sampled_from(ALPHAS))
+def test_every_depth_a_span_names_is_witnessed(instance, alpha):
+    # the spans with no element taken: a tuple that takes E's closure atoms
+    # whole and between low and high elements of every other group's
+    # witnesses each depth from lo to top, so the independent walk finds a
+    # witness at both ends of a bounded span, and at lo, lo + 1 and lo + 2
+    # of an unbounded one
+    cls, groups = instance
+    atoms = _atoms(cls, groups)
+    spans = set(_spans(atoms, _closures(atoms, groups.k), alpha,
+                       [0] * len(atoms), [a.size for a in atoms]))
+    depths = sorted({d for lo, top in spans
+                     for d in ((lo, lo + 1, lo + 2) if top is None
+                               else (lo, top))})
+    assume(_walk_within_budget(cls, groups, max(depths, default=0)))
+    for d in depths:
+        assert _first_walk_witness(cls, groups, alpha, d) is not None, d
 
 
 @st.composite

@@ -268,6 +268,9 @@ def test_mutant_sites_name_existing_functions():
     assert all(callable(getattr(dimension, name))
                for name in mutants.FUNCTIONS)
     assert {s.family for s in sites} == {"compare", "boolop", "int"}
+    # every named equivalent mutant is one site
+    keys = [(s.function, s.before, s.after) for s in sites]
+    assert all(keys.count(key) == 1 for key in mutants.EQUIVALENT)
     tree = ast.dump(ast.parse(source))
     for site in sites:  # each mutant parses, to a different tree
         assert ast.dump(ast.parse(mutants.mutate(source, site))) != tree

@@ -35,6 +35,16 @@ def test_rational_dist_validation():
     assert d.items() == ((3, F(1)),) and d.support() == (3,)
 
 
+@pytest.mark.parametrize("masses", [{0: 0.5, 1: 0.5}, {0: True},
+                                    {0: "1/2", 1: "1/2"},
+                                    {0: F(1, 2), 1: 0.5}])
+def test_rational_dist_refuses_inexact_masses(masses):
+    # a float, a truth value or a string never becomes a mass, whatever
+    # Fraction would make of it
+    with pytest.raises(TypeError, match="must be an int or Fraction"):
+        RationalDist(masses)
+
+
 def test_point_and_uniform():
     assert RationalDist.point(4).items() == ((4, F(1)),)
     u = RationalDist.uniform([2, 4, 6])

@@ -89,6 +89,17 @@ def test_non_rational_inputs_are_rejected(bad):
         feasible_point(1, [([F(1)], LE, F(1)), ([F(1)], EQ, bad)])
 
 
+def test_bools_are_rejected_before_any_other_check():
+    # True is an int, but not a coefficient; it is refused even where the
+    # row would fail on its length or relation
+    with pytest.raises(TypeError, match="constraint 0: bool True"):
+        feasible_point(1, [([True], LE, True)])
+    with pytest.raises(TypeError, match="constraint 0: bool False"):
+        feasible_point(1, [([F(1)], GE, False)])
+    with pytest.raises(TypeError, match="constraint 0: "):
+        feasible_point(2, [([True], "<", F(1))])
+
+
 @pytest.mark.parametrize("rhs", [F(1), F(-1)])
 @pytest.mark.parametrize("rel", ["<", None])
 def test_unknown_relations_are_rejected(rel, rhs):
