@@ -178,10 +178,10 @@ def _atoms(cls: HypothesisClass, c: FiniteGroups) -> list[_Atom]:
 def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
     """Every closure mask S, a nonzero AND of atom masks (the hypotheses
     consistent with some tuple), with the indices of its closure atoms,
-    those inside every support of S, per group.  Each mask takes at least
-    one choice of exhausted groups in `_spans`, so more than MAX_CHOICES
-    masks is a ConfigError, raised as soon as the fixpoint passes the
-    cap."""
+    those inside every support of S, per group, bucketed in one pass over
+    the atoms.  Each mask takes at least one choice of exhausted groups in
+    `_spans`, so more than MAX_CHOICES masks is a ConfigError, raised as
+    soon as the fixpoint passes the cap."""
     base = {a.hyps for a in atoms} - {0}
     masks, new = set(base), list(base)
     while new:
@@ -198,10 +198,14 @@ def _closures(atoms: Sequence[_Atom], k: int) -> list[tuple[int, list]]:
                             "closure masks, each with a choice of exhausted "
                             f"groups, above MAX_CHOICES = {MAX_CHOICES}")
         new = grown
-    return [(s, [[j for j, a in enumerate(atoms)
-                  if a.group == i and a.hyps & s == s]
-                 for i in range(1, k + 1)])
-            for s in sorted(masks)]
+    closures = []
+    for s in sorted(masks):
+        per_group = [[] for _ in range(k)]
+        for j, a in enumerate(atoms):
+            if a.hyps & s == s:
+                per_group[a.group - 1].append(j)
+        closures.append((s, per_group))
+    return closures
 
 
 def _spans(atoms: Sequence[_Atom], closures: list[tuple[int, list]],

@@ -47,9 +47,11 @@ class StreamState:
     give the empirical distribution without sorting the history again; the
     consistent class indices (checked lazily up to the largest index asked
     for), kept beside their bitmask so that a new element filters them with
-    one AND of the class's `holding` mask; and smallest-unseen cursors keyed
-    by (set, part), each walking the part of the set forward only, since
-    the seen set only grows."""
+    one AND of the class's `holding` mask, and beside the critical ones
+    among them (`critical`, in decreasing order), ranked again only past
+    where the consistent indices changed; and one table of smallest-unseen cursors per
+    set, one cursor per part, each walking the part of the set forward
+    only, since the seen set only grows."""
 
     def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -60,8 +62,12 @@ class StreamState:
         self.distinct: list[int] = []
         self.consistent: tuple[int, ...] = ()
         self._mask = 0  # bit i - 1 for each index i in `consistent`
+        # the critical indices among consistent[:_ranked], largest first
+        self._critical: list[int] = []
+        self._ranked = 0
         self.checked = 0  # class indices checked for consistency so far
-        self._cursors: dict[tuple, list] = {}
+        # set -> part -> [walk of the part, its least unseen member or None]
+        self._cursors: dict[PeriodicSet, dict] = {}
         for x in history:
             self.add(x)
 
@@ -82,6 +88,7 @@ class StreamState:
                     self._mask = kept
                     self.consistent = tuple(i for i in self.consistent
                                             if kept >> (i - 1) & 1)
+                    self._critical, self._ranked = [], 0
             return True
         return self.cls.extendable or self.t <= self.cls.materialized_count()
 
@@ -110,13 +117,65 @@ class StreamState:
             return self.consistent
         return tuple(i for i in self.consistent if i <= n)
 
+    @property
+    def critical(self) -> list[int]:
+        """The critical indices among `consistent`, largest first.  They are
+        kept and ranked when read, only past the indices ranked before: a
+        deeper check appends larger indices, which leaves the rank of the
+        earlier ones alone, and a new element that drops an index starts
+        the ranking afresh, so a construction that never reads them pays
+        nothing.  h_m is critical when its support lies inside that of
+        every consistent index below m; inclusion is transitive, so the
+        consistent indices from the largest critical one below m up
+        suffice."""
+        consistent, critical = self.consistent, self._critical
+        if self._ranked < len(consistent):
+            lo = consistent.index(critical[0]) if critical else 0
+            for k in range(self._ranked, len(consistent)):
+                if self.cls.critical_among(consistent[k],
+                                           consistent[lo:k + 1]):
+                    critical.insert(0, consistent[k])
+                    lo = k
+            self._ranked = len(consistent)
+        return critical
+
+    def heads(self, s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
+        """(vec, least unseen element) for each piece of s cut by a finite
+        family that has an unseen element, in `pieces(s)` order.  The first
+        call on s makes its table with a cursor per piece, while `unseen`
+        adds cursors one part at a time, so a state reads a finite family's
+        sets through one of the two: the in-limit step its supports through
+        `heads`, the uniform step its closures through `unseen`."""
+        table = self._cursors.get(s)
+        if table is None:
+            table = self._cursors[s] = {}
+            for vec, piece in self.groups.pieces(s).items():
+                members = piece.members()
+                table[vec] = [members, next(members, None)]
+        seen = self.tally.seen
+        heads = []
+        for vec, cursor in table.items():
+            head = cursor[1]
+            if head in seen:
+                members = cursor[0]
+                head = next(members, None)
+                while head in seen:
+                    head = next(members, None)
+                cursor[1] = head
+            if head is not None:
+                heads.append((vec, head))
+        return heads
+
     def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
         """Smallest unseen element of s inside `part`, or None when there is
         none; `part` is a finite family's cell vector, or a block index."""
-        cursor = self._cursors.get((s, part))
+        table = self._cursors.get(s)
+        if table is None:
+            table = self._cursors[s] = {}
+        cursor = table.get(part)
         if cursor is None:
             members = self.groups.members_in(s, part)
-            cursor = self._cursors[s, part] = [members, next(members, None)]
+            cursor = table[part] = [members, next(members, None)]
         while cursor[1] is not None and cursor[1] in self.tally.seen:
             cursor[1] = next(cursor[0], None)
         return cursor[1]
@@ -171,8 +230,7 @@ def _feasible(state: StreamState, h: Hypothesis,
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)
-    candidates = [(vec, elem) for vec in c.pieces(h.support)
-                  if (elem := state.unseen(h.support, vec)) is not None]
+    candidates = state.heads(h.support)
     # q_v >= 0 per candidate cell; total mass 1; per group the covered
     # mass must land within [pihat - alpha, pihat + alpha].  With d
     # distinct elements and alpha = a/b, every row is the rational one
@@ -386,9 +444,10 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
 def _limit(state: StreamState,
            alpha: Fraction) -> tuple[int | None, RationalDist]:
     """The index the in-limit step selects (None on fallback) and its output."""
-    consistent = state.consistent_upto(state.depth())
-    for n in reversed(consistent):
-        if state.cls.critical_among(n, consistent):
+    depth = state.depth()
+    state.consistent_upto(depth)
+    for n in state.critical:
+        if n <= depth:
             w = _feasible(state, state.cls.get(n), alpha)
             if w is not None:
                 return n, w.distribution()

@@ -13,9 +13,10 @@ on which the session re-emits the same distribution object leaves the
 tally, the mask and `last_selected` as they were, so its record is the
 previous one with the new step and element.  The alpha verdict and the
 summary's largest distance are decided by cross-multiplying the tally's
-integer gap, the largest kept as a running numerator and denominator; the
-step's `Fraction` distance, which the record keeps, is the one `Fraction` a
-step check builds.  Each step is a `StepRecord` named tuple.
+integer gap, the largest kept as a running numerator and denominator, and
+the record keeps the gap reduced by one `gcd`, so a step check builds no
+`Fraction`: the record's `distance` builds one when read, and the summary
+builds one for the largest.  Each step is a `StepRecord` named tuple.
 Traces serialize to JSON lines with sorted keys and fixed separators, making
 reruns byte-comparable.  `_dump` is the one encoder for every row repgen
 prints: rows hold records' exact values as they are, and it writes each
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation
@@ -37,16 +39,21 @@ from .scenario import Scenario, build_session, materialize_stream
 
 class StepRecord(NamedTuple):
     """One checked step: an immutable named tuple, compared and hashed by
-    its fields, and cheap to build once per step."""
+    its fields, and cheap to build once per step.  `gap` is the group
+    distance as a reduced (numerator, denominator) pair."""
     t: int
     x: int
     distinct: int
     mu: RationalDist
-    distance: Fraction
+    gap: tuple[int, int]
     representative: bool
     consistent: bool
     closure_bot: bool
     selected: int | None = None
+
+    @property
+    def distance(self) -> Fraction:
+        return Fraction(*self.gap)
 
 
 @dataclass
@@ -72,8 +79,8 @@ def run_game(scenario: Scenario) -> GameTrace:
     a_num, a_den = scenario.alpha.numerator, scenario.alpha.denominator
     seen, in_support = tally.seen, scenario.target.support.__contains__
     inlimit = scenario.kind == "inlimit"
-    # the largest distance so far, as num / den and as the step's Fraction
-    top, top_num, top_den = Fraction(0), 0, 1
+    # the largest distance so far, as num / den
+    top_num, top_den = 0, 1
     steps: list[StepRecord] = []
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
@@ -87,12 +94,12 @@ def run_game(scenario: Scenario) -> GameTrace:
             steps.append(StepRecord(t, x, *steps[-1][2:]))
             continue
         num, den = tally.gap(mu)
-        dist = Fraction(num, den)
         if num * top_den > top_num * den:
-            top, top_num, top_den = dist, num, den
+            top_num, top_den = num, den
+        g = gcd(num, den)
         ys = mu.support()
         steps.append(StepRecord(
-            t, x, len(seen), mu, dist,
+            t, x, len(seen), mu, (num // g, den // g),
             num * a_den <= a_num * den,
             seen.isdisjoint(ys) and all(map(in_support, ys)),
             not consistent,
@@ -100,13 +107,13 @@ def run_game(scenario: Scenario) -> GameTrace:
     trace = GameTrace(scenario_name=scenario.name, generator_kind=scenario.kind,
                       alpha=scenario.alpha, horizon=scenario.horizon,
                       steps=steps)
-    trace.summary = _summarize(trace, top)
+    trace.summary = _summarize(trace, top_num, top_den)
     return trace
 
 
-def _summarize(trace: GameTrace, max_distance: Fraction) -> dict:
+def _summarize(trace: GameTrace, top_num: int, top_den: int) -> dict:
     """The summary line of a trace whose largest step distance (0 for no
-    steps) is `max_distance`."""
+    steps) is top_num / top_den."""
     steps = trace.steps
     first_consistent_from = None
     for rec in reversed(steps):
@@ -119,7 +126,7 @@ def _summarize(trace: GameTrace, max_distance: Fraction) -> dict:
     return {
         "steps": len(steps),
         "all_representative": all(rec.representative for rec in steps),
-        "max_distance": format_fraction(max_distance),
+        "max_distance": format_fraction(Fraction(top_num, top_den)),
         "first_consistent_from": first_consistent_from,
         "violations": violations,
     }
@@ -176,6 +183,8 @@ def trace_lines(trace: GameTrace) -> list[str]:
                     "horizon": trace.horizon})]
     for rec in trace.steps:
         row = rec._asdict()
+        del row["gap"]
+        row["distance"] = rec.distance
         row["closure"] = "bot" if row.pop("closure_bot") else "ok"
         lines.append(_dump({"kind": "step", **row}))
     lines.append(_dump({"kind": "summary", **trace.summary}))
@@ -201,9 +210,10 @@ def parse_trace(text: str | Iterable[str]) -> GameTrace:
         if row.get("kind") != "step":
             raise ValueError(f"unexpected line kind {row.get('kind')!r}")
         mu = RationalDist({int(x): parse_fraction(m) for x, m in row["mu"]})
+        distance = parse_fraction(row["distance"])
         trace.steps.append(StepRecord(
             t=row["t"], x=row["x"], distinct=row["distinct"], mu=mu,
-            distance=parse_fraction(row["distance"]),
+            gap=(distance.numerator, distance.denominator),
             representative=row["representative"],
             consistent=row["consistent"],
             closure_bot=row["closure"] == "bot",

@@ -487,8 +487,10 @@ def _assert_same_state(stepped, once):
         i for i in range(1, n + 1)
         if all(x in cls.get(i).support for x in once.tally.seen))
     assert stepped._mask == sum(1 << (i - 1) for i in stepped.consistent)
-    for s, part in list(stepped._cursors):
-        assert stepped.unseen(s, part) == once.unseen(s, part)
+    assert stepped.critical == once.critical
+    for s, table in list(stepped._cursors.items()):
+        for part in list(table):
+            assert stepped.unseen(s, part) == once.unseen(s, part)
 
 
 def assert_uniform_guarantee(cls, c, alpha, history, mu):

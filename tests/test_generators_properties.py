@@ -21,14 +21,20 @@ session plays the uniform construction of the class prefix its thresholds
 name.  An in-limit session makes the feasibility calls, with the
 witnesses, selects the index and plays the output of `oracles.ScanLimit`,
 which rebuilds consistency, criticality and feasibility from the history
-alone, while its `holding` masks agree with membership.  Wherever a session plays the empirical distribution, which it
+alone, while its `holding` masks agree with membership.  The state an
+in-limit session keeps from step to step, the piece heads of each
+consistent support and the critical indices, equals what membership scans
+build from the history alone, on seeded streams with repeats over the
+bundled instances and the i01-i06 scenarios.  Wherever a session plays the empirical distribution, which it
 reads from its sorted stream state, that equals `measures.empirical` of the
 history, hash and serialization included."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import and_
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,9 +42,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from instances import feasibility_instances
-from oracles import (ScanLimit, fraction_assemble_uniform, fraction_feasible,
-                     mesh_feasible)
+from instances import dimension_instances, feasibility_instances
+from oracles import (ScanLimit, consistent_among, fraction_assemble_uniform,
+                     fraction_feasible, is_subset_scan, mesh_feasible,
+                     unseen_cells)
 from repgen import generators
 from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
                                is_feasible)
@@ -47,6 +54,7 @@ from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples)
+from repgen.scenario import load_scenario
 from test_generators import (_assert_same_state, _count_lp_calls,
                              nonuniform_by_definition, replay)
 
@@ -449,3 +457,63 @@ def test_inlimit_session_equals_a_replay_through_the_scan(game):
             mask = reduce(and_, map(cls.holding, seen), (1 << size) - 1)
             assert mask == sum(1 << (i - 1) for i in cls.consistent_indices(
                 seen, upto=size)), xs[:t]
+
+
+# -- the kept in-limit state against one built from scratch ---------------------
+
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+
+def kept_state_instances():
+    """(name, class, groups, alpha) for an in-limit session: the bundled
+    dimension and feasibility instances, the i01-i06 scenarios, and the
+    provider-backed multiples, whose members materialize as the depth
+    grows."""
+    out = [(inst["name"], inst["cls"], inst["groups"], inst["alpha"])
+           for inst in dimension_instances()]
+    out += [(f"{inst['h'].id}@{n}", HypothesisClass([inst["h"]]),
+             inst["groups"], inst["alpha"])
+            for n, inst in enumerate(feasibility_instances())]
+    for path in sorted(SCENARIO_DIR.glob("i0[1-6]-*.json")):
+        s = load_scenario(str(path))
+        out.append((s.name, s.cls, s.groups, s.alpha))
+    out.append(("multiples", HypothesisClass([], provider=multiple),
+                FiniteGroups([from_finite([0, 1, 2, 3]),
+                              EVENS | from_threshold(4)]), F(1, 2)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_inlimit_state_equals_one_built_from_scratch(seed):
+    # at every step of a seeded stream with repeats: the piece heads of
+    # each consistent support are the smallest unseen element of each cell
+    # it meets, in `pieces` order (1 before 0 per coordinate), and the kept
+    # critical indices are those of a membership and subset scan
+    for name, cls, groups, alpha in kept_state_instances():
+        rng = random.Random(f"{seed}:{name}")
+        size = 4 if cls.extendable else cls.materialized_count()
+        pool = [x for n in range(1, size + 1)
+                for x in islice(cls.get(n).support.members(), 12)]
+        gsets = [groups.group(i) for i in groups.indices()]
+        session = GeneratorSession("inlimit", cls, groups, alpha)
+        state = session.state
+        xs = []
+        for _ in range(30):
+            xs.append(rng.choice(xs if xs and rng.random() < 1 / 3
+                                 else pool))
+            session.step(xs[-1])
+            consistent = tuple(range(1, state.checked + 1))
+            for x in set(xs):
+                consistent = consistent_among(cls, consistent, x)
+            assert state.consistent == consistent, (name, xs)
+            assert state.critical == [
+                n for n in reversed(consistent)
+                if all(is_subset_scan(cls.get(n).support, cls.get(i).support)
+                       for i in consistent if i < n)], (name, xs)
+            for n in consistent:
+                support = cls.get(n).support
+                heads = state.heads(support)
+                want = unseen_cells(support, gsets, xs)
+                assert dict(heads) == want, (name, n, xs)
+                assert [vec for vec, _ in heads] \
+                    == sorted(want, reverse=True), (name, n, xs)

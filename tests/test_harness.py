@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repgen import generators
+from repgen import generators, harness
 from repgen.adversaries import MAX_QUERY_BUDGET, MAX_STEPS
 from repgen.cli import main
 from repgen.dimension import MAX_CHOICES, MAX_D
@@ -254,22 +254,25 @@ def test_trace_round_trip_and_stability(tmp_path):
 
 def test_step_records_are_immutable_and_built_alike_by_keyword():
     # parse_trace builds records by keyword, run_game positionally: both
-    # give the same record, and no field can be changed afterwards
+    # give the same record, and no field can be changed afterwards; the
+    # distance is read from the reduced integer gap
     path = Path(__file__).parent / "scenarios" / "i01-nested3-overlap.json"
     rec = run_game(load_scenario(str(path))).steps[-1]
     assert rec.selected is not None
     by_name = StepRecord(
         t=rec.t, x=rec.x, distinct=rec.distinct, mu=rec.mu,
-        distance=rec.distance, representative=rec.representative,
+        gap=rec.gap, representative=rec.representative,
         consistent=rec.consistent, closure_bot=rec.closure_bot,
         selected=rec.selected)
     assert by_name == rec and hash(by_name) == hash(rec)
     assert by_name == StepRecord(*by_name)
+    assert rec.distance == Fraction(*rec.gap)
+    assert rec.gap == (rec.distance.numerator, rec.distance.denominator)
     # selected defaults to None, as every step outside an in-limit game has
     plain = run_game(parse_scenario(_doc())).steps[-1]
     assert plain.selected is None and StepRecord(*plain[:-1]) == plain
-    for name in ("t", "x", "distinct", "mu", "distance", "representative",
-                 "consistent", "closure_bot", "selected"):
+    for name in ("t", "x", "distinct", "mu", "gap", "distance",
+                 "representative", "consistent", "closure_bot", "selected"):
         with pytest.raises(AttributeError):
             setattr(rec, name, 0)
     with pytest.raises(AttributeError):
@@ -317,17 +320,25 @@ class _ReplaySession:
         return next(self.mus)
 
 
-def test_a_step_check_builds_one_fraction(monkeypatch):
+def test_a_step_check_builds_no_fraction(monkeypatch):
     # the alpha verdict and the running maximum are decided on the tally's
-    # integer gap; the record's distance is the one Fraction a step check
-    # builds, and a repeat on which the session re-emits the same object
-    # reuses the previous record and builds none
+    # integer gap, and the record keeps the gap reduced, so a step check
+    # builds no Fraction; a repeat on which the session re-emits the same
+    # object reuses the previous record.  The last step ends where the
+    # summary, which reads the distances, begins.
     s = _with_stream(parse_scenario(_doc(asserts={})), [0, 0, 2, 2, 2, 4])
     p5, spread = RationalDist.point(5), RationalDist.uniform([5, 7])
     mus = [p5, p5, p5, spread, RationalDist.uniform([5, 7]), p5]
     built, marks = [], []
     monkeypatch.setattr("repgen.harness.build_session",
                         lambda sc: _ReplaySession(mus, built, marks))
+    summarize = harness._summarize
+
+    def marked(*args):
+        marks.append(len(built))
+        return summarize(*args)
+
+    monkeypatch.setattr("repgen.harness._summarize", marked)
     new = Fraction.__new__
 
     def counting(cls, *args, **kwargs):
@@ -336,12 +347,11 @@ def test_a_step_check_builds_one_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     trace = run_game(s)
-    marks.append(len(built))
     monkeypatch.undo()
     per_step = [b - a for a, b in zip(marks, marks[1:])]
     # new element, repeat re-emitting, new element, new distribution,
     # repeat emitting an equal new object (checked again), new distribution
-    assert per_step == [1, 0, 1, 1, 1, 1]
+    assert per_step == [0, 0, 0, 0, 0, 0]
     assert [rec.distance for rec in trace.steps] == [
         F(1), F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 3)]
 

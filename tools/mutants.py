@@ -11,8 +11,9 @@ FUNCTIONS names in src/repgen/dimension.py:
 For each mutant the script writes the mutated module into a copy of the
 repository's src/ and tests/ in a temporary directory, runs the dimension
 tests there (tests/test_dimension*.py, Hypothesis seeded with 0, stopping at
-the first failure), and prints the site as killed (a test failed or timed
-out) or survived (every test passed).  The copy never writes bytecode, so no
+the first failure), and prints the site as killed (a test failed, or the
+run outlived TIMEOUT_FACTOR times the clean run's time) or survived (every
+test passed).  The copy never writes bytecode, so no
 stale cache stands in for a mutant.
 
     python3 tools/mutants.py             (from the repository root)
@@ -40,18 +41,22 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGET = Path("src/repgen/dimension.py")
 FUNCTIONS = ("check_witness", "_atoms", "_closures", "_spans", "_witness",
              "_closed_form")
-TIMEOUT_S = 300  # a mutant that loops is killed by the clock
+# A mutant's run is cut at TIMEOUT_FACTOR times the clean run's time, and
+# at no less than TIMEOUT_FLOOR_S: a mutant that loops dies in seconds and
+# counts as killed, and a slow but passing one still finishes.
+TIMEOUT_FACTOR = 3
+TIMEOUT_FLOOR_S = 10
 
 # Mutants that compute the same dimension and witness as the module, by
 # (function, expression, replacement), each naming one site, with the
 # reason: no test can kill them, so they are named rather than counted as
 # gaps.
 EQUIVALENT = {
-    # range(1, k + 1) -> range(1, k + 2), a group past the last
+    # per_group[a.group - 1] -> per_group[a.group - 2]
     ("_closures", "1", "2"):
-        "the extra group has no atoms, so it is forced exhausted with no "
-        "elements: |E| and K each grow by one and the sum of highs falls "
-        "by one, so every bound is unchanged",
+        "each group's closure atoms land in the list of the group before "
+        "it, the first group's in the last: the lists are rotated, and "
+        "`_spans` reads them only as a multiset of groups",
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -125,8 +130,9 @@ def mutate(source: str, site: Site) -> str:
             + data[site.end:]).decode()
 
 
-def _run_tests(workdir: Path) -> bool:
-    """Whether every dimension test passes in workdir."""
+def _run_tests(workdir: Path, timeout: float | None = None) -> bool:
+    """Whether every dimension test passes in workdir within `timeout`
+    seconds (None: no limit)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     tests = sorted(str(p.relative_to(workdir))
@@ -136,7 +142,7 @@ def _run_tests(workdir: Path) -> bool:
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
              "no:cacheprovider", "--hypothesis-seed=0", *tests],
             cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+            stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -152,13 +158,18 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
+        began = time.perf_counter()
         if not _run_tests(work):
             print("the dimension tests fail without a mutant", file=sys.stderr)
             return 1
+        clean = time.perf_counter() - began
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * clean)
+        print(f"clean run {clean:.1f} s; each mutant is cut at "
+              f"{timeout:.1f} s", flush=True)
         for site in found:
             (work / TARGET).write_text(mutate(source, site))
             began = time.perf_counter()
-            passed = _run_tests(work)
+            passed = _run_tests(work, timeout)
             reason = EQUIVALENT.get((site.function, site.before,
                                      site.after))
             killed += not passed
