@@ -16,6 +16,12 @@ feeds one element at a time (`observe`, or `step`, which also emits).  The
 pure `uniform_emit`, `nonuniform_emit` and `limit_emit` replay their history
 through a session, so each kind has one entry and one set of input checks.
 
+One feasibility decision, `_feasible`, serves both the public `is_feasible`
+and the in-limit step.  It returns its witness as plain (entries, den) data;
+the step emits a point mass over den 1 directly and reads every other
+witness through the helper `FeasibilityWitness.distribution` also calls, so
+only `is_feasible` builds the public named tuples.
+
 Everything is deterministic and exact: same configuration and history, same
 distribution, bit for bit.
 """
@@ -66,8 +72,14 @@ class StreamState:
         self._critical: list[int] = []
         self._ranked = 0
         self.checked = 0  # class indices checked for consistency so far
+        # the size of a finite class, which caps the depth; None when the
+        # class is extendable
+        self._size = None if cls.extendable else cls.materialized_count()
         # set -> part -> [walk of the part, its least unseen member or None]
         self._cursors: dict[PeriodicSet, dict] = {}
+        # the set `heads` read last, and its table
+        self._head_set: PeriodicSet | None = None
+        self._head_table: dict = {}
         for x in history:
             self.add(x)
 
@@ -90,7 +102,7 @@ class StreamState:
                                             if kept >> (i - 1) & 1)
                     self._critical, self._ranked = [], 0
             return True
-        return self.cls.extendable or self.t <= self.cls.materialized_count()
+        return self._size is None or self.t <= self._size
 
     def empirical(self) -> RationalDist:
         """Uniform over the distinct elements so far: `empirical` of the
@@ -102,20 +114,25 @@ class StreamState:
 
     def depth(self) -> int:
         """Largest class index a step may consider: t, capped by a finite class."""
-        t = self.t
-        return t if self.cls.extendable else min(t, self.cls.materialized_count())
+        t, size = self.t, self._size
+        return t if size is None or t < size else size
 
     def consistent_upto(self, n: int) -> tuple[int, ...]:
-        """Indices up to n of the hypotheses whose support holds every seen element."""
+        """Indices up to n of the hypotheses whose support holds every seen
+        element, for n no smaller than `checked`, which every caller's bound
+        is: it never falls along a stream and only these calls raise
+        `checked`.  The uniform step asks for the size of its finite class;
+        the non-uniform step for i_t, which only grows (the thresholds are
+        non-decreasing and t and the distinct count only grow); the in-limit
+        step for the depth, and only while `checked` is below it.  After the
+        loop `checked` is n, so `consistent` holds no index above n."""
         while self.checked < n:
             self.checked += 1
             support = self.cls.get(self.checked).support
             if all(x in support for x in self.tally.seen):
                 self.consistent += (self.checked,)
                 self._mask |= 1 << (self.checked - 1)
-        if n == self.checked:
-            return self.consistent
-        return tuple(i for i in self.consistent if i <= n)
+        return self.consistent
 
     @property
     def critical(self) -> list[int]:
@@ -145,13 +162,19 @@ class StreamState:
         call on s makes its table with a cursor per piece, while `unseen`
         adds cursors one part at a time, so a state reads a finite family's
         sets through one of the two: the in-limit step its supports through
-        `heads`, the uniform step its closures through `unseen`."""
-        table = self._cursors.get(s)
-        if table is None:
-            table = self._cursors[s] = {}
-            for vec, piece in self.groups.pieces(s).items():
-                members = piece.members()
-                table[vec] = [members, next(members, None)]
+        `heads`, the uniform step its closures through `unseen`.  The set
+        read last keeps its table at hand, so the step that reads the same
+        support again and again hashes it once."""
+        if s is self._head_set:
+            table = self._head_table
+        else:
+            table = self._cursors.get(s)
+            if table is None:
+                table = self._cursors[s] = {}
+                for vec, piece in self.groups.pieces(s).items():
+                    members = piece.members()
+                    table[vec] = [members, next(members, None)]
+            self._head_set, self._head_table = s, table
         seen = self.tally.seen
         heads = []
         for vec, cursor in table.items():
@@ -192,18 +215,21 @@ class FeasibilityEntry(NamedTuple):
 class FeasibilityWitness(NamedTuple):
     """Positive masses num / den, one entry per cell; cells are disjoint,
     so no element appears twice.  den is not reduced against the nums.
-    Like its entries, a named tuple: immutable, and cheap to build on every
-    in-limit step."""
+    Like its entries, an immutable named tuple.  Only `is_feasible` builds
+    one: the in-limit step reads the same entries and den as plain tuples."""
     entries: tuple[FeasibilityEntry, ...]
     den: int
 
     def distribution(self) -> RationalDist:
-        entries = self.entries
-        if len(entries) == 1 and entries[0].num == self.den:
-            # a point mass, which decides nearly every in-limit step
-            return RationalDist.point(entries[0].element)
-        return RationalDist.from_numerators(
-            {e.element: e.num for e in entries}, self.den)
+        return _distribution(self.entries, self.den)
+
+
+def _distribution(entries: Sequence[tuple], den: int) -> RationalDist:
+    """Mass num / den at the element of each (cell, element, num) entry."""
+    if len(entries) == 1 and entries[0][2] == den:
+        # a point mass, which decides nearly every in-limit step
+        return RationalDist.point(entries[0][1])
+    return RationalDist.from_numerators({x: m for _, x, m in entries}, den)
 
 
 def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
@@ -222,11 +248,19 @@ def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
     check_alpha(alpha)
     if not history:
         raise ValueError("feasibility needs a nonempty history")
-    return _feasible(StreamState(HypothesisClass([h]), c, history), h, alpha)
+    found = _feasible(StreamState(HypothesisClass([h]), c, history), h, alpha)
+    if found is None:
+        return None
+    entries, den = found
+    return FeasibilityWitness(tuple(FeasibilityEntry(*e) for e in entries), den)
 
 
 def _feasible(state: StreamState, h: Hypothesis,
-              alpha: Fraction) -> FeasibilityWitness | None:
+              alpha: Fraction) -> tuple[Sequence[tuple], int] | None:
+    """The decision of `is_feasible` on a stream state.  Its witness is
+    plain data, (entries, den), each entry a (cell, element, num) tuple in
+    `FeasibilityEntry`'s field order.  The nums are positive and sum to den,
+    so den is 1 only for a point mass."""
     c = state.groups
     if isinstance(c, BlockPartition):
         return _feasible_blocks(state, h, alpha)
@@ -251,7 +285,7 @@ def _feasible(state: StreamState, h: Hypothesis,
         for i, inside in enumerate(vec, 1):
             if abs((den if inside else 0) - counts[i] * b) > cap:
                 return None
-        return FeasibilityWitness((FeasibilityEntry(vec, elem, 1),), 1)
+        return ((vec, elem, 1),), 1
     # Distance-0 witnesses are preferred, so an exact-tracking system is
     # tried before the banded one.  A pass in which a group's lower end is
     # positive but no candidate covers it is skipped: its row is all zeros
@@ -274,22 +308,24 @@ def _feasible(state: StreamState, h: Hypothesis,
             vertex = simplex.feasible_point_int(n, rows)
             if vertex is not None:
                 nums, delta = vertex
-                entries = tuple(FeasibilityEntry(vec, elem, m)
-                                for (vec, elem), m in zip(candidates, nums)
-                                if m > 0)
-                return FeasibilityWitness(entries, delta)
+                return [(vec, elem, m) for (vec, elem), m
+                        in zip(candidates, nums) if m > 0], delta
     return None
 
 
 def _feasible_blocks(state: StreamState, h: Hypothesis,
-                     alpha: Fraction) -> FeasibilityWitness | None:
+                     alpha: Fraction) -> tuple[Sequence[tuple], int] | None:
     """Block partitions have one cell per block, so feasibility reduces to
     interval checks: every exhausted touched block must already be within
     alpha of its weight, and any surplus can be spread in alpha-sized chunks
     over untouched blocks (each finite block keeps unseen support elements in
     infinitely many later blocks, the support being infinite).  The checks
     run on integers over D = d*b (d distinct elements, alpha = a/b), and the
-    witness keeps its masses over D."""
+    witness keeps its masses over D.
+
+    At alpha 0 the cap is 0 and every exhausted touched block, of weight at
+    least b > 0, fails its check, so a surplus is never left without an
+    alpha-sized chunk to spread it in."""
     counts, d = state.tally.counts, len(state.tally.seen)
     a, b = alpha.numerator, alpha.denominator
     cap = a * d
@@ -303,19 +339,17 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
                 return None
             surplus += w
         else:
-            entries.append(FeasibilityEntry(i, elem, w))
-    if surplus and not cap:
-        return None
+            entries.append((i, elem, w))
     j = 1
     while surplus > 0:
         if j not in counts:
             elem = state.unseen(h.support, j)
             if elem is not None:
                 chunk = min(cap, surplus)
-                entries.append(FeasibilityEntry(j, elem, chunk))
+                entries.append((j, elem, chunk))
                 surplus -= chunk
         j += 1
-    return FeasibilityWitness(tuple(entries), d * b)
+    return entries, d * b
 
 
 # -- uniform construction -----------------------------------------------------
@@ -443,14 +477,23 @@ def nonuniform_emit(cls: HypothesisClass, c: FiniteGroups, alpha: Fraction,
 
 def _limit(state: StreamState,
            alpha: Fraction) -> tuple[int | None, RationalDist]:
-    """The index the in-limit step selects (None on fallback) and its output."""
+    """The index the in-limit step selects (None on fallback) and its output.
+
+    Only this step raises its state's `checked`, always to the depth, which
+    never falls; so `checked` is the depth once it is checked up to it, and
+    stays so for a finite class once t passes its size.  Every critical
+    index is then at most the depth, and its member already materialized."""
     depth = state.depth()
-    state.consistent_upto(depth)
+    if state.checked < depth:
+        state.consistent_upto(depth)
+    members = state.cls._members
     for n in state.critical:
-        if n <= depth:
-            w = _feasible(state, state.cls.get(n), alpha)
-            if w is not None:
-                return n, w.distribution()
+        found = _feasible(state, members[n - 1], alpha)
+        if found is not None:
+            entries, den = found
+            if den == 1:  # a point mass
+                return n, RationalDist.point(entries[0][1])
+            return n, _distribution(entries, den)
     return None, state.empirical()
 
 

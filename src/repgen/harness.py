@@ -16,7 +16,9 @@ summary's largest distance are decided by cross-multiplying the tally's
 integer gap, the largest kept as a running numerator and denominator, and
 the record keeps the gap reduced by one `gcd`, so a step check builds no
 `Fraction`: the record's `distance` builds one when read, and the summary
-builds one for the largest.  Each step is a `StepRecord` named tuple.
+builds one for the largest.  Each step is a `StepRecord` named tuple, which
+`run_game` builds as `StepRecord._make` does, through `tuple.__new__` with
+every field given, so no Python-level constructor runs per step.
 Traces serialize to JSON lines with sorted keys and fixed separators, making
 reruns byte-comparable.  `_dump` is the one encoder for every row repgen
 prints: rows hold records' exact values as they are, and it writes each
@@ -82,6 +84,9 @@ def run_game(scenario: Scenario) -> GameTrace:
     # the largest distance so far, as num / den
     top_num, top_den = 0, 1
     steps: list[StepRecord] = []
+    # each record is built as `StepRecord._make` builds one, with every
+    # field given, so no Python-level `__new__` runs per step
+    record = tuple.__new__
     for t, x in enumerate(xs, 1):
         mu = session.step(x)
         if not isinstance(mu, RationalDist):
@@ -91,19 +96,19 @@ def run_game(scenario: Scenario) -> GameTrace:
         if tally.add(x):
             consistent &= holding(x)
         elif mu is steps[-1].mu:  # a re-emit: nothing a check reads changed
-            steps.append(StepRecord(t, x, *steps[-1][2:]))
+            steps.append(record(StepRecord, (t, x, *steps[-1][2:])))
             continue
         num, den = tally.gap(mu)
         if num * top_den > top_num * den:
             top_num, top_den = num, den
         g = gcd(num, den)
         ys = mu.support()
-        steps.append(StepRecord(
+        steps.append(record(StepRecord, (
             t, x, len(seen), mu, (num // g, den // g),
             num * a_den <= a_num * den,
             seen.isdisjoint(ys) and all(map(in_support, ys)),
             not consistent,
-            session.last_selected if inlimit else None))
+            session.last_selected if inlimit else None)))
     trace = GameTrace(scenario_name=scenario.name, generator_kind=scenario.kind,
                       alpha=scenario.alpha, horizon=scenario.horizon,
                       steps=steps)

@@ -16,8 +16,9 @@ from repgen.dimension import gc_depth
 from repgen.errors import ConfigError
 from repgen import generators, simplex
 from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
-                               GeneratorSession, StreamState, _feasible,
-                               _feasible_blocks, is_feasible, limit_emit,
+                               GeneratorSession, StreamState, _distribution,
+                               _feasible, _feasible_blocks, is_feasible,
+                               limit_emit,
                                nonuniform_emit, nonuniform_thresholds,
                                uniform_emit)
 from repgen.groups import BlockPartition, FiniteGroups
@@ -251,23 +252,23 @@ def test_blocks_build_no_fraction(monkeypatch, history, alpha, entries):
     h = Hypothesis("evens", EVENS)
     state = StreamState(HypothesisClass([h]), BlockPartition(2, [2]), history)
     made = _count_fractions(monkeypatch)
-    w = _feasible_blocks(state, h, alpha)
-    mu = w and w.distribution()
+    found = _feasible_blocks(state, h, alpha)
+    mu = found and _distribution(*found)
     monkeypatch.undo()
     assert made == []
-    assert (len(w.entries) if w else 0) == entries
-    if w:
+    assert (len(found[0]) if found else 0) == entries
+    if found:
         # masses over D = d*b, d the distinct count and alpha = a/b
-        assert w.den == len(set(history)) * alpha.denominator
-        assert mu == RationalDist({e.element: F(e.num, w.den)
-                                   for e in w.entries})
+        got, den = found
+        assert den == len(set(history)) * alpha.denominator
+        assert mu == RationalDist({x: F(num, den) for _, x, num in got})
 
 
 def test_finite_cells_build_no_fraction_from_vertex_to_distribution(
         monkeypatch):
     state, alpha = StreamState(ALL_CLS, PARITY, [0, 1, 2]), F(1, 4)
     made = _count_fractions(monkeypatch)
-    mu = _feasible(state, Hypothesis("all", ALL), alpha).distribution()
+    mu = _distribution(*_feasible(state, Hypothesis("all", ALL), alpha))
     monkeypatch.undo()
     assert made == []
     assert mu == RationalDist({4: F(2, 3), 3: F(1, 3)})
@@ -472,6 +473,30 @@ def test_limit_emit_selects_largest_index():
         if len(hist) >= 50:
             break
     assert selected_two
+
+
+def test_an_inlimit_step_checks_consistency_only_while_the_depth_grows(
+        monkeypatch):
+    # the depth is t capped by a finite class: a class of two stops asking
+    # after its second step, while an extendable class asks for one more
+    # index on every step
+    asked = []
+    upto = StreamState.consistent_upto
+
+    def recorded(self, n):
+        asked.append(n)
+        return upto(self, n)
+
+    monkeypatch.setattr(StreamState, "consistent_upto", recorded)
+    finite = _cls([("evens", EVENS), ("mult4", multiples(4))])
+    extendable = HypothesisClass(
+        [], provider=lambda n: Hypothesis(f"mult{n}", multiples(n)))
+    for cls, want in ((finite, [1, 2]), (extendable, list(range(1, 11)))):
+        asked.clear()
+        session = GeneratorSession("inlimit", cls, PARITY, F(1, 2))
+        for x in range(0, 40, 4):
+            session.step(x)
+        assert asked == want
 
 
 def _assert_same_state(stepped, once):

@@ -47,14 +47,15 @@ from oracles import (ScanLimit, consistent_among, fraction_assemble_uniform,
                      fraction_feasible, is_subset_scan, mesh_feasible,
                      unseen_cells)
 from repgen import generators
-from repgen.generators import (GeneratorSession, StreamState, _assemble_uniform,
+from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
+                               GeneratorSession, StreamState, _assemble_uniform,
                                is_feasible)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples)
-from repgen.scenario import load_scenario
+from repgen.scenario import build_session, load_scenario, materialize_stream
 from test_generators import (_assert_same_state, _count_lp_calls,
                              nonuniform_by_definition, replay)
 
@@ -270,6 +271,49 @@ def test_at_most_one_candidate_is_decided_without_the_lp(
     assert_same_witness(h, c, history, alpha)
 
 
+def test_a_one_candidate_inlimit_step_builds_no_witness_record(monkeypatch):
+    # over i01's bundled stream: the in-limit session emits the point mass
+    # of a one-candidate witness without building a FeasibilityEntry or a
+    # FeasibilityWitness, and without the shared witness-to-distribution
+    # helper; `is_feasible` on the same history still returns the public
+    # witness the Fraction reference finds
+    s = load_scenario(str(SCENARIO_DIR / "i01-nested3-overlap.json"))
+    session = build_session(s)
+    built = []
+    for record in (FeasibilityEntry, FeasibilityWitness):
+        def counting(cls, *args, new=record.__new__, **kwargs):
+            built.append(cls.__name__)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__new__", counting)
+    distribution = generators._distribution
+
+    def helper(*args):
+        built.append("_distribution")
+        return distribution(*args)
+
+    monkeypatch.setattr(generators, "_distribution", helper)
+    xs, decided, mu = [], [], None
+    for x in materialize_stream(s):
+        xs.append(x)
+        before, last = len(built), mu
+        mu = session.step(x)
+        n = session.last_selected
+        if mu is not last and n is not None \
+                and len(session.state.heads(s.cls.get(n).support)) == 1:
+            assert len(built) == before, xs
+            decided.append((n, tuple(xs), mu))
+    monkeypatch.undo()
+    assert set(built) <= {"_distribution"}
+    assert len(decided) > 100
+    for n, history, mu in decided:
+        h = s.cls.get(n)
+        assert_same_witness(h, s.groups, history, s.alpha)
+        w = is_feasible(h, s.groups, history, s.alpha)
+        assert len(w.entries) == 1 and w.den == 1
+        assert mu == w.distribution() == RationalDist.point(w.entries[0].element)
+
+
 # -- sessions against replays --------------------------------------------------
 
 def tail(n):
@@ -435,9 +479,11 @@ def test_inlimit_session_equals_a_replay_through_the_scan(game):
     calls = []
 
     def recorded(state, h, alpha):
-        w = feasible(state, h, alpha)
-        calls.append((h.id, w))
-        return w
+        found = feasible(state, h, alpha)
+        # the plain (entries, den) witness read as the public one
+        calls.append((h.id, found and FeasibilityWitness(
+            tuple(map(FeasibilityEntry._make, found[0])), found[1])))
+        return found
 
     seen = set()
     with mock.patch.object(generators, "_feasible", recorded):

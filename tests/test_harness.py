@@ -253,11 +253,13 @@ def test_trace_round_trip_and_stability(tmp_path):
 
 
 def test_step_records_are_immutable_and_built_alike_by_keyword():
-    # parse_trace builds records by keyword, run_game positionally: both
-    # give the same record, and no field can be changed afterwards; the
-    # distance is read from the reduced integer gap
+    # parse_trace builds records by keyword, run_game through
+    # `tuple.__new__` with every field: both give the same record, and no
+    # field can be changed afterwards; the distance is read from the
+    # reduced integer gap
     path = Path(__file__).parent / "scenarios" / "i01-nested3-overlap.json"
     rec = run_game(load_scenario(str(path))).steps[-1]
+    assert type(rec) is StepRecord and len(rec) == len(StepRecord._fields)
     assert rec.selected is not None
     by_name = StepRecord(
         t=rec.t, x=rec.x, distinct=rec.distinct, mu=rec.mu,

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
-from repgen import dimension, measures
+from repgen import measures
 from repgen.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,19 +261,22 @@ def test_bench_span_targets_resolve():
 
 def test_mutant_sites_name_existing_functions():
     mutants = load_script("tools", "mutants")
-    source = (ROOT / mutants.TARGET).read_text()
-    sites = mutants.sites(source)
-    assert sites
-    assert {s.function for s in sites} == set(mutants.FUNCTIONS)
-    assert all(callable(getattr(dimension, name))
-               for name in mutants.FUNCTIONS)
-    assert {s.family for s in sites} == {"compare", "boolop", "int"}
+    keys, families = [], set()
+    for target, (functions, tests) in mutants.TARGETS.items():
+        source = (ROOT / target).read_text()
+        sites = mutants.sites(target, source)
+        assert {s.function for s in sites} == set(functions)
+        module = importlib.import_module(f"repgen.{target.stem}")
+        assert all(callable(getattr(module, name)) for name in functions)
+        assert sorted((ROOT / "tests").glob(tests))
+        keys += [(s.function, s.before, s.after) for s in sites]
+        families |= {s.family for s in sites}
+        tree = ast.dump(ast.parse(source))
+        for site in sites:  # each mutant parses, to a different tree
+            assert ast.dump(ast.parse(mutants.mutate(source, site))) != tree
+    assert families == {"compare", "boolop", "int"}
     # every named equivalent mutant is one site
-    keys = [(s.function, s.before, s.after) for s in sites]
     assert all(keys.count(key) == 1 for key in mutants.EQUIVALENT)
-    tree = ast.dump(ast.parse(source))
-    for site in sites:  # each mutant parses, to a different tree
-        assert ast.dump(ast.parse(mutants.mutate(source, site))) != tree
 
 
 def repgen_reads(source: str, namespace: dict) -> list[tuple[str, bool]]:

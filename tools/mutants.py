@@ -1,20 +1,20 @@
-"""Mutation budget for the dimension kernel: how many small faults in it the
-dimension tests catch.
+"""Mutation budget for the decision kernels: how many small faults in them
+their tests catch.
 
-Three families of mutant, one fault each, inside the functions that
-FUNCTIONS names in src/repgen/dimension.py:
+Three families of mutant, one fault each, inside the functions that TARGETS
+names per module:
 - comparison flips: < and <=, > and >=, == and != swapped;
 - `and` and `or` swapped;
 - an integer literal that is an operand of an arithmetic operator or a
   comparison raised or lowered by one.
 
 For each mutant the script writes the mutated module into a copy of the
-repository's src/ and tests/ in a temporary directory, runs the dimension
-tests there (tests/test_dimension*.py, Hypothesis seeded with 0, stopping at
-the first failure), and prints the site as killed (a test failed, or the
-run outlived TIMEOUT_FACTOR times the clean run's time) or survived (every
-test passed).  The copy never writes bytecode, so no
-stale cache stands in for a mutant.
+repository's src/ and tests/ in a temporary directory, runs the module's
+tests there (the TARGETS pattern under tests/, Hypothesis seeded with 0,
+stopping at the first failure), and prints the site as killed (a test
+failed, or the run outlived TIMEOUT_FACTOR times the clean run's time of
+those tests) or survived (every test passed).  The copy never writes
+bytecode, so no stale cache stands in for a mutant.
 
     python3 tools/mutants.py             (from the repository root)
 
@@ -38,19 +38,23 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/repgen/dimension.py")
-FUNCTIONS = ("check_witness", "_atoms", "_closures", "_spans", "_witness",
-             "_closed_form")
+# module -> (the functions mutated in it, the tests that judge its mutants)
+TARGETS = {
+    Path("src/repgen/dimension.py"): (
+        ("check_witness", "_atoms", "_closures", "_spans", "_witness",
+         "_closed_form"), "test_dimension*.py"),
+    Path("src/repgen/generators.py"): (
+        ("_feasible", "_feasible_blocks", "_limit"), "test_generators*.py"),
+}
 # A mutant's run is cut at TIMEOUT_FACTOR times the clean run's time, and
 # at no less than TIMEOUT_FLOOR_S: a mutant that loops dies in seconds and
 # counts as killed, and a slow but passing one still finishes.
 TIMEOUT_FACTOR = 3
 TIMEOUT_FLOOR_S = 10
 
-# Mutants that compute the same dimension and witness as the module, by
-# (function, expression, replacement), each naming one site, with the
-# reason: no test can kill them, so they are named rather than counted as
-# gaps.
+# Mutants that compute what the module computes, by (function, expression,
+# replacement), each naming one site, with the reason: no test can kill
+# them, so they are named rather than counted as gaps.
 EQUIVALENT = {
     # per_group[a.group - 1] -> per_group[a.group - 2]
     ("_closures", "1", "2"):
@@ -100,17 +104,19 @@ def _mutants(node: ast.AST) -> list[tuple[ast.AST, str, ast.AST]]:
     return out
 
 
-def sites(source: str | None = None) -> list[Site]:
-    """Every mutant of the functions in FUNCTIONS, in source order."""
+def sites(target: Path, source: str | None = None) -> list[Site]:
+    """Every mutant of the functions TARGETS names in the target module, in
+    source order."""
+    functions = TARGETS[target][0]
     if source is None:
-        source = (ROOT / TARGET).read_text()
+        source = (ROOT / target).read_text()
     data = source.encode()
     starts = [0]
     for line in data.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
     found = []
     for fn in ast.parse(source).body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in FUNCTIONS):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
             continue
         for parent in ast.walk(fn):
             for node, family, new in _mutants(parent):
@@ -130,13 +136,14 @@ def mutate(source: str, site: Site) -> str:
             + data[site.end:]).decode()
 
 
-def _run_tests(workdir: Path, timeout: float | None = None) -> bool:
-    """Whether every dimension test passes in workdir within `timeout`
-    seconds (None: no limit)."""
+def _run_tests(workdir: Path, pattern: str,
+               timeout: float | None = None) -> bool:
+    """Whether every test in the files under workdir/tests that match
+    `pattern` passes within `timeout` seconds (None: no limit)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     tests = sorted(str(p.relative_to(workdir))
-                   for p in (workdir / "tests").glob("test_dimension*.py"))
+                   for p in (workdir / "tests").glob(pattern))
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
@@ -149,40 +156,51 @@ def _run_tests(workdir: Path, timeout: float | None = None) -> bool:
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_text()
-    found = sites(source)
-    killed = survived = equivalent = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
-        began = time.perf_counter()
-        if not _run_tests(work):
-            print("the dimension tests fail without a mutant", file=sys.stderr)
-            return 1
-        clean = time.perf_counter() - began
-        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * clean)
-        print(f"clean run {clean:.1f} s; each mutant is cut at "
-              f"{timeout:.1f} s", flush=True)
-        for site in found:
-            (work / TARGET).write_text(mutate(source, site))
-            began = time.perf_counter()
-            passed = _run_tests(work, timeout)
-            reason = EQUIVALENT.get((site.function, site.before,
-                                     site.after))
-            killed += not passed
-            survived += passed
-            equivalent += passed and reason is not None
-            print(f"{'survived' if passed else 'killed  '} {site.function}:"
-                  f"{site.line} {site.family:7} `{site.before}` -> "
-                  f"`{site.after}` ({time.perf_counter() - began:.1f} s)"
-                  + (f"; equivalent: {reason}" if reason else ""),
-                  flush=True)
-    print(f"{len(found)} mutants: {killed} killed, {survived} survived, "
-          f"{equivalent} of them equivalent")
+        for target in TARGETS:
+            if not _mutate_all(work, target):
+                return 1
     return 0
+
+
+def _mutate_all(work: Path, target: Path) -> bool:
+    """Run every mutant of one target in the copy at work and print the
+    verdicts; False when its tests fail without a mutant."""
+    pattern = TARGETS[target][1]
+    source = (ROOT / target).read_text()
+    found = sites(target, source)
+    killed = survived = equivalent = 0
+    began = time.perf_counter()
+    if not _run_tests(work, pattern):
+        print(f"tests/{pattern} fail without a mutant", file=sys.stderr)
+        return False
+    clean = time.perf_counter() - began
+    timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * clean)
+    print(f"{target}: clean run of tests/{pattern} {clean:.1f} s; each "
+          f"mutant is cut at {timeout:.1f} s", flush=True)
+    for site in found:
+        (work / target).write_text(mutate(source, site))
+        began = time.perf_counter()
+        passed = _run_tests(work, pattern, timeout)
+        reason = EQUIVALENT.get((site.function, site.before, site.after))
+        killed += not passed
+        survived += passed
+        equivalent += passed and reason is not None
+        print(f"{'survived' if passed else 'killed  '} {site.function}:"
+              f"{site.line} {site.family:7} `{site.before}` -> "
+              f"`{site.after}` ({time.perf_counter() - began:.1f} s)"
+              + (f"; equivalent: {reason}" if reason else ""),
+              flush=True)
+    # the next target's tests import this module too
+    (work / target).write_text(source)
+    print(f"{target}: {len(found)} mutants: {killed} killed, {survived} "
+          f"survived, {equivalent} of them equivalent", flush=True)
+    return True
 
 
 if __name__ == "__main__":
