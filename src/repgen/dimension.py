@@ -291,7 +291,14 @@ def _witness(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     """The lexicographically first witnessing tuple of depth d, built
     greedily over the members of all atoms in increasing order: a member is
     taken when a span still holds d after it, and passing over one closes
-    its atom, as a later member of it could only stand in for this one."""
+    its atom, as a later member of it could only stand in for this one.
+
+    Every member the merge yields comes from an open atom.  Each atom's
+    walk checks that its atom is open before it yields, and `heapq.merge`
+    pulls an atom's next member only after the loop has handled the
+    current one.  The members waiting in the merge's heap belong to other
+    atoms, and only the current member's atom is taken whole or closed, so
+    none of them can have closed since its walk yielded it."""
     lb = [0] * len(atoms)
     ub = [a.size for a in atoms]
 
@@ -304,8 +311,6 @@ def _witness(atoms: Sequence[_Atom], closures: list[tuple[int, list]],
     xs: list[int] = []
     merged = merge(*(members(j) for j, a in enumerate(atoms) if a.hyps))
     for x, j in merged:
-        if lb[j] == ub[j]:
-            continue
         lb[j] += 1
         if not any(lo <= d and (top is None or d <= top)
                    for lo, top in _spans(atoms, closures, alpha, lb, ub)):

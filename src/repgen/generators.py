@@ -16,6 +16,11 @@ feeds one element at a time (`observe`, or `step`, which also emits).  The
 pure `uniform_emit`, `nonuniform_emit` and `limit_emit` replay their history
 through a session, so each kind has one entry and one set of input checks.
 
+The uniform step reads the closure of the consistent indices through a
+cursor per group that the state keeps until those indices change, so while
+they stand a step hashes no set and looks up no table.  It builds its
+(element, numerator) pairs in one pass and emits a point mass directly.
+
 One feasibility decision, `_feasible`, serves both the public `is_feasible`
 and the in-limit step.  It returns its witness as plain (entries, den) data;
 the step emits a point mass over den 1 directly and reads every other
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from fractions import Fraction
+from math import gcd
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import simplex
@@ -55,9 +61,11 @@ class StreamState:
     for), kept beside their bitmask so that a new element filters them with
     one AND of the class's `holding` mask, and beside the critical ones
     among them (`critical`, in decreasing order), ranked again only past
-    where the consistent indices changed; and one table of smallest-unseen cursors per
-    set, one cursor per part, each walking the part of the set forward
-    only, since the seen set only grows."""
+    where the consistent indices changed; one table of smallest-unseen
+    cursors per set, one cursor per part, each walking the part of the set
+    forward only, since the seen set only grows; and the closure of the
+    consistent indices with its cursor per group (`closure_cursors`), kept
+    until the consistent indices change."""
 
     def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -77,6 +85,10 @@ class StreamState:
         self._size = None if cls.extendable else cls.materialized_count()
         # set -> part -> [walk of the part, its least unseen member or None]
         self._cursors: dict[PeriodicSet, dict] = {}
+        # the cursor per group over the closure of `consistent`; None until
+        # `closure_cursors` builds it, and again whenever `consistent`
+        # changes
+        self._closure_cursors: list[list] | None = None
         # the set `heads` read last, and its table
         self._head_set: PeriodicSet | None = None
         self._head_table: dict = {}
@@ -101,6 +113,7 @@ class StreamState:
                     self.consistent = tuple(i for i in self.consistent
                                             if kept >> (i - 1) & 1)
                     self._critical, self._ranked = [], 0
+                    self._closure_cursors = None
             return True
         return self._size is None or self.t <= self._size
 
@@ -132,6 +145,7 @@ class StreamState:
             if all(x in support for x in self.tally.seen):
                 self.consistent += (self.checked,)
                 self._mask |= 1 << (self.checked - 1)
+                self._closure_cursors = None
         return self.consistent
 
     @property
@@ -159,12 +173,13 @@ class StreamState:
     def heads(self, s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
         """(vec, least unseen element) for each piece of s cut by a finite
         family that has an unseen element, in `pieces(s)` order.  The first
-        call on s makes its table with a cursor per piece, while `unseen`
-        adds cursors one part at a time, so a state reads a finite family's
-        sets through one of the two: the in-limit step its supports through
-        `heads`, the uniform step its closures through `unseen`.  The set
-        read last keeps its table at hand, so the step that reads the same
-        support again and again hashes it once."""
+        call on s makes its table with a cursor per piece, while
+        `closure_cursors` adds one cursor per group, so a state reads a
+        finite family's sets through one of the two: the in-limit step its
+        supports through `heads`, the uniform step its closures through
+        `closure_cursors`.  The set read last keeps its table at hand, so
+        the step that reads the same support again and again hashes it
+        once."""
         if s is self._head_set:
             table = self._head_table
         else:
@@ -191,7 +206,8 @@ class StreamState:
 
     def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
         """Smallest unseen element of s inside `part`, or None when there is
-        none; `part` is a finite family's cell vector, or a block index."""
+        none; `part` is a finite family's cell vector, or a block index.
+        The block partitions' feasibility check reads its supports so."""
         table = self._cursors.get(s)
         if table is None:
             table = self._cursors[s] = {}
@@ -202,6 +218,29 @@ class StreamState:
         while cursor[1] is not None and cursor[1] in self.tally.seen:
             cursor[1] = next(cursor[0], None)
         return cursor[1]
+
+    def closure_cursors(self) -> list[list]:
+        """The [walk, head] cursor of each group, in index order, over the
+        closure of `consistent`, or an empty list when no index is
+        consistent.  The cursors are the lists the closure's table holds by
+        unit vector, so a closure met again resumes where its walks
+        stopped.  The list is built on the first call and kept until
+        `consistent` changes, so a call while it stands hashes no set and
+        looks up no table; the caller advances the heads past the seen
+        elements."""
+        cursors = self._closure_cursors
+        if cursors is None:
+            cursors = self._closure_cursors = []
+            closure = self.cls.closure_of_indices(self.consistent)
+            if closure is not None:
+                table = self._cursors.setdefault(closure, {})
+                for unit in self.groups.units:
+                    cursor = table.get(unit)
+                    if cursor is None:
+                        members = self.groups.members_in(closure, unit)
+                        cursor = table[unit] = [members, next(members, None)]
+                    cursors.append(cursor)
+        return cursors
 
 
 # -- feasibility -------------------------------------------------------------
@@ -358,39 +397,59 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
                       exhausted: list[int], alpha: Fraction,
                       seen: Collection[int]) -> RationalDist:
     """Build the emitted distribution from per-group counts of the d
-    distinct elements `seen`, one unseen closure element per non-exhausted
-    group, and the exhausted set.
+    distinct elements `seen`, one unseen closure element per live group
+    (`avail`, in group-index order, as `_uniform` builds it), and the
+    exhausted groups.
 
-    The arithmetic is on integers over D = d * alpha.denominator: group i's
-    weight counts[i] / d is counts[i] * b / D and alpha = a / b is a * d / D,
-    so the only division is the one reduction in `from_numerators`.  The
-    exhausted weight goes to the live groups in index order, each taking
-    up to the cap a * d.  With a correctly chosen d_star it always fits;
-    when a caller configures d_star below the dimension threshold, which
-    the adversary constructions do on purpose, what is left after every
-    live group took its cap goes to the first live group, so emission
-    stays total (and deterministic).
+    The (element, numerator) pairs are built in one pass over the live
+    groups.  With none exhausted, group i's weight is counts[i] / d.
+    Otherwise the arithmetic is on integers over D = d * alpha.denominator:
+    group i's weight counts[i] / d is counts[i] * b / D and alpha = a / b is
+    a * d / D.  The exhausted weight goes to the live groups in index
+    order, each taking up to the cap a * d.  With a correctly chosen d_star
+    it always fits; when a caller configures d_star below the dimension
+    threshold, which the adversary constructions do on purpose, what is
+    left after every live group took its cap goes to the first live group,
+    so emission stays total (and deterministic).  The first group's share
+    is therefore fixed before the pass, as the larger of the cap and what
+    the others' caps leave of the weight.
+
+    One pair holding the whole denominator is the point mass, emitted
+    directly.  Any other pairs, one pair short of the denominator
+    included, are sorted by element, reduced by one gcd and checked by
+    `RationalDist._assign`, so masses that do not sum to 1 (out of
+    contract) raise the error the `Fraction` masses would.
     """
-    a, b = alpha.numerator, alpha.denominator
-    den = d * b
     if not exhausted:
-        return RationalDist.from_numerators(
-            {avail[i]: counts[i] * b for i in avail if counts[i] > 0}, den)
-    if not avail:
+        den = d
+        pairs = [(x, counts[i]) for i, x in avail.items() if counts[i] > 0]
+    elif not avail:
         return empirical(seen)  # closure fully consumed; out of contract
-    masses = {i: counts[i] * b for i in avail}
-    order = sorted(avail)
-    cap = a * d
-    rem = sum(counts[i] for i in exhausted) * b
-    for i in order:
-        add = min(cap, rem)
-        masses[i] += add
-        rem -= add
-        if not rem:
-            break
-    masses[order[0]] += rem  # nonzero only out of contract (d_star too small)
-    return RationalDist.from_numerators(
-        {avail[i]: m for i, m in masses.items() if m > 0}, den)
+    else:
+        a, b = alpha.numerator, alpha.denominator
+        den = d * b
+        cap = a * d
+        rem = sum(counts[i] for i in exhausted) * b
+        # the first live group's share, above the cap only out of
+        # contract (d_star too small)
+        take = max(cap, rem - cap * (len(avail) - 1))
+        pairs = []
+        for i, x in avail.items():
+            m = counts[i] * b
+            if rem:
+                add = min(take, rem)
+                m += add
+                rem -= add
+                take = cap
+            if m > 0:
+                pairs.append((x, m))
+    if len(pairs) == 1 and pairs[0][1] == den:
+        return RationalDist.point(pairs[0][0])
+    pairs.sort()
+    xs, nums = zip(*pairs) if pairs else ((), ())
+    g = gcd(den, *nums)
+    return RationalDist.__new__(RationalDist)._assign(
+        xs, tuple([n // g for n in nums]), den // g)
 
 
 def _uniform(state: StreamState, alpha: Fraction, d_star: int,
@@ -404,23 +463,36 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     element, and redistributes the exhausted weight by one rule: the live
     groups in index order each take up to alpha of it until none is left,
     so weight within alpha goes whole to the smallest-index live group.
+
+    Consistency is checked only while `checked` is below upto.  The state
+    keeps the closure's cursor per group until the consistent indices
+    change, and a step walks that list once, advancing each head past the
+    seen elements.
     """
-    closure = None
-    if len(state.tally.seen) >= d_star:
-        closure = state.cls.closure_of_indices(state.consistent_upto(upto))
-    if closure is None:
+    tally = state.tally
+    seen = tally.seen
+    if len(seen) < d_star:
+        return state.empirical()
+    if state.checked < upto:
+        state.consistent_upto(upto)
+    cursors = state.closure_cursors()
+    if not cursors:  # no hypothesis is consistent
         return state.empirical()
     avail: dict[int, int] = {}
     exhausted: list[int] = []
-    # on a partition, group i is the cell of its unit vector
-    for i, unit in enumerate(state.groups.units, 1):
-        z = state.unseen(closure, unit)
-        if z is None:
+    for i, cursor in enumerate(cursors, 1):
+        head = cursor[1]
+        if head in seen:
+            members = cursor[0]
+            head = next(members, None)
+            while head in seen:
+                head = next(members, None)
+            cursor[1] = head
+        if head is None:
             exhausted.append(i)
         else:
-            avail[i] = z
-    tally = state.tally
-    return _assemble_uniform(tally.counts, len(tally.seen), avail, exhausted,
+            avail[i] = head
+    return _assemble_uniform(tally.counts, len(seen), avail, exhausted,
                              alpha, state.distinct)
 
 
@@ -576,8 +648,7 @@ class GeneratorSession:
         if mu is None:
             state = self.state
             if self.kind == "uniform":
-                mu = _uniform(state, self.alpha, self.d_star,
-                              self.cls.materialized_count())
+                mu = _uniform(state, self.alpha, self.d_star, state._size)
             elif self.kind == "nonuniform":
                 mu = _nonuniform(state, self.alpha, self._thresholds)
             elif self.kind == "inlimit":

@@ -34,6 +34,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .errors import InvariantViolation
+
 LE, GE, EQ = "<=", ">=", "=="
 
 
@@ -142,9 +144,14 @@ def feasible_point_int(n_vars: int,
                     continue
             leave, best_a, best_rhs = r, a, row[width]
         if leave < 0:
-            # Unbounded phase-one objective cannot happen (it is bounded
-            # below by 0); guard anyway.
-            return None
+            # No row bounds the entering column, so raising it keeps every
+            # row feasible and lowers the objective without end.  The
+            # phase-one objective is a sum of artificials, each >= 0, so it
+            # is bounded below by 0 and this cannot happen: reaching it is
+            # a fault in the pivots, not an infeasible system.
+            raise InvariantViolation(
+                f"phase one is unbounded in column {enter}",
+                snapshot={"enter": enter, "basis": list(basis)})
         prow = tableau[leave]
         p = prow[enter]
         for r, row in enumerate(tableau):

@@ -16,7 +16,9 @@ the package's searches, tallies, cursors or LPs.
 - `FractionRationalDist` shares nothing; `ScanQueryThenEmit` shares the
   oracle it is handed and `RationalDist.point`.
 - `fraction_assemble_uniform` shares the `RationalDist` constructor and
-  `empirical`.
+  `empirical`; `scan_uniform` finds the consistent members, the closure and
+  each group's least unseen closure element by membership scans and hands
+  them to it.
 - `fraction_feasible` solves over `unseen_cells` (or `block_range` scans)
   with `fraction_feasible_point`, weighing groups by membership.
 - `product_cells` shares the set algebra, and through it `classify`, the
@@ -722,6 +724,42 @@ def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
         else:
             masses[order[0]] += deficit  # unreachable with a correct d_star
     return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
+
+
+def scan_uniform(cls, c, alpha, d_star, history, upto=None):
+    """The uniform construction for the class prefix h_1, ..., h_upto (the
+    whole finite class when upto is None), from its definition.
+
+    Before d_star distinct elements, or when no member of the prefix holds
+    every seen element, the empirical distribution.  Otherwise the closure
+    holds an element when every consistent support does, and each group's
+    candidate is its least unseen closure element, found by scanning up to
+    `scan_bound`: past the bound the closure repeats the period before it,
+    and every seen element lies below the bound.  A group without one is
+    exhausted.  The group weights count the distinct seen elements by
+    membership, and `fraction_assemble_uniform` builds the output."""
+    seen = set(history)
+    if len(seen) < d_star:
+        return empirical(history)
+    n = cls.materialized_count() if upto is None else upto
+    consistent = [h.support for h in map(cls.get, range(1, n + 1))
+                  if all(x in h.support for x in seen)]
+    if not consistent:
+        return empirical(history)
+    gsets = [c.group(i) for i in c.indices()]
+    b, period = scan_bound(consistent + gsets, seen)
+    avail, exhausted = {}, []
+    for i, g in enumerate(gsets, 1):
+        least = next((x for x in range(b + period)
+                      if x in g and x not in seen
+                      and all(x in s for s in consistent)), None)
+        if least is None:
+            exhausted.append(i)
+        else:
+            avail[i] = least
+    pi = {i: Fraction(sum(x in g for x in seen), len(seen))
+          for i, g in enumerate(gsets, 1)}
+    return fraction_assemble_uniform(pi, avail, exhausted, alpha, history)
 
 
 def fraction_feasible(h, c, history, alpha):

@@ -499,6 +499,34 @@ def test_an_inlimit_step_checks_consistency_only_while_the_depth_grows(
         assert asked == want
 
 
+def test_a_uniform_step_checks_consistency_only_while_its_prefix_grows(
+        monkeypatch):
+    # a uniform session asks for its whole class once, at its first step
+    # with d_star distinct elements, and never reads the class size again;
+    # a non-uniform session asks once more when i_t grows (the thresholds
+    # of from2, evens against {0, 1} and the rest at 1/2 are 1 and 2)
+    asked = []
+    upto = StreamState.consistent_upto
+
+    def recorded(self, n):
+        asked.append(n)
+        return upto(self, n)
+
+    monkeypatch.setattr(StreamState, "consistent_upto", recorded)
+    zero_one_rest = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
+    nested = _cls([("all", ALL), ("evens", EVENS), ("mult4", multiples(4))])
+    from2 = _cls([("from2", from_threshold(2)), ("evens", EVENS)])
+    for kind, cls, d_star, want in (("uniform", nested, 2, [3]),
+                                    ("nonuniform", from2, None, [1, 2])):
+        asked.clear()
+        session = GeneratorSession(kind, cls, zero_one_rest, F(1, 2),
+                                   d_star=d_star)
+        monkeypatch.setattr(cls, "materialized_count", None)
+        for x in range(4, 44, 4):
+            session.step(x)
+        assert asked == want
+
+
 def _assert_same_state(stepped, once):
     assert stepped.t == once.t
     assert stepped.tally.seen == once.tally.seen
@@ -534,10 +562,16 @@ def assert_uniform_guarantee(cls, c, alpha, history, mu):
 
 def nonuniform_by_definition(cls, c, alpha, history, thresholds):
     """The non-uniform output: `uniform_emit` on the class prefix i_t at
-    d_star = n_{i_t}, where i_t = max{i <= t : n_i <= d_t} (or 1), d_t is
-    the distinct count, t is capped by a finite class, and the threshold
-    n_i is one more than the dimension of prefix i, forced non-decreasing.
-    `thresholds` keeps the n_i found so far."""
+    d_star = n_{i_t}, as `nonuniform_prefix` finds them."""
+    i_t, n_i = nonuniform_prefix(cls, c, alpha, history, thresholds)
+    return uniform_emit(cls.prefix_class(i_t), c, alpha, n_i, history)
+
+
+def nonuniform_prefix(cls, c, alpha, history, thresholds):
+    """(i_t, n_{i_t}) of the non-uniform step, where i_t = max{i <= t :
+    n_i <= d_t} (or 1), d_t is the distinct count, t is capped by a finite
+    class, and the threshold n_i is one more than the dimension of prefix
+    i, forced non-decreasing.  `thresholds` keeps the n_i found so far."""
     t = len(history)
     upto = t if cls.extendable else min(t, cls.materialized_count())
     while len(thresholds) < upto:
@@ -546,8 +580,7 @@ def nonuniform_by_definition(cls, c, alpha, history, thresholds):
     d_t = len(set(history))
     i_t = max((i for i in range(1, upto + 1) if thresholds[i - 1] <= d_t),
               default=1)
-    return uniform_emit(cls.prefix_class(i_t), c, alpha, thresholds[i_t - 1],
-                        history)
+    return i_t, thresholds[i_t - 1]
 
 
 def replay(kind, cls, groups, alpha, d_star, history):

@@ -25,9 +25,16 @@ alone, while its `holding` masks agree with membership.  The state an
 in-limit session keeps from step to step, the piece heads of each
 consistent support and the critical indices, equals what membership scans
 build from the history alone, on seeded streams with repeats over the
-bundled instances and the i01-i06 scenarios.  Wherever a session plays the empirical distribution, which it
-reads from its sorted stream state, that equals `measures.empirical` of the
-history, hash and serialization included."""
+bundled instances and the i01-i06 scenarios.  A uniform or non-uniform
+session emits at every step what `oracles.scan_uniform` builds by
+membership scans, also on streams whose new elements drop a hypothesis
+after d_star, where the session replaces the cursor list it kept.  While
+the consistent indices stand, a uniform step calls neither
+`StreamState.unseen` nor `PeriodicSet.__hash__`, and a point mass is not
+built through `RationalDist._assign`.  Wherever a session plays the
+empirical distribution, which it reads from its sorted stream state, that
+equals `measures.empirical` of the history, hash and serialization
+included."""
 
 import random
 from fractions import Fraction
@@ -45,7 +52,7 @@ from hypothesis import example, given, settings, strategies as st
 from instances import dimension_instances, feasibility_instances
 from oracles import (ScanLimit, consistent_among, fraction_assemble_uniform,
                      fraction_feasible, is_subset_scan, mesh_feasible,
-                     unseen_cells)
+                     scan_uniform, unseen_cells)
 from repgen import generators
 from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
                                GeneratorSession, StreamState, _assemble_uniform,
@@ -57,7 +64,8 @@ from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples)
 from repgen.scenario import build_session, load_scenario, materialize_stream
 from test_generators import (_assert_same_state, _count_lp_calls,
-                             nonuniform_by_definition, replay)
+                             nonuniform_by_definition, nonuniform_prefix,
+                             replay)
 
 F = Fraction
 
@@ -420,6 +428,118 @@ def test_sorted_state_empirical_equals_the_checked_one(game):
             assert (mu, hash(mu), mu.serialize()) \
                 == (want, hash(want), want.serialize()), history
             assert type(mu.support()) is tuple
+
+
+# -- uniform sessions against their definition -----------------------------------
+
+ZERO_ONE_REST = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
+NESTED = HypothesisClass([Hypothesis("all", ALL), Hypothesis("evens", EVENS),
+                          Hypothesis("mult4", multiples(4))])
+FROM2_EVENS = HypothesisClass([Hypothesis("from2", from_threshold(2)),
+                               Hypothesis("evens", EVENS)])
+# Streams on which a new element changes the consistent indices after
+# d_star distinct elements, so the session must replace the cursor list it
+# kept: mult4 and then evens dropped, under both kinds (the non-uniform
+# thresholds of NESTED at 1/2 are all 4), and under the non-uniform kind a
+# deeper prefix that appends evens at the second distinct element
+# (thresholds 1 and 2) before 3 drops it.
+DROP_GAMES = [
+    ("uniform", NESTED, ZERO_ONE_REST, F(1, 2), 1,
+     [0, 4, 8, 4, 2, 6, 1, 3, 5]),
+    ("nonuniform", NESTED, ZERO_ONE_REST, F(1, 2), None,
+     [0, 4, 8, 12, 2, 6, 6, 1, 3]),
+    ("nonuniform", FROM2_EVENS, ZERO_ONE_REST, F(1, 2), None,
+     [2, 4, 6, 3, 5, 3]),
+]
+
+
+def _uniform_by_scan(kind, cls, groups, alpha, d_star, history, thresholds):
+    """What `oracles.scan_uniform` builds for a uniform or non-uniform step
+    on the history; a non-uniform step reads the class prefix i_t at d_star
+    n_{i_t}."""
+    if kind == "uniform":
+        return scan_uniform(cls, groups, alpha, d_star, history)
+    i_t, n_i = nonuniform_prefix(cls, groups, alpha, history, thresholds)
+    return scan_uniform(cls, groups, alpha, n_i, history, i_t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(session_games().filter(lambda g: g[0] in ("uniform", "nonuniform")))
+@example(DROP_GAMES[0])
+@example(DROP_GAMES[1])
+@example(DROP_GAMES[2])
+def test_uniform_sessions_equal_the_scan_at_every_step(game):
+    # the session keeps the closure's cursors from step to step; the scan
+    # finds the consistent members, the closure and each group's least
+    # unseen closure element by membership from the history alone
+    kind, cls, groups, alpha, d_star, xs = game
+    session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
+    thresholds = []
+    for t in range(1, len(xs) + 1):
+        mu = session.step(xs[t - 1])
+        want = _uniform_by_scan(*game[:5], xs[:t], thresholds)
+        assert mu.serialize() == want.serialize(), xs[:t]
+
+
+def test_a_dropped_hypothesis_replaces_the_kept_cursor_list():
+    # on each of DROP_GAMES the consistent indices change after d_star, the
+    # kept cursor list is replaced then and only then, and every output
+    # equals the scan's
+    for game in DROP_GAMES:
+        kind, cls, groups, alpha, d_star, xs = game
+        session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
+        state = session.state
+        thresholds, replaced = [], 0
+        for t in range(1, len(xs) + 1):
+            kept, consistent = state._closure_cursors, state.consistent
+            mu = session.step(xs[t - 1])
+            assert mu == _uniform_by_scan(*game[:5], xs[:t], thresholds)
+            if kept is not None:
+                assert (state._closure_cursors is kept) \
+                    == (state.consistent == consistent), (game, xs[:t])
+                replaced += state._closure_cursors is not kept
+        assert replaced >= 1, game
+
+
+def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
+    # over the bundled streams of u01-u12, every element new: once a
+    # session has built its cursor list for a closure, a later step under
+    # the same consistent indices calls neither `StreamState.unseen` nor
+    # `PeriodicSet.__hash__`, and an output with one element, a point mass,
+    # is not built through `RationalDist._assign`; every output equals the
+    # scan's
+    calls = []
+    for owner, name in ((StreamState, "unseen"), (PeriodicSet, "__hash__"),
+                        (RationalDist, "_assign")):
+        def counting(*args, original=getattr(owner, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    played, kept_steps, points = [], 0, 0
+    for path in sorted(SCENARIO_DIR.glob("u*.json")):
+        s = load_scenario(str(path))
+        session = build_session(s)
+        state = session.state
+        xs = []
+        for x in materialize_stream(s):
+            xs.append(x)
+            kept, consistent = state._closure_cursors, state.consistent
+            before = len(calls)
+            mu = session.step(x)
+            made = calls[before:]
+            if kept is not None and state.consistent == consistent:
+                assert not {"unseen", "__hash__"} & {*made}, (s.name, xs)
+                assert state._closure_cursors is kept
+                kept_steps += 1
+            if len(mu.support()) == 1:
+                assert "_assign" not in made, (s.name, xs)
+                points += len(xs) >= session.d_star
+            played.append((s, session.d_star, tuple(xs), mu))
+    monkeypatch.undo()
+    assert kept_steps >= 200 and points >= 200
+    for s, d_star, history, mu in played:
+        assert mu == scan_uniform(s.cls, s.groups, s.alpha, d_star, history)
 
 
 # -- the in-limit session against its definition ---------------------------------

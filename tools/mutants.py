@@ -44,7 +44,8 @@ TARGETS = {
         ("check_witness", "_atoms", "_closures", "_spans", "_witness",
          "_closed_form"), "test_dimension*.py"),
     Path("src/repgen/generators.py"): (
-        ("_feasible", "_feasible_blocks", "_limit"), "test_generators*.py"),
+        ("_feasible", "_feasible_blocks", "_assemble_uniform", "_uniform",
+         "_limit"), "test_generators*.py"),
 }
 # A mutant's run is cut at TIMEOUT_FACTOR times the clean run's time, and
 # at no less than TIMEOUT_FLOOR_S: a mutant that loops dies in seconds and
