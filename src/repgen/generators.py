@@ -24,8 +24,13 @@ they stand a step hashes no set and looks up no table.  It builds its
 One feasibility decision, `_feasible`, serves both the public `is_feasible`
 and the in-limit step.  It returns its witness as plain (entries, den) data;
 the step emits a point mass over den 1 directly and reads every other
-witness through the helper `FeasibilityWitness.distribution` also calls, so
-only `is_feasible` builds the public named tuples.
+witness through the helper `FeasibilityWitness.distribution` also calls,
+which builds it from sorted (element, num) pairs as the uniform assembly
+does, so only `is_feasible` builds the public named tuples.  On a block
+partition the decision reads the support's `BlockLedger`, which the state
+keeps: the live touched blocks with their cursors, and the exhausted ones
+only as a total and a largest count, so a step never revisits an exhausted
+block.
 
 Everything is deterministic and exact: same configuration and history, same
 distribution, bit for bit.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from fractions import Fraction
-from math import gcd
+from itertools import islice
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import simplex
@@ -51,6 +56,44 @@ KINDS = ("empirical", "uniform", "nonuniform", "inlimit")
 
 # -- stream state ------------------------------------------------------------
 
+class BlockLedger:
+    """What the feasibility check on a block partition keeps of one
+    support s between reads (`StreamState.ledger`).  The touched blocks,
+    those holding a seen element, that still hold an unseen member of s are
+    `live`: one [block, walk, head] cursor each, in block order, the head
+    the least unseen member of s in the block.  Of the touched blocks that
+    hold none, the exhausted ones, only the total of their counts (`total`)
+    and the largest count (`largest`) are kept.  `untouched` is the least
+    block that holds no seen element, where the surplus chunks start, and
+    `fresh` keeps by block the cursor of each untouched block a chunk was
+    read from, which moves to `live` once the block is touched.  `known`
+    is how many touched blocks the ledger has taken in.
+
+    Exactness.  An exhausted block's count is read once, when its cursor
+    runs out, and kept only inside `total` and `largest`.  It cannot
+    change while s is read: every member of s in the block is seen, so a
+    new element there lies outside s and makes s inconsistent with the
+    stream, and the in-limit step reads only the supports of consistent
+    indices, while `is_feasible` reads a fresh state once.  So the two
+    figures stay what a pass over the exhausted blocks would count, and
+    every exhausted block passes its check, count * b <= a * d, exactly
+    when the largest does.  d only grows, so "largest count * b <= a * d"
+    stays true once true: no exhausted block needs to be looked at
+    again."""
+
+    __slots__ = ("support", "live", "total", "largest", "untouched",
+                 "fresh", "known")
+
+    def __init__(self, support: PeriodicSet):
+        self.support = support
+        self.live: list[list] = []
+        self.total = 0
+        self.largest = 0
+        self.untouched = 1
+        self.fresh: dict[int, list] = {}
+        self.known = 0
+
+
 class StreamState:
     """What every construction reads about the stream so far, updated one
     element at a time: the step count `t`; a `GroupTally` (`tally`) of the
@@ -63,9 +106,10 @@ class StreamState:
     among them (`critical`, in decreasing order), ranked again only past
     where the consistent indices changed; one table of smallest-unseen
     cursors per set, one cursor per part, each walking the part of the set
-    forward only, since the seen set only grows; and the closure of the
+    forward only, since the seen set only grows; the closure of the
     consistent indices with its cursor per group (`closure_cursors`), kept
-    until the consistent indices change."""
+    until the consistent indices change; and on a block partition a
+    `BlockLedger` per support the feasibility check reads (`ledger`)."""
 
     def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -85,6 +129,10 @@ class StreamState:
         self._size = None if cls.extendable else cls.materialized_count()
         # set -> part -> [walk of the part, its least unseen member or None]
         self._cursors: dict[PeriodicSet, dict] = {}
+        # support -> its block ledger (block partitions only), and the
+        # ledger read last
+        self._ledgers: dict[PeriodicSet, BlockLedger] = {}
+        self._ledger: BlockLedger | None = None
         # the cursor per group over the closure of `consistent`; None until
         # `closure_cursors` builds it, and again whenever `consistent`
         # changes
@@ -204,20 +252,55 @@ class StreamState:
                 heads.append((vec, head))
         return heads
 
-    def unseen(self, s: PeriodicSet, part: int | tuple[int, ...]) -> int | None:
-        """Smallest unseen element of s inside `part`, or None when there is
-        none; `part` is a finite family's cell vector, or a block index.
-        The block partitions' feasibility check reads its supports so."""
-        table = self._cursors.get(s)
-        if table is None:
-            table = self._cursors[s] = {}
-        cursor = table.get(part)
-        if cursor is None:
-            members = self.groups.members_in(s, part)
-            cursor = table[part] = [members, next(members, None)]
-        while cursor[1] is not None and cursor[1] in self.tally.seen:
-            cursor[1] = next(cursor[0], None)
-        return cursor[1]
+    def ledger(self, s: PeriodicSet) -> BlockLedger:
+        """The block ledger of s over a block partition, brought up to the
+        stream: the blocks touched since the last read join `live` in
+        block order, `untouched` moves past the touched blocks, and each
+        live cursor moves past the seen elements; a block whose cursor runs
+        out leaves `live`, its count going into `total` and `largest`.  So
+        a read visits the live blocks and the new ones, never an exhausted
+        one.  The ledger read last is kept at hand, so the step that reads
+        the same support again and again hashes it once."""
+        ledger = self._ledger
+        if ledger is None or ledger.support is not s:
+            ledger = self._ledgers.get(s)
+            if ledger is None:
+                ledger = self._ledgers[s] = BlockLedger(s)
+            self._ledger = ledger
+        counts = self.tally.counts
+        live = ledger.live
+        new = len(counts) - ledger.known
+        if new:
+            # a block joins the counts at its first element and never
+            # leaves, so the new ones are the last keys
+            ledger.known += new
+            fresh = ledger.fresh
+            for k in islice(reversed(counts), new):
+                cursor = fresh.pop(k, None)
+                if cursor is None:
+                    walk = self.groups.members_in(s, k)
+                    cursor = [k, walk, next(walk, None)]
+                insort(live, cursor)  # blocks differ, so lists order by k
+            while ledger.untouched in counts:
+                ledger.untouched += 1
+        seen = self.tally.seen
+        spent = False
+        for cursor in live:
+            head = cursor[2]
+            if head in seen:
+                walk = cursor[1]
+                head = next(walk, None)
+                while head in seen:
+                    head = next(walk, None)
+                cursor[2] = head
+            if head is None:
+                n = counts[cursor[0]]
+                ledger.total += n
+                ledger.largest = max(ledger.largest, n)
+                spent = True
+        if spent:
+            ledger.live = [cursor for cursor in live if cursor[2] is not None]
+        return ledger
 
     def closure_cursors(self) -> list[list]:
         """The [walk, head] cursor of each group, in index order, over the
@@ -264,11 +347,13 @@ class FeasibilityWitness(NamedTuple):
 
 
 def _distribution(entries: Sequence[tuple], den: int) -> RationalDist:
-    """Mass num / den at the element of each (cell, element, num) entry."""
+    """Mass num / den at the element of each (cell, element, num) entry:
+    the cells are disjoint, so the elements are distinct, and any witness
+    but a point mass is built from its (element, num) pairs."""
     if len(entries) == 1 and entries[0][2] == den:
         # a point mass, which decides nearly every in-limit step
         return RationalDist.point(entries[0][1])
-    return RationalDist.from_numerators({x: m for _, x, m in entries}, den)
+    return RationalDist._from_pairs([(x, m) for _, x, m in entries], den)
 
 
 def is_feasible(h: Hypothesis, c: GroupCollection, history: Sequence[int],
@@ -360,34 +445,40 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
     over untouched blocks (each finite block keeps unseen support elements in
     infinitely many later blocks, the support being infinite).  The checks
     run on integers over D = d*b (d distinct elements, alpha = a/b), and the
-    witness keeps its masses over D.
+    witness keeps its masses over D.  The support's `BlockLedger` gives the
+    live touched blocks with their candidates, in block order, and the
+    exhausted ones as their largest count and their total, the surplus;
+    the chunks go to the untouched blocks in index order from its first.
 
     At alpha 0 the cap is 0 and every exhausted touched block, of weight at
     least b > 0, fails its check, so a surplus is never left without an
     alpha-sized chunk to spread it in."""
+    ledger = state.ledger(h.support)
     counts, d = state.tally.counts, len(state.tally.seen)
     a, b = alpha.numerator, alpha.denominator
     cap = a * d
-    entries = []
-    surplus = 0
-    for i in sorted(counts):
-        w = counts[i] * b
-        elem = state.unseen(h.support, i)
-        if elem is None:
-            if w > cap:
-                return None
-            surplus += w
-        else:
-            entries.append((i, elem, w))
-    j = 1
-    while surplus > 0:
-        if j not in counts:
-            elem = state.unseen(h.support, j)
-            if elem is not None:
-                chunk = min(cap, surplus)
-                entries.append((j, elem, chunk))
-                surplus -= chunk
-        j += 1
+    if ledger.largest * b > cap:
+        return None
+    entries = [(k, head, counts[k] * b) for k, _, head in ledger.live]
+    surplus = ledger.total * b
+    if surplus:
+        fresh, j = ledger.fresh, ledger.untouched
+        while True:
+            if j not in counts:
+                cursor = fresh.get(j)
+                if cursor is None:
+                    # untouched, so the block's least member of the support
+                    # is unseen
+                    walk = state.groups.members_in(h.support, j)
+                    cursor = fresh[j] = [j, walk, next(walk, None)]
+                head = cursor[2]
+                if head is not None:
+                    if surplus <= cap:
+                        entries.append((j, head, surplus))
+                        break
+                    entries.append((j, head, cap))
+                    surplus -= cap
+            j += 1
     return entries, d * b
 
 
@@ -416,9 +507,10 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
 
     One pair holding the whole denominator is the point mass, emitted
     directly.  Any other pairs, one pair short of the denominator
-    included, are sorted by element, reduced by one gcd and checked by
-    `RationalDist._assign`, so masses that do not sum to 1 (out of
-    contract) raise the error the `Fraction` masses would.
+    included, go through `RationalDist._from_pairs` (sorted by element,
+    reduced by one gcd, checked by `RationalDist._assign`), so masses that
+    do not sum to 1 (out of contract) raise the error the `Fraction`
+    masses would.
     """
     if not exhausted:
         den = d
@@ -445,11 +537,7 @@ def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
                 pairs.append((x, m))
     if len(pairs) == 1 and pairs[0][1] == den:
         return RationalDist.point(pairs[0][0])
-    pairs.sort()
-    xs, nums = zip(*pairs) if pairs else ((), ())
-    g = gcd(den, *nums)
-    return RationalDist.__new__(RationalDist)._assign(
-        xs, tuple([n // g for n in nums]), den // g)
+    return RationalDist._from_pairs(pairs, den)
 
 
 def _uniform(state: StreamState, alpha: Fraction, d_star: int,

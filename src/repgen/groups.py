@@ -51,6 +51,9 @@ class FiniteGroups:
         self._t = max(g.threshold for g in self._groups)
         self._m = lcm(*(g.modulus for g in self._groups))
         self._owners_memo: dict[int, tuple[int, ...]] = {}
+        # (index, bound membership test) per group, for a new class
+        self._has = tuple(enumerate((g.__contains__ for g in self._groups),
+                                    start=1))
         self._pieces: dict[PeriodicSet, dict[tuple[int, ...], PeriodicSet]] = {}
         # e_1, ..., e_K: the vector of each group alone, a partition's cells
         k = len(self._groups)
@@ -87,7 +90,7 @@ class FiniteGroups:
         owners = self._owners_memo.get(key)
         if owners is None:
             owners = self._owners_memo[key] = tuple(
-                i for i, g in enumerate(self._groups, start=1) if key in g)
+                [i for i, has in self._has if has(key)])
         return owners
 
     def groups_containing(self, x: int) -> list[int]:
@@ -184,6 +187,13 @@ class BlockPartition:
         return bisect_right(bounds, x)
 
     def owners(self, x: int) -> tuple[int, ...]:
+        """(group_index(x),), bisecting the cached bounds directly when they
+        already reach past x; a negative x or one beyond them goes through
+        `group_index`, which refuses the one and extends them for the
+        other."""
+        bounds = self._bounds
+        if 0 <= x < bounds[-1]:
+            return (bisect_right(bounds, x),)
         return (self.group_index(x),)
 
     def groups_containing(self, x: int) -> list[int]:

@@ -87,18 +87,19 @@ class RationalDist:
         return self
 
     @classmethod
-    def from_numerators(cls, nums: Mapping[int, int],
-                        den: int) -> "RationalDist":
-        """Mass nums[x] / den at each x: the same distribution, and the same
-        errors, as `RationalDist({x: Fraction(n, den)})`, built without a
-        `Fraction`.  den must be positive; the masses need not be reduced."""
-        xs = sorted(nums)
-        ns = [nums[x] for x in xs]
-        g = gcd(den, *ns)
-        if g != 1:
-            ns = [n // g for n in ns]
-            den //= g
-        return cls.__new__(cls)._assign(tuple(xs), tuple(ns), den)
+    def _from_pairs(cls, pairs: list[tuple[int, int]],
+                    den: int) -> "RationalDist":
+        """Mass num / den at x for each (x, num) pair, the xs distinct: the
+        same distribution, and the same errors, as
+        `RationalDist({x: Fraction(num, den)})`, built without a
+        `Fraction`.  The pairs are sorted in place, split with `zip`,
+        reduced by one gcd and checked by `_assign`.  den must be positive;
+        the masses need not be reduced."""
+        pairs.sort()
+        xs, nums = zip(*pairs) if pairs else ((), ())
+        g = gcd(den, *nums)
+        return cls.__new__(cls)._assign(xs, tuple([n // g for n in nums]),
+                                        den // g)
 
     @classmethod
     def point(cls, x: int) -> "RationalDist":
@@ -226,7 +227,8 @@ class GroupTally:
     """Distinct elements of a stream and, per group, how many of them it
     contains (every group of a finite collection; touched blocks only for a
     block partition).  A repeat changes nothing, so feeding the stream one
-    element at a time costs O(K) per new element and O(1) per repeat."""
+    element at a time costs O(K) per new element and O(1) per repeat; a
+    block partition's block may also be recorded whole (`add_block`)."""
 
     __slots__ = ("groups", "seen", "counts")
 
@@ -247,6 +249,27 @@ class GroupTally:
         for i in self.groups.owners(x):
             counts[i] = counts.get(i, 0) + 1
         return True
+
+    def add_block(self, k: int) -> None:
+        """Record every element of block k of a block partition at once, as
+        `add` of each would: the block's elements join `seen` and its count
+        is its size.  A block that already holds a seen element (its count
+        is in `counts`) is a ValueError, so the count is never short of what
+        one `add` per element would give; a collection that is not a block
+        partition (it has no `block_range`), or a k that is not an int (a
+        bool included), is a TypeError."""
+        block_range = getattr(self.groups, "block_range", None)
+        if block_range is None:
+            raise TypeError(f"add_block needs a block partition, got "
+                            f"{self.groups!r}")
+        if type(k) is not int:
+            raise TypeError(f"block indices are ints, got "
+                            f"{type(k).__name__} {k!r}")
+        if k in self.counts:
+            raise ValueError(f"block {k} already holds a seen element")
+        lo, hi = block_range(k)
+        self.seen.update(range(lo, hi))
+        self.counts[k] = hi - lo
 
     def weights(self) -> dict[int, Fraction]:
         """Group probabilities induced by the empirical distribution of the
@@ -275,9 +298,9 @@ class GroupTally:
             owners = self.groups.owners(mu._xs[0])
             # an owner the tally never touched (a block) has count 0
             for i in owners:
-                gap = d - counts.get(i, 0)
-                if gap > worst:
-                    worst = gap
+                short = d - counts.get(i, 0)
+                if short > worst:
+                    worst = short
             for i, n in counts.items():
                 if n > worst and i not in owners:
                     worst = n
@@ -293,9 +316,9 @@ class GroupTally:
             # finite collection's masses and counts both hold every group)
             if not counts.keys() <= masses.keys():
                 for i in counts.keys() - masses.keys():
-                    gap = counts[i] * den
-                    if gap > worst:
-                        worst = gap
+                    missed = counts[i] * den
+                    if missed > worst:
+                        worst = missed
         return worst, den * d
 
     def distance(self, mu: RationalDist) -> Fraction:
@@ -386,13 +409,20 @@ def is_alpha_representative(mu: RationalDist, prefix: Sequence[int],
             Fraction(num, den))
 
 
+def check_exact(name: str, value: Fraction) -> None:
+    """Reject a value that is not an int or a Fraction, or is a bool
+    (TypeError naming it), so that no float or truth value reaches an exact
+    verdict."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or Fraction, got "
+                        f"{type(value).__name__} {value!r}")
+
+
 def check_alpha(alpha: Fraction) -> None:
     """Reject an alpha that is not an int or a Fraction, or is a bool
-    (TypeError), so that no float or truth value reaches an exact verdict,
-    or that lies outside [0, 1] (ConfigError)."""
-    if type(alpha) is bool or not isinstance(alpha, (int, Fraction)):
-        raise TypeError(f"alpha must be an int or Fraction, got "
-                        f"{type(alpha).__name__} {alpha!r}")
+    (TypeError, `check_exact`), or that lies outside [0, 1]
+    (ConfigError)."""
+    check_exact("alpha", alpha)
     # 0 <= p/q <= 1 with q > 0
     if not 0 <= alpha.numerator <= alpha.denominator:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")

@@ -21,12 +21,13 @@ from repgen.adversaries import (BUDGET_EXCEEDED, INCONSISTENT,
                                 ViolationReport,
                                 gc_witness_adversary, geometric_adversary,
                                 query_adversary, verify_report)
+from repgen.cli import _baseline_session_factory
 from repgen.dimension import gc_dimension
 from repgen.errors import ConfigError, InvariantViolation
 from repgen.generators import GeneratorSession
-from repgen.groups import FiniteGroups
+from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
-from repgen.measures import PrefixView, RationalDist, empirical
+from repgen.measures import GroupTally, PrefixView, RationalDist, empirical
 from repgen.periodic import ALL, EVENS, ODDS, from_finite, from_threshold
 from instances import dimension_instances
 from oracles import ScanQueryThenEmit, induced_group_probs, sup_distance
@@ -749,3 +750,102 @@ def test_verify_report_rejections():
     assert verify_report(weighed, groups=ZERO_REST)
     tampered = dataclasses.replace(good_unrep, pi_hat=F(1, 2))
     assert not verify_report(tampered, groups=ZERO_REST)
+
+
+def test_verify_report_refuses_an_empty_history():
+    # no empirical weights to be far from: False, not an error from the
+    # tally's gap
+    empty = ViolationReport(step=0, kind=UNREPRESENTATIVE, history=(),
+                            distribution=RationalDist.point(1),
+                            alpha=F(1, 2), group=1, distance=F(1))
+    assert verify_report(empty, groups=ZERO_REST) is False
+    assert verify_report(dataclasses.replace(empty, pi_hat=F(0)),
+                         groups=ZERO_REST) is False
+    assert verify_report(dataclasses.replace(empty, history=(0,)),
+                         groups=ZERO_REST)
+
+
+@pytest.mark.parametrize("field", ["alpha", "distance", "pi_hat"])
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False])
+def test_verify_report_refuses_an_inexact_field(field, value):
+    # a float or a bool in a rational field is a TypeError naming the
+    # field, as check_alpha's, before any verdict; an int is exact
+    good = ViolationReport(step=1, kind=UNREPRESENTATIVE, history=(0,),
+                           distribution=RationalDist.point(1),
+                           alpha=F(1, 2), group=1, distance=F(1), pi_hat=F(1))
+    assert verify_report(good, groups=ZERO_REST)
+    bad = dataclasses.replace(good, **{field: value})
+    with pytest.raises(TypeError, match=rf"^{field} must be an int or "
+                       rf"Fraction, got {type(value).__name__} {value!r}$"):
+        verify_report(bad, groups=ZERO_REST)
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        verify_report(bad)  # refused before the missing groups are noticed
+    # an int reads as the equal Fraction
+    exact, same = (dataclasses.replace(good, **{field: v})
+                   for v in (int(value), F(int(value))))
+    assert verify_report(exact, groups=ZERO_REST) \
+        == verify_report(same, groups=ZERO_REST)
+
+
+def _element_by_element(self, k):
+    """`GroupTally.add_block` as one `add` per element of the block."""
+    for x in range(*self.groups.block_range(k)):
+        self.add(x)
+
+
+def _geometric_outcome(baseline, alpha, depth):
+    """The reports of a geometric game as field tuples, or the error."""
+    build = _baseline_session_factory(baseline, 10 ** 6 if depth % 2 else 5)
+    try:
+        reports = geometric_adversary(build, alpha, depth)
+    except ConfigError as e:
+        return "ConfigError", str(e)
+    return [dataclasses.astuple(r) for r in reports]
+
+
+@pytest.mark.parametrize("baseline",
+                         ["empirical", "inlimit", "uniform-low", "constant"])
+@pytest.mark.parametrize("alpha, depth", [
+    *((F(1, 2), depth) for depth in range(1, 11)),
+    *((F(2, 3), depth) for depth in range(1, 8)),
+    *((F(3, 4), depth) for depth in range(1, 6)),
+    (F(3, 4), 9),  # refused: past MAX_STEPS
+])
+def test_geometric_reports_equal_an_element_by_element_tally(
+        baseline, alpha, depth, monkeypatch):
+    # the adversary records each fully shown block with one add_block
+    # call; a reference that adds its elements one at a time gives the
+    # same reports, field by field (or the same refusal)
+    got = _geometric_outcome(baseline, alpha, depth)
+    monkeypatch.setattr(GroupTally, "add_block", _element_by_element)
+    assert got == _geometric_outcome(baseline, alpha, depth)
+    # the uniform baseline needs a finite partition; depth 9 at base 4 runs
+    # past MAX_STEPS
+    refused = baseline == "uniform-low" or (alpha, depth) == (F(3, 4), 9)
+    assert (type(got) is list) != refused
+
+
+def test_add_block_refuses_a_block_holding_a_seen_element():
+    blocks = BlockPartition(2, (2,))
+    tally, by_element = GroupTally(blocks), GroupTally(blocks)
+    tally.add(3)  # block 2 is {2, 3, 4, 5}
+    with pytest.raises(ValueError, match="block 2 already holds a seen"):
+        tally.add_block(2)
+    assert (tally.seen, tally.counts) == ({3}, {2: 1})  # unchanged
+    for k in (1, 3):
+        tally.add_block(k)
+        _element_by_element(by_element, k)
+    with pytest.raises(ValueError, match="block 3 already holds a seen"):
+        tally.add_block(3)
+    by_element.add(3)
+    assert (tally.seen, tally.counts) == (by_element.seen, by_element.counts)
+    for k, error in ((True, TypeError), (1.0, TypeError), (0, IndexError)):
+        with pytest.raises(error):
+            tally.add_block(k)
+
+
+def test_add_block_refuses_a_finite_family():
+    tally = GroupTally(ZERO_REST)
+    with pytest.raises(TypeError, match="needs a block partition"):
+        tally.add_block(1)
+    assert (tally.seen, tally.counts) == (set(), {1: 0, 2: 0})

@@ -264,6 +264,79 @@ def test_blocks_build_no_fraction(monkeypatch, history, alpha, entries):
         assert mu == RationalDist({x: F(num, den) for _, x, num in got})
 
 
+class _CountedCounts(dict):
+    """A tally's per-block counts that log every read of a block's count."""
+
+    def __init__(self, counts, reads):
+        super().__init__(counts)
+        self.reads = reads
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+    def __contains__(self, k):
+        self.reads.append(k)
+        return super().__contains__(k)
+
+    def get(self, k, default=None):
+        self.reads.append(k)
+        return super().get(k, default)
+
+
+class _CountedSeen(set):
+    """A tally's seen set that logs every membership test."""
+
+    def __init__(self, seen, reads):
+        super().__init__(seen)
+        self.reads = reads
+
+    def __contains__(self, x):
+        self.reads.append(x)
+        return super().__contains__(x)
+
+
+def _block_reads(depth, offsets):
+    """The reads of the tally's per-block counts and seen set made by an
+    in-limit session over the geometric blocks at alpha 1/2, fed the
+    naturals in order, at each step that shows the element at one of the
+    offsets into block depth + 1."""
+    blocks = BlockPartition(2, (2,))
+    session = GeneratorSession("inlimit", ALL_CLS, blocks, F(1, 2))
+    lo, hi = blocks.block_range(depth + 1)
+    for x in range(lo):
+        session.step(x)
+    tally, reads, per_step = session.state.tally, [], []
+    tally.counts = _CountedCounts(tally.counts, reads)
+    tally.seen = _CountedSeen(tally.seen, reads)
+    for x in range(lo, hi):
+        reads.clear()
+        mu = session.step(x)
+        if x - lo in offsets or x == hi - 1:
+            # the fallback's support is the history; a witness's is not
+            selected = session.last_selected
+            per_step.append((len(reads), selected,
+                             selected and len(mu.support())))
+    return per_step
+
+
+def test_an_inlimit_block_step_reads_as_much_past_12_blocks_as_past_6():
+    # counted, not timed: the step reads the live block and the surplus
+    # chunks through the support's ledger and never an exhausted block, so
+    # each step into block 13 reads the counts and the seen set as often
+    # as the same step into block 7, the last one (which exhausts its
+    # block) included; a pass over every touched block would read about
+    # twice as much past 12 blocks
+    offsets = range(64)
+    early, late = _block_reads(6, offsets), _block_reads(12, offsets)
+    assert early == late
+    assert len(early) == 65 and max(n for n, _, _ in early) <= 12
+    # both shapes are met: the fallback while block 6 is too heavy, and
+    # witnesses spread over the live block and two chunks
+    assert {(selected, size) for _, selected, size in early} \
+        == {(None, None), (1, 3)}
+
+
 def test_finite_cells_build_no_fraction_from_vertex_to_distribution(
         monkeypatch):
     state, alpha = StreamState(ALL_CLS, PARITY, [0, 1, 2]), F(1, 4)
@@ -306,8 +379,7 @@ def test_feasible_witness_lands_on_unseen_support():
         if w is None:
             continue
         mu = w.distribution()
-        want = RationalDist.from_numerators(
-            {e.element: e.num for e in w.entries}, w.den)
+        want = RationalDist({e.element: F(e.num, w.den) for e in w.entries})
         assert mu == want and hash(mu) == hash(want)
         assert mu.serialize() == want.serialize()
         points += len(w.entries) == 1
@@ -320,13 +392,13 @@ def test_feasible_witness_lands_on_unseen_support():
     assert points > 0
 
 
-def test_a_one_entry_witness_is_the_point_mass_from_numerators_builds():
+def test_a_one_entry_witness_is_the_point_mass_from_pairs_builds():
     # over den 1 and over an unreduced den, as block witnesses keep it; a
     # one-entry witness whose mass is not 1 is still rejected
     for cell, den in (((1, 0), 1), (3, 6), ((0, 1), 12)):
         mu = FeasibilityWitness((FeasibilityEntry(cell, 7, den),),
                                 den).distribution()
-        want = RationalDist.from_numerators({7: den}, den)
+        want = RationalDist._from_pairs([(7, den)], den)
         assert mu == want and hash(mu) == hash(want)
         assert mu.serialize() == want.serialize() == [[7, "1/1"]]
     with pytest.raises(ValueError, match="masses must sum to 1, got 1/3"):
@@ -541,9 +613,19 @@ def _assert_same_state(stepped, once):
         if all(x in cls.get(i).support for x in once.tally.seen))
     assert stepped._mask == sum(1 << (i - 1) for i in stepped.consistent)
     assert stepped.critical == once.critical
-    for s, table in list(stepped._cursors.items()):
-        for part in list(table):
-            assert stepped.unseen(s, part) == once.unseen(s, part)
+    # every kept cursor table reads as a fresh state's; a block ledger only
+    # for a consistent support, the only kind an in-limit step reads
+    for s in list(stepped._cursors):
+        assert stepped.heads(s) == once.heads(s)
+    for s in {cls.get(i).support for i in stepped.consistent} \
+            & stepped._ledgers.keys():
+        assert ledger_view(stepped.ledger(s)) == ledger_view(once.ledger(s))
+
+
+def ledger_view(ledger):
+    """A block ledger's figures and its live (block, head) pairs."""
+    return ([(k, head) for k, _, head in ledger.live], ledger.total,
+            ledger.largest, ledger.untouched, ledger.known)
 
 
 def assert_uniform_guarantee(cls, c, alpha, history, mu):

@@ -30,8 +30,11 @@ session emits at every step what `oracles.scan_uniform` builds by
 membership scans, also on streams whose new elements drop a hypothesis
 after d_star, where the session replaces the cursor list it kept.  While
 the consistent indices stand, a uniform step calls neither
-`StreamState.unseen` nor `PeriodicSet.__hash__`, and a point mass is not
-built through `RationalDist._assign`.  Wherever a session plays the
+`StreamState.heads` nor `PeriodicSet.__hash__`, and a point mass is not
+built through `RationalDist._assign`.  On block partitions, over 200-500
+step streams (the naturals in order, and seeded streams with repeats that
+drop hypotheses), every witness read from the kept block ledgers equals
+`oracles.fraction_feasible_blocks` at every step.  Wherever a session plays the
 empirical distribution, which it reads from its sorted stream state, that
 equals `measures.empirical` of the history, hash and serialization
 included."""
@@ -51,8 +54,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from instances import dimension_instances, feasibility_instances
 from oracles import (ScanLimit, consistent_among, fraction_assemble_uniform,
-                     fraction_feasible, is_subset_scan, mesh_feasible,
-                     scan_uniform, unseen_cells)
+                     fraction_feasible, fraction_feasible_blocks,
+                     is_subset_scan, mesh_feasible, scan_uniform,
+                     unseen_cells)
 from repgen import generators
 from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
                                GeneratorSession, StreamState, _assemble_uniform,
@@ -504,12 +508,12 @@ def test_a_dropped_hypothesis_replaces_the_kept_cursor_list():
 def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
     # over the bundled streams of u01-u12, every element new: once a
     # session has built its cursor list for a closure, a later step under
-    # the same consistent indices calls neither `StreamState.unseen` nor
+    # the same consistent indices calls neither `StreamState.heads` nor
     # `PeriodicSet.__hash__`, and an output with one element, a point mass,
     # is not built through `RationalDist._assign`; every output equals the
     # scan's
     calls = []
-    for owner, name in ((StreamState, "unseen"), (PeriodicSet, "__hash__"),
+    for owner, name in ((StreamState, "heads"), (PeriodicSet, "__hash__"),
                         (RationalDist, "_assign")):
         def counting(*args, original=getattr(owner, name), name=name):
             calls.append(name)
@@ -529,7 +533,7 @@ def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
             mu = session.step(x)
             made = calls[before:]
             if kept is not None and state.consistent == consistent:
-                assert not {"unseen", "__hash__"} & {*made}, (s.name, xs)
+                assert not {"heads", "__hash__"} & {*made}, (s.name, xs)
                 assert state._closure_cursors is kept
                 kept_steps += 1
             if len(mu.support()) == 1:
@@ -683,3 +687,106 @@ def test_kept_inlimit_state_equals_one_built_from_scratch(seed):
                 assert dict(heads) == want, (name, n, xs)
                 assert [vec for vec, _ in heads] \
                     == sorted(want, reverse=True), (name, n, xs)
+
+
+# -- the block ledger over long streams ------------------------------------------
+
+# supports for the long block games: nested, overlapping and cofinite, so
+# that enumerating one drops the others at different steps
+LEDGER_SUPPORTS = (ALL, EVENS, multiples(3), from_threshold(4),
+                   ALL - from_finite([1, 5]), ODDS | from_finite([0]))
+
+
+@st.composite
+def ledger_games(draw):
+    """(class, blocks, alpha, stream) for an in-limit session on a block
+    partition over 200-500 steps.  Either the naturals in order, the
+    geometric shape, where each block is shown whole and then left for
+    good; or a seeded stream with repeats over 1-3 hypotheses: a quarter of
+    the steps repeat a seen element, the rest take the next unseen member
+    of one hypothesis's support (after step 40 now and then skipping one,
+    which leaves its block live; the first 40 steps skip none, so the
+    first block holding a member is exhausted), and part way through the
+    stream moves on to another support from 0, which fills holes in
+    touched blocks and drops the hypotheses whose supports miss its
+    elements."""
+    supports = draw(st.lists(st.one_of(st.sampled_from(LEDGER_SUPPORTS),
+                                       infinite_sets),
+                             min_size=1, max_size=3))
+    in_order = draw(st.booleans())
+    if in_order:
+        supports[0] = ALL
+    cls = HypothesisClass([Hypothesis(f"h{j}", s)
+                           for j, s in enumerate(supports, 1)])
+    blocks = draw(st.builds(BlockPartition, st.integers(2, 3),
+                            st.lists(st.integers(1, 3), max_size=3).map(tuple)))
+    alpha = draw(st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3),
+                                  F(1)]))
+    steps = draw(st.integers(200, 500))
+    if in_order:
+        return cls, blocks, alpha, list(range(steps))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sources = [rng.choice(supports), rng.choice((ALL, *supports))]
+    switch = rng.randrange(steps // 4, 3 * steps // 4)
+    xs, seen, walk = [], set(), sources[0].members()
+    for t in range(steps):
+        if t == switch:
+            walk = sources[1].members()
+        if xs and rng.random() < 0.25:
+            xs.append(rng.choice(xs))
+            continue
+        x = next(walk)
+        while x in seen or (t >= 40 and rng.random() < 0.1):
+            x = next(walk)
+        xs.append(x)
+        seen.add(x)
+    return cls, blocks, alpha, xs
+
+
+@settings(max_examples=20, deadline=None)
+@given(ledger_games())
+@example((HypothesisClass([Hypothesis("all", ALL)]), BlockPartition(2, (2,)),
+          F(1, 2), list(range(300))))
+@example((HypothesisClass([Hypothesis("all", ALL), Hypothesis("evens", EVENS)]),
+          BlockPartition(3, (3,)), F(2, 3), list(range(400))))
+def test_block_ledger_witnesses_equal_the_scan_over_long_streams(game):
+    # at every step: every feasibility witness the in-limit step computes,
+    # and one for each hypothesis still consistent, read from the kept
+    # ledgers, equals `oracles.fraction_feasible_blocks` on the history
+    # (entries in order, each mass num / den, and den = d * b); the block
+    # weights it is given are counted here, by block ranges
+    cls, blocks, alpha, xs = game
+    session = GeneratorSession("inlimit", cls, blocks, alpha)
+    feasible = generators._feasible
+    calls = []
+
+    def recorded(state, h, alpha):
+        found = feasible(state, h, alpha)
+        calls.append((h, found))
+        return found
+
+    counts, seen = {}, set()
+    for t, x in enumerate(xs, 1):
+        if x not in seen:
+            seen.add(x)
+            k = 1
+            while blocks.block_range(k)[1] <= x:
+                k += 1
+            counts[k] = counts.get(k, 0) + 1
+        pihat = {k: F(n, len(seen)) for k, n in counts.items()}
+        calls.clear()
+        with mock.patch.object(generators, "_feasible", recorded):
+            session.step(x)
+        consistent = [h for h in map(cls.get, range(
+            1, cls.materialized_count() + 1))
+            if all(y in h.support for y in seen)]
+        calls += [(h, feasible(session.state, h, alpha)) for h in consistent]
+        for h, found in calls:
+            want = fraction_feasible_blocks(h, blocks, xs[:t], pihat, alpha)
+            got = found and tuple((k, e, F(n, found[1]))
+                                  for k, e, n in found[0])
+            assert got == want, (h.id, xs[:t])
+            assert not found or found[1] == len(seen) * alpha.denominator
+    # the games reach what the ledger is for: blocks exhausted and kept
+    # only in its figures
+    assert any(ledger.total for ledger in session.state._ledgers.values())

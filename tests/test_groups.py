@@ -71,14 +71,14 @@ def test_cursors_over_one_collection_walk_independently(part):
     assert (next(a), next(b)) == (want[5], want[2])
     states = StreamState(ALL_CLS, c), StreamState(ALL_CLS, c)
     for st in states:
-        assert st.unseen(s, part) == want[0]
+        assert dict(st.heads(s))[part] == want[0]
     for st, seen in zip(states, (want[:7] + [want[12]], want[:3] + [1, 4])):
         for x in seen:
             st.add(x)
     for st in states:
         listed = []
         for _ in range(20):
-            listed.append(st.unseen(s, part))
+            listed.append(dict(st.heads(s))[part])
             st.add(listed[-1])
         seen = st.tally.seen - set(listed)
         assert listed == [x for x in want if x not in seen][:20]

@@ -21,6 +21,7 @@ import ast
 import importlib.util
 import shlex
 import sys
+from operator import attrgetter
 from pathlib import Path
 from types import ModuleType
 
@@ -267,8 +268,9 @@ def test_mutant_sites_name_existing_functions():
         sites = mutants.sites(target, source)
         assert {s.function for s in sites} == set(functions)
         module = importlib.import_module(f"repgen.{target.stem}")
-        assert all(callable(getattr(module, name)) for name in functions)
-        assert sorted((ROOT / "tests").glob(tests))
+        # a method is named `Class.method`
+        assert all(callable(attrgetter(name)(module)) for name in functions)
+        assert all(sorted((ROOT / "tests").glob(pattern)) for pattern in tests)
         keys += [(s.function, s.before, s.after) for s in sites]
         families |= {s.family for s in sites}
         tree = ast.dump(ast.parse(source))

@@ -81,7 +81,7 @@ BOOL_ADMISSIONS = {
     "tally add": lambda: GroupTally(ZERO_REST).add(True),
     "constructor": lambda: RationalDist({True: 1}),
     "uniform": lambda: RationalDist.uniform([0, True]),
-    "from numerators": lambda: RationalDist.from_numerators({True: 1}, 1),
+    "from pairs": lambda: RationalDist._from_pairs([(True, 1)], 1),
     "check witness": lambda: check_witness(EVERYTHING, ZERO_REST, F(1, 2),
                                            (0, True)),
     "representative": lambda: is_alpha_representative(
@@ -95,6 +95,16 @@ BOOL_ADMISSIONS = {
 def test_a_bool_is_not_a_natural(admit):
     with pytest.raises(ValueError, match="naturals, got True$"):
         admit()
+
+
+@pytest.mark.parametrize("c", [ZERO_REST, BlockPartition(2, (2,))],
+                         ids=["finite", "blocks"])
+@pytest.mark.parametrize("x", [-1, -2])
+def test_a_tally_refuses_a_negative_element(c, x):
+    tally = GroupTally(c)
+    with pytest.raises(ValueError, match=f"naturals, got {x}$"):
+        tally.add(x)
+    assert not tally.seen
 
 
 def _add_both(x, y):
@@ -158,7 +168,7 @@ def test_distance_builds_one_fraction(monkeypatch):
     assert len(built) == 2
 
 
-def test_from_numerators_and_uniform_emission_build_no_fraction(monkeypatch):
+def test_from_pairs_and_uniform_emission_build_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built on the integer path")
 
@@ -167,9 +177,9 @@ def test_from_numerators_and_uniform_emission_build_no_fraction(monkeypatch):
     # set up before the patch: the session checks that alpha is a Fraction
     session = GeneratorSession("uniform", cls, groups, F(1, 2), d_star=1)
     monkeypatch.setattr(measures, "Fraction", no_fraction)
-    d = RationalDist.from_numerators({9: 4, 2: 8}, 12)
+    d = RationalDist._from_pairs([(9, 4), (2, 8)], 12)
     assert d.serialize() == [[2, "2/3"], [9, "1/3"]]
-    assert d == RationalDist.from_numerators({2: 2, 9: 1}, 3)
+    assert d == RationalDist._from_pairs([(2, 2), (9, 1)], 3)
     # a uniform step reads integer counts, not Fraction group weights; after
     # [1, 0, 2] group 1 = {1} is exhausted and its weight moves whole onto 3
     for x in (1, 0, 2):

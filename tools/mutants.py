@@ -1,16 +1,17 @@
 """Mutation budget for the decision kernels: how many small faults in them
 their tests catch.
 
-Three families of mutant, one fault each, inside the functions that TARGETS
-names per module:
-- comparison flips: < and <=, > and >=, == and != swapped;
+Three families of mutant, one fault each, inside the functions (or methods,
+named `Class.method`) that TARGETS names per module:
+- comparison flips: < and <=, > and >=, == and !=, `in` and `not in`,
+  `is` and `is not` swapped;
 - `and` and `or` swapped;
 - an integer literal that is an operand of an arithmetic operator or a
   comparison raised or lowered by one.
 
 For each mutant the script writes the mutated module into a copy of the
 repository's src/ and tests/ in a temporary directory, runs the module's
-tests there (the TARGETS pattern under tests/, Hypothesis seeded with 0,
+tests there (the TARGETS patterns under tests/, Hypothesis seeded with 0,
 stopping at the first failure), and prints the site as killed (a test
 failed, or the run outlived TIMEOUT_FACTOR times the clean run's time of
 those tests) or survived (every test passed).  The copy never writes
@@ -38,14 +39,18 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# module -> (the functions mutated in it, the tests that judge its mutants)
+# module -> (the functions mutated in it, a method as `Class.method`; the
+# patterns of the test files under tests/ that judge its mutants)
 TARGETS = {
     Path("src/repgen/dimension.py"): (
         ("check_witness", "_atoms", "_closures", "_spans", "_witness",
-         "_closed_form"), "test_dimension*.py"),
+         "_closed_form"), ("test_dimension*.py",)),
     Path("src/repgen/generators.py"): (
-        ("_feasible", "_feasible_blocks", "_assemble_uniform", "_uniform",
-         "_limit"), "test_generators*.py"),
+        ("StreamState.ledger", "_feasible", "_feasible_blocks",
+         "_assemble_uniform", "_uniform", "_limit"), ("test_generators*.py",)),
+    Path("src/repgen/measures.py"): (
+        ("GroupTally.add", "GroupTally.add_block", "GroupTally.gap"),
+        ("test_measures*.py", "test_adversaries*.py")),
 }
 # A mutant's run is cut at TIMEOUT_FACTOR times the clean run's time, and
 # at no less than TIMEOUT_FLOOR_S: a mutant that loops dies in seconds and
@@ -62,10 +67,32 @@ EQUIVALENT = {
         "each group's closure atoms land in the list of the group before "
         "it, the first group's in the last: the lists are rotated, and "
         "`_spans` reads them only as a multiset of groups",
+    # raising the running maximum to a value equal to it changes nothing
+    ("GroupTally.gap", "short > worst", "short >= worst"):
+        "a point mass's owner group whose shortfall equals the running "
+        "maximum sets the maximum to the value it holds",
+    ("GroupTally.gap", "n > worst", "n >= worst"):
+        "a non-owner group whose count equals the running maximum sets the "
+        "maximum to the value it holds",
+    ("GroupTally.gap", "gap > worst", "gap >= worst"):
+        "a group whose gap equals the running maximum sets the maximum to "
+        "the value it holds; the `elif` it then skips cannot fire, as "
+        "-gap <= 0 <= worst",
+    ("GroupTally.gap", "-gap > worst", "-gap >= worst"):
+        "a group whose negated gap equals the running maximum sets the "
+        "maximum to the value it holds",
+    ("GroupTally.gap", "missed > worst", "missed >= worst"):
+        "a block mu misses whose weight equals the running maximum sets "
+        "the maximum to the value it holds",
+    ("GroupTally.gap", "counts.keys() <= masses.keys()",
+     "counts.keys() < masses.keys()"):
+        "on equal key sets the mutant walks their difference, which is "
+        "empty, so the loop it enters adds nothing",
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
+         ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
 
@@ -105,6 +132,18 @@ def _mutants(node: ast.AST) -> list[tuple[ast.AST, str, ast.AST]]:
     return out
 
 
+def _functions(tree: ast.Module):
+    """(name, definition) of each module-level function, and of each method
+    of a module-level class as `Class.method`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def sites(target: Path, source: str | None = None) -> list[Site]:
     """Every mutant of the functions TARGETS names in the target module, in
     source order."""
@@ -116,14 +155,14 @@ def sites(target: Path, source: str | None = None) -> list[Site]:
     for line in data.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
     found = []
-    for fn in ast.parse(source).body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+    for name, fn in _functions(ast.parse(source)):
+        if name not in functions:
             continue
         for parent in ast.walk(fn):
             for node, family, new in _mutants(parent):
                 start = starts[node.lineno - 1] + node.col_offset
                 end = starts[node.end_lineno - 1] + node.end_col_offset
-                found.append(Site(fn.name, node.lineno, family,
+                found.append(Site(name, node.lineno, family,
                                   ast.unparse(node), ast.unparse(new),
                                   start, end))
     return sorted(found, key=lambda s: (s.start, s.end, s.after))
@@ -137,14 +176,14 @@ def mutate(source: str, site: Site) -> str:
             + data[site.end:]).decode()
 
 
-def _run_tests(workdir: Path, pattern: str,
+def _run_tests(workdir: Path, patterns: tuple[str, ...],
                timeout: float | None = None) -> bool:
-    """Whether every test in the files under workdir/tests that match
-    `pattern` passes within `timeout` seconds (None: no limit)."""
+    """Whether every test in the files under workdir/tests that match one
+    of `patterns` passes within `timeout` seconds (None: no limit)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    tests = sorted(str(p.relative_to(workdir))
-                   for p in (workdir / "tests").glob(pattern))
+    tests = sorted({str(p.relative_to(workdir)) for pattern in patterns
+                    for p in (workdir / "tests").glob(pattern)})
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
@@ -172,22 +211,23 @@ def main() -> int:
 def _mutate_all(work: Path, target: Path) -> bool:
     """Run every mutant of one target in the copy at work and print the
     verdicts; False when its tests fail without a mutant."""
-    pattern = TARGETS[target][1]
+    patterns = TARGETS[target][1]
+    named = ", ".join(f"tests/{pattern}" for pattern in patterns)
     source = (ROOT / target).read_text()
     found = sites(target, source)
     killed = survived = equivalent = 0
     began = time.perf_counter()
-    if not _run_tests(work, pattern):
-        print(f"tests/{pattern} fail without a mutant", file=sys.stderr)
+    if not _run_tests(work, patterns):
+        print(f"{named} fail without a mutant", file=sys.stderr)
         return False
     clean = time.perf_counter() - began
     timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * clean)
-    print(f"{target}: clean run of tests/{pattern} {clean:.1f} s; each "
+    print(f"{target}: clean run of {named} {clean:.1f} s; each "
           f"mutant is cut at {timeout:.1f} s", flush=True)
     for site in found:
         (work / target).write_text(mutate(source, site))
         began = time.perf_counter()
-        passed = _run_tests(work, pattern, timeout)
+        passed = _run_tests(work, patterns, timeout)
         reason = EQUIVALENT.get((site.function, site.before, site.after))
         killed += not passed
         survived += passed
