@@ -16,21 +16,21 @@ feeds one element at a time (`observe`, or `step`, which also emits).  The
 pure `uniform_emit`, `nonuniform_emit` and `limit_emit` replay their history
 through a session, so each kind has one entry and one set of input checks.
 
-The uniform step reads the closure of the consistent indices through a
-cursor per group that the state keeps until those indices change, so while
-they stand a step hashes no set and looks up no table.  It builds its
-(element, numerator) pairs in one pass and emits a point mass directly.
+The state keeps one list of live [part, walk, head] cursors per set it
+reads, each head the least unseen element of its part, and one routine,
+`_advance`, moves every list past the seen elements, dropping a cursor for
+good once its walk runs out.  The uniform step reads the list of the
+closure of the consistent indices, a closure the state keeps until they
+change, so while they stand a step hashes no set; the in-limit step reads
+the list of each support's pieces, and on a block partition the live
+blocks of the support's `BlockLedger`, which keeps the exhausted blocks
+only as a total and a largest count, so a step never revisits one.
 
 One feasibility decision, `_feasible`, serves both the public `is_feasible`
-and the in-limit step.  It returns its witness as plain (entries, den) data;
-the step emits a point mass over den 1 directly and reads every other
-witness through the helper `FeasibilityWitness.distribution` also calls,
-which builds it from sorted (element, num) pairs as the uniform assembly
-does, so only `is_feasible` builds the public named tuples.  On a block
-partition the decision reads the support's `BlockLedger`, which the state
-keeps: the live touched blocks with their cursors, and the exhausted ones
-only as a total and a largest count, so a step never revisits an exhausted
-block.
+and the in-limit step.  It returns its witness as plain (entries, den)
+data, which the step emits as a point mass over den 1 directly and reads
+through the helper `FeasibilityWitness.distribution` also calls otherwise,
+so only `is_feasible` builds the public named tuples.
 
 Everything is deterministic and exact: same configuration and history, same
 distribution, bit for bit.
@@ -104,12 +104,12 @@ class StreamState:
     for), kept beside their bitmask so that a new element filters them with
     one AND of the class's `holding` mask, and beside the critical ones
     among them (`critical`, in decreasing order), ranked again only past
-    where the consistent indices changed; one table of smallest-unseen
-    cursors per set, one cursor per part, each walking the part of the set
-    forward only, since the seen set only grows; the closure of the
-    consistent indices with its cursor per group (`closure_cursors`), kept
-    until the consistent indices change; and on a block partition a
-    `BlockLedger` per support the feasibility check reads (`ledger`)."""
+    where the consistent indices changed; their closure (`closure`), kept
+    until they change; one list of live [part, walk, head] cursors per set
+    a finite family cuts (`heads`), one per piece with an unseen element;
+    and on a block partition a `BlockLedger` per support the feasibility
+    check reads (`ledger`), whose live blocks are such a list too.
+    `_advance` moves every list, forward only: the seen set only grows."""
 
     def __init__(self, cls: HypothesisClass, groups: GroupCollection,
                  history: Iterable[int] = ()):
@@ -127,19 +127,19 @@ class StreamState:
         # the size of a finite class, which caps the depth; None when the
         # class is extendable
         self._size = None if cls.extendable else cls.materialized_count()
-        # set -> part -> [walk of the part, its least unseen member or None]
-        self._cursors: dict[PeriodicSet, dict] = {}
+        # set -> the live [vec, walk, head] cursors of its pieces
+        self._live: dict[PeriodicSet, list[list]] = {}
         # support -> its block ledger (block partitions only), and the
         # ledger read last
         self._ledgers: dict[PeriodicSet, BlockLedger] = {}
         self._ledger: BlockLedger | None = None
-        # the cursor per group over the closure of `consistent`; None until
-        # `closure_cursors` builds it, and again whenever `consistent`
-        # changes
-        self._closure_cursors: list[list] | None = None
-        # the set `heads` read last, and its table
+        # the closure of `_closure_of`, the `consistent` tuple it was taken
+        # of; a change to the indices makes `consistent` a new tuple
+        self._closure_of: tuple[int, ...] | None = None
+        self._closure: PeriodicSet | None = None
+        # the set `heads` read last, and its live list
         self._head_set: PeriodicSet | None = None
-        self._head_table: dict = {}
+        self._head_live: list[list] = []
         for x in history:
             self.add(x)
 
@@ -161,7 +161,6 @@ class StreamState:
                     self.consistent = tuple(i for i in self.consistent
                                             if kept >> (i - 1) & 1)
                     self._critical, self._ranked = [], 0
-                    self._closure_cursors = None
             return True
         return self._size is None or self.t <= self._size
 
@@ -193,7 +192,6 @@ class StreamState:
             if all(x in support for x in self.tally.seen):
                 self.consistent += (self.checked,)
                 self._mask |= 1 << (self.checked - 1)
-                self._closure_cursors = None
         return self.consistent
 
     @property
@@ -218,49 +216,43 @@ class StreamState:
             self._ranked = len(consistent)
         return critical
 
-    def heads(self, s: PeriodicSet) -> list[tuple[tuple[int, ...], int]]:
-        """(vec, least unseen element) for each piece of s cut by a finite
-        family that has an unseen element, in `pieces(s)` order.  The first
-        call on s makes its table with a cursor per piece, while
-        `closure_cursors` adds one cursor per group, so a state reads a
-        finite family's sets through one of the two: the in-limit step its
-        supports through `heads`, the uniform step its closures through
-        `closure_cursors`.  The set read last keeps its table at hand, so
-        the step that reads the same support again and again hashes it
-        once."""
+    def closure(self) -> PeriodicSet | None:
+        """The closure of `consistent` (None when no index is), kept until
+        `consistent` changes: while it stands, a call looks nothing up."""
+        if self._closure_of is not self.consistent:
+            self._closure_of = self.consistent
+            self._closure = self.cls.closure_of_indices(self.consistent)
+        return self._closure
+
+    def heads(self, s: PeriodicSet) -> list[list]:
+        """The live [vec, walk, head] cursors of the pieces of s cut by a
+        finite family, in `pieces(s)` order: one per piece that still holds
+        an unseen element, its head the least one.  The list is made on the
+        first call on s, kept, and brought up to the stream by `_advance`
+        on each call; the caller only reads it.  The set read last keeps
+        its list at hand, so a step that reads it again hashes it once."""
         if s is self._head_set:
-            table = self._head_table
+            live = self._head_live
         else:
-            table = self._cursors.get(s)
-            if table is None:
-                table = self._cursors[s] = {}
+            live = self._live.get(s)
+            if live is None:
+                live = self._live[s] = []
                 for vec, piece in self.groups.pieces(s).items():
-                    members = piece.members()
-                    table[vec] = [members, next(members, None)]
-            self._head_set, self._head_table = s, table
-        seen = self.tally.seen
-        heads = []
-        for vec, cursor in table.items():
-            head = cursor[1]
-            if head in seen:
-                members = cursor[0]
-                head = next(members, None)
-                while head in seen:
-                    head = next(members, None)
-                cursor[1] = head
-            if head is not None:
-                heads.append((vec, head))
-        return heads
+                    walk = piece.members()
+                    live.append([vec, walk, next(walk, None)])
+            self._head_set, self._head_live = s, live
+        _advance(live, self.tally.seen)
+        return live
 
     def ledger(self, s: PeriodicSet) -> BlockLedger:
         """The block ledger of s over a block partition, brought up to the
         stream: the blocks touched since the last read join `live` in
-        block order, `untouched` moves past the touched blocks, and each
-        live cursor moves past the seen elements; a block whose cursor runs
-        out leaves `live`, its count going into `total` and `largest`.  So
-        a read visits the live blocks and the new ones, never an exhausted
-        one.  The ledger read last is kept at hand, so the step that reads
-        the same support again and again hashes it once."""
+        block order, `untouched` moves past the touched blocks, and
+        `_advance` moves the live cursors, a block whose cursor runs out
+        leaving `live` for `total` and `largest`.  So a read visits the
+        live blocks and the new ones, never an exhausted one.  The ledger
+        read last is kept at hand, so the step that reads the same support
+        again and again hashes it once."""
         ledger = self._ledger
         if ledger is None or ledger.support is not s:
             ledger = self._ledgers.get(s)
@@ -268,7 +260,6 @@ class StreamState:
                 ledger = self._ledgers[s] = BlockLedger(s)
             self._ledger = ledger
         counts = self.tally.counts
-        live = ledger.live
         new = len(counts) - ledger.known
         if new:
             # a block joins the counts at its first element and never
@@ -280,50 +271,37 @@ class StreamState:
                 if cursor is None:
                     walk = self.groups.members_in(s, k)
                     cursor = [k, walk, next(walk, None)]
-                insort(live, cursor)  # blocks differ, so lists order by k
+                insort(ledger.live, cursor)  # blocks differ: lists order by k
             while ledger.untouched in counts:
                 ledger.untouched += 1
-        seen = self.tally.seen
-        spent = False
-        for cursor in live:
-            head = cursor[2]
-            if head in seen:
-                walk = cursor[1]
-                head = next(walk, None)
-                while head in seen:
-                    head = next(walk, None)
-                cursor[2] = head
-            if head is None:
-                n = counts[cursor[0]]
-                ledger.total += n
-                ledger.largest = max(ledger.largest, n)
-                spent = True
-        if spent:
-            ledger.live = [cursor for cursor in live if cursor[2] is not None]
+        for cursor in _advance(ledger.live, self.tally.seen):
+            n = counts[cursor[0]]
+            ledger.total += n
+            ledger.largest = max(ledger.largest, n)
         return ledger
 
-    def closure_cursors(self) -> list[list]:
-        """The [walk, head] cursor of each group, in index order, over the
-        closure of `consistent`, or an empty list when no index is
-        consistent.  The cursors are the lists the closure's table holds by
-        unit vector, so a closure met again resumes where its walks
-        stopped.  The list is built on the first call and kept until
-        `consistent` changes, so a call while it stands hashes no set and
-        looks up no table; the caller advances the heads past the seen
-        elements."""
-        cursors = self._closure_cursors
-        if cursors is None:
-            cursors = self._closure_cursors = []
-            closure = self.cls.closure_of_indices(self.consistent)
-            if closure is not None:
-                table = self._cursors.setdefault(closure, {})
-                for unit in self.groups.units:
-                    cursor = table.get(unit)
-                    if cursor is None:
-                        members = self.groups.members_in(closure, unit)
-                        cursor = table[unit] = [members, next(members, None)]
-                    cursors.append(cursor)
-        return cursors
+
+def _advance(live: list[list], seen: Collection[int]) -> tuple[list, ...]:
+    """Move the head of each [part, walk, head] cursor of `live` past the
+    seen elements, and drop from `live`, in place, the cursors whose walks
+    ran out, returning them in a tuple, empty on most calls.  A head is the
+    least unseen member of its part, and a walk lists the part in
+    increasing order, so a cursor only moves forward and a spent one stays
+    spent: the seen set only grows."""
+    spent = ()
+    for cursor in live:
+        head = cursor[2]
+        if head in seen:
+            walk = cursor[1]
+            head = next(walk, None)
+            while head in seen:
+                head = next(walk, None)
+            cursor[2] = head
+        if head is None:
+            spent += (cursor,)
+    if spent:
+        live[:] = [cursor for cursor in live if cursor[2] is not None]
+    return spent
 
 
 # -- feasibility -------------------------------------------------------------
@@ -348,11 +326,8 @@ class FeasibilityWitness(NamedTuple):
 
 def _distribution(entries: Sequence[tuple], den: int) -> RationalDist:
     """Mass num / den at the element of each (cell, element, num) entry:
-    the cells are disjoint, so the elements are distinct, and any witness
-    but a point mass is built from its (element, num) pairs."""
-    if len(entries) == 1 and entries[0][2] == den:
-        # a point mass, which decides nearly every in-limit step
-        return RationalDist.point(entries[0][1])
+    the cells are disjoint, so the elements are distinct, and the witness
+    is built from its (element, num) pairs."""
     return RationalDist._from_pairs([(x, m) for _, x, m in entries], den)
 
 
@@ -404,7 +379,7 @@ def _feasible(state: StreamState, h: Hypothesis,
         # row pins its mass to 1, so both passes ask whether the point mass
         # is within alpha of every group, and an exact-pass success is the
         # same witness.
-        (vec, elem), = candidates
+        (vec, _, elem), = candidates
         cap = a * d
         for i, inside in enumerate(vec, 1):
             if abs((den if inside else 0) - counts[i] * b) > cap:
@@ -414,7 +389,8 @@ def _feasible(state: StreamState, h: Hypothesis,
     # tried before the banded one.  A pass in which a group's lower end is
     # positive but no candidate covers it is skipped: its row is all zeros
     # >= a positive number, which the LP rejects.
-    covers = [(counts[i] * b, [den if vec[i - 1] else 0 for vec, _ in candidates])
+    covers = [(counts[i] * b,
+               [den if vec[i - 1] else 0 for vec, _, _ in candidates])
               for i in c.indices()]
     for exact in (True, False):
         band = 0 if exact else a * d
@@ -432,7 +408,7 @@ def _feasible(state: StreamState, h: Hypothesis,
             vertex = simplex.feasible_point_int(n, rows)
             if vertex is not None:
                 nums, delta = vertex
-                return [(vec, elem, m) for (vec, elem), m
+                return [(vec, elem, m) for (vec, _, elem), m
                         in zip(candidates, nums) if m > 0], delta
     return None
 
@@ -484,60 +460,57 @@ def _feasible_blocks(state: StreamState, h: Hypothesis,
 
 # -- uniform construction -----------------------------------------------------
 
-def _assemble_uniform(counts: dict[int, int], d: int, avail: dict[int, int],
-                      exhausted: list[int], alpha: Fraction,
-                      seen: Collection[int]) -> RationalDist:
-    """Build the emitted distribution from per-group counts of the d
-    distinct elements `seen`, one unseen closure element per live group
-    (`avail`, in group-index order, as `_uniform` builds it), and the
-    exhausted groups.
+def _assemble_uniform(counts: dict[int, int], d: int, live: list[list],
+                      alpha: Fraction, seen: Collection[int]) -> RationalDist:
+    """Build the emitted distribution from the per-group counts of the d
+    distinct elements `seen` and the closure's live cursors
+    (`StreamState.heads`), one per group with an unseen closure element,
+    in index order.  The uniform construction runs on a partition, so each
+    cursor's piece is one group, read from its unit vector, and the
+    exhausted groups' weight is what the live groups' counts leave of d.
 
-    The (element, numerator) pairs are built in one pass over the live
-    groups.  With none exhausted, group i's weight is counts[i] / d.
-    Otherwise the arithmetic is on integers over D = d * alpha.denominator:
-    group i's weight counts[i] / d is counts[i] * b / D and alpha = a / b is
-    a * d / D.  The exhausted weight goes to the live groups in index
-    order, each taking up to the cap a * d.  With a correctly chosen d_star
-    it always fits; when a caller configures d_star below the dimension
-    threshold, which the adversary constructions do on purpose, what is
-    left after every live group took its cap goes to the first live group,
-    so emission stays total (and deterministic).  The first group's share
-    is therefore fixed before the pass, as the larger of the cap and what
-    the others' caps leave of the weight.
-
-    One pair holding the whole denominator is the point mass, emitted
-    directly.  Any other pairs, one pair short of the denominator
-    included, go through `RationalDist._from_pairs` (sorted by element,
-    reduced by one gcd, checked by `RationalDist._assign`), so masses that
-    do not sum to 1 (out of contract) raise the error the `Fraction`
-    masses would.
+    A first pass over the live groups sums their counts and pairs each
+    head with its group's count, which is the output over d when no weight
+    is exhausted.  Otherwise a second pass works on integers over D = d *
+    alpha.denominator: group i's weight counts[i] / d is counts[i] * b / D
+    and alpha = a / b is a * d / D.  The exhausted weight goes to the live
+    groups in index order, each taking up to the cap a * d.  With a
+    correctly chosen d_star it always fits; when a caller configures d_star
+    below the dimension threshold, which the adversary constructions do on
+    purpose, what is left after every live group took its cap goes to the
+    first live group, so emission stays total (and deterministic).  The
+    first group's share is therefore fixed before that pass, as the larger
+    of the cap and what the others' caps leave of the weight.
+    `RationalDist._from_pairs` builds the output, a point mass directly.
     """
-    if not exhausted:
-        den = d
-        pairs = [(x, counts[i]) for i, x in avail.items() if counts[i] > 0]
-    elif not avail:
+    pairs = []
+    rem = d
+    for vec, _, x in live:
+        n = counts[vec.index(1) + 1]
+        if n:
+            pairs.append((x, n))
+            rem -= n
+    if not rem:
+        return RationalDist._from_pairs(pairs, d)
+    if not live:
         return empirical(seen)  # closure fully consumed; out of contract
-    else:
-        a, b = alpha.numerator, alpha.denominator
-        den = d * b
-        cap = a * d
-        rem = sum(counts[i] for i in exhausted) * b
-        # the first live group's share, above the cap only out of
-        # contract (d_star too small)
-        take = max(cap, rem - cap * (len(avail) - 1))
-        pairs = []
-        for i, x in avail.items():
-            m = counts[i] * b
-            if rem:
-                add = min(take, rem)
-                m += add
-                rem -= add
-                take = cap
-            if m > 0:
-                pairs.append((x, m))
-    if len(pairs) == 1 and pairs[0][1] == den:
-        return RationalDist.point(pairs[0][0])
-    return RationalDist._from_pairs(pairs, den)
+    a, b = alpha.numerator, alpha.denominator
+    cap = a * d
+    rem *= b
+    # the first live group's share, above the cap only out of contract
+    # (d_star too small)
+    take = max(cap, rem - cap * (len(live) - 1))
+    pairs = []
+    for vec, _, x in live:
+        m = counts[vec.index(1) + 1] * b
+        if rem:
+            add = min(take, rem)
+            m += add
+            rem -= add
+            take = cap
+        if m > 0:
+            pairs.append((x, m))
+    return RationalDist._from_pairs(pairs, d * b)
 
 
 def _uniform(state: StreamState, alpha: Fraction, d_star: int,
@@ -553,9 +526,9 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     so weight within alpha goes whole to the smallest-index live group.
 
     Consistency is checked only while `checked` is below upto.  The state
-    keeps the closure's cursor per group until the consistent indices
-    change, and a step walks that list once, advancing each head past the
-    seen elements.
+    keeps the closure until the consistent indices change, and the step
+    reads its live cursors through `heads`, which drops an exhausted
+    group's cursor for good.
     """
     tally = state.tally
     seen = tally.seen
@@ -563,24 +536,10 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
         return state.empirical()
     if state.checked < upto:
         state.consistent_upto(upto)
-    cursors = state.closure_cursors()
-    if not cursors:  # no hypothesis is consistent
+    closure = state.closure()
+    if closure is None:  # no hypothesis is consistent
         return state.empirical()
-    avail: dict[int, int] = {}
-    exhausted: list[int] = []
-    for i, cursor in enumerate(cursors, 1):
-        head = cursor[1]
-        if head in seen:
-            members = cursor[0]
-            head = next(members, None)
-            while head in seen:
-                head = next(members, None)
-            cursor[1] = head
-        if head is None:
-            exhausted.append(i)
-        else:
-            avail[i] = head
-    return _assemble_uniform(tally.counts, len(seen), avail, exhausted,
+    return _assemble_uniform(tally.counts, len(seen), state.heads(closure),
                              alpha, state.distinct)
 
 

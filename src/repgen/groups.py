@@ -55,9 +55,6 @@ class FiniteGroups:
         self._has = tuple(enumerate((g.__contains__ for g in self._groups),
                                     start=1))
         self._pieces: dict[PeriodicSet, dict[tuple[int, ...], PeriodicSet]] = {}
-        # e_1, ..., e_K: the vector of each group alone, a partition's cells
-        k = len(self._groups)
-        self.units = tuple(tuple(int(n == i) for n in range(k)) for i in range(k))
 
     @property
     def k(self) -> int:

@@ -93,8 +93,11 @@ class RationalDist:
         same distribution, and the same errors, as
         `RationalDist({x: Fraction(num, den)})`, built without a
         `Fraction`.  The pairs are sorted in place, split with `zip`,
-        reduced by one gcd and checked by `_assign`.  den must be positive;
-        the masses need not be reduced."""
+        reduced by one gcd and checked by `_assign`; one pair holding the
+        whole denominator is the point mass, made by `point`.  den must be
+        positive; the masses need not be reduced."""
+        if len(pairs) == 1 and pairs[0][1] == den:
+            return cls.point(pairs[0][0])
         pairs.sort()
         xs, nums = zip(*pairs) if pairs else ((), ())
         g = gcd(den, *nums)

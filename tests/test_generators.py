@@ -613,19 +613,24 @@ def _assert_same_state(stepped, once):
         if all(x in cls.get(i).support for x in once.tally.seen))
     assert stepped._mask == sum(1 << (i - 1) for i in stepped.consistent)
     assert stepped.critical == once.critical
-    # every kept cursor table reads as a fresh state's; a block ledger only
+    # every kept live list reads as a fresh state's; a block ledger only
     # for a consistent support, the only kind an in-limit step reads
-    for s in list(stepped._cursors):
-        assert stepped.heads(s) == once.heads(s)
+    for s in list(stepped._live):
+        assert heads_view(stepped.heads(s)) == heads_view(once.heads(s))
     for s in {cls.get(i).support for i in stepped.consistent} \
             & stepped._ledgers.keys():
         assert ledger_view(stepped.ledger(s)) == ledger_view(once.ledger(s))
 
 
+def heads_view(live):
+    """A live list's (part, head) pairs, in order; the walks are each state's."""
+    return [(part, head) for part, _, head in live]
+
+
 def ledger_view(ledger):
     """A block ledger's figures and its live (block, head) pairs."""
-    return ([(k, head) for k, _, head in ledger.live], ledger.total,
-            ledger.largest, ledger.untouched, ledger.known)
+    return (heads_view(ledger.live), ledger.total, ledger.largest,
+            ledger.untouched, ledger.known)
 
 
 def assert_uniform_guarantee(cls, c, alpha, history, mu):

@@ -1,8 +1,9 @@
 """Property tests for the integer step constructions.
 
-The uniform assembly on integer counts equals its `Fraction`-weight
-predecessor in `oracles.py` (output and error text) on random counts,
-live/exhausted splits and alphas, including both out-of-contract fallbacks.
+The uniform assembly on integer counts and live cursors equals its
+`Fraction`-weight predecessor in `oracles.py` (output and error text) on
+random partition counts, live/exhausted splits and alphas, including the
+out-of-contract fallbacks of a d_star too small and a consumed closure.
 `HypothesisClass.critical_among`, which remembers each subset verdict,
 equals a fresh subset scan on random classes and repeated queries.
 `is_feasible`, which builds its LP rows in integers, skips passes that are
@@ -28,16 +29,21 @@ build from the history alone, on seeded streams with repeats over the
 bundled instances and the i01-i06 scenarios.  A uniform or non-uniform
 session emits at every step what `oracles.scan_uniform` builds by
 membership scans, also on streams whose new elements drop a hypothesis
-after d_star, where the session replaces the cursor list it kept.  While
-the consistent indices stand, a uniform step calls neither
-`StreamState.heads` nor `PeriodicSet.__hash__`, and a point mass is not
-built through `RationalDist._assign`.  On block partitions, over 200-500
-step streams (the naturals in order, and seeded streams with repeats that
-drop hypotheses), every witness read from the kept block ledgers equals
-`oracles.fraction_feasible_blocks` at every step.  Wherever a session plays the
-empirical distribution, which it reads from its sorted stream state, that
-equals `measures.empirical` of the history, hash and serialization
-included."""
+after d_star, where the session takes the closure again and reads another
+live list.  While the consistent indices stand, a uniform step calls
+neither `HypothesisClass.closure_of_indices` nor `PeriodicSet.__hash__`,
+reads the same live list, and does not build a point mass through
+`RationalDist._assign`.  At every step of uniform, non-uniform and
+in-limit sessions on the bundled scenarios and on `instances()`
+partitions, the live list of the closure and of each consistent support
+holds exactly the cells `oracles.unseen_cells` finds by membership, each
+with its least unseen element, and no spent cursor.  On block partitions,
+over 200-500 step streams (the naturals in order, and seeded streams with
+repeats that drop hypotheses), every witness read from the kept block
+ledgers equals `oracles.fraction_feasible_blocks` at every step.  Wherever
+a session plays the empirical distribution, which it reads from its sorted
+stream state, that equals `measures.empirical` of the history, hash and
+serialization included."""
 
 import random
 from fractions import Fraction
@@ -58,47 +64,51 @@ from oracles import (ScanLimit, consistent_among, fraction_assemble_uniform,
                      is_subset_scan, mesh_feasible, scan_uniform,
                      unseen_cells)
 from repgen import generators
+from repgen.errors import ConfigError
 from repgen.generators import (FeasibilityEntry, FeasibilityWitness,
                                GeneratorSession, StreamState, _assemble_uniform,
-                               is_feasible)
+                               is_feasible, nonuniform_thresholds)
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.measures import RationalDist, empirical
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, from_finite,
                              from_threshold, multiples)
 from repgen.scenario import build_session, load_scenario, materialize_stream
+from test_dimension_properties import instances
 from test_generators import (_assert_same_state, _count_lp_calls,
-                             nonuniform_by_definition, nonuniform_prefix,
-                             replay)
+                             heads_view, nonuniform_by_definition,
+                             nonuniform_prefix, replay)
 
 F = Fraction
 
 
+def unit(k, i):
+    """The membership vector of group i alone among k groups, as a [vec,
+    walk, head] cursor names the piece inside group i."""
+    return tuple(int(n == i - 1) for n in range(k))
+
+
 @st.composite
 def assemblies(draw):
-    """(counts, d, avail, exhausted, alpha, history) as `_uniform` passes
-    them: counts per group of d distinct elements, a distinct unseen element
-    per live group.  Half the draws give a partition's counts, which sum to
-    d; the other half draw each count on its own, as overlapping groups
-    would, which is out of contract."""
+    """(counts, d, live, alpha, history) as `_uniform` passes them: counts
+    per group of a partition of d distinct elements, which sum to d, and a
+    [unit vector, walk, head] cursor per live group, in index order, each
+    head a distinct unseen element."""
     k = draw(st.integers(1, 6))
     d = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=k - 1,
-                                    max_size=k - 1)))
-        counts = {i: hi - lo for i, (lo, hi)
-                  in enumerate(zip([0] + cuts, cuts + [d]), 1)}
-    else:
-        counts = {i: draw(st.integers(0, d)) for i in range(1, k + 1)}
-    live = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=k - 1,
+                                max_size=k - 1)))
+    counts = {i: hi - lo for i, (lo, hi)
+              in enumerate(zip([0] + cuts, cuts + [d]), 1)}
+    flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     elems = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k,
                           unique=True))
-    avail = {i: elems[i - 1] for i in range(1, k + 1) if live[i - 1]}
-    exhausted = [i for i in range(1, k + 1) if not live[i - 1]]
+    live = [[unit(k, i), iter(()), elems[i - 1]]
+            for i in range(1, k + 1) if flags[i - 1]]
     b = draw(st.integers(1, 12))
     alpha = F(draw(st.integers(0, b)), b)
     history = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
-    return counts, d, avail, exhausted, alpha, history
+    return counts, d, live, alpha, history
 
 
 def outcome(assemble, *args):
@@ -111,17 +121,16 @@ def outcome(assemble, *args):
 @settings(max_examples=500, deadline=None)
 @given(assemblies())
 # chunked redistribution that runs out of live groups (rem > 0)
-@example(({1: 5, 2: 1, 3: 0}, 6, {2: 10, 3: 11}, [1], F(1, 10), [0]))
-# whole deficit that no live group can absorb (the for ... else branch):
-# reachable only when the weights sum past 1, so both raise
-@example(({1: 2, 2: 1}, 2, {1: 7}, [2], F(1, 2), [0]))
+@example(({1: 5, 2: 1, 3: 0}, 6, [[unit(3, 2), iter(()), 10],
+                                  [unit(3, 3), iter(()), 11]], F(1, 10), [0]))
 # every group exhausted: the empirical fallback
-@example(({1: 1, 2: 1}, 2, {}, [1, 2], F(1, 3), [4, 0, 4]))
+@example(({1: 1, 2: 1}, 2, [], F(1, 3), [4, 0, 4]))
 def test_assembly_equals_fraction_reference(args):
-    counts, d, avail, exhausted, alpha, history = args
+    counts, d, live, alpha, history = args
     pi = {i: F(n, d) for i, n in counts.items()}
-    assert outcome(_assemble_uniform, counts, d, avail, exhausted, alpha,
-                   history) \
+    avail = {vec.index(1) + 1: x for vec, _, x in live}
+    exhausted = [i for i in counts if i not in avail]
+    assert outcome(_assemble_uniform, counts, d, live, alpha, history) \
         == outcome(fraction_assemble_uniform, pi, avail, exhausted, alpha,
                    history)
 
@@ -485,41 +494,56 @@ def test_uniform_sessions_equal_the_scan_at_every_step(game):
         assert mu.serialize() == want.serialize(), xs[:t]
 
 
-def test_a_dropped_hypothesis_replaces_the_kept_cursor_list():
-    # on each of DROP_GAMES the consistent indices change after d_star, the
-    # kept cursor list is replaced then and only then, and every output
-    # equals the scan's
+def _record_calls(monkeypatch, patches):
+    """Patch each (owner, name) of `patches` to record (name, first
+    argument) before each call; returns the list of records."""
+    calls = []
+    for owner, name in patches:
+        def recording(*args, original=getattr(owner, name), name=name):
+            calls.append((name, args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def test_a_dropped_hypothesis_replaces_the_kept_cursor_list(monkeypatch):
+    # on each of DROP_GAMES the consistent indices change after d_star:
+    # once a step has taken the closure, a later step takes it again, and
+    # reads it through another live list, exactly when they changed; every
+    # output equals the scan's
+    calls = _record_calls(monkeypatch,
+                          [(HypothesisClass, "closure_of_indices")])
     for game in DROP_GAMES:
         kind, cls, groups, alpha, d_star, xs = game
         session = GeneratorSession(kind, cls, groups, alpha, d_star=d_star)
         state = session.state
         thresholds, replaced = [], 0
         for t in range(1, len(xs) + 1):
-            kept, consistent = state._closure_cursors, state.consistent
+            taken = state._closure_of is not None
+            kept, consistent = state._head_live, state.consistent
+            before = len(calls)
             mu = session.step(xs[t - 1])
+            retaken = any(owner is cls for _, owner in calls[before:])
             assert mu == _uniform_by_scan(*game[:5], xs[:t], thresholds)
-            if kept is not None:
-                assert (state._closure_cursors is kept) \
-                    == (state.consistent == consistent), (game, xs[:t])
-                replaced += state._closure_cursors is not kept
+            if taken:
+                changed = state.consistent != consistent
+                assert retaken == changed, (game, xs[:t])
+                assert (state._head_live is not kept) == changed, (game, xs[:t])
+                replaced += changed
         assert replaced >= 1, game
 
 
 def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
     # over the bundled streams of u01-u12, every element new: once a
-    # session has built its cursor list for a closure, a later step under
-    # the same consistent indices calls neither `StreamState.heads` nor
-    # `PeriodicSet.__hash__`, and an output with one element, a point mass,
-    # is not built through `RationalDist._assign`; every output equals the
-    # scan's
-    calls = []
-    for owner, name in ((StreamState, "heads"), (PeriodicSet, "__hash__"),
-                        (RationalDist, "_assign")):
-        def counting(*args, original=getattr(owner, name), name=name):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(owner, name, counting)
+    # session has taken the closure, a later step under the same consistent
+    # indices calls neither `HypothesisClass.closure_of_indices` nor
+    # `PeriodicSet.__hash__` and reads the same live list object, and an
+    # output with one element, a point mass, is not built through
+    # `RationalDist._assign`; every output equals the scan's
+    calls = _record_calls(monkeypatch, [
+        (HypothesisClass, "closure_of_indices"), (PeriodicSet, "__hash__"),
+        (RationalDist, "_assign")])
     played, kept_steps, points = [], 0, 0
     for path in sorted(SCENARIO_DIR.glob("u*.json")):
         s = load_scenario(str(path))
@@ -528,13 +552,15 @@ def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
         xs = []
         for x in materialize_stream(s):
             xs.append(x)
-            kept, consistent = state._closure_cursors, state.consistent
+            taken = state._closure_of is not None
+            kept, consistent = state._head_live, state.consistent
             before = len(calls)
             mu = session.step(x)
-            made = calls[before:]
-            if kept is not None and state.consistent == consistent:
-                assert not {"heads", "__hash__"} & {*made}, (s.name, xs)
-                assert state._closure_cursors is kept
+            made = {name for name, _ in calls[before:]}
+            if taken and state.consistent == consistent:
+                assert not {"closure_of_indices", "__hash__"} & made, \
+                    (s.name, xs)
+                assert state._head_live is kept
                 kept_steps += 1
             if len(mu.support()) == 1:
                 assert "_assign" not in made, (s.name, xs)
@@ -544,6 +570,75 @@ def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
     assert kept_steps >= 200 and points >= 200
     for s, d_star, history, mu in played:
         assert mu == scan_uniform(s.cls, s.groups, s.alpha, d_star, history)
+
+
+# -- live cursor lists against the membership scan -------------------------------
+
+def assert_live_list_equals_the_scan(state, s, history):
+    """The live list `heads` reads for s holds, in `pieces` order (1
+    before 0 per coordinate), one cursor per cell in which s has an unseen
+    element, its head the least one, as `oracles.unseen_cells` finds them
+    by membership from the history alone: so no spent cursor."""
+    groups = state.groups
+    want = unseen_cells(s, [groups.group(i) for i in groups.indices()],
+                        history)
+    assert heads_view(state.heads(s)) == sorted(want.items(), reverse=True), \
+        history
+
+
+def assert_live_lists_at_every_step(session, xs):
+    """Step the session through xs; after each step, the live list of the
+    closure a uniform or non-uniform step reads, or of each consistent
+    support an in-limit step reads, equals the scan."""
+    state = session.state
+    for t, x in enumerate(xs, 1):
+        session.step(x)
+        if session.kind == "inlimit":
+            sets = [state.cls.get(n).support for n in state.consistent]
+        else:
+            sets = [s for s in [state.closure()] if s is not None]
+        for s in sets:
+            assert_live_list_equals_the_scan(state, s, xs[:t])
+
+
+@pytest.mark.parametrize("pattern", ["u*.json", "n01-*.json", "i0[1-6]-*.json"])
+def test_live_lists_equal_the_scan_on_the_bundled_streams(pattern):
+    # the uniform, non-uniform and finite-family in-limit scenarios on
+    # their own streams; the DROP_GAMES drop hypotheses after d_star
+    games = [(build_session(s), materialize_stream(s))
+             for s in map(load_scenario, map(str, sorted(
+                 SCENARIO_DIR.glob(pattern))))]
+    if pattern == "n01-*.json":
+        games += [(GeneratorSession(kind, cls, groups, alpha, d_star=d_star),
+                   xs) for kind, cls, groups, alpha, d_star, xs in DROP_GAMES]
+    for session, xs in games:
+        assert_live_lists_at_every_step(session, list(xs))
+
+
+@st.composite
+def partition_games(draw):
+    """A uniform session with an explicit d_star, a non-uniform session
+    whose class prefixes have finite dimensions, or an in-limit session,
+    on a class and partition of `instances()`, and a stream with repeats
+    whose new elements may drop hypotheses."""
+    cls, groups = draw(instances())
+    kind = draw(st.sampled_from(["uniform", "nonuniform", "inlimit"]))
+    alpha = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3)]))
+    if kind == "nonuniform":
+        try:
+            nonuniform_thresholds(cls, groups, alpha,
+                                  cls.materialized_count())
+        except ConfigError:
+            kind = "inlimit"
+    d_star = draw(st.integers(1, 3)) if kind == "uniform" else None
+    xs = draw(streams(cls, 24))
+    return GeneratorSession(kind, cls, groups, alpha, d_star=d_star), xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_games())
+def test_live_lists_equal_the_scan_on_partitions(game):
+    assert_live_lists_at_every_step(*game)
 
 
 # -- the in-limit session against its definition ---------------------------------
@@ -664,7 +759,6 @@ def test_kept_inlimit_state_equals_one_built_from_scratch(seed):
         size = 4 if cls.extendable else cls.materialized_count()
         pool = [x for n in range(1, size + 1)
                 for x in islice(cls.get(n).support.members(), 12)]
-        gsets = [groups.group(i) for i in groups.indices()]
         session = GeneratorSession("inlimit", cls, groups, alpha)
         state = session.state
         xs = []
@@ -681,12 +775,8 @@ def test_kept_inlimit_state_equals_one_built_from_scratch(seed):
                 if all(is_subset_scan(cls.get(n).support, cls.get(i).support)
                        for i in consistent if i < n)], (name, xs)
             for n in consistent:
-                support = cls.get(n).support
-                heads = state.heads(support)
-                want = unseen_cells(support, gsets, xs)
-                assert dict(heads) == want, (name, n, xs)
-                assert [vec for vec, _ in heads] \
-                    == sorted(want, reverse=True), (name, n, xs)
+                assert_live_list_equals_the_scan(state, cls.get(n).support,
+                                                 xs)
 
 
 # -- the block ledger over long streams ------------------------------------------

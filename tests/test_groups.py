@@ -57,6 +57,11 @@ def test_owners_memo_holds_one_entry_per_membership_class():
     assert tally.counts == scan_mass_by_group(c, xs, [1] * len(xs))
 
 
+def head_of(state, s, part):
+    """The head of the state's live cursor over the piece of s in `part`."""
+    return next(head for vec, _, head in state.heads(s) if vec == part)
+
+
 @pytest.mark.parametrize("part", [(1, 0), (0, 1)])
 def test_cursors_over_one_collection_walk_independently(part):
     # each members_in call walks a piece of s from its least member, however
@@ -71,14 +76,14 @@ def test_cursors_over_one_collection_walk_independently(part):
     assert (next(a), next(b)) == (want[5], want[2])
     states = StreamState(ALL_CLS, c), StreamState(ALL_CLS, c)
     for st in states:
-        assert dict(st.heads(s))[part] == want[0]
+        assert head_of(st, s, part) == want[0]
     for st, seen in zip(states, (want[:7] + [want[12]], want[:3] + [1, 4])):
         for x in seen:
             st.add(x)
     for st in states:
         listed = []
         for _ in range(20):
-            listed.append(dict(st.heads(s))[part])
+            listed.append(head_of(st, s, part))
             st.add(listed[-1])
         seen = st.tally.seen - set(listed)
         assert listed == [x for x in want if x not in seen][:20]

@@ -120,7 +120,8 @@ def test_pieces_cost_is_quadratic_in_the_group_count(monkeypatch):
     groups = [from_finite([x]) for x in range(k - 1)] + [from_threshold(k - 1)]
     c = FiniteGroups(groups)
     sets = (ALL, EVENS, ALL, multiples(3))
-    want = [{unit: s & g for unit, g in zip(c.units, groups)
+    units = [tuple(int(n == i) for n in range(k)) for i in range(k)]
+    want = [{unit: s & g for unit, g in zip(units, groups)
              if not (s & g).is_empty()} for s in sets]
     cap = 2 * k * k
     calls = [0]
@@ -179,8 +180,8 @@ def test_members_in_lists_the_intersection(instance, other, data):
         got = list(c.members_in(s, part))
         assert got == list((s & c.group(part)).members())
     else:
-        part = data.draw(st.sampled_from([*c.pieces(s), *c.units,
-                                          (0,) * c.k]))
+        units = [tuple(int(n == i) for n in range(c.k)) for i in range(c.k)]
+        part = data.draw(st.sampled_from([*c.pieces(s), *units, (0,) * c.k]))
         region = ALL
         for i, inside in zip(c.indices(), part):
             region = region & c.group(i) if inside else region - c.group(i)

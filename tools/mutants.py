@@ -46,8 +46,9 @@ TARGETS = {
         ("check_witness", "_atoms", "_closures", "_spans", "_witness",
          "_closed_form"), ("test_dimension*.py",)),
     Path("src/repgen/generators.py"): (
-        ("StreamState.ledger", "_feasible", "_feasible_blocks",
-         "_assemble_uniform", "_uniform", "_limit"), ("test_generators*.py",)),
+        ("StreamState.heads", "StreamState.ledger", "_advance", "_feasible",
+         "_feasible_blocks", "_assemble_uniform", "_uniform", "_limit"),
+        ("test_generators*.py",)),
     Path("src/repgen/measures.py"): (
         ("GroupTally.add", "GroupTally.add_block", "GroupTally.gap"),
         ("test_measures*.py", "test_adversaries*.py")),
