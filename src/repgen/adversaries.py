@@ -87,6 +87,7 @@ class ViolationReport:
     # object.__setattr__ call; this one stores all of them at once, in field
     # order.  Its signature must stay the fields' (names, order, defaults),
     # which a test checks, and dataclass keeps an __init__ the class defines.
+    # The generated one measured adversary-blocks steps/s ×0.909, p50 ×1.189.
     def __init__(self, step: int, kind: str, history: Sequence[int],
                  distribution: RationalDist | None,
                  alpha: Fraction | None = None, element: int | None = None,

@@ -20,11 +20,10 @@ The state keeps one list of live [part, walk, head] cursors per set it
 reads, each head the least unseen element of its part, and one routine,
 `_advance`, moves every list past the seen elements, dropping a cursor for
 good once its walk runs out.  The uniform step reads the list of the
-closure of the consistent indices, a closure the state keeps until they
-change, so while they stand a step hashes no set; the in-limit step reads
-the list of each support's pieces, and on a block partition the live
-blocks of the support's `BlockLedger`, which keeps the exhausted blocks
-only as a total and a largest count, so a step never revisits one.
+closure of the consistent indices, which the state keeps until they
+change; the in-limit step reads the list of each support's pieces, and on
+a block partition the live blocks of the support's `BlockLedger`, which
+keeps the exhausted blocks only as a total and a largest count.
 
 One feasibility decision, `_feasible`, serves both the public `is_feasible`
 and the in-limit step.  It returns its witness as plain (entries, den)
@@ -81,11 +80,9 @@ class BlockLedger:
     stays true once true: no exhausted block needs to be looked at
     again."""
 
-    __slots__ = ("support", "live", "total", "largest", "untouched",
-                 "fresh", "known")
+    __slots__ = ("live", "total", "largest", "untouched", "fresh", "known")
 
-    def __init__(self, support: PeriodicSet):
-        self.support = support
+    def __init__(self):
         self.live: list[list] = []
         self.total = 0
         self.largest = 0
@@ -124,22 +121,16 @@ class StreamState:
         self._critical: list[int] = []
         self._ranked = 0
         self.checked = 0  # class indices checked for consistency so far
-        # the size of a finite class, which caps the depth; None when the
-        # class is extendable
+        # a finite class's size, which caps the depth (None if extendable)
         self._size = None if cls.extendable else cls.materialized_count()
         # set -> the live [vec, walk, head] cursors of its pieces
         self._live: dict[PeriodicSet, list[list]] = {}
-        # support -> its block ledger (block partitions only), and the
-        # ledger read last
+        # support -> its block ledger (block partitions only)
         self._ledgers: dict[PeriodicSet, BlockLedger] = {}
-        self._ledger: BlockLedger | None = None
         # the closure of `_closure_of`, the `consistent` tuple it was taken
         # of; a change to the indices makes `consistent` a new tuple
         self._closure_of: tuple[int, ...] | None = None
         self._closure: PeriodicSet | None = None
-        # the set `heads` read last, and its live list
-        self._head_set: PeriodicSet | None = None
-        self._head_live: list[list] = []
         for x in history:
             self.add(x)
 
@@ -167,7 +158,8 @@ class StreamState:
     def empirical(self) -> RationalDist:
         """Uniform over the distinct elements so far: `empirical` of the
         history, read from the sorted state (every element was checked to
-        be a natural when the tally took it)."""
+        be a natural when the tally took it).  Calling `empirical` instead
+        measured uniform-fuzz steps/s ×0.954, p50 ×1.120."""
         if not self.distinct:
             raise ValueError("empirical distribution of an empty prefix is undefined")
         return RationalDist._uniform_sorted(tuple(self.distinct))
@@ -184,8 +176,9 @@ class StreamState:
         `checked`.  The uniform step asks for the size of its finite class;
         the non-uniform step for i_t, which only grows (the thresholds are
         non-decreasing and t and the distinct count only grow); the in-limit
-        step for the depth, and only while `checked` is below it.  After the
-        loop `checked` is n, so `consistent` holds no index above n."""
+        step for the depth.  The loop is the guard: a call at n = `checked`
+        checks nothing, and after it `checked` is n, so `consistent` holds no
+        index above n."""
         while self.checked < n:
             self.checked += 1
             support = self.cls.get(self.checked).support
@@ -201,10 +194,10 @@ class StreamState:
         deeper check appends larger indices, which leaves the rank of the
         earlier ones alone, and a new element that drops an index starts
         the ranking afresh, so a construction that never reads them pays
-        nothing.  h_m is critical when its support lies inside that of
-        every consistent index below m; inclusion is transitive, so the
-        consistent indices from the largest critical one below m up
-        suffice."""
+        nothing (ranking in `add` measured uniform-fuzz steps/s -7.4 %).
+        h_m is critical when its support lies inside that of every
+        consistent index below m; inclusion is transitive, so the consistent
+        indices from the largest critical one below m up suffice."""
         consistent, critical = self.consistent, self._critical
         if self._ranked < len(consistent):
             lo = consistent.index(critical[0]) if critical else 0
@@ -229,18 +222,13 @@ class StreamState:
         finite family, in `pieces(s)` order: one per piece that still holds
         an unseen element, its head the least one.  The list is made on the
         first call on s, kept, and brought up to the stream by `_advance`
-        on each call; the caller only reads it.  The set read last keeps
-        its list at hand, so a step that reads it again hashes it once."""
-        if s is self._head_set:
-            live = self._head_live
-        else:
-            live = self._live.get(s)
-            if live is None:
-                live = self._live[s] = []
-                for vec, piece in self.groups.pieces(s).items():
-                    walk = piece.members()
-                    live.append([vec, walk, next(walk, None)])
-            self._head_set, self._head_live = s, live
+        on each call; the caller only reads it."""
+        live = self._live.get(s)
+        if live is None:
+            live = self._live[s] = []
+            for vec, piece in self.groups.pieces(s).items():
+                walk = piece.members()
+                live.append([vec, walk, next(walk, None)])
         _advance(live, self.tally.seen)
         return live
 
@@ -250,15 +238,10 @@ class StreamState:
         block order, `untouched` moves past the touched blocks, and
         `_advance` moves the live cursors, a block whose cursor runs out
         leaving `live` for `total` and `largest`.  So a read visits the
-        live blocks and the new ones, never an exhausted one.  The ledger
-        read last is kept at hand, so the step that reads the same support
-        again and again hashes it once."""
-        ledger = self._ledger
-        if ledger is None or ledger.support is not s:
-            ledger = self._ledgers.get(s)
-            if ledger is None:
-                ledger = self._ledgers[s] = BlockLedger(s)
-            self._ledger = ledger
+        live blocks and the new ones, never an exhausted one."""
+        ledger = self._ledgers.get(s)
+        if ledger is None:
+            ledger = self._ledgers[s] = BlockLedger()
         counts = self.tally.counts
         new = len(counts) - ledger.known
         if new:
@@ -378,7 +361,8 @@ def _feasible(state: StreamState, h: Hypothesis,
         # and there is always a candidate.  With only one, the total-mass
         # row pins its mass to 1, so both passes ask whether the point mass
         # is within alpha of every group, and an exact-pass success is the
-        # same witness.
+        # same point mass, here over den 1.  Leaving it to the LP measured
+        # inlimit-long 167k -> 44k steps/s.
         (vec, _, elem), = candidates
         cap = a * d
         for i, inside in enumerate(vec, 1):
@@ -525,17 +509,16 @@ def _uniform(state: StreamState, alpha: Fraction, d_star: int,
     groups in index order each take up to alpha of it until none is left,
     so weight within alpha goes whole to the smallest-index live group.
 
-    Consistency is checked only while `checked` is below upto.  The state
-    keeps the closure until the consistent indices change, and the step
-    reads its live cursors through `heads`, which drops an exhausted
-    group's cursor for good.
+    `consistent_upto`'s loop checks consistency only while `checked` is
+    below upto.  The state keeps the closure until the consistent indices
+    change, and the step reads its live cursors through `heads`, which
+    drops an exhausted group's cursor for good.
     """
     tally = state.tally
     seen = tally.seen
     if len(seen) < d_star:
         return state.empirical()
-    if state.checked < upto:
-        state.consistent_upto(upto)
+    state.consistent_upto(upto)
     closure = state.closure()
     if closure is None:  # no hypothesis is consistent
         return state.empirical()
@@ -599,18 +582,19 @@ def _limit(state: StreamState,
     """The index the in-limit step selects (None on fallback) and its output.
 
     Only this step raises its state's `checked`, always to the depth, which
-    never falls; so `checked` is the depth once it is checked up to it, and
-    stays so for a finite class once t passes its size.  Every critical
-    index is then at most the depth, and its member already materialized."""
+    never falls, and `consistent_upto`'s loop checks nothing once `checked`
+    is the depth, as it stays for a finite class once t passes its size.
+    Every critical index is then at most the depth, and its member already
+    materialized.  A point mass (den 1) is emitted through `point` directly:
+    removing that measured inlimit-long steps/s ×0.928, p50 ×1.101."""
     depth = state.depth()
-    if state.checked < depth:
-        state.consistent_upto(depth)
+    state.consistent_upto(depth)
     members = state.cls._members
     for n in state.critical:
         found = _feasible(state, members[n - 1], alpha)
         if found is not None:
             entries, den = found
-            if den == 1:  # a point mass
+            if den == 1:
                 return n, RationalDist.point(entries[0][1])
             return n, _distribution(entries, den)
     return None, state.empirical()

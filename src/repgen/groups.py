@@ -7,19 +7,17 @@ Both shapes share `group(i)` (a `PeriodicSet`), `owners(x)` (the indices
 of the groups that hold x, as a tuple the collection may keep and share),
 its list copy `groups_containing(x)`, `mass_by_group(xs, weights)` (total
 weight per group: every group of a finite family, the touched blocks of a
-partition), `members_in(s, part)` (the members of a set inside a cell,
-named by its membership vector, or a block, in increasing order) and
-`validate()`, so callers that count, weigh or enumerate elements never ask
-which shape they hold.
+partition) and `validate()`, so callers that count or weigh elements never
+ask which shape they hold.
 Membership in a finite family is itself ultimately periodic: with T the
 largest threshold and M the lcm of the moduli, x >= T holds the same groups
 as T + (x - T) mod M.  `FiniteGroups` decides which groups hold an element
 once per such class and looks it up after that, so its memo never holds more
 than T + M entries.  It cuts each set once into `pieces(s)` with
 `periodic.refine`, the all-zeros vector keying the part in no group, and
-keeps the cut; `validate()` reads the same `periodic.classify` masks.  Each
-`members_in` call starts a fresh walk of a piece; the stream state's cursors
-keep theirs and only move forward, so a piece is walked once per state.
+keeps the cut; `validate()` reads the same `periodic.classify` masks.  A
+stream state walks each piece of a set once, its cursors moving forward
+only; on a block partition its ledger walks blocks through `members_in`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .hypotheses import Hypothesis
-from .periodic import EMPTY, PeriodicSet, classify, interval, refine
+from .periodic import PeriodicSet, classify, interval, refine
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,6 @@ class FiniteGroups:
                 tuple(mask >> n & 1 for n in range(k)): piece
                 for mask, piece in refine(s, self._groups)}
         return cut
-
-    def members_in(self, s: PeriodicSet, vec: tuple[int, ...]) -> Iterator[int]:
-        """The members of s inside the cell whose membership vector `vec`
-        is, in increasing order: a walk of that piece of s from its least
-        member."""
-        return self.pieces(s).get(vec, EMPTY).members()
 
     def __repr__(self) -> str:
         return f"FiniteGroups(k={self.k})"

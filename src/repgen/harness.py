@@ -11,14 +11,16 @@ bitmask that each new element ANDs with the class's memoized `holding`
 mask, so a step costs the same however long the stream has run.  A repeat
 on which the session re-emits the same distribution object leaves the
 tally, the mask and `last_selected` as they were, so its record is the
-previous one with the new step and element.  The alpha verdict and the
-summary's largest distance are decided by cross-multiplying the tally's
-integer gap, the largest kept as a running numerator and denominator, and
-the record keeps the gap reduced by one `gcd`, so a step check builds no
-`Fraction`: the record's `distance` builds one when read, and the summary
-builds one for the largest.  Each step is a `StepRecord` named tuple, which
+previous one with the new step and element (checking it afresh measured
+inlimit-long steps/s ×0.952).  The alpha verdict and the summary's largest
+distance are decided by cross-multiplying the tally's integer gap, the
+largest kept as a running numerator and denominator, and the record keeps
+the gap reduced by one `gcd`, so a step check builds no `Fraction`: the
+record's `distance` builds one when read, and the summary builds one for
+the largest.  Each step is a `StepRecord` named tuple, which
 `run_game` builds as `StepRecord._make` does, through `tuple.__new__` with
-every field given, so no Python-level constructor runs per step.
+every field given, so no Python-level constructor runs per step (calling
+`StepRecord` measured inlimit-long steps/s ×0.949, p50 ×1.060).
 Traces serialize to JSON lines with sorted keys and fixed separators, making
 reruns byte-comparable.  `_dump` is the one encoder for every row repgen
 prints: rows hold records' exact values as they are, and it writes each

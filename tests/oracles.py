@@ -688,8 +688,10 @@ def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
                               history: Sequence[int]) -> RationalDist:
     """The `Fraction`-weight uniform assembly that
     `repgen.generators._assemble_uniform` was before it worked on integer
-    counts, kept verbatim (bar the name and this paragraph) as the reference
-    the integer version must match, output and error text alike.
+    counts, kept verbatim (bar the name, this paragraph and a loop whose
+    first pass always stopped it, now the one statement that pass ran) as
+    the reference the integer version must match, output and error text
+    alike.
 
     Build the emitted distribution from per-group weights, one unseen
     closure element per non-exhausted group, and the exhausted set.
@@ -717,12 +719,9 @@ def fraction_assemble_uniform(pi: dict[int, Fraction], avail: dict[int, int],
         if rem > 0:
             masses[order[0]] += rem  # out of contract (d_star too small)
     elif deficit > 0:
-        for i in order:
-            if masses[i] <= 1 - deficit:
-                masses[i] += deficit
-                break
-        else:
-            masses[order[0]] += deficit  # unreachable with a correct d_star
+        # the weights sum to 1 and include the deficit, so the first live
+        # group's pi <= 1 - deficit: the first group takes it
+        masses[order[0]] += deficit
     return RationalDist({avail[i]: m for i, m in masses.items() if m > 0})
 
 

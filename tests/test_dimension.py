@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ import repgen.dimension
 from repgen.dimension import (MAX_CHOICES, MAX_D, Condition1, Condition2,
                               _atoms, check_witness, gc_depth, gc_dimension)
 from repgen.errors import ConfigError, InvariantViolation
+from repgen.generators import GeneratorSession
 from repgen.groups import BlockPartition, FiniteGroups
 from repgen.hypotheses import Hypothesis, HypothesisClass
 from repgen.periodic import (ALL, EVENS, ODDS, PeriodicSet, format_set,
@@ -379,17 +381,37 @@ def without_residue(h):
                   for j in range(h)))
 
 
+def refusal_bound() -> float:
+    """Seconds within which three refusals of a mask fixpoint past
+    MAX_CHOICES must all come: twelve times a whole search over h = 12
+    (4,095 masks), timed here so that a slower interpreter, under a tracer
+    say, raises the bound with it, and never below 0.5 s.  On a 2-vCPU
+    x86-64 VM the search took 0.04-0.05 s and the three refusals 0.25 s;
+    refusing only after the whole fixpoint (2^18 - 1 masks) took 1.1 s for
+    three, so such a search fails the bound."""
+    start = time.perf_counter()
+    gc_depth(without_residue(12), PARITY, F(1, 4))
+    return max(0.5, 12 * (time.perf_counter() - start))
+
+
 def test_max_choices_caps_the_closure_masks(monkeypatch):
     # each mask takes a choice of exhausted groups at least, so 2^18 - 1
-    # masks are refused as soon as the fixpoint passes the cap; building
-    # them all once took 7 s
+    # masks are refused as soon as the fixpoint passes the cap, by the
+    # search alone, with its witness, or as a uniform session's set-up
+    bound = refusal_bound()
+    cls = without_residue(18)
+    refused = (f"dimension search needs at least {MAX_CHOICES + 1} closure "
+               "masks, each with a choice of exhausted groups, above "
+               f"MAX_CHOICES = {MAX_CHOICES}")
     start = time.perf_counter()
-    with pytest.raises(ConfigError, match=(
-            f"^dimension search needs at least {MAX_CHOICES + 1} closure "
-            "masks, each with a choice of exhausted groups, above "
-            f"MAX_CHOICES = {MAX_CHOICES}$")):
-        gc_depth(without_residue(18), PARITY, F(1, 4))
-    assert time.perf_counter() - start < 0.5
+    for search, err in (
+            (gc_depth, f"^{refused}$"), (gc_dimension, f"^{refused}$"),
+            (partial(GeneratorSession, "uniform"),
+             f"^cannot derive d_star: {refused}; an explicit d_star skips "
+             "the search$")):
+        with pytest.raises(ConfigError, match=err):
+            search(cls, PARITY, F(1, 4))
+    assert time.perf_counter() - start < bound
     # the cap is inclusive: four hypotheses take fifteen masks, one choice
     # each
     monkeypatch.setattr(repgen.dimension, "MAX_CHOICES", 15)

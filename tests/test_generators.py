@@ -547,56 +547,55 @@ def test_limit_emit_selects_largest_index():
     assert selected_two
 
 
+def _record_checks(monkeypatch, session, xs):
+    """The largest class index each step of the session on xs checks for
+    consistency, over the steps that check one, each reading the member
+    through the class's `get`; each index is checked once, in order."""
+    cls = session.cls
+    got, reached = [], []
+
+    def get(n):
+        got.append(n)
+        return HypothesisClass.get(cls, n)
+
+    monkeypatch.setattr(cls, "get", get)
+    for x in xs:
+        before = len(got)
+        session.step(x)
+        if len(got) > before:
+            reached.append(got[-1])
+    assert got == list(range(1, len(got) + 1))
+    return reached
+
+
 def test_an_inlimit_step_checks_consistency_only_while_the_depth_grows(
         monkeypatch):
-    # the depth is t capped by a finite class: a class of two stops asking
-    # after its second step, while an extendable class asks for one more
+    # the depth is t capped by a finite class: a class of two stops checking
+    # after its second step, while an extendable class checks one more
     # index on every step
-    asked = []
-    upto = StreamState.consistent_upto
-
-    def recorded(self, n):
-        asked.append(n)
-        return upto(self, n)
-
-    monkeypatch.setattr(StreamState, "consistent_upto", recorded)
     finite = _cls([("evens", EVENS), ("mult4", multiples(4))])
     extendable = HypothesisClass(
         [], provider=lambda n: Hypothesis(f"mult{n}", multiples(n)))
     for cls, want in ((finite, [1, 2]), (extendable, list(range(1, 11)))):
-        asked.clear()
         session = GeneratorSession("inlimit", cls, PARITY, F(1, 2))
-        for x in range(0, 40, 4):
-            session.step(x)
-        assert asked == want
+        assert _record_checks(monkeypatch, session, range(0, 40, 4)) == want
 
 
 def test_a_uniform_step_checks_consistency_only_while_its_prefix_grows(
         monkeypatch):
-    # a uniform session asks for its whole class once, at its first step
+    # a uniform session checks its whole class once, at its first step
     # with d_star distinct elements, and never reads the class size again;
-    # a non-uniform session asks once more when i_t grows (the thresholds
+    # a non-uniform session checks once more when i_t grows (the thresholds
     # of from2, evens against {0, 1} and the rest at 1/2 are 1 and 2)
-    asked = []
-    upto = StreamState.consistent_upto
-
-    def recorded(self, n):
-        asked.append(n)
-        return upto(self, n)
-
-    monkeypatch.setattr(StreamState, "consistent_upto", recorded)
     zero_one_rest = FiniteGroups([from_finite([0, 1]), from_threshold(2)])
     nested = _cls([("all", ALL), ("evens", EVENS), ("mult4", multiples(4))])
     from2 = _cls([("from2", from_threshold(2)), ("evens", EVENS)])
     for kind, cls, d_star, want in (("uniform", nested, 2, [3]),
                                     ("nonuniform", from2, None, [1, 2])):
-        asked.clear()
         session = GeneratorSession(kind, cls, zero_one_rest, F(1, 2),
                                    d_star=d_star)
         monkeypatch.setattr(cls, "materialized_count", None)
-        for x in range(4, 44, 4):
-            session.step(x)
-        assert asked == want
+        assert _record_checks(monkeypatch, session, range(4, 44, 4)) == want
 
 
 def _assert_same_state(stepped, once):

@@ -30,14 +30,14 @@ bundled instances and the i01-i06 scenarios.  A uniform or non-uniform
 session emits at every step what `oracles.scan_uniform` builds by
 membership scans, also on streams whose new elements drop a hypothesis
 after d_star, where the session takes the closure again and reads another
-live list.  While the consistent indices stand, a uniform step calls
-neither `HypothesisClass.closure_of_indices` nor `PeriodicSet.__hash__`,
-reads the same live list, and does not build a point mass through
-`RationalDist._assign`.  At every step of uniform, non-uniform and
-in-limit sessions on the bundled scenarios and on `instances()`
-partitions, the live list of the closure and of each consistent support
-holds exactly the cells `oracles.unseen_cells` finds by membership, each
-with its least unseen element, and no spent cursor.  On block partitions,
+live list.  While the consistent indices stand, a uniform step does not
+call `HypothesisClass.closure_of_indices`, reads the same live list, and
+does not build a point mass through `RationalDist._assign`.  At every
+step of uniform, non-uniform and in-limit sessions on the bundled
+scenarios and on `instances()` partitions, the live list of the closure
+and of each consistent support holds exactly the cells
+`oracles.unseen_cells` finds by membership, each with its least unseen
+element, and no spent cursor.  On block partitions,
 over 200-500 step streams (the naturals in order, and seeded streams with
 repeats that drop hypotheses), every witness read from the kept block
 ledgers equals `oracles.fraction_feasible_blocks` at every step.  Wherever
@@ -507,6 +507,12 @@ def _record_calls(monkeypatch, patches):
     return calls
 
 
+def _kept_list(state):
+    """The live list `heads` keeps for the state's kept closure, read with
+    no side effect: None before the closure is taken, or when it is None."""
+    return state._live.get(state._closure)
+
+
 def test_a_dropped_hypothesis_replaces_the_kept_cursor_list(monkeypatch):
     # on each of DROP_GAMES the consistent indices change after d_star:
     # once a step has taken the closure, a later step takes it again, and
@@ -521,7 +527,7 @@ def test_a_dropped_hypothesis_replaces_the_kept_cursor_list(monkeypatch):
         thresholds, replaced = [], 0
         for t in range(1, len(xs) + 1):
             taken = state._closure_of is not None
-            kept, consistent = state._head_live, state.consistent
+            kept, consistent = _kept_list(state), state.consistent
             before = len(calls)
             mu = session.step(xs[t - 1])
             retaken = any(owner is cls for _, owner in calls[before:])
@@ -529,7 +535,8 @@ def test_a_dropped_hypothesis_replaces_the_kept_cursor_list(monkeypatch):
             if taken:
                 changed = state.consistent != consistent
                 assert retaken == changed, (game, xs[:t])
-                assert (state._head_live is not kept) == changed, (game, xs[:t])
+                assert (_kept_list(state) is not kept) == changed, \
+                    (game, xs[:t])
                 replaced += changed
         assert replaced >= 1, game
 
@@ -537,13 +544,12 @@ def test_a_dropped_hypothesis_replaces_the_kept_cursor_list(monkeypatch):
 def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
     # over the bundled streams of u01-u12, every element new: once a
     # session has taken the closure, a later step under the same consistent
-    # indices calls neither `HypothesisClass.closure_of_indices` nor
-    # `PeriodicSet.__hash__` and reads the same live list object, and an
-    # output with one element, a point mass, is not built through
-    # `RationalDist._assign`; every output equals the scan's
+    # indices does not call `HypothesisClass.closure_of_indices` and reads
+    # the same live list object, and an output with one element, a point
+    # mass, is not built through `RationalDist._assign`; every output equals
+    # the scan's
     calls = _record_calls(monkeypatch, [
-        (HypothesisClass, "closure_of_indices"), (PeriodicSet, "__hash__"),
-        (RationalDist, "_assign")])
+        (HypothesisClass, "closure_of_indices"), (RationalDist, "_assign")])
     played, kept_steps, points = [], 0, 0
     for path in sorted(SCENARIO_DIR.glob("u*.json")):
         s = load_scenario(str(path))
@@ -553,14 +559,13 @@ def test_a_kept_closure_step_looks_nothing_up(monkeypatch):
         for x in materialize_stream(s):
             xs.append(x)
             taken = state._closure_of is not None
-            kept, consistent = state._head_live, state.consistent
+            kept, consistent = _kept_list(state), state.consistent
             before = len(calls)
             mu = session.step(x)
             made = {name for name, _ in calls[before:]}
             if taken and state.consistent == consistent:
-                assert not {"closure_of_indices", "__hash__"} & made, \
-                    (s.name, xs)
-                assert state._head_live is kept
+                assert "closure_of_indices" not in made, (s.name, xs)
+                assert _kept_list(state) is kept
                 kept_steps += 1
             if len(mu.support()) == 1:
                 assert "_assign" not in made, (s.name, xs)

@@ -64,13 +64,13 @@ def head_of(state, s, part):
 
 @pytest.mark.parametrize("part", [(1, 0), (0, 1)])
 def test_cursors_over_one_collection_walk_independently(part):
-    # each members_in call walks a piece of s from its least member, however
-    # far other iterators and stream states over the collection have gone
+    # each walk of a piece of s starts from its least member, however far
+    # other walks and stream states over the collection have gone
     c = FiniteGroups([EVENS, ODDS])
     s = multiples(3)
     region = EVENS if part == (1, 0) else ODDS
     want = list(islice((s & region).members(), 40))
-    a, b = c.members_in(s, part), c.members_in(s, part)
+    a, b = c.pieces(s)[part].members(), c.pieces(s)[part].members()
     assert list(islice(a, 5)) == want[:5]
     assert list(islice(b, 2)) == want[:2]
     assert (next(a), next(b)) == (want[5], want[2])

@@ -9,8 +9,9 @@ tail each call makes O(K^2) set operations, not O(2^K). Both reach
 `classify` through the set algebra, so each `refine` piece and the
 `validate()` report are also checked by membership alone, and the cut of
 all 2^8 vectors of 8 bit-pattern groups costs one membership pass per set.
-`members_in` lists a set's members inside a cell or a block, in increasing
-order, as the set algebra does, on random partitions and block partitions.
+A walk of a piece, or a block partition's `members_in`, lists a set's
+members inside a cell or a block, in increasing order, as the set algebra
+does, on random partitions and block partitions.
 `groups_containing` and `mass_by_group`, which decide membership once per
 residue class, agree with the per-group scans in `oracles.py` below the
 largest threshold, within the first period past it and far beyond it."""
@@ -168,9 +169,11 @@ def test_pieces_cost_one_membership_pass_per_set(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(instances() | block_instances(), periodic_sets(), st.data())
 def test_members_in_lists_the_intersection(instance, other, data):
-    # a hypothesis's support, or another set, inside a cell given by its
-    # membership vector (the cell cut here by hand), realized by the set or
-    # not; a block is finite, so all its members are compared
+    # a hypothesis's support, or another set, inside a block through
+    # `members_in` (finite, so all its members are compared), or inside a
+    # cell given by its membership vector (cut here by hand) through a walk
+    # of the piece `pieces(s)` keys by it: a vector s does not realize walks
+    # the empty set
     cls, c = instance
     s = data.draw(st.sampled_from(
         [cls.get(i).support for i in range(1, cls.materialized_count() + 1)]
@@ -185,7 +188,7 @@ def test_members_in_lists_the_intersection(instance, other, data):
         region = ALL
         for i, inside in zip(c.indices(), part):
             region = region & c.group(i) if inside else region - c.group(i)
-        got = list(islice(c.members_in(s, part), 12))
+        got = list(islice(c.pieces(s).get(part, EMPTY).members(), 12))
         assert got == list(islice((s & region).members(), 12))
     assert got == sorted(set(got))
 

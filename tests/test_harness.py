@@ -28,6 +28,7 @@ from repgen.periodic import ALL
 from repgen.scenario import (StreamSpec, load_scenario, materialize_stream,
                              parse_scenario)
 from oracles import induced_group_probs, sup_distance
+from test_dimension import refusal_bound
 from test_generators import _count_lp_calls
 
 F = Fraction
@@ -785,7 +786,8 @@ def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
     # h_j = the naturals minus residue j mod 32 for j < 18, parity groups:
     # the supports AND to 2^18 - 1 closure masks, whose building took 7 s;
     # each mask takes a choice of exhausted groups at least, so the fixpoint
-    # stops as soon as the masks pass MAX_CHOICES
+    # stops as soon as the masks pass MAX_CHOICES, for each subcommand that
+    # searches
     hypotheses = [{"id": f"h{j}", "support": "ap:0,32,{%s},{}" % ",".join(
         str(r) for r in range(32) if r != j)} for j in range(18)]
     path = _write_scenario(tmp_path, _doc(
@@ -796,14 +798,16 @@ def test_an_exponential_dimension_search_is_refused_at_once(tmp_path, capsys):
     refused = (f"dimension search needs at least {MAX_CHOICES + 1} closure "
                "masks, each with a choice of exhausted groups, above "
                f"MAX_CHOICES = {MAX_CHOICES}")
+    bound = refusal_bound()
+    start = time.perf_counter()
     for args, err in (
             (["gc-dim", path], f"error: {refused}\n"),
             (["run", path], f"error: cannot derive d_star: {refused}; an "
-                            "explicit d_star skips the search\n")):
-        start = time.perf_counter()
+                            "explicit d_star skips the search\n"),
+            (["adversary", "gc-witness", path], f"error: {refused}\n")):
         assert main(args) == 3
-        assert time.perf_counter() - start < 0.5, args
         assert capsys.readouterr() == ("", err)
+    assert time.perf_counter() - start < bound
 
 
 def test_d_star_is_only_for_the_uniform_generator(tmp_path, capsys):

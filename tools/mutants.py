@@ -85,10 +85,6 @@ EQUIVALENT = {
     ("GroupTally.gap", "missed > worst", "missed >= worst"):
         "a block mu misses whose weight equals the running maximum sets "
         "the maximum to the value it holds",
-    ("GroupTally.gap", "counts.keys() <= masses.keys()",
-     "counts.keys() < masses.keys()"):
-        "on equal key sets the mutant walks their difference, which is "
-        "empty, so the loop it enters adds nothing",
 }
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
